@@ -10,6 +10,7 @@ from .morita import (
     validate_context,
     check_faithful,
     center_iso_phi,
+    transpose,
 )
 from .maps import (
     LinMap,
@@ -46,7 +47,7 @@ __all__ = [
     "Zmod", "Rationals", "parse_ring", "parse_ring_flag",
     "Algebra", "Submodule", "iter_vectors", "scalar_multiples_of",
     "Bimodule", "MoritaContext", "GMAlgebra", "build_gma",
-    "validate_context", "check_faithful", "center_iso_phi",
+    "validate_context", "check_faithful", "center_iso_phi", "transpose",
     "LinMap", "MapSpace", "is_k_commuting", "commuting_space", "decompose",
     "verify_structure_conditions", "check_properness_hypotheses",
     "construct_proper_form", "properness_certificate",

@@ -54,6 +54,9 @@ class Algebra:
             self.ring.one if j == i else self.ring.zero for j in range(self.dim)
         )
 
+    def basis(self):
+        return [self.basis_vector(i) for i in range(self.dim)]
+
     def add(self, x, y):
         return tuple(self.ring.add(a, b) for a, b in zip(x, y))
 
@@ -298,11 +301,6 @@ class Submodule:
                 out.add(tuple(v))
             self._elements = sorted(out)
         return self._elements
-
-    def count(self):
-        if self.ring.is_field and self.ring.enumerable:
-            return self.ring.size ** self.rank
-        return len(self.elements())
 
     def project(self, indices):
         """Image under coordinate projection (a linear surjection)."""

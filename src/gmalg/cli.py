@@ -93,7 +93,7 @@ def cmd_classify(args):
             raise TheoremViolation("oracle disagrees on the commuting test")
         doc["oracle_k_commuting"] = bkc
     if not kc:
-        doc["counterexample"] = list(witness)
+        doc["counterexample"] = jsonio._vec_json(G.ring, witness)
         _emit(doc, args.emit)
         return EXIT_FINDING
 
@@ -107,7 +107,7 @@ def cmd_classify(args):
     cert = maps.properness_certificate(G, theta)
     doc["proper"] = cert is not None
     if cert is not None:
-        doc["multiplier"] = list(cert.multiplier)
+        doc["multiplier"] = jsonio._vec_json(G.ring, cert.multiplier)
         doc["offset"] = cert.offset.to_json()
     if args.oracle:
         bok, _ = oracle.brute_properness(G, theta, args.budget)
@@ -304,7 +304,6 @@ def build_parser():
     )
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=20)
-    s.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     s.add_argument("--emit")
     s.set_defaults(func=cmd_sweep)
 

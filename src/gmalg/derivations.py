@@ -13,9 +13,9 @@ from .errors import (
     TheoremViolation,
     TwoTorsion,
 )
-from .maps import LinMap, MapSpace, commuting_space
+from .maps import LinMap, MapSpace, commuting_space, decompose
 from .morita import BLOCKS
-from .report import Report
+from .report import Report, failures, first_failure
 
 
 def is_derivation(G, theta):
@@ -24,16 +24,15 @@ def is_derivation(G, theta):
     alg = getattr(G, "algebra", G)
     if theta.dim != alg.dim:
         raise DimensionMismatch("map dimension does not match the algebra")
-    for i in range(alg.dim):
-        ei = alg.basis_vector(i)
-        ti = theta.apply(ei)
-        for j in range(alg.dim):
-            ej = alg.basis_vector(j)
-            lhs = theta.apply(alg.table[i][j])
-            rhs = alg.add(alg.mul(ti, ej), alg.mul(ei, theta.apply(ej)))
-            if lhs != rhs:
-                return False, (i, j)
-    return True, None
+    basis = alg.basis()
+    images = [theta.apply(e) for e in basis]
+    bad = next(failures(
+        lambda i, j: theta.apply(alg.table[i][j]) == alg.add(
+            alg.mul(images[i], basis[j]), alg.mul(basis[i], images[j])
+        ),
+        range(alg.dim), range(alg.dim),
+    ), None)
+    return bad is None, bad
 
 
 def adjoint_map(G, c):
@@ -94,15 +93,12 @@ def verify_derivation_form(G, theta):
     ctx = G.ctx
     rg = G.ring
     alg = G.algebra
-    dA, dM, dN, dB = G.dims
     rep = Report("derivation normal form")
 
     e_a = G.embed("A", ctx.A.unit)
     img = theta.apply(e_a)
     m0 = G.extract("M", img)
     n0 = G.extract("N", img)
-
-    from .maps import decompose
 
     dec = decompose(G, theta)
     form = DerivationForm(
@@ -114,188 +110,86 @@ def verify_derivation_form(G, theta):
         dec.block("B", "B"),
     )
 
-    def mbasis(p):
-        return tuple(rg.one if r == p else rg.zero for r in range(dM))
+    def plus(x, y):
+        return tuple(rg.add(u, v) for u, v in zip(x, y))
 
-    def nbasis(q):
-        return tuple(rg.one if r == q else rg.zero for r in range(dN))
+    def minus(x, y):
+        return tuple(rg.sub(u, v) for u, v in zip(x, y))
 
-    # reassembly on every basis element of G
-    ok_re = True
-    wit_re = None
-    for j in range(G.dim):
-        src, loc = G.block_of_index(j)
-        ej = alg.basis_vector(j)
-        a = G.extract("A", ej)
-        m = G.extract("M", ej)
-        n = G.extract("N", ej)
-        b = G.extract("B", ej)
+    def reassembled(x):
+        """theta(x) rebuilt from the normal form, block by block."""
+        a, m, n, b = (G.extract(name, x) for name in BLOCKS)
         top = ctx.A.sub(
             dec.apply("A", "A", a),
             ctx.A.add(ctx.pair_mn(m, n0), ctx.pair_mn(m0, n)),
         )
-        mid = tuple(
-            rg.add(x, y)
-            for x, y in zip(
-                tuple(
-                    rg.sub(u, v)
-                    for u, v in zip(ctx.am(a, m0), ctx.mb(m0, b))
-                ),
-                dec.apply("M", "M", m),
-            )
-        )
-        nid = tuple(
-            rg.add(x, y)
-            for x, y in zip(
-                tuple(
-                    rg.sub(u, v)
-                    for u, v in zip(ctx.na(n0, a), ctx.bn(b, n0))
-                ),
-                dec.apply("N", "N", n),
-            )
-        )
+        mid = plus(minus(ctx.am(a, m0), ctx.mb(m0, b)), dec.apply("M", "M", m))
+        nid = plus(minus(ctx.na(n0, a), ctx.bn(b, n0)), dec.apply("N", "N", n))
         bot = ctx.B.add(
             ctx.B.add(ctx.pair_nm(n0, m), ctx.pair_nm(n, m0)),
             dec.apply("B", "B", b),
         )
-        expect = list(G.embed("A", top))
-        for r, c in enumerate(mid):
-            expect[G.offsets["M"] + r] = c
-        for r, c in enumerate(nid):
-            expect[G.offsets["N"] + r] = c
-        for r, c in enumerate(bot):
-            expect[G.offsets["B"] + r] = rg.add(
-                expect[G.offsets["B"] + r], c
-            )
-        if theta.apply(ej) != tuple(expect):
-            ok_re, wit_re = False, {"basis_index": j}
-            break
-    rep.add("reassembly", ok_re, wit_re)
+        return top + mid + nid + bot
 
-    # the two diagonal components are themselves derivations
-    d1map = LinMap(rg, dec.block("A", "A"))
-    okda, witda = is_derivation(ctx.A, d1map)
-    rep.add("diag_a_leibniz", okda, witda)
-    m4map = LinMap(rg, dec.block("B", "B"))
-    okdb, witdb = is_derivation(ctx.B, m4map)
-    rep.add("diag_b_leibniz", okdb, witdb)
+    # reassembly on every basis element of G
+    rep.add("reassembly", *first_failure(
+        ("basis_index",),
+        lambda j: theta.apply(alg.basis_vector(j))
+        == reassembled(alg.basis_vector(j)),
+        range(G.dim),
+    ))
+
+    # each rule is written for the M side and read on both (see
+    # BlockDecomposition.sides)
+    sides = dec.sides()
+    for side, cid in zip(sides, ("diag_a_leibniz", "diag_b_leibniz")):
+        # the two diagonal components are themselves derivations
+        rep.add(cid, *is_derivation(
+            side.ctx.A, side.blocks.component_map("A", "A")
+        ))
+
+    def of_pairing(side):
+        c, d = side.ctx, side.blocks
+        em, en = c.M.basis(), c.N.basis()
+        return first_failure(
+            ("m_index", "n_index"),
+            lambda p, q: d.apply("A", "A", c.pair_mn(em[p], en[q]))
+            == c.A.add(
+                c.pair_mn(d.apply("M", "M", em[p]), en[q]),
+                c.pair_mn(em[p], d.apply("N", "N", en[q])),
+            ),
+            range(len(em)), range(len(en)),
+        )
+
+    for side, cid in zip(sides, ("diag_a_of_pairing", "diag_b_of_pairing")):
+        ok, wit = of_pairing(side)
+        rep.add(cid, ok, side.witness(wit))
 
     # product rules coupling the retained components, on basis tuples
-    ok1 = True
-    wit1 = None
-    for p in range(dM):
-        for q in range(dN):
-            lhs = dec.apply("A", "A", ctx.pair_mn(mbasis(p), nbasis(q)))
-            rhs = ctx.A.add(
-                ctx.pair_mn(dec.apply("M", "M", mbasis(p)), nbasis(q)),
-                ctx.pair_mn(mbasis(p), dec.apply("N", "N", nbasis(q))),
-            )
-            if lhs != rhs:
-                ok1, wit1 = False, {"m_index": p, "n_index": q}
-                break
-        if not ok1:
-            break
-    rep.add("diag_a_of_pairing", ok1, wit1)
-
-    ok2 = True
-    wit2 = None
-    for q in range(dN):
-        for p in range(dM):
-            lhs = dec.apply("B", "B", ctx.pair_nm(nbasis(q), mbasis(p)))
-            rhs = ctx.B.add(
-                ctx.pair_nm(dec.apply("N", "N", nbasis(q)), mbasis(p)),
-                ctx.pair_nm(nbasis(q), dec.apply("M", "M", mbasis(p))),
-            )
-            if lhs != rhs:
-                ok2, wit2 = False, {"n_index": q, "m_index": p}
-                break
-        if not ok2:
-            break
-    rep.add("diag_b_of_pairing", ok2, wit2)
-
-    ok3 = True
-    wit3 = None
-    for i in range(ctx.A.dim):
-        a = ctx.A.basis_vector(i)
-        for p in range(dM):
-            m = mbasis(p)
-            lhs = dec.apply("M", "M", ctx.am(a, m))
-            rhs = tuple(
-                rg.add(x, y)
-                for x, y in zip(
-                    ctx.am(a, dec.apply("M", "M", m)),
-                    ctx.am(dec.apply("A", "A", a), m),
-                )
-            )
-            if lhs != rhs:
-                ok3, wit3 = False, {"a_index": i, "m_index": p}
-                break
-        if not ok3:
-            break
-    rep.add("m_to_m_left_rule", ok3, wit3)
-
-    ok4 = True
-    wit4 = None
-    for p in range(dM):
-        m = mbasis(p)
-        for j in range(ctx.B.dim):
-            b = ctx.B.basis_vector(j)
-            lhs = dec.apply("M", "M", ctx.mb(m, b))
-            rhs = tuple(
-                rg.add(x, y)
-                for x, y in zip(
-                    ctx.mb(dec.apply("M", "M", m), b),
-                    ctx.mb(m, dec.apply("B", "B", b)),
-                )
-            )
-            if lhs != rhs:
-                ok4, wit4 = False, {"m_index": p, "b_index": j}
-                break
-        if not ok4:
-            break
-    rep.add("m_to_m_right_rule", ok4, wit4)
-
-    ok5 = True
-    wit5 = None
-    for j in range(ctx.B.dim):
-        b = ctx.B.basis_vector(j)
-        for q in range(dN):
-            n = nbasis(q)
-            lhs = dec.apply("N", "N", ctx.bn(b, n))
-            rhs = tuple(
-                rg.add(x, y)
-                for x, y in zip(
-                    ctx.bn(b, dec.apply("N", "N", n)),
-                    ctx.bn(dec.apply("B", "B", b), n),
-                )
-            )
-            if lhs != rhs:
-                ok5, wit5 = False, {"b_index": j, "n_index": q}
-                break
-        if not ok5:
-            break
-    rep.add("n_to_n_left_rule", ok5, wit5)
-
-    ok6 = True
-    wit6 = None
-    for q in range(dN):
-        n = nbasis(q)
-        for i in range(ctx.A.dim):
-            a = ctx.A.basis_vector(i)
-            lhs = dec.apply("N", "N", ctx.na(n, a))
-            rhs = tuple(
-                rg.add(x, y)
-                for x, y in zip(
-                    ctx.na(dec.apply("N", "N", n), a),
-                    ctx.na(n, dec.apply("A", "A", a)),
-                )
-            )
-            if lhs != rhs:
-                ok6, wit6 = False, {"n_index": q, "a_index": i}
-                break
-        if not ok6:
-            break
-    rep.add("n_to_n_right_rule", ok6, wit6)
+    for side, (left_id, right_id) in zip(sides, (
+        ("m_to_m_left_rule", "m_to_m_right_rule"),
+        ("n_to_n_left_rule", "n_to_n_right_rule"),
+    )):
+        c, d = side.ctx, side.blocks
+        eA, eB, em = c.A.basis(), c.B.basis(), c.M.basis()
+        ok, wit = first_failure(
+            ("a_index", "m_index"),
+            lambda i, p: d.apply("M", "M", c.am(eA[i], em[p])) == plus(
+                c.am(eA[i], d.apply("M", "M", em[p])),
+                c.am(d.apply("A", "A", eA[i]), em[p]),
+            ),
+            range(len(eA)), range(len(em)),
+        )
+        rep.add(left_id, ok, side.witness(wit))
+        ok, wit = first_failure(
+            ("m_index", "b_index"),
+            lambda p, j: d.apply("M", "M", c.mb(em[p], eB[j])) == plus(
+                c.mb(d.apply("M", "M", em[p]), eB[j]),
+                c.mb(em[p], d.apply("B", "B", eB[j])),
+            ),
+            range(len(em)), range(len(eB)),
+        )
+        rep.add(right_id, ok, side.witness(wit))
 
     if not rep.all_pass:
         raise TheoremViolation(

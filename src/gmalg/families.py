@@ -63,98 +63,60 @@ def triangular_matrix_algebra(ring, n, lower=False):
     return block_triangular_matrix_algebra(ring, (1,) * n, lower=lower)
 
 
-def _rect_index(rows, cols):
-    return {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
+def _unit_positions(alg):
+    """Matrix positions (r, c) of the basis of a matrix-unit algebra, read
+    from its E{r+1}{c+1} labels (single-digit coordinates only)."""
+    return [(int(lab[1]) - 1, int(lab[2]) - 1) for lab in alg.labels]
+
+
+def _unit(ring, dim, i):
+    return tuple(ring.one if t == i else ring.zero for t in range(dim))
+
+
+def _rectangle(ring, L, R, rows, cols):
+    """The rows x cols matrices as an (L, R)-bimodule under matrix
+    products.  L and R must be matrix-unit algebras of sizes rows and cols,
+    labelled as ``_unit_positions`` reads them."""
+    lpos, rpos = _unit_positions(L), _unit_positions(R)
+    cells = [(p, q) for p in range(rows) for q in range(cols)]
+    zero = (ring.zero,) * len(cells)
+    left = [
+        [_unit(ring, len(cells), cells.index((a, q))) if b == p else zero
+         for p, q in cells]
+        for a, b in lpos
+    ]
+    right = [
+        [_unit(ring, len(cells), cells.index((p, d))) if q == c else zero
+         for c, d in rpos]
+        for p, q in cells
+    ]
+    return Bimodule(ring, len(cells), left, right, L.dim, R.dim)
+
+
+def _pairing(ring, L, rows, cols):
+    """Products of rows x cols by cols x rows matrices, in the full matrix
+    algebra L."""
+    lpos = _unit_positions(L)
+    return [
+        [_unit(ring, L.dim, lpos.index((p, s)) if q == r else -1)
+         for r in range(cols) for s in range(rows)]
+        for p in range(rows) for q in range(cols)
+    ]
 
 
 def _matrix_block_context(ring, A, B, arows, brows, with_lower):
     """Context whose blocks are matrices: A of size arows, B of size brows,
     M the arows x brows rectangle, N the brows x arows rectangle (empty
-    unless ``with_lower``); all products are matrix products.
-
-    A and B must be matrix-unit algebras whose labels encode positions
-    E{r+1}{c+1} so the actions can be written down directly."""
-
-    def unit_positions(alg):
-        out = []
-        for lab in alg.labels:
-            body = lab[1:]
-            # single-digit coordinates only; desk-scale sizes
-            out.append((int(body[0]) - 1, int(body[1]) - 1))
-        return out
-
-    apos = unit_positions(A)
-    bpos = unit_positions(B)
-    dM = arows * brows
-    dN = brows * arows if with_lower else 0
-    midx = _rect_index(arows, brows)
-    nidx = _rect_index(brows, arows)
-
-    def mvec(r, c):
-        out = [ring.zero] * dM
-        out[midx[(r, c)]] = ring.one
-        return tuple(out)
-
-    def nvec(r, c):
-        out = [ring.zero] * dN
-        out[nidx[(r, c)]] = ring.one
-        return tuple(out)
-
-    zM = (ring.zero,) * dM
-    zN = (ring.zero,) * dN
-    m_left = [
-        [
-            mvec(a, q) if b == p else zM
-            for (p, q) in ((pp, qq) for pp in range(arows) for qq in range(brows))
-        ]
-        for (a, b) in apos
-    ]
-    m_right = [
-        [
-            mvec(p, d) if q == c else zM
-            for (c, d) in bpos
-        ]
-        for (p, q) in ((pp, qq) for pp in range(arows) for qq in range(brows))
-    ]
-    M = Bimodule(ring, dM, m_left, m_right, A.dim, B.dim)
-
+    unless ``with_lower``).  The N side is the M side with A and B
+    exchanged."""
+    M = _rectangle(ring, A, B, arows, brows)
     if with_lower:
-        n_left = [
-            [
-                nvec(c, s) if d == r else zN
-                for (r, s) in ((rr, ss) for rr in range(brows) for ss in range(arows))
-            ]
-            for (c, d) in bpos
-        ]
-        n_right = [
-            [
-                nvec(r, b) if s == a else zN
-                for (a, b) in apos
-            ]
-            for (r, s) in ((rr, ss) for rr in range(brows) for ss in range(arows))
-        ]
-        N = Bimodule(ring, dN, n_left, n_right, B.dim, A.dim)
-        phi = []
-        for (p, q) in ((pp, qq) for pp in range(arows) for qq in range(brows)):
-            row = []
-            for (r, s) in ((rr, ss) for rr in range(brows) for ss in range(arows)):
-                out = [ring.zero] * A.dim
-                if q == r:
-                    out[apos.index((p, s))] = ring.one
-                row.append(tuple(out))
-            phi.append(row)
-        psi = []
-        for (r, s) in ((rr, ss) for rr in range(brows) for ss in range(arows)):
-            row = []
-            for (p, q) in ((pp, qq) for pp in range(arows) for qq in range(brows)):
-                out = [ring.zero] * B.dim
-                if s == p:
-                    out[bpos.index((r, q))] = ring.one
-                row.append(tuple(out))
-            psi.append(row)
+        N = _rectangle(ring, B, A, brows, arows)
+        phi = _pairing(ring, A, arows, brows)
+        psi = _pairing(ring, B, brows, arows)
     else:
         N = Bimodule(ring, 0, [[] for _ in range(B.dim)], [], B.dim, A.dim)
-        phi = [[] for _ in range(dM)]
+        phi = [[] for _ in range(M.dim)]
         psi = []
     return MoritaContext(A, B, M, N, phi, psi)
 
@@ -224,20 +186,11 @@ def triangular_gma(ring, n, split_k, variant="upper"):
     if not lower:
         ctx = _matrix_block_context(ring, A, B, split_k, n - split_k, False)
         return build_gma(ctx)
-    # lower variant: M = 0, the rectangle sits in the N block
-    ctx_up = _matrix_block_context(ring, B, A, n - split_k, split_k, False)
+    # lower variant: M = 0, the rectangle sits in the N block and carries
+    # (n-k) x k matrices: left B-action, right A-action
+    N = _rectangle(ring, B, A, n - split_k, split_k)
     M0 = Bimodule(ring, 0, [[] for _ in range(A.dim)], [], A.dim, B.dim)
-    dN = split_k * (n - split_k)
-    # N carries (n-k) x k matrices: left B-action, right A-action
-    N = Bimodule(
-        ring,
-        dN,
-        ctx_up.M.left,
-        ctx_up.M.right,
-        B.dim,
-        A.dim,
-    )
-    ctx = MoritaContext(A, B, M0, N, [[] for _ in range(0)], [[] for _ in range(dN)])
+    ctx = MoritaContext(A, B, M0, N, [], [[] for _ in range(N.dim)])
     return build_gma(ctx)
 
 

@@ -29,23 +29,18 @@ def _vec_load(ring, v):
     return tuple(scalar_from_json(ring, c) for c in v)
 
 
-def algebra_to_json(alg):
-    return {
-        "schema": ALGEBRA_SCHEMA,
-        "ring": alg.ring.to_json(),
-        "dim": alg.dim,
-        "labels": list(alg.labels),
-        "mul": [
-            [_vec_json(alg.ring, cell) for cell in row] for row in alg.table
-        ],
-        "unit": _vec_json(alg.ring, alg.unit),
-    }
-
-
 def _require(obj, key, where):
     if not isinstance(obj, dict) or key not in obj:
         raise InputError(f"missing {key!r} in {where} document")
     return obj[key]
+
+
+def algebra_to_json(alg):
+    return {
+        "schema": ALGEBRA_SCHEMA,
+        "ring": alg.ring.to_json(),
+        **_algebra_fields(alg),
+    }
 
 
 def algebra_from_json(obj, ring=None):
@@ -53,13 +48,7 @@ def algebra_from_json(obj, ring=None):
         raise InputError(f"expected schema {ALGEBRA_SCHEMA!r}")
     if ring is None:
         ring = parse_ring(_require(obj, "ring", "algebra"))
-    labels = _require(obj, "labels", "algebra")
-    table = [
-        [_vec_load(ring, cell) for cell in row]
-        for row in _require(obj, "mul", "algebra")
-    ]
-    unit = _vec_load(ring, _require(obj, "unit", "algebra"))
-    return Algebra(ring, labels, table, unit)
+    return _algebra_from_fields(ring, obj, "algebra")
 
 
 def _algebra_fields(alg):
@@ -134,10 +123,6 @@ def context_from_json(obj):
         [_vec_load(ring, v) for v in row] for row in _require(obj, "psi", "context")
     ]
     return MoritaContext(A, B, M, N, phi, psi)
-
-
-def map_to_json(linmap):
-    return linmap.to_json()
 
 
 def map_from_json(obj, ring):

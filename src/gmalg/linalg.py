@@ -79,12 +79,6 @@ class _ModPAccumulator:
             out.append(tuple(v))
         return out
 
-    def reduce_vector(self, vec):
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        if len(self.pivots):
-            v = (v - v[self.pivots] @ self.rows) % self.p
-        return tuple(int(x) for x in v)
-
 
 class _FractionAccumulator:
     """Incremental RREF over Q (or any exact field via the ring object)."""
@@ -139,15 +133,6 @@ class _FractionAccumulator:
                 v[c] = rg.neg(self.rows[i][f])
             out.append(tuple(v))
         return out
-
-    def reduce_vector(self, vec):
-        rg = self.ring
-        v = [rg.coerce(x) for x in vec]
-        for idx, c in enumerate(self.pivots):
-            if v[c] != rg.zero:
-                f = v[c]
-                v = [rg.sub(a, rg.mul(f, b)) for a, b in zip(v, self.rows[idx])]
-        return tuple(v)
 
 
 class _CompositeAccumulator:

@@ -6,6 +6,7 @@ report for k-commuting maps, the sufficient-hypothesis check and the
 proper-form construction, plus a hypothesis-free properness decision.
 """
 
+import copy
 import itertools
 from collections import namedtuple
 
@@ -22,8 +23,8 @@ from .errors import (
     TheoremViolation,
     TwoTorsion,
 )
-from .morita import BLOCKS
-from .report import Report
+from .morita import BLOCKS, transpose
+from .report import Report, failures, first_failure
 from .rings import Zmod
 
 
@@ -88,31 +89,18 @@ class LinMap:
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 
-    def compose(self, other):
-        """self after other."""
-        rg = self.ring
-        cols = [self.apply(other.column(j)) for j in range(self.dim)]
-        return LinMap.from_columns(rg, cols)
+    def _entrywise(self, op, other):
+        return LinMap(
+            self.ring,
+            [[op(a, b) for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.rows, other.rows)],
+        )
 
     def add(self, other):
-        rg = self.ring
-        return LinMap(
-            rg,
-            [
-                [rg.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(self.ring.add, other)
 
     def sub(self, other):
-        rg = self.ring
-        return LinMap(
-            rg,
-            [
-                [rg.sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(self.ring.sub, other)
 
     def scale(self, c):
         rg = self.ring
@@ -173,7 +161,12 @@ def is_k_commuting(G, theta, k):
                 tj = theta.apply(ej)
                 s = alg.add(alg.bracket(ti, ej), alg.bracket(tj, ei))
                 if not alg.is_zero(s):
-                    return False, alg.add(ei, ej) if i != j else ei
+                    # s is the polar term q(ei + ej) - q(ei) - q(ej) of
+                    # q(x) = [theta(x), x], so q is nonzero at one of them
+                    return False, next(
+                        x for x in (ei, ej, alg.add(ei, ej))
+                        if not alg.is_zero(alg.bracket(theta.apply(x), x))
+                    )
         return True, None
     raise NotEnumerable(
         "k-commuting for k >= 2 is only decidable over finite rings"
@@ -224,9 +217,6 @@ class MapSpace:
 
     def contains(self, linmap):
         return self.space.contains(linmap.flatten())
-
-    def count(self):
-        return self.space.count()
 
     def random_member(self, rng):
         """A random linear combination of the generators; deterministic for
@@ -302,6 +292,7 @@ class BlockDecomposition:
         self.G = G
         self.theta = theta
         self.ring = G.ring
+        self._units = {"A": G.ctx.A.unit, "B": G.ctx.B.unit}
         self._blocks = {}
         for src in BLOCKS:
             for dst in BLOCKS:
@@ -342,25 +333,18 @@ class BlockDecomposition:
 
     def at_unit(self, src, dst):
         """Component applied to the unit of the source algebra (A or B)."""
-        unit = self.G.ctx.A.unit if src == "A" else self.G.ctx.B.unit
-        return self.apply(src, dst, unit)
+        return self.apply(src, dst, self._units[src])
 
     def reassemble(self):
-        d = self.G.dim
         cols = []
-        for j in range(d):
+        for j in range(self.G.dim):
             src, loc = self.G.block_of_index(j)
-            col = [self.ring.zero] * d
-            sv = tuple(
+            e = tuple(
                 self.ring.one if t == loc else self.ring.zero
-                for t in range(len(list(self.G.block_range(src))))
+                for t in range(len(self.G.block_range(src)))
             )
-            for dst in BLOCKS:
-                img = self.apply(src, dst, sv)
-                off = self.G.offsets[dst]
-                for r, c in enumerate(img):
-                    col[off + r] = c
-            cols.append(tuple(col))
+            # the column is the images in every block, in basis order
+            cols.append(sum((self.apply(src, dst, e) for dst in BLOCKS), ()))
         return LinMap.from_columns(self.ring, cols)
 
     def component_map(self, src, dst):
@@ -368,13 +352,65 @@ class BlockDecomposition:
         only: A->A and B->B)."""
         return LinMap(self.ring, self.block(src, dst))
 
+    def transposed(self):
+        """These components read on [B N; M A] (see ``morita.transpose``):
+        block names pass through A<->B, M<->N.  The view belongs to no
+        built algebra, so it has no ``G``, ``theta`` or ``reassemble``."""
+        view = copy.copy(self)
+        view.G = view.theta = None
+        view._units = {_SWAP[s]: u for s, u in self._units.items()}
+        view._blocks = {
+            (_SWAP[s], _SWAP[d]): rows for (s, d), rows in self._blocks.items()
+        }
+        return view
+
+    def sides(self):
+        """The M side and the N side of these components.
+
+        The N side is the M side of the transpose: context
+        ``transpose(ctx)``, the ``transposed`` blocks, diagonal pairs
+        diag(a, b) read as diag(b, a), and witness keys with a<->b and
+        m<->n exchanged.  Checks written once for the M side thus cover
+        both."""
+        G = self.G
+
+        def central(a, b):
+            return G.gma_center().contains(G.embed_diag(a, b))
+
+        return (
+            Side(G.ctx, self, central, {}),
+            Side(transpose(G.ctx), self.transposed(),
+                 lambda b, a: central(a, b), _SWAP_KEYS),
+        )
+
+
+_SWAP = {"A": "B", "B": "A", "M": "N", "N": "M"}
+_SWAP_KEYS = {"a_index": "b_index", "b_index": "a_index",
+              "m_index": "n_index", "n_index": "m_index"}
+
+
+class Side(namedtuple("Side", ["ctx", "blocks", "central", "keys"])):
+    """One side of a block decomposition; see ``BlockDecomposition.sides``.
+    ``central(a, b)`` tells whether diag(a, b) is central."""
+
+    def witness(self, wit):
+        """An M-side witness named for this side."""
+        if isinstance(wit, dict):
+            return {self.keys.get(k, k): v for k, v in wit.items()}
+        return wit
+
+
+def _add_mirrored(rep, sides, checks):
+    """For each ((M-side id, N-side id), check): the line of the check on
+    the M side, then on the N side."""
+    for ids, check in checks:
+        for cid, side in zip(ids, sides):
+            ok, wit = check(side)
+            rep.add(cid, ok, side.witness(wit))
+
 
 def decompose(G, theta):
     return BlockDecomposition(G, theta)
-
-
-def _module_vectors(ring, dim):
-    return list(iter_vectors(ring, dim))
 
 
 def verify_structure_conditions(G, theta, k, blocks=None):
@@ -390,7 +426,6 @@ def verify_structure_conditions(G, theta, k, blocks=None):
     rep = Report(f"structure conditions (k={k})")
     ctx = G.ctx
     rg = G.ring
-    dA, dM, dN, dB = G.dims
 
     for src, dst, cid in (
         ("A", "M", "a_to_m_zero"),
@@ -404,16 +439,18 @@ def verify_structure_conditions(G, theta, k, blocks=None):
 
     ZAk = ctx.A.engel_center(k)
     ZBk = ctx.B.engel_center(k)
+    spaces = dict(zip(BLOCKS, (ctx.A, ctx.M, ctx.N, ctx.B)))
 
     def _range_line(src, dst, target, cid):
-        dim_src = G.dims[BLOCKS.index(src)]
-        for p in range(dim_src):
-            e = tuple(rg.one if r == p else rg.zero for r in range(dim_src))
-            img = dec.apply(src, dst, e)
-            if not target.contains(img):
-                rep.add(cid, False, {"basis_index": p, "image": img})
-                return
-        rep.add(cid, True, None)
+        basis = spaces[src].basis()
+        ok, wit = first_failure(
+            ("basis_index",),
+            lambda p: target.contains(dec.apply(src, dst, basis[p])),
+            range(len(basis)),
+        )
+        if not ok:
+            wit["image"] = dec.apply(src, dst, basis[wit["basis_index"]])
+        rep.add(cid, ok, wit)
 
     _range_line("M", "A", ZAk, "m_to_a_engel_range")
     _range_line("N", "A", ZAk, "n_to_a_engel_range")
@@ -422,177 +459,95 @@ def verify_structure_conditions(G, theta, k, blocks=None):
     _range_line("M", "B", ZBk, "m_to_b_engel_range")
     _range_line("N", "B", ZBk, "n_to_b_engel_range")
 
-    d1 = dec.component_map("A", "A")
-    okA, witA = is_k_commuting(ctx.A, d1, k)
-    rep.add("diag_a_k_commuting", okA, witA)
-    rep.add(
-        "diag_a_unit_engel",
-        ZAk.contains(dec.at_unit("A", "A")),
-        dec.at_unit("A", "A"),
-    )
-    m4 = dec.component_map("B", "B")
-    okB, witB = is_k_commuting(ctx.B, m4, k)
-    rep.add("diag_b_k_commuting", okB, witB)
-    rep.add(
-        "diag_b_unit_engel",
-        ZBk.contains(dec.at_unit("B", "B")),
-        dec.at_unit("B", "B"),
-    )
+    sides = dec.sides()
+    for side, (kc_id, unit_id) in zip(sides, (
+        ("diag_a_k_commuting", "diag_a_unit_engel"),
+        ("diag_b_k_commuting", "diag_b_unit_engel"),
+    )):
+        A, diag = side.ctx.A, side.blocks
+        rep.add(kc_id, *is_k_commuting(A, diag.component_map("A", "A"), k))
+        unit = diag.at_unit("A", "A")
+        rep.add(unit_id, A.engel_center(k).contains(unit), unit)
 
-    d1_1 = dec.at_unit("A", "A")
-    d4_1 = dec.at_unit("B", "A")
-    m1_1 = dec.at_unit("A", "B")
-    m4_1 = dec.at_unit("B", "B")
-    sumA = ctx.A.add(d1_1, d4_1)
-    sumB = ctx.B.add(m1_1, m4_1)
-    difA = ctx.A.sub(d1_1, d4_1)
-    difB = ctx.B.sub(m1_1, m4_1)
     two = rg.add(rg.one, rg.one)
 
-    def _m_balance(m):
-        # (d1(1)+d4(1)+2*d2(m))*m = m*(m1(1)+m4(1)+2*m2(m))
-        lhs = ctx.am(
-            ctx.A.add(sumA, ctx.A.scale(two, dec.apply("M", "A", m))), m
-        )
-        rhs = ctx.mb(
-            m, ctx.B.add(sumB, ctx.B.scale(two, dec.apply("M", "B", m)))
-        )
-        return lhs == rhs
+    def balance(side):
+        # (d1(1)+d4(1)+2*d2(m))*m = m*(m1(1)+m4(1)+2*m2(m)); degree two in
+        # the module variable, so basis checking is insufficient
+        c, dec = side.ctx, side.blocks
+        sumA = c.A.add(dec.at_unit("A", "A"), dec.at_unit("B", "A"))
+        sumB = c.B.add(dec.at_unit("A", "B"), dec.at_unit("B", "B"))
 
-    def _n_balance(n):
-        lhs = ctx.na(
-            n, ctx.A.add(sumA, ctx.A.scale(two, dec.apply("N", "A", n)))
-        )
-        rhs = ctx.bn(
-            ctx.B.add(sumB, ctx.B.scale(two, dec.apply("N", "B", n))), n
-        )
-        return lhs == rhs
+        def holds(m):
+            lhs = c.am(
+                c.A.add(sumA, c.A.scale(two, dec.apply("M", "A", m))), m
+            )
+            rhs = c.mb(
+                m, c.B.add(sumB, c.B.scale(two, dec.apply("M", "B", m)))
+            )
+            return lhs == rhs
 
-    # degree two in the module variable, so basis checking is insufficient
-    rep.add(*_scan_module_identity(rg, dM, _m_balance, "m_balance_symmetrized",
-                                   _m_balance_split(ctx, dec, difsum=(sumA, sumB))))
-    rep.add(*_scan_module_identity(rg, dN, _n_balance, "n_balance_symmetrized",
-                                   _n_balance_split(ctx, dec, difsum=(sumA, sumB))))
+        return _scan_module_identity(
+            rg, c.M.dim, holds, _m_balance_split(c, dec, difsum=(sumA, sumB))
+        )
 
-    ok5 = True
-    wit5 = None
-    for p in range(dM):
-        m = tuple(rg.one if r == p else rg.zero for r in range(dM))
-        lhs = tuple(
-            rg.mul(two, c) for c in dec.apply("M", "M", m)
-        )
-        rhs = tuple(
-            rg.sub(a, b) for a, b in zip(ctx.am(difA, m), ctx.mb(m, difB))
-        )
-        if lhs != rhs:
-            ok5, wit5 = False, {"basis_index": p}
-            break
-    rep.add("m_to_m_doubling", ok5, wit5)
+    def doubling(side):
+        # 2*m3(m) = (d1(1)-d4(1))*m - m*(m1(1)-m4(1))
+        c, dec = side.ctx, side.blocks
+        difA = c.A.sub(dec.at_unit("A", "A"), dec.at_unit("B", "A"))
+        difB = c.B.sub(dec.at_unit("A", "B"), dec.at_unit("B", "B"))
+        em = c.M.basis()
 
-    ok6 = True
-    wit6 = None
-    for q in range(dN):
-        n = tuple(rg.one if r == q else rg.zero for r in range(dN))
-        lhs = tuple(rg.mul(two, c) for c in dec.apply("N", "N", n))
-        rhs = tuple(
-            rg.sub(a, b) for a, b in zip(ctx.na(n, difA), ctx.bn(difB, n))
-        )
-        if lhs != rhs:
-            ok6, wit6 = False, {"basis_index": q}
-            break
-    rep.add("n_to_n_doubling", ok6, wit6)
+        def holds(p):
+            lhs = tuple(rg.mul(two, x) for x in dec.apply("M", "M", em[p]))
+            rhs = tuple(
+                rg.sub(a, b)
+                for a, b in zip(c.am(difA, em[p]), c.mb(em[p], difB))
+            )
+            return lhs == rhs
+
+        return first_failure(("basis_index",), holds, range(len(em)))
+
+    _add_mirrored(rep, sides, (
+        (("m_balance_symmetrized", "n_balance_symmetrized"), balance),
+        (("m_to_m_doubling", "n_to_n_doubling"), doubling),
+    ))
     return rep
 
 
-def _scan_module_identity(ring, dim, predicate, cond_id, rational_split):
+def _scan_module_identity(ring, dim, predicate, rational_split):
     """Check an identity of degree <= 2 in one module variable.
 
     Finite rings: scan every module element.  Rationals: delegate to the
     caller-supplied split into linear and symmetrized-bilinear basis
     checks (sound in characteristic zero)."""
     if ring.enumerable:
-        for m in iter_vectors(ring, dim):
-            if not predicate(m):
-                return cond_id, False, {"module_element": m}
-        return cond_id, True, None
-    ok, wit = rational_split()
-    return cond_id, ok, wit
+        return first_failure(
+            ("module_element",), predicate, iter_vectors(ring, dim)
+        )
+    return rational_split()
 
 
 def _m_balance_split(ctx, dec, difsum):
+    """The balance identity in characteristic zero: its linear part on
+    basis elements, then its bilinear part, which is twice the
+    symmetrized quadratic balance."""
     sumA, sumB = difsum
-    rg = ctx.ring
-    dM = ctx.M.dim
-    two = rg.add(rg.one, rg.one)
+    em = ctx.M.basis()
+    quadratic = _pure_quadratic_split(
+        ctx.ring, em, lambda m, m2: _pair_diff(ctx, dec, m, m2)
+    )
 
     def run():
-        basis = [
-            tuple(rg.one if r == p else rg.zero for r in range(dM))
-            for p in range(dM)
-        ]
-        for p, m in enumerate(basis):
-            if ctx.am(sumA, m) != ctx.mb(m, sumB):
-                return False, {"basis_index": p, "part": "linear"}
-        for p in range(dM):
-            for q in range(dM):
-                lhs = ctx.am(
-                    ctx.A.scale(two, dec.apply("M", "A", basis[p])), basis[q]
-                )
-                rhs = ctx.mb(
-                    basis[q], ctx.B.scale(two, dec.apply("M", "B", basis[p]))
-                )
-                l2 = ctx.am(
-                    ctx.A.scale(two, dec.apply("M", "A", basis[q])), basis[p]
-                )
-                r2 = ctx.mb(
-                    basis[p], ctx.B.scale(two, dec.apply("M", "B", basis[q]))
-                )
-                dif = [
-                    rg.add(rg.sub(a, b), rg.sub(c, d))
-                    for a, b, c, d in zip(lhs, rhs, l2, r2)
-                ]
-                if any(c != rg.zero for c in dif):
-                    return False, {"basis_pair": (p, q), "part": "bilinear"}
-        return True, None
-
-    return run
-
-
-def _n_balance_split(ctx, dec, difsum):
-    sumA, sumB = difsum
-    rg = ctx.ring
-    dN = ctx.N.dim
-    two = rg.add(rg.one, rg.one)
-
-    def run():
-        basis = [
-            tuple(rg.one if r == q else rg.zero for r in range(dN))
-            for q in range(dN)
-        ]
-        for q, n in enumerate(basis):
-            if ctx.na(n, sumA) != ctx.bn(sumB, n):
-                return False, {"basis_index": q, "part": "linear"}
-        for p in range(dN):
-            for q in range(dN):
-                lhs = ctx.na(
-                    basis[q], ctx.A.scale(two, dec.apply("N", "A", basis[p]))
-                )
-                rhs = ctx.bn(
-                    ctx.B.scale(two, dec.apply("N", "B", basis[p])), basis[q]
-                )
-                l2 = ctx.na(
-                    basis[p], ctx.A.scale(two, dec.apply("N", "A", basis[q]))
-                )
-                r2 = ctx.bn(
-                    ctx.B.scale(two, dec.apply("N", "B", basis[q])), basis[p]
-                )
-                dif = [
-                    rg.add(rg.sub(a, b), rg.sub(c, d))
-                    for a, b, c, d in zip(lhs, rhs, l2, r2)
-                ]
-                if any(c != rg.zero for c in dif):
-                    return False, {"basis_pair": (p, q), "part": "bilinear"}
-        return True, None
+        ok, wit = first_failure(
+            ("basis_index",),
+            lambda p: ctx.am(sumA, em[p]) == ctx.mb(em[p], sumB),
+            range(len(em)),
+        )
+        if not ok:
+            return False, {**wit, "part": "linear"}
+        ok, wit = quadratic()
+        return ok, wit and {**wit, "part": "bilinear"}
 
     return run
 
@@ -623,17 +578,15 @@ def check_properness_hypotheses(G, k, pair_budget=10**6):
     cond2 = G.ctx.B.engel_center(k).equals(piB)
 
     dA, dM, dN, dB = G.dims
-    Ms = _module_vectors(rg, dM)
-    Ns = _module_vectors(rg, dN)
+    Ms = list(iter_vectors(rg, dM))
+    Ns = list(iter_vectors(rg, dN))
     if len(Ms) * len(Ns) > pair_budget:
         raise BudgetExceeded("witness-pair search space too large")
-    adA = [
-        G.ctx.A.adjoint_matrix(G.ctx.A.basis_vector(i)) for i in range(dA)
-    ]
-    adB = [
-        G.ctx.B.adjoint_matrix(G.ctx.B.basis_vector(j)) for j in range(dB)
-    ]
-    zdiag = Submodule(rg, dA + dB, _diag_coords(G))
+    adA = [G.ctx.A.adjoint_matrix(a) for a in G.ctx.A.basis()]
+    adB = [G.ctx.B.adjoint_matrix(b) for b in G.ctx.B.basis()]
+    zdiag = Submodule(rg, dA + dB, [
+        G.extract("A", g) + G.extract("B", g) for g in G.gma_center().gens
+    ])
 
     def pinned_set(m0, n0):
         rows = []
@@ -654,16 +607,6 @@ def check_properness_hypotheses(G, k, pair_budget=10**6):
             cond3, m_wit, n_wit = True, Ms[i], Ns[j]
             break
     return HypothesisWitness(cond1, cond2, cond3, m_wit, n_wit)
-
-
-def _diag_coords(G):
-    dA, dB = G.dims[0], G.dims[3]
-    out = []
-    for g in G.gma_center().gens:
-        a = tuple(g[i] for i in G.block_range("A"))
-        b = tuple(g[i] for i in G.block_range("B"))
-        out.append(a + b)
-    return out
 
 
 def _witness_order(nm, nn):
@@ -783,184 +726,86 @@ def verify_proper_form_steps(G, theta, k, blocks=None, hypotheses=None):
     rg = G.ring
     dA, dM, dN, dB = G.dims
     rep = Report(f"proper-form step invariants (k={k})")
-    z = G.gma_center()
 
-    def mbasis(p):
-        return tuple(rg.one if r == p else rg.zero for r in range(dM))
-
-    def nbasis(q):
-        return tuple(rg.one if r == q else rg.zero for r in range(dN))
-
-    def abasis(i):
-        return ctx.A.basis_vector(i)
-
-    def bbasis(j):
-        return ctx.B.basis_vector(j)
-
-    # quadratic in the module variable -> full module scans
-    def _m_quad(m):
-        return ctx.am(dec.apply("M", "A", m), m) == ctx.mb(
-            m, dec.apply("M", "B", m)
+    def quadratic(side):
+        # quadratic in the module variable -> full module scans
+        c, dec = side.ctx, side.blocks
+        return _scan_module_identity(
+            rg, c.M.dim,
+            lambda m: c.am(dec.apply("M", "A", m), m)
+            == c.mb(m, dec.apply("M", "B", m)),
+            _pure_quadratic_split(
+                rg, c.M.basis(), lambda m, m2: _pair_diff(c, dec, m, m2)
+            ),
         )
 
-    def _n_quad(n):
-        return ctx.na(n, dec.apply("N", "A", n)) == ctx.bn(
-            dec.apply("N", "B", n), n
+    def compat(side):
+        c, dec = side.ctx, side.blocks
+        em, en = c.M.basis(), c.N.basis()
+        return first_failure(
+            ("n_index", "m_index"),
+            lambda q, p: c.am(dec.apply("N", "A", en[q]), em[p])
+            == c.mb(em[p], dec.apply("N", "B", en[q])),
+            range(len(en)), range(len(em)),
         )
 
-    rep.add(*_scan_module_identity(
-        rg, dM, _m_quad, "m_to_a_quadratic_balance",
-        _pure_quadratic_split(rg, dM, lambda m, m2: _pair_diff(
-            ctx, dec, m, m2)),
+    def diag_central(side):
+        dec = side.blocks
+        em = side.ctx.M.basis()
+        return first_failure(
+            ("m_index",),
+            lambda p: side.central(
+                dec.apply("M", "A", em[p]), dec.apply("M", "B", em[p])
+            ),
+            range(len(em)),
+        )
+
+    _add_mirrored(rep, dec.sides(), (
+        (("m_to_a_quadratic_balance", "n_to_a_quadratic_balance"), quadratic),
+        (("n_to_a_m_compat", "m_to_b_n_compat"), compat),
+        (("m_to_diag_central", "n_to_diag_central"), diag_central),
     ))
-    rep.add(*_scan_module_identity(
-        rg, dN, _n_quad, "n_to_a_quadratic_balance",
-        _pure_quadratic_split(rg, dN, lambda n, n2: _pair_diff_n(
-            ctx, dec, n, n2)),
-    ))
 
-    okc = True
-    witc = None
-    for q in range(dN):
-        for p in range(dM):
-            if ctx.am(dec.apply("N", "A", nbasis(q)), mbasis(p)) != ctx.mb(
-                mbasis(p), dec.apply("N", "B", nbasis(q))
-            ):
-                okc, witc = False, {"n_index": q, "m_index": p}
-                break
-        if not okc:
-            break
-    rep.add("n_to_a_m_compat", okc, witc)
-
-    okd = True
-    witd = None
-    for p in range(dM):
-        for q in range(dN):
-            if ctx.bn(dec.apply("M", "B", mbasis(p)), nbasis(q)) != ctx.na(
-                nbasis(q), dec.apply("M", "A", mbasis(p))
-            ):
-                okd, witd = False, {"m_index": p, "n_index": q}
-                break
-        if not okd:
-            break
-    rep.add("m_to_b_n_compat", okd, witd)
-
-    oke = True
-    wite = None
-    for p in range(dM):
-        v = G.embed_diag(
-            dec.apply("M", "A", mbasis(p)), dec.apply("M", "B", mbasis(p))
-        )
-        if not z.contains(v):
-            oke, wite = False, {"m_index": p}
-            break
-    rep.add("m_to_diag_central", oke, wite)
-
-    okf = True
-    witf = None
-    for q in range(dN):
-        v = G.embed_diag(
-            dec.apply("N", "A", nbasis(q)), dec.apply("N", "B", nbasis(q))
-        )
-        if not z.contains(v):
-            okf, witf = False, {"n_index": q}
-            break
-    rep.add("n_to_diag_central", okf, witf)
-
+    # the unit reductions agree under transposition only modulo the balance
+    # identity, so each is checked as written
     d1_1 = dec.at_unit("A", "A")
     m1_1 = dec.at_unit("A", "B")
+    eA, eB, em, en = ctx.A.basis(), ctx.B.basis(), ctx.M.basis(), ctx.N.basis()
+    AA = [dec.apply("A", "A", a) for a in eA]
+    AB = [dec.apply("A", "B", a) for a in eA]
+    BA = [dec.apply("B", "A", b) for b in eB]
+    BB = [dec.apply("B", "B", b) for b in eB]
 
-    okg = True
-    witg = None
-    for i in range(dA):
-        a = abasis(i)
-        da = dec.apply("A", "A", a)
-        ma = dec.apply("A", "B", a)
-        for p in range(dM):
-            m = mbasis(p)
-            lhs = tuple(
-                rg.sub(x, y) for x, y in zip(ctx.am(da, m), ctx.mb(m, ma))
-            )
-            inner = tuple(
-                rg.sub(x, y)
-                for x, y in zip(ctx.am(d1_1, m), ctx.mb(m, m1_1))
-            )
-            rhs = ctx.am(a, inner)
-            if lhs != rhs:
-                okg, witg = False, {"a_index": i, "m_index": p}
-                break
-        if not okg:
-            break
-    rep.add("diag_a_unit_reduction_m", okg, witg)
+    def minus(x, y):
+        return tuple(rg.sub(u, v) for u, v in zip(x, y))
 
-    okh = True
-    with_h = None
-    for i in range(dA):
-        a = abasis(i)
-        da = dec.apply("A", "A", a)
-        ma = dec.apply("A", "B", a)
-        for q in range(dN):
-            n = nbasis(q)
-            inner = tuple(
-                rg.sub(x, y)
-                for x, y in zip(ctx.na(n, d1_1), ctx.bn(m1_1, n))
-            )
-            lhs = ctx.na(inner, a)
-            rhs = tuple(
-                rg.sub(x, y) for x, y in zip(ctx.na(n, da), ctx.bn(ma, n))
-            )
-            if lhs != rhs:
-                okh, with_h = False, {"a_index": i, "n_index": q}
-                break
-        if not okh:
-            break
-    rep.add("diag_a_unit_reduction_n", okh, with_h)
-
-    oki = True
-    witi = None
-    for j in range(dB):
-        b = bbasis(j)
-        db = dec.apply("B", "A", b)
-        mb4 = dec.apply("B", "B", b)
-        for p in range(dM):
-            m = mbasis(p)
-            lhs = tuple(
-                rg.sub(x, y) for x, y in zip(ctx.am(db, m), ctx.mb(m, mb4))
-            )
-            inner = tuple(
-                rg.sub(x, y)
-                for x, y in zip(ctx.mb(m, m1_1), ctx.am(d1_1, m))
-            )
-            rhs = ctx.mb(inner, b)
-            if lhs != rhs:
-                oki, witi = False, {"b_index": j, "m_index": p}
-                break
-        if not oki:
-            break
-    rep.add("diag_b_unit_reduction_m", oki, witi)
-
-    okj = True
-    witj = None
-    for j in range(dB):
-        b = bbasis(j)
-        db = dec.apply("B", "A", b)
-        mb4 = dec.apply("B", "B", b)
-        for q in range(dN):
-            n = nbasis(q)
-            lhs = tuple(
-                rg.sub(x, y) for x, y in zip(ctx.bn(mb4, n), ctx.na(n, db))
-            )
-            inner = tuple(
-                rg.sub(x, y)
-                for x, y in zip(ctx.na(n, d1_1), ctx.bn(m1_1, n))
-            )
-            rhs = ctx.bn(b, inner)
-            if lhs != rhs:
-                okj, witj = False, {"b_index": j, "n_index": q}
-                break
-        if not okj:
-            break
-    rep.add("diag_b_unit_reduction_n", okj, witj)
+    # d1(1)*m - m*m1(1) and n*d1(1) - m1(1)*n
+    m_inner = [minus(ctx.am(d1_1, m), ctx.mb(m, m1_1)) for m in em]
+    n_inner = [minus(ctx.na(n, d1_1), ctx.bn(m1_1, n)) for n in en]
+    rep.add("diag_a_unit_reduction_m", *first_failure(
+        ("a_index", "m_index"),
+        lambda i, p: minus(ctx.am(AA[i], em[p]), ctx.mb(em[p], AB[i]))
+        == ctx.am(eA[i], m_inner[p]),
+        range(dA), range(dM),
+    ))
+    rep.add("diag_a_unit_reduction_n", *first_failure(
+        ("a_index", "n_index"),
+        lambda i, q: ctx.na(n_inner[q], eA[i])
+        == minus(ctx.na(en[q], AA[i]), ctx.bn(AB[i], en[q])),
+        range(dA), range(dN),
+    ))
+    rep.add("diag_b_unit_reduction_m", *first_failure(
+        ("b_index", "m_index"),
+        lambda j, p: minus(ctx.am(BA[j], em[p]), ctx.mb(em[p], BB[j]))
+        == ctx.mb(minus(ctx.mb(em[p], m1_1), ctx.am(d1_1, em[p])), eB[j]),
+        range(dB), range(dM),
+    ))
+    rep.add("diag_b_unit_reduction_n", *first_failure(
+        ("b_index", "n_index"),
+        lambda j, q: minus(ctx.bn(BB[j], en[q]), ctx.na(en[q], BA[j]))
+        == ctx.bn(eB[j], n_inner[q]),
+        range(dB), range(dN),
+    ))
     return rep
 
 
@@ -971,33 +816,19 @@ def _pair_diff(ctx, dec, m, m2):
     return tuple(rg.sub(x, y) for x, y in zip(a, b))
 
 
-def _pair_diff_n(ctx, dec, n, n2):
-    rg = ctx.ring
-    a = ctx.na(n2, dec.apply("N", "A", n))
-    b = ctx.bn(dec.apply("N", "B", n), n2)
-    return tuple(rg.sub(x, y) for x, y in zip(a, b))
-
-
-def _pure_quadratic_split(rg, dim, bilinear):
-    """Split check for an identity B(m, m) = 0 with B bilinear (char 0)."""
+def _pure_quadratic_split(rg, basis, bilinear):
+    """Split check for an identity B(m, m) = 0 with B bilinear (char 0),
+    on the module with the given basis."""
+    dim = len(basis)
 
     def run():
-        basis = [
-            tuple(rg.one if r == p else rg.zero for r in range(dim))
-            for p in range(dim)
-        ]
-        for p in range(dim):
-            for q in range(p, dim):
-                s = tuple(
-                    rg.add(x, y)
-                    for x, y in zip(
-                        bilinear(basis[p], basis[q]),
-                        bilinear(basis[q], basis[p]),
-                    )
-                )
-                if any(c != rg.zero for c in s):
-                    return False, {"basis_pair": (p, q)}
-        return True, None
+        def symmetric_zero(p, q):
+            return q < p or all(rg.add(x, y) == rg.zero for x, y in zip(
+                bilinear(basis[p], basis[q]), bilinear(basis[q], basis[p])
+            ))
+
+        bad = next(failures(symmetric_zero, range(dim), range(dim)), None)
+        return (True, None) if bad is None else (False, {"basis_pair": bad})
 
     return run
 

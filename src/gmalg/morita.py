@@ -6,6 +6,7 @@ downstream assumes them.  The global basis order of the built algebra is
 fixed as blocks A, M, N, B.
 """
 
+import itertools
 from collections import namedtuple
 
 from . import linalg
@@ -16,6 +17,7 @@ from .errors import (
     NotFaithful,
     TheoremViolation,
 )
+from .report import failures
 
 Violation = namedtuple("Violation", ["axiom", "witness"])
 
@@ -39,6 +41,21 @@ def _bilinear(ring, x, y, tensor, out_dim):
     return tuple(out)
 
 
+def _tensor(ring, t, shape, name, values_in=None):
+    """``t`` with coerced entries, checked to be a rows x cols array of
+    vectors of the given length: ``shape`` = (rows, cols, length)."""
+    rows, cols, length = shape
+    if len(t) != rows or any(len(row) != cols for row in t):
+        raise DimensionMismatch(f"{name} tensor has wrong shape")
+    out = tuple(tuple(tuple(ring.coerce(c) for c in v) for v in row) for row in t)
+    if any(len(v) != length for row in out for v in row):
+        raise DimensionMismatch(
+            f"{name} values must live in {values_in}" if values_in
+            else f"{name} value has wrong length"
+        )
+    return out
+
+
 class Bimodule:
     """A finite free module with a left action of one algebra and a right
     action of another, both given as basis tensors."""
@@ -46,43 +63,23 @@ class Bimodule:
     def __init__(self, ring, dim, left, right, left_dim, right_dim):
         self.ring = ring
         self.dim = dim
-        if len(left) != left_dim or any(len(row) != dim for row in left):
-            raise DimensionMismatch("left action tensor has wrong shape")
-        if len(right) != dim or any(len(row) != right_dim for row in right):
-            raise DimensionMismatch("right action tensor has wrong shape")
-        self.left = tuple(
-            tuple(tuple(ring.coerce(c) for c in v) for v in row) for row in left
-        )
-        self.right = tuple(
-            tuple(tuple(ring.coerce(c) for c in v) for v in row) for row in right
-        )
-        for row in self.left:
-            for v in row:
-                if len(v) != dim:
-                    raise DimensionMismatch("left action value has wrong length")
-        for row in self.right:
-            for v in row:
-                if len(v) != dim:
-                    raise DimensionMismatch("right action value has wrong length")
+        self.left = _tensor(ring, left, (left_dim, dim, dim), "left action")
+        self.right = _tensor(ring, right, (dim, right_dim, dim), "right action")
 
     def act_left(self, a, m):
         return _bilinear(self.ring, a, m, self.left, self.dim)
 
     def act_right(self, m, b):
         # tensor is indexed module-basis first
-        out = [self.ring.zero] * self.dim
-        rg = self.ring
-        for p, mp in enumerate(m):
-            if mp == rg.zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj == rg.zero:
-                    continue
-                c = rg.mul(mp, bj)
-                for r, tr in enumerate(self.right[p][j]):
-                    if tr != rg.zero:
-                        out[r] = rg.add(out[r], rg.mul(c, tr))
-        return tuple(out)
+        return _bilinear(self.ring, m, b, self.right, self.dim)
+
+    def basis_vector(self, p):
+        return tuple(
+            self.ring.one if r == p else self.ring.zero for r in range(self.dim)
+        )
+
+    def basis(self):
+        return [self.basis_vector(p) for p in range(self.dim)]
 
 
 class MoritaContext:
@@ -96,25 +93,8 @@ class MoritaContext:
         self.B = B
         self.M = M
         self.N = N
-        rg = self.ring
-        self.phi = tuple(
-            tuple(tuple(rg.coerce(c) for c in v) for v in row) for row in phi
-        )
-        self.psi = tuple(
-            tuple(tuple(rg.coerce(c) for c in v) for v in row) for row in psi
-        )
-        if len(self.phi) != M.dim or any(len(r) != N.dim for r in self.phi):
-            raise DimensionMismatch("phi tensor has wrong shape")
-        if len(self.psi) != N.dim or any(len(r) != M.dim for r in self.psi):
-            raise DimensionMismatch("psi tensor has wrong shape")
-        for row in self.phi:
-            for v in row:
-                if len(v) != A.dim:
-                    raise DimensionMismatch("phi values must live in A")
-        for row in self.psi:
-            for v in row:
-                if len(v) != B.dim:
-                    raise DimensionMismatch("psi values must live in B")
+        self.phi = _tensor(self.ring, phi, (M.dim, N.dim, A.dim), "phi", "A")
+        self.psi = _tensor(self.ring, psi, (N.dim, M.dim, B.dim), "psi", "B")
 
     # element-level operations
     def pair_mn(self, m, n):
@@ -136,8 +116,20 @@ class MoritaContext:
         return self.N.act_right(n, a)
 
 
+def transpose(ctx):
+    """The context of [B N; M A].
+
+    (a, m, n, b) -> (b, n, m, a) is an algebra isomorphism from [A M; N B]
+    onto it, so every N-side identity of ctx is the M-side identity of its
+    transpose."""
+    return MoritaContext(ctx.B, ctx.A, ctx.N, ctx.M, ctx.psi, ctx.phi)
+
+
 def validate_context(ctx):
-    """Every violated axiom with a witnessing basis tuple; empty iff valid."""
+    """Every violated axiom with a witnessing basis tuple; empty iff valid.
+
+    The N-side axioms are the M-side ones checked on ``transpose(ctx)``,
+    named with m and n exchanged."""
     out = []
     A, B, M, N = ctx.A, ctx.B, ctx.M, ctx.N
     for name, alg in (("algebra_A", A), ("algebra_B", B)):
@@ -145,136 +137,83 @@ def validate_context(ctx):
             out.append(Violation(f"{name}_{kind}", wit))
     if M.dim == 0 and N.dim == 0:
         out.append(Violation("modules_both_zero", None))
-
-    def basis(alg_dim):
-        return range(alg_dim)
-
-    eA = [A.basis_vector(i) for i in range(A.dim)]
-    eB = [B.basis_vector(j) for j in range(B.dim)]
-    em = [
-        tuple(ctx.ring.one if r == p else ctx.ring.zero for r in range(M.dim))
-        for p in range(M.dim)
-    ]
-    en = [
-        tuple(ctx.ring.one if r == q else ctx.ring.zero for r in range(N.dim))
-        for q in range(N.dim)
+    sides = [
+        (c, s, t, c.A.basis(), c.B.basis(), c.M.basis(), c.N.basis())
+        for c, s, t in ((ctx, "m", "n"), (transpose(ctx), "n", "m"))
     ]
 
-    for p in basis(M.dim):
-        if ctx.am(A.unit, em[p]) != em[p]:
-            out.append(Violation("m_left_unit", p))
-        if ctx.mb(em[p], B.unit) != em[p]:
-            out.append(Violation("m_right_unit", p))
-    for q in basis(N.dim):
-        if ctx.bn(B.unit, en[q]) != en[q]:
-            out.append(Violation("n_left_unit", q))
-        if ctx.na(en[q], A.unit) != en[q]:
-            out.append(Violation("n_right_unit", q))
+    def scan(axiom, holds, *ranges):
+        out.extend(Violation(axiom, w) for w in failures(holds, *ranges))
 
-    for i in basis(A.dim):
-        for j in basis(A.dim):
-            prod = A.table[i][j]
-            for p in basis(M.dim):
-                if ctx.am(prod, em[p]) != ctx.am(eA[i], ctx.am(eA[j], em[p])):
-                    out.append(Violation("m_left_associativity", (i, j, p)))
-            for q in basis(N.dim):
-                if ctx.na(en[q], prod) != ctx.na(ctx.na(en[q], eA[i]), eA[j]):
-                    out.append(Violation("n_right_associativity", (q, i, j)))
-    for i in basis(B.dim):
-        for j in basis(B.dim):
-            prod = B.table[i][j]
-            for p in basis(M.dim):
-                if ctx.mb(em[p], prod) != ctx.mb(ctx.mb(em[p], eB[i]), eB[j]):
-                    out.append(Violation("m_right_associativity", (p, i, j)))
-            for q in basis(N.dim):
-                if ctx.bn(prod, en[q]) != ctx.bn(eB[i], ctx.bn(eB[j], en[q])):
-                    out.append(Violation("n_left_associativity", (i, j, q)))
-    for i in basis(A.dim):
-        for p in basis(M.dim):
-            for j in basis(B.dim):
-                lhs = ctx.mb(ctx.am(eA[i], em[p]), eB[j])
-                rhs = ctx.am(eA[i], ctx.mb(em[p], eB[j]))
-                if lhs != rhs:
-                    out.append(Violation("m_mixed_associativity", (i, p, j)))
-    for j in basis(B.dim):
-        for q in basis(N.dim):
-            for i in basis(A.dim):
-                lhs = ctx.na(ctx.bn(eB[j], en[q]), eA[i])
-                rhs = ctx.bn(eB[j], ctx.na(en[q], eA[i]))
-                if lhs != rhs:
-                    out.append(Violation("n_mixed_associativity", (j, q, i)))
+    for c, s, _, _, _, em, _ in sides:
+        for p, m in enumerate(em):
+            if c.am(c.A.unit, m) != m:
+                out.append(Violation(f"{s}_left_unit", p))
+            if c.mb(m, c.B.unit) != m:
+                out.append(Violation(f"{s}_right_unit", p))
 
-    for p in basis(M.dim):
-        for q in basis(N.dim):
-            for i in basis(A.dim):
-                if ctx.pair_mn(ctx.am(eA[i], em[p]), en[q]) != A.mul(
-                    eA[i], ctx.pair_mn(em[p], en[q])
-                ):
-                    out.append(Violation("pairing_mn_left_linear", (i, p, q)))
-                if ctx.pair_mn(em[p], ctx.na(en[q], eA[i])) != A.mul(
-                    ctx.pair_mn(em[p], en[q]), eA[i]
-                ):
-                    out.append(Violation("pairing_mn_right_linear", (p, q, i)))
-            for j in basis(B.dim):
-                if ctx.pair_mn(ctx.mb(em[p], eB[j]), en[q]) != ctx.pair_mn(
-                    em[p], ctx.bn(eB[j], en[q])
-                ):
-                    out.append(Violation("pairing_mn_balanced", (p, j, q)))
-    for q in basis(N.dim):
-        for p in basis(M.dim):
-            for j in basis(B.dim):
-                if ctx.pair_nm(ctx.bn(eB[j], en[q]), em[p]) != B.mul(
-                    eB[j], ctx.pair_nm(en[q], em[p])
-                ):
-                    out.append(Violation("pairing_nm_left_linear", (j, q, p)))
-                if ctx.pair_nm(en[q], ctx.mb(em[p], eB[j])) != B.mul(
-                    ctx.pair_nm(en[q], em[p]), eB[j]
-                ):
-                    out.append(Violation("pairing_nm_right_linear", (q, p, j)))
-            for i in basis(A.dim):
-                if ctx.pair_nm(ctx.na(en[q], eA[i]), em[p]) != ctx.pair_nm(
-                    en[q], ctx.am(eA[i], em[p])
-                ):
-                    out.append(Violation("pairing_nm_balanced", (q, i, p)))
+    # A acting on M and N, then B acting on M and N: the B group is the
+    # A group of the transpose, listing its N' = M scan first
+    for c, s, t, eA, _, em, en in sides:
+        for i, j in itertools.product(range(len(eA)), repeat=2):
+            prod = c.A.table[i][j]
+            left = [
+                Violation(f"{s}_left_associativity", (i, j, p))
+                for p, m in enumerate(em)
+                if c.am(prod, m) != c.am(eA[i], c.am(eA[j], m))
+            ]
+            right = [
+                Violation(f"{t}_right_associativity", (q, i, j))
+                for q, n in enumerate(en)
+                if c.na(n, prod) != c.na(c.na(n, eA[i]), eA[j])
+            ]
+            out.extend(left + right if c is ctx else right + left)
+
+    for c, s, _, eA, eB, em, _ in sides:
+        scan(
+            f"{s}_mixed_associativity",
+            lambda i, p, j: c.mb(c.am(eA[i], em[p]), eB[j])
+            == c.am(eA[i], c.mb(em[p], eB[j])),
+            range(len(eA)), range(len(em)), range(len(eB)),
+        )
+
+    for c, s, t, eA, eB, em, en in sides:
+        for p, m in enumerate(em):
+            for q, n in enumerate(en):
+                mn = c.pair_mn(m, n)
+                for i, a in enumerate(eA):
+                    if c.pair_mn(c.am(a, m), n) != c.A.mul(a, mn):
+                        out.append(Violation(f"pairing_{s}{t}_left_linear", (i, p, q)))
+                    if c.pair_mn(m, c.na(n, a)) != c.A.mul(mn, a):
+                        out.append(Violation(f"pairing_{s}{t}_right_linear", (p, q, i)))
+                for j, b in enumerate(eB):
+                    if c.pair_mn(c.mb(m, b), n) != c.pair_mn(m, c.bn(b, n)):
+                        out.append(Violation(f"pairing_{s}{t}_balanced", (p, j, q)))
 
     # the two commuting diagrams
-    for p in basis(M.dim):
-        for q in basis(N.dim):
-            for r in basis(M.dim):
-                lhs = ctx.am(ctx.pair_mn(em[p], en[q]), em[r])
-                rhs = ctx.mb(em[p], ctx.pair_nm(en[q], em[r]))
-                if lhs != rhs:
-                    out.append(Violation("diagram_mnm", (p, q, r)))
-    for q in basis(N.dim):
-        for p in basis(M.dim):
-            for r in basis(N.dim):
-                lhs = ctx.bn(ctx.pair_nm(en[q], em[p]), en[r])
-                rhs = ctx.na(en[q], ctx.pair_mn(em[p], en[r]))
-                if lhs != rhs:
-                    out.append(Violation("diagram_nmn", (q, p, r)))
+    for c, s, t, _, _, em, en in sides:
+        scan(
+            f"diagram_{s}{t}{s}",
+            lambda p, q, r: c.am(c.pair_mn(em[p], en[q]), em[r])
+            == c.mb(em[p], c.pair_nm(en[q], em[r])),
+            range(len(em)), range(len(en)), range(len(em)),
+        )
     return out
 
 
 def check_faithful(ctx):
     """Faithfulness of M as a left A-module and as a right B-module."""
-    rg = ctx.ring
-    left_rows = []
-    for p in range(ctx.M.dim):
-        for c in range(ctx.M.dim):
-            left_rows.append([ctx.M.left[i][p][c] for i in range(ctx.A.dim)])
-    right_rows = []
-    for p in range(ctx.M.dim):
-        for c in range(ctx.M.dim):
-            right_rows.append([ctx.M.right[p][j][c] for j in range(ctx.B.dim)])
-    left_ok = (
-        ctx.A.dim == 0
-        or not linalg.nullspace(rg, left_rows, ctx.A.dim)
-    )
-    right_ok = (
-        ctx.B.dim == 0
-        or not linalg.nullspace(rg, right_rows, ctx.B.dim)
-    )
-    return {"left_faithful": left_ok, "right_faithful": right_ok}
+    dM = ctx.M.dim
+
+    def faithful(entry, dim):
+        rows = [[entry(i, p, c) for i in range(dim)]
+                for p in range(dM) for c in range(dM)]
+        return dim == 0 or not linalg.nullspace(ctx.ring, rows, dim)
+
+    return {
+        "left_faithful": faithful(lambda i, p, c: ctx.M.left[i][p][c], ctx.A.dim),
+        "right_faithful": faithful(lambda j, p, c: ctx.M.right[p][j][c], ctx.B.dim),
+    }
 
 
 class GMAlgebra:
@@ -325,11 +264,7 @@ class GMAlgebra:
         return tuple(v[i] for i in self.block_range(name))
 
     def embed_diag(self, a, b):
-        out = list(self.embed("A", a))
-        off = self.offsets["B"]
-        for r, c in enumerate(b):
-            out[off + r] = self.ring.coerce(c)
-        return tuple(out)
+        return self.algebra.add(self.embed("A", a), self.embed("B", b))
 
     def faithful(self):
         return check_faithful(self.ctx)
@@ -352,37 +287,18 @@ class GMAlgebra:
         ctx = self.ctx
         rg = self.ring
         dA, dM, dN, dB = self.dims
-        ms = (
-            [m0]
-            if m0 is not None
-            else [
-                tuple(rg.one if r == p else rg.zero for r in range(dM))
-                for p in range(dM)
-            ]
-        )
-        ns = (
-            [n0]
-            if n0 is not None
-            else [
-                tuple(rg.one if r == q else rg.zero for r in range(dN))
-                for q in range(dN)
-            ]
-        )
+        ms = [m0] if m0 is not None else ctx.M.basis()
+        ns = [n0] if n0 is not None else ctx.N.basis()
         rows = []
-        eA = [ctx.A.basis_vector(i) for i in range(dA)]
-        eB = [ctx.B.basis_vector(j) for j in range(dB)]
-        for m in ms:
-            acols = [ctx.am(a, m) for a in eA]
-            bcols = [ctx.mb(m, b) for b in eB]
-            for c in range(dM):
-                rows.append(
-                    [acols[i][c] for i in range(dA)]
-                    + [rg.neg(bcols[j][c]) for j in range(dB)]
-                )
-        for n in ns:
-            acols = [ctx.na(n, a) for a in eA]
-            bcols = [ctx.bn(b, n) for b in eB]
-            for c in range(dN):
+        eA = ctx.A.basis()
+        eB = ctx.B.basis()
+        # a*m - m*b for each m, then n*a - b*n for each n
+        images = [([ctx.am(a, m) for a in eA], [ctx.mb(m, b) for b in eB], dM)
+                  for m in ms]
+        images += [([ctx.na(n, a) for a in eA], [ctx.bn(b, n) for b in eB], dN)
+                   for n in ns]
+        for acols, bcols, dim in images:
+            for c in range(dim):
                 rows.append(
                     [acols[i][c] for i in range(dA)]
                     + [rg.neg(bcols[j][c]) for j in range(dB)]
@@ -415,36 +331,29 @@ class GMAlgebra:
 
     def phi_apply(self, a):
         """The unique b with diag(a, b) central; needs a in the A-image."""
-        dA, dB = self.dims[0], self.dims[3]
-        rows = self._center_pair_rows()
-        full = [list(r) for r in rows]
-        rhs = []
-        mat = []
-        for r in full:
-            # move the known a to the right-hand side
-            rhs.append(_dot(self.ring, r[:dA], a))
-            mat.append([self.ring.neg(c) for c in r[dA:]])
-        sol = linalg.solve_linear(self.ring, mat, rhs)
-        if sol is None:
-            raise TheoremViolation("no center partner for the given element", a)
-        if sol.kernel:
-            raise NotFaithful("center partner is not unique; M is not faithful")
-        return tuple(sol.particular) if dB else ()
+        dA = self.dims[0]
+        return self._center_partner(a, slice(None, dA), slice(dA, None))
 
     def phi_inv_apply(self, b):
         dA = self.dims[0]
-        rows = self._center_pair_rows()
+        return self._center_partner(b, slice(dA, None), slice(None, dA))
+
+    def _center_partner(self, x, known, unknown):
+        """The unique y with the center rows holding at x in the ``known``
+        columns and y in the ``unknown`` ones."""
+        rg = self.ring
         rhs = []
         mat = []
-        for r in rows:
-            rhs.append(_dot(self.ring, [self.ring.neg(c) for c in r[dA:]], b))
-            mat.append(list(r[:dA]))
-        sol = linalg.solve_linear(self.ring, mat, rhs)
+        for r in self._center_pair_rows():
+            # move the known part to the right-hand side
+            rhs.append(_dot(rg, r[known], x))
+            mat.append([rg.neg(c) for c in r[unknown]])
+        sol = linalg.solve_linear(rg, mat, rhs)
         if sol is None:
-            raise TheoremViolation("no center partner for the given element", b)
+            raise TheoremViolation("no center partner for the given element", x)
         if sol.kernel:
             raise NotFaithful("center partner is not unique; M is not faithful")
-        return tuple(sol.particular) if dA else ()
+        return tuple(sol.particular)
 
 
 def _dot(ring, coeffs, vec):

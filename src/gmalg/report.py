@@ -4,7 +4,7 @@ One line per checked condition; serialization is deterministic so report
 bytes are stable across runs for identical inputs.
 """
 
-import json
+import itertools
 from collections import namedtuple
 
 CheckLine = namedtuple("CheckLine", ["cond_id", "passed", "witness"])
@@ -18,6 +18,24 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in sorted(value.items())}
     return str(value)
+
+
+def failures(holds, first, *rest):
+    """The index tuples at which ``holds`` is false, in nested-loop order
+    (``first`` outermost).  ``first`` is read lazily, so a scan stopped at
+    its first failure enumerates nothing further; ``rest`` must be
+    re-iterable."""
+    for head in first:
+        for tail in itertools.product(*rest):
+            if not holds(head, *tail):
+                yield (head, *tail)
+
+
+def first_failure(keys, holds, *ranges):
+    """(True, None) if ``holds`` everywhere on ``ranges``, else (False, the
+    first failing tuple as a dict over ``keys``)."""
+    bad = next(failures(holds, *ranges), None)
+    return (True, None) if bad is None else (False, dict(zip(keys, bad)))
 
 
 class Report:
@@ -48,14 +66,6 @@ class Report:
                 for line in self.lines
             ],
         }
-
-    def to_markdown(self):
-        out = [f"## {self.title}", "", "| condition | result | witness |", "|---|---|---|"]
-        for line in self.lines:
-            res = "pass" if line.passed else "FAIL"
-            wit = "" if line.witness is None else json.dumps(_jsonable(line.witness))
-            out.append(f"| {line.cond_id} | {res} | {wit} |")
-        return "\n".join(out)
 
     def __repr__(self):
         status = "all-pass" if self.all_pass else f"{len(self.failures())} failing"
