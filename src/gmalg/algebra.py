@@ -6,12 +6,10 @@ is the full expansion of the basis product.
 """
 
 import itertools
-
-import numpy as np
+from math import comb, prod
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidAlgebra, NotEnumerable
-from .rings import Zmod
 
 
 def iter_vectors(ring, dim):
@@ -19,6 +17,88 @@ def iter_vectors(ring, dim):
     if not ring.enumerable:
         raise NotEnumerable("cannot enumerate vectors over an infinite ring")
     return itertools.product(ring.scalars(), repeat=dim)
+
+
+def lattice_points(ring, dim, degree):
+    """The exponent vectors beta in N^dim with |beta| <= degree, lexicographic
+    ascending, as ring scalars; over a finite ring each beta_i < |R|.
+
+    A polynomial map f of degree <= ``degree`` vanishes on all of R^dim iff
+    it vanishes at these points.  By Newton's forward-difference formula
+    f(x) = sum over |alpha| <= degree of D^alpha f(0) C(x, alpha) at every x
+    in N^dim, and the differences D^alpha f(0) are the values f(beta),
+    beta <= alpha, combined unitriangularly.  N^dim covers Z/n and is
+    Zariski dense in Q^dim; over Z/n, beta_i >= n repeats beta_i - n."""
+    top = degree if ring.size is None else min(degree, ring.size - 1)
+
+    def points(dim, budget):
+        if dim == 0:
+            yield ()
+            return
+        for b in range(min(budget, top) + 1):
+            for rest in points(dim - 1, budget - b):
+                yield (b, *rest)
+
+    return (tuple(ring.coerce(b) for b in beta) for beta in points(dim, degree))
+
+
+def lattice_check(ring, dim, degree, holds):
+    """(True, None) if ``holds(x)`` for every x in R^dim, else (False, the
+    lexicographically first x where it fails).  ``holds(x)`` must test
+    f(x) = 0 for a polynomial map f of degree <= ``degree``.
+
+    The witness is found one coordinate at a time: the next one is the
+    first c for which f restricted to the coordinates fixed so far and c
+    does not vanish.  The restriction has degree <= ``degree`` again, so it
+    is decided on the lattice points of the remaining coordinates, and c is
+    at most ``degree``.  Over a finite ring this is the first failing
+    element of R^dim; over Q, of {0..degree}^dim."""
+    seen = {}   # the search revisits the points whose prefix is zero
+
+    def vanishes(prefix):
+        for beta in lattice_points(ring, dim - len(prefix), degree):
+            x = prefix + beta
+            if x not in seen:
+                seen[x] = holds(x)
+            if not seen[x]:
+                return False
+        return True
+
+    if vanishes(()):
+        return True, None
+    digits = [c for (c,) in lattice_points(ring, 1, degree)]
+    x = ()
+    while len(x) < dim:
+        x = next(x + (c,) for c in digits if not vanishes(x + (c,)))
+    return False, x
+
+
+def newton_kernel(ring, dim, degree, rows_at, ncols):
+    """Kernel generators, over ``ncols`` unknowns, of the constraints that
+    f(x) = 0 on all of R^dim, where f is homogeneous of degree ``degree``
+    >= 1 in x and linear in the unknowns, and ``rows_at(x)`` gives the rows
+    of f(x) as dicts column -> coefficient.
+
+    The constraint rows are the Newton differences D^alpha f(0) at the
+    lattice points (see ``lattice_points``) but alpha = 0 and the pure
+    powers m*e_i, m >= 2: for a homogeneous f the first is zero and the
+    others are multiples of the row of e_i (only the monomial x_i^degree
+    reaches them)."""
+    values = {
+        tuple(map(int, x)): rows_at(x) for x in lattice_points(ring, dim, degree)
+    }
+    acc = linalg.kernel_builder(ring, ncols)
+    for alpha, rows in values.items():
+        if max(alpha, default=0) == sum(alpha) != 1:
+            continue
+        diff = [{} for _ in rows]
+        for gamma in itertools.product(*(range(a + 1) for a in alpha)):
+            c = (-1) ** (sum(alpha) - sum(gamma)) * prod(map(comb, alpha, gamma))
+            for out, row in zip(diff, values[gamma]):
+                for col, v in row.items():
+                    out[col] = ring.add(out.get(col, ring.zero), ring.mul(c, v))
+        acc.add_rows([[row.get(j, ring.zero) for j in range(ncols)] for row in diff])
+    return acc.nullspace()
 
 
 class Algebra:
@@ -32,8 +112,6 @@ class Algebra:
             tuple(self.vec(cell) for cell in row) for row in table
         )
         self.unit = self.vec(unit)
-        self._np_table = None
-        self._center = None
         self._engel = {}
 
     # -- vector helpers -----------------------------------------------------
@@ -76,17 +154,19 @@ class Algebra:
             raise DimensionMismatch("element length does not match algebra dim")
         rg = self.ring
         out = [rg.zero] * self.dim
+        # scalars are zero exactly when falsy (int residues, Fractions);
+        # testing that is much cheaper than comparing Fractions
         for i, xi in enumerate(x):
-            if xi == rg.zero:
+            if not xi:
                 continue
             row = self.table[i]
             for j, yj in enumerate(y):
-                if yj == rg.zero:
+                if not yj:
                     continue
                 c = rg.mul(xi, yj)
                 cell = row[j]
                 for r, cr in enumerate(cell):
-                    if cr != rg.zero:
+                    if cr:
                         out[r] = rg.add(out[r], rg.mul(c, cr))
         return tuple(out)
 
@@ -126,18 +206,21 @@ class Algebra:
     def structure_violations(self):
         """Associativity and unit failures, as witness records."""
         out = []
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
+        basis = self.basis()
+        for i, ei in enumerate(basis):
             if self.mul(self.unit, ei) != ei:
                 out.append(("left_unit", i))
             if self.mul(ei, self.unit) != ei:
                 out.append(("right_unit", i))
+        zero = [[not any(cell) for cell in row] for row in self.table]
         for i in range(self.dim):
             for j in range(self.dim):
                 left = self.table[i][j]
                 for k in range(self.dim):
-                    a = self.mul(left, self.basis_vector(k))
-                    b = self.mul(self.basis_vector(i), self.table[j][k])
+                    if zero[i][j] and zero[j][k]:
+                        continue    # both sides are 0
+                    a = self.mul(left, basis[k])
+                    b = self.mul(basis[i], self.table[j][k])
                     if a != b:
                         out.append(("associativity", (i, j, k)))
         return out
@@ -158,62 +241,31 @@ class Algebra:
     # -- centers ------------------------------------------------------------
 
     def center(self):
-        """{a : [a, x] = 0 for all x}, from the basis constraints."""
-        if self._center is None:
-            acc = linalg.kernel_builder(self.ring, self.dim)
-            for i in range(self.dim):
-                acc.add_rows(self.adjoint_matrix(self.basis_vector(i)))
-            self._center = Submodule(self.ring, self.dim, acc.nullspace())
-        return self._center
+        """{a : [a, x] = 0 for all x}."""
+        return self.engel_center(1)
 
     def engel_center(self, k):
         """{a : [a, x]_k = 0 for all x} (the ordinary center when k = 1).
 
-        The constraint is not linear in x for k >= 2, so the whole finite
-        algebra is scanned; over the rationals only k = 1 is available.
-        """
+        [a, x]_k is linear in a and homogeneous of degree k in x, so the
+        constraints on a are its Newton differences at the lattice points
+        of degree <= k (see ``newton_kernel``); exact over every ring."""
         if k < 1:
             raise DimensionMismatch("engel order must be >= 1")
-        if k == 1:
-            return self.center()
-        if not self.ring.enumerable:
-            raise NotEnumerable(
-                "iterated centers over an infinite ring need enumeration"
-            )
         if k not in self._engel:
-            n = self.ring.n
-            d = self.dim
-            Tl, Tr = self._np_tensors()
-            acc = linalg.kernel_builder(self.ring, d)
-            for x in iter_vectors(self.ring, d):
-                xv = np.asarray(x, dtype=np.int64)
-                L = ((xv @ Tl) % n).reshape(d, d).T
-                R = ((xv @ Tr) % n).reshape(d, d).T
-                D = (R - L) % n
-                P = D
-                for _ in range(k - 1):
-                    P = (P @ D) % n
-                acc.add_rows(P)
-            self._engel[k] = Submodule(self.ring, d, acc.nullspace())
+            gens = newton_kernel(self.ring, self.dim, k,
+                                 lambda x: self.bracket_rows(x, k), self.dim)
+            self._engel[k] = Submodule(self.ring, self.dim, gens)
         return self._engel[k]
 
-    def _np_tensors(self):
-        """Cached structure tensor views for the Z/n fast path.
-
-        Returns (Tl, Tr):  x @ Tl reshaped (q, r) is x*e_q expanded,
-        x @ Tr reshaped (p, r) is e_p*x expanded.
-        """
-        if self._np_table is None:
-            d = self.dim
-            T = np.zeros((d, d, d), dtype=np.int64)
-            for i in range(d):
-                for j in range(d):
-                    T[i, j] = [int(c) for c in self.table[i][j]]
-            self._np_table = (
-                T.reshape(d, d * d).copy(),
-                T.transpose(1, 0, 2).reshape(d, d * d).copy(),
-            )
-        return self._np_table
+    def bracket_rows(self, x, k):
+        """The matrix of a -> [a, x]_k, as one dict column -> entry per
+        output coordinate."""
+        cols = [self.iterated_bracket(e, x, k) for e in self.basis()]
+        return [
+            {p: col[r] for p, col in enumerate(cols) if col[r]}
+            for r in range(self.dim)
+        ]
 
 
 class Submodule:

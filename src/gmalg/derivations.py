@@ -9,7 +9,6 @@ from .algebra import Submodule
 from .errors import (
     DimensionMismatch,
     NotDerivation,
-    NotEnumerable,
     TheoremViolation,
     TwoTorsion,
 )
@@ -205,8 +204,6 @@ def verify_commuting_derivations_vanish(G, k):
     A nonzero member of the intersection contradicts the vanishing theorem
     and is raised as TheoremViolation with the witness attached."""
     rg = G.ring
-    if not rg.enumerable:
-        raise NotEnumerable("the intersection check enumerates the algebra")
     if not rg.is_two_torsion_free():
         raise TwoTorsion("the vanishing theorem needs 2x = 0 => x = 0")
     G.require_faithful()

@@ -23,6 +23,12 @@ def _block_of(dvec, r):
 def block_triangular_matrix_algebra(ring, dvec, lower=False):
     """Matrices supported on the blocks on or above (below, if ``lower``)
     the diagonal of the given block shape."""
+    return _matrix_units(ring, dvec, lower)[0]
+
+
+def _matrix_units(ring, dvec, lower=False):
+    """``block_triangular_matrix_algebra`` and the matrix position (r, c)
+    of each of its basis elements."""
     dvec = tuple(int(d) for d in dvec)
     if not dvec or any(d < 1 for d in dvec):
         raise BadShape(f"block sizes must be positive: {dvec}")
@@ -47,7 +53,7 @@ def block_triangular_matrix_algebra(ring, dvec, lower=False):
     for r in range(n):
         unit[index[(r, r)]] = ring.one
     labels = [f"E{r + 1}{c + 1}" for r, c in positions]
-    return Algebra(ring, labels, table, unit).validate()
+    return Algebra(ring, labels, table, unit).validate(), positions
 
 
 def matrix_algebra(ring, n):
@@ -63,21 +69,14 @@ def triangular_matrix_algebra(ring, n, lower=False):
     return block_triangular_matrix_algebra(ring, (1,) * n, lower=lower)
 
 
-def _unit_positions(alg):
-    """Matrix positions (r, c) of the basis of a matrix-unit algebra, read
-    from its E{r+1}{c+1} labels (single-digit coordinates only)."""
-    return [(int(lab[1]) - 1, int(lab[2]) - 1) for lab in alg.labels]
-
-
 def _unit(ring, dim, i):
     return tuple(ring.one if t == i else ring.zero for t in range(dim))
 
 
-def _rectangle(ring, L, R, rows, cols):
+def _rectangle(ring, lpos, rpos, rows, cols):
     """The rows x cols matrices as an (L, R)-bimodule under matrix
-    products.  L and R must be matrix-unit algebras of sizes rows and cols,
-    labelled as ``_unit_positions`` reads them."""
-    lpos, rpos = _unit_positions(L), _unit_positions(R)
+    products, for matrix-unit algebras L and R of sizes rows and cols with
+    basis positions lpos and rpos (see ``_matrix_units``)."""
     cells = [(p, q) for p in range(rows) for q in range(cols)]
     zero = (ring.zero,) * len(cells)
     left = [
@@ -90,30 +89,31 @@ def _rectangle(ring, L, R, rows, cols):
          for c, d in rpos]
         for p, q in cells
     ]
-    return Bimodule(ring, len(cells), left, right, L.dim, R.dim)
+    return Bimodule(ring, len(cells), left, right, len(lpos), len(rpos))
 
 
-def _pairing(ring, L, rows, cols):
+def _pairing(ring, lpos, rows, cols):
     """Products of rows x cols by cols x rows matrices, in the full matrix
-    algebra L."""
-    lpos = _unit_positions(L)
+    algebra with basis positions lpos."""
     return [
-        [_unit(ring, L.dim, lpos.index((p, s)) if q == r else -1)
+        [_unit(ring, len(lpos), lpos.index((p, s)) if q == r else -1)
          for r in range(cols) for s in range(rows)]
         for p in range(rows) for q in range(cols)
     ]
 
 
-def _matrix_block_context(ring, A, B, arows, brows, with_lower):
-    """Context whose blocks are matrices: A of size arows, B of size brows,
-    M the arows x brows rectangle, N the brows x arows rectangle (empty
-    unless ``with_lower``).  The N side is the M side with A and B
-    exchanged."""
-    M = _rectangle(ring, A, B, arows, brows)
+def _matrix_block_context(ring, top, bot, with_lower):
+    """Context whose blocks are matrices: A and B the block upper
+    triangular matrix algebras of shapes top and bot, M the rectangle
+    between them, N the opposite rectangle (empty unless ``with_lower``).
+    The N side is the M side with A and B exchanged."""
+    (A, apos), (B, bpos) = _matrix_units(ring, top), _matrix_units(ring, bot)
+    arows, brows = sum(top), sum(bot)
+    M = _rectangle(ring, apos, bpos, arows, brows)
     if with_lower:
-        N = _rectangle(ring, B, A, brows, arows)
-        phi = _pairing(ring, A, arows, brows)
-        psi = _pairing(ring, B, brows, arows)
+        N = _rectangle(ring, bpos, apos, brows, arows)
+        phi = _pairing(ring, apos, arows, brows)
+        psi = _pairing(ring, bpos, brows, arows)
     else:
         N = Bimodule(ring, 0, [[] for _ in range(B.dim)], [], B.dim, A.dim)
         phi = [[] for _ in range(M.dim)]
@@ -128,9 +128,7 @@ def full_matrix_gma(ring, n, split_j):
         raise BadShape(f"need n >= 2, got {n}")
     if not 1 <= split_j < n:
         raise BadSplit(f"split must satisfy 1 <= j < {n}, got {split_j}")
-    A = matrix_algebra(ring, split_j)
-    B = matrix_algebra(ring, n - split_j)
-    ctx = _matrix_block_context(ring, A, B, split_j, n - split_j, True)
+    ctx = _matrix_block_context(ring, (split_j,), (n - split_j,), True)
     return build_gma(ctx)
 
 
@@ -180,15 +178,14 @@ def triangular_gma(ring, n, split_k, variant="upper"):
         raise BadSplit(f"split must satisfy 1 <= k < {n}, got {split_k}")
     if variant not in ("upper", "lower"):
         raise BadShape(f"variant must be upper or lower, got {variant!r}")
-    lower = variant == "lower"
-    A = triangular_matrix_algebra(ring, split_k, lower=lower)
-    B = triangular_matrix_algebra(ring, n - split_k, lower=lower)
-    if not lower:
-        ctx = _matrix_block_context(ring, A, B, split_k, n - split_k, False)
-        return build_gma(ctx)
+    top, bot = (1,) * split_k, (1,) * (n - split_k)
+    if variant == "upper":
+        return build_gma(_matrix_block_context(ring, top, bot, False))
     # lower variant: M = 0, the rectangle sits in the N block and carries
     # (n-k) x k matrices: left B-action, right A-action
-    N = _rectangle(ring, B, A, n - split_k, split_k)
+    A, apos = _matrix_units(ring, top, lower=True)
+    B, bpos = _matrix_units(ring, bot, lower=True)
+    N = _rectangle(ring, bpos, apos, n - split_k, split_k)
     M0 = Bimodule(ring, 0, [[] for _ in range(A.dim)], [], A.dim, B.dim)
     ctx = MoritaContext(A, B, M0, N, [], [[] for _ in range(N.dim)])
     return build_gma(ctx)
@@ -204,10 +201,7 @@ def block_triangular_gma(ring, dvec, split_j):
         raise BadSplit(
             f"split must satisfy 1 <= j < {len(dvec)}, got {split_j}"
         )
-    top, bot = dvec[:split_j], dvec[split_j:]
-    A = block_triangular_matrix_algebra(ring, top)
-    B = block_triangular_matrix_algebra(ring, bot)
-    ctx = _matrix_block_context(ring, A, B, sum(top), sum(bot), False)
+    ctx = _matrix_block_context(ring, dvec[:split_j], dvec[split_j:], False)
     return build_gma(ctx)
 
 

@@ -2,9 +2,10 @@
 
 Three engines behind one interface:
 
-* prime modulus  -- numpy int64 row reduction mod p (exact; products of
-  residues stay far below 2**63),
-* rationals      -- Fraction Gaussian elimination,
+* prime modulus  -- numpy int64 row reduction mod p, exact while the sums
+  of ncols products of residues stay below 2**63; larger primes go to the
+  next engine,
+* rationals      -- Fraction Gaussian elimination (any exact field),
 * composite Z/n  -- integer diagonalization by unimodular row/column
   transforms (Smith form), then per-diagonal congruences mod n.
 
@@ -17,7 +18,7 @@ from math import gcd
 
 import numpy as np
 
-from .rings import Rationals, Zmod
+from .rings import Zmod
 
 LinearSolution = namedtuple("LinearSolution", ["particular", "kernel"])
 
@@ -93,22 +94,17 @@ class _FractionAccumulator:
         rg = self.ring
         for raw in block:
             r = [rg.coerce(x) for x in raw]
-            for idx, c in enumerate(self.pivots):
+            for c, row in zip(self.pivots, self.rows):
                 if r[c] != rg.zero:
-                    f = r[c]
-                    row = self.rows[idx]
-                    r = [rg.sub(a, rg.mul(f, b)) for a, b in zip(r, row)]
+                    _subtract_multiple(rg, r, r[c], row)
             j = next((i for i, x in enumerate(r) if x != rg.zero), None)
             if j is None:
                 continue
             inv = rg.inv_opt(r[j])
             r = [rg.mul(inv, x) for x in r]
-            for idx in range(len(self.rows)):
-                f = self.rows[idx][j]
-                if f != rg.zero:
-                    self.rows[idx] = [
-                        rg.sub(a, rg.mul(f, b)) for a, b in zip(self.rows[idx], r)
-                    ]
+            for row in self.rows:
+                if row[j] != rg.zero:
+                    _subtract_multiple(rg, row, row[j], r)
             self.rows.append(r)
             self.pivots.append(j)
 
@@ -135,6 +131,13 @@ class _FractionAccumulator:
         return out
 
 
+def _subtract_multiple(rg, r, f, row):
+    """r -= f * row in place, touching only the nonzero entries of row."""
+    for i, b in enumerate(row):
+        if b:
+            r[i] = rg.sub(r[i], rg.mul(f, b))
+
+
 class _CompositeAccumulator:
     """Collects constraint rows over composite Z/n; kernel via Smith form."""
 
@@ -147,15 +150,15 @@ class _CompositeAccumulator:
         self._seen = set()
 
     def add_rows(self, block):
-        block = np.asarray(block, dtype=np.int64).reshape(-1, self.ncols)
-        for r in block % self.ring.n:
-            t = tuple(int(x) for x in r)
+        for r in block:
+            t = tuple(self.ring.coerce(x) for x in r)
             if any(t) and t not in self._seen:
                 self._seen.add(t)
                 self._rows.append(t)
 
     def nullspace(self):
-        return _kernel_zmod(self.ring.n, self._rows, self.ncols)
+        _, d, V = smith_form(self._rows, len(self._rows), self.ncols)
+        return _kernel_zmod(self.ring.n, d, V)
 
     def basis(self):
         raise NotImplementedError("no canonical basis over composite Z/n")
@@ -164,9 +167,10 @@ class _CompositeAccumulator:
 def kernel_builder(ring, ncols):
     """Accumulator for a homogeneous system: feed rows, ask for the kernel."""
     if isinstance(ring, Zmod):
-        if ring.is_field:
+        if not ring.is_field:
+            return _CompositeAccumulator(ring, ncols)
+        if ncols * (ring.n - 1) ** 2 < 2**63:
             return _ModPAccumulator(ring.n, ncols)
-        return _CompositeAccumulator(ring, ncols)
     return _FractionAccumulator(ring, ncols)
 
 
@@ -302,12 +306,10 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def _kernel_zmod(n, rows, ncols):
-    """Generators of {x : rows @ x == 0 mod n}."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
-    _, d, V = smith_form(rows, len(rows), ncols)
+def _kernel_zmod(n, d, V):
+    """Generators of {x : rows @ x == 0 mod n} from the Smith form
+    U @ rows @ V = diag(d) of the rows."""
+    ncols = len(V)
     gens = []
     for j in range(ncols):
         dj = d[j] if j < len(d) else 0
@@ -339,14 +341,14 @@ def _solve_zmod(n, rows, rhs, ncols):
         elif ri % n:
             return None
     part = tuple(sum(V[i][j] * y[j] for j in range(ncols)) % n for i in range(ncols))
-    return LinearSolution(part, _kernel_zmod(n, rows, ncols))
+    return LinearSolution(part, _kernel_zmod(n, d, V))
 
 
 def solve_linear(ring, rows, rhs):
     """All solutions of rows @ x = rhs, or None when inconsistent.
 
     Returns a particular solution (free variables zeroed, deterministic)
-    plus kernel generators.
+    plus kernel generators, both from one elimination.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
@@ -356,20 +358,17 @@ def solve_linear(ring, rows, rhs):
     if isinstance(ring, Zmod) and not ring.is_field:
         return _solve_zmod(ring.n, rows, [ring.coerce(x) for x in rhs], ncols)
 
-    # field path: eliminate the augmented matrix
-    rg = ring
-    aug = [[rg.coerce(x) for x in row] + [rg.coerce(b)] for row, b in zip(rows, rhs)]
-    acc = _FractionAccumulator(rg, ncols + 1) if isinstance(rg, Rationals) else None
-    if acc is None:
-        acc = _ModPAccumulator(rg.n, ncols + 1)
-    acc.add_rows(aug)
+    # field path: the RREF of the augmented matrix; the right-hand side
+    # column is free when the system is consistent, and is the last one
+    acc = kernel_builder(ring, ncols + 1)
+    acc.add_rows([
+        [ring.coerce(x) for x in row] + [ring.coerce(b)]
+        for row, b in zip(rows, rhs)
+    ])
     if ncols in acc.pivots:
         return None
-    piv = {c: i for i, c in enumerate(acc.pivots)}
-    part = [rg.zero] * ncols
-    basis = acc.rows if isinstance(acc, _ModPAccumulator) else acc.rows
-    for c, i in piv.items():
-        val = basis[i][ncols]
-        part[c] = rg.coerce(int(val)) if isinstance(acc, _ModPAccumulator) else val
-    ker = nullspace(ring, rows, ncols)
-    return LinearSolution(tuple(part), ker)
+    part = [ring.zero] * ncols
+    for c, row in zip(acc.pivots, acc.rows):
+        part[c] = ring.coerce(row[ncols])
+    *kernel, _ = acc.nullspace()
+    return LinearSolution(tuple(part), [v[:ncols] for v in kernel])

@@ -10,10 +10,14 @@ import copy
 import itertools
 from collections import namedtuple
 
-import numpy as np
-
 from . import linalg
-from .algebra import Submodule, iter_vectors, scalar_multiples_of
+from .algebra import (
+    Submodule,
+    iter_vectors,
+    lattice_check,
+    newton_kernel,
+    scalar_multiples_of,
+)
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -24,8 +28,7 @@ from .errors import (
     TwoTorsion,
 )
 from .morita import BLOCKS, transpose
-from .report import Report, failures, first_failure
-from .rings import Zmod
+from .report import Report, first_failure
 
 
 class LinMap:
@@ -81,7 +84,7 @@ class LinMap:
         for row in self.rows:
             s = rg.zero
             for c, x in zip(row, v):
-                if c != rg.zero and x != rg.zero:
+                if c and x:
                     s = rg.add(s, rg.mul(c, x))
             out.append(s)
         return tuple(out)
@@ -141,59 +144,19 @@ def _underlying(G):
 def is_k_commuting(G, theta, k):
     """(True, None) if [theta(x), x]_k = 0 for every x, else (False, x).
 
-    The identity has degree k+1 in x, so over finite rings every element is
-    scanned; over the rationals only k = 1 is decided (by polarization on
-    basis pairs, valid in the absence of 2-torsion).
-    """
+    The identity is polynomial of degree k+1 in x, so it holds everywhere
+    iff it holds at the lattice points of degree <= k+1, and x is the
+    lexicographically first failing element: of the whole algebra over a
+    finite ring, of {0..k+1}^dim over Q (see ``algebra.lattice_check``)."""
     alg = _underlying(G)
     if k < 1:
         raise DimensionMismatch("commuting order must be >= 1")
     if theta.dim != alg.dim:
         raise DimensionMismatch("map dimension does not match the algebra")
-    if alg.ring.enumerable:
-        return _scan_k_commuting(alg, theta, k)
-    if k == 1:
-        for i in range(alg.dim):
-            ei = alg.basis_vector(i)
-            ti = theta.apply(ei)
-            for j in range(i, alg.dim):
-                ej = alg.basis_vector(j)
-                tj = theta.apply(ej)
-                s = alg.add(alg.bracket(ti, ej), alg.bracket(tj, ei))
-                if not alg.is_zero(s):
-                    # s is the polar term q(ei + ej) - q(ei) - q(ej) of
-                    # q(x) = [theta(x), x], so q is nonzero at one of them
-                    return False, next(
-                        x for x in (ei, ej, alg.add(ei, ej))
-                        if not alg.is_zero(alg.bracket(theta.apply(x), x))
-                    )
-        return True, None
-    raise NotEnumerable(
-        "k-commuting for k >= 2 is only decidable over finite rings"
+    return lattice_check(
+        alg.ring, alg.dim, k + 1,
+        lambda x: alg.is_zero(alg.iterated_bracket(theta.apply(x), x, k)),
     )
-
-
-def _scan_k_commuting(alg, theta, k):
-    if isinstance(alg.ring, Zmod):
-        n = alg.ring.n
-        d = alg.dim
-        Tl, Tr = alg._np_tensors()
-        Tm = np.array([[int(c) for c in row] for row in theta.rows], dtype=np.int64)
-        for x in iter_vectors(alg.ring, d):
-            xv = np.asarray(x, dtype=np.int64)
-            w = (Tm @ xv) % n
-            L = ((xv @ Tl) % n).reshape(d, d).T
-            R = ((xv @ Tr) % n).reshape(d, d).T
-            D = (R - L) % n
-            for _ in range(k):
-                w = (D @ w) % n
-            if w.any():
-                return False, tuple(int(c) for c in x)
-        return True, None
-    for x in iter_vectors(alg.ring, alg.dim):
-        if not alg.is_zero(alg.iterated_bracket(theta.apply(x), x, k)):
-            return False, x
-    return True, None
 
 
 class MapSpace:
@@ -238,49 +201,26 @@ class MapSpace:
 
 def commuting_space(G, k):
     """All maps theta with [theta(x), x]_k = 0 for every x, as the solution
-    of the linear system in theta's matrix entries."""
+    of the linear system in theta's matrix entries: the Newton differences
+    of the identity, which is homogeneous of degree k+1 in x (see
+    ``algebra.newton_kernel``)."""
     alg = _underlying(G)
     d = alg.dim
     if k < 1:
         raise DimensionMismatch("commuting order must be >= 1")
-    if alg.ring.enumerable:
-        if isinstance(alg.ring, Zmod):
-            n = alg.ring.n
-            Tl, Tr = alg._np_tensors()
-            acc = linalg.kernel_builder(alg.ring, d * d)
-            for x in iter_vectors(alg.ring, d):
-                xv = np.asarray(x, dtype=np.int64)
-                L = ((xv @ Tl) % n).reshape(d, d).T
-                R = ((xv @ Tr) % n).reshape(d, d).T
-                D = (R - L) % n
-                P = np.eye(d, dtype=np.int64)
-                for _ in range(k):
-                    P = (P @ D) % n
-                # unknown theta[p][q] sits at flat index p*d+q; the row for
-                # output coordinate r is the outer product P[r,:] x
-                acc.add_rows(np.kron(P, xv.reshape(1, d)))
-            gens = acc.nullspace()
-        else:
-            raise NotEnumerable("finite enumeration needs a Zmod ring")
-        return MapSpace(alg, Submodule(alg.ring, d * d, gens))
-    if k != 1:
-        raise NotEnumerable(
-            "the commuting space for k >= 2 needs a finite ring"
-        )
-    rg = alg.ring
-    rows = []
-    ad = [alg.adjoint_matrix(alg.basis_vector(i)) for i in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            # polarized constraint [theta(e_i), e_j] + [theta(e_j), e_i] = 0
-            for r in range(d):
-                row = [rg.zero] * (d * d)
-                for p in range(d):
-                    row[p * d + i] = rg.add(row[p * d + i], ad[j][r][p])
-                    row[p * d + j] = rg.add(row[p * d + j], ad[i][r][p])
-                rows.append(row)
-    gens = linalg.nullspace(rg, rows, d * d)
-    return MapSpace(alg, Submodule(rg, d * d, gens))
+
+    def rows_at(x):
+        # theta[p][q] sits at flat index p*d+q and enters [theta(x), x]_k
+        # as x_q [e_p, x]_k
+        support = [(q, c) for q, c in enumerate(x) if c]
+        return [
+            {p * d + q: alg.ring.mul(v, c) for p, v in row.items()
+             for q, c in support}
+            for row in alg.bracket_rows(x, k)
+        ]
+
+    gens = newton_kernel(alg.ring, d, k + 1, rows_at, d * d)
+    return MapSpace(alg, Submodule(alg.ring, d * d, gens))
 
 
 class BlockDecomposition:
@@ -487,9 +427,7 @@ def verify_structure_conditions(G, theta, k, blocks=None):
             )
             return lhs == rhs
 
-        return _scan_module_identity(
-            rg, c.M.dim, holds, _m_balance_split(c, dec, difsum=(sumA, sumB))
-        )
+        return _scan_module_identity(rg, c.M.dim, holds)
 
     def doubling(side):
         # 2*m3(m) = (d1(1)-d4(1))*m - m*(m1(1)-m4(1))
@@ -515,41 +453,11 @@ def verify_structure_conditions(G, theta, k, blocks=None):
     return rep
 
 
-def _scan_module_identity(ring, dim, predicate, rational_split):
-    """Check an identity of degree <= 2 in one module variable.
-
-    Finite rings: scan every module element.  Rationals: delegate to the
-    caller-supplied split into linear and symmetrized-bilinear basis
-    checks (sound in characteristic zero)."""
-    if ring.enumerable:
-        return first_failure(
-            ("module_element",), predicate, iter_vectors(ring, dim)
-        )
-    return rational_split()
-
-
-def _m_balance_split(ctx, dec, difsum):
-    """The balance identity in characteristic zero: its linear part on
-    basis elements, then its bilinear part, which is twice the
-    symmetrized quadratic balance."""
-    sumA, sumB = difsum
-    em = ctx.M.basis()
-    quadratic = _pure_quadratic_split(
-        ctx.ring, em, lambda m, m2: _pair_diff(ctx, dec, m, m2)
-    )
-
-    def run():
-        ok, wit = first_failure(
-            ("basis_index",),
-            lambda p: ctx.am(sumA, em[p]) == ctx.mb(em[p], sumB),
-            range(len(em)),
-        )
-        if not ok:
-            return False, {**wit, "part": "linear"}
-        ok, wit = quadratic()
-        return ok, wit and {**wit, "part": "bilinear"}
-
-    return run
+def _scan_module_identity(ring, dim, predicate):
+    """Check an identity of degree <= 2 in one module variable on the
+    lattice points (see ``algebra.lattice_check``)."""
+    ok, m = lattice_check(ring, dim, 2, predicate)
+    return ok, None if ok else {"module_element": m}
 
 
 HypothesisWitness = namedtuple(
@@ -728,15 +636,11 @@ def verify_proper_form_steps(G, theta, k, blocks=None, hypotheses=None):
     rep = Report(f"proper-form step invariants (k={k})")
 
     def quadratic(side):
-        # quadratic in the module variable -> full module scans
         c, dec = side.ctx, side.blocks
         return _scan_module_identity(
             rg, c.M.dim,
             lambda m: c.am(dec.apply("M", "A", m), m)
             == c.mb(m, dec.apply("M", "B", m)),
-            _pure_quadratic_split(
-                rg, c.M.basis(), lambda m, m2: _pair_diff(c, dec, m, m2)
-            ),
         )
 
     def compat(side):
@@ -809,36 +713,10 @@ def verify_proper_form_steps(G, theta, k, blocks=None, hypotheses=None):
     return rep
 
 
-def _pair_diff(ctx, dec, m, m2):
-    rg = ctx.ring
-    a = ctx.am(dec.apply("M", "A", m), m2)
-    b = ctx.mb(m2, dec.apply("M", "B", m))
-    return tuple(rg.sub(x, y) for x, y in zip(a, b))
-
-
-def _pure_quadratic_split(rg, basis, bilinear):
-    """Split check for an identity B(m, m) = 0 with B bilinear (char 0),
-    on the module with the given basis."""
-    dim = len(basis)
-
-    def run():
-        def symmetric_zero(p, q):
-            return q < p or all(rg.add(x, y) == rg.zero for x, y in zip(
-                bilinear(basis[p], basis[q]), bilinear(basis[q], basis[p])
-            ))
-
-        bad = next(failures(symmetric_zero, range(dim), range(dim)), None)
-        return (True, None) if bad is None else (False, {"basis_pair": bad})
-
-    return run
-
-
 def has_scalar_engel_centers(G, k):
     """Whether both order-k centers collapse to the scalar multiples of the
     unit -- the easy sufficient condition for properness of every
     k-commuting map."""
-    if not G.ring.enumerable and k >= 2:
-        raise NotEnumerable("order-k centers need a finite ring for k >= 2")
     ZA = G.ctx.A.engel_center(k)
     ZB = G.ctx.B.engel_center(k)
     return ZA.equals(scalar_multiples_of(G.ctx.A)) and ZB.equals(

@@ -90,10 +90,10 @@ def test_engel_center_chain():
 
 
 def test_engel_center_refuses_rationals_for_high_k():
+    # decided on lattice points over Q too: Z_k(M2(Q)) is the scalars
     A = matrix_algebra(Rationals(), 2)
-    with pytest.raises(NotEnumerable):
-        A.engel_center(2)
-    assert A.engel_center(1).rank == 1
+    for k in (1, 2, 3):
+        assert A.engel_center(k).equals(scalar_multiples_of(A))
 
 
 def test_engel_center_commutative_is_everything():

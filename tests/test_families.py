@@ -86,6 +86,14 @@ def test_triangular_gma_variants():
         triangular_gma(Zmod(3), 2, 1, variant="diagonal")
 
 
+def test_triangular_gma_with_ten_by_ten_block():
+    # from n = 10 on a label E{r}{c} no longer tells the position (E110);
+    # building validates every context axiom on the matrix positions
+    G = triangular_gma(Zmod(3), 11, 1)
+    assert G.dims == (1, 10, 0, 55)
+    assert G.ctx.B.labels[9] == "E110"
+
+
 def test_block_triangular_gma_dims(b21_z3):
     assert b21_z3.dims == (4, 2, 0, 1)
     assert b21_z3.dim == 7

@@ -57,10 +57,11 @@ def _lines(rep):
             for line in rep.to_json()["lines"]]
 
 
-def _report_cases(name, G, k):
-    """Every commuting-space basis map clean; two seeded members clean and
-    with each nonempty block overwritten: the first member's blocks with
-    seeded scalars throughout, the second's in one seeded entry."""
+def _cases(name, G, k):
+    """(label, theta, blocks): every commuting-space basis map clean; two
+    seeded members clean and with each nonempty block overwritten: the
+    first member's blocks with seeded scalars throughout, the second's in
+    one seeded entry."""
     rng = random.Random(f"{name}/{k}")
     space = commuting_space(G, k)
     members = [space.random_member(rng) for _ in range(2)]
@@ -68,7 +69,6 @@ def _report_cases(name, G, k):
     for t, theta in enumerate(members):
         cases += [(f"member {t}", theta, None)]
         cases += [(f"member {t}", theta, (s, d)) for s in BLOCKS for d in BLOCKS]
-    out = []
     for label, theta, corrupt in cases:
         dec = decompose(G, theta)
         if corrupt is not None:
@@ -82,7 +82,12 @@ def _report_cases(name, G, k):
                 rows[r][c] = G.ring.add(rows[r][c], G.ring.one)
                 label += f" entry={r},{c}"
             dec.set_block(*corrupt, rows)
-        label = f"{name} k={k} {label} corrupt={corrupt}"
+        yield f"{name} k={k} {label} corrupt={corrupt}", theta, dec
+
+
+def _report_cases(name, G, k):
+    out = []
+    for label, theta, dec in _cases(name, G, k):
         out.append([label, "structure",
                     _lines(verify_structure_conditions(G, theta, k, blocks=dec))])
         out.append([label, "steps", _lines(verify_proper_form_steps(
@@ -174,6 +179,50 @@ def test_reports_and_violations_match_golden():
     assert len(got["contexts"]) == len(expected["contexts"])
     for g, e in zip(got["contexts"], expected["contexts"]):
         assert g == e
+
+
+def _fails_at(cid, side, k, x):
+    """Whether the identity of line ``cid`` fails at the witness ``x``,
+    computed here from the paper's formulas on one side of the blocks."""
+    c, dec, rg = side.ctx, side.blocks, side.ctx.ring
+    if cid.endswith("_k_commuting"):
+        y = dec.component_map("A", "A").apply(x)
+        return not c.A.is_zero(c.A.iterated_bracket(y, x, k))
+    two = rg.add(rg.one, rg.one)
+    da, mb = dec.apply("M", "A", x), dec.apply("M", "B", x)
+    if cid.endswith("_quadratic_balance"):
+        return c.am(da, x) != c.mb(x, mb)
+    sumA = c.A.add(dec.at_unit("A", "A"), dec.at_unit("B", "A"))
+    sumB = c.B.add(dec.at_unit("A", "B"), dec.at_unit("B", "B"))
+    return c.am(c.A.add(sumA, c.A.scale(two, da)), x) != c.mb(
+        x, c.B.add(sumB, c.B.scale(two, mb)))
+
+
+def test_rational_witnesses_reverify():
+    # over Q the witnesses of the degree-2 module identities and of the
+    # diagonal k-commuting lines are lattice points; each must violate its
+    # identity
+    expected = iter(json.loads(GOLDEN.read_text())["reports"])
+    checked = 0
+    for name, build, orders in FAMILIES:
+        G = build()
+        for k in orders:
+            for label, _, dec in _cases(name, G, k):
+                for _ in ("structure", "steps"):
+                    elabel, _, failing = next(expected)
+                    assert elabel == label
+                    if G.ring.enumerable:
+                        continue
+                    for cid, wit in failing:
+                        if cid.endswith(("_balance_symmetrized", "_quadratic_balance")):
+                            wit = wit["module_element"]
+                        elif not cid.endswith("_k_commuting"):
+                            continue
+                        side = dec.sides()[cid.startswith(("n_", "diag_b"))]
+                        x = tuple(G.ring.coerce(v) for v in wit)
+                        assert _fails_at(cid, side, k, x), (label, cid, x)
+                        checked += 1
+    assert checked > 0
 
 
 if __name__ == "__main__":

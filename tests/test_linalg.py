@@ -1,4 +1,8 @@
+import random
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmalg import linalg
 from gmalg.rings import Rationals, Zmod
@@ -130,3 +134,45 @@ def test_solve_underdetermined_particular_deterministic():
     sol2 = linalg.solve_linear(R, [[1, 1]], [3])
     assert sol1.particular == sol2.particular
     assert len(sol1.kernel) == 1
+
+
+def rank_mod_p(rows, p):
+    """Rank by plain Python-int elimination, the reference."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] % p:
+                f = rows[i][c] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([3, 10007, 3037000493, 4294967311]),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 8)),
+    seed=st.integers(0, 2**32),
+)
+def test_nullspace_is_exact_for_every_prime_size(n, shape, seed):
+    # ncols * (p - 1)^2 passes 2^63 at the largest modulus, beyond the
+    # int64 engine; uniform residues (and rows repeated as multiples of
+    # others, for rank deficiency) reach the large products
+    rng = random.Random(seed)
+    nrows, ncols = shape
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.3:
+            rows.append([rng.randrange(n) * x % n for x in rng.choice(rows)])
+        else:
+            rows.append([rng.randrange(n) for _ in range(ncols)])
+    kernel = linalg.nullspace(Zmod(n), rows, ncols)
+    for v in kernel:
+        assert all(sum(a * b for a, b in zip(r, v)) % n == 0 for r in rows)
+    assert rank_mod_p(rows, n) + len(kernel) == ncols

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gmalg.algebra import Algebra
-from gmalg.errors import HypothesesNotMet, NotEnumerable, NotKCommuting
+from gmalg.errors import HypothesesNotMet, NotKCommuting
 from gmalg.families import matrix_algebra
 from gmalg.maps import (
     LinMap,
@@ -65,8 +65,12 @@ def test_rational_polarization_k1_only():
     ok, x = is_k_commuting(A, left_mult_map(A, e11), 1)
     assert not ok
     assert not A.is_zero(A.bracket(A.mul(e11, x), x))
-    with pytest.raises(NotEnumerable):
-        is_k_commuting(A, ident, 2)
+    # k >= 2 is decided over Q as well; the commuting space has the rank it
+    # has modulo a large prime
+    assert is_k_commuting(A, ident, 2) == (True, None)
+    assert commuting_space(A, 2).rank == commuting_space(
+        matrix_algebra(Zmod(10007), 2), 2
+    ).rank
 
 
 def test_commuting_space_rank_and_membership(m2_z3):
