@@ -21,7 +21,7 @@ def iter_vectors(ring, dim):
 
 def lattice_points(ring, dim, degree):
     """The exponent vectors beta in N^dim with |beta| <= degree, lexicographic
-    ascending, as ring scalars; over a finite ring each beta_i < |R|.
+    ascending, as int tuples; over a finite ring each beta_i < |R|.
 
     A polynomial map f of degree <= ``degree`` vanishes on all of R^dim iff
     it vanishes at these points.  By Newton's forward-difference formula
@@ -39,7 +39,7 @@ def lattice_points(ring, dim, degree):
             for rest in points(dim - 1, budget - b):
                 yield (b, *rest)
 
-    return (tuple(ring.coerce(b) for b in beta) for beta in points(dim, degree))
+    return points(dim, degree)
 
 
 def lattice_check(ring, dim, degree, holds):
@@ -53,13 +53,14 @@ def lattice_check(ring, dim, degree, holds):
     is decided on the lattice points of the remaining coordinates, and c is
     at most ``degree``.  Over a finite ring this is the first failing
     element of R^dim; over Q, of {0..degree}^dim."""
-    seen = {}   # the search revisits the points whose prefix is zero
+    scalars = [ring.coerce(b) for b in range(degree + 1)]
+    seen = {}   # by digits; the search revisits the points whose prefix is zero
 
     def vanishes(prefix):
         for beta in lattice_points(ring, dim - len(prefix), degree):
             x = prefix + beta
             if x not in seen:
-                seen[x] = holds(x)
+                seen[x] = holds(tuple(scalars[b] for b in x))
             if not seen[x]:
                 return False
         return True
@@ -70,7 +71,7 @@ def lattice_check(ring, dim, degree, holds):
     x = ()
     while len(x) < dim:
         x = next(x + (c,) for c in digits if not vanishes(x + (c,)))
-    return False, x
+    return False, tuple(scalars[b] for b in x)
 
 
 def newton_kernel(ring, dim, degree, rows_at, ncols):
@@ -84,8 +85,10 @@ def newton_kernel(ring, dim, degree, rows_at, ncols):
     powers m*e_i, m >= 2: for a homogeneous f the first is zero and the
     others are multiples of the row of e_i (only the monomial x_i^degree
     reaches them)."""
+    scalars = [ring.coerce(b) for b in range(degree + 1)]
     values = {
-        tuple(map(int, x)): rows_at(x) for x in lattice_points(ring, dim, degree)
+        beta: rows_at(tuple(scalars[b] for b in beta))
+        for beta in lattice_points(ring, dim, degree)
     }
     acc = linalg.kernel_builder(ring, ncols)
     for alpha, rows in values.items():
@@ -97,8 +100,37 @@ def newton_kernel(ring, dim, degree, rows_at, ncols):
             for out, row in zip(diff, values[gamma]):
                 for col, v in row.items():
                     out[col] = ring.add(out.get(col, ring.zero), ring.mul(c, v))
-        acc.add_rows([[row.get(j, ring.zero) for j in range(ncols)] for row in diff])
+        acc.add_rows(diff)
     return acc.nullspace()
+
+
+def _nonzero_terms(table):
+    """For each cell of a table of coordinate vectors (a bilinear map on
+    basis elements), its (coordinate, value) pairs with a nonzero value."""
+    return tuple(
+        tuple(tuple((r, c) for r, c in enumerate(cell) if c) for cell in row)
+        for row in table
+    )
+
+
+def _bilinear(ring, x, y, terms, out_dim):
+    """Sum_{i,j} x_i * y_j * cell_ij over the nonzero x_i and y_j, with the
+    cells given as ``_nonzero_terms``.  Scalars are zero exactly when falsy
+    (int residues, Fractions), which is much cheaper to test than comparing
+    Fractions."""
+    out = [ring.zero] * out_dim
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = terms[i]
+        for j, yj in ys:
+            cell = row[j]
+            if cell:
+                c = ring.mul(xi, yj)
+                for r, cr in cell:
+                    out[r] = ring.add(out[r], ring.mul(c, cr))
+    return tuple(out)
 
 
 class Algebra:
@@ -111,6 +143,7 @@ class Algebra:
         self.table = tuple(
             tuple(self.vec(cell) for cell in row) for row in table
         )
+        self._terms = _nonzero_terms(self.table)
         self.unit = self.vec(unit)
         self._engel = {}
 
@@ -135,40 +168,26 @@ class Algebra:
     def basis(self):
         return [self.basis_vector(i) for i in range(self.dim)]
 
+    # a zero term is skipped: testing that is much cheaper than adding a
+    # zero Fraction
     def add(self, x, y):
-        return tuple(self.ring.add(a, b) for a, b in zip(x, y))
+        return tuple(self.ring.add(a, b) if b else a for a, b in zip(x, y))
 
     def sub(self, x, y):
-        return tuple(self.ring.sub(a, b) for a, b in zip(x, y))
+        return tuple(self.ring.sub(a, b) if b else a for a, b in zip(x, y))
 
     def scale(self, c, x):
         return tuple(self.ring.mul(c, a) for a in x)
 
     def is_zero(self, x):
-        return all(a == self.ring.zero for a in x)
+        return not any(x)
 
     # -- multiplication and brackets ---------------------------------------
 
     def mul(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element length does not match algebra dim")
-        rg = self.ring
-        out = [rg.zero] * self.dim
-        # scalars are zero exactly when falsy (int residues, Fractions);
-        # testing that is much cheaper than comparing Fractions
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = rg.mul(xi, yj)
-                cell = row[j]
-                for r, cr in enumerate(cell):
-                    if cr:
-                        out[r] = rg.add(out[r], rg.mul(c, cr))
-        return tuple(out)
+        return _bilinear(self.ring, x, y, self._terms, self.dim)
 
     def bracket(self, x, y):
         return self.sub(self.mul(x, y), self.mul(y, x))
@@ -212,18 +231,28 @@ class Algebra:
                 out.append(("left_unit", i))
             if self.mul(ei, self.unit) != ei:
                 out.append(("right_unit", i))
-        zero = [[not any(cell) for cell in row] for row in self.table]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                left = self.table[i][j]
-                for k in range(self.dim):
-                    if zero[i][j] and zero[j][k]:
-                        continue    # both sides are 0
-                    a = self.mul(left, basis[k])
-                    b = self.mul(basis[i], self.table[j][k])
-                    if a != b:
-                        out.append(("associativity", (i, j, k)))
+        # (e_i e_j) e_k = sum_r c_r (e_r e_k) over the terms c_r e_r of
+        # e_i e_j, and e_i (e_j e_k) likewise; both are 0 when neither
+        # product has a term
+        T = self._terms
+        for i, j, k in itertools.product(range(self.dim), repeat=3):
+            if not (T[i][j] or T[j][k]):
+                continue
+            a = self._combine((c, T[r][k]) for r, c in T[i][j])
+            b = self._combine((d, T[i][s]) for s, d in T[j][k])
+            if a != b:
+                out.append(("associativity", (i, j, k)))
         return out
+
+    def _combine(self, scaled):
+        """sum c * v over the (c, terms of v) pairs, as a dict of its
+        nonzero coordinates."""
+        rg = self.ring
+        out = {}
+        for c, terms in scaled:
+            for r, v in terms:
+                out[r] = rg.add(out.get(r, rg.zero), rg.mul(c, v))
+        return {r: v for r, v in out.items() if v}
 
     def validate(self):
         bad = self.structure_violations()

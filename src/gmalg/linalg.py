@@ -1,12 +1,11 @@
 """Exact linear-system solving over Z/nZ and Q.
 
-Three engines behind one interface:
+Two engines behind one interface:
 
-* prime modulus  -- numpy int64 row reduction mod p, exact while the sums
-  of ncols products of residues stay below 2**63; larger primes go to the
-  next engine,
-* rationals      -- Fraction Gaussian elimination (any exact field),
-* composite Z/n  -- integer diagonalization by unimodular row/column
+* fields (Z/p of any size, and Q) -- incremental reduced row echelon form
+  over sparse rows (dicts column -> nonzero scalar), so elimination
+  touches only nonzero entries; Python ints and Fractions never overflow,
+* composite Z/n -- integer diagonalization by unimodular row/column
   transforms (Smith form), then per-diagonal congruences mod n.
 
 Kernels are returned in the eliminator's pivot order so downstream
@@ -16,126 +15,90 @@ reports are byte-stable.
 from collections import namedtuple
 from math import gcd
 
-import numpy as np
-
-from .rings import Zmod
-
 LinearSolution = namedtuple("LinearSolution", ["particular", "kernel"])
 
 
+def _sparse(ring, row):
+    """A row given as a dict column -> scalar or as a dense sequence, as a
+    dict of its nonzero coerced entries."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    out = {}
+    for c, x in items:
+        if x:
+            x = ring.coerce(x)
+            if x:
+                out[c] = x
+    return out
+
+
 # ---------------------------------------------------------------------------
-# field accumulators (incremental reduced row echelon form)
+# field accumulator (incremental sparse reduced row echelon form)
 # ---------------------------------------------------------------------------
 
-class _ModPAccumulator:
-    """Incremental RREF over Z/p, vectorized with numpy."""
-
-    def __init__(self, p, ncols):
-        self.p = p
-        self.ncols = ncols
-        self.rows = np.zeros((0, ncols), dtype=np.int64)
-        self.pivots = []
-
-    def add_rows(self, block):
-        p = self.p
-        block = np.asarray(block, dtype=np.int64).reshape(-1, self.ncols) % p
-        if len(self.pivots):
-            # pivot columns of self.rows form an identity, so one matmul
-            # clears every known pivot from the whole block
-            block = (block - block[:, self.pivots] @ self.rows) % p
-        for r in block:
-            for idx, c in enumerate(self.pivots):
-                if r[c]:
-                    r = (r - r[c] * self.rows[idx]) % p
-            nz = np.nonzero(r)[0]
-            if not len(nz):
-                continue
-            j = int(nz[0])
-            r = (r * pow(int(r[j]), -1, p)) % p
-            if len(self.pivots):
-                col = self.rows[:, j].copy()
-                self.rows = (self.rows - col[:, None] * r[None, :]) % p
-            self.rows = np.vstack([self.rows, r[None, :]])
-            self.pivots.append(j)
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def basis(self):
-        """Canonical RREF rows, ordered by pivot column."""
-        order = np.argsort(self.pivots) if self.pivots else []
-        return [tuple(int(v) for v in self.rows[i]) for i in order]
-
-    def nullspace(self):
-        piv = {c: i for i, c in enumerate(self.pivots)}
-        out = []
-        for f in range(self.ncols):
-            if f in piv:
-                continue
-            v = [0] * self.ncols
-            v[f] = 1
-            for c, i in piv.items():
-                v[c] = int((-self.rows[i, f]) % self.p)
-            out.append(tuple(v))
-        return out
-
-
-class _FractionAccumulator:
-    """Incremental RREF over Q (or any exact field via the ring object)."""
+class _FieldAccumulator:
+    """Incremental RREF over a field ring.  ``rows`` maps each pivot column
+    to its row, a dict of the row's nonzero entries whose pivot (smallest
+    column) entry is 1; the rows stay fully reduced, so no row has an entry
+    in another row's pivot column."""
 
     def __init__(self, ring, ncols):
         self.ring = ring
         self.ncols = ncols
-        self.rows = []       # list of lists
-        self.pivots = []
+        self.rows = {}
 
     def add_rows(self, block):
         rg = self.ring
         for raw in block:
-            r = [rg.coerce(x) for x in raw]
-            for c, row in zip(self.pivots, self.rows):
-                if r[c] != rg.zero:
-                    _subtract_multiple(rg, r, r[c], row)
-            j = next((i for i, x in enumerate(r) if x != rg.zero), None)
-            if j is None:
+            r = _sparse(rg, raw)
+            # the known rows are zero at every other pivot, so one pass over
+            # the pivots r holds now clears them all
+            for c in [c for c in r if c in self.rows]:
+                _subtract_multiple(rg, r, r[c], self.rows[c])
+            if not r:
                 continue
+            j = min(r)
             inv = rg.inv_opt(r[j])
-            r = [rg.mul(inv, x) for x in r]
-            for row in self.rows:
-                if row[j] != rg.zero:
+            r = {c: rg.mul(inv, x) for c, x in r.items()}
+            for row in self.rows.values():
+                if j in row:
                     _subtract_multiple(rg, row, row[j], r)
-            self.rows.append(r)
-            self.pivots.append(j)
+            self.rows[j] = r
 
     @property
     def rank(self):
-        return len(self.pivots)
+        return len(self.rows)
 
     def basis(self):
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        return [tuple(self.rows[i]) for i in order]
+        """Canonical RREF rows, ordered by pivot column."""
+        zero = self.ring.zero
+        return [
+            tuple(self.rows[c].get(j, zero) for j in range(self.ncols))
+            for c in sorted(self.rows)
+        ]
 
     def nullspace(self):
         rg = self.ring
-        piv = {c: i for i, c in enumerate(self.pivots)}
         out = []
         for f in range(self.ncols):
-            if f in piv:
+            if f in self.rows:
                 continue
             v = [rg.zero] * self.ncols
             v[f] = rg.one
-            for c, i in piv.items():
-                v[c] = rg.neg(self.rows[i][f])
+            for c, row in self.rows.items():
+                if f in row:
+                    v[c] = rg.neg(row[f])
             out.append(tuple(v))
         return out
 
 
 def _subtract_multiple(rg, r, f, row):
-    """r -= f * row in place, touching only the nonzero entries of row."""
-    for i, b in enumerate(row):
-        if b:
-            r[i] = rg.sub(r[i], rg.mul(f, b))
+    """r -= f * row in place over the entries of row, keeping r sparse."""
+    for j, b in row.items():
+        x = rg.sub(r.get(j, rg.zero), rg.mul(f, b))
+        if x:
+            r[j] = x
+        else:
+            del r[j]
 
 
 class _CompositeAccumulator:
@@ -151,8 +114,9 @@ class _CompositeAccumulator:
 
     def add_rows(self, block):
         for r in block:
-            t = tuple(self.ring.coerce(x) for x in r)
-            if any(t) and t not in self._seen:
+            r = _sparse(self.ring, r)
+            t = tuple(r.get(j, 0) for j in range(self.ncols))
+            if r and t not in self._seen:
                 self._seen.add(t)
                 self._rows.append(t)
 
@@ -166,12 +130,9 @@ class _CompositeAccumulator:
 
 def kernel_builder(ring, ncols):
     """Accumulator for a homogeneous system: feed rows, ask for the kernel."""
-    if isinstance(ring, Zmod):
-        if not ring.is_field:
-            return _CompositeAccumulator(ring, ncols)
-        if ncols * (ring.n - 1) ** 2 < 2**63:
-            return _ModPAccumulator(ring.n, ncols)
-    return _FractionAccumulator(ring, ncols)
+    if ring.is_field:
+        return _FieldAccumulator(ring, ncols)
+    return _CompositeAccumulator(ring, ncols)
 
 
 def span_basis(ring, vectors, ncols):
@@ -355,20 +316,17 @@ def solve_linear(ring, rows, rhs):
     ncols = len(rows[0]) if nrows else 0
     if nrows == 0:
         return LinearSolution((), [])
-    if isinstance(ring, Zmod) and not ring.is_field:
+    if not ring.is_field:
         return _solve_zmod(ring.n, rows, [ring.coerce(x) for x in rhs], ncols)
 
     # field path: the RREF of the augmented matrix; the right-hand side
     # column is free when the system is consistent, and is the last one
     acc = kernel_builder(ring, ncols + 1)
-    acc.add_rows([
-        [ring.coerce(x) for x in row] + [ring.coerce(b)]
-        for row, b in zip(rows, rhs)
-    ])
-    if ncols in acc.pivots:
+    acc.add_rows([[*row, b] for row, b in zip(rows, rhs)])
+    if ncols in acc.rows:
         return None
     part = [ring.zero] * ncols
-    for c, row in zip(acc.pivots, acc.rows):
-        part[c] = ring.coerce(row[ncols])
+    for c, row in acc.rows.items():
+        part[c] = row.get(ncols, ring.zero)
     *kernel, _ = acc.nullspace()
     return LinearSolution(tuple(part), [v[:ncols] for v in kernel])

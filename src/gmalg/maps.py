@@ -44,6 +44,10 @@ class LinMap:
         for r in self.rows:
             if len(r) != self.dim:
                 raise DimensionMismatch("map matrix must be square")
+        self._cols = [
+            [(r, row[j]) for r, row in enumerate(self.rows) if row[j]]
+            for j in range(self.dim)
+        ]
 
     @classmethod
     def identity(cls, ring, dim):
@@ -80,13 +84,11 @@ class LinMap:
         if len(v) != self.dim:
             raise DimensionMismatch("vector length does not match map")
         rg = self.ring
-        out = []
-        for row in self.rows:
-            s = rg.zero
-            for c, x in zip(row, v):
-                if c and x:
-                    s = rg.add(s, rg.mul(c, x))
-            out.append(s)
+        out = [rg.zero] * self.dim
+        for j, x in enumerate(v):
+            if x:
+                for r, c in self._cols[j]:
+                    out[r] = rg.add(out[r], rg.mul(c, x))
         return tuple(out)
 
     def column(self, j):

@@ -10,7 +10,7 @@ import itertools
 from collections import namedtuple
 
 from . import linalg
-from .algebra import Algebra, Submodule
+from .algebra import Algebra, Submodule, _bilinear, _nonzero_terms
 from .errors import (
     DimensionMismatch,
     InvalidContext,
@@ -22,23 +22,6 @@ from .report import failures
 Violation = namedtuple("Violation", ["axiom", "witness"])
 
 BLOCKS = ("A", "M", "N", "B")
-
-
-def _bilinear(ring, x, y, tensor, out_dim):
-    """Sum_{p,q} x_p * y_q * tensor[p][q]."""
-    out = [ring.zero] * out_dim
-    for p, xp in enumerate(x):
-        if xp == ring.zero:
-            continue
-        row = tensor[p]
-        for q, yq in enumerate(y):
-            if yq == ring.zero:
-                continue
-            c = ring.mul(xp, yq)
-            for r, tr in enumerate(row[q]):
-                if tr != ring.zero:
-                    out[r] = ring.add(out[r], ring.mul(c, tr))
-    return tuple(out)
 
 
 def _tensor(ring, t, shape, name, values_in=None):
@@ -65,13 +48,15 @@ class Bimodule:
         self.dim = dim
         self.left = _tensor(ring, left, (left_dim, dim, dim), "left action")
         self.right = _tensor(ring, right, (dim, right_dim, dim), "right action")
+        self._left = _nonzero_terms(self.left)
+        self._right = _nonzero_terms(self.right)
 
     def act_left(self, a, m):
-        return _bilinear(self.ring, a, m, self.left, self.dim)
+        return _bilinear(self.ring, a, m, self._left, self.dim)
 
     def act_right(self, m, b):
         # tensor is indexed module-basis first
-        return _bilinear(self.ring, m, b, self.right, self.dim)
+        return _bilinear(self.ring, m, b, self._right, self.dim)
 
     def basis_vector(self, p):
         return tuple(
@@ -95,13 +80,15 @@ class MoritaContext:
         self.N = N
         self.phi = _tensor(self.ring, phi, (M.dim, N.dim, A.dim), "phi", "A")
         self.psi = _tensor(self.ring, psi, (N.dim, M.dim, B.dim), "psi", "B")
+        self._phi = _nonzero_terms(self.phi)
+        self._psi = _nonzero_terms(self.psi)
 
     # element-level operations
     def pair_mn(self, m, n):
-        return _bilinear(self.ring, m, n, self.phi, self.A.dim)
+        return _bilinear(self.ring, m, n, self._phi, self.A.dim)
 
     def pair_nm(self, n, m):
-        return _bilinear(self.ring, n, m, self.psi, self.B.dim)
+        return _bilinear(self.ring, n, m, self._psi, self.B.dim)
 
     def am(self, a, m):
         return self.M.act_left(a, m)

@@ -39,7 +39,22 @@ def enumerate_elements(A, budget=DEFAULT_BUDGET):
             return
 
 
-def _mul(A, x, y):
+def _structure(A):
+    """For each basis product e_i e_j, its nonzero coordinates (r, c),
+    read off the table with the oracle's own loops."""
+    ring = A.ring
+    return [
+        [
+            [(r, A.table[i][j][r]) for r in range(A.dim)
+             if A.table[i][j][r] != ring.zero]
+            for j in range(A.dim)
+        ]
+        for i in range(A.dim)
+    ]
+
+
+def _mul(A, S, x, y):
+    """x * y from the nonzero structure constants ``S = _structure(A)``."""
     ring = A.ring
     out = [ring.zero] * A.dim
     for i in range(A.dim):
@@ -49,20 +64,18 @@ def _mul(A, x, y):
             if y[j] == ring.zero:
                 continue
             c = ring.mul(x[i], y[j])
-            cell = A.table[i][j]
-            for r in range(A.dim):
-                if cell[r] != ring.zero:
-                    out[r] = ring.add(out[r], ring.mul(c, cell[r]))
+            for r, cr in S[i][j]:
+                out[r] = ring.add(out[r], ring.mul(c, cr))
     return tuple(out)
 
 
-def _bracket_power(A, y, x, k):
+def _bracket_power(A, S, y, x, k):
     """[y, x]_k by direct recursion on products."""
     ring = A.ring
     out = y
     for _ in range(k):
-        a = _mul(A, out, x)
-        b = _mul(A, x, out)
+        a = _mul(A, S, out, x)
+        b = _mul(A, S, x, out)
         out = tuple(ring.sub(u, v) for u, v in zip(a, b))
     return out
 
@@ -73,11 +86,12 @@ def _is_zero(A, v):
 
 def brute_center(A, budget=DEFAULT_BUDGET):
     """All a with ax = xa for every x, as a sorted element list."""
+    S = _structure(A)
     out = []
     for a in enumerate_elements(A, budget):
         ok = True
         for x in enumerate_elements(A, budget):
-            if _mul(A, a, x) != _mul(A, x, a):
+            if _mul(A, S, a, x) != _mul(A, S, x, a):
                 ok = False
                 break
         if ok:
@@ -87,11 +101,12 @@ def brute_center(A, budget=DEFAULT_BUDGET):
 
 def brute_zk(A, k, budget=DEFAULT_BUDGET):
     """All a with [a, x]_k = 0 for every x, as a sorted element list."""
+    S = _structure(A)
     out = []
     for a in enumerate_elements(A, budget):
         ok = True
         for x in enumerate_elements(A, budget):
-            if not _is_zero(A, _bracket_power(A, a, x, k)):
+            if not _is_zero(A, _bracket_power(A, S, a, x, k)):
                 ok = False
                 break
         if ok:
@@ -103,9 +118,10 @@ def brute_k_commuting(G, theta, k, budget=DEFAULT_BUDGET):
     """(True, None) or (False, first failing x), straight from the
     definition."""
     A = getattr(G, "algebra", G)
+    S = _structure(A)
     for x in enumerate_elements(A, budget):
         tx = theta.apply(x)
-        if not _is_zero(A, _bracket_power(A, tx, x, k)):
+        if not _is_zero(A, _bracket_power(A, S, tx, x, k)):
             return False, x
     return True, None
 
@@ -123,11 +139,12 @@ def brute_properness(G, theta, budget=DEFAULT_BUDGET):
         for i in range(A.dim)
     ]
     images = [theta.apply(e) for e in basis]
+    S = _structure(A)
     for lam in center:
         ok = True
         for e, img in zip(basis, images):
             res = tuple(
-                ring.sub(u, v) for u, v in zip(img, _mul(A, e, lam))
+                ring.sub(u, v) for u, v in zip(img, _mul(A, S, e, lam))
             )
             if res not in cset:
                 ok = False

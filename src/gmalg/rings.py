@@ -99,6 +99,8 @@ class Rationals:
         self.one = Fraction(1)
 
     def coerce(self, v):
+        if type(v) is Fraction:     # already a scalar; Fractions are immutable
+            return v
         if isinstance(v, str):
             return Fraction(v)
         if isinstance(v, float):

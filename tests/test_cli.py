@@ -172,3 +172,18 @@ def test_console_script_entry_point(ctx_m2_z3):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["clean"] is True
+
+
+def test_cli_imports_no_numpy():
+    # gmalg depends on no third-party package; importing numpy would cost
+    # most of a CLI call's start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gmalg.cli, sys; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

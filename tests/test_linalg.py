@@ -161,9 +161,9 @@ def rank_mod_p(rows, p):
     seed=st.integers(0, 2**32),
 )
 def test_nullspace_is_exact_for_every_prime_size(n, shape, seed):
-    # ncols * (p - 1)^2 passes 2^63 at the largest modulus, beyond the
-    # int64 engine; uniform residues (and rows repeated as multiples of
-    # others, for rank deficiency) reach the large products
+    # ncols * (p - 1)^2 passes 2^63 at the largest modulus, where int64
+    # arithmetic would overflow; uniform residues (and rows repeated as
+    # multiples of others, for rank deficiency) reach the large products
     rng = random.Random(seed)
     nrows, ncols = shape
     rows = []
@@ -176,3 +176,102 @@ def test_nullspace_is_exact_for_every_prime_size(n, shape, seed):
     for v in kernel:
         assert all(sum(a * b for a, b in zip(r, v)) % n == 0 for r in rows)
     assert rank_mod_p(rows, n) + len(kernel) == ncols
+
+
+# -- the field engine against a dense reference RREF --------------------------
+
+FIELDS = [Zmod(3), Zmod(10007), Zmod(4294967311), Rationals()]
+
+
+def reference_rref(ring, rows, ncols):
+    """(pivot columns, RREF rows) by dense Gauss-Jordan elimination, one
+    column at a time."""
+    rows = [[ring.coerce(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c] != ring.zero), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = ring.inv_opt(rows[r][c])
+        rows[r] = [ring.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != ring.zero:
+                f = rows[i][c]
+                rows[i] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, [tuple(r) for r in rows[: len(pivots)]]
+
+
+def reference_nullspace(ring, rows, ncols):
+    """One kernel vector per free column, ascending: 1 there, minus the
+    RREF entries of that column at the pivots."""
+    pivots, rref = reference_rref(ring, rows, ncols)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [ring.zero] * ncols
+        v[f] = ring.one
+        for c, row in zip(pivots, rref):
+            v[c] = ring.neg(row[f])
+        out.append(tuple(v))
+    return out
+
+
+@st.composite
+def systems(draw):
+    """(ring, ncols, rows, the rows as fed to the engine): sparse and dense
+    rows, some combinations of earlier rows, fed as dicts or as sequences,
+    with entries that are multiples of p (zero once reduced)."""
+    ring = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, 7))
+    if ring.size is None:
+        scalars = st.fractions(-5, 5, max_denominator=4) | st.integers(-3, 3)
+    else:
+        p = ring.n
+        scalars = (st.integers(-3, 3) | st.integers(0, p - 1)
+                   | st.integers(-2, 2).map(lambda m: m * p))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, g = draw(scalars), draw(scalars)
+            dense = [ring.add(ring.mul(ring.coerce(f), ring.coerce(x)),
+                              ring.mul(ring.coerce(g), ring.coerce(y)))
+                     for x, y in zip(a, b)]
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1))
+                        | st.just(set(range(ncols))))
+            dense = [draw(scalars) if c in cols else 0 for c in range(ncols)]
+        rows.append(dense)
+    as_dict = [draw(st.booleans()) for _ in rows]
+    given_rows = [
+        {c: x for c, x in enumerate(r) if x or draw(st.booleans())} if d else r
+        for r, d in zip(rows, as_dict)
+    ]
+    return ring, ncols, rows, given_rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=systems())
+def test_field_engine_matches_dense_reference(system):
+    ring, ncols, rows, given_rows = system
+    pivots, rref = reference_rref(ring, rows, ncols)
+    assert linalg.span_basis(ring, given_rows, ncols) == rref
+    assert linalg.nullspace(ring, given_rows, ncols) == reference_nullspace(ring, rows, ncols)
+    # solve_linear on the system rows[:-1] x = last column; its rows are
+    # sequences
+    if ncols >= 2:
+        coeffs = [r[:-1] for r in rows]
+        rhs = [r[-1] for r in rows]
+        sol = linalg.solve_linear(ring, coeffs, rhs)
+        if ncols - 1 in pivots:
+            assert sol is None
+        else:
+            part = [ring.zero] * (ncols - 1)
+            for c, row in zip(pivots, rref):
+                part[c] = row[-1]
+            assert sol.particular == tuple(part)
+            assert sol.kernel == reference_nullspace(ring, coeffs, ncols - 1)
