@@ -235,13 +235,14 @@ class Algebra:
         # e_i e_j, and e_i (e_j e_k) likewise; both are 0 when neither
         # product has a term
         T = self._terms
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
-            if not (T[i][j] or T[j][k]):
-                continue
-            a = self._combine((c, T[r][k]) for r, c in T[i][j])
-            b = self._combine((d, T[i][s]) for s, d in T[j][k])
-            if a != b:
-                out.append(("associativity", (i, j, k)))
+        every = range(self.dim)
+        nonzero = [[k for k in every if row[k]] for row in T]
+        for i, j in itertools.product(every, repeat=2):
+            for k in every if T[i][j] else nonzero[j]:
+                a = self._combine((c, T[r][k]) for r, c in T[i][j])
+                b = self._combine((d, T[i][s]) for s, d in T[j][k])
+                if a != b:
+                    out.append(("associativity", (i, j, k)))
         return out
 
     def _combine(self, scaled):

@@ -27,7 +27,7 @@ from .families import (
 )
 from .algebra import Algebra
 from .morita import build_gma, validate_context
-from .rings import parse_ring_flag
+from .rings import parse_ring_flag, parse_scalar_flag
 
 EXIT_OK = 0
 EXIT_FINDING = 1
@@ -78,6 +78,14 @@ def _load_gma(path):
     return build_gma(ctx)
 
 
+def _hypotheses(G, k, doc):
+    """The sufficient hypotheses of the proper-form construction, recorded
+    in ``doc``."""
+    hyp = maps.check_properness_hypotheses(G, k)
+    doc["hypotheses"] = {"cond1": hyp.cond1, "cond2": hyp.cond2, "cond3": hyp.cond3}
+    return hyp
+
+
 def cmd_classify(args):
     G = _load_gma(args.context)
     theta = jsonio.map_from_json(jsonio.load_file(args.map), G.ring)
@@ -116,13 +124,7 @@ def cmd_classify(args):
         doc["oracle_proper"] = bok
 
     if args.mode == "proper":
-        hyp = maps.check_properness_hypotheses(G, k)
-        doc["hypotheses"] = {
-            "cond1": hyp.cond1,
-            "cond2": hyp.cond2,
-            "cond3": hyp.cond3,
-        }
-        if hyp.cond1 and hyp.cond2 and hyp.cond3:
+        if maps._hyp_all(_hypotheses(G, k, doc)):
             pf = maps.construct_proper_form(G, theta, k)
             steps = maps.verify_proper_form_steps(G, theta, k)
             doc["proper_form"] = {
@@ -186,13 +188,8 @@ def cmd_sweep(args):
 
     hyp = None
     if args.mode in ("proper", "steps"):
-        hyp = maps.check_properness_hypotheses(G, k)
-        doc["hypotheses"] = {
-            "cond1": hyp.cond1,
-            "cond2": hyp.cond2,
-            "cond3": hyp.cond3,
-        }
-        if not (hyp.cond1 and hyp.cond2 and hyp.cond3):
+        hyp = _hypotheses(G, k, doc)
+        if not maps._hyp_all(hyp):
             doc["finding"] = "sufficient hypotheses not satisfied"
             _emit(doc, args.emit)
             return EXIT_FINDING
@@ -228,7 +225,7 @@ def _parse_gamma(text, ring, n):
         cells = r.split(",")
         if len(cells) != n:
             raise InputError(f"twist matrix needs {n} columns per row")
-        out.append([(ring.coerce(int(c)),) for c in cells])
+        out.append([(parse_scalar_flag(ring, c),) for c in cells])
     return out
 
 
@@ -245,7 +242,10 @@ def cmd_family(args):
     if args.kind == "block":
         if not args.dims:
             raise InputError("--dims is required for block families")
-        dvec = tuple(int(d) for d in args.dims.split(","))
+        try:
+            dvec = tuple(int(d) for d in args.dims.split(","))
+        except ValueError:
+            raise InputError(f"--dims must be comma-separated ints, got {args.dims!r}") from None
         G = block_triangular_gma(ring, dvec, args.split)
         _emit(jsonio.context_to_json(G.ctx), args.emit)
         return EXIT_OK

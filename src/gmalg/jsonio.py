@@ -25,14 +25,33 @@ def _vec_json(ring, v):
     return [scalar_to_json(ring, c) for c in v]
 
 
-def _vec_load(ring, v):
-    return tuple(scalar_from_json(ring, c) for c in v)
+def _list(v, where):
+    if not isinstance(v, list):
+        raise InputError(f"{where} must be a JSON list, got {v!r:.40}")
+    return v
+
+
+def _vec_load(ring, v, where):
+    return tuple(scalar_from_json(ring, c) for c in _list(v, where))
+
+
+def _table_load(ring, obj, key, where):
+    """The list of rows of vectors ``obj[key]``."""
+    rows = _require(obj, key, where)
+    where = f"{where} {key}"
+    return [[_vec_load(ring, v, where) for v in _list(row, where)]
+            for row in _list(rows, where)]
 
 
 def _require(obj, key, where):
     if not isinstance(obj, dict) or key not in obj:
         raise InputError(f"missing {key!r} in {where} document")
     return obj[key]
+
+
+def _schema(obj, schema):
+    if not isinstance(obj, dict) or obj.get("schema") != schema:
+        raise InputError(f"expected schema {schema!r}")
 
 
 def algebra_to_json(alg):
@@ -44,8 +63,7 @@ def algebra_to_json(alg):
 
 
 def algebra_from_json(obj, ring=None):
-    if obj.get("schema") != ALGEBRA_SCHEMA:
-        raise InputError(f"expected schema {ALGEBRA_SCHEMA!r}")
+    _schema(obj, ALGEBRA_SCHEMA)
     if ring is None:
         ring = parse_ring(_require(obj, "ring", "algebra"))
     return _algebra_from_fields(ring, obj, "algebra")
@@ -63,13 +81,10 @@ def _algebra_fields(alg):
 
 
 def _algebra_from_fields(ring, obj, where):
-    table = [
-        [_vec_load(ring, cell) for cell in row]
-        for row in _require(obj, "mul", where)
-    ]
     return Algebra(
-        ring, _require(obj, "labels", where), table,
-        _vec_load(ring, _require(obj, "unit", where)),
+        ring, _list(_require(obj, "labels", where), f"{where} labels"),
+        _table_load(ring, obj, "mul", where),
+        _vec_load(ring, _require(obj, "unit", where), f"{where} unit"),
     )
 
 
@@ -95,43 +110,31 @@ def context_to_json(ctx):
 
 
 def context_from_json(obj):
-    if obj.get("schema") != CONTEXT_SCHEMA:
-        raise InputError(f"expected schema {CONTEXT_SCHEMA!r}")
+    _schema(obj, CONTEXT_SCHEMA)
     ring = parse_ring(_require(obj, "ring", "context"))
     A = _algebra_from_fields(ring, _require(obj, "A", "context"), "A")
     B = _algebra_from_fields(ring, _require(obj, "B", "context"), "B")
 
     def load_mod(field, left_dim, right_dim):
         doc = _require(obj, field, "context")
-        dim = int(_require(doc, "dim", field))
-        left = [
-            [_vec_load(ring, v) for v in row]
-            for row in _require(doc, "left", field)
-        ]
-        right = [
-            [_vec_load(ring, v) for v in row]
-            for row in _require(doc, "right", field)
-        ]
+        dim = _require(doc, "dim", field)
+        if type(dim) is not int:
+            raise InputError(f"{field} dim must be an int, got {dim!r}")
+        left = _table_load(ring, doc, "left", field)
+        right = _table_load(ring, doc, "right", field)
         return Bimodule(ring, dim, left, right, left_dim, right_dim)
 
     M = load_mod("M", A.dim, B.dim)
     N = load_mod("N", B.dim, A.dim)
-    phi = [
-        [_vec_load(ring, v) for v in row] for row in _require(obj, "phi", "context")
-    ]
-    psi = [
-        [_vec_load(ring, v) for v in row] for row in _require(obj, "psi", "context")
-    ]
+    phi = _table_load(ring, obj, "phi", "context")
+    psi = _table_load(ring, obj, "psi", "context")
     return MoritaContext(A, B, M, N, phi, psi)
 
 
 def map_from_json(obj, ring):
-    if obj.get("schema") != MAP_SCHEMA:
-        raise InputError(f"expected schema {MAP_SCHEMA!r}")
-    rows = [
-        _vec_load(ring, row) for row in _require(obj, "matrix", "map")
-    ]
-    return LinMap(ring, rows)
+    _schema(obj, MAP_SCHEMA)
+    rows = _list(_require(obj, "matrix", "map"), "map matrix")
+    return LinMap(ring, [_vec_load(ring, row, "map row") for row in rows])
 
 
 def load_file(path):

@@ -5,9 +5,13 @@ Scalars are plain Python values (int residues in [0, n) for Z/nZ,
 and everything hashes.  Ring objects carry the arithmetic table.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import InputError, NotEnumerable
+
+_INT = re.compile(r"-?[0-9]+")
+_RATIO = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def _is_prime(n):
@@ -28,7 +32,8 @@ class Zmod:
     enumerable = True
 
     def __init__(self, n):
-        n = int(n)
+        if type(n) is not int:
+            raise InputError(f"Zmod modulus must be an int, got {n!r}")
         if n < 2:
             raise InputError(f"Zmod modulus must be >= 2, got {n}")
         self.n = n
@@ -166,8 +171,8 @@ def parse_ring_flag(text):
     t = text.strip().lower()
     if t in ("q", "rationals"):
         return Rationals()
-    if t.startswith("zmod:"):
-        return Zmod(int(t.split(":", 1)[1]))
+    if t.startswith("zmod:") and _INT.fullmatch(t[5:]):
+        return Zmod(int(t[5:]))
     raise InputError(f"cannot parse ring {text!r} (expected 'zmod:N' or 'q')")
 
 
@@ -180,4 +185,18 @@ def scalar_to_json(ring, x):
 
 
 def scalar_from_json(ring, v):
-    return ring.coerce(v)
+    """The scalar that ``scalar_to_json`` writes as ``v``: an int, or over Q
+    also a "p/q" string.  Anything else is refused, not converted."""
+    if type(v) is int:
+        return ring.coerce(v)
+    if ring.kind == "Q" and isinstance(v, str) and _RATIO.fullmatch(v):
+        num, den = map(int, v.split("/"))
+        if den:
+            return Fraction(num, den)
+    raise InputError(f"not a scalar of {ring!r}: {v!r}")
+
+
+def parse_scalar_flag(ring, text):
+    """A scalar written on the command line: an int, or over Q "p/q"."""
+    t = text.strip()
+    return scalar_from_json(ring, int(t) if _INT.fullmatch(t) else t)

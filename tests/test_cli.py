@@ -8,7 +8,7 @@ import pytest
 from gmalg import cli, jsonio
 from gmalg.families import full_matrix_gma
 from gmalg.maps import LinMap
-from gmalg.rings import Zmod
+from gmalg.rings import Rationals, Zmod
 
 
 def run_cli(argv, capsys):
@@ -187,3 +187,86 @@ def test_cli_imports_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _context_doc(ring):
+    return jsonio.context_to_json(full_matrix_gma(ring, 2, 1).ctx)
+
+
+def _map_doc(ring, entry):
+    doc = LinMap.identity(ring, 4).to_json()
+    doc["matrix"][0][1] = entry
+    return doc
+
+
+def _with(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+def _bad_context(ring, path, value):
+    doc = _context_doc(ring)
+    _with(doc, path, value)
+    return doc
+
+
+MALFORMED = {
+    "map scalar 'x' over Z/3": ("map", Zmod(3), _map_doc(Zmod(3), "x")),
+    "map scalar null over Z/3": ("map", Zmod(3), _map_doc(Zmod(3), None)),
+    "map scalar 1.5 over Z/3": ("map", Zmod(3), _map_doc(Zmod(3), 1.5)),
+    "map scalar 'x' over Q": ("map", Rationals(), _map_doc(Rationals(), "x")),
+    "map scalar null over Q": ("map", Rationals(), _map_doc(Rationals(), None)),
+    "map scalar 0.5 over Q": ("map", Rationals(), _map_doc(Rationals(), 0.5)),
+    "map row not a list": ("map", Zmod(3), {"schema": "map/1", "matrix": [1, 2]}),
+    "map document a list": ("map", Zmod(3), [1, 2]),
+    "context scalar 'x' over Z/3": (
+        "context", None, _bad_context(Zmod(3), ("phi", 0, 0, 0), "x")),
+    "context scalar null over Q": (
+        "context", None, _bad_context(Rationals(), ("M", "left", 0, 0, 0), None)),
+    "context scalar 1.5 over Z/3": (
+        "context", None, _bad_context(Zmod(3), ("A", "unit", 0), 1.5)),
+    "ring modulus 3.9": (
+        "context", None, _bad_context(Zmod(3), ("ring", "n"), 3.9)),
+    "module dim 1.5": (
+        "context", None, _bad_context(Zmod(3), ("M", "dim"), 1.5)),
+    "context document a list": ("context", None, [_context_doc(Zmod(3))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_exits_3(case, tmp_path, capsys):
+    kind, ring, doc = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if kind == "map":
+        ctx = tmp_path / "ctx.json"
+        ctx.write_text(json.dumps(_context_doc(ring)))
+        argv = ["classify", str(ctx), str(path)]
+    else:
+        argv = ["build", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EXIT_INPUT, ""), err
+    assert err.startswith("InputError:"), err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "full", "--ring", "zmod:abc"],
+    ["--kind", "block", "--ring", "zmod:3", "--dims", "2,a"],
+    ["--kind", "inflated", "--ring", "zmod:3", "--gamma", "1,x;0,1"],
+    ["--kind", "inflated", "--ring", "zmod:3", "--gamma", "1/2,0;0,1"],
+])
+def test_malformed_family_flags_exit_3(flags, capsys):
+    code, out, err = run_cli(["family", *flags], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, ""), err
+
+
+def test_inflated_family_takes_rational_gamma(capsys):
+    code, out, _ = run_cli(
+        ["family", "--kind", "inflated", "--ring", "q", "--n", "2",
+         "--gamma", "1/2,0;0,-3/4"],
+        capsys,
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["identity"] == [2, 0, 0, "-4/3"]

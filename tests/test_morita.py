@@ -1,8 +1,14 @@
-import pytest
+import itertools
+import random
 
-from gmalg.errors import InvalidContext, NotFaithful
+import pytest
+from test_golden import _corrupt_context
+
+from gmalg.errors import InvalidContext, NotFaithful, TheoremViolation
 from gmalg.families import full_matrix_gma, triangular_gma
 from gmalg.morita import (
+    AXIOMS,
+    BLOCKS,
     Bimodule,
     MoritaContext,
     build_gma,
@@ -10,7 +16,7 @@ from gmalg.morita import (
     check_faithful,
     validate_context,
 )
-from gmalg.rings import Zmod
+from gmalg.rings import Rationals, Zmod
 
 
 def scalar_algebra(R):
@@ -154,3 +160,110 @@ def test_build_gma_block_products(m2_z3):
 def test_unit_is_diagonal(m2_z3, t2_z3):
     for G in (m2_z3, t2_z3):
         assert G.algebra.unit == G.embed_diag(G.ctx.A.unit, G.ctx.B.unit)
+
+
+def test_axiom_table_covers_the_block_product_triples():
+    # the block products xy != 0, read off the structure constants of a
+    # full matrix algebra; each axiom is associativity on a triple xyz with
+    # xy and yz both products
+    G = full_matrix_gma(Rationals(), 3, 1)
+    products = {
+        (x, y)
+        for x in BLOCKS for y in BLOCKS
+        if any(G.algebra.table[i][j] != G.algebra.zero()
+               for i in G.block_range(x) for j in G.block_range(y))
+    }
+    assert len(products) == 8
+    triples = {x + y + z for x, y in products for y2, z in products if y == y2}
+    assert set(AXIOMS) == triples
+    assert len({name for name, _ in AXIOMS.values()}) == 16
+
+
+def _identities(ctx):
+    """Each axiom's block types and its two sides at basis elements of the
+    given local indices, computed from the context's own operations."""
+    A, B, c = ctx.A, ctx.B, ctx
+    a, b = A.basis_vector, B.basis_vector
+    m, n = c.M.basis_vector, c.N.basis_vector
+    return {
+        "algebra_A_left_unit": ("A", lambda i: (A.mul(A.unit, a(i)), a(i))),
+        "algebra_A_right_unit": ("A", lambda i: (A.mul(a(i), A.unit), a(i))),
+        "algebra_B_left_unit": ("B", lambda i: (B.mul(B.unit, b(i)), b(i))),
+        "algebra_B_right_unit": ("B", lambda i: (B.mul(b(i), B.unit), b(i))),
+        "m_left_unit": ("M", lambda p: (c.am(A.unit, m(p)), m(p))),
+        "m_right_unit": ("M", lambda p: (c.mb(m(p), B.unit), m(p))),
+        "n_left_unit": ("N", lambda q: (c.bn(B.unit, n(q)), n(q))),
+        "n_right_unit": ("N", lambda q: (c.na(n(q), A.unit), n(q))),
+        "algebra_A_associativity": ("AAA", lambda i, j, k: (
+            A.mul(A.mul(a(i), a(j)), a(k)), A.mul(a(i), A.mul(a(j), a(k))))),
+        "algebra_B_associativity": ("BBB", lambda i, j, k: (
+            B.mul(B.mul(b(i), b(j)), b(k)), B.mul(b(i), B.mul(b(j), b(k))))),
+        "m_left_associativity": ("AAM", lambda i, j, p: (
+            c.am(A.mul(a(i), a(j)), m(p)), c.am(a(i), c.am(a(j), m(p))))),
+        "n_right_associativity": ("NAA", lambda q, i, j: (
+            c.na(c.na(n(q), a(i)), a(j)), c.na(n(q), A.mul(a(i), a(j))))),
+        "m_right_associativity": ("MBB", lambda p, i, j: (
+            c.mb(c.mb(m(p), b(i)), b(j)), c.mb(m(p), B.mul(b(i), b(j))))),
+        "n_left_associativity": ("BBN", lambda i, j, q: (
+            c.bn(B.mul(b(i), b(j)), n(q)), c.bn(b(i), c.bn(b(j), n(q))))),
+        "m_mixed_associativity": ("AMB", lambda i, p, j: (
+            c.mb(c.am(a(i), m(p)), b(j)), c.am(a(i), c.mb(m(p), b(j))))),
+        "n_mixed_associativity": ("BNA", lambda i, q, j: (
+            c.na(c.bn(b(i), n(q)), a(j)), c.bn(b(i), c.na(n(q), a(j))))),
+        "pairing_mn_left_linear": ("AMN", lambda i, p, q: (
+            c.pair_mn(c.am(a(i), m(p)), n(q)), A.mul(a(i), c.pair_mn(m(p), n(q))))),
+        "pairing_mn_right_linear": ("MNA", lambda p, q, i: (
+            A.mul(c.pair_mn(m(p), n(q)), a(i)), c.pair_mn(m(p), c.na(n(q), a(i))))),
+        "pairing_mn_balanced": ("MBN", lambda p, j, q: (
+            c.pair_mn(c.mb(m(p), b(j)), n(q)), c.pair_mn(m(p), c.bn(b(j), n(q))))),
+        "pairing_nm_left_linear": ("BNM", lambda i, q, p: (
+            c.pair_nm(c.bn(b(i), n(q)), m(p)), B.mul(b(i), c.pair_nm(n(q), m(p))))),
+        "pairing_nm_right_linear": ("NMB", lambda q, p, i: (
+            B.mul(c.pair_nm(n(q), m(p)), b(i)), c.pair_nm(n(q), c.mb(m(p), b(i))))),
+        "pairing_nm_balanced": ("NAM", lambda q, j, p: (
+            c.pair_nm(c.na(n(q), a(j)), m(p)), c.pair_nm(n(q), c.am(a(j), m(p))))),
+        "diagram_mnm": ("MNM", lambda p, q, r: (
+            c.am(c.pair_mn(m(p), n(q)), m(r)), c.mb(m(p), c.pair_nm(n(q), m(r))))),
+        "diagram_nmn": ("NMN", lambda q, p, s: (
+            c.bn(c.pair_nm(n(q), m(p)), n(s)), c.na(n(q), c.pair_mn(m(p), n(s))))),
+    }
+
+
+@pytest.mark.parametrize("build", [
+    lambda: full_matrix_gma(Zmod(3), 3, 1),
+    lambda: full_matrix_gma(Zmod(4), 2, 1),
+    lambda: full_matrix_gma(Rationals(), 2, 1),
+    lambda: triangular_gma(Zmod(3), 3, 1),   # N = 0
+])
+def test_violations_are_exactly_the_failing_identities(build):
+    # seeded corruptions: every reported violation is an identity that
+    # fails at its witness, and every failing identity is reported once
+    ctx = build().ctx
+    rng = random.Random(f"violations/{ctx.ring!r}/{ctx.M.dim}/{ctx.N.dim}")
+    dims = {"A": ctx.A.dim, "M": ctx.M.dim, "N": ctx.N.dim, "B": ctx.B.dim}
+    seen = set()
+    for _ in range(25):
+        _, bad = _corrupt_context(ctx, rng, rng.randint(1, 4))
+        failing = set()
+        for axiom, (blocks, sides) in _identities(bad).items():
+            for w in itertools.product(*(range(dims[x]) for x in blocks)):
+                lhs, rhs = sides(*w)
+                if lhs != rhs:
+                    failing.add((axiom, w if len(w) > 1 else w[0]))
+        found = [(v.axiom, v.witness) for v in validate_context(bad)]
+        assert len(found) == len(set(found))
+        assert set(found) == failing
+        seen |= {axiom for axiom, _ in found}
+    assert len(seen) >= 10
+
+
+def test_center_iso_checks_multiplicativity_over_q(monkeypatch):
+    G = full_matrix_gma(Rationals(), 3, 1)
+    assert center_iso_phi(G).mapping == [(G.ctx.A.unit, G.ctx.B.unit)]
+    R, phi, phi_inv = G.ring, G.phi_apply, G.phi_inv_apply
+    two = R.coerce(2)
+    # 2*phi is a linear bijection onto the B-image, but not multiplicative
+    monkeypatch.setattr(G, "phi_apply", lambda a: tuple(two * c for c in phi(a)))
+    monkeypatch.setattr(G, "phi_inv_apply", lambda b: phi_inv(tuple(c / two for c in b)))
+    with pytest.raises(TheoremViolation, match="multiplicative"):
+        center_iso_phi(G)
