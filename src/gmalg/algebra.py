@@ -6,7 +6,8 @@ is the full expansion of the basis product.
 """
 
 import itertools
-from math import comb, prod
+from bisect import bisect_right
+from math import prod
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidAlgebra, NotEnumerable
@@ -30,16 +31,21 @@ def lattice_points(ring, dim, degree):
     beta <= alpha, combined unitriangularly.  N^dim covers Z/n and is
     Zariski dense in Q^dim; over Z/n, beta_i >= n repeats beta_i - n."""
     top = degree if ring.size is None else min(degree, ring.size - 1)
-
-    def points(dim, budget):
-        if dim == 0:
-            yield ()
+    beta = [0] * dim
+    total = 0
+    while True:
+        yield tuple(beta)
+        # the successor: raise the last coordinate that may grow once the
+        # ones after it are zeroed
+        j = dim - 1
+        while j >= 0 and (beta[j] == top or total == degree):
+            total -= beta[j]
+            beta[j] = 0
+            j -= 1
+        if j < 0:
             return
-        for b in range(min(budget, top) + 1):
-            for rest in points(dim - 1, budget - b):
-                yield (b, *rest)
-
-    return points(dim, degree)
+        beta[j] += 1
+        total += 1
 
 
 def lattice_check(ring, dim, degree, holds):
@@ -74,34 +80,173 @@ def lattice_check(ring, dim, degree, holds):
     return False, tuple(scalars[b] for b in x)
 
 
-def newton_kernel(ring, dim, degree, rows_at, ncols):
-    """Kernel generators, over ``ncols`` unknowns, of the constraints that
-    f(x) = 0 on all of R^dim, where f is homogeneous of degree ``degree``
-    >= 1 in x and linear in the unknowns, and ``rows_at(x)`` gives the rows
-    of f(x) as dicts column -> coefficient.
+def _surjections(degree):
+    """``table[g][a]`` = a! S(g, a), for g, a <= ``degree``: the number of
+    maps of a g-set onto an a-set, with S the Stirling number of the second
+    kind.  It is the forward difference (Delta^a t^g)(0), since
+    t^g = sum_a S(g, a) t(t-1)...(t-a+1)."""
+    table = [[1] + [0] * degree]
+    for _ in range(degree):
+        prev = table[-1]
+        table.append(
+            [0] + [a * (prev[a] + prev[a - 1]) for a in range(1, degree + 1)]
+        )
+    return table
 
-    The constraint rows are the Newton differences D^alpha f(0) at the
-    lattice points (see ``lattice_points``) but alpha = 0 and the pure
-    powers m*e_i, m >= 2: for a homogeneous f the first is zero and the
-    others are multiples of the row of e_i (only the monomial x_i^degree
-    reaches them)."""
-    scalars = [ring.coerce(b) for b in range(degree + 1)]
-    values = {
-        beta: rows_at(tuple(scalars[b] for b in beta))
-        for beta in lattice_points(ring, dim, degree)
-    }
+
+def _times(monomial, i):
+    """The monomial (a sorted index tuple, see ``ad_recursion``) times x_i."""
+    t = bisect_right(monomial, i)
+    return monomial[:t] + (i,) + monomial[t:]
+
+
+def ad_recursion(ad, start, k, normal):
+    """The nonzero coefficients of [f0(x), x]_k, from those of f0.
+
+    A coefficient is keyed by its monomial x^gamma, written as the sorted
+    tuple of the indices in gamma (x_0^2 x_3 is (0, 0, 3)), and is a dict
+    column -> vector (dict coordinate -> scalar), one column per unknown
+    of f0 (one column for a given f0).  ``ad[r]`` lists the (i, terms)
+    with [e_r, e_i] != 0, its terms the nonzero (s, c), so that
+    R_i y = [y, e_i] is read off it.  Since [y, x] = sum_i x_i R_i y, one
+    bracket maps the coefficients C to C'_gamma = sum_{i in supp gamma}
+    R_i C_{gamma - e_i}; only the last level is kept.  Sums are taken in
+    int (or Fraction) arithmetic and brought to ``normal`` form once per
+    level, dropping zeros."""
+    level = start
+    for _ in range(k):
+        out = {}
+        for beta, cols in level.items():
+            targets = {}    # i -> the coefficient of x^beta x_i
+            for col, vec in cols.items():
+                for r, v in vec.items():
+                    for i, terms in ad[r]:
+                        target = targets.get(i)
+                        if target is None:
+                            target = targets[i] = out.setdefault(_times(beta, i), {})
+                        acc = target.get(col)
+                        if acc is None:
+                            acc = target[col] = {}
+                        for s, c in terms:
+                            acc[s] = acc.get(s, 0) + v * c
+        level = {}
+        for gamma, cols in out.items():
+            kept = {}
+            for col, vec in cols.items():
+                vec = {s: w for s, v in vec.items() if (w := normal(v))}
+                if vec:
+                    kept[col] = vec
+            if kept:
+                level[gamma] = kept
+    return level
+
+
+def _as_rows(cols):
+    """A coefficient given as columns (see ``ad_recursion``), as rows: one
+    dict column -> scalar per output coordinate."""
+    rows = {}
+    for col, vec in cols.items():
+        for r, v in vec.items():
+            rows.setdefault(r, {})[col] = v
+    return rows
+
+
+def vanishing_rows(ring, coeffs, degree, dim):
+    """Blocks of nonzero rows that all vanish iff f(x) = sum_gamma C_gamma
+    x^gamma vanishes on all of R^dim.  ``coeffs`` maps each monomial (as in
+    ``ad_recursion``) to its coefficient as rows (see ``_as_rows``); f must
+    be homogeneous of degree ``degree`` >= 1.
+
+    Over Q, and over Z/p with p > ``degree``, f is zero iff every
+    coefficient is, so the rows are the coefficients'.  Elsewhere they are
+    the Newton differences D^alpha f(0) = sum_gamma C_gamma prod_i a_i!
+    S(g_i, a_i) (``_surjections``) at the lattice points alpha, in the
+    order of ``lattice_points``, which says why they decide f.  A factor with a_i = 0 < g_i or a_i > g_i is 0,
+    so alpha has the support of some gamma >= alpha: only those are built.
+    alpha = 0 and the pure powers m*e_i (m >= 2) are left out; for a
+    homogeneous f the first is 0 and the others are multiples of the
+    difference at e_i (only gamma = degree*e_i reaches them)."""
+    if ring.size is None or (ring.is_field and ring.size > degree):
+        for gamma in sorted(coeffs):
+            rows = coeffs[gamma]
+            yield [rows[r] for r in sorted(rows)]
+        return
+    top = min(degree, ring.size - 1)
+    surj = _surjections(degree)
+    groups = {}
+    for gamma, rows in coeffs.items():
+        support = tuple(dict.fromkeys(gamma))
+        exps = tuple(gamma.count(i) for i in support)
+        groups.setdefault(support, []).append((exps, rows))
+    alphas = []
+    for support, members in groups.items():
+        highest = [min(top, max(e[t] for e, _ in members))
+                   for t in range(len(support))]
+        for a in itertools.product(*(range(1, h + 1) for h in highest)):
+            if len(a) > 1 or a == (1,):
+                dense = [0] * dim
+                for i, ai in zip(support, a):
+                    dense[i] = ai
+                alphas.append((dense, support, a))
+    alphas.sort()
+    for _, support, a in alphas:
+        out = {}
+        for exps, rows in groups[support]:
+            w = prod(surj[g][b] for g, b in zip(exps, a))
+            if w:
+                for r, row in rows.items():
+                    acc = out.setdefault(r, {})
+                    for col, v in row.items():
+                        acc[col] = acc.get(col, 0) + w * v
+        block = []
+        for r in sorted(out):
+            row = {c: x for c, v in out[r].items() if (x := ring.normal(v))}
+            if row:
+                block.append(row)
+        if block:
+            yield block
+
+
+def vanishing_kernel(ring, coeffs, degree, dim, ncols):
+    """Kernel generators, over ``ncols`` unknowns, of the constraints that
+    f(x) = 0 on all of R^dim, for f homogeneous of degree ``degree`` in x
+    and linear in the unknowns, given by its coefficients (see
+    ``vanishing_rows``); fed to the accumulator one block at a time."""
     acc = linalg.kernel_builder(ring, ncols)
-    for alpha, rows in values.items():
-        if max(alpha, default=0) == sum(alpha) != 1:
-            continue
-        diff = [{} for _ in rows]
-        for gamma in itertools.product(*(range(a + 1) for a in alpha)):
-            c = (-1) ** (sum(alpha) - sum(gamma)) * prod(map(comb, alpha, gamma))
-            for out, row in zip(diff, values[gamma]):
-                for col, v in row.items():
-                    out[col] = ring.add(out.get(col, ring.zero), ring.mul(c, v))
-        acc.add_rows(diff)
+    for block in vanishing_rows(ring, coeffs, degree, dim):
+        acc.add_rows(block)
     return acc.nullspace()
+
+
+def evaluator(ring, coeffs, degree):
+    """``holds(x)``: whether f(x) = sum_gamma C_gamma x^gamma is zero, for
+    coefficients as in ``vanishing_rows``.  Only the gamma with supp gamma
+    inside supp x contribute, so they are looked up by the subsets of
+    supp x of size <= ``degree``.  The points ``lattice_check`` tries have
+    at most 2*degree + 1 nonzero coordinates: the lexicographically first
+    failing point has at most ``degree`` (zeroing a coordinate makes a
+    point smaller, and f on points with more is a sum of its values on
+    their faces), and the others add a digit and a lattice point to a
+    prefix of it."""
+    groups = {}
+    for gamma, rows in coeffs.items():
+        groups.setdefault(tuple(dict.fromkeys(gamma)), []).append((gamma, rows))
+    normal = ring.normal
+
+    def holds(x):
+        x = [normal(c) for c in x]
+        support = [i for i, c in enumerate(x) if c]
+        acc = {}
+        for size in range(1, min(len(support), degree) + 1):
+            for sub in itertools.combinations(support, size):
+                for gamma, rows in groups.get(sub, ()):
+                    m = prod(x[i] for i in gamma)
+                    for r, row in rows.items():
+                        for col, v in row.items():
+                            acc[r, col] = acc.get((r, col), 0) + m * v
+        return not any(normal(v) for v in acc.values())
+
+    return holds
 
 
 def _nonzero_terms(table):
@@ -146,6 +291,7 @@ class Algebra:
         self._terms = _nonzero_terms(self.table)
         self.unit = self.vec(unit)
         self._engel = {}
+        self._ad = None
 
     # -- vector helpers -----------------------------------------------------
 
@@ -277,25 +423,77 @@ class Algebra:
     def engel_center(self, k):
         """{a : [a, x]_k = 0 for all x} (the ordinary center when k = 1).
 
-        [a, x]_k is linear in a and homogeneous of degree k in x, so the
-        constraints on a are its Newton differences at the lattice points
-        of degree <= k (see ``newton_kernel``); exact over every ring."""
+        [a, x]_k = sum_alpha x^alpha W_alpha a over |alpha| = k
+        (``adjoint_coefficients``), linear in a and homogeneous of degree k
+        in x, so the constraints on a are the rows of the W_alpha over Q and
+        over Z/p with p > k, and their Newton differences elsewhere (see
+        ``vanishing_rows``); exact over every ring."""
         if k < 1:
             raise DimensionMismatch("engel order must be >= 1")
         if k not in self._engel:
-            gens = newton_kernel(self.ring, self.dim, k,
-                                 lambda x: self.bracket_rows(x, k), self.dim)
+            coeffs = {alpha: _as_rows(cols)
+                      for alpha, cols in self.adjoint_coefficients(k).items()}
+            gens = vanishing_kernel(self.ring, coeffs, k, self.dim, self.dim)
             self._engel[k] = Submodule(self.ring, self.dim, gens)
         return self._engel[k]
 
-    def bracket_rows(self, x, k):
-        """The matrix of a -> [a, x]_k, as one dict column -> entry per
-        output coordinate."""
-        cols = [self.iterated_bracket(e, x, k) for e in self.basis()]
-        return [
-            {p: col[r] for p, col in enumerate(cols) if col[r]}
-            for r in range(self.dim)
-        ]
+    def adjoint_coefficients(self, k):
+        """The nonzero coefficients W_alpha, |alpha| = k, of the operator
+        a -> [a, x]_k: ``ad_recursion`` from W_0 = I, with one column per
+        coordinate of a."""
+        identity = {(): {p: {p: 1} for p in range(self.dim)}}
+        return ad_recursion(self.adjoint_terms(), identity, k, self.ring.normal)
+
+    def map_coefficients(self, columns, k):
+        """The coefficients of [theta(x), x]_k, as rows over one column 0
+        (see ``vanishing_rows``), for the map theta with the given columns
+        theta(e_q), each as its nonzero (coordinate, scalar) pairs:
+        ``ad_recursion`` from C_{e_q} = theta(e_q)."""
+        normal = self.ring.normal
+        start = {(q,): {0: {r: normal(v) for r, v in col}}
+                 for q, col in enumerate(columns) if col}
+        return {gamma: _as_rows(cols) for gamma, cols in
+                ad_recursion(self.adjoint_terms(), start, k, normal).items()}
+
+    def commuting_coefficients(self, k):
+        """The coefficients of [theta(x), x]_k, as rows over the entries
+        theta[p][q] of an unknown map, at flat index p*d+q.
+
+        [a, x]_k = sum_alpha x^alpha W_alpha a (``adjoint_coefficients``)
+        and theta(x) = sum_q x_q theta(e_q), so the coefficient of x^gamma
+        is sum_q W_{gamma - e_q} theta(e_q): theta[p][q] enters it with
+        the column p of W_{gamma - e_q}.  These are the coefficients that
+        ``ad_recursion`` gives from C_{e_q} = theta(e_q) with one unknown
+        column per entry, without carrying the d*d columns through it."""
+        d = self.dim
+        coeffs = {}
+        for alpha, cols in self.adjoint_coefficients(k).items():
+            for q in range(d):
+                rows = coeffs.setdefault(_times(alpha, q), {})
+                for p, vec in cols.items():
+                    for r, v in vec.items():
+                        rows.setdefault(r, {})[p * d + q] = v
+        return coeffs
+
+    def adjoint_terms(self):
+        """``ad[r]``: the (i, terms) with [e_r, e_i] != 0, its terms the
+        nonzero (s, c) with c in normal form (see ``ad_recursion``)."""
+        if self._ad is None:
+            rg, T = self.ring, self._terms
+            ad = []
+            for r in range(self.dim):
+                row = []
+                for i in range(self.dim):
+                    if T[r][i] or T[i][r]:
+                        c = dict(T[r][i])
+                        for s, v in T[i][r]:
+                            c[s] = rg.sub(c.get(s, rg.zero), v)
+                        terms = tuple((s, rg.normal(v)) for s, v in c.items() if v)
+                        if terms:
+                            row.append((i, terms))
+                ad.append(tuple(row))
+            self._ad = tuple(ad)
+        return self._ad
 
 
 class Submodule:

@@ -93,7 +93,9 @@ def cmd_classify(args):
     doc = {"command": "classify", "k": k}
     exit_code = EXIT_OK
 
-    kc, witness = maps.is_k_commuting(G, theta, k)
+    # decided once; the structure report and the proper form reuse it
+    verdict = maps.is_k_commuting(G, theta, k)
+    kc, witness = verdict
     doc["k_commuting"] = kc
     if args.oracle:
         bkc, bwit = oracle.brute_k_commuting(G, theta, k, args.budget)
@@ -105,7 +107,7 @@ def cmd_classify(args):
         _emit(doc, args.emit)
         return EXIT_FINDING
 
-    rep = maps.verify_structure_conditions(G, theta, k)
+    rep = maps.verify_structure_conditions(G, theta, k, verdict=verdict)
     doc["structure_conditions"] = rep.to_json()
     if not rep.all_pass:
         raise TheoremViolation(
@@ -125,8 +127,8 @@ def cmd_classify(args):
 
     if args.mode == "proper":
         if maps._hyp_all(_hypotheses(G, k, doc)):
-            pf = maps.construct_proper_form(G, theta, k)
-            steps = maps.verify_proper_form_steps(G, theta, k)
+            pf = maps.construct_proper_form(G, theta, k, verdict=verdict)
+            steps = maps.verify_proper_form_steps(G, theta, k, verdict=verdict)
             doc["proper_form"] = {
                 "center_shift": list(pf.center_shift),
                 "steps": steps.to_json(),

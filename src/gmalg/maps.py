@@ -13,10 +13,12 @@ from collections import namedtuple
 from . import linalg
 from .algebra import (
     Submodule,
+    evaluator,
     iter_vectors,
     lattice_check,
-    newton_kernel,
     scalar_multiples_of,
+    vanishing_kernel,
+    vanishing_rows,
 )
 from .errors import (
     BudgetExceeded,
@@ -146,19 +148,25 @@ def _underlying(G):
 def is_k_commuting(G, theta, k):
     """(True, None) if [theta(x), x]_k = 0 for every x, else (False, x).
 
-    The identity is polynomial of degree k+1 in x, so it holds everywhere
-    iff it holds at the lattice points of degree <= k+1, and x is the
-    lexicographically first failing element: of the whole algebra over a
-    finite ring, of {0..k+1}^dim over Q (see ``algebra.lattice_check``)."""
+    The coefficients C_gamma of f(x) = [theta(x), x]_k, homogeneous of
+    degree k+1, come from ``Algebra.map_coefficients``.  f vanishes everywhere iff they are all zero
+    over Q and over Z/p with p > k+1, and iff its Newton differences
+    (sums of the C_gamma weighted by Stirling numbers) are all zero on
+    every other Z/n; the test stops at the first nonzero one (see
+    ``algebra.vanishing_rows``).  On failure x is the lexicographically
+    first failing element: of the whole algebra over a finite ring, of
+    {0..k+1}^dim over Q (see ``algebra.lattice_check``), with f evaluated
+    from its coefficients."""
     alg = _underlying(G)
     if k < 1:
         raise DimensionMismatch("commuting order must be >= 1")
     if theta.dim != alg.dim:
         raise DimensionMismatch("map dimension does not match the algebra")
-    return lattice_check(
-        alg.ring, alg.dim, k + 1,
-        lambda x: alg.is_zero(alg.iterated_bracket(theta.apply(x), x, k)),
-    )
+    rg = alg.ring
+    coeffs = alg.map_coefficients(theta._cols, k)
+    if next(vanishing_rows(rg, coeffs, k + 1, alg.dim), None) is None:
+        return True, None
+    return lattice_check(rg, alg.dim, k + 1, evaluator(rg, coeffs, k + 1))
 
 
 class MapSpace:
@@ -203,25 +211,15 @@ class MapSpace:
 
 def commuting_space(G, k):
     """All maps theta with [theta(x), x]_k = 0 for every x, as the solution
-    of the linear system in theta's matrix entries: the Newton differences
-    of the identity, which is homogeneous of degree k+1 in x (see
-    ``algebra.newton_kernel``)."""
+    of the linear system in theta's matrix entries: the coefficients of
+    [theta(x), x]_k (``Algebra.commuting_coefficients``) over Q and over
+    Z/p with p > k+1, their Newton differences on every other Z/n (see
+    ``algebra.vanishing_rows``)."""
     alg = _underlying(G)
     d = alg.dim
     if k < 1:
         raise DimensionMismatch("commuting order must be >= 1")
-
-    def rows_at(x):
-        # theta[p][q] sits at flat index p*d+q and enters [theta(x), x]_k
-        # as x_q [e_p, x]_k
-        support = [(q, c) for q, c in enumerate(x) if c]
-        return [
-            {p * d + q: alg.ring.mul(v, c) for p, v in row.items()
-             for q, c in support}
-            for row in alg.bracket_rows(x, k)
-        ]
-
-    gens = newton_kernel(alg.ring, d, k + 1, rows_at, d * d)
+    gens = vanishing_kernel(alg.ring, alg.commuting_coefficients(k), k + 1, d, d * d)
     return MapSpace(alg, Submodule(alg.ring, d * d, gens))
 
 
@@ -355,15 +353,22 @@ def decompose(G, theta):
     return BlockDecomposition(G, theta)
 
 
-def verify_structure_conditions(G, theta, k, blocks=None):
+def _require_k_commuting(G, theta, k, verdict):
+    """Raise NotKCommuting unless theta is k-commuting.  ``verdict`` is the
+    result of ``is_k_commuting(G, theta, k)`` when the caller has it, so
+    that one classification decides the identity once."""
+    ok, bad = verdict if verdict is not None else is_k_commuting(G, theta, k)
+    if not ok:
+        raise NotKCommuting(f"map is not {k}-commuting (witness {bad})")
+
+
+def verify_structure_conditions(G, theta, k, blocks=None, verdict=None):
     """The structural consequences that every k-commuting map satisfies:
     six vanishing components, six components ranging in the order-k
     centers, the two diagonal components k-commuting with central unit
     images, and four compatibility identities between the off-diagonal
     components."""
-    ok, bad = is_k_commuting(G, theta, k)
-    if not ok:
-        raise NotKCommuting(f"map is not {k}-commuting (witness {bad})")
+    _require_k_commuting(G, theta, k, verdict)
     dec = blocks if blocks is not None else decompose(G, theta)
     rep = Report(f"structure conditions (k={k})")
     ctx = G.ctx
@@ -542,13 +547,11 @@ ProperFormResult = namedtuple(
 )
 
 
-def construct_proper_form(G, theta, k, hypotheses=None):
+def construct_proper_form(G, theta, k, hypotheses=None, verdict=None):
     """Split a k-commuting map as x -> x*C + (central-valued remainder),
     with C built from the unit images of the two diagonal components via
     the center isomorphism."""
-    ok, bad = is_k_commuting(G, theta, k)
-    if not ok:
-        raise NotKCommuting(f"map is not {k}-commuting (witness {bad})")
+    _require_k_commuting(G, theta, k, verdict)
     hyp = hypotheses if hypotheses is not None else check_properness_hypotheses(G, k)
     if not _hyp_all(hyp):
         raise HypothesesNotMet(f"sufficient conditions fail: {hyp}")
@@ -622,12 +625,11 @@ def properness_certificate(G, theta):
     return PropernessCertificate(lam, LinMap.from_columns(rg, cols))
 
 
-def verify_proper_form_steps(G, theta, k, blocks=None, hypotheses=None):
+def verify_proper_form_steps(G, theta, k, blocks=None, hypotheses=None,
+                             verdict=None):
     """The intermediate identities established on the way to the proper
     form, checked directly on the supplied map."""
-    ok, bad = is_k_commuting(G, theta, k)
-    if not ok:
-        raise NotKCommuting(f"map is not {k}-commuting (witness {bad})")
+    _require_k_commuting(G, theta, k, verdict)
     hyp = hypotheses if hypotheses is not None else check_properness_hypotheses(G, k)
     if not _hyp_all(hyp):
         raise HypothesesNotMet(f"sufficient conditions fail: {hyp}")

@@ -204,9 +204,13 @@ class GMAlgebra:
         zero = (rg.zero,) * self.dim
         table = [[zero] * self.dim for _ in range(self.dim)]
         for x, y, z, cells in products:
+            # the cells are coerced already, and ``Algebra`` coerces the
+            # table, so they are placed as they are
+            r = self.block_range(z)
+            head, tail = zero[:r.start], zero[r.stop:]
             for i, row in enumerate(cells):
                 for j, v in enumerate(row):
-                    table[self.offsets[x] + i][self.offsets[y] + j] = self.embed(z, v)
+                    table[self.offsets[x] + i][self.offsets[y] + j] = head + v + tail
         labels = (
             [f"A:{s}" for s in ctx.A.labels]
             + [f"M:{p}" for p in range(dM)]

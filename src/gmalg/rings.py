@@ -42,11 +42,17 @@ class Zmod:
         self.one = 1 % n
 
     def coerce(self, v):
+        if type(v) is int:
+            return v % self.n
         if isinstance(v, Fraction):
             if v.denominator != 1:
                 raise InputError(f"cannot coerce {v} into Z/{self.n}")
             v = v.numerator
         return int(v) % self.n
+
+    def normal(self, v):
+        """The scalar of an int computed from scalars by + and *."""
+        return v % self.n
 
     def add(self, x, y):
         return (x + y) % self.n
@@ -111,6 +117,14 @@ class Rationals:
         if isinstance(v, float):
             raise InputError("floating point is not accepted as a rational scalar")
         return Fraction(v)
+
+    def normal(self, v):
+        """A value computed from scalars by + and *, as an int when it is
+        integral: int arithmetic is much cheaper than Fraction arithmetic,
+        and ints compare and hash as the equal Fractions."""
+        if type(v) is int:
+            return v
+        return v.numerator if v.denominator == 1 else v
 
     def add(self, x, y):
         return x + y

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from gmalg import cli, jsonio
+from gmalg import cli, jsonio, maps
 from gmalg.families import full_matrix_gma
 from gmalg.maps import LinMap
 from gmalg.rings import Rationals, Zmod
@@ -86,6 +86,30 @@ def test_classify_identity_map(ctx_m2_z3, tmp_path, capsys):
     assert doc["proper"] is True
     assert doc["multiplier"] == [2, 0, 0, 2]
     assert doc["hypotheses"] == {"cond1": True, "cond2": True, "cond3": True}
+
+
+def test_k_commutation_is_decided_once_per_map(ctx_m2_z3, tmp_path, capsys,
+                                               monkeypatch):
+    """classify decides [theta(x), x]_k = 0 once and its structure report
+    and proper form reuse the verdict; sweep decides it for each map."""
+    path, G = ctx_m2_z3
+    mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim).scale(2))
+    decided = []    # the dimension of the algebra of each decision
+    real = maps.is_k_commuting
+
+    def counting(A, theta, k):
+        decided.append(A.dim)
+        return real(A, theta, k)
+
+    monkeypatch.setattr(maps, "is_k_commuting", counting)
+    code, _, _ = run_cli(
+        ["classify", path, mpath, "--k", "2", "--mode", "proper"], capsys)
+    assert code == cli.EXIT_OK
+    assert decided.count(G.dim) == 1     # the others are on A and B
+    decided.clear()
+    code, out, _ = run_cli(["sweep", path, "--k", "2", "--samples", "3"], capsys)
+    assert code == cli.EXIT_OK
+    assert decided.count(G.dim) == json.loads(out)["maps_checked"] > 0
 
 
 def test_classify_non_commuting_map_is_a_finding(ctx_m2_z3, tmp_path, capsys):
