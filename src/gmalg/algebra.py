@@ -157,8 +157,10 @@ def vanishing_rows(ring, coeffs, degree, dim):
     ``ad_recursion``) to its coefficient as rows (see ``_as_rows``); f must
     be homogeneous of degree ``degree`` >= 1.
 
-    Over Q, and over Z/p with p > ``degree``, f is zero iff every
-    coefficient is, so the rows are the coefficients'.  Elsewhere they are
+    Over Q, and over Z/p with p >= ``degree``, f is zero iff every
+    coefficient is, so the rows are the coefficients' (at p = ``degree``,
+    reducing x_i^p -> x_i moves only the pure powers, each to its own
+    linear monomial, so no two coefficients merge).  Elsewhere they are
     the Newton differences D^alpha f(0) = sum_gamma C_gamma prod_i a_i!
     S(g_i, a_i) (``_surjections``) at the lattice points alpha, in the
     order of ``lattice_points``, which says why they decide f.  A factor with a_i = 0 < g_i or a_i > g_i is 0,
@@ -166,7 +168,7 @@ def vanishing_rows(ring, coeffs, degree, dim):
     alpha = 0 and the pure powers m*e_i (m >= 2) are left out; for a
     homogeneous f the first is 0 and the others are multiples of the
     difference at e_i (only gamma = degree*e_i reaches them)."""
-    if ring.size is None or (ring.is_field and ring.size > degree):
+    if ring.size is None or (ring.is_field and ring.size >= degree):
         for gamma in sorted(coeffs):
             rows = coeffs[gamma]
             yield [rows[r] for r in sorted(rows)]
@@ -393,13 +395,14 @@ class Algebra:
 
     def _combine(self, scaled):
         """sum c * v over the (c, terms of v) pairs, as a dict of its
-        nonzero coordinates."""
-        rg = self.ring
+        nonzero coordinates; summed in int (or Fraction) arithmetic and
+        brought to ``normal`` form once."""
         out = {}
         for c, terms in scaled:
             for r, v in terms:
-                out[r] = rg.add(out.get(r, rg.zero), rg.mul(c, v))
-        return {r: v for r, v in out.items() if v}
+                out[r] = out.get(r, 0) + c * v
+        normal = self.ring.normal
+        return {r: w for r, v in out.items() if (w := normal(v))}
 
     def validate(self):
         bad = self.structure_violations()
@@ -426,7 +429,7 @@ class Algebra:
         [a, x]_k = sum_alpha x^alpha W_alpha a over |alpha| = k
         (``adjoint_coefficients``), linear in a and homogeneous of degree k
         in x, so the constraints on a are the rows of the W_alpha over Q and
-        over Z/p with p > k, and their Newton differences elsewhere (see
+        over Z/p with p >= k, and their Newton differences elsewhere (see
         ``vanishing_rows``); exact over every ring."""
         if k < 1:
             raise DimensionMismatch("engel order must be >= 1")

@@ -7,6 +7,7 @@ input.  Output bytes are stable for fixed inputs and seed.
 """
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -199,7 +200,6 @@ def cmd_sweep(args):
     workers = _workers()
     if workers > 1 and len(thetas) > 1:
         import concurrent.futures
-        import functools
 
         fn = functools.partial(_sweep_one, G, args.mode, k, hyp)
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
@@ -322,8 +322,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and kept for the process: building
+    it costs about as much as a short verdict, and parsing leaves it
+    unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except TheoremViolation as exc:

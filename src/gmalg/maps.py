@@ -150,7 +150,7 @@ def is_k_commuting(G, theta, k):
 
     The coefficients C_gamma of f(x) = [theta(x), x]_k, homogeneous of
     degree k+1, come from ``Algebra.map_coefficients``.  f vanishes everywhere iff they are all zero
-    over Q and over Z/p with p > k+1, and iff its Newton differences
+    over Q and over Z/p with p >= k+1, and iff its Newton differences
     (sums of the C_gamma weighted by Stirling numbers) are all zero on
     every other Z/n; the test stops at the first nonzero one (see
     ``algebra.vanishing_rows``).  On failure x is the lexicographically
@@ -213,7 +213,7 @@ def commuting_space(G, k):
     """All maps theta with [theta(x), x]_k = 0 for every x, as the solution
     of the linear system in theta's matrix entries: the coefficients of
     [theta(x), x]_k (``Algebra.commuting_coefficients``) over Q and over
-    Z/p with p > k+1, their Newton differences on every other Z/n (see
+    Z/p with p >= k+1, their Newton differences on every other Z/n (see
     ``algebra.vanishing_rows``)."""
     alg = _underlying(G)
     d = alg.dim
@@ -234,12 +234,22 @@ class BlockDecomposition:
         self.ring = G.ring
         self._units = {"A": G.ctx.A.unit, "B": G.ctx.B.unit}
         self._blocks = {}
+        self._cols = {}
         for src in BLOCKS:
             for dst in BLOCKS:
-                self._blocks[(src, dst)] = tuple(
+                self._store((src, dst), tuple(
                     tuple(theta.rows[r][c] for c in G.block_range(src))
                     for r in G.block_range(dst)
-                )
+                ))
+
+    def _store(self, key, rows):
+        """Keep a component as its rows and, for ``apply``, as the nonzero
+        (row, entry) pairs of each column."""
+        self._blocks[key] = rows
+        self._cols[key] = tuple(
+            tuple((r, row[c]) for r, row in enumerate(rows) if row[c])
+            for c in range(len(rows[0]) if rows else 0)
+        )
 
     def block(self, src, dst):
         return self._blocks[(src, dst)]
@@ -249,27 +259,23 @@ class BlockDecomposition:
         rows = tuple(
             tuple(self.ring.coerce(c) for c in r) for r in matrix
         )
-        if len(rows) != len(self._blocks[(src, dst)]):
+        if list(map(len, rows)) != list(map(len, self._blocks[(src, dst)])):
             raise DimensionMismatch("block shape mismatch")
-        self._blocks[(src, dst)] = rows
+        self._store((src, dst), rows)
 
     def apply(self, src, dst, v):
+        """The component applied to ``v``, over the nonzero coordinates of
+        ``v`` and the nonzero entries of their columns only."""
         rg = self.ring
-        out = []
-        for row in self._blocks[(src, dst)]:
-            s = rg.zero
-            for c, x in zip(row, v):
-                s = rg.add(s, rg.mul(c, x))
-            out.append(s)
+        out = [rg.zero] * len(self._blocks[(src, dst)])
+        for x, col in zip(v, self._cols[(src, dst)]):
+            if x:
+                for r, c in col:
+                    out[r] = rg.add(out[r], rg.mul(c, x))
         return tuple(out)
 
     def block_is_zero(self, src, dst):
-        rg = self.ring
-        for row in self._blocks[(src, dst)]:
-            for c in row:
-                if c != rg.zero:
-                    return False
-        return True
+        return not any(self._cols[(src, dst)])
 
     def at_unit(self, src, dst):
         """Component applied to the unit of the source algebra (A or B)."""
@@ -299,9 +305,10 @@ class BlockDecomposition:
         view = copy.copy(self)
         view.G = view.theta = None
         view._units = {_SWAP[s]: u for s, u in self._units.items()}
-        view._blocks = {
-            (_SWAP[s], _SWAP[d]): rows for (s, d), rows in self._blocks.items()
-        }
+        view._blocks, view._cols = (
+            {(_SWAP[s], _SWAP[d]): v for (s, d), v in parts.items()}
+            for parts in (self._blocks, self._cols)
+        )
         return view
 
     def sides(self):
@@ -370,7 +377,7 @@ def verify_structure_conditions(G, theta, k, blocks=None, verdict=None):
     components."""
     _require_k_commuting(G, theta, k, verdict)
     dec = blocks if blocks is not None else decompose(G, theta)
-    rep = Report(f"structure conditions (k={k})")
+    rep = Report(f"structure conditions (k={k})", ring=G.ring)
     ctx = G.ctx
     rg = G.ring
 
@@ -637,7 +644,7 @@ def verify_proper_form_steps(G, theta, k, blocks=None, hypotheses=None,
     ctx = G.ctx
     rg = G.ring
     dA, dM, dN, dB = G.dims
-    rep = Report(f"proper-form step invariants (k={k})")
+    rep = Report(f"proper-form step invariants (k={k})", ring=G.ring)
 
     def quadratic(side):
         c, dec = side.ctx, side.blocks

@@ -10,13 +10,18 @@ from collections import namedtuple
 CheckLine = namedtuple("CheckLine", ["cond_id", "passed", "witness"])
 
 
-def _jsonable(value):
+def _jsonable(value, as_text=False):
+    """``value`` as JSON data.  With ``as_text`` (a report over Q) a tuple
+    is an element, and its coordinates are written as their fraction text,
+    "3" as well as "1/2"."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
+    if isinstance(value, tuple) and as_text:
+        return [str(v) for v in value]
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, as_text) for v in value]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
+        return {str(k): _jsonable(v, as_text) for k, v in sorted(value.items())}
     return str(value)
 
 
@@ -39,9 +44,13 @@ def first_failure(keys, holds, *ranges):
 
 
 class Report:
-    def __init__(self, title, lines=None):
+    """Check lines.  ``ring`` is the ring of the elements in the witnesses,
+    which fixes how their coordinates are written."""
+
+    def __init__(self, title, lines=None, ring=None):
         self.title = title
         self.lines = list(lines or [])
+        self.ring = ring
 
     def add(self, cond_id, passed, witness=None):
         self.lines.append(CheckLine(cond_id, bool(passed), witness))
@@ -54,6 +63,7 @@ class Report:
         return [line for line in self.lines if not line.passed]
 
     def to_json(self):
+        as_text = self.ring is not None and self.ring.kind == "Q"
         return {
             "title": self.title,
             "all_pass": self.all_pass,
@@ -61,7 +71,7 @@ class Report:
                 {
                     "cond_id": line.cond_id,
                     "passed": line.passed,
-                    "witness": _jsonable(line.witness),
+                    "witness": _jsonable(line.witness, as_text),
                 }
                 for line in self.lines
             ],

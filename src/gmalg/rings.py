@@ -1,8 +1,9 @@
 """Exact coefficient rings: Z/nZ with canonical residues, and Q.
 
-Scalars are plain Python values (int residues in [0, n) for Z/nZ,
-``fractions.Fraction`` for Q), so equality is representational equality
-and everything hashes.  Ring objects carry the arithmetic table.
+Scalars are plain Python values (int residues in [0, n) for Z/nZ; over Q
+an int when integral, else a reduced ``fractions.Fraction``), so equality
+is representational equality and everything hashes.  Ring objects carry
+the arithmetic table.
 """
 
 import re
@@ -98,50 +99,62 @@ class Zmod:
         return {"kind": "Zmod", "n": self.n}
 
 
+def _canonical(v):
+    """The canonical form of a rational value: an int when it is integral,
+    else the reduced Fraction."""
+    if type(v) is int:
+        return v
+    return v.numerator if v.denominator == 1 else v
+
+
 class Rationals:
-    """The field Q with reduced-fraction scalars."""
+    """The field Q.  A scalar is an int when it is integral and a reduced
+    Fraction (denominator > 1) otherwise, and every operation returns that
+    form: on integral data all arithmetic is int arithmetic, much cheaper
+    than Fraction arithmetic, and ints compare and hash as the equal
+    Fractions.  Division is ``inv_opt``, never ``/``, which would make a
+    float of two ints."""
 
     kind = "Q"
     enumerable = False
     is_field = True
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, v):
-        if type(v) is Fraction:     # already a scalar; Fractions are immutable
-            return v
-        if isinstance(v, str):
-            return Fraction(v)
-        if isinstance(v, float):
-            raise InputError("floating point is not accepted as a rational scalar")
-        return Fraction(v)
-
-    def normal(self, v):
-        """A value computed from scalars by + and *, as an int when it is
-        integral: int arithmetic is much cheaper than Fraction arithmetic,
-        and ints compare and hash as the equal Fractions."""
         if type(v) is int:
             return v
-        return v.numerator if v.denominator == 1 else v
+        if type(v) is Fraction:
+            return _canonical(v)
+        if isinstance(v, float):
+            raise InputError("floating point is not accepted as a rational scalar")
+        return _canonical(Fraction(v))
+
+    def normal(self, v):
+        """A value computed from scalars by + and *, in canonical form."""
+        return _canonical(v)
 
     def add(self, x, y):
-        return x + y
+        v = x + y
+        return v if type(v) is int else _canonical(v)
 
     def sub(self, x, y):
-        return x - y
+        v = x - y
+        return v if type(v) is int else _canonical(v)
 
     def mul(self, x, y):
-        return x * y
+        v = x * y
+        return v if type(v) is int else _canonical(v)
 
     def neg(self, x):
         return -x
 
     def inv_opt(self, x):
-        if x == 0:
+        if not x:
             return None
-        return 1 / x
+        if type(x) is int:
+            return x if x in (1, -1) else Fraction(1, x)
+        return _canonical(Fraction(x.denominator, x.numerator))
 
     def scalars(self):
         raise NotEnumerable("the rationals cannot be enumerated")
@@ -191,10 +204,8 @@ def parse_ring_flag(text):
 
 
 def scalar_to_json(ring, x):
-    if isinstance(ring, Zmod):
-        return int(x)
-    if x.denominator == 1:
-        return int(x)
+    if type(x) is int:
+        return x
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -206,7 +217,7 @@ def scalar_from_json(ring, v):
     if ring.kind == "Q" and isinstance(v, str) and _RATIO.fullmatch(v):
         num, den = map(int, v.split("/"))
         if den:
-            return Fraction(num, den)
+            return _canonical(Fraction(num, den))
     raise InputError(f"not a scalar of {ring!r}: {v!r}")
 
 

@@ -294,3 +294,28 @@ def test_inflated_family_takes_rational_gamma(capsys):
     )
     assert code == cli.EXIT_OK
     assert json.loads(out)["identity"] == [2, 0, 0, "-4/3"]
+
+
+def test_parser_is_built_once_and_keeps_no_state(ctx_m2_z3, tmp_path, capsys,
+                                                 monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        path, G = ctx_m2_z3
+        mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim))
+        code, out, _ = run_cli(["classify", path, mpath, "--oracle"], capsys)
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["oracle_k_commuting"] is True
+        # nothing of the last call's options carries over
+        code, out, _ = run_cli(["classify", path, mpath], capsys)
+        assert code == cli.EXIT_OK
+        assert "oracle_k_commuting" not in json.loads(out)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", path])
+        assert exc.value.code == 2
+        assert "usage: gmalg classify" in capsys.readouterr().err
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()

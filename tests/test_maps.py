@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gmalg.algebra import Algebra
-from gmalg.errors import HypothesesNotMet, NotKCommuting
+from gmalg.errors import DimensionMismatch, HypothesesNotMet, NotKCommuting
 from gmalg.families import matrix_algebra
 from gmalg.maps import (
     LinMap,
@@ -137,6 +137,18 @@ def test_structure_negative_control(m2_z3):
     rep = verify_structure_conditions(m2_z3, theta, 1, blocks=dec)
     failed = {line.cond_id for line in rep.failures()}
     assert "m_to_a_engel_range" in failed or "m_balance_symmetrized" in failed
+
+
+def test_set_block_keeps_the_shape_and_the_sparse_columns(b21_z3):
+    G = b21_z3
+    dec = decompose(G, LinMap.identity(G.ring, G.dim))
+    assert dec.block_is_zero("M", "A")
+    with pytest.raises(DimensionMismatch):
+        dec.set_block("M", "A", [[1, 0], [0, 0], [0], [0, 0]])
+    dec.set_block("M", "A", [[0, 0], [0, 0], [0, 2], [0, 0]])
+    assert not dec.block_is_zero("M", "A")
+    assert dec.apply("M", "A", (1, 1)) == (0, 0, 2, 0)
+    assert dec.transposed().apply("N", "B", (1, 1)) == (0, 0, 2, 0)
 
 
 def test_properness_hypotheses_witnesses(m2_z3, t2_z3):

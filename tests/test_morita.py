@@ -264,6 +264,6 @@ def test_center_iso_checks_multiplicativity_over_q(monkeypatch):
     two = R.coerce(2)
     # 2*phi is a linear bijection onto the B-image, but not multiplicative
     monkeypatch.setattr(G, "phi_apply", lambda a: tuple(two * c for c in phi(a)))
-    monkeypatch.setattr(G, "phi_inv_apply", lambda b: phi_inv(tuple(c / two for c in b)))
+    monkeypatch.setattr(G, "phi_inv_apply", lambda b: phi_inv(tuple(R.mul(c, R.inv_opt(two)) for c in b)))
     with pytest.raises(TheoremViolation, match="multiplicative"):
         center_iso_phi(G)

@@ -2,10 +2,20 @@ import random
 
 import pytest
 
+from gmalg import linalg
+from gmalg.algebra import Submodule
 from gmalg.errors import BudgetExceeded, NotEnumerable
-from gmalg.families import matrix_algebra, triangular_matrix_algebra
+from gmalg.families import (
+    block_triangular_gma,
+    full_matrix_gma,
+    matrix_algebra,
+    triangular_gma,
+    triangular_matrix_algebra,
+)
 from gmalg.maps import LinMap, commuting_space, is_k_commuting, properness_certificate
 from gmalg.oracle import (
+    _bracket_power,
+    _structure,
     brute_center,
     brute_k_commuting,
     brute_properness,
@@ -86,3 +96,48 @@ def test_brute_and_certificate_agree_on_random_maps(t2_z3):
         cert = properness_certificate(t2_z3, theta)
         ok, _ = brute_properness(t2_z3, theta)
         assert (cert is not None) == ok
+
+
+FAMILIES = {
+    "M2": lambda R: full_matrix_gma(R, 2, 1),
+    "T2": lambda R: triangular_gma(R, 2, 1),
+    "T3": lambda R: triangular_gma(R, 3, 1),
+    "B(2,1)": lambda R: block_triangular_gma(R, (2, 1), 1),
+}
+
+
+def brute_commuting_space(A, k):
+    """The maps theta with [theta(x), x]_k = 0 at every element x.  At one
+    x the condition is linear in the entries of theta: theta[p][q] enters
+    it with x_q [e_p, x]_k."""
+    R, d = A.ring, A.dim
+    S = _structure(A)
+    basis = [tuple(R.one if j == p else R.zero for j in range(d)) for p in range(d)]
+    rows = set()
+    for x in enumerate_elements(A):
+        brackets = [_bracket_power(A, S, e, x, k) for e in basis]
+        for r in range(d):
+            row = {p * d + q: R.mul(x[q], b[r]) for p, b in enumerate(brackets)
+                   for q in range(d) if x[q] and b[r]}
+            rows.add(tuple(sorted(row.items())))
+    gens = linalg.nullspace(R, [dict(row) for row in sorted(rows)], d * d)
+    return Submodule(R, d * d, gens)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 2), (2, 2)])
+def test_commuting_space_and_verdicts_equal_brute_force(family, p, k):
+    """Over Z/p with p = k+1 the coefficients of [theta(x), x]_k decide it;
+    with p < k+1 they do not, and the differences must be used."""
+    alg = FAMILIES[family](Zmod(p)).algebra
+    R, d = alg.ring, alg.dim
+    space = commuting_space(alg, k)
+    assert space.space.equals(brute_commuting_space(alg, k))
+    rng = random.Random(f"{family}/{p}/{k}")
+    maps = space.basis() + [space.random_member(rng) for _ in range(2)]
+    for theta in list(maps):
+        rows = [list(r) for r in theta.rows]
+        rows[rng.randrange(d)][rng.randrange(d)] += 1
+        maps.append(LinMap(R, rows))
+    for theta in maps:
+        assert is_k_commuting(alg, theta, k) == brute_k_commuting(alg, theta, k)

@@ -1,13 +1,70 @@
-"""k = 1 over Q: sound counterexamples from polarization, and `classify`
-documents with canonically encoded scalars."""
+"""Q scalars: an int when integral, a reduced Fraction otherwise, from every
+operation; sound counterexamples over Q, and `classify` documents with
+canonically encoded scalars, byte for byte."""
 
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from gmalg import cli, jsonio
-from gmalg.families import full_matrix_gma, triangular_gma
+from gmalg.families import block_triangular_gma, full_matrix_gma, triangular_gma
 from gmalg.maps import LinMap, is_k_commuting
-from gmalg.rings import Rationals, scalar_from_json
+from gmalg.rings import (
+    Rationals,
+    parse_scalar_flag,
+    scalar_from_json,
+    scalar_to_json,
+)
+
+RAW = st.one_of(st.integers(-10**9, 10**9),
+                st.fractions(max_denominator=12),
+                st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+def _is_canonical(got, want):
+    """``got`` is the canonical form of the rational ``want``."""
+    want = Fraction(want)
+    integral = want.denominator == 1
+    assert type(got) is (int if integral else Fraction), (got, want)
+    assert got == want
+
+
+@given(RAW, RAW)
+def test_every_operation_returns_the_canonical_form(a, b):
+    Q = Rationals()
+    x, y = Q.coerce(a), Q.coerce(b)
+    _is_canonical(x, a)
+    _is_canonical(y, b)
+    _is_canonical(Q.coerce(str(Fraction(a))), a)
+    _is_canonical(Q.add(x, y), Fraction(a) + Fraction(b))
+    _is_canonical(Q.sub(x, y), Fraction(a) - Fraction(b))
+    _is_canonical(Q.mul(x, y), Fraction(a) * Fraction(b))
+    _is_canonical(Q.neg(x), -Fraction(a))
+    _is_canonical(Q.normal(Fraction(a) * Fraction(b)), Fraction(a) * Fraction(b))
+    if a:
+        _is_canonical(Q.inv_opt(x), 1 / Fraction(a))
+    else:
+        assert Q.inv_opt(x) is None
+    _is_canonical(scalar_from_json(Q, scalar_to_json(Q, x)), a)
+    _is_canonical(parse_scalar_flag(Q, str(scalar_to_json(Q, x))), a)
+    # a fraction need not be written reduced
+    num, den = Fraction(a).numerator, Fraction(a).denominator
+    _is_canonical(scalar_from_json(Q, f"{3 * num}/{3 * den}"), a)
+    _is_canonical(parse_scalar_flag(Q, f" {2 * num}/{2 * den} "), a)
+
+
+def test_constants_are_ints():
+    Q = Rationals()
+    assert (type(Q.zero), type(Q.one)) == (int, int)
+    assert scalar_from_json(Q, "4/2") == 2 and type(scalar_from_json(Q, "4/2")) is int
+    assert Q.inv_opt(-1) == -1 and type(Q.inv_opt(-1)) is int
+    assert Q.inv_opt(Fraction(-1, 3)) == -3 and type(Q.inv_opt(Fraction(-1, 3))) is int
 
 
 def test_polarization_witness_is_not_the_unit():
@@ -58,3 +115,87 @@ def test_classify_non_commuting_map_over_q(tmp_path, capsys):
     assert doc["k_commuting"] is False
     x = tuple(scalar_from_json(G.ring, v) for v in doc["counterexample"])
     assert not alg.is_zero(alg.bracket(theta.apply(x), x))
+
+
+# ---------------------------------------------------------------------------
+# CLI output over Q, byte for byte
+# ---------------------------------------------------------------------------
+
+CLI_GOLDEN = pathlib.Path(__file__).with_name("golden") / "cli_q.json"
+
+Q_FAMILIES = [
+    ("M2(Q)", ["--kind", "full", "--n", "2"],
+     lambda: full_matrix_gma(Rationals(), 2, 1)),
+    ("T3(Q)", ["--kind", "triangular", "--n", "3"],
+     lambda: triangular_gma(Rationals(), 3, 1)),
+    ("B(2,1)(Q)", ["--kind", "block", "--dims", "2,1"],
+     lambda: block_triangular_gma(Rationals(), (2, 1), 1)),
+]
+
+
+def _proper_map(G, c, f):
+    """x -> c*x + f(x)*1, with f(e_j) = f[j]."""
+    alg, R = G.algebra, G.ring
+    return LinMap.from_columns(R, [
+        alg.add(alg.scale(c, alg.basis_vector(j)), alg.scale(f[j], alg.unit))
+        for j in range(G.dim)
+    ])
+
+
+def _q_maps(G):
+    """A proper map with integral entries, one with entries such as "1/2",
+    and left multiplication by a module basis element, which is not
+    k-commuting."""
+    alg = G.algebra
+    ints = [j % 3 - 1 for j in range(G.dim)]
+    halves = [Fraction(j % 4 - 1, 4) for j in range(G.dim)]
+    m = G.embed("M", G.ctx.M.basis_vector(0))
+    return [
+        ("proper", _proper_map(G, 2, ints)),
+        ("half", _proper_map(G, Fraction(1, 2), halves)),
+        ("refuted", LinMap.from_columns(
+            G.ring, [alg.mul(m, alg.basis_vector(j)) for j in range(G.dim)])),
+    ]
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return [code, out.getvalue()]
+
+
+def compute_cli():
+    """Exit code and stdout of each Q command, by label."""
+    got = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        for name, flags, build in Q_FAMILIES:
+            G = build()
+            got[f"{name} family"] = _cli(["family", "--ring", "q", *flags])
+            ctx = tmp / "ctx.json"
+            ctx.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
+            got[f"{name} validate"] = _cli(["validate", str(ctx)])
+            for label, theta in _q_maps(G):
+                mp = tmp / f"{label}.json"
+                mp.write_text(jsonio.dumps(theta.to_json()))
+                for k in (1, 2):
+                    got[f"{name} classify {label} k={k}"] = _cli(
+                        ["classify", str(ctx), str(mp), "--k", str(k)])
+            got[f"{name} sweep"] = _cli(
+                ["sweep", str(ctx), "--mode", "structure", "--seed", "3"])
+    got["inflated family"] = _cli(
+        ["family", "--kind", "inflated", "--gamma", "1/2,0;0,-3/4", "--ring", "q"])
+    return got
+
+
+def test_q_cli_output_matches_golden():
+    expected = json.loads(CLI_GOLDEN.read_text())
+    got = compute_cli()
+    assert list(got) == list(expected)
+    for label in expected:
+        assert got[label] == expected[label], label
+
+
+if __name__ == "__main__":
+    CLI_GOLDEN.write_text(json.dumps(compute_cli(), indent=1) + "\n")

@@ -1,14 +1,17 @@
 """Names that other code reaches by name: the package exports, and the
 functions and methods the benchmark's tracer (perfbench/tracing.py) wraps
-and times by name.  Deleting or renaming one must fail here first."""
+and times by name.  Deleting or renaming one must fail here first.  And
+the scalar representation stays owned by ``rings``."""
 
+import ast
 import importlib.util
 import inspect
 import pathlib
 
 import gmalg
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -54,3 +57,28 @@ def test_point_sources_are_looked_up_where_counted():
         fn = _resolve(f"{layer}.{name}")
         for site in sites:
             assert getattr(importlib.import_module(f"gmalg.{site}"), name) is fn
+
+
+def test_only_rings_makes_fractions_or_divides():
+    """A Q scalar is an int when it is integral (see ``rings.Rationals``).
+    A Fraction made elsewhere could be integral, and ``/`` on two ints is a
+    float, so only ``rings`` imports or names ``Fraction`` and divides;
+    everything else divides with ``inv_opt``."""
+    found = []
+    for path in sorted((ROOT / "src" / "gmalg").glob("*.py")):
+        if path.name == "rings.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                bad = any(a.name == "fractions" for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = node.module == "fractions"
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                bad = getattr(node, "id", getattr(node, "attr", None)) == "Fraction"
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+                bad = isinstance(node.op, ast.Div)
+            else:
+                bad = False
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
