@@ -500,30 +500,23 @@ class Algebra:
 
 
 class Submodule:
-    """Span of finitely many coordinate vectors, with canonical form over
-    fields and containment-based comparison over composite Z/n."""
+    """Span of finitely many coordinate vectors, kept as its canonical
+    basis: the rows of its Howell form (``linalg.span_basis``), the RREF
+    over a field."""
 
     def __init__(self, ring, ambient_dim, generators):
         self.ring = ring
         self.ambient_dim = ambient_dim
         gens = [tuple(ring.coerce(c) for c in g) for g in generators]
-        gens = [g for g in gens if any(c != ring.zero for c in g)]
         for g in gens:
             if len(g) != ambient_dim:
                 raise DimensionMismatch("generator length mismatch")
-        if ring.is_field:
-            self.gens = linalg.span_basis(ring, gens, ambient_dim)
-        else:
-            seen = set()
-            self.gens = []
-            for g in gens:
-                if g not in seen:
-                    seen.add(g)
-                    self.gens.append(g)
+        self.gens = linalg.span_basis(ring, gens, ambient_dim)
         self._elements = None
 
     @property
     def rank(self):
+        # over composite Z/n the number of Howell rows is not a rank
         if not self.ring.is_field:
             raise NotImplementedError("rank is only defined over fields")
         return len(self.gens)
@@ -535,34 +528,14 @@ class Submodule:
         v = tuple(self.ring.coerce(c) for c in v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        if self.ring.is_field:
-            rg = self.ring
-            v = list(v)
-            for g in self.gens:
-                piv = next(i for i, c in enumerate(g) if c != rg.zero)
-                f = v[piv]
-                if f != rg.zero:
-                    v = [rg.sub(a, rg.mul(f, b)) for a, b in zip(v, g)]
-            return all(c == rg.zero for c in v)
-        if not self.gens:
-            return all(c == self.ring.zero for c in v)
-        rows = [
-            [g[r] for g in self.gens] for r in range(self.ambient_dim)
-        ]
-        return linalg.solve_linear(self.ring, rows, list(v)) is not None
+        return linalg.in_span(self.ring, self.gens, v)
 
     def __contains__(self, v):
         return self.contains(v)
 
-    def contains_all(self, vectors):
-        return all(self.contains(v) for v in vectors)
-
     def equals(self, other):
-        if self.ring != other.ring or self.ambient_dim != other.ambient_dim:
-            return False
-        if self.ring.is_field:
-            return self.gens == other.gens
-        return self.contains_all(other.gens) and other.contains_all(self.gens)
+        return (self.ring == other.ring and self.ambient_dim == other.ambient_dim
+                and self.gens == other.gens)
 
     def elements(self, budget=2 * 10**5):
         """Every element of the span (finite rings), sorted. Cached."""

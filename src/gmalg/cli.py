@@ -8,7 +8,6 @@ input.  Output bytes are stable for fixed inputs and seed.
 
 import argparse
 import functools
-import os
 import random
 import sys
 
@@ -34,13 +33,6 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_VIOLATION = 2
 EXIT_INPUT = 3
-
-
-def _workers():
-    try:
-        return max(1, int(os.environ.get("GMALG_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(doc, path=None):
@@ -131,7 +123,7 @@ def cmd_classify(args):
             pf = maps.construct_proper_form(G, theta, k, verdict=verdict)
             steps = maps.verify_proper_form_steps(G, theta, k, verdict=verdict)
             doc["proper_form"] = {
-                "center_shift": list(pf.center_shift),
+                "center_shift": jsonio._vec_json(G.ring, pf.center_shift),
                 "steps": steps.to_json(),
             }
             if not steps.all_pass:
@@ -146,22 +138,27 @@ def cmd_classify(args):
 
 
 def _sweep_one(G, mode, k, hyp, theta):
+    """(True, None), or (False, the witness as JSON data): the failing
+    lines of the report as ``Report.to_json`` writes them, or the basis
+    index where the proper form does not reassemble theta."""
+    if mode == "proper":
+        # construct the split, then confirm exact reassembly
+        pf = maps.construct_proper_form(G, theta, k, hypotheses=hyp)
+        alg = G.algebra
+        for j in range(G.dim):
+            ej = alg.basis_vector(j)
+            lhs = theta.apply(ej)
+            rhs = alg.add(alg.mul(ej, pf.center_shift), pf.residual_map.column(j))
+            if lhs != rhs:
+                return False, {"basis_index": j}
+        return True, None
     if mode == "structure":
         rep = maps.verify_structure_conditions(G, theta, k)
-        return rep.all_pass, rep.failures()
-    if mode == "steps":
+    else:
         rep = maps.verify_proper_form_steps(G, theta, k, hypotheses=hyp)
-        return rep.all_pass, rep.failures()
-    # proper: construct the split, then confirm exact reassembly
-    pf = maps.construct_proper_form(G, theta, k, hypotheses=hyp)
-    alg = G.algebra
-    for j in range(G.dim):
-        ej = alg.basis_vector(j)
-        lhs = theta.apply(ej)
-        rhs = alg.add(alg.mul(ej, pf.center_shift), pf.residual_map.column(j))
-        if lhs != rhs:
-            return False, {"basis_index": j}
-    return True, None
+    if rep.all_pass:
+        return True, None
+    return False, [line for line in rep.to_json()["lines"] if not line["passed"]]
 
 
 def _sweep_maps(space, seed, samples):
@@ -197,16 +194,8 @@ def cmd_sweep(args):
             _emit(doc, args.emit)
             return EXIT_FINDING
 
-    workers = _workers()
-    if workers > 1 and len(thetas) > 1:
-        import concurrent.futures
-
-        fn = functools.partial(_sweep_one, G, args.mode, k, hyp)
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(fn, thetas))
-    else:
-        results = [_sweep_one(G, args.mode, k, hyp, t) for t in thetas]
-    for idx, (ok, wit) in enumerate(results):
+    for idx, theta in enumerate(thetas):
+        ok, wit = _sweep_one(G, args.mode, k, hyp, theta)
         if not ok:
             findings.append({"map_index": idx, "witness": wit})
     doc["failures"] = findings

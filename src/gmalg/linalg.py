@@ -1,17 +1,20 @@
 """Exact linear-system solving over Z/nZ and Q.
 
-Two engines behind one interface:
+One engine for every ring: the Howell form (Howell 1986; Storjohann and
+Mulders, ESA 1998), built incrementally over sparse rows (dicts column ->
+nonzero scalar), so elimination touches only nonzero entries; Python ints
+and Fractions never overflow, and residues stay in [0, n).
 
-* fields (Z/p of any size, and Q) -- incremental reduced row echelon form
-  over sparse rows (dicts column -> nonzero scalar), so elimination
-  touches only nonzero entries; Python ints and Fractions never overflow,
-* composite Z/n -- integer diagonalization by unimodular row/column
-  transforms (Smith form), then per-diagonal congruences mod n.
-
-Kernels are returned in the eliminator's pivot order so downstream
-reports are byte-stable.
+Each row's leading entry (its lead) is scaled by a unit to gcd(lead, n).
+Over a field (Z/p of any size, and Q) every lead is a unit, so the form is
+the reduced row echelon form.  Over composite Z/n two rows with the same
+pivot are merged by the extended gcd, and the multiple (n/g)*row that
+vanishes at a pivot of lead g is fed back in.  The form is canonical, and
+kernels, particular solutions and membership are read off it by
+back-substitution, in column order, so downstream reports are byte-stable.
 """
 
+import heapq
 from collections import namedtuple
 from math import gcd
 
@@ -31,45 +34,103 @@ def _sparse(ring, row):
     return out
 
 
-# ---------------------------------------------------------------------------
-# field accumulator (incremental sparse reduced row echelon form)
-# ---------------------------------------------------------------------------
-
-class _FieldAccumulator:
-    """Incremental RREF over a field ring.  ``rows`` maps each pivot column
-    to its row, a dict of the row's nonzero entries whose pivot (smallest
-    column) entry is 1; the rows stay fully reduced, so no row has an entry
-    in another row's pivot column."""
+class _HowellAccumulator:
+    """Incremental Howell form.  ``rows`` maps each pivot column to its row,
+    a dict of the row's nonzero entries, zero before the pivot, whose lead
+    divides n (is 1 over a field).  The rows stay reduced: each entry in
+    another row's pivot column lies in [0, that row's lead).  And they have
+    the Howell property: (n/b)*row, for a row of lead b, lies in the span
+    of the rows with larger pivots, since it is fed back when the row is
+    placed.  ``_nonunit`` holds the pivots whose lead is not 1; while it is
+    empty, as it always is over a field, the rows are zero at each other's
+    pivots."""
 
     def __init__(self, ring, ncols):
         self.ring = ring
         self.ncols = ncols
         self.rows = {}
+        self._nonunit = set()
 
     def add_rows(self, block):
         rg = self.ring
         for raw in block:
-            r = _sparse(rg, raw)
-            # the known rows are zero at every other pivot, so one pass over
-            # the pivots r holds now clears them all
-            for c in [c for c in r if c in self.rows]:
-                _subtract_multiple(rg, r, r[c], self.rows[c])
-            if not r:
-                continue
-            j = min(r)
-            inv = rg.inv_opt(r[j])
-            r = {c: rg.mul(inv, x) for c, x in r.items()}
-            for row in self.rows.values():
-                if j in row:
-                    _subtract_multiple(rg, row, row[j], r)
-            self.rows[j] = r
+            todo = [_sparse(rg, raw)]
+            while todo:
+                r = self._reduce(todo.pop())
+                if r:
+                    todo.extend(self._place(r))
 
-    @property
-    def rank(self):
-        return len(self.rows)
+    def _reduce(self, r, own=None):
+        """r, in place, minus the multiples of the rows that bring each of
+        its entries at a pivot other than ``own`` into [0, lead): to 0 when
+        the lead is 1, and at r's own lead to a nonzero remainder when that
+        is a pivot whose lead does not divide it (``_place`` merges them)."""
+        rg, rows = self.ring, self.rows
+        if not self._nonunit:
+            # the rows are zero at each other's pivots, so one pass over the
+            # pivots r holds now clears them all
+            for c in [c for c in r if c in rows and c != own]:
+                _subtract_multiple(rg, r, r[c], rows[c])
+            return r
+        # a row has entries at later pivots, so clear them in column order
+        heap = [c for c in r if c in rows and c != own]
+        queued = set(heap)
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            p = rows[c]
+            q = r.get(c, 0) // p[c]
+            if q:
+                _subtract_multiple(rg, r, q, p)
+                for j in p:
+                    if j > c and j in rows and j not in queued:
+                        queued.add(j)
+                        heapq.heappush(heap, j)
+        return r
+
+    def _place(self, r):
+        """Make r, reduced and nonzero, the row of its lead column j.
+        Returns the rows still to add: (n/g)*r when its lead g is not a
+        unit, and the second row of a merge."""
+        rg, rows = self.ring, self.rows
+        j = min(r)
+        out = []
+        p = rows.pop(j, None)
+        if p is not None:
+            # r[j] is not a multiple of p's lead b: the pair becomes
+            # s*r + t*p, of lead g = gcd(r[j], b), and (b/g)*r - (r[j]/g)*p,
+            # zero at j (a unimodular change, so the span is kept)
+            self._nonunit.discard(j)
+            a, b = r[j], p[j]
+            g, s, t = _xgcd(a, b)
+            out.append(_combine(rg, b // g, r, -(a // g), p))
+            r = _combine(rg, s, r, t, p)
+        # the unit u with u*r[j] = gcd(r[j], n): the inverse of a unit lead
+        u = rg.inv_opt(r[j])
+        if u is None and gcd(r[j], rg.n) != r[j]:
+            u = _unit_normalizer(r[j], rg.n)
+        if u is not None:
+            r = {c: rg.mul(u, x) for c, x in r.items()}
+        if self._nonunit:
+            # a unit multiple of a reduced row need not be reduced
+            self._reduce(r)
+        lead = r[j]
+        if lead != 1:
+            self._nonunit.add(j)
+            m = rg.n // lead
+            out.append({c: y for c, x in r.items() if (y := rg.mul(m, x))})
+        for c, row in rows.items():
+            if j in row:
+                q = row[j] if lead == 1 else row[j] // lead
+                if q:
+                    _subtract_multiple(rg, row, q, r)
+                    if self._nonunit:
+                        self._reduce(row, own=c)
+        rows[j] = r
+        return out
 
     def basis(self):
-        """Canonical RREF rows, ordered by pivot column."""
+        """The rows of the canonical form, ordered by pivot column."""
         zero = self.ring.zero
         return [
             tuple(self.rows[c].get(j, zero) for j in range(self.ncols))
@@ -77,17 +138,44 @@ class _FieldAccumulator:
         ]
 
     def nullspace(self):
+        """Kernel generators in column order: for each column f without a
+        pivot, the solution with 1 at f and 0 at every other such column,
+        and for each pivot c of lead b != 1 the one with n/b at c; both are
+        0 after their column, and the pivots before it are solved by
+        back-substitution.  Over a field there is only the first kind, and
+        the rows are zero at each other's pivots, so each pivot entry is
+        minus the row's entry at f."""
         rg = self.ring
         out = []
+        if not self._nonunit:
+            for f in range(self.ncols):
+                if f in self.rows:
+                    continue
+                v = [rg.zero] * self.ncols
+                v[f] = rg.one
+                for c, row in self.rows.items():
+                    if f in row:
+                        v[c] = rg.neg(row[f])
+                out.append(tuple(v))
+            return out
+        n = rg.n
+        order = sorted(self.rows, reverse=True)
         for f in range(self.ncols):
-            if f in self.rows:
+            p = self.rows.get(f)
+            if p is None:
+                x = {f: 1}
+            elif p[f] != 1:
+                x = {f: n // p[f]}
+            else:
                 continue
-            v = [rg.zero] * self.ncols
-            v[f] = rg.one
-            for c, row in self.rows.items():
-                if f in row:
-                    v[c] = rg.neg(row[f])
-            out.append(tuple(v))
+            for c in order:
+                if c < f:
+                    row = self.rows[c]
+                    # row . x = 0 has a solution at c by the Howell property
+                    s = -sum(v * x[k] for k, v in row.items() if k in x) % n
+                    if s:
+                        x[c] = s // row[c]
+            out.append(tuple(x.get(j, 0) for j in range(self.ncols)))
         return out
 
 
@@ -98,162 +186,21 @@ def _subtract_multiple(rg, r, f, row):
         if x:
             r[j] = x
         else:
-            del r[j]
+            r.pop(j, None)   # over Z/n, f*b may be 0 where r is
 
 
-class _CompositeAccumulator:
-    """Collects constraint rows over composite Z/n; kernel via Smith form."""
-
-    rank = None
-
-    def __init__(self, ring, ncols):
-        self.ring = ring
-        self.ncols = ncols
-        self._rows = []
-        self._seen = set()
-
-    def add_rows(self, block):
-        for r in block:
-            r = _sparse(self.ring, r)
-            t = tuple(r.get(j, 0) for j in range(self.ncols))
-            if r and t not in self._seen:
-                self._seen.add(t)
-                self._rows.append(t)
-
-    def nullspace(self):
-        _, d, V = smith_form(self._rows, len(self._rows), self.ncols)
-        return _kernel_zmod(self.ring.n, d, V)
-
-    def basis(self):
-        raise NotImplementedError("no canonical basis over composite Z/n")
-
-
-def kernel_builder(ring, ncols):
-    """Accumulator for a homogeneous system: feed rows, ask for the kernel."""
-    if ring.is_field:
-        return _FieldAccumulator(ring, ncols)
-    return _CompositeAccumulator(ring, ncols)
-
-
-def span_basis(ring, vectors, ncols):
-    """Canonical (RREF) basis of the span; field rings only."""
-    if not ring.is_field:
-        raise NotImplementedError("span_basis needs a field ring")
-    acc = kernel_builder(ring, ncols)
-    acc.add_rows(list(vectors))
-    return acc.basis()
-
-
-def nullspace(ring, rows, ncols):
-    acc = kernel_builder(ring, ncols)
-    acc.add_rows(list(rows))
-    return acc.nullspace()
-
-
-# ---------------------------------------------------------------------------
-# Smith form over Z and congruence solving mod composite n
-# ---------------------------------------------------------------------------
-
-def smith_form(mat, nrows, ncols):
-    """U, d, V with U @ mat @ V diagonal(d), U and V unimodular over Z.
-
-    d satisfies the divisibility chain d[0] | d[1] | ... (zeros last).
-    """
-    A = [[int(x) for x in row] for row in mat]
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def row_op(i, k, q):              # row i -= q * row k
-        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-    def col_op(j, k, q):              # col j -= q * col k
-        for row in A:
-            row[j] -= q * row[k]
-        for row in V:
-            row[j] -= q * row[k]
-
-    def row_swap(i, k):
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
-
-    def col_swap(j, k):
-        for row in A:
-            row[j], row[k] = row[k], row[j]
-        for row in V:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    while t < min(nrows, ncols):
-        piv = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                a = abs(A[i][j])
-                if a and (best is None or a < best):
-                    best = a
-                    piv = (i, j)
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        while True:
-            # clear column t
-            again = False
-            for i in range(t + 1, nrows):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_op(i, t, q)
-                    if A[i][t]:
-                        row_swap(i, t)
-                        again = True
-            if again:
-                continue
-            for j in range(t + 1, ncols):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_op(j, t, q)
-                    if A[t][j]:
-                        col_swap(j, t)
-                        again = True
-            if again:
-                continue
-            break
-        if A[t][t] < 0:
-            A[t] = [-a for a in A[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    rank = t
-
-    # divisibility chain fixup
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b % a == 0:
-                continue
-            changed = True
-            g, x, y = _xgcd(a, b)
-            # col i += col i+1, then unimodular row mix, then clear fill-in
-            for row in (A, V):
-                for r in row:
-                    r[i] += r[i + 1]
-            Ai = A[i][:]
-            Ai1 = A[i + 1][:]
-            A[i] = [x * p + y * q for p, q in zip(Ai, Ai1)]
-            A[i + 1] = [-(b // g) * p + (a // g) * q for p, q in zip(Ai, Ai1)]
-            Ui = U[i][:]
-            Ui1 = U[i + 1][:]
-            U[i] = [x * p + y * q for p, q in zip(Ui, Ui1)]
-            U[i + 1] = [-(b // g) * p + (a // g) * q for p, q in zip(Ui, Ui1)]
-            q = A[i][i + 1] // A[i][i]
-            col_op(i + 1, i, q)
-    d = [A[i][i] for i in range(min(nrows, ncols))]
-    return U, d, V
+def _combine(rg, s, r, t, p):
+    """s*r + t*p over Z/n, for int s and t, as a sparse row."""
+    out = {}
+    for j in r.keys() | p.keys():
+        x = rg.normal(s * r.get(j, 0) + t * p.get(j, 0))
+        if x:
+            out[j] = x
+    return out
 
 
 def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -267,66 +214,68 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def _kernel_zmod(n, d, V):
-    """Generators of {x : rows @ x == 0 mod n} from the Smith form
-    U @ rows @ V = diag(d) of the rows."""
-    ncols = len(V)
-    gens = []
-    for j in range(ncols):
-        dj = d[j] if j < len(d) else 0
-        step = n // gcd(dj, n)
-        if step % n == 0:
-            continue
-        g = tuple((V[i][j] * step) % n for i in range(ncols))
-        if any(g):
-            gens.append(g)
-    return gens
+def _unit_normalizer(a, n):
+    """A unit u of Z/n with u*a = gcd(a, n): s*a = g for the Bezout s, and
+    s + i*(n/g) is a unit for some i < g."""
+    g, s, _ = _xgcd(a, n)
+    m = n // g
+    u = s % m
+    while gcd(u, n) != 1:
+        u += m
+    return u
 
 
-def _solve_zmod(n, rows, rhs, ncols):
-    U, d, V = smith_form(rows, len(rows), ncols)
-    c = [sum(U[i][k] * rhs[k] for k in range(len(rhs))) % n for i in range(len(rows))]
-    y = [0] * ncols
-    for i in range(len(rows)):
-        di = d[i] if i < len(d) else 0
-        ri = c[i]
-        g = gcd(di, n)
-        if ri % g:
-            return None
-        if i < ncols:
-            if di % n == 0:
-                if ri % n:
-                    return None
-                continue
-            y[i] = (ri // g) * pow((di // g) % (n // g), -1, n // g) % (n // g)
-        elif ri % n:
-            return None
-    part = tuple(sum(V[i][j] * y[j] for j in range(ncols)) % n for i in range(ncols))
-    return LinearSolution(part, _kernel_zmod(n, d, V))
+def kernel_builder(ring, ncols):
+    """Accumulator for a homogeneous system: feed rows, ask for the kernel."""
+    return _HowellAccumulator(ring, ncols)
+
+
+def span_basis(ring, vectors, ncols):
+    """The canonical basis of the span: the rows of its Howell form (the
+    RREF over a field)."""
+    acc = kernel_builder(ring, ncols)
+    acc.add_rows(list(vectors))
+    return acc.basis()
+
+
+def in_span(ring, basis, v):
+    """Whether v lies in the span of ``basis``, the rows of a Howell form
+    (``span_basis``): reduced by them in pivot order, each entry at a pivot
+    to its remainder modulo the lead (1 over a field, a divisor of n over
+    Z/n), v must leave nothing."""
+    v = list(v)
+    for g in basis:
+        c = next(i for i, x in enumerate(g) if x)
+        q = v[c] if g[c] == 1 else v[c] // g[c]
+        if q:
+            v = [ring.sub(a, ring.mul(q, b)) for a, b in zip(v, g)]
+    return not any(v)
+
+
+def nullspace(ring, rows, ncols):
+    acc = kernel_builder(ring, ncols)
+    acc.add_rows(list(rows))
+    return acc.nullspace()
 
 
 def solve_linear(ring, rows, rhs):
     """All solutions of rows @ x = rhs, or None when inconsistent.
 
     Returns a particular solution (free variables zeroed, deterministic)
-    plus kernel generators, both from one elimination.
+    plus kernel generators, both from one elimination: the form of the
+    augmented rows [row, b].  A solution is a kernel vector that is -1 at
+    the right-hand side column; there is one iff that column has no pivot
+    (a pivot of lead b allows only multiples of n/b there), and then the
+    kernel generator of that column, the last one, is minus a solution.
     """
     rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows == 0:
+    if not rows:
         return LinearSolution((), [])
-    if not ring.is_field:
-        return _solve_zmod(ring.n, rows, [ring.coerce(x) for x in rhs], ncols)
-
-    # field path: the RREF of the augmented matrix; the right-hand side
-    # column is free when the system is consistent, and is the last one
+    ncols = len(rows[0])
     acc = kernel_builder(ring, ncols + 1)
     acc.add_rows([[*row, b] for row, b in zip(rows, rhs)])
     if ncols in acc.rows:
         return None
-    part = [ring.zero] * ncols
-    for c, row in acc.rows.items():
-        part[c] = row.get(ncols, ring.zero)
-    *kernel, _ = acc.nullspace()
-    return LinearSolution(tuple(part), [v[:ncols] for v in kernel])
+    *kernel, last = acc.nullspace()
+    return LinearSolution(tuple(ring.neg(x) for x in last[:ncols]),
+                          [v[:ncols] for v in kernel])

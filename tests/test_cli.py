@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from gmalg import cli, jsonio, maps
 from gmalg.families import full_matrix_gma
 from gmalg.maps import LinMap
+from gmalg.report import Report
 from gmalg.rings import Rationals, Zmod
 
 
@@ -144,14 +146,54 @@ def test_sweep_modes_all_pass(ctx_m2_z3, capsys):
     assert json.loads(out)["vanishing"] is True
 
 
-def test_sweep_is_byte_stable_and_parallel_safe(ctx_m2_z3, capsys, monkeypatch):
+def test_sweep_is_byte_stable(ctx_m2_z3, capsys):
     path, _ = ctx_m2_z3
     args = ["sweep", path, "--k", "1", "--mode", "proper", "--seed", "3",
             "--samples", "4"]
-    _, serial, _ = run_cli(args, capsys)
-    monkeypatch.setenv("GMALG_WORKERS", "2")
-    _, parallel, _ = run_cli(args, capsys)
-    assert serial == parallel
+    _, first, _ = run_cli(args, capsys)
+    _, second, _ = run_cli(args, capsys)
+    assert first == second
+
+
+@pytest.fixture()
+def ctx_m2_q(tmp_path):
+    G = full_matrix_gma(Rationals(), 2, 1)
+    path = tmp_path / "m2q.json"
+    path.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
+    return str(path), G
+
+
+def test_proper_form_center_shift_is_written_as_scalars(ctx_m2_q, tmp_path,
+                                                        capsys, monkeypatch):
+    """x -> x/2 over Q has the non-integral center shift 1/2; it is written
+    as "1/2", not handed to json raw."""
+    path, G = ctx_m2_q
+    half = LinMap.identity(G.ring, G.dim).scale(G.ring.coerce(Fraction(1, 2)))
+    mpath = write_map(tmp_path, G, half)
+    monkeypatch.setattr(maps, "check_properness_hypotheses",
+                        lambda G, k: maps.HypothesisWitness(True, True, True, None, None))
+    code, out, _ = run_cli(["classify", path, mpath, "--mode", "proper"], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["proper_form"]["center_shift"] == ["1/2", 0, 0, "1/2"]
+
+
+def test_sweep_failures_are_written_as_report_lines(ctx_m2_q, capsys, monkeypatch):
+    path, G = ctx_m2_q
+
+    def failing(G, theta, k):
+        rep = Report("structure", ring=G.ring)
+        rep.add("forced", False, (Fraction(1, 2), 0))
+        return rep
+
+    monkeypatch.setattr(maps, "verify_structure_conditions", failing)
+    code, out, _ = run_cli(["sweep", path, "--samples", "1"], capsys)
+    assert code == cli.EXIT_VIOLATION
+    doc = json.loads(out)
+    assert doc["all_pass"] is False
+    assert doc["failures"][0] == {
+        "map_index": 0,
+        "witness": [{"cond_id": "forced", "passed": False, "witness": ["1/2", "0"]}],
+    }
 
 
 def test_two_torsion_ring_is_rejected(tmp_path, capsys):

@@ -1,10 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmalg import linalg
+from gmalg.algebra import Algebra, Submodule
+from gmalg.families import matrix_algebra, triangular_matrix_algebra
+from gmalg.maps import commuting_space
 from gmalg.rings import Rationals, Zmod
 
 
@@ -89,36 +94,6 @@ def test_nullspace_over_q():
     assert len(gens) == 1
     g = gens[0]
     assert g[0] + 2 * g[1] == 0
-
-
-def test_smith_form_diagonalizes():
-    mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    U, d, V = linalg.smith_form(mat, 3, 3)
-    # U mat V must be the diagonal of d
-    prod = [
-        [
-            sum(U[i][a] * mat[a][b] * V[b][j] for a in range(3) for b in range(3))
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    for i in range(3):
-        for j in range(3):
-            assert prod[i][j] == (d[i] if i == j else 0)
-    # divisibility chain
-    for i in range(2):
-        if d[i + 1] != 0:
-            assert d[i + 1] % d[i] == 0
-
-    def det3(m):
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-
-    assert det3(U) in (1, -1)
-    assert det3(V) in (1, -1)
 
 
 def test_span_basis_canonical():
@@ -275,3 +250,121 @@ def test_field_engine_matches_dense_reference(system):
                 part[c] = row[-1]
             assert sol.particular == tuple(part)
             assert sol.kernel == reference_nullspace(ring, coeffs, ncols - 1)
+
+
+# -- the Howell form over composite Z/n against enumeration -------------------
+
+def enumerated_span(n, vectors, ncols):
+    """Every element of the span, by closing {0} under adding a vector."""
+    out = {(0,) * ncols}
+    frontier = list(out)
+    while frontier:
+        new = set()
+        for v in frontier:
+            for g in vectors:
+                new.add(tuple((a + b) % n for a, b in zip(v, g)))
+        frontier = new - out
+        out |= frontier
+    return out
+
+
+def solutions(n, rows, rhs, ncols):
+    """Every x in (Z/n)^ncols with rows @ x = rhs."""
+    return {x for x in itertools.product(range(n), repeat=ncols)
+            if all(sum(a * c for a, c in zip(r, x)) % n == b
+                   for r, b in zip(rows, rhs))}
+
+
+@st.composite
+def composite_systems(draw):
+    """(n, ncols, rows, the rows again shuffled with combinations of them
+    added): entries biased to zero divisors of n."""
+    n = draw(st.sampled_from([4, 6, 8, 9, 12]))
+    ncols = draw(st.integers(1, 4 if n <= 6 else 3))
+    divisors = [d for d in range(2, n) if n % d == 0]
+    scalars = st.integers(0, n - 1) | st.sampled_from(divisors) | st.just(0)
+    rows = [draw(st.lists(scalars, min_size=ncols, max_size=ncols))
+            for _ in range(draw(st.integers(0, 5)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    again = rows[:]
+    for _ in range(2 if rows else 0):
+        f, g = rng.randrange(n), rng.randrange(n)
+        a, b = rng.choice(rows), rng.choice(rows)
+        again.append([(f * x + g * y) % n for x, y in zip(a, b)])
+    rng.shuffle(again)
+    return n, ncols, rows, again
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=composite_systems())
+def test_howell_form_matches_enumeration(system):
+    n, ncols, rows, again = system
+    ring = Zmod(n)
+    span = enumerated_span(n, [tuple(r) for r in rows], ncols)
+    # the canonical basis spans the rows and does not depend on how they
+    # were given
+    basis = linalg.span_basis(ring, rows, ncols)
+    assert enumerated_span(n, basis, ncols) == span
+    assert linalg.span_basis(ring, again, ncols) == basis
+    # the kernel and the solutions of rows[:, :-1] x = rows[:, -1]
+    kernel = solutions(n, rows, [0] * len(rows), ncols)
+    assert enumerated_span(n, linalg.nullspace(ring, rows, ncols), ncols) == kernel
+    if rows and ncols >= 2:
+        coeffs, rhs = [r[:-1] for r in rows], [r[-1] for r in rows]
+        sol = linalg.solve_linear(ring, coeffs, rhs)
+        got = set() if sol is None else {
+            tuple((p + v) % n for p, v in zip(sol.particular, w))
+            for w in enumerated_span(n, sol.kernel, ncols - 1)}
+        assert got == solutions(n, coeffs, rhs, ncols - 1)
+    # membership and equality of submodules
+    sub = Submodule(ring, ncols, rows)
+    assert all(sub.contains(x) == (x in span)
+               for x in itertools.product(range(n), repeat=ncols))
+    assert sub.equals(Submodule(ring, ncols, again))
+    fewer = Submodule(ring, ncols, rows[1:])
+    assert sub.equals(fewer) == (
+        enumerated_span(n, [tuple(r) for r in rows[1:]], ncols) == span)
+
+
+def _in_random_basis(alg, rng):
+    """(alg in the basis f_i = sum_j P[j][i] e_j, P, P^-1) for a random
+    invertible P: a product of elementary matrices, so its structure
+    constants are dense."""
+    ring, d = alg.ring, alg.dim
+    P = [[int(i == j) for j in range(d)] for i in range(d)]
+    Pinv = [row[:] for row in P]
+    for _ in range(3 * d * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.randrange(1, ring.n)
+        for row in P:                 # P <- P (1 + c E_ij)
+            row[j] = (row[j] + c * row[i]) % ring.n
+        Pinv[i] = [(a - c * b) % ring.n for a, b in zip(Pinv[i], Pinv[j])]
+
+    def to_f(v):
+        return tuple(sum(Pinv[i][j] * v[j] for j in range(d)) % ring.n
+                     for i in range(d))
+
+    cols = [tuple(P[j][a] for j in range(d)) for a in range(d)]
+    table = [[to_f(alg.mul(cols[a], cols[b])) for b in range(d)] for a in range(d)]
+    return Algebra(ring, alg.labels, table, to_f(alg.unit)), P, Pinv
+
+
+@pytest.mark.parametrize("alg", [matrix_algebra(Zmod(9), 2),
+                                 triangular_matrix_algebra(Zmod(4), 3)],
+                         ids=["M2(Z/9)", "T3(Z/4)"])
+def test_commuting_space_in_a_random_basis_is_the_conjugate(alg):
+    """Dense structure constants over composite n: the 1-commuting maps of
+    the algebra in a random basis are P^-1 theta P for those in the
+    standard basis."""
+    n, d = alg.ring.n, alg.dim
+    moved, P, Pinv = _in_random_basis(alg, random.Random(5))
+
+    def conjugate(flat):
+        theta = [flat[i * d:(i + 1) * d] for i in range(d)]
+        return tuple(sum(Pinv[i][a] * theta[a][b] * P[b][j]
+                         for a in range(d) for b in range(d)) % n
+                     for i in range(d) for j in range(d))
+
+    standard = commuting_space(alg, 1).space
+    expected = Submodule(alg.ring, d * d, [conjugate(g) for g in standard.gens])
+    assert commuting_space(moved, 1).space.equals(expected)

@@ -3,8 +3,8 @@
 The reference below is the point-evaluating constraint builder the engine
 replaced: it brackets dense vectors at every lattice point and takes the
 Newton differences of the values.  The engine must give the same
-generator lists (Smith form on composite n included, which depends on the
-rows and their order), the same verdicts and the same witnesses."""
+generator lists (on composite n too, where they are read off the Howell
+form of the rows), the same verdicts and the same witnesses."""
 
 import itertools
 import random
