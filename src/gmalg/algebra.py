@@ -359,15 +359,6 @@ class Algebra:
         cols = [self.mul(self.basis_vector(p), x) for p in range(self.dim)]
         return [tuple(cols[p][r] for p in range(self.dim)) for r in range(self.dim)]
 
-    def adjoint_matrix(self, x):
-        """Matrix of y -> [y, x] = y*x - x*y."""
-        L = self.left_mult_matrix(x)
-        R = self.right_mult_matrix(x)
-        return [
-            tuple(self.ring.sub(a, b) for a, b in zip(R[r], L[r]))
-            for r in range(self.dim)
-        ]
-
     # -- validation ---------------------------------------------------------
 
     def structure_violations(self):

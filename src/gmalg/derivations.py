@@ -5,14 +5,14 @@ block algebra, and the vanishing of k-commuting derivations."""
 from collections import namedtuple
 
 from . import linalg
-from .algebra import Submodule
+from .algebra import Submodule, vanishing_rows
 from .errors import (
     DimensionMismatch,
     NotDerivation,
     TheoremViolation,
     TwoTorsion,
 )
-from .maps import LinMap, MapSpace, commuting_space, decompose
+from .maps import LinMap, MapSpace, decompose
 from .morita import BLOCKS
 from .report import Report, failures, first_failure
 
@@ -201,48 +201,24 @@ def verify_derivation_form(G, theta):
 def verify_commuting_derivations_vanish(G, k):
     """True iff the only derivation that is also k-commuting is zero.
 
-    A nonzero member of the intersection contradicts the vanishing theorem
-    and is raised as TheoremViolation with the witness attached."""
+    Both are linear conditions on the entries of the map: the Leibniz rows
+    and the rows that make [theta(x), x]_k vanish (see
+    ``algebra.vanishing_rows``), fed to one kernel.  A generator of that
+    kernel contradicts the vanishing theorem and is raised as
+    TheoremViolation with the map attached."""
     rg = G.ring
     if not rg.is_two_torsion_free():
         raise TwoTorsion("the vanishing theorem needs 2x = 0 => x = 0")
     G.require_faithful()
-    dspace = derivation_space(G)
-    cspace = commuting_space(G, k)
-    d = G.dim
-    # joint nullspace: members of the derivation space (in its generator
-    # coordinates) whose flat vector also lies in the commuting space
-    dgens = dspace.space.gens
-    if not dgens:
-        return True
-    inter = _intersect(rg, d * d, dgens, cspace.space.gens)
-    for v in inter:
-        if any(c != rg.zero for c in v):
-            raise TheoremViolation(
-                "nonzero k-commuting derivation found",
-                LinMap.from_flat(rg, d, v),
-            )
+    alg = G.algebra
+    d = alg.dim
+    acc = linalg.kernel_builder(rg, d * d)
+    acc.add_rows(_leibniz_rows(alg))
+    for block in vanishing_rows(rg, alg.commuting_coefficients(k), k + 1, d):
+        acc.add_rows(block)
+    gens = acc.nullspace()
+    if gens:
+        raise TheoremViolation(
+            "nonzero k-commuting derivation found", LinMap.from_flat(rg, d, gens[0])
+        )
     return True
-
-
-def _intersect(ring, dim, gens_a, gens_b):
-    """Generators of span(gens_a) intersected with span(gens_b)."""
-    na, nb = len(gens_a), len(gens_b)
-    if na == 0 or nb == 0:
-        return []
-    # solve sum x_i a_i - sum y_j b_j = 0; the a-part of each kernel
-    # generator spans the intersection
-    rows = [
-        [gens_a[i][r] for i in range(na)]
-        + [ring.neg(gens_b[j][r]) for j in range(nb)]
-        for r in range(dim)
-    ]
-    out = []
-    for kvec in linalg.nullspace(ring, rows, na + nb):
-        v = [ring.zero] * dim
-        for c, g in zip(kvec[:na], gens_a):
-            if c != ring.zero:
-                for r, gr in enumerate(g):
-                    v[r] = ring.add(v[r], ring.mul(c, gr))
-        out.append(tuple(v))
-    return out

@@ -16,6 +16,7 @@ from .algebra import (
     evaluator,
     iter_vectors,
     lattice_check,
+    lattice_points,
     scalar_multiples_of,
     vanishing_kernel,
     vanishing_rows,
@@ -24,7 +25,6 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     HypothesesNotMet,
-    NotEnumerable,
     NotKCommuting,
     TheoremViolation,
     TwoTorsion,
@@ -484,14 +484,31 @@ def _hyp_all(h):
     return h.cond1 and h.cond2 and h.cond3
 
 
-def check_properness_hypotheses(G, k, pair_budget=10**6):
+# composite Z/n: the most module pairs (m0, n0) the cond3 search may try
+PAIR_BUDGET = 10**6
+
+
+def check_properness_hypotheses(G, k):
     """The three sufficient conditions for properness of every k-commuting
     map: both order-k centers are exactly the diagonal projections of the
-    center, and some single pair (m0, n0) already cuts out the center.
-    """
+    center (cond1, cond2), and some single pair (m0, n0) already cuts out
+    the center (cond3).
+
+    cond3 asks whether the pinned set of some pair, the kernel of
+    ``GMAlgebra.center_rows([m0], [n0])``, is Z(G).  The pinned set always
+    contains Z(G), and at (0, 0) it is Z(A) x Z(B).  Over a field it is
+    Z(G) iff the pinning rows, restricted to Z(A) x Z(B), have rank
+    r' = dim Z(A) + dim Z(B) - dim Z(G).  Those rows are linear in
+    (m0, n0), so their r' x r' minors are polynomials of degree r', and
+    some pair works iff some minor is not the zero function; by the
+    lattice criterion (``algebra.lattice_points``) it is then nonzero at a
+    lattice point |beta| <= r' of M x N.  So the candidates
+    ``lattice_points(M, r') x lattice_points(N, r')``, a superset of those
+    points, make the search complete over Z/p and Q.  Over composite Z/n
+    the rank argument fails, and every pair is tried, at most
+    ``PAIR_BUDGET`` of them.  Either way the candidates go in
+    ``_witness_order``, and the first pair that works is the witness."""
     rg = G.ring
-    if not rg.enumerable:
-        raise NotEnumerable("the hypothesis check enumerates module elements")
     if not rg.is_two_torsion_free():
         raise TwoTorsion("the proper-form pipeline needs 2x = 0 => x = 0")
     G.require_faithful()
@@ -500,35 +517,21 @@ def check_properness_hypotheses(G, k, pair_budget=10**6):
     cond2 = G.ctx.B.engel_center(k).equals(piB)
 
     dA, dM, dN, dB = G.dims
-    Ms = list(iter_vectors(rg, dM))
-    Ns = list(iter_vectors(rg, dN))
-    if len(Ms) * len(Ns) > pair_budget:
-        raise BudgetExceeded("witness-pair search space too large")
-    adA = [G.ctx.A.adjoint_matrix(a) for a in G.ctx.A.basis()]
-    adB = [G.ctx.B.adjoint_matrix(b) for b in G.ctx.B.basis()]
     zdiag = Submodule(rg, dA + dB, [
         G.extract("A", g) + G.extract("B", g) for g in G.gma_center().gens
     ])
-
-    def pinned_set(m0, n0):
-        rows = []
-        for mat in adA:
-            for r in mat:
-                rows.append(list(r) + [rg.zero] * dB)
-        for mat in adB:
-            for r in mat:
-                rows.append([rg.zero] * dA + list(r))
-        rows.extend(G._center_pair_rows(m0=m0, n0=n0))
-        return Submodule(rg, dA + dB, linalg.nullspace(rg, rows, dA + dB))
-
-    cond3 = False
-    m_wit = n_wit = None
+    if rg.is_field:
+        top = G.ctx.A.center().rank + G.ctx.B.center().rank - zdiag.rank
+        Ms, Ns = (list(lattice_points(rg, d, top)) for d in (dM, dN))
+    elif rg.size ** (dM + dN) > PAIR_BUDGET:
+        raise BudgetExceeded("witness-pair search space too large")
+    else:
+        Ms, Ns = list(iter_vectors(rg, dM)), list(iter_vectors(rg, dN))
     for i, j in _witness_order(len(Ms), len(Ns)):
-        s = pinned_set(Ms[i], Ns[j])
-        if s.equals(zdiag):
-            cond3, m_wit, n_wit = True, Ms[i], Ns[j]
-            break
-    return HypothesisWitness(cond1, cond2, cond3, m_wit, n_wit)
+        rows = G.center_rows([Ms[i]], [Ns[j]])
+        if Submodule(rg, dA + dB, linalg.nullspace(rg, rows, dA + dB)).equals(zdiag):
+            return HypothesisWitness(cond1, cond2, True, Ms[i], Ns[j])
+    return HypothesisWitness(cond1, cond2, False, None, None)
 
 
 def _witness_order(nm, nn):
@@ -595,9 +598,7 @@ def properness_certificate(G, theta):
     alg = _underlying(G)
     rg = alg.ring
     d = alg.dim
-    zgens = G.gma_center().gens if hasattr(G, "gma_center") else None
-    if zgens is None:
-        zgens = alg.center().gens
+    zgens = (G.gma_center() if hasattr(G, "gma_center") else alg.center()).gens
     nz = len(zgens)
     if nz == 0:
         if all(theta.column(j) == alg.zero() for j in range(d)):

@@ -12,7 +12,7 @@ A, M, N, B.
 from collections import namedtuple
 
 from . import linalg
-from .algebra import Algebra, Submodule, _bilinear, _nonzero_terms
+from .algebra import Algebra, Submodule, _as_rows, _bilinear, _nonzero_terms
 from .errors import (
     DimensionMismatch,
     InvalidContext,
@@ -193,7 +193,7 @@ class GMAlgebra:
         self.dims = dA, dM, dN, dB = (ctx.A.dim, ctx.M.dim, ctx.N.dim, ctx.B.dim)
         self.dim = dA + dM + dN + dB
         self.offsets = {"A": 0, "M": dA, "N": dA + dM, "B": dA + dM + dN}
-        self._gma_center = None
+        self._gma_center = self._zrows = self._zab_rows = None
         # the eight block products xy = z and their tensors
         products = (
             ("A", "A", "A", ctx.A.table), ("A", "M", "M", ctx.M.left),
@@ -266,20 +266,18 @@ class GMAlgebra:
 
     # -- center machinery ---------------------------------------------------
 
-    def _center_pair_rows(self, m0=None, n0=None):
-        """Rows over unknowns (a | b) of a*m = m*b, n*a = b*n.
+    def center_rows(self, ms, ns):
+        """Rows over the unknowns (a | b), as dicts column -> scalar, of
+        a in Z(A), b in Z(B), a*m = m*b for each m in ``ms`` and
+        n*a = b*n for each n in ``ns``.
 
-        With m0/n0 given, only those elements are used; otherwise every
-        module basis element (equivalently, all of M and N, by linearity).
-        """
-        ctx = self.ctx
-        rg = self.ring
-        dA, dM, dN, dB = self.dims
-        ms = [m0] if m0 is not None else ctx.M.basis()
-        ns = [n0] if n0 is not None else ctx.N.basis()
-        rows = []
-        eA = ctx.A.basis()
-        eB = ctx.B.basis()
+        With the module bases (``_center_rows``, by linearity all of M and
+        N) their kernel is the center of G read on its diagonal; with one
+        pair (m0, n0) it is the pinned set of the hypothesis check."""
+        ctx, rg = self.ctx, self.ring
+        dA, dM, dN, _ = self.dims
+        rows = list(self._diagonal_center_rows())
+        eA, eB = ctx.A.basis(), ctx.B.basis()
         # a*m - m*b for each m, then n*a - b*n for each n
         images = [([ctx.am(a, m) for a in eA], [ctx.mb(m, b) for b in eB], dM)
                   for m in ms]
@@ -287,21 +285,36 @@ class GMAlgebra:
                    for n in ns]
         for acols, bcols, dim in images:
             for c in range(dim):
-                rows.append(
-                    [acols[i][c] for i in range(dA)]
-                    + [rg.neg(bcols[j][c]) for j in range(dB)]
-                )
+                row = {i: v[c] for i, v in enumerate(acols) if v[c]}
+                row.update((dA + j, rg.neg(v[c])) for j, v in enumerate(bcols) if v[c])
+                if row:
+                    rows.append(row)
         return rows
 
-    def gma_center(self):
-        """{diag(a, b) : a*m = m*b and n*a = b*n for all m, n}.
+    def _diagonal_center_rows(self):
+        """The rows of [a, e_i] = 0 and [b, e_j] = 0, read off
+        ``adjoint_coefficients(1)``; cached."""
+        if self._zab_rows is None:
+            rows = []
+            for off, alg in ((0, self.A), (self.dims[0], self.B)):
+                for _, cols in sorted(alg.adjoint_coefficients(1).items()):
+                    w = _as_rows(cols)
+                    rows += [{off + p: v for p, v in w[r].items()} for r in sorted(w)]
+            self._zab_rows = rows
+        return self._zab_rows
 
-        When M is faithful both ways this coincides with the center of the
-        underlying algebra.
-        """
+    def _center_rows(self):
+        """``center_rows`` at the module bases; cached."""
+        if self._zrows is None:
+            self._zrows = self.center_rows(self.ctx.M.basis(), self.ctx.N.basis())
+        return self._zrows
+
+    def gma_center(self):
+        """{diag(a, b) : a in Z(A), b in Z(B), a*m = m*b and n*a = b*n for
+        all m, n}: the center of the underlying algebra."""
         if self._gma_center is None:
             dA, dB = self.dims[0], self.dims[3]
-            gens = linalg.nullspace(self.ring, self._center_pair_rows(), dA + dB)
+            gens = linalg.nullspace(self.ring, self._center_rows(), dA + dB)
             self._gma_center = Submodule(
                 self.ring,
                 self.dim,
@@ -319,36 +332,30 @@ class GMAlgebra:
 
     def phi_apply(self, a):
         """The unique b with diag(a, b) central; needs a in the A-image."""
-        dA = self.dims[0]
-        return self._center_partner(a, slice(None, dA), slice(dA, None))
+        dA, dB = self.dims[0], self.dims[3]
+        return self._center_partner(a, range(dA), range(dA, dA + dB))
 
     def phi_inv_apply(self, b):
-        dA = self.dims[0]
-        return self._center_partner(b, slice(dA, None), slice(None, dA))
+        dA, dB = self.dims[0], self.dims[3]
+        return self._center_partner(b, range(dA, dA + dB), range(dA))
 
     def _center_partner(self, x, known, unknown):
         """The unique y with the center rows holding at x in the ``known``
-        columns and y in the ``unknown`` ones."""
+        columns and y in the ``unknown`` ones (ranges over (a | b))."""
         rg = self.ring
         rhs = []
         mat = []
-        for r in self._center_pair_rows():
+        for r in self._center_rows():
             # move the known part to the right-hand side
-            rhs.append(_dot(rg, r[known], x))
-            mat.append([rg.neg(c) for c in r[unknown]])
+            rhs.append(rg.normal(sum(v * x[c - known.start]
+                                     for c, v in r.items() if c in known)))
+            mat.append([rg.neg(r.get(c, rg.zero)) for c in unknown])
         sol = linalg.solve_linear(rg, mat, rhs)
         if sol is None:
             raise TheoremViolation("no center partner for the given element", x)
         if sol.kernel:
             raise NotFaithful("center partner is not unique; M is not faithful")
         return tuple(sol.particular)
-
-
-def _dot(ring, coeffs, vec):
-    out = ring.zero
-    for c, v in zip(coeffs, vec):
-        out = ring.add(out, ring.mul(c, v))
-    return out
 
 
 CenterIso = namedtuple("CenterIso", ["domain", "codomain", "mapping"])

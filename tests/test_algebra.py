@@ -42,7 +42,8 @@ def test_bracket_recursion_matches_operator_power():
     for k in (1, 2, 3):
         via_rec = A.iterated_bracket(x, y, k)
         # apply the (right-mult minus left-mult) matrix k times
-        ad = A.adjoint_matrix(y)
+        L, R = A.left_mult_matrix(y), A.right_mult_matrix(y)
+        ad = [[A.ring.sub(a, b) for a, b in zip(R[r], L[r])] for r in range(A.dim)]
         v = x
         for _ in range(k):
             v = tuple(

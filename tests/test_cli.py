@@ -164,14 +164,12 @@ def ctx_m2_q(tmp_path):
 
 
 def test_proper_form_center_shift_is_written_as_scalars(ctx_m2_q, tmp_path,
-                                                        capsys, monkeypatch):
+                                                        capsys):
     """x -> x/2 over Q has the non-integral center shift 1/2; it is written
     as "1/2", not handed to json raw."""
     path, G = ctx_m2_q
     half = LinMap.identity(G.ring, G.dim).scale(G.ring.coerce(Fraction(1, 2)))
     mpath = write_map(tmp_path, G, half)
-    monkeypatch.setattr(maps, "check_properness_hypotheses",
-                        lambda G, k: maps.HypothesisWitness(True, True, True, None, None))
     code, out, _ = run_cli(["classify", path, mpath, "--mode", "proper"], capsys)
     assert code == cli.EXIT_OK
     assert json.loads(out)["proper_form"]["center_shift"] == ["1/2", 0, 0, "1/2"]

@@ -1,0 +1,198 @@
+"""The center of G and the sufficient-hypothesis check.
+
+Both read the rows of ``GMAlgebra.center_rows``.  Here they are checked
+against definitions written independently of those rows: the center of
+the underlying algebra, the brute-force oracle, and an enumeration of
+every module pair for cond3."""
+
+import contextlib
+import io
+import itertools
+import json
+
+import pytest
+
+from gmalg import cli, jsonio, linalg, oracle
+from gmalg.algebra import Algebra
+from gmalg.errors import BudgetExceeded
+from gmalg.families import (
+    block_triangular_gma,
+    full_matrix_gma,
+    triangular_gma,
+    triangular_matrix_algebra,
+)
+from gmalg.maps import (
+    LinMap,
+    check_properness_hypotheses,
+    commuting_space,
+    properness_certificate,
+)
+from gmalg.morita import Bimodule, MoritaContext, build_gma
+from gmalg.rings import Rationals, Zmod
+
+
+def scalars(R):
+    return Algebra(R, ["e"], [[(1,)]], (1,))
+
+
+def no_module(R, B, A):
+    """The zero B-A bimodule."""
+    return Bimodule(R, 0, [[]] * B.dim, [], B.dim, A.dim)
+
+
+def negative_control(R):
+    """A = R[x,y]/(x,y)^2, B = R, M = R^3 with x: e2 -> e1 and
+    y: e3 -> e1, N = 0.  No single m0 cuts out the center."""
+    one, x, y = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    zero = (0, 0, 0)
+    A = Algebra(R, ["1", "x", "y"], [
+        [one, x, y], [x, zero, zero], [y, zero, zero],
+    ], one)
+    B = scalars(R)
+    left = [
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],   # 1
+        [(0, 0, 0), (1, 0, 0), (0, 0, 0)],   # x
+        [(0, 0, 0), (0, 0, 0), (1, 0, 0)],   # y
+    ]
+    M = Bimodule(R, 3, left, [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]], 3, 1)
+    return build_gma(MoritaContext(A, B, M, no_module(R, B, A), [[]] * 3, []))
+
+
+@pytest.fixture(scope="module")
+def non_faithful_z3():
+    """A = T2(Z/3), B = Z/3, M = Z/3 with E11 acting as 1 and E12, E22 as
+    0, N = 0: M is not faithful, so Z(G) is smaller than the pairs (a, b)
+    with a*m = m*b alone."""
+    R = Zmod(3)
+    A = triangular_matrix_algebra(R, 2)
+    B = scalars(R)
+    M = Bimodule(R, 1, [[(1,)], [(0,)], [(0,)]], [[(1,)]], A.dim, B.dim)
+    return build_gma(MoritaContext(A, B, M, no_module(R, B, A), [[]], []))
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _write(tmp_path, G, theta):
+    ctx, mp = tmp_path / "ctx.json", tmp_path / "map.json"
+    ctx.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
+    mp.write_text(jsonio.dumps(theta.to_json()))
+    return str(ctx), str(mp)
+
+
+@pytest.mark.parametrize("oracle_flag", [[], ["--oracle"]])
+def test_non_faithful_map_is_not_proper(non_faithful_z3, tmp_path, oracle_flag):
+    """The commuting map has the multiplier diag(E22, 0), which commutes
+    with M but is not in Z(A); it is not proper."""
+    G = non_faithful_z3
+    theta = LinMap(G.ring, ((0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (2, 0, 1, 0, 0),
+                            (0, 0, 0, 0, 0), (0, 0, 0, 0, 0)))
+    code, out = _run(["classify", *_write(tmp_path, G, theta), *oracle_flag])
+    doc = json.loads(out)
+    assert code == cli.EXIT_FINDING
+    assert doc["k_commuting"] is True
+    assert doc["proper"] is False
+
+
+@pytest.mark.parametrize("family", [
+    "non_faithful_z3", "m2_z3", "m2_z5", "t2_z3", "t2_z5", "t3_z3", "b21_z3",
+])
+def test_gma_center_is_the_algebra_center(family, request):
+    G = request.getfixturevalue(family)
+    assert G.gma_center().equals(G.algebra.center())
+
+
+@pytest.mark.parametrize("R", [Zmod(3), Zmod(5), Rationals()], ids=repr)
+def test_negative_control(R):
+    G = negative_control(R)
+    h = check_properness_hypotheses(G, 1)
+    assert (h.cond1, h.cond2, h.cond3) == (False, True, False)
+    # r': the pinned set at (0, 0) is Z(A) x Z(B), 3 dimensions over Z(G)
+    pinned = linalg.nullspace(R, G.center_rows([(0, 0, 0)], []), 4)
+    assert len(pinned) - G.algebra.center().rank == 3
+    gens = commuting_space(G, 1).basis()
+    assert len(gens) == 11
+    improper = [g for g in gens if properness_certificate(G, g) is None]
+    assert len(improper) == 3
+    if R == Zmod(3):
+        assert [oracle.brute_properness(G, g)[0] for g in gens] == [
+            properness_certificate(G, g) is not None for g in gens
+        ]
+
+
+def _matched_first(nm, nn):
+    pairs = [(min(i, nm - 1), min(i, nn - 1)) for i in range(max(nm, nn))]
+    pairs += itertools.product(range(nm), range(nn))
+    return list(dict.fromkeys(pairs))
+
+
+def reference_cond3(G):
+    """(cond3, m0, n0) by trying every module pair, matched indices first:
+    (m0, n0) works iff the (a, b) in Z(A) x Z(B) with a*m0 = m0*b and
+    n0*a = b*n0 form a space of the dimension of Z(G)."""
+    R, ctx = G.ring, G.ctx
+    za, zb = ctx.A.center().gens, ctx.B.center().gens
+    target = G.algebra.center().rank
+    Ms = list(itertools.product(range(R.n), repeat=ctx.M.dim))
+    Ns = list(itertools.product(range(R.n), repeat=ctx.N.dim))
+    for i, j in _matched_first(len(Ms), len(Ns)):
+        m, n = Ms[i], Ns[j]
+        # the columns: the residue of each central basis element
+        cols = [ctx.am(a, m) + ctx.na(n, a) for a in za]
+        cols += [tuple(R.neg(c) for c in ctx.mb(m, b) + ctx.bn(b, n)) for b in zb]
+        rows = [list(r) for r in zip(*cols)]
+        if len(cols) - len(linalg.span_basis(R, rows, len(cols))) == target:
+            return True, m, n
+    return False, None, None
+
+
+CROSS = [
+    lambda R: full_matrix_gma(R, 2, 1),
+    lambda R: full_matrix_gma(R, 3, 1),
+    lambda R: triangular_gma(R, 2, 1),
+    lambda R: triangular_gma(R, 3, 1),
+    lambda R: triangular_gma(R, 3, 2),
+    lambda R: triangular_gma(R, 4, 1),
+    lambda R: block_triangular_gma(R, (2, 1), 1),
+    lambda R: block_triangular_gma(R, (1, 2), 1),
+    lambda R: block_triangular_gma(R, (1, 1, 1), 1),
+    negative_control,
+]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("build", CROSS)
+def test_cond3_matches_the_enumeration(build, p):
+    G = build(Zmod(p))
+    h = check_properness_hypotheses(G, 1)
+    assert (h.cond3, h.m_witness, h.n_witness) == reference_cond3(G)
+
+
+def test_hypotheses_on_m4_z7_and_composite_budget():
+    # 7^8 module pairs, but over a field only lattice points are tried
+    h = check_properness_hypotheses(full_matrix_gma(Zmod(7), 4, 2), 1)
+    assert (h.cond1, h.cond2, h.cond3) == (True, True, True)
+    # composite n enumerates every pair: 9^8 of them exceed the budget
+    with pytest.raises(BudgetExceeded):
+        check_properness_hypotheses(full_matrix_gma(Zmod(9), 5, 1), 1)
+    h = check_properness_hypotheses(triangular_gma(Zmod(9), 2, 1), 2)
+    assert (h.cond3, h.m_witness, h.n_witness) == (True, (1,), ())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_proper_mode_over_q(tmp_path, n):
+    G = full_matrix_gma(Rationals(), n, 1)
+    ctx, mp = _write(tmp_path, G, LinMap.identity(G.ring, G.dim))
+    for k in (1, 2, 3):
+        code, out = _run(["classify", ctx, mp, "--k", str(k), "--mode", "proper"])
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["hypotheses"] == {
+            "cond1": True, "cond2": True, "cond3": True}
+        for mode in ("proper", "steps"):
+            code, _ = _run(["sweep", ctx, "--k", str(k), "--mode", mode,
+                            "--samples", "2"])
+            assert code == cli.EXIT_OK

@@ -166,8 +166,9 @@ def _cli(argv):
 
 
 def compute_cli():
-    """Exit code and stdout of each Q command, by label."""
-    got = {}
+    """Exit code and stdout of each Q command, by label; the ``--mode
+    proper`` and ``steps`` commands come last."""
+    got, proper = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         for name, flags, build in Q_FAMILIES:
@@ -180,12 +181,18 @@ def compute_cli():
                 mp = tmp / f"{label}.json"
                 mp.write_text(jsonio.dumps(theta.to_json()))
                 for k in (1, 2):
-                    got[f"{name} classify {label} k={k}"] = _cli(
-                        ["classify", str(ctx), str(mp), "--k", str(k)])
+                    argv = ["classify", str(ctx), str(mp), "--k", str(k)]
+                    got[f"{name} classify {label} k={k}"] = _cli(argv)
+                    proper[f"{name} classify --mode proper {label} k={k}"] = _cli(
+                        [*argv, "--mode", "proper"])
             got[f"{name} sweep"] = _cli(
                 ["sweep", str(ctx), "--mode", "structure", "--seed", "3"])
+            for mode in ("proper", "steps"):
+                proper[f"{name} sweep --mode {mode}"] = _cli(
+                    ["sweep", str(ctx), "--mode", mode, "--seed", "3"])
     got["inflated family"] = _cli(
         ["family", "--kind", "inflated", "--gamma", "1/2,0;0,-3/4", "--ring", "q"])
+    got.update(proper)
     return got
 
 
