@@ -196,14 +196,17 @@ class MapSpace:
         a seeded generator."""
         rg = self.ring
         d = self.algebra.dim
-        out = LinMap.zero(rg, d)
-        for g in self.basis():
+        total = [0] * (d * d)
+        for g in self.space.gens:
             if rg.enumerable:
                 c = rg.coerce(rng.randrange(rg.size))
             else:
                 c = rg.coerce(rng.randint(-9, 9))
-            out = out.add(g.scale(c))
-        return out
+            if c:
+                for t, v in enumerate(g):
+                    if v:
+                        total[t] += c * v
+        return LinMap.from_flat(rg, d, [rg.normal(v) for v in total])
 
     def __repr__(self):
         return f"MapSpace(dim={self.algebra.dim}, ngens={len(self.space.gens)})"

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmalg import linalg
-from gmalg.algebra import Algebra, Submodule
+from gmalg.algebra import Submodule
 from gmalg.families import matrix_algebra, triangular_matrix_algebra
 from gmalg.maps import commuting_space
 from gmalg.rings import Rationals, Zmod
+
+from conftest import _in_random_basis
 
 
 def brute_solutions_zmod(n, rows, rhs, ncols):
@@ -324,29 +326,6 @@ def test_howell_form_matches_enumeration(system):
     fewer = Submodule(ring, ncols, rows[1:])
     assert sub.equals(fewer) == (
         enumerated_span(n, [tuple(r) for r in rows[1:]], ncols) == span)
-
-
-def _in_random_basis(alg, rng):
-    """(alg in the basis f_i = sum_j P[j][i] e_j, P, P^-1) for a random
-    invertible P: a product of elementary matrices, so its structure
-    constants are dense."""
-    ring, d = alg.ring, alg.dim
-    P = [[int(i == j) for j in range(d)] for i in range(d)]
-    Pinv = [row[:] for row in P]
-    for _ in range(3 * d * d):
-        i, j = rng.sample(range(d), 2)
-        c = rng.randrange(1, ring.n)
-        for row in P:                 # P <- P (1 + c E_ij)
-            row[j] = (row[j] + c * row[i]) % ring.n
-        Pinv[i] = [(a - c * b) % ring.n for a, b in zip(Pinv[i], Pinv[j])]
-
-    def to_f(v):
-        return tuple(sum(Pinv[i][j] * v[j] for j in range(d)) % ring.n
-                     for i in range(d))
-
-    cols = [tuple(P[j][a] for j in range(d)) for a in range(d)]
-    table = [[to_f(alg.mul(cols[a], cols[b])) for b in range(d)] for a in range(d)]
-    return Algebra(ring, alg.labels, table, to_f(alg.unit)), P, Pinv
 
 
 @pytest.mark.parametrize("alg", [matrix_algebra(Zmod(9), 2),

@@ -1,9 +1,12 @@
+import ast
+import inspect
+import itertools
 import random
 
 import pytest
 
-from gmalg import linalg
-from gmalg.algebra import Submodule
+from gmalg import algebra, linalg, maps, oracle
+from gmalg.algebra import Algebra, Submodule
 from gmalg.errors import BudgetExceeded, NotEnumerable
 from gmalg.families import (
     block_triangular_gma,
@@ -14,7 +17,10 @@ from gmalg.families import (
 )
 from gmalg.maps import LinMap, commuting_space, is_k_commuting, properness_certificate
 from gmalg.oracle import (
+    _apply,
     _bracket_power,
+    _columns,
+    _mul,
     _structure,
     brute_center,
     brute_k_commuting,
@@ -23,6 +29,8 @@ from gmalg.oracle import (
     enumerate_elements,
 )
 from gmalg.rings import Rationals, Zmod
+
+from conftest import _in_random_basis
 
 
 def test_enumeration_counts():
@@ -51,6 +59,13 @@ def test_enumeration_guards():
 def test_brute_center_matches_optimized():
     for A in (matrix_algebra(Zmod(3), 2), triangular_matrix_algebra(Zmod(3), 2)):
         assert sorted(A.center().elements()) == brute_center(A)
+
+
+@pytest.mark.parametrize("A", [matrix_algebra(Zmod(4), 2),
+                               triangular_matrix_algebra(Zmod(6), 2)],
+                         ids=["M2(Z/4)", "T2(Z/6)"])
+def test_brute_center_matches_optimized_over_composite_rings(A):
+    assert brute_center(A) == sorted(A.center().elements())
 
 
 def test_brute_zk_matches_optimized():
@@ -141,3 +156,129 @@ def test_commuting_space_and_verdicts_equal_brute_force(family, p, k):
         maps.append(LinMap(R, rows))
     for theta in maps:
         assert is_k_commuting(alg, theta, k) == brute_k_commuting(alg, theta, k)
+
+
+def test_oracle_imports_nothing_from_gmalg_but_errors():
+    tree = ast.parse(inspect.getsource(oracle))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "gmalg" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert node.module == "errors", ast.dump(node)
+            else:
+                assert node.module.split(".")[0] != "gmalg" or node.module == "gmalg.errors"
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the oracle called a fast path")
+
+
+@pytest.mark.parametrize("name", ["M2", "T2"])
+def test_oracle_runs_without_the_fast_paths(name, monkeypatch):
+    """The oracle reads only the table and the map's rows: with the fast
+    products, brackets, coefficients and map application disabled it
+    still reaches the results the fast paths give."""
+    G = FAMILIES[name](Zmod(3))
+    A, R, d = G.algebra, G.ring, G.dim
+    rng = random.Random(name)
+    thetas = [LinMap.identity(R, d).scale(2), commuting_space(A, 1).random_member(rng)]
+    rows = [list(r) for r in thetas[1].rows]
+    rows[0][d - 1] += 1
+    thetas.append(LinMap(R, rows))
+    expected = {
+        "center": sorted(A.center().elements()),
+        "z2": sorted(A.engel_center(2).elements()),
+        "commuting": [[is_k_commuting(A, t, k) for k in (1, 2)] for t in thetas],
+        "proper": [properness_certificate(G, t) is not None
+                   for t in thetas if is_k_commuting(A, t, 1)[0]],
+    }
+    for owner, attr in [(maps.LinMap, "apply"), (Algebra, "mul"),
+                        (Algebra, "iterated_bracket"), (Algebra, "map_coefficients"),
+                        (algebra, "_bilinear")]:
+        monkeypatch.setattr(owner, attr, _raise)
+    assert brute_center(A) == expected["center"]
+    assert brute_zk(A, 2) == expected["z2"]
+    assert [[brute_k_commuting(G, t, k) for k in (1, 2)] for t in thetas] \
+        == expected["commuting"]
+    proper = [brute_properness(G, t) for t in thetas if brute_k_commuting(G, t, 1)[0]]
+    assert [ok for ok, _ in proper] == expected["proper"]
+    assert all(lam in expected["center"] for ok, lam in proper if ok)
+
+
+KERNEL_ALGEBRAS = [
+    (f"{name}(Z/{n})", build(Zmod(n)), moved)
+    for n in (4, 6, 9)
+    for name, build in [("M2", lambda R: matrix_algebra(R, 2)),
+                        ("T3", lambda R: triangular_matrix_algebra(R, 3))]
+    for moved in (False, True)
+]
+
+
+@pytest.mark.parametrize("label, A, moved", KERNEL_ALGEBRAS,
+                         ids=[f"{lab}{'-moved' if m else ''}" for lab, _, m in KERNEL_ALGEBRAS])
+def test_oracle_kernels_match_the_algebra(label, A, moved):
+    """The oracle's products, brackets and map application against the
+    fast ones on random elements, over composite rings and, in a random
+    basis, with dense structure constants."""
+    rng = random.Random(label + str(moved))
+    if moved:
+        A = _in_random_basis(A, rng)[0]
+    R, d, n = A.ring, A.dim, A.ring.n
+    S = _structure(A)
+    theta = LinMap(R, [[rng.randrange(n) for _ in range(d)] for _ in range(d)])
+    cols = _columns(A, theta)
+    for _ in range(20):
+        x, y = (tuple(rng.randrange(n) for _ in range(d)) for _ in range(2))
+        assert _mul(A, S, x, y) == A.mul(x, y)
+        for k in (1, 2, 3):
+            assert _bracket_power(A, S, y, x, k) == A.iterated_bracket(y, x, k)
+        assert _apply(A, cols, x) == theta.apply(x)
+
+
+def naive_k_commuting(A, theta, k):
+    """The first x in lexicographic order with [theta(x), x]_k != 0."""
+    for x in itertools.product(A.ring.scalars(), repeat=A.dim):
+        if not A.is_zero(A.iterated_bracket(theta.apply(x), x, k)):
+            return False, x
+    return True, None
+
+
+WITNESS_RUNGS = {
+    "M2(Z/3)": lambda: full_matrix_gma(Zmod(3), 2, 1),
+    "T3(Z/3)": lambda: triangular_gma(Zmod(3), 3, 1),
+    "M2(Z/4)": lambda: full_matrix_gma(Zmod(4), 2, 1),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rung", sorted(WITNESS_RUNGS))
+def test_brute_witness_is_the_first_in_order(rung, k, monkeypatch):
+    """Perturbed maps fail at the same first x as a naive scan; a proper
+    map is tested at all n^dim elements, and a center search enumerates
+    the algebra exactly once."""
+    G = WITNESS_RUNGS[rung]()
+    A, R, d = G.algebra, G.ring, G.dim
+    rng = random.Random(f"{rung}/{k}")
+    space = commuting_space(A, k)
+    for theta in space.basis()[:2] + [space.random_member(rng) for _ in range(2)]:
+        rows = [list(r) for r in theta.rows]
+        rows[rng.randrange(d)][rng.randrange(d)] += 1
+        perturbed = LinMap(R, rows)
+        assert brute_k_commuting(G, perturbed, k) == naive_k_commuting(A, perturbed, k)
+
+    counted = []
+    enumerate_all = oracle.enumerate_elements
+
+    def counting(*args, **kwargs):
+        for x in enumerate_all(*args, **kwargs):
+            counted.append(x)
+            yield x
+
+    monkeypatch.setattr(oracle, "enumerate_elements", counting)
+    proper = LinMap.identity(R, d).scale(2)
+    assert brute_k_commuting(G, proper, k) == (True, None)
+    assert len(counted) == R.n ** d
+    counted.clear()
+    brute_center(A)
+    assert len(counted) == R.n ** d
