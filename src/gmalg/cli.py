@@ -222,24 +222,6 @@ def _parse_gamma(text, ring, n):
 
 def cmd_family(args):
     ring = parse_ring_flag(args.ring)
-    if args.kind == "full":
-        G = full_matrix_gma(ring, args.n, args.split)
-        _emit(jsonio.context_to_json(G.ctx), args.emit)
-        return EXIT_OK
-    if args.kind == "triangular":
-        G = triangular_gma(ring, args.n, args.split, args.variant)
-        _emit(jsonio.context_to_json(G.ctx), args.emit)
-        return EXIT_OK
-    if args.kind == "block":
-        if not args.dims:
-            raise InputError("--dims is required for block families")
-        try:
-            dvec = tuple(int(d) for d in args.dims.split(","))
-        except ValueError:
-            raise InputError(f"--dims must be comma-separated ints, got {args.dims!r}") from None
-        G = block_triangular_gma(ring, dvec, args.split)
-        _emit(jsonio.context_to_json(G.ctx), args.emit)
-        return EXIT_OK
     if args.kind == "inflated":
         if not args.gamma:
             raise InputError("--gamma is required for inflated families")
@@ -253,9 +235,24 @@ def cmd_family(args):
         if inf.has_identity:
             doc["identity"] = jsonio._vec_json(ring, inf.identity)
             doc["sigma"] = inf.sigma.to_json()
-        _emit(doc, args.emit)
-        return EXIT_OK
-    raise InputError(f"unknown family kind {args.kind!r}")
+    else:
+        if args.kind == "full":
+            G = full_matrix_gma(ring, args.n, args.split)
+        elif args.kind == "triangular":
+            G = triangular_gma(ring, args.n, args.split, args.variant)
+        elif args.kind == "block":
+            if not args.dims:
+                raise InputError("--dims is required for block families")
+            try:
+                dvec = tuple(int(d) for d in args.dims.split(","))
+            except ValueError:
+                raise InputError(f"--dims must be comma-separated ints, got {args.dims!r}") from None
+            G = block_triangular_gma(ring, dvec, args.split)
+        else:
+            raise InputError(f"unknown family kind {args.kind!r}")
+        doc = jsonio.context_to_json(G.ctx)
+    _emit(doc, args.emit)
+    return EXIT_OK
 
 
 def build_parser():

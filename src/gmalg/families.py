@@ -1,6 +1,12 @@
-"""Constructors for the standard worked families: full matrix algebras
-split into 2x2 blocks, (block) triangular algebras, and inflated algebras
-with a twisted product."""
+"""Constructors for the standard worked families, each read off one
+algebra.
+
+A unital algebra G with an idempotent e is the generalized matrix algebra
+[eGe eG(1-e); (1-e)Ge (1-e)G(1-e)].  The full, triangular and block
+triangular families are matrix-unit algebras split at e = E11 + ... + Ejj,
+their contexts read off by the corner split (``morita._corner_context``).
+The inflated algebras are n x n matrices over a base algebra with the
+twisted product X o Y = X * Gamma * Y, taken inside M_n(R) ⊗ base."""
 
 from collections import namedtuple
 
@@ -8,52 +14,42 @@ from . import linalg
 from .algebra import Algebra
 from .errors import BadShape, BadSplit, TheoremViolation
 from .maps import LinMap
-from .morita import Bimodule, MoritaContext, build_gma
-
-
-def _block_of(dvec, r):
-    acc = 0
-    for b, d in enumerate(dvec):
-        acc += d
-        if r < acc:
-            return b
-    raise BadShape(f"row {r} outside shape {dvec}")
+from .morita import _corner_context, build_gma
 
 
 def block_triangular_matrix_algebra(ring, dvec, lower=False):
     """Matrices supported on the blocks on or above (below, if ``lower``)
     the diagonal of the given block shape."""
-    return _matrix_units(ring, dvec, lower)[0]
+    return _matrix_units(ring, dvec, lower)[0].validate()
 
 
 def _matrix_units(ring, dvec, lower=False):
-    """``block_triangular_matrix_algebra`` and the matrix position (r, c)
-    of each of its basis elements."""
+    """``block_triangular_matrix_algebra``, unchecked, and the matrix
+    position (r, c) of each of its basis elements."""
     dvec = tuple(int(d) for d in dvec)
     if not dvec or any(d < 1 for d in dvec):
         raise BadShape(f"block sizes must be positive: {dvec}")
-    n = sum(dvec)
-    positions = []
-    for r in range(n):
-        for c in range(n):
-            br, bc = _block_of(dvec, r), _block_of(dvec, c)
-            if (br >= bc) if lower else (br <= bc):
-                positions.append((r, c))
+    block = [b for b, d in enumerate(dvec) for _ in range(d)]
+    n = len(block)
+    positions = [(r, c) for r in range(n) for c in range(n)
+                 if (block[r] >= block[c] if lower else block[r] <= block[c])]
     index = {pos: i for i, pos in enumerate(positions)}
     dim = len(positions)
     zero = (ring.zero,) * dim
     table = [[zero] * dim for _ in range(dim)]
+    # E_rc E_cd = E_rd, on the matrix units (c, d) of the support
     for i, (r, c) in enumerate(positions):
-        for j, (r2, c2) in enumerate(positions):
-            if c == r2:
+        for d in range(n):
+            j = index.get((c, d))
+            if j is not None:
                 out = [ring.zero] * dim
-                out[index[(r, c2)]] = ring.one
+                out[index[(r, d)]] = ring.one
                 table[i][j] = tuple(out)
     unit = [ring.zero] * dim
     for r in range(n):
         unit[index[(r, r)]] = ring.one
     labels = [f"E{r + 1}{c + 1}" for r, c in positions]
-    return Algebra(ring, labels, table, unit).validate(), positions
+    return Algebra(ring, labels, table, unit), positions
 
 
 def matrix_algebra(ring, n):
@@ -69,56 +65,18 @@ def triangular_matrix_algebra(ring, n, lower=False):
     return block_triangular_matrix_algebra(ring, (1,) * n, lower=lower)
 
 
-def _unit(ring, dim, i):
-    return tuple(ring.one if t == i else ring.zero for t in range(dim))
-
-
-def _rectangle(ring, lpos, rpos, rows, cols):
-    """The rows x cols matrices as an (L, R)-bimodule under matrix
-    products, for matrix-unit algebras L and R of sizes rows and cols with
-    basis positions lpos and rpos (see ``_matrix_units``)."""
-    cells = [(p, q) for p in range(rows) for q in range(cols)]
-    zero = (ring.zero,) * len(cells)
-    left = [
-        [_unit(ring, len(cells), cells.index((a, q))) if b == p else zero
-         for p, q in cells]
-        for a, b in lpos
-    ]
-    right = [
-        [_unit(ring, len(cells), cells.index((p, d))) if q == c else zero
-         for c, d in rpos]
-        for p, q in cells
-    ]
-    return Bimodule(ring, len(cells), left, right, len(lpos), len(rpos))
-
-
-def _pairing(ring, lpos, rows, cols):
-    """Products of rows x cols by cols x rows matrices, in the full matrix
-    algebra with basis positions lpos."""
-    return [
-        [_unit(ring, len(lpos), lpos.index((p, s)) if q == r else -1)
-         for r in range(cols) for s in range(rows)]
-        for p in range(rows) for q in range(cols)
-    ]
-
-
-def _matrix_block_context(ring, top, bot, with_lower):
-    """Context whose blocks are matrices: A and B the block upper
-    triangular matrix algebras of shapes top and bot, M the rectangle
-    between them, N the opposite rectangle (empty unless ``with_lower``).
-    The N side is the M side with A and B exchanged."""
-    (A, apos), (B, bpos) = _matrix_units(ring, top), _matrix_units(ring, bot)
-    arows, brows = sum(top), sum(bot)
-    M = _rectangle(ring, apos, bpos, arows, brows)
-    if with_lower:
-        N = _rectangle(ring, bpos, apos, brows, arows)
-        phi = _pairing(ring, apos, arows, brows)
-        psi = _pairing(ring, bpos, brows, arows)
-    else:
-        N = Bimodule(ring, 0, [[] for _ in range(B.dim)], [], B.dim, A.dim)
-        phi = [[] for _ in range(M.dim)]
-        psi = []
-    return MoritaContext(A, B, M, N, phi, psi)
+def _split_gma(ring, dvec, split, lower=False):
+    """The block (lower) triangular matrix algebra of shape dvec as
+    [A M; N B], split at e = E11 + ... + E_split,split: the matrix unit at
+    (r, c) lies in the corner (r >= split, c >= split).  A and B are
+    labelled by their local matrix positions."""
+    alg, positions = _matrix_units(ring, dvec, lower)
+    corner_of, labels = [], []
+    for r, c in positions:
+        low, right = r >= split, c >= split
+        corner_of.append("AMNB"[2 * low + right])
+        labels.append(f"E{r - split * low + 1}{c - split * right + 1}")
+    return build_gma(_corner_context(alg, corner_of, labels))
 
 
 def full_matrix_gma(ring, n, split_j):
@@ -128,8 +86,7 @@ def full_matrix_gma(ring, n, split_j):
         raise BadShape(f"need n >= 2, got {n}")
     if not 1 <= split_j < n:
         raise BadSplit(f"split must satisfy 1 <= j < {n}, got {split_j}")
-    ctx = _matrix_block_context(ring, (split_j,), (n - split_j,), True)
-    return build_gma(ctx)
+    return _split_gma(ring, (n,), split_j)
 
 
 def full_matrix_basis_bijection(G, n, split_j):
@@ -178,17 +135,7 @@ def triangular_gma(ring, n, split_k, variant="upper"):
         raise BadSplit(f"split must satisfy 1 <= k < {n}, got {split_k}")
     if variant not in ("upper", "lower"):
         raise BadShape(f"variant must be upper or lower, got {variant!r}")
-    top, bot = (1,) * split_k, (1,) * (n - split_k)
-    if variant == "upper":
-        return build_gma(_matrix_block_context(ring, top, bot, False))
-    # lower variant: M = 0, the rectangle sits in the N block and carries
-    # (n-k) x k matrices: left B-action, right A-action
-    A, apos = _matrix_units(ring, top, lower=True)
-    B, bpos = _matrix_units(ring, bot, lower=True)
-    N = _rectangle(ring, bpos, apos, n - split_k, split_k)
-    M0 = Bimodule(ring, 0, [[] for _ in range(A.dim)], [], A.dim, B.dim)
-    ctx = MoritaContext(A, B, M0, N, [], [[] for _ in range(N.dim)])
-    return build_gma(ctx)
+    return _split_gma(ring, (1,) * n, split_k, variant == "lower")
 
 
 def block_triangular_gma(ring, dvec, split_j):
@@ -201,8 +148,7 @@ def block_triangular_gma(ring, dvec, split_j):
         raise BadSplit(
             f"split must satisfy 1 <= j < {len(dvec)}, got {split_j}"
         )
-    ctx = _matrix_block_context(ring, dvec[:split_j], dvec[split_j:], False)
-    return build_gma(ctx)
+    return _split_gma(ring, dvec, sum(dvec[:split_j]))
 
 
 InflatedSpec = namedtuple("InflatedSpec", ["base", "n", "gamma"])
@@ -212,153 +158,56 @@ InflatedAlgebra = namedtuple(
 )
 
 
-def _gamma_entries(spec):
-    A = spec.base
-    n = spec.n
-    g = [[A.vec(spec.gamma[i][j]) for j in range(n)] for i in range(n)]
-    if len(spec.gamma) != n:
-        raise BadShape("twist matrix must be n x n")
-    return g
+def _tensor(X, Y):
+    """X ⊗ Y over their common ring, on the basis e_i ⊗ f_t at index
+    i * Y.dim + t, labelled "x:y"; its structure constants are the
+    products of the two tables.  Unchecked."""
+    rg = X.ring
+
+    def kron(x, y):
+        return tuple(rg.mul(a, b) for a in x for b in y)
+
+    table = [[kron(xrow[j], yrow[s]) for j in range(X.dim) for s in range(Y.dim)]
+             for xrow in X.table for yrow in Y.table]
+    labels = [f"{a}:{b}" for a in X.labels for b in Y.labels]
+    return Algebra(rg, labels, table, kron(X.unit, Y.unit))
 
 
 def inflated_algebra(spec):
     """n x n matrices over the base algebra with the twisted product
-    X o Y = X * Gamma * Y.  Unital exactly when Gamma is invertible; then
-    the identity is Gamma^{-1} and X -> X * Gamma^{-1} is an isomorphism
-    onto the untwisted matrix algebra (verified on basis pairs)."""
-    A = spec.base
-    rg = A.ring
+    X o Y = X * Gamma * Y, taken in P = M_n(R) ⊗ base.  Unital exactly
+    when Gamma is invertible in P; then the identity is Gamma^{-1} and
+    X -> X * Gamma^{-1} is an isomorphism onto P (verified on basis
+    pairs)."""
+    base, g = spec.base, spec.gamma
+    rg = base.ring
     n = int(spec.n)
     if n < 1:
         raise BadShape(f"need n >= 1, got {n}")
-    gamma = _gamma_entries(spec)
-    dA = A.dim
-    dim = n * n * dA
+    if len(g) != n or any(len(row) != n for row in g):
+        raise BadShape("twist matrix must be n x n")
+    P = _tensor(matrix_algebra(rg, n), base)
+    gamma = P.vec(c for row in g for entry in row for c in base.vec(entry))
+    basis = P.basis()
+    table = [[P.mul(x, e) for e in basis] for x in (P.mul(e, gamma) for e in basis)]
+    # the matrix unit E_ij of P is the basis element X_ij
+    labels = [f"X{label[1:]}" for label in P.labels]
 
-    def flat(i, j, t):
-        return (i * n + j) * dA + t
-
-    zero = (rg.zero,) * dim
-    table = [[zero] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for t in range(dA):
-                et = A.basis_vector(t)
-                row_idx = flat(i, j, t)
-                for k in range(n):
-                    for l in range(n):
-                        coeff = A.mul(et, gamma[j][k])
-                        for s in range(dA):
-                            prod = A.mul(coeff, A.basis_vector(s))
-                            if A.is_zero(prod):
-                                continue
-                            out = list(table[row_idx][flat(k, l, s)])
-                            for r, c in enumerate(prod):
-                                out[flat(i, l, r)] = rg.add(
-                                    out[flat(i, l, r)], c
-                                )
-                            table[row_idx][flat(k, l, s)] = tuple(out)
-    labels = [
-        f"X{i + 1}{j + 1}:{A.labels[t]}"
-        for i in range(n)
-        for j in range(n)
-        for t in range(dA)
-    ]
-
-    ginv = _invert_over_base(A, gamma, n)
-    if ginv is None:
+    sol = linalg.solve_linear(rg, P.left_mult_matrix(gamma), P.unit)
+    ginv = None if sol is None else P.vec(sol.particular)
+    if ginv is None or P.mul(ginv, gamma) != P.unit:
         # no identity: return the raw (non-unital) product data; the unit
         # slot is filled with zero and downstream unital tooling refuses
-        alg = Algebra(rg, labels, table, [rg.zero] * dim)
+        alg = Algebra(rg, labels, table, P.zero())
         return InflatedAlgebra(alg, False, None, None)
 
-    unit = [rg.zero] * dim
-    for i in range(n):
-        for j in range(n):
-            for t, c in enumerate(ginv[i][j]):
-                unit[flat(i, j, t)] = c
-    alg = Algebra(rg, labels, table, unit).validate()
-
-    # sigma(X) = X * Gamma^{-1}, column per basis element
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            for t in range(dA):
-                col = [rg.zero] * dim
-                for l in range(n):
-                    prod = A.mul(A.basis_vector(t), ginv[j][l])
-                    for r, c in enumerate(prod):
-                        col[flat(i, l, r)] = rg.add(col[flat(i, l, r)], c)
-                cols.append(tuple(col))
-    sigma = LinMap.from_columns(rg, cols)
-
-    plain = _plain_matrix_mul_over_base(A, n)
-    for p in range(dim):
-        for q in range(dim):
-            lhs = alg.mul(sigma.column(p), sigma.column(q))
-            rhs = sigma.apply(plain(p, q))
-            if lhs != rhs:
+    alg = Algebra(rg, labels, table, ginv).validate()
+    sigma = LinMap(rg, P.right_mult_matrix(ginv))
+    for p in range(P.dim):
+        for q in range(P.dim):
+            if alg.mul(sigma.column(p), sigma.column(q)) != sigma.apply(P.table[p][q]):
                 raise TheoremViolation(
                     "twist untwisting map failed to be multiplicative",
                     (p, q),
                 )
-    return InflatedAlgebra(alg, True, tuple(unit), sigma)
-
-
-def _plain_matrix_mul_over_base(A, n):
-    """Product of two basis elements under the ordinary (untwisted) matrix
-    multiplication, as a flat vector."""
-    rg = A.ring
-    dA = A.dim
-    dim = n * n * dA
-
-    def flat(i, j, t):
-        return (i * n + j) * dA + t
-
-    def mul(p, q):
-        i, j, t = p // (n * dA), (p // dA) % n, p % dA
-        k, l, s = q // (n * dA), (q // dA) % n, q % dA
-        out = [rg.zero] * dim
-        if j == k:
-            prod = A.mul(A.basis_vector(t), A.basis_vector(s))
-            for r, c in enumerate(prod):
-                out[flat(i, l, r)] = c
-        return tuple(out)
-
-    return mul
-
-
-def _invert_over_base(A, gamma, n):
-    """Solve Gamma * X = I over M_n(A) and confirm X * Gamma = I; None when
-    Gamma is not invertible."""
-    rg = A.ring
-    dA = A.dim
-    left = [
-        [A.left_mult_matrix(gamma[i][k]) for k in range(n)] for i in range(n)
-    ]
-    X = [[None] * n for _ in range(n)]
-    for col in range(n):
-        rows = []
-        rhs = []
-        for i in range(n):
-            for r in range(dA):
-                row = []
-                for k in range(n):
-                    row.extend(left[i][k][r])
-                rows.append(row)
-                target = A.unit if i == col else A.zero()
-                rhs.append(target[r])
-        sol = linalg.solve_linear(rg, rows, rhs)
-        if sol is None:
-            return None
-        for k in range(n):
-            X[k][col] = tuple(sol.particular[k * dA : (k + 1) * dA])
-    # confirm the two-sided inverse
-    for i in range(n):
-        for j in range(n):
-            s = A.zero()
-            for k in range(n):
-                s = A.add(s, A.mul(X[i][k], gamma[k][j]))
-            if s != (A.unit if i == j else A.zero()):
-                return None
-    return X
+    return InflatedAlgebra(alg, True, ginv, sigma)

@@ -183,6 +183,37 @@ def check_faithful(ctx):
     }
 
 
+# the eight block products xy = z of [A M; N B]; every other product of
+# two blocks is 0
+PRODUCTS = ("AAA", "AMM", "MBM", "MNA", "NMB", "NAN", "BNN", "BBB")
+
+
+def _corner_context(alg, corner_of, labels=None):
+    """The context read off an algebra split into corners: basis element i
+    lies in block ``corner_of[i]``, and the eight tensors are ``alg.table``
+    restricted to the ``PRODUCTS``, each block in ``alg``'s basis order.
+    The inverse of ``GMAlgebra.__init__``.  The split must be a Peirce
+    split at an idempotent e (A = eGe, M = eG(1-e), ...), so that the
+    products of blocks land where ``PRODUCTS`` says; nothing is checked
+    here (``build_gma`` checks the context).  ``labels`` (default
+    ``alg.labels``) names the basis elements of the A and B corners."""
+    labels = alg.labels if labels is None else labels
+    at = {b: [i for i, c in enumerate(corner_of) if c == b] for b in BLOCKS}
+    T = alg.table
+    t = {xyz: [[tuple(T[i][j][r] for r in at[xyz[2]]) for j in at[xyz[1]]]
+               for i in at[xyz[0]]]
+         for xyz in PRODUCTS}
+
+    def corner(b):
+        return Algebra(alg.ring, [labels[i] for i in at[b]], t[3 * b],
+                       [alg.unit[i] for i in at[b]])
+
+    A, B = corner("A"), corner("B")
+    M = Bimodule(alg.ring, len(at["M"]), t["AMM"], t["MBM"], A.dim, B.dim)
+    N = Bimodule(alg.ring, len(at["N"]), t["BNN"], t["NAN"], B.dim, A.dim)
+    return MoritaContext(A, B, M, N, t["MNA"], t["NMB"])
+
+
 class GMAlgebra:
     """The order-2 matrix-like algebra [A M; N B] with block bookkeeping,
     assembled from the context unchecked (``build_gma`` checks it)."""
@@ -194,16 +225,11 @@ class GMAlgebra:
         self.dim = dA + dM + dN + dB
         self.offsets = {"A": 0, "M": dA, "N": dA + dM, "B": dA + dM + dN}
         self._gma_center = self._zrows = self._zab_rows = None
-        # the eight block products xy = z and their tensors
-        products = (
-            ("A", "A", "A", ctx.A.table), ("A", "M", "M", ctx.M.left),
-            ("M", "B", "M", ctx.M.right), ("M", "N", "A", ctx.phi),
-            ("N", "M", "B", ctx.psi), ("N", "A", "N", ctx.N.right),
-            ("B", "N", "N", ctx.N.left), ("B", "B", "B", ctx.B.table),
-        )
+        tensors = (ctx.A.table, ctx.M.left, ctx.M.right, ctx.phi, ctx.psi,
+                   ctx.N.right, ctx.N.left, ctx.B.table)
         zero = (rg.zero,) * self.dim
         table = [[zero] * self.dim for _ in range(self.dim)]
-        for x, y, z, cells in products:
+        for (x, y, z), cells in zip(PRODUCTS, tensors):
             # the cells are coerced already, and ``Algebra`` coerces the
             # table, so they are placed as they are
             r = self.block_range(z)

@@ -18,6 +18,7 @@ from gmalg.families import (
     InflatedSpec,
     full_matrix_gma,
     inflated_algebra,
+    matrix_algebra,
     triangular_matrix_algebra,
 )
 from gmalg.maps import (
@@ -182,15 +183,13 @@ def test_criterion_7_inflated_maps_are_proper(inflated_z3):
     inf = inflated_z3
     assert inf.has_identity
     alg = inf.algebra
-    # the untwisting map is multiplicative on every basis pair
-    from gmalg.families import _plain_matrix_mul_over_base
-
-    base = scalar_algebra(Zmod(3))
-    plain = _plain_matrix_mul_over_base(base, 2)
+    # the untwisting map is multiplicative on every basis pair; the base is
+    # 1-dimensional, so the untwisted product is that of M_2(Z/3)
+    plain = matrix_algebra(Zmod(3), 2).table
     for p in range(alg.dim):
         for q in range(alg.dim):
             assert alg.mul(inf.sigma.column(p), inf.sigma.column(q)) == (
-                inf.sigma.apply(plain(p, q))
+                inf.sigma.apply(plain[p][q])
             )
     for k in (1, 2, 3):
         sp = commuting_space(alg, k)

@@ -1,5 +1,12 @@
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
 import pytest
 
+from gmalg import cli
 from gmalg.algebra import Algebra
 from gmalg.errors import BadShape, BadSplit
 from gmalg.families import (
@@ -11,11 +18,12 @@ from gmalg.families import (
     inflated_algebra,
     matrix_algebra,
     triangular_gma,
+    _tensor,
     triangular_matrix_algebra,
     verify_full_matrix_model,
 )
-from gmalg.morita import validate_context
-from gmalg.rings import Zmod
+from gmalg.morita import _corner_context, build_gma, validate_context
+from gmalg.rings import Rationals, Zmod
 
 
 def scalar_algebra(R):
@@ -145,3 +153,139 @@ def test_inflated_over_matrix_base():
     assert inf.has_identity
     inf.algebra.validate()
     assert inf.algebra.dim == 16
+
+
+@pytest.mark.parametrize("gamma", [
+    [[(1,), (0,)]],                   # one row for n = 2
+    [[(1,), (0,), (0,)], [(0,), (1,), (0,)]],   # 2 x 3
+    [[(1,), (0,)], [(0,)]],           # a short second row
+])
+def test_inflated_twist_of_wrong_shape_is_refused(gamma):
+    with pytest.raises(BadShape):
+        inflated_algebra(InflatedSpec(scalar_algebra(Zmod(3)), 2, gamma))
+
+
+def _context_tensors(ctx):
+    return (ctx.A.table, ctx.A.unit, ctx.B.table, ctx.B.unit, ctx.M.left,
+            ctx.M.right, ctx.N.left, ctx.N.right, ctx.phi, ctx.psi)
+
+
+@pytest.mark.parametrize("name", ["m2_z3", "m2_z5", "t2_z3", "t2_z5",
+                                  "t3_z3", "b21_z3"])
+def test_corner_context_inverts_the_block_algebra(name, request):
+    G = request.getfixturevalue(name)
+    corner_of = [G.block_of_index(i)[0] for i in range(G.dim)]
+    ctx = _corner_context(G.algebra, corner_of)
+    assert _context_tensors(ctx) == _context_tensors(G.ctx)
+    assert build_gma(ctx).algebra.table == G.algebra.table
+
+
+@pytest.mark.parametrize("build", [
+    lambda R: full_matrix_gma(R, 3, 1),
+    lambda R: triangular_gma(R, 3, 2, variant="lower"),
+    lambda R: block_triangular_gma(R, (1, 2), 1),
+])
+def test_family_is_validated_once(build, monkeypatch):
+    # the corners are checked as part of the block algebra, not again
+    calls = []
+    original = Algebra.structure_violations
+    monkeypatch.setattr(Algebra, "structure_violations",
+                        lambda self: calls.append(self.dim) or original(self))
+    G = build(Zmod(3))
+    assert calls == [G.dim]
+
+@pytest.mark.parametrize("ring", [Zmod(3), Zmod(4), Rationals()])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_with_the_scalars_is_the_matrix_algebra(ring, n):
+    Mn = matrix_algebra(ring, n)
+    P = _tensor(Mn, scalar_algebra(ring))
+    assert P.table == Mn.table
+    assert P.unit == Mn.unit
+
+
+@pytest.mark.parametrize("ring", [Zmod(3), Rationals()])
+def test_tensor_of_two_matrix_algebras_validates(ring):
+    M2 = matrix_algebra(ring, 2)
+    P = _tensor(M2, M2)
+    assert P.dim == 16
+    assert P.validate() is P
+
+
+# ---------------------------------------------------------------------------
+# `gmalg family` output, pinned by exit code and digests
+# ---------------------------------------------------------------------------
+
+FAMILY_GOLDEN = pathlib.Path(__file__).with_name("golden") / "families.json"
+
+GOLDEN_RINGS = ("zmod:3", "zmod:4", "zmod:9", "q")
+# identity, invertible everywhere, invertible over Z/3 and Z/9 but not Z/4,
+# invertible over Z/4 but not Z/3 or Z/9, singular, 3 x 3 invertible and
+# singular
+GAMMAS = ["1,0;0,1", "0,1;1,1", "1,0;0,2", "1,0;0,3", "1,0;0,0",
+          "1,0,0;0,1,1;0,0,1", "1,1,0;1,1,0;0,0,1"]
+Q_GAMMAS = ["1/2,0;0,-3/4", "1/3,1;2,1/2", "1/2,1;1/4,1/2"]
+BAD_FLAGS = [
+    ["--kind", "full", "--n", "2", "--split", "2"],
+    ["--kind", "full", "--n", "1"],
+    ["--kind", "triangular", "--n", "3", "--split", "3"],
+    ["--kind", "triangular", "--n", "1"],
+    ["--kind", "block", "--dims", "2,0"],
+    ["--kind", "block", "--dims", "2,1", "--split", "2"],
+    ["--kind", "block"],
+    ["--kind", "block", "--dims", "a,b"],
+    ["--kind", "inflated"],
+    ["--kind", "inflated", "--gamma", "1,0"],
+    ["--kind", "inflated", "--gamma", "1,0;0"],
+]
+
+
+def family_commands():
+    """The ``gmalg family`` argument lists pinned in ``families.json``."""
+    out = []
+    for ring in GOLDEN_RINGS:
+        flags = []
+        for n in (2, 3, 4):
+            flags += [["--kind", "full", "--n", str(n), "--split", str(j)]
+                      for j in range(1, n)]
+        for variant in ("upper", "lower"):
+            for n in (2, 3, 4):
+                flags += [["--kind", "triangular", "--n", str(n), "--split",
+                           str(j), "--variant", variant] for j in range(1, n)]
+        for dims, splits in (("2,1", (1,)), ("1,2", (1,)), ("1,1,1", (1, 2)),
+                             ("2,1,1", (1, 2))):
+            flags += [["--kind", "block", "--dims", dims, "--split", str(j)]
+                      for j in splits]
+        for g in GAMMAS + (Q_GAMMAS if ring == "q" else []):
+            n = str(g.count(";") + 1)
+            flags.append(["--kind", "inflated", "--n", n, "--gamma", g])
+        out += [["family", "--ring", ring, *f] for f in flags + BAD_FLAGS]
+    return out
+
+
+def compute_family_golden():
+    """Exit code and the sha256 of stdout and of stderr, by command line."""
+    got = {}
+    for argv in family_commands():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        got[" ".join(argv)] = [
+            code,
+            hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest(),
+        ]
+    return got
+
+
+def test_family_output_matches_golden():
+    expected = json.loads(FAMILY_GOLDEN.read_text())
+    got = compute_family_golden()
+    assert list(got) == list(expected)
+    for label in expected:
+        assert got[label] == expected[label], label
+
+
+if __name__ == "__main__":
+    # regenerate (only when an output change is intended) with
+    # PYTHONPATH=src python tests/test_families.py
+    FAMILY_GOLDEN.write_text(json.dumps(compute_family_golden(), indent=1) + "\n")
