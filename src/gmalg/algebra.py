@@ -295,6 +295,21 @@ class Algebra:
         self._engel = {}
         self._ad = None
 
+    @classmethod
+    def _from_normal(cls, ring, labels, table, unit, terms):
+        """The algebra of a dim x dim ``table`` of tuples already in normal
+        form, with ``terms`` its ``_nonzero_terms`` and ``unit`` a normal
+        tuple: nothing is coerced, checked or scanned.  ``__init__`` is the
+        constructor for anything else."""
+        alg = cls.__new__(cls)
+        alg.ring = ring
+        alg.labels = list(labels)
+        alg.dim = len(alg.labels)
+        alg.table, alg._terms, alg.unit = table, terms, unit
+        alg._engel = {}
+        alg._ad = None
+        return alg
+
     # -- vector helpers -----------------------------------------------------
 
     def vec(self, coords):
@@ -362,38 +377,64 @@ class Algebra:
     # -- validation ---------------------------------------------------------
 
     def structure_violations(self):
-        """Associativity and unit failures, as witness records."""
+        """Unit and associativity failures, as witness records: the unit
+        laws at each basis element, then associativity at each triple
+        (i, j, k) in lexicographic order."""
         out = []
-        basis = self.basis()
-        for i, ei in enumerate(basis):
-            if self.mul(self.unit, ei) != ei:
+        T, normal = self._terms, self.ring.normal
+        every = range(self.dim)
+        unit = [(r, c) for r, c in enumerate(self.unit) if c]
+        for i in every:
+            # 1 e_i - e_i and e_i 1 - e_i, summed in int (or Fraction)
+            # arithmetic and brought to normal form once
+            ue, eu = {i: -1}, {i: -1}
+            for r, c in unit:
+                for t, v in T[r][i]:
+                    ue[t] = ue.get(t, 0) + c * v
+                for t, v in T[i][r]:
+                    eu[t] = eu.get(t, 0) + c * v
+            if any(map(normal, ue.values())):
                 out.append(("left_unit", i))
-            if self.mul(ei, self.unit) != ei:
+            if any(map(normal, eu.values())):
                 out.append(("right_unit", i))
         # (e_i e_j) e_k = sum_r c_r (e_r e_k) over the terms c_r e_r of
-        # e_i e_j, and e_i (e_j e_k) likewise; both are 0 when neither
-        # product has a term
-        T = self._terms
-        every = range(self.dim)
+        # e_i e_j, and e_i (e_j e_k) = sum_s d_s (e_i e_s) over the terms
+        # d_s e_s of e_j e_k.  The left side has a term only if e_r e_k != 0
+        # for some r in supp(e_i e_j), that is k in nonzero[r]; the right
+        # side only if e_j e_k != 0 (k in nonzero[j]) and e_i e_s != 0 for
+        # some s in supp(e_j e_k).  At every other k both sums are empty, so
+        # both sides are 0 and the law holds: only the k on a nonzero
+        # product path are compared, in ascending order.  The right-side
+        # paths i -> s <- (j, k) are found from s, through ``into``.  The
+        # difference of the two sides is summed as for the unit laws.
         nonzero = [[k for k in every if row[k]] for row in T]
-        for i, j in itertools.product(every, repeat=2):
-            for k in every if T[i][j] else nonzero[j]:
-                a = self._combine((c, T[r][k]) for r, c in T[i][j])
-                b = self._combine((d, T[i][s]) for s, d in T[j][k])
-                if a != b:
-                    out.append(("associativity", (i, j, k)))
+        into = [[] for _ in every]    # into[s]: the (j, k) with s in supp(e_j e_k)
+        for j, row in enumerate(T):
+            for k in nonzero[j]:
+                for s, _ in row[k]:
+                    into[s].append((j, k))
+        for i in every:
+            Ti = T[i]
+            right = {}                # j -> the k of the right side
+            for s in nonzero[i]:
+                for j, k in into[s]:
+                    right.setdefault(j, set()).add(k)
+            for j in every:
+                Tij, Tj = Ti[j], T[j]
+                ks = right.get(j, set())
+                for r, _ in Tij:
+                    ks.update(nonzero[r])
+                for k in sorted(ks):
+                    diff = {}
+                    for r, c in Tij:
+                        for t, v in T[r][k]:
+                            diff[t] = diff.get(t, 0) + c * v
+                    for s, c in Tj[k]:
+                        for t, v in Ti[s]:
+                            diff[t] = diff.get(t, 0) - c * v
+                    if any(map(normal, diff.values())):
+                        out.append(("associativity", (i, j, k)))
         return out
-
-    def _combine(self, scaled):
-        """sum c * v over the (c, terms of v) pairs, as a dict of its
-        nonzero coordinates; summed in int (or Fraction) arithmetic and
-        brought to ``normal`` form once."""
-        out = {}
-        for c, terms in scaled:
-            for r, v in terms:
-                out[r] = out.get(r, 0) + c * v
-        normal = self.ring.normal
-        return {r: w for r, v in out.items() if (w := normal(v))}
 
     def validate(self):
         bad = self.structure_violations()

@@ -74,6 +74,11 @@ class MoritaContext:
     def __init__(self, A, B, M, N, phi, psi):
         if A.ring != B.ring:
             raise DimensionMismatch("A and B must share a coefficient ring")
+        # ``GMAlgebra`` places the action cells by these shapes unchecked
+        for name, mod, left, right in (("M", M, A, B), ("N", N, B, A)):
+            if len(mod.left) != left.dim or any(len(row) != right.dim for row in mod.right):
+                raise DimensionMismatch(
+                    f"{name} actions do not match the dimensions of the algebras")
         self.ring = A.ring
         self.A = A
         self.B = B
@@ -225,18 +230,25 @@ class GMAlgebra:
         self.dim = dA + dM + dN + dB
         self.offsets = {"A": 0, "M": dA, "N": dA + dM, "B": dA + dM + dN}
         self._gma_center = self._zrows = self._zab_rows = None
-        tensors = (ctx.A.table, ctx.M.left, ctx.M.right, ctx.phi, ctx.psi,
-                   ctx.N.right, ctx.N.left, ctx.B.table)
+        blocks = ((ctx.A.table, ctx.A._terms), (ctx.M.left, ctx.M._left),
+                  (ctx.M.right, ctx.M._right), (ctx.phi, ctx._phi),
+                  (ctx.psi, ctx._psi), (ctx.N.right, ctx.N._right),
+                  (ctx.N.left, ctx.N._left), (ctx.B.table, ctx.B._terms))
         zero = (rg.zero,) * self.dim
         table = [[zero] * self.dim for _ in range(self.dim)]
-        for (x, y, z), cells in zip(PRODUCTS, tensors):
-            # the cells are coerced already, and ``Algebra`` coerces the
-            # table, so they are placed as they are
+        terms = [[()] * self.dim for _ in range(self.dim)]
+        for (x, y, z), (cells, cell_terms) in zip(PRODUCTS, blocks):
+            # the block cells are in normal form and their nonzero terms are
+            # known, so each is placed at the block offsets as it is
             r = self.block_range(z)
             head, tail = zero[:r.start], zero[r.stop:]
-            for i, row in enumerate(cells):
-                for j, v in enumerate(row):
-                    table[self.offsets[x] + i][self.offsets[y] + j] = head + v + tail
+            ox, oy = self.offsets[x], self.offsets[y]
+            for i, (row, row_terms) in enumerate(zip(cells, cell_terms)):
+                out, out_terms = table[ox + i], terms[ox + i]
+                for j, (v, t) in enumerate(zip(row, row_terms)):
+                    out[oy + j] = head + v + tail
+                    if t:
+                        out_terms[oy + j] = tuple((s + r.start, c) for s, c in t)
         labels = (
             [f"A:{s}" for s in ctx.A.labels]
             + [f"M:{p}" for p in range(dM)]
@@ -244,7 +256,8 @@ class GMAlgebra:
             + [f"B:{s}" for s in ctx.B.labels]
         )
         unit = ctx.A.unit + zero[:dM + dN] + ctx.B.unit
-        self.algebra = Algebra(rg, labels, table, unit)
+        self.algebra = Algebra._from_normal(
+            rg, labels, tuple(map(tuple, table)), unit, tuple(map(tuple, terms)))
 
     @property
     def A(self):

@@ -15,14 +15,45 @@ _INT = re.compile(r"-?[0-9]+")
 _RATIO = re.compile(r"-?[0-9]+/[0-9]+")
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin to the bases _SMALL_PRIMES is exact below this bound
+# (Sorenson and Webster, 2015)
+MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Whether n is prime, decided exactly.
+
+    Trial division by the primes up to 41 settles every n < 43^2.  Beyond
+    that, Miller-Rabin to those 13 bases: a base that witnesses n proves n
+    composite at any size, and below ``MR_EXACT_BELOW`` no composite passes
+    all 13.  A larger n that passes them all is not certified but refused."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
+    if n >= MR_EXACT_BELOW:
+        raise InputError(
+            f"cannot decide whether {n} is prime: it passes Miller-Rabin to "
+            f"the bases up to 41, which is proven exact only below "
+            f"{MR_EXACT_BELOW}"
+        )
     return True
 
 

@@ -4,7 +4,12 @@ import random
 import pytest
 from test_golden import _corrupt_context
 
-from gmalg.errors import InvalidContext, NotFaithful, TheoremViolation
+from gmalg.errors import (
+    DimensionMismatch,
+    InvalidContext,
+    NotFaithful,
+    TheoremViolation,
+)
 from gmalg.families import full_matrix_gma, triangular_gma
 from gmalg.morita import (
     AXIOMS,
@@ -69,6 +74,22 @@ def test_both_modules_zero_is_rejected():
     ctx = MoritaContext(A, B, M, N, [], [])
     with pytest.raises(InvalidContext):
         build_gma(ctx)
+
+
+def test_module_actions_must_match_the_algebras():
+    # M built as a module over algebras of other dimensions than A and B:
+    # one row too few was read as a zero action (and validated), one too
+    # many raised KeyError
+    R = Zmod(3)
+    A, B = pair_algebra(R), scalar_algebra(R)
+    N = Bimodule(R, 0, [[]], [], B.dim, A.dim)
+    for left, right, left_dim, right_dim in (
+            ([[(1,)]], [[(1,)]], 1, 1),
+            ([[(1,)], [(0,)], [(1,)]], [[(1,)]], 3, 1),
+            ([[(1,)], [(0,)]], [[(1,), (0,)]], 2, 2)):
+        M = Bimodule(R, 1, left, right, left_dim, right_dim)
+        with pytest.raises(DimensionMismatch, match="M actions"):
+            MoritaContext(A, B, M, N, [[]], [])
 
 
 def test_faithfulness_report(m2_z3, t2_z3):

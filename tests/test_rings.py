@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gmalg import cli
 from gmalg.errors import InputError, NotEnumerable
 from gmalg.rings import (
+    MR_EXACT_BELOW,
     Rationals,
     Zmod,
+    _is_prime,
     parse_ring,
     parse_ring_flag,
     scalar_from_json,
@@ -109,3 +112,33 @@ def test_odd_modulus_two_torsion_exhaustive():
     for x in R.scalars():
         if R.add(x, x) == R.zero:
             assert x == R.zero
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(100001) if _is_prime(n)] == \
+        [n for n in range(100001) if _trial_division(n)]
+
+
+def test_primality_on_pseudoprimes_and_large_moduli():
+    assert not _is_prime(561)                  # Carmichael
+    assert not _is_prime(3215031751)           # strong pseudoprime to 2, 3, 5, 7
+    assert _is_prime(2**61 - 1)
+    assert Zmod(100000000000031).is_field
+    # above the proven bound a Miller-Rabin witness still proves compositeness
+    assert MR_EXACT_BELOW < (2**61 - 1) * (2**89 - 1)
+    assert not Zmod((2**61 - 1) * (2**89 - 1)).is_field
+    assert not Zmod(10**30).is_field
+
+
+def test_unproven_primality_is_refused(capsys):
+    # the smallest strong pseudoprime to the 13 bases, and a prime above it
+    for n in (MR_EXACT_BELOW, 2**89 - 1):
+        with pytest.raises(InputError, match="cannot decide"):
+            Zmod(n)
+    assert cli.main(["family", "--kind", "full", "--n", "2",
+                     "--ring", f"zmod:{2**89 - 1}"]) == 3
+    assert capsys.readouterr().out == ""
