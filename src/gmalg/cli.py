@@ -11,7 +11,7 @@ import functools
 import random
 import sys
 
-from . import derivations, jsonio, maps, oracle
+from . import compiled, derivations, jsonio, maps, oracle
 from .errors import (
     GmalgError,
     HypothesesNotMet,
@@ -137,10 +137,14 @@ def cmd_classify(args):
     return exit_code
 
 
-def _sweep_one(G, mode, k, hyp, theta):
+def _sweep_one(G, mode, k, hyp, theta, rows):
     """(True, None), or (False, the witness as JSON data): the failing
     lines of the report as ``Report.to_json`` writes them, or the basis
-    index where the proper form does not reassemble theta."""
+    index where the proper form does not reassemble theta.
+
+    A structure or step report is decided by its ``rows`` (see
+    ``compiled.ReportRows``); only when a line fails there is the per-line
+    report run, and its witnesses are the ones written."""
     if mode == "proper":
         # construct the split, then confirm exact reassembly
         pf = maps.construct_proper_form(G, theta, k, hypotheses=hyp)
@@ -152,10 +156,14 @@ def _sweep_one(G, mode, k, hyp, theta):
             if lhs != rhs:
                 return False, {"basis_index": j}
         return True, None
+    verdict = maps.is_k_commuting(G, theta, k)
+    if verdict[0] and rows.passes(theta):
+        return True, None
     if mode == "structure":
-        rep = maps.verify_structure_conditions(G, theta, k)
+        rep = maps.verify_structure_conditions(G, theta, k, verdict=verdict)
     else:
-        rep = maps.verify_proper_form_steps(G, theta, k, hypotheses=hyp)
+        rep = maps.verify_proper_form_steps(G, theta, k, hypotheses=hyp,
+                                            verdict=verdict)
     if rep.all_pass:
         return True, None
     return False, [line for line in rep.to_json()["lines"] if not line["passed"]]
@@ -170,6 +178,8 @@ def _sweep_maps(space, seed, samples):
 
 
 def cmd_sweep(args):
+    if args.samples < 0:
+        raise InputError(f"--samples must be >= 0, got {args.samples}")
     G = _load_gma(args.context)
     k = args.k
     doc = {"command": "sweep", "mode": args.mode, "k": k, "seed": args.seed}
@@ -194,8 +204,14 @@ def cmd_sweep(args):
             _emit(doc, args.emit)
             return EXIT_FINDING
 
+    # every line is linear in theta: compiled once for the whole sweep
+    rows = None
+    if args.mode == "structure":
+        rows = compiled.structure_rows(G, k)
+    elif args.mode == "steps":
+        rows = compiled.step_rows(G, k)
     for idx, theta in enumerate(thetas):
-        ok, wit = _sweep_one(G, args.mode, k, hyp, theta)
+        ok, wit = _sweep_one(G, args.mode, k, hyp, theta, rows)
         if not ok:
             findings.append({"map_index": idx, "witness": wit})
     doc["failures"] = findings

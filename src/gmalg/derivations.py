@@ -206,6 +206,8 @@ def verify_commuting_derivations_vanish(G, k):
     ``algebra.vanishing_rows``), fed to one kernel.  A generator of that
     kernel contradicts the vanishing theorem and is raised as
     TheoremViolation with the map attached."""
+    if k < 1:
+        raise DimensionMismatch("commuting order must be >= 1")
     rg = G.ring
     if not rg.is_two_torsion_free():
         raise TwoTorsion("the vanishing theorem needs 2x = 0 => x = 0")

@@ -4,6 +4,11 @@ Covers: the k-commuting test, the linear solution space of all k-commuting
 maps, the sixteen-block decomposition of a self-map, the structure-condition
 report for k-commuting maps, the sufficient-hypothesis check and the
 proper-form construction, plus a hypothesis-free properness decision.
+
+The reports here are checked line by line and are the only source of
+witnesses.  Every line of the structure and step reports is linear in the
+map, and ``gmalg.compiled`` compiles each report into rows, once per
+(G, k), from which a sweep decides its maps.
 """
 
 import copy
@@ -29,7 +34,7 @@ from .errors import (
     TheoremViolation,
     TwoTorsion,
 )
-from .morita import BLOCKS, transpose
+from .morita import BLOCKS
 from .report import Report, first_failure
 
 
@@ -318,7 +323,7 @@ class BlockDecomposition:
         """The M side and the N side of these components.
 
         The N side is the M side of the transpose: context
-        ``transpose(ctx)``, the ``transposed`` blocks, diagonal pairs
+        ``G.transposed_ctx()``, the ``transposed`` blocks, diagonal pairs
         diag(a, b) read as diag(b, a), and witness keys with a<->b and
         m<->n exchanged.  Checks written once for the M side thus cover
         both."""
@@ -329,7 +334,7 @@ class BlockDecomposition:
 
         return (
             Side(G.ctx, self, central, {}),
-            Side(transpose(G.ctx), self.transposed(),
+            Side(G.transposed_ctx(), self.transposed(),
                  lambda b, a: central(a, b), _SWAP_KEYS),
         )
 
@@ -372,6 +377,26 @@ def _require_k_commuting(G, theta, k, verdict):
         raise NotKCommuting(f"map is not {k}-commuting (witness {bad})")
 
 
+# the components that vanish, and those that range in the order-k center of
+# their target, in report order
+ZERO_LINES = (
+    ("A", "M", "a_to_m_zero"),
+    ("A", "N", "a_to_n_zero"),
+    ("B", "M", "b_to_m_zero"),
+    ("B", "N", "b_to_n_zero"),
+    ("N", "M", "n_to_m_zero"),
+    ("M", "N", "m_to_n_zero"),
+)
+RANGE_LINES = (
+    ("M", "A", "m_to_a_engel_range"),
+    ("N", "A", "n_to_a_engel_range"),
+    ("B", "A", "b_to_a_engel_range"),
+    ("A", "B", "a_to_b_engel_range"),
+    ("M", "B", "m_to_b_engel_range"),
+    ("N", "B", "n_to_b_engel_range"),
+)
+
+
 def verify_structure_conditions(G, theta, k, blocks=None, verdict=None):
     """The structural consequences that every k-commuting map satisfies:
     six vanishing components, six components ranging in the order-k
@@ -384,22 +409,13 @@ def verify_structure_conditions(G, theta, k, blocks=None, verdict=None):
     ctx = G.ctx
     rg = G.ring
 
-    for src, dst, cid in (
-        ("A", "M", "a_to_m_zero"),
-        ("A", "N", "a_to_n_zero"),
-        ("B", "M", "b_to_m_zero"),
-        ("B", "N", "b_to_n_zero"),
-        ("N", "M", "n_to_m_zero"),
-        ("M", "N", "m_to_n_zero"),
-    ):
+    for src, dst, cid in ZERO_LINES:
         rep.add(cid, dec.block_is_zero(src, dst), None)
 
-    ZAk = ctx.A.engel_center(k)
-    ZBk = ctx.B.engel_center(k)
     spaces = dict(zip(BLOCKS, (ctx.A, ctx.M, ctx.N, ctx.B)))
-
-    def _range_line(src, dst, target, cid):
+    for src, dst, cid in RANGE_LINES:
         basis = spaces[src].basis()
+        target = spaces[dst].engel_center(k)
         ok, wit = first_failure(
             ("basis_index",),
             lambda p: target.contains(dec.apply(src, dst, basis[p])),
@@ -408,13 +424,6 @@ def verify_structure_conditions(G, theta, k, blocks=None, verdict=None):
         if not ok:
             wit["image"] = dec.apply(src, dst, basis[wit["basis_index"]])
         rep.add(cid, ok, wit)
-
-    _range_line("M", "A", ZAk, "m_to_a_engel_range")
-    _range_line("N", "A", ZAk, "n_to_a_engel_range")
-    _range_line("B", "A", ZAk, "b_to_a_engel_range")
-    _range_line("A", "B", ZBk, "a_to_b_engel_range")
-    _range_line("M", "B", ZBk, "m_to_b_engel_range")
-    _range_line("N", "B", ZBk, "n_to_b_engel_range")
 
     sides = dec.sides()
     for side, (kc_id, unit_id) in zip(sides, (

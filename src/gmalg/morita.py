@@ -229,7 +229,7 @@ class GMAlgebra:
         self.dims = dA, dM, dN, dB = (ctx.A.dim, ctx.M.dim, ctx.N.dim, ctx.B.dim)
         self.dim = dA + dM + dN + dB
         self.offsets = {"A": 0, "M": dA, "N": dA + dM, "B": dA + dM + dN}
-        self._gma_center = self._zrows = self._zab_rows = None
+        self._gma_center = self._zrows = self._zab_rows = self._transposed = None
         blocks = ((ctx.A.table, ctx.A._terms), (ctx.M.left, ctx.M._left),
                   (ctx.M.right, ctx.M._right), (ctx.phi, ctx._phi),
                   (ctx.psi, ctx._psi), (ctx.N.right, ctx.N._right),
@@ -292,6 +292,13 @@ class GMAlgebra:
 
     def embed_diag(self, a, b):
         return self.algebra.add(self.embed("A", a), self.embed("B", b))
+
+    def transposed_ctx(self):
+        """``transpose(self.ctx)``, the context the N-side checks read;
+        built once."""
+        if self._transposed is None:
+            self._transposed = transpose(self.ctx)
+        return self._transposed
 
     def faithful(self):
         return check_faithful(self.ctx)

@@ -39,22 +39,31 @@ def b21_z3():
     return block_triangular_gma(Zmod(3), (2, 1), 1)
 
 
-def _in_random_basis(alg, rng):
+def _in_random_basis(alg, rng, corner_of=None):
     """(alg in the basis f_i = sum_j P[j][i] e_j, P, P^-1) for a random
     invertible P: a product of elementary matrices, so its structure
-    constants are dense."""
+    constants are dense.  With ``corner_of`` (a block name for each basis
+    element) P mixes only elements of one block, so that a split into
+    corners stays one.  Over Q, P has small integer entries."""
     ring, d = alg.ring, alg.dim
+    n = ring.n if ring.enumerable else None
+
+    def red(v):
+        return v if n is None else v % n
+
     P = [[int(i == j) for j in range(d)] for i in range(d)]
     Pinv = [row[:] for row in P]
     for _ in range(3 * d * d):
         i, j = rng.sample(range(d), 2)
-        c = rng.randrange(1, ring.n)
+        if corner_of is not None and corner_of[i] != corner_of[j]:
+            continue
+        c = rng.randrange(1, n) if n else rng.choice([-2, -1, 1, 2])
         for row in P:                 # P <- P (1 + c E_ij)
-            row[j] = (row[j] + c * row[i]) % ring.n
-        Pinv[i] = [(a - c * b) % ring.n for a, b in zip(Pinv[i], Pinv[j])]
+            row[j] = red(row[j] + c * row[i])
+        Pinv[i] = [red(a - c * b) for a, b in zip(Pinv[i], Pinv[j])]
 
     def to_f(v):
-        return tuple(sum(Pinv[i][j] * v[j] for j in range(d)) % ring.n
+        return tuple(red(sum(Pinv[i][j] * v[j] for j in range(d)))
                      for i in range(d))
 
     cols = [tuple(P[j][a] for j in range(d)) for a in range(d)]

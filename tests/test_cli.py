@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmalg import cli, jsonio, maps
+from gmalg import cli, compiled, jsonio, maps
 from gmalg.families import full_matrix_gma
 from gmalg.maps import LinMap
 from gmalg.report import Report
@@ -114,6 +114,21 @@ def test_k_commutation_is_decided_once_per_map(ctx_m2_z3, tmp_path, capsys,
     assert decided.count(G.dim) == json.loads(out)["maps_checked"] > 0
 
 
+def test_sweep_runs_the_per_line_reports_only_on_failing_maps(ctx_m2_z3, capsys,
+                                                               monkeypatch):
+    """A structure or step sweep decides each map from the rows compiled
+    once for (G, k); the per-line report, the source of witnesses, runs
+    only on a map that fails a compiled line."""
+    path, _ = ctx_m2_z3
+    reports = []
+    for name in ("verify_structure_conditions", "verify_proper_form_steps"):
+        monkeypatch.setattr(maps, name, lambda *a, **kw: reports.append(a))
+    for mode in ("structure", "steps"):
+        code, out, _ = run_cli(["sweep", path, "--k", "2", "--mode", mode], capsys)
+        assert code == cli.EXIT_OK and json.loads(out)["all_pass"] is True
+    assert reports == []
+
+
 def test_classify_non_commuting_map_is_a_finding(ctx_m2_z3, tmp_path, capsys):
     path, G = ctx_m2_z3
     alg = G.algebra
@@ -178,11 +193,13 @@ def test_proper_form_center_shift_is_written_as_scalars(ctx_m2_q, tmp_path,
 def test_sweep_failures_are_written_as_report_lines(ctx_m2_q, capsys, monkeypatch):
     path, G = ctx_m2_q
 
-    def failing(G, theta, k):
+    def failing(G, theta, k, verdict):
         rep = Report("structure", ring=G.ring)
         rep.add("forced", False, (Fraction(1, 2), 0))
         return rep
 
+    # the per-line report runs only on a map that fails a compiled line
+    monkeypatch.setattr(compiled.ReportRows, "passes", lambda self, theta: False)
     monkeypatch.setattr(maps, "verify_structure_conditions", failing)
     code, out, _ = run_cli(["sweep", path, "--samples", "1"], capsys)
     assert code == cli.EXIT_VIOLATION
@@ -192,6 +209,22 @@ def test_sweep_failures_are_written_as_report_lines(ctx_m2_q, capsys, monkeypatc
         "map_index": 0,
         "witness": [{"cond_id": "forced", "passed": False, "witness": ["1/2", "0"]}],
     }
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_derivation_sweep_refuses_an_order_below_one(ctx_m2_z3, capsys, k):
+    path, _ = ctx_m2_z3
+    code, out, err = run_cli(["sweep", path, "--mode", "derivations", "--k", k],
+                             capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "DimensionMismatch: commuting order must be >= 1\n"
+
+
+def test_sweep_refuses_negative_samples(ctx_m2_z3, capsys):
+    path, _ = ctx_m2_z3
+    code, out, err = run_cli(["sweep", path, "--samples", "-3"], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "InputError: --samples must be >= 0, got -3\n"
 
 
 def test_two_torsion_ring_is_rejected(tmp_path, capsys):

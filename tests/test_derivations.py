@@ -9,7 +9,7 @@ from gmalg.derivations import (
     verify_commuting_derivations_vanish,
     verify_derivation_form,
 )
-from gmalg.errors import NotDerivation, TheoremViolation, TwoTorsion
+from gmalg.errors import DimensionMismatch, NotDerivation, TheoremViolation, TwoTorsion
 from gmalg.families import full_matrix_gma, triangular_gma
 from gmalg.maps import LinMap
 from gmalg.rings import Zmod
@@ -63,6 +63,12 @@ def test_commuting_derivations_vanish(m2_z3, t2_z5):
     for G in (m2_z3, t2_z5):
         for k in (1, 2):
             assert verify_commuting_derivations_vanish(G, k) is True
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_commuting_derivations_need_an_order_of_at_least_one(m2_z3, k):
+    with pytest.raises(DimensionMismatch):
+        verify_commuting_derivations_vanish(m2_z3, k)
 
 
 def test_commuting_derivations_two_torsion_guard():
