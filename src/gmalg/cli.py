@@ -80,6 +80,8 @@ def _hypotheses(G, k, doc):
 
 
 def cmd_classify(args):
+    if args.budget < 1:
+        raise InputError(f"--budget must be >= 1, got {args.budget}")
     G = _load_gma(args.context)
     theta = jsonio.map_from_json(jsonio.load_file(args.map), G.ring)
     k = args.k

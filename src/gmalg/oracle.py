@@ -7,9 +7,14 @@ routes can validate each other.  The oracle reads only ``A.table`` and
 ``theta.rows``: products and brackets come from the nonzero structure
 constants and the commutator constants e_i e_j - e_j e_i, summed in plain
 ints and reduced once per coordinate; theta is applied from its own sparse
-columns.  Every identity is decided at every element, in the odometer
-order of ``enumerate_elements``.  A center search holds one list of the
-n^dim <= budget elements; the other searches hold one element at a time.
+columns.  Every "for all x" identity is decided at every element, in the
+odometer order of ``enumerate_elements``, with one exception: the product
+is bilinear, so [a, x] = sum_j x_j [a, e_j] and a is central iff it
+commutes with the d basis elements.  The center search therefore streams
+the elements once and tests each at the basis.  An order-k center with
+k >= 2 is not linear in x; it holds one list of the n^dim <= budget
+elements and tests each against all of them.  The other searches hold one
+element at a time.
 """
 
 from .errors import BudgetExceeded, DimensionMismatch, NotEnumerable
@@ -70,11 +75,10 @@ def _structure(A):
     )
 
 
-def _bilinear(A, terms, x, y):
+def _sums(d, terms, x, y):
     """Sum_{i,j} x_i y_j t_ij over the nonzero x_i and y_j, with the t_ij
-    grouped as ``_grouped`` gives them; plain int sums, one ``ring.normal``
-    per coordinate."""
-    out = [0] * A.dim
+    grouped as ``_grouped`` gives them, as d plain ints, unreduced."""
+    out = [0] * d
     for i, row in terms:
         xi = x[i]
         if not xi:
@@ -85,7 +89,12 @@ def _bilinear(A, terms, x, y):
                 c = xi * yj
                 for r, cr in cell:
                     out[r] += c * cr
-    return tuple(map(A.ring.normal, out))
+    return out
+
+
+def _bilinear(A, terms, x, y):
+    """``_sums`` with one ``ring.normal`` per coordinate."""
+    return tuple(map(A.ring.normal, _sums(A.dim, terms, x, y)))
 
 
 def _mul(A, S, x, y):
@@ -119,30 +128,52 @@ def _apply(A, cols, x):
     return _bilinear(A, cols, (1,), x)
 
 
-def brute_center(A, budget=DEFAULT_BUDGET):
+def _basis(A):
+    """The unit vectors e_1, ..., e_d."""
+    ring = A.ring
+    return [
+        tuple(ring.one if j == i else ring.zero for j in range(A.dim))
+        for i in range(A.dim)
+    ]
+
+
+def brute_center(A, budget=DEFAULT_BUDGET, S=None):
     """All a with ax = xa for every x, as a sorted element list."""
-    return brute_zk(A, 1, budget)
+    return brute_zk(A, 1, budget, S)
 
 
-def brute_zk(A, k, budget=DEFAULT_BUDGET):
-    """All a with [a, x]_k = 0 for every x, as a sorted element list.  A is
-    enumerated once and the list serves both loops."""
-    S = _structure(A)
-    elements = list(enumerate_elements(A, budget))
+def brute_zk(A, k, budget=DEFAULT_BUDGET, S=None):
+    """All a with [a, x]_k = 0 for every x, as a sorted element list, from
+    ``S = _structure(A)`` when given.  For k = 1 the bracket is linear in
+    x, so each a of one streamed enumeration is tested at the d basis
+    elements only; for k >= 2 it is not, and A is enumerated once into a
+    list that serves both loops."""
+    if S is None:
+        S = _structure(A)
+    elements = enumerate_elements(A, budget)
+    if k > 1:
+        elements = list(elements)
+    tests = _basis(A) if k == 1 else elements
     return sorted(
         a for a in elements
-        if not any(any(_bracket_power(A, S, a, x, k)) for x in elements)
+        if not any(any(_bracket_power(A, S, a, x, k)) for x in tests)
     )
 
 
 def brute_k_commuting(G, theta, k, budget=DEFAULT_BUDGET):
     """(True, None) or (False, first failing x), straight from the
-    definition."""
+    definition.  theta(x) and its k brackets with x are summed in plain
+    ints and reduced once per coordinate: reduction is a ring
+    homomorphism from the integers."""
     A = getattr(G, "algebra", G)
-    S = _structure(A)
+    d, normal = A.dim, A.ring.normal
+    comm = _structure(A)[1]
     cols = _columns(A, theta)
     for x in enumerate_elements(A, budget):
-        if any(_bracket_power(A, S, _apply(A, cols, x), x, k)):
+        y = _sums(d, cols, (1,), x)
+        for _ in range(k):
+            y = _sums(d, comm, y, x)
+        if any(map(normal, y)):
             return False, x
     return True, None
 
@@ -153,15 +184,12 @@ def brute_properness(G, theta, budget=DEFAULT_BUDGET):
     first hit, else (False, None)."""
     A = getattr(G, "algebra", G)
     ring = A.ring
-    center = brute_center(A, budget)
+    S = _structure(A)
+    center = brute_center(A, budget, S)
     cset = set(center)
-    basis = [
-        tuple(ring.one if j == i else ring.zero for j in range(A.dim))
-        for i in range(A.dim)
-    ]
+    basis = _basis(A)
     cols = _columns(A, theta)
     images = [_apply(A, cols, e) for e in basis]
-    S = _structure(A)
     for lam in center:
         if all(
             tuple(map(ring.sub, img, _mul(A, S, e, lam))) in cset

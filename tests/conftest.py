@@ -39,6 +39,16 @@ def b21_z3():
     return block_triangular_gma(Zmod(3), (2, 1), 1)
 
 
+def square_zero_algebra(R):
+    """R[x,y]/(x,y)^2 on the basis 1, x, y: commutative, so its center is
+    all of it."""
+    one, x, y = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    zero = (0, 0, 0)
+    return Algebra(R, ["1", "x", "y"], [
+        [one, x, y], [x, zero, zero], [y, zero, zero],
+    ], one)
+
+
 def _in_random_basis(alg, rng, corner_of=None):
     """(alg in the basis f_i = sum_j P[j][i] e_j, P, P^-1) for a random
     invertible P: a product of elementary matrices, so its structure

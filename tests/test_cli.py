@@ -227,6 +227,16 @@ def test_sweep_refuses_negative_samples(ctx_m2_z3, capsys):
     assert err == "InputError: --samples must be >= 0, got -3\n"
 
 
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_classify_refuses_a_budget_below_one(ctx_m2_z3, tmp_path, capsys, budget):
+    path, G = ctx_m2_z3
+    mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim))
+    code, out, err = run_cli(["classify", path, mpath, "--oracle", "--budget", budget],
+                             capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == f"InputError: --budget must be >= 1, got {budget}\n"
+
+
 def test_two_torsion_ring_is_rejected(tmp_path, capsys):
     G = full_matrix_gma(Zmod(4), 2, 1)
     path = tmp_path / "m2z4.json"
@@ -269,6 +279,21 @@ def test_console_script_entry_point(ctx_m2_z3):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["clean"] is True
+
+
+def test_package_runs_as_a_module(ctx_m2_z3, tmp_path):
+    path, G = ctx_m2_z3
+    mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmalg", "classify", path, mpath, "--oracle"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["oracle_proper"] is True
 
 
 def test_cli_imports_no_numpy():

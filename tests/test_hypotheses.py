@@ -30,6 +30,8 @@ from gmalg.maps import (
 from gmalg.morita import Bimodule, MoritaContext, build_gma
 from gmalg.rings import Rationals, Zmod
 
+from conftest import square_zero_algebra
+
 
 def scalars(R):
     return Algebra(R, ["e"], [[(1,)]], (1,))
@@ -43,11 +45,7 @@ def no_module(R, B, A):
 def negative_control(R):
     """A = R[x,y]/(x,y)^2, B = R, M = R^3 with x: e2 -> e1 and
     y: e3 -> e1, N = 0.  No single m0 cuts out the center."""
-    one, x, y = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    zero = (0, 0, 0)
-    A = Algebra(R, ["1", "x", "y"], [
-        [one, x, y], [x, zero, zero], [y, zero, zero],
-    ], one)
+    A = square_zero_algebra(R)
     B = scalars(R)
     left = [
         [(1, 0, 0), (0, 1, 0), (0, 0, 1)],   # 1

@@ -30,7 +30,7 @@ from gmalg.oracle import (
 )
 from gmalg.rings import Rationals, Zmod
 
-from conftest import _in_random_basis
+from conftest import _in_random_basis, square_zero_algebra
 
 
 def test_enumeration_counts():
@@ -282,3 +282,69 @@ def test_brute_witness_is_the_first_in_order(rung, k, monkeypatch):
     counted.clear()
     brute_center(A)
     assert len(counted) == R.n ** d
+
+
+def naive_center(A):
+    """Every a that commutes with every x, each a tested against all
+    n^dim elements."""
+    elements = list(itertools.product(A.ring.scalars(), repeat=A.dim))
+    return [a for a in elements
+            if all(A.is_zero(A.iterated_bracket(a, x, 1)) for x in elements)]
+
+
+# The reference costs up to n^dim brackets per element; T3 over Z/6 and
+# Z/9 and B(2,1) over Z/6 and Z/9 (46656 to 4782969 elements) are left out.
+# Copies in a random basis (dense constants) are taken over Z/4, Z/6, Z/9.
+REFERENCE_CAP = 20000
+CENTER_CASES = [
+    (f"{name}(Z/{n})", build, n, moved)
+    for name, build in sorted(FAMILIES.items())
+    for n in (2, 3, 4, 6, 9)
+    for moved in (False, True)
+    if n ** build(Zmod(n)).dim <= REFERENCE_CAP and (n >= 4 or not moved)
+]
+
+
+@pytest.mark.parametrize("label, build, n, moved", CENTER_CASES,
+                         ids=[f"{lab}{'-moved' if m else ''}"
+                              for lab, _, _, m in CENTER_CASES])
+def test_brute_center_equals_every_a_against_every_x(label, build, n, moved):
+    A = build(Zmod(n)).algebra
+    if moved:
+        A = _in_random_basis(A, random.Random(label))[0]
+    assert brute_center(A) == naive_center(A)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_brute_center_of_a_commutative_algebra_is_all_of_it(n):
+    A = square_zero_algebra(Zmod(n))
+    center = brute_center(A)
+    assert len(center) == n ** 3
+    assert center == naive_center(A)
+
+
+COUNTED = {
+    "M2(Z/4)": lambda: matrix_algebra(Zmod(4), 2),
+    "T3(Z/3)": lambda: triangular_matrix_algebra(Zmod(3), 3),
+    "F[x,y]/(x,y)^2 over Z/6": lambda: square_zero_algebra(Zmod(6)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(COUNTED))
+def test_center_search_brackets_at_the_basis(label, monkeypatch):
+    """At most d brackets per element, n^dim of them; a commutative
+    algebra, where every element is central, takes exactly that many."""
+    A = COUNTED[label]()
+    calls = []
+    bracket = oracle._bracket_power
+
+    def counting(*args):
+        calls.append(args[-1])
+        return bracket(*args)
+
+    monkeypatch.setattr(oracle, "_bracket_power", counting)
+    center = brute_center(A)
+    bound = A.dim * A.ring.n ** A.dim
+    assert len(calls) <= bound and set(calls) == {1}
+    if len(center) == A.ring.n ** A.dim:
+        assert len(calls) == bound
