@@ -96,6 +96,8 @@ def cmd_classify(args):
         bkc, bwit = oracle.brute_k_commuting(G, theta, k, args.budget)
         if bkc != kc:
             raise TheoremViolation("oracle disagrees on the commuting test")
+        if bwit != witness:
+            raise TheoremViolation("oracle disagrees on the counterexample")
         doc["oracle_k_commuting"] = bkc
     if not kc:
         doc["counterexample"] = jsonio._vec_json(G.ring, witness)

@@ -48,8 +48,15 @@ def _matrix_units(ring, dvec, lower=False):
     unit = [ring.zero] * dim
     for r in range(n):
         unit[index[(r, r)]] = ring.one
-    labels = [f"E{r + 1}{c + 1}" for r, c in positions]
+    labels = [_unit_label(r + 1, c + 1, n) for r, c in positions]
     return Algebra(ring, labels, table, unit), positions
+
+
+def _unit_label(r, c, n):
+    """The label of the matrix unit at the 1-based position (r, c) of an
+    n x n matrix: E{r}{c}, with a comma between r and c from n = 10 on,
+    where the digits alone no longer tell the position (E111)."""
+    return f"E{r},{c}" if n >= 10 else f"E{r}{c}"
 
 
 def matrix_algebra(ring, n):
@@ -71,11 +78,12 @@ def _split_gma(ring, dvec, split, lower=False):
     (r, c) lies in the corner (r >= split, c >= split).  A and B are
     labelled by their local matrix positions."""
     alg, positions = _matrix_units(ring, dvec, lower)
+    size = sum(dvec)
     corner_of, labels = [], []
     for r, c in positions:
         low, right = r >= split, c >= split
         corner_of.append("AMNB"[2 * low + right])
-        labels.append(f"E{r - split * low + 1}{c - split * right + 1}")
+        labels.append(_unit_label(r - split * low + 1, c - split * right + 1, size))
     return build_gma(_corner_context(alg, corner_of, labels))
 
 

@@ -7,14 +7,23 @@ routes can validate each other.  The oracle reads only ``A.table`` and
 ``theta.rows``: products and brackets come from the nonzero structure
 constants and the commutator constants e_i e_j - e_j e_i, summed in plain
 ints and reduced once per coordinate; theta is applied from its own sparse
-columns.  Every "for all x" identity is decided at every element, in the
-odometer order of ``enumerate_elements``, with one exception: the product
-is bilinear, so [a, x] = sum_j x_j [a, e_j] and a is central iff it
-commutes with the d basis elements.  The center search therefore streams
-the elements once and tests each at the basis.  An order-k center with
-k >= 2 is not linear in x; it holds one list of the n^dim <= budget
-elements and tests each against all of them.  The other searches hold one
-element at a time.
+columns.
+
+Every "for all x" identity is decided at one element of each unit orbit
+{u*x : u a unit}: at its representative, the element that comes first in
+odometer order (``representatives``).  That loses nothing, because the
+identities are homogeneous.  theta is linear and the bracket bilinear, so
+[theta(ux), ux]_k = u^(k+1) [theta(x), x]_k, and x and ux pass or fail
+together.  The first failing x in odometer order is a representative (if
+ux came before a failing x, ux would fail first), so the witness is the
+first failing element of the whole algebra.  An order-k center is
+linear in a and of degree k in x: [ua, x]_k = u [a, x]_k and
+[a, ux]_k = u^k [a, x]_k.  So only representatives a are tested, each
+central one stands for its whole orbit, and they are tested against the
+representatives x.  For k = 1 the bracket is even linear in x,
+[a, x] = sum_j x_j [a, e_j], and a is central iff it commutes with the d
+basis elements; for k >= 2 one list of the representatives is held.
+The other searches hold one element at a time.
 """
 
 from .errors import BudgetExceeded, DimensionMismatch, NotEnumerable
@@ -22,24 +31,29 @@ from .errors import BudgetExceeded, DimensionMismatch, NotEnumerable
 DEFAULT_BUDGET = 10**6
 
 
-def enumerate_elements(A, budget=DEFAULT_BUDGET):
-    """Every coordinate vector over the (finite) ring, lexicographic with
-    the first coordinate most significant; an odometer, not a library
-    product, to keep this path independent."""
+def _scalars(A, budget):
+    """The ring's scalars in ``ring.scalars()`` order, once A is known to
+    be finite with at most ``budget`` elements."""
     ring = A.ring
     if not ring.enumerable:
         raise NotEnumerable("cannot enumerate over an infinite ring")
-    n = ring.size
-    total = n ** A.dim
+    total = ring.size ** A.dim
     if total > budget:
         raise BudgetExceeded(
             f"{total} elements exceed the enumeration budget {budget}"
         )
-    scalars = list(ring.scalars())
-    digits = [0] * A.dim
+    return list(ring.scalars())
+
+
+def _odometer(scalars, prefix, width):
+    """prefix followed by every tuple of ``width`` scalars, lexicographic
+    with the first coordinate most significant; an odometer, not a library
+    product, to keep this path independent."""
+    n = len(scalars)
+    digits = [0] * width
     while True:
-        yield tuple(scalars[i] for i in digits)
-        pos = A.dim - 1
+        yield prefix + tuple(scalars[i] for i in digits)
+        pos = width - 1
         while pos >= 0:
             digits[pos] += 1
             if digits[pos] < n:
@@ -48,6 +62,51 @@ def enumerate_elements(A, budget=DEFAULT_BUDGET):
             pos -= 1
         if pos < 0:
             return
+
+
+def enumerate_elements(A, budget=DEFAULT_BUDGET):
+    """Every coordinate vector over the (finite) ring, in odometer order."""
+    yield from _odometer(_scalars(A, budget), (), A.dim)
+
+
+def _units(ring, scalars):
+    """The scalars u with u*v = 1 for some scalar v."""
+    one = ring.one
+    return [u for u in scalars if any(ring.mul(u, v) == one for v in scalars)]
+
+
+def representatives(A, budget=DEFAULT_BUDGET):
+    """The elements x that come first in odometer order among their
+    multiples u*x by the units u, in odometer order.
+
+    x is one iff each digit x_i is the least of its multiples u*x_i over
+    the units u that fix x_1..x_{i-1}: at the first digit where u*x and x
+    differ, u fixes the digits before it.  The digits are chosen one at a
+    time; once only 1 fixes the prefix, every tail is allowed."""
+    ring, d = A.ring, A.dim
+    scalars = _scalars(A, budget)
+    rank = {s: i for i, s in enumerate(scalars)}
+    steps = {}
+
+    def step(fixing):
+        # the digits least among their multiples by ``fixing``, each with
+        # the units of ``fixing`` that fix it
+        if fixing not in steps:
+            steps[fixing] = [
+                (c, tuple(u for u in fixing if ring.mul(u, c) == c))
+                for c in scalars
+                if all(rank[c] <= rank[ring.mul(u, c)] for u in fixing)
+            ]
+        return steps[fixing]
+
+    def walk(prefix, fixing):
+        if len(fixing) == 1 or len(prefix) == d:
+            yield from _odometer(scalars, prefix, d - len(prefix))
+            return
+        for c, keep in step(fixing):
+            yield from walk(prefix + (c,), keep)
+
+    yield from walk((), tuple(_units(ring, scalars)))
 
 
 def _grouped(d, cell):
@@ -144,32 +203,37 @@ def brute_center(A, budget=DEFAULT_BUDGET, S=None):
 
 def brute_zk(A, k, budget=DEFAULT_BUDGET, S=None):
     """All a with [a, x]_k = 0 for every x, as a sorted element list, from
-    ``S = _structure(A)`` when given.  For k = 1 the bracket is linear in
-    x, so each a of one streamed enumeration is tested at the d basis
-    elements only; for k >= 2 it is not, and A is enumerated once into a
-    list that serves both loops."""
+    ``S = _structure(A)`` when given.  Only the representatives a are
+    tested, for k = 1 at the d basis elements and for k >= 2 against one
+    held list of the representatives x; each central one is expanded into
+    its orbit {u*a}."""
     if S is None:
         S = _structure(A)
-    elements = enumerate_elements(A, budget)
+    ring = A.ring
+    units = _units(ring, _scalars(A, budget))
+    reps = representatives(A, budget)
     if k > 1:
-        elements = list(elements)
-    tests = _basis(A) if k == 1 else elements
-    return sorted(
-        a for a in elements
+        reps = list(reps)
+    tests = _basis(A) if k == 1 else reps
+    return sorted({
+        tuple(ring.mul(u, c) for c in a)
+        for a in reps
         if not any(any(_bracket_power(A, S, a, x, k)) for x in tests)
-    )
+        for u in units
+    })
 
 
 def brute_k_commuting(G, theta, k, budget=DEFAULT_BUDGET):
-    """(True, None) or (False, first failing x), straight from the
-    definition.  theta(x) and its k brackets with x are summed in plain
+    """(True, None) or (False, the first failing x in odometer order),
+    straight from the definition at the representatives x, which keep that
+    first witness.  theta(x) and its k brackets with x are summed in plain
     ints and reduced once per coordinate: reduction is a ring
     homomorphism from the integers."""
     A = getattr(G, "algebra", G)
     d, normal = A.dim, A.ring.normal
     comm = _structure(A)[1]
     cols = _columns(A, theta)
-    for x in enumerate_elements(A, budget):
+    for x in representatives(A, budget):
         y = _sums(d, cols, (1,), x)
         for _ in range(k):
             y = _sums(d, comm, y, x)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmalg import cli, compiled, jsonio, maps
+from gmalg import cli, compiled, jsonio, maps, oracle
 from gmalg.families import full_matrix_gma
 from gmalg.maps import LinMap
 from gmalg.report import Report
@@ -142,6 +142,24 @@ def test_classify_non_commuting_map_is_a_finding(ctx_m2_z3, tmp_path, capsys):
     doc = json.loads(out)
     assert doc["k_commuting"] is False
     assert "counterexample" in doc
+
+
+def test_classify_cross_checks_the_counterexample(ctx_m2_z3, tmp_path, capsys,
+                                                  monkeypatch):
+    """The oracle's first failing x must be the fast path's witness."""
+    path, G = ctx_m2_z3
+    rows = [list(r) for r in LinMap.identity(G.ring, G.dim).rows]
+    rows[0][1] = 1
+    mpath = write_map(tmp_path, G, LinMap(G.ring, rows))
+    argv = ["classify", path, mpath, "--oracle"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == cli.EXIT_FINDING
+    witness = tuple(json.loads(out)["counterexample"])
+    wrong = (witness[0] + 1) % 3, *witness[1:]
+    monkeypatch.setattr(oracle, "brute_k_commuting", lambda *a: (False, wrong))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EXIT_VIOLATION, "")
+    assert "oracle disagrees on the counterexample" in err
 
 
 def test_sweep_modes_all_pass(ctx_m2_z3, capsys):

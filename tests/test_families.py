@@ -99,7 +99,34 @@ def test_triangular_gma_with_ten_by_ten_block():
     # building validates every context axiom on the matrix positions
     G = triangular_gma(Zmod(3), 11, 1)
     assert G.dims == (1, 10, 0, 55)
-    assert G.ctx.B.labels[9] == "E110"
+    assert G.ctx.B.labels[9] == "E1,10"
+
+
+TWELVE = {
+    "M12": lambda R: [matrix_algebra(R, 12).labels],
+    "T12": lambda R: [triangular_matrix_algebra(R, 12).labels],
+    "inflated M12": lambda R: [inflated_algebra(InflatedSpec(
+        scalar_algebra(R), 12,
+        [[(int(r == c),) for c in range(12)] for r in range(12)])).algebra.labels],
+    **{
+        kind: lambda R, build=build: [
+            labels for G in [build(R)]
+            for labels in (G.ctx.A.labels, G.ctx.B.labels, G.algebra.labels)]
+        for kind, build in [
+            ("full", lambda R: full_matrix_gma(R, 12, 1)),
+            ("triangular", lambda R: triangular_gma(R, 12, 1)),
+            ("triangular lower", lambda R: triangular_gma(R, 12, 11, "lower")),
+            ("block", lambda R: block_triangular_gma(R, (1, 11), 1)),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TWELVE))
+def test_labels_of_twelve_by_twelve_families_are_distinct(kind):
+    # as E{r}{c}, E111 would name both (1, 11) and (11, 1)
+    for labels in TWELVE[kind](Zmod(2)):
+        assert len(set(labels)) == len(labels)
 
 
 def test_block_triangular_gma_dims(b21_z3):

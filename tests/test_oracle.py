@@ -1,6 +1,7 @@
 import ast
 import inspect
 import itertools
+import math
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from gmalg.oracle import (
     brute_properness,
     brute_zk,
     enumerate_elements,
+    representatives,
 )
 from gmalg.rings import Rationals, Zmod
 
@@ -244,6 +246,69 @@ def naive_k_commuting(A, theta, k):
     return True, None
 
 
+def burnside(n, d):
+    """The number of unit orbits {u*x} on (Z/n)^d: the mean over the units
+    u of the gcd(u - 1, n)^d elements that u fixes."""
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    fixed = sum(math.gcd(u - 1, n) ** d for u in units)
+    assert fixed % len(units) == 0
+    return fixed // len(units)
+
+
+ORBIT_ALGEBRAS = [
+    (f"{name}(Z/{n})", build(Zmod(n)))
+    for n in (2, 3, 4, 5, 6, 8, 9, 12)
+    for name, build in [("T2", lambda R: triangular_matrix_algebra(R, 2)),
+                        ("M2", lambda R: matrix_algebra(R, 2))]
+    if n ** build(Zmod(n)).dim <= 5000
+]
+
+
+@pytest.mark.parametrize("label, A", ORBIT_ALGEBRAS,
+                         ids=[label for label, _ in ORBIT_ALGEBRAS])
+def test_representatives_are_the_first_of_their_unit_orbits(label, A):
+    n, d = A.ring.n, A.dim
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    reps = list(representatives(A))
+    assert reps == [x for x in enumerate_elements(A)
+                    if all(x <= tuple(u * c % n for c in x) for u in units)]
+    assert len(reps) == burnside(n, d)
+
+
+def test_representatives_keep_the_budget_refusal():
+    big = matrix_algebra(Zmod(5), 3)
+    with pytest.raises(BudgetExceeded, match="1953125 elements exceed the enumeration budget"):
+        next(representatives(big))
+    with pytest.raises(NotEnumerable):
+        next(representatives(matrix_algebra(Rationals(), 2)))
+
+
+# The reference tests each a against all n^dim elements until one fails,
+# so every central a costs all of them: M2 is taken over Z/4 only and the
+# commutative F[x,y]/(x,y)^2 over Z/4 and Z/6.
+ZK_CASES = [
+    (f"{name}(Z/{n})", build, n, moved)
+    for name, build, moduli in [
+        ("T2", lambda R: triangular_matrix_algebra(R, 2), (4, 6, 9)),
+        ("M2", lambda R: matrix_algebra(R, 2), (4,)),
+        ("F[x,y]/(x,y)^2", square_zero_algebra, (4, 6)),
+    ]
+    for n in moduli
+    for moved in (False, True)
+]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("label, build, n, moved", ZK_CASES,
+                         ids=[f"{lab}{'-moved' if m else ''}"
+                              for lab, _, _, m in ZK_CASES])
+def test_brute_zk_equals_every_a_against_every_x(label, build, n, moved, k):
+    A = build(Zmod(n))
+    if moved:
+        A = _in_random_basis(A, random.Random(label))[0]
+    assert brute_zk(A, k) == naive_zk(A, k)
+
+
 WITNESS_RUNGS = {
     "M2(Z/3)": lambda: full_matrix_gma(Zmod(3), 2, 1),
     "T3(Z/3)": lambda: triangular_gma(Zmod(3), 3, 1),
@@ -255,8 +320,8 @@ WITNESS_RUNGS = {
 @pytest.mark.parametrize("rung", sorted(WITNESS_RUNGS))
 def test_brute_witness_is_the_first_in_order(rung, k, monkeypatch):
     """Perturbed maps fail at the same first x as a naive scan; a proper
-    map is tested at all n^dim elements, and a center search enumerates
-    the algebra exactly once."""
+    map is tested at every unit-orbit representative, and a center search
+    enumerates them exactly once."""
     G = WITNESS_RUNGS[rung]()
     A, R, d = G.algebra, G.ring, G.dim
     rng = random.Random(f"{rung}/{k}")
@@ -268,28 +333,32 @@ def test_brute_witness_is_the_first_in_order(rung, k, monkeypatch):
         assert brute_k_commuting(G, perturbed, k) == naive_k_commuting(A, perturbed, k)
 
     counted = []
-    enumerate_all = oracle.enumerate_elements
+    scan = oracle.representatives
 
     def counting(*args, **kwargs):
-        for x in enumerate_all(*args, **kwargs):
+        for x in scan(*args, **kwargs):
             counted.append(x)
             yield x
 
-    monkeypatch.setattr(oracle, "enumerate_elements", counting)
+    monkeypatch.setattr(oracle, "representatives", counting)
     proper = LinMap.identity(R, d).scale(2)
     assert brute_k_commuting(G, proper, k) == (True, None)
-    assert len(counted) == R.n ** d
+    assert len(counted) == burnside(R.n, d)
     counted.clear()
     brute_center(A)
-    assert len(counted) == R.n ** d
+    assert len(counted) == burnside(R.n, d)
 
 
-def naive_center(A):
-    """Every a that commutes with every x, each a tested against all
+def naive_zk(A, k):
+    """Every a with [a, x]_k = 0 for every x, each a tested against all
     n^dim elements."""
     elements = list(itertools.product(A.ring.scalars(), repeat=A.dim))
     return [a for a in elements
-            if all(A.is_zero(A.iterated_bracket(a, x, 1)) for x in elements)]
+            if all(A.is_zero(A.iterated_bracket(a, x, k)) for x in elements)]
+
+
+def naive_center(A):
+    return naive_zk(A, 1)
 
 
 # The reference costs up to n^dim brackets per element; T3 over Z/6 and
@@ -332,8 +401,8 @@ COUNTED = {
 
 @pytest.mark.parametrize("label", sorted(COUNTED))
 def test_center_search_brackets_at_the_basis(label, monkeypatch):
-    """At most d brackets per element, n^dim of them; a commutative
-    algebra, where every element is central, takes exactly that many."""
+    """At most d brackets per representative; a commutative algebra,
+    where every element is central, takes exactly that many."""
     A = COUNTED[label]()
     calls = []
     bracket = oracle._bracket_power
@@ -344,7 +413,7 @@ def test_center_search_brackets_at_the_basis(label, monkeypatch):
 
     monkeypatch.setattr(oracle, "_bracket_power", counting)
     center = brute_center(A)
-    bound = A.dim * A.ring.n ** A.dim
+    bound = A.dim * len(list(representatives(A)))
     assert len(calls) <= bound and set(calls) == {1}
     if len(center) == A.ring.n ** A.dim:
         assert len(calls) == bound
