@@ -17,7 +17,6 @@ from .maps import (
     MapSpace,
     is_k_commuting,
     commuting_space,
-    decompose,
     verify_structure_conditions,
     check_properness_hypotheses,
     construct_proper_form,
@@ -48,7 +47,7 @@ __all__ = [
     "Algebra", "Submodule", "iter_vectors", "scalar_multiples_of",
     "Bimodule", "MoritaContext", "GMAlgebra", "build_gma",
     "validate_context", "check_faithful", "center_iso_phi", "transpose",
-    "LinMap", "MapSpace", "is_k_commuting", "commuting_space", "decompose",
+    "LinMap", "MapSpace", "is_k_commuting", "commuting_space",
     "verify_structure_conditions", "check_properness_hypotheses",
     "construct_proper_form", "properness_certificate",
     "verify_proper_form_steps", "has_scalar_engel_centers",

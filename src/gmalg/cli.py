@@ -142,23 +142,17 @@ def cmd_classify(args):
 
 
 def _sweep_one(G, mode, k, hyp, theta, rows):
-    """(True, None), or (False, the witness as JSON data): the failing
-    lines of the report as ``Report.to_json`` writes them, or the basis
-    index where the proper form does not reassemble theta.
+    """(True, None), or (False, the failing lines of the report as
+    ``Report.to_json`` writes them).
 
     A structure or step report is decided by its ``rows`` (see
     ``compiled.ReportRows``); only when a line fails there is the per-line
-    report run, and its witnesses are the ones written."""
+    report run, and its witnesses are the ones written.  The proper form
+    reassembles theta by construction (its residual is theta(e_j) - e_j*C),
+    so what is checked there are its two guards, a central shift and a
+    central residual, which raise ``TheoremViolation``."""
     if mode == "proper":
-        # construct the split, then confirm exact reassembly
-        pf = maps.construct_proper_form(G, theta, k, hypotheses=hyp)
-        alg = G.algebra
-        for j in range(G.dim):
-            ej = alg.basis_vector(j)
-            lhs = theta.apply(ej)
-            rhs = alg.add(alg.mul(ej, pf.center_shift), pf.residual_map.column(j))
-            if lhs != rhs:
-                return False, {"basis_index": j}
+        maps.construct_proper_form(G, theta, k, hypotheses=hyp)
         return True, None
     verdict = maps.is_k_commuting(G, theta, k)
     if verdict[0] and rows.passes(theta):

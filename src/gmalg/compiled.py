@@ -1,27 +1,37 @@
-"""The structure and step reports compiled to rows over vec(theta).
+"""The structure and step reports, each line written once.
 
 Every line of ``maps.verify_structure_conditions`` and of
-``maps.verify_proper_form_steps`` is linear in the map theta.
-``structure_rows`` and ``step_rows`` compile each report, once per (G, k),
-into sparse rows over the entries of theta, one list per ``cond_id`` in
-report order (``ReportRows``); a map passes a line iff every row of the
-line vanishes on it.  A sweep decides its maps from these rows and runs the
-per-line report, the only source of witnesses, on a map that fails a line.
-``classify`` sees one map, and compiling costs about as much as checking it
-line by line, so it keeps the per-line report.
+``maps.verify_proper_form_steps`` is an identity linear in the map theta,
+read off theta's block components.  ``structure_lines`` and ``step_lines``
+write each line once against a side of G (``_Side``): the line's elements
+are built with ``image``, ``at_unit``, ``act``, ``diag`` and ``combine``,
+and its reading names the target its points must meet: 0 (``zero``), a
+submodule (``within``, ``member``: an order-k center or Z(G)), the
+degree-2 identity in a module variable (``lattice``) or k-commuting on A
+(``commuting``).  A side has two readings:
 
-Each N-side line is built as its M-side line read on the transpose (see
-``maps.BlockDecomposition.sides``).
+- ``_Forms`` (here) reads an element's coordinates as rows over
+  vec(theta), and a line as the rows that all vanish iff it passes.
+  ``structure_rows`` and ``step_rows`` compile a report so, once per
+  (G, k), and a sweep decides its maps from the rows (``ReportRows``).
+- ``maps._Values`` reads the elements as values for one theta and a line
+  point by point, in the order the rows are built; the first failing point
+  gives the witness.  That is the per-line report, the only source of
+  witnesses.  ``classify`` sees one map, and compiling costs about as much
+  as checking it line by line, so it runs the per-line report.
+
+Each N-side line is its M-side line read on the transpose [B N; M A]
+(``GMAlgebra.transposed_ctx``): block names pass through A<->B and M<->N,
+diag(a, b) is read as diag(b, a), and witness keys pass through a<->b and
+m<->n.
 """
 
 import itertools
-from collections import namedtuple
 from math import comb, prod
 from operator import mul
 
 from . import linalg
 from .algebra import lattice_points, vanishing_rows
-from .maps import _SWAP, RANGE_LINES, ZERO_LINES
 from .morita import BLOCKS
 
 
@@ -66,32 +76,61 @@ def _packed(rows):
     return [(tuple(row), tuple(row.values())) for row in rows]
 
 
-class _Forms(namedtuple("_Forms", ["G", "ctx", "names"])):
-    """Elements whose coordinates are linear in theta, read on one side of G.
+_SAME = dict(zip(BLOCKS, BLOCKS))
+_SWAP = {"A": "B", "B": "A", "M": "N", "N": "M"}
+_SWAP_KEYS = {"a_index": "b_index", "b_index": "a_index",
+              "m_index": "n_index", "n_index": "m_index"}
 
-    Such an element (a form) is a dict: coordinate -> its row over vec(theta)
-    (as in ``ReportRows``).  Forms are summed in int (or Fraction)
-    arithmetic and brought to normal form only as rows (``_normal_rows``).
-    ``names`` maps this side's block names to G's: the identity on the M
-    side, A<->B and M<->N on the N side, whose context ``ctx`` is the
-    transpose (as in ``maps.BlockDecomposition.sides``)."""
+
+class _Side:
+    """One side of G: the context ``ctx`` it is read in (G's, or the
+    transpose's on the N side), ``names`` from this side's block names to
+    G's, and ``keys`` from its witness keys to G's.
+
+    A line's elements are built with ``image(src, dst, v)`` (the src -> dst
+    component of theta at v), ``at_unit(src, dst)``, ``act(product, x, y)``
+    (a product of the context: "am", "mb", "bn" or "na", as in
+    ``morita.MoritaContext``), ``diag(a, b)`` and ``combine(*(c, x))``
+    (the sum of the c*x).  Its points are given as in
+    ``report.first_failure``: ``at(*i)`` for i over ``ranges``, named by
+    ``keys`` in a witness (None: the line reports none).  The readings are
+    ``zero(keys, at, *ranges)``, ``within(S, keys, at, *ranges,
+    image=False)``, ``member(S, x)``, ``lattice(defect)`` for a map
+    m -> element of degree <= 2 on this side's M, and ``commuting(k)``."""
+
+    def __init__(self, G, ctx, names, keys):
+        self.G, self.ctx, self.names, self.keys = G, ctx, names, keys
+        # for ``act``: each product's nonzero terms and the dimension of
+        # its module
+        M, N = ctx.M, ctx.N
+        self._products = {"am": (M._left, M.dim), "mb": (M._right, M.dim),
+                          "bn": (N._left, N.dim), "na": (N._right, N.dim)}
+
+    @classmethod
+    def pair(cls, G, *args):
+        """The M side and the N side of G."""
+        return (cls(G, G.ctx, _SAME, {}, *args),
+                cls(G, G.transposed_ctx(), _SWAP, _SWAP_KEYS, *args))
+
+    def at_unit(self, src, dst):
+        return self.image(src, dst, getattr(self.ctx, src).unit)
+
+
+class _Forms(_Side):
+    """A side read as rows.  An element (a form) is a dict: coordinate ->
+    its row over vec(theta) (as in ``ReportRows``).  Forms are summed in
+    int (or Fraction) arithmetic and brought to normal form only as rows
+    (``_normal_rows``); each reading returns its line's rows."""
 
     def image(self, src, dst, v):
-        """The src -> dst component of theta applied to v."""
         G = self.G
         cols = G.block_range(self.names[src])
         return {i: row for i, r in enumerate(G.block_range(self.names[dst]))
                 if (row := {r * G.dim + c: x for c, x in zip(cols, v) if x})}
 
-    def at_unit(self, src, dst):
-        return self.image(src, dst, getattr(self.ctx, src).unit)
-
     def act(self, product, x, y):
-        """The ``product`` of the context ("am", "mb", "bn" or "na", as in
-        ``morita.MoritaContext``) at (x, y), one of them a form."""
-        c = self.ctx
-        terms = {"am": c.M._left, "mb": c.M._right,
-                 "bn": c.N._left, "na": c.N._right}[product]
+        """One of x, y is a form."""
+        terms = self._products[product][0]
         if isinstance(x, dict):
             pairs = ((row, terms[i][j], s) for i, row in x.items()
                      for j, s in enumerate(y) if s)
@@ -105,15 +144,34 @@ class _Forms(namedtuple("_Forms", ["G", "ctx", "names"])):
         return out
 
     def diag(self, a, b):
-        """diag(a, b) as an element of G."""
         off = self.G.offsets
         return {off[self.names[name]] + i: row
                 for name, form in (("A", a), ("B", b)) for i, row in form.items()}
 
-    def commuting_rows(self, k):
-        """The rows of the A -> A component k-commuting on A: those of
-        ``vanishing_rows`` on ``A.commuting_coefficients(k)``, re-indexed
-        from A's flat indices to G's."""
+    @staticmethod
+    def combine(*terms):
+        out = {}
+        for c, form in terms:
+            for i, row in form.items():
+                _add_row(out.setdefault(i, {}), c, row)
+        return out
+
+    def zero(self, keys, at, *ranges):
+        return _rows(self.G.ring, itertools.starmap(at, itertools.product(*ranges)))
+
+    def within(self, S, keys, at, *ranges, image=False):
+        return _rows(self.G.ring, itertools.starmap(at, itertools.product(*ranges)),
+                     _annihilator(S))
+
+    def member(self, S, x):
+        return _rows(self.G.ring, [x], _annihilator(S))
+
+    def lattice(self, defect):
+        return _lattice_rows(self.G.ring, self.ctx.M.dim, defect)
+
+    def commuting(self, k):
+        """The rows of ``vanishing_rows`` on ``A.commuting_coefficients(k)``,
+        re-indexed from A's flat indices to G's."""
         A, G = self.ctx.A, self.G
         off, dA = G.offsets[self.names["A"]], A.dim
         return [{(off + t // dA) * G.dim + off + t % dA: v for t, v in row.items()}
@@ -121,24 +179,10 @@ class _Forms(namedtuple("_Forms", ["G", "ctx", "names"])):
                 for row in block]
 
 
-def _form_sides(G):
-    return (_Forms(G, G.ctx, {b: b for b in BLOCKS}),
-            _Forms(G, G.transposed_ctx(), _SWAP))
-
-
 def _add_row(acc, c, row):
     """acc += c*row."""
     for t, v in row.items():
         acc[t] = acc.get(t, 0) + c * v
-
-
-def _combine(*terms):
-    """The sum of c*form over the (c, form) in ``terms``."""
-    out = {}
-    for c, form in terms:
-        for i, row in form.items():
-            _add_row(out.setdefault(i, {}), c, row)
-    return out
 
 
 def _normal_rows(ring, form):
@@ -168,7 +212,7 @@ def _rows(ring, forms, ann=None):
             out += _normal_rows(ring, form)
             continue
         for w in ann:
-            out += _normal_rows(ring, _combine(
+            out += _normal_rows(ring, _Forms.combine(
                 *((w[i], {0: row}) for i, row in form.items() if w[i])))
     return out
 
@@ -179,138 +223,171 @@ def _lattice_rows(ring, dim, defect):
     differences D^alpha f(0) = sum over beta <= alpha of
     (-1)^|alpha - beta| C(alpha, beta) f(beta), at the lattice points
     alpha (``lattice_points``).  They are the values at the lattice points,
-    on which the per-line code decides (``algebra.lattice_check``), combined
-    unitriangularly, so they vanish together; and they are sparser, since
-    a difference drops the terms of lower degree."""
+    on which the values reading decides (``algebra.lattice_check``),
+    combined unitriangularly, so they vanish together; and they are
+    sparser, since a difference drops the terms of lower degree."""
     values, out = {}, []
     for alpha in lattice_points(ring, dim, 2):
         values[alpha] = defect(tuple(map(ring.coerce, alpha)))
-        out += _normal_rows(ring, _combine(*(
+        out += _normal_rows(ring, _Forms.combine(*(
             ((-1) ** (sum(alpha) - sum(beta)) * prod(map(comb, alpha, beta)), values[beta])
             for beta in itertools.product(*(range(a + 1) for a in alpha))
         )))
     return out
 
 
-def structure_rows(G, k):
-    """``maps.verify_structure_conditions`` compiled to rows (see
-    ``ReportRows``), exact for every map on every ring: the degree-2 balance
-    identity is decided on the lattice points (``_lattice_rows``) as the
-    per-line code does, and every other line on the basis elements it
-    reads."""
-    rg, ctx = G.ring, G.ctx
-    sides = _form_sides(G)
+def _mirrored(sides, builders):
+    """For each ((M-side id, N-side id), build): the line built on the M
+    side, then on the N side."""
+    return [(cid, build(side)) for ids, build in builders
+            for cid, side in zip(ids, sides)]
+
+
+# the components that vanish, and those that range in the order-k center of
+# their target, in report order
+ZERO_LINES = (
+    ("A", "M", "a_to_m_zero"),
+    ("A", "N", "a_to_n_zero"),
+    ("B", "M", "b_to_m_zero"),
+    ("B", "N", "b_to_n_zero"),
+    ("N", "M", "n_to_m_zero"),
+    ("M", "N", "m_to_n_zero"),
+)
+RANGE_LINES = (
+    ("M", "A", "m_to_a_engel_range"),
+    ("N", "A", "n_to_a_engel_range"),
+    ("B", "A", "b_to_a_engel_range"),
+    ("A", "B", "a_to_b_engel_range"),
+    ("M", "B", "m_to_b_engel_range"),
+    ("N", "B", "n_to_b_engel_range"),
+)
+
+
+def structure_lines(sides, k):
+    """The structural consequences that every k-commuting map satisfies, as
+    (cond_id, the line read on ``sides``) in report order: six vanishing
+    components, six components ranging in the order-k centers, the two
+    diagonal components k-commuting with central unit images, and four
+    compatibility identities between the off-diagonal components."""
     F = sides[0]
+    ctx = F.ctx
     spaces = dict(zip(BLOCKS, (ctx.A, ctx.M, ctx.N, ctx.B)))
 
     def images(src, dst):
-        return (F.image(src, dst, e) for e in spaces[src].basis())
+        basis = spaces[src].basis()
+        return (lambda p: F.image(src, dst, basis[p])), range(len(basis))
 
-    lines = [(cid, _rows(rg, images(src, dst))) for src, dst, cid in ZERO_LINES]
-    lines += [(cid, _rows(rg, images(src, dst), _annihilator(spaces[dst].engel_center(k))))
+    lines = [(cid, F.zero(None, *images(src, dst))) for src, dst, cid in ZERO_LINES]
+    lines += [(cid, F.within(spaces[dst].engel_center(k), ("basis_index",),
+                             *images(src, dst), image=True))
               for src, dst, cid in RANGE_LINES]
     for side, (kc_id, unit_id) in zip(sides, (
         ("diag_a_k_commuting", "diag_a_unit_engel"),
         ("diag_b_k_commuting", "diag_b_unit_engel"),
     )):
-        lines.append((kc_id, side.commuting_rows(k)))
-        lines.append((unit_id, _rows(rg, [side.at_unit("A", "A")],
-                                     _annihilator(side.ctx.A.engel_center(k)))))
+        lines.append((kc_id, side.commuting(k)))
+        lines.append((unit_id, side.member(side.ctx.A.engel_center(k),
+                                           side.at_unit("A", "A"))))
 
     def sums(side, sign):
         # d1(1) + sign*d4(1) and m1(1) + sign*m4(1)
-        return (_combine((1, side.at_unit("A", dst)), (sign, side.at_unit("B", dst)))
+        return (side.combine((1, side.at_unit("A", dst)), (sign, side.at_unit("B", dst)))
                 for dst in "AB")
 
     def balance(side):
-        c = side.ctx
+        # (d1(1)+d4(1)+2*d2(m))*m = m*(m1(1)+m4(1)+2*m2(m)); degree two in
+        # m, so checking the basis is not enough
         sumA, sumB = sums(side, 1)
-        return _lattice_rows(rg, c.M.dim, lambda m: _combine(
-            (1, side.act("am", _combine((1, sumA), (2, side.image("M", "A", m))), m)),
-            (-1, side.act("mb", m, _combine((1, sumB), (2, side.image("M", "B", m))))),
+        return side.lattice(lambda m: side.combine(
+            (1, side.act("am", side.combine((1, sumA), (2, side.image("M", "A", m))), m)),
+            (-1, side.act("mb", m, side.combine((1, sumB), (2, side.image("M", "B", m))))),
         ))
 
     def doubling(side):
-        c = side.ctx
+        # 2*m3(m) = (d1(1)-d4(1))*m - m*(m1(1)-m4(1))
         difA, difB = sums(side, -1)
-        return _rows(rg, (_combine(
-            (2, side.image("M", "M", m)), (-1, side.act("am", difA, m)),
-            (1, side.act("mb", m, difB)),
-        ) for m in c.M.basis()))
+        em = side.ctx.M.basis()
+        return side.zero(("basis_index",), lambda p: side.combine(
+            (2, side.image("M", "M", em[p])), (-1, side.act("am", difA, em[p])),
+            (1, side.act("mb", em[p], difB)),
+        ), range(len(em)))
 
-    lines += _mirrored_rows(sides, (
+    return lines + _mirrored(sides, (
         (("m_balance_symmetrized", "n_balance_symmetrized"), balance),
         (("m_to_m_doubling", "n_to_n_doubling"), doubling),
     ))
-    return ReportRows(rg, lines)
 
 
-def _mirrored_rows(sides, builders):
-    """The rows of each line on the M side, then on the N side (see
-    ``maps._add_mirrored``)."""
-    return [(cid, build(side)) for ids, build in builders
-            for cid, side in zip(ids, sides)]
-
-
-def step_rows(G, k):
-    """``maps.verify_proper_form_steps`` compiled to rows (see ``ReportRows``).
-    The quadratic balance is decided on the lattice points
-    (``_lattice_rows``), every other line on the basis elements (pairs)
-    the per-line code reads."""
-    rg, ctx = G.ring, G.ctx
-    sides = _form_sides(G)
-    zann = _annihilator(G.gma_center())
+def step_lines(sides, k):
+    """The intermediate identities on the way to the proper form, as
+    (cond_id, the line read on ``sides``) in report order."""
+    F = sides[0]
+    ctx = F.ctx
+    zG = F.G.gma_center()
 
     def quadratic(side):
-        c = side.ctx
-        return _lattice_rows(rg, c.M.dim, lambda m: _combine(
+        return side.lattice(lambda m: side.combine(
             (1, side.act("am", side.image("M", "A", m), m)),
             (-1, side.act("mb", m, side.image("M", "B", m))),
         ))
 
     def compat(side):
-        c = side.ctx
-        return _rows(rg, (_combine(
-            (1, side.act("am", side.image("N", "A", n), m)),
-            (-1, side.act("mb", m, side.image("N", "B", n))),
-        ) for n in c.N.basis() for m in c.M.basis()))
+        em, en = side.ctx.M.basis(), side.ctx.N.basis()
+        return side.zero(("n_index", "m_index"), lambda q, p: side.combine(
+            (1, side.act("am", side.image("N", "A", en[q]), em[p])),
+            (-1, side.act("mb", em[p], side.image("N", "B", en[q]))),
+        ), range(len(en)), range(len(em)))
 
     def diag_central(side):
-        return _rows(rg, (side.diag(side.image("M", "A", m), side.image("M", "B", m))
-                          for m in side.ctx.M.basis()), zann)
+        em = side.ctx.M.basis()
+        return side.within(zG, ("m_index",), lambda p: side.diag(
+            side.image("M", "A", em[p]), side.image("M", "B", em[p])), range(len(em)))
 
-    lines = _mirrored_rows(sides, (
+    lines = _mirrored(sides, (
         (("m_to_a_quadratic_balance", "n_to_a_quadratic_balance"), quadratic),
         (("n_to_a_m_compat", "m_to_b_n_compat"), compat),
         (("m_to_diag_central", "n_to_diag_central"), diag_central),
     ))
 
-    # the unit reductions, as written (see ``maps.verify_proper_form_steps``)
-    F = sides[0]
+    # the unit reductions agree under transposition only modulo the balance
+    # identity, so each is written out on the M side
     d1_1, m1_1 = F.at_unit("A", "A"), F.at_unit("A", "B")
     eA, eB, em, en = ctx.A.basis(), ctx.B.basis(), ctx.M.basis(), ctx.N.basis()
     AA, AB = ([F.image("A", dst, a) for a in eA] for dst in "AB")
     BA, BB = ([F.image("B", dst, b) for b in eB] for dst in "AB")
-    m_inner = [_combine((1, F.act("am", d1_1, m)), (-1, F.act("mb", m, m1_1)))
+    # d1(1)*m - m*m1(1) and n*d1(1) - m1(1)*n
+    m_inner = [F.combine((1, F.act("am", d1_1, m)), (-1, F.act("mb", m, m1_1)))
                for m in em]
-    n_inner = [_combine((1, F.act("na", n, d1_1)), (-1, F.act("bn", m1_1, n)))
+    n_inner = [F.combine((1, F.act("na", n, d1_1)), (-1, F.act("bn", m1_1, n)))
                for n in en]
-    lines += [
-        ("diag_a_unit_reduction_m", _rows(rg, (_combine(
-            (1, F.act("am", AA[i], m)), (-1, F.act("mb", m, AB[i])),
-            (-1, F.act("am", a, m_inner[p])),
-        ) for i, a in enumerate(eA) for p, m in enumerate(em)))),
-        ("diag_a_unit_reduction_n", _rows(rg, (_combine(
-            (1, F.act("na", n_inner[q], a)), (-1, F.act("na", n, AA[i])),
-            (1, F.act("bn", AB[i], n)),
-        ) for i, a in enumerate(eA) for q, n in enumerate(en)))),
-        ("diag_b_unit_reduction_m", _rows(rg, (_combine(
-            (1, F.act("am", BA[j], m)), (-1, F.act("mb", m, BB[j])),
-            (1, F.act("mb", m_inner[p], b)),
-        ) for j, b in enumerate(eB) for p, m in enumerate(em)))),
-        ("diag_b_unit_reduction_n", _rows(rg, (_combine(
-            (1, F.act("bn", BB[j], n)), (-1, F.act("na", n, BA[j])),
-            (-1, F.act("bn", b, n_inner[q])),
-        ) for j, b in enumerate(eB) for q, n in enumerate(en)))),
+    return lines + [
+        ("diag_a_unit_reduction_m", F.zero(("a_index", "m_index"), lambda i, p: F.combine(
+            (1, F.act("am", AA[i], em[p])), (-1, F.act("mb", em[p], AB[i])),
+            (-1, F.act("am", eA[i], m_inner[p])),
+        ), range(len(eA)), range(len(em)))),
+        ("diag_a_unit_reduction_n", F.zero(("a_index", "n_index"), lambda i, q: F.combine(
+            (1, F.act("na", n_inner[q], eA[i])), (-1, F.act("na", en[q], AA[i])),
+            (1, F.act("bn", AB[i], en[q])),
+        ), range(len(eA)), range(len(en)))),
+        ("diag_b_unit_reduction_m", F.zero(("b_index", "m_index"), lambda j, p: F.combine(
+            (1, F.act("am", BA[j], em[p])), (-1, F.act("mb", em[p], BB[j])),
+            (1, F.act("mb", m_inner[p], eB[j])),
+        ), range(len(eB)), range(len(em)))),
+        ("diag_b_unit_reduction_n", F.zero(("b_index", "n_index"), lambda j, q: F.combine(
+            (1, F.act("bn", BB[j], en[q])), (-1, F.act("na", en[q], BA[j])),
+            (-1, F.act("bn", eB[j], n_inner[q])),
+        ), range(len(eB)), range(len(en)))),
     ]
-    return ReportRows(rg, lines)
+
+
+def structure_rows(G, k):
+    """``structure_lines`` compiled to rows (see ``ReportRows``), exact for
+    every map on every ring: the degree-2 balance identity is decided on
+    the lattice points (``_lattice_rows``) as the values reading does, and
+    every other line on the basis elements it reads."""
+    return ReportRows(G.ring, structure_lines(_Forms.pair(G), k))
+
+
+def step_rows(G, k):
+    """``step_lines`` compiled to rows (see ``ReportRows``)."""
+    return ReportRows(G.ring, step_lines(_Forms.pair(G), k))

@@ -1,23 +1,24 @@
 """Linear self-maps of a generalized matrix algebra.
 
 Covers: the k-commuting test, the linear solution space of all k-commuting
-maps, the sixteen-block decomposition of a self-map, the structure-condition
-report for k-commuting maps, the sufficient-hypothesis check and the
-proper-form construction, plus a hypothesis-free properness decision.
+maps, the structure-condition report for k-commuting maps, the
+sufficient-hypothesis check and the proper-form construction, plus a
+hypothesis-free properness decision.
 
-The reports here are checked line by line and are the only source of
-witnesses.  Every line of the structure and step reports is linear in the
-map, and ``gmalg.compiled`` compiles each report into rows, once per
-(G, k), from which a sweep decides its maps.
+Each line of the structure and step reports is written once, in
+``gmalg.compiled``, against a side of G.  Here a side is read as values
+for one map (``_Values``), and the reports are checked line by line: they
+are the only source of witnesses.  A sweep reads the same lines as rows,
+compiled once per (G, k).
 """
 
-import copy
 import itertools
 from collections import namedtuple
 
-from . import linalg
+from . import compiled, linalg
 from .algebra import (
     Submodule,
+    _bilinear,
     evaluator,
     iter_vectors,
     lattice_check,
@@ -35,7 +36,7 @@ from .errors import (
     TwoTorsion,
 )
 from .morita import BLOCKS
-from .report import Report, first_failure
+from .report import Report, failures
 
 
 class LinMap:
@@ -231,141 +232,104 @@ def commuting_space(G, k):
     return MapSpace(alg, Submodule(alg.ring, d * d, gens))
 
 
-class BlockDecomposition:
-    """The sixteen source-block -> target-block components of a self-map."""
+class _Values(compiled._Side):
+    """A side of G read as values for one map theta (see ``compiled``): an
+    element is a coordinate sequence in normal form, so that integral data
+    keep int arithmetic over Q.  Each reading evaluates its line point by
+    point, to (passed, witness); the witness is the first failing point,
+    its keys named for G."""
 
-    def __init__(self, G, theta):
-        if theta.dim != G.dim:
-            raise DimensionMismatch("map dimension does not match the algebra")
-        self.G = G
+    def __init__(self, G, ctx, names, keys, theta, components):
+        super().__init__(G, ctx, names, keys)
         self.theta = theta
         self.ring = G.ring
-        self._units = {"A": G.ctx.A.unit, "B": G.ctx.B.unit}
-        self._blocks = {}
-        self._cols = {}
-        for src in BLOCKS:
-            for dst in BLOCKS:
-                self._store((src, dst), tuple(
-                    tuple(theta.rows[r][c] for c in G.block_range(src))
-                    for r in G.block_range(dst)
-                ))
+        size = dict(zip(BLOCKS, G.dims))
+        self._components = {(s, d): (size[names[d]], components[names[s], names[d]])
+                            for s in BLOCKS for d in BLOCKS}
 
-    def _store(self, key, rows):
-        """Keep a component as its rows and, for ``apply``, as the nonzero
-        (row, entry) pairs of each column."""
-        self._blocks[key] = rows
-        self._cols[key] = tuple(
-            tuple((r, row[c]) for r, row in enumerate(rows) if row[c])
-            for c in range(len(rows[0]) if rows else 0)
-        )
+    @classmethod
+    def pair(cls, G, theta):
+        """The two sides of theta, which share its components: for each
+        pair of G's blocks, the nonzero (row, entry) pairs of each column,
+        the rows counted within the target block."""
+        if theta.dim != G.dim:
+            raise DimensionMismatch("map dimension does not match the algebra")
+        block_of = [(name, i) for name, size in zip(BLOCKS, G.dims) for i in range(size)]
+        components = {(s, d): [[] for _ in G.block_range(s)] for s in BLOCKS for d in BLOCKS}
+        for (src, c), col in zip(block_of, theta._cols):
+            for r, x in col:
+                dst, i = block_of[r]
+                components[src, dst][c].append((i, x))
+        return super().pair(G, theta, components)
 
     def block(self, src, dst):
-        return self._blocks[(src, dst)]
+        """The src -> dst component as a matrix."""
+        cols = self.G.block_range(self.names[src])
+        return tuple(self.theta.rows[r][cols.start:cols.stop]
+                     for r in self.G.block_range(self.names[dst]))
 
-    def set_block(self, src, dst, matrix):
-        """Test hook: overwrite one component (negative controls only)."""
-        rows = tuple(
-            tuple(self.ring.coerce(c) for c in r) for r in matrix
-        )
-        if list(map(len, rows)) != list(map(len, self._blocks[(src, dst)])):
-            raise DimensionMismatch("block shape mismatch")
-        self._store((src, dst), rows)
-
-    def apply(self, src, dst, v):
-        """The component applied to ``v``, over the nonzero coordinates of
-        ``v`` and the nonzero entries of their columns only."""
+    def image(self, src, dst, v):
+        """Over the nonzero coordinates of ``v`` and the nonzero entries of
+        their columns only.  The points of a line are basis elements, units
+        and lattice points, whose coordinates are mostly 0 and 1, so a
+        factor 1 and a zero partial sum are skipped: testing that is much
+        cheaper than Fraction arithmetic."""
+        size, cols = self._components[src, dst]
         rg = self.ring
-        out = [rg.zero] * len(self._blocks[(src, dst)])
-        for x, col in zip(v, self._cols[(src, dst)]):
+        out = [rg.zero] * size
+        for x, col in zip(v, cols):
             if x:
                 for r, c in col:
-                    out[r] = rg.add(out[r], rg.mul(c, x))
+                    if x != 1:
+                        c = rg.mul(c, x)
+                    out[r] = rg.add(out[r], c) if out[r] else c
         return tuple(out)
 
-    def block_is_zero(self, src, dst):
-        return not any(self._cols[(src, dst)])
+    def act(self, product, x, y):
+        return _bilinear(self.ring, x, y, *self._products[product])
 
-    def at_unit(self, src, dst):
-        """Component applied to the unit of the source algebra (A or B)."""
-        return self.apply(src, dst, self._units[src])
-
-    def reassemble(self):
-        cols = []
-        for j in range(self.G.dim):
-            src, loc = self.G.block_of_index(j)
-            e = tuple(
-                self.ring.one if t == loc else self.ring.zero
-                for t in range(len(self.G.block_range(src)))
-            )
-            # the column is the images in every block, in basis order
-            cols.append(sum((self.apply(src, dst, e) for dst in BLOCKS), ()))
-        return LinMap.from_columns(self.ring, cols)
-
-    def component_map(self, src, dst):
-        """The component as a LinMap on the source algebra (square blocks
-        only: A->A and B->B)."""
-        return LinMap(self.ring, self.block(src, dst))
-
-    def transposed(self):
-        """These components read on [B N; M A] (see ``morita.transpose``):
-        block names pass through A<->B, M<->N.  The view belongs to no
-        built algebra, so it has no ``G``, ``theta`` or ``reassemble``."""
-        view = copy.copy(self)
-        view.G = view.theta = None
-        view._units = {_SWAP[s]: u for s, u in self._units.items()}
-        view._blocks, view._cols = (
-            {(_SWAP[s], _SWAP[d]): v for (s, d), v in parts.items()}
-            for parts in (self._blocks, self._cols)
-        )
-        return view
-
-    def sides(self):
-        """The M side and the N side of these components.
-
-        The N side is the M side of the transpose: context
-        ``G.transposed_ctx()``, the ``transposed`` blocks, diagonal pairs
-        diag(a, b) read as diag(b, a), and witness keys with a<->b and
-        m<->n exchanged.  Checks written once for the M side thus cover
-        both."""
+    def diag(self, a, b):
         G = self.G
+        out = [self.ring.zero] * G.dim
+        for name, x in (("A", a), ("B", b)):
+            off = G.offsets[self.names[name]]
+            out[off:off + len(x)] = x
+        return tuple(out)
 
-        def central(a, b):
-            return G.gma_center().contains(G.embed_diag(a, b))
+    def combine(self, *terms):
+        (c, x), *rest = terms
+        out = list(x) if c == 1 else [c * v for v in x]
+        for c, x in rest:
+            for i, v in enumerate(x):
+                if v:
+                    out[i] += v if c == 1 else -v if c == -1 else c * v
+        return list(map(self.ring.normal, out))
 
-        return (
-            Side(G.ctx, self, central, {}),
-            Side(G.transposed_ctx(), self.transposed(),
-                 lambda b, a: central(a, b), _SWAP_KEYS),
-        )
+    def zero(self, keys, at, *ranges):
+        return self._first(keys, lambda *i: not any(at(*i)), ranges)[:2]
 
+    def within(self, S, keys, at, *ranges, image=False):
+        ok, wit, bad = self._first(keys, lambda *i: S.contains(at(*i)), ranges)
+        if image and not ok:
+            wit["image"] = at(*bad)
+        return ok, wit
 
-_SWAP = {"A": "B", "B": "A", "M": "N", "N": "M"}
-_SWAP_KEYS = {"a_index": "b_index", "b_index": "a_index",
-              "m_index": "n_index", "n_index": "m_index"}
+    def member(self, S, x):
+        return S.contains(x), x
 
+    def lattice(self, defect):
+        ok, m = lattice_check(self.ring, self.ctx.M.dim, 2, lambda m: not any(defect(m)))
+        return ok, None if ok else {"module_element": m}
 
-class Side(namedtuple("Side", ["ctx", "blocks", "central", "keys"])):
-    """One side of a block decomposition; see ``BlockDecomposition.sides``.
-    ``central(a, b)`` tells whether diag(a, b) is central."""
+    def commuting(self, k):
+        return is_k_commuting(self.ctx.A, LinMap(self.ring, self.block("A", "A")), k)
 
-    def witness(self, wit):
-        """An M-side witness named for this side."""
-        if isinstance(wit, dict):
-            return {self.keys.get(k, k): v for k, v in wit.items()}
-        return wit
-
-
-def _add_mirrored(rep, sides, checks):
-    """For each ((M-side id, N-side id), check): the line of the check on
-    the M side, then on the N side."""
-    for ids, check in checks:
-        for cid, side in zip(ids, sides):
-            ok, wit = check(side)
-            rep.add(cid, ok, side.witness(wit))
-
-
-def decompose(G, theta):
-    return BlockDecomposition(G, theta)
+    def _first(self, keys, holds, ranges):
+        """(passed, witness, the first failing index)."""
+        bad = next(failures(holds, *ranges), None)
+        if bad is None:
+            return True, None, None
+        return False, keys and {self.keys.get(k, k): i for k, i in zip(keys, bad)}, bad
 
 
 def _require_k_commuting(G, theta, k, verdict):
@@ -377,113 +341,19 @@ def _require_k_commuting(G, theta, k, verdict):
         raise NotKCommuting(f"map is not {k}-commuting (witness {bad})")
 
 
-# the components that vanish, and those that range in the order-k center of
-# their target, in report order
-ZERO_LINES = (
-    ("A", "M", "a_to_m_zero"),
-    ("A", "N", "a_to_n_zero"),
-    ("B", "M", "b_to_m_zero"),
-    ("B", "N", "b_to_n_zero"),
-    ("N", "M", "n_to_m_zero"),
-    ("M", "N", "m_to_n_zero"),
-)
-RANGE_LINES = (
-    ("M", "A", "m_to_a_engel_range"),
-    ("N", "A", "n_to_a_engel_range"),
-    ("B", "A", "b_to_a_engel_range"),
-    ("A", "B", "a_to_b_engel_range"),
-    ("M", "B", "m_to_b_engel_range"),
-    ("N", "B", "n_to_b_engel_range"),
-)
-
-
-def verify_structure_conditions(G, theta, k, blocks=None, verdict=None):
-    """The structural consequences that every k-commuting map satisfies:
-    six vanishing components, six components ranging in the order-k
-    centers, the two diagonal components k-commuting with central unit
-    images, and four compatibility identities between the off-diagonal
-    components."""
+def verify_structure_conditions(G, theta, k, verdict=None):
+    """The structural consequences that every k-commuting map satisfies
+    (``compiled.structure_lines``), checked line by line on ``theta``."""
     _require_k_commuting(G, theta, k, verdict)
-    dec = blocks if blocks is not None else decompose(G, theta)
-    rep = Report(f"structure conditions (k={k})", ring=G.ring)
-    ctx = G.ctx
-    rg = G.ring
+    return _report(f"structure conditions (k={k})", G,
+                   compiled.structure_lines(_Values.pair(G, theta), k))
 
-    for src, dst, cid in ZERO_LINES:
-        rep.add(cid, dec.block_is_zero(src, dst), None)
 
-    spaces = dict(zip(BLOCKS, (ctx.A, ctx.M, ctx.N, ctx.B)))
-    for src, dst, cid in RANGE_LINES:
-        basis = spaces[src].basis()
-        target = spaces[dst].engel_center(k)
-        ok, wit = first_failure(
-            ("basis_index",),
-            lambda p: target.contains(dec.apply(src, dst, basis[p])),
-            range(len(basis)),
-        )
-        if not ok:
-            wit["image"] = dec.apply(src, dst, basis[wit["basis_index"]])
+def _report(title, G, lines):
+    rep = Report(title, ring=G.ring)
+    for cid, (ok, wit) in lines:
         rep.add(cid, ok, wit)
-
-    sides = dec.sides()
-    for side, (kc_id, unit_id) in zip(sides, (
-        ("diag_a_k_commuting", "diag_a_unit_engel"),
-        ("diag_b_k_commuting", "diag_b_unit_engel"),
-    )):
-        A, diag = side.ctx.A, side.blocks
-        rep.add(kc_id, *is_k_commuting(A, diag.component_map("A", "A"), k))
-        unit = diag.at_unit("A", "A")
-        rep.add(unit_id, A.engel_center(k).contains(unit), unit)
-
-    two = rg.add(rg.one, rg.one)
-
-    def balance(side):
-        # (d1(1)+d4(1)+2*d2(m))*m = m*(m1(1)+m4(1)+2*m2(m)); degree two in
-        # the module variable, so basis checking is insufficient
-        c, dec = side.ctx, side.blocks
-        sumA = c.A.add(dec.at_unit("A", "A"), dec.at_unit("B", "A"))
-        sumB = c.B.add(dec.at_unit("A", "B"), dec.at_unit("B", "B"))
-
-        def holds(m):
-            lhs = c.am(
-                c.A.add(sumA, c.A.scale(two, dec.apply("M", "A", m))), m
-            )
-            rhs = c.mb(
-                m, c.B.add(sumB, c.B.scale(two, dec.apply("M", "B", m)))
-            )
-            return lhs == rhs
-
-        return _scan_module_identity(rg, c.M.dim, holds)
-
-    def doubling(side):
-        # 2*m3(m) = (d1(1)-d4(1))*m - m*(m1(1)-m4(1))
-        c, dec = side.ctx, side.blocks
-        difA = c.A.sub(dec.at_unit("A", "A"), dec.at_unit("B", "A"))
-        difB = c.B.sub(dec.at_unit("A", "B"), dec.at_unit("B", "B"))
-        em = c.M.basis()
-
-        def holds(p):
-            lhs = tuple(rg.mul(two, x) for x in dec.apply("M", "M", em[p]))
-            rhs = tuple(
-                rg.sub(a, b)
-                for a, b in zip(c.am(difA, em[p]), c.mb(em[p], difB))
-            )
-            return lhs == rhs
-
-        return first_failure(("basis_index",), holds, range(len(em)))
-
-    _add_mirrored(rep, sides, (
-        (("m_balance_symmetrized", "n_balance_symmetrized"), balance),
-        (("m_to_m_doubling", "n_to_n_doubling"), doubling),
-    ))
     return rep
-
-
-def _scan_module_identity(ring, dim, predicate):
-    """Check an identity of degree <= 2 in one module variable on the
-    lattice points (see ``algebra.lattice_check``)."""
-    ok, m = lattice_check(ring, dim, 2, predicate)
-    return ok, None if ok else {"module_element": m}
 
 
 HypothesisWitness = namedtuple(
@@ -577,9 +447,9 @@ def construct_proper_form(G, theta, k, hypotheses=None, verdict=None):
     hyp = hypotheses if hypotheses is not None else check_properness_hypotheses(G, k)
     if not _hyp_all(hyp):
         raise HypothesesNotMet(f"sufficient conditions fail: {hyp}")
-    dec = decompose(G, theta)
-    d1_1 = dec.at_unit("A", "A")
-    m1_1 = dec.at_unit("A", "B")
+    F = _Values.pair(G, theta)[0]
+    d1_1 = F.at_unit("A", "A")
+    m1_1 = F.at_unit("A", "B")
     Ca = G.ctx.A.sub(d1_1, G.phi_inv_apply(m1_1))
     Cb = G.ctx.B.sub(G.phi_apply(d1_1), m1_1)
     C = G.embed_diag(Ca, Cb)
@@ -645,96 +515,15 @@ def properness_certificate(G, theta):
     return PropernessCertificate(lam, LinMap.from_columns(rg, cols))
 
 
-def verify_proper_form_steps(G, theta, k, blocks=None, hypotheses=None,
-                             verdict=None):
+def verify_proper_form_steps(G, theta, k, hypotheses=None, verdict=None):
     """The intermediate identities established on the way to the proper
-    form, checked directly on the supplied map."""
+    form (``compiled.step_lines``), checked line by line on ``theta``."""
     _require_k_commuting(G, theta, k, verdict)
     hyp = hypotheses if hypotheses is not None else check_properness_hypotheses(G, k)
     if not _hyp_all(hyp):
         raise HypothesesNotMet(f"sufficient conditions fail: {hyp}")
-    dec = blocks if blocks is not None else decompose(G, theta)
-    ctx = G.ctx
-    rg = G.ring
-    dA, dM, dN, dB = G.dims
-    rep = Report(f"proper-form step invariants (k={k})", ring=G.ring)
-
-    def quadratic(side):
-        c, dec = side.ctx, side.blocks
-        return _scan_module_identity(
-            rg, c.M.dim,
-            lambda m: c.am(dec.apply("M", "A", m), m)
-            == c.mb(m, dec.apply("M", "B", m)),
-        )
-
-    def compat(side):
-        c, dec = side.ctx, side.blocks
-        em, en = c.M.basis(), c.N.basis()
-        return first_failure(
-            ("n_index", "m_index"),
-            lambda q, p: c.am(dec.apply("N", "A", en[q]), em[p])
-            == c.mb(em[p], dec.apply("N", "B", en[q])),
-            range(len(en)), range(len(em)),
-        )
-
-    def diag_central(side):
-        dec = side.blocks
-        em = side.ctx.M.basis()
-        return first_failure(
-            ("m_index",),
-            lambda p: side.central(
-                dec.apply("M", "A", em[p]), dec.apply("M", "B", em[p])
-            ),
-            range(len(em)),
-        )
-
-    _add_mirrored(rep, dec.sides(), (
-        (("m_to_a_quadratic_balance", "n_to_a_quadratic_balance"), quadratic),
-        (("n_to_a_m_compat", "m_to_b_n_compat"), compat),
-        (("m_to_diag_central", "n_to_diag_central"), diag_central),
-    ))
-
-    # the unit reductions agree under transposition only modulo the balance
-    # identity, so each is checked as written
-    d1_1 = dec.at_unit("A", "A")
-    m1_1 = dec.at_unit("A", "B")
-    eA, eB, em, en = ctx.A.basis(), ctx.B.basis(), ctx.M.basis(), ctx.N.basis()
-    AA = [dec.apply("A", "A", a) for a in eA]
-    AB = [dec.apply("A", "B", a) for a in eA]
-    BA = [dec.apply("B", "A", b) for b in eB]
-    BB = [dec.apply("B", "B", b) for b in eB]
-
-    def minus(x, y):
-        return tuple(rg.sub(u, v) for u, v in zip(x, y))
-
-    # d1(1)*m - m*m1(1) and n*d1(1) - m1(1)*n
-    m_inner = [minus(ctx.am(d1_1, m), ctx.mb(m, m1_1)) for m in em]
-    n_inner = [minus(ctx.na(n, d1_1), ctx.bn(m1_1, n)) for n in en]
-    rep.add("diag_a_unit_reduction_m", *first_failure(
-        ("a_index", "m_index"),
-        lambda i, p: minus(ctx.am(AA[i], em[p]), ctx.mb(em[p], AB[i]))
-        == ctx.am(eA[i], m_inner[p]),
-        range(dA), range(dM),
-    ))
-    rep.add("diag_a_unit_reduction_n", *first_failure(
-        ("a_index", "n_index"),
-        lambda i, q: ctx.na(n_inner[q], eA[i])
-        == minus(ctx.na(en[q], AA[i]), ctx.bn(AB[i], en[q])),
-        range(dA), range(dN),
-    ))
-    rep.add("diag_b_unit_reduction_m", *first_failure(
-        ("b_index", "m_index"),
-        lambda j, p: minus(ctx.am(BA[j], em[p]), ctx.mb(em[p], BB[j]))
-        == ctx.mb(minus(ctx.mb(em[p], m1_1), ctx.am(d1_1, em[p])), eB[j]),
-        range(dB), range(dM),
-    ))
-    rep.add("diag_b_unit_reduction_n", *first_failure(
-        ("b_index", "n_index"),
-        lambda j, q: minus(ctx.bn(BB[j], en[q]), ctx.na(en[q], BA[j]))
-        == ctx.bn(eB[j], n_inner[q]),
-        range(dB), range(dN),
-    ))
-    return rep
+    return _report(f"proper-form step invariants (k={k})", G,
+                   compiled.step_lines(_Values.pair(G, theta), k))
 
 
 def has_scalar_engel_centers(G, k):

@@ -26,7 +26,6 @@ from gmalg.maps import (
     check_properness_hypotheses,
     commuting_space,
     construct_proper_form,
-    decompose,
     is_k_commuting,
     properness_certificate,
     verify_proper_form_steps,
@@ -229,11 +228,12 @@ def test_criterion_8_guards(tmp_path, capsys):
     # (c) negative control: corrupting the M -> A component of a genuine
     # commuting map must fail the quadratic balance line
     G = full_matrix_gma(R, 2, 1)
-    theta = LinMap.identity(G.ring, G.dim)
-    dec = decompose(G, theta)
-    dec.set_block("M", "A", [[1]])
+    # (the identity with its one M -> A entry set to 1, passed as k-commuting)
+    rows = [list(row) for row in LinMap.identity(G.ring, G.dim).rows]
+    rows[G.block_range("A")[0]][G.block_range("M")[0]] = 1
+    theta = LinMap(G.ring, rows)
     hyp = check_properness_hypotheses(G, 1)
-    rep = verify_proper_form_steps(G, theta, 1, blocks=dec, hypotheses=hyp)
+    rep = verify_proper_form_steps(G, theta, 1, hypotheses=hyp, verdict=(True, None))
     failed = {line.cond_id for line in rep.failures()}
     assert "m_to_a_quadratic_balance" in failed
     print("[criterion 8] PASS")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gmalg import cli, compiled, jsonio, maps, oracle
+from gmalg import cli, compiled, jsonio, maps, morita, oracle
 from gmalg.families import full_matrix_gma
 from gmalg.maps import LinMap
 from gmalg.report import Report
@@ -186,6 +186,38 @@ def test_sweep_is_byte_stable(ctx_m2_z3, capsys):
     _, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
     assert first == second
+
+
+def _shifted(partner, c):
+    """A center partner (``GMAlgebra.phi_apply`` or ``phi_inv_apply``)
+    returning its value plus c."""
+    return lambda G, x: tuple(G.ring.add(v, G.ring.coerce(c)) for v in partner(G, x))
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep"])
+@pytest.mark.parametrize("shift, message", [
+    # C = the true shift - diag(1, 0), which is not central
+    ((1, 0), "constructed shift is not central"),
+    # C = the true shift - 1, central, so theta(e_j) - e_j*C = (central) + e_j
+    ((1, -1), "residual escapes the center"),
+])
+def test_proper_form_guards_exit_2(ctx_m2_z3, tmp_path, capsys, monkeypatch,
+                                   command, shift, message):
+    """The two guards of ``construct_proper_form``, with the center partners
+    made wrong, stop ``classify --mode proper`` and ``sweep --mode proper``
+    with exit 2."""
+    path, G = ctx_m2_z3
+    cls = morita.GMAlgebra
+    monkeypatch.setattr(cls, "phi_inv_apply", _shifted(cls.phi_inv_apply, shift[0]))
+    monkeypatch.setattr(cls, "phi_apply", _shifted(cls.phi_apply, shift[1]))
+    if command == "classify":
+        mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim).scale(2))
+        argv = ["classify", path, mpath, "--mode", "proper"]
+    else:
+        argv = ["sweep", path, "--mode", "proper", "--samples", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EXIT_VIOLATION, "")
+    assert message in err
 
 
 @pytest.fixture()

@@ -11,6 +11,7 @@ Regenerate (only when an output change is intended) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import itertools
 import json
 import pathlib
 import random
@@ -21,8 +22,8 @@ from gmalg.derivations import adjoint_map, verify_derivation_form
 from gmalg.families import block_triangular_gma, full_matrix_gma, triangular_gma
 from gmalg.maps import (
     HypothesisWitness,
+    LinMap,
     commuting_space,
-    decompose,
     verify_proper_form_steps,
     verify_structure_conditions,
 )
@@ -57,11 +58,26 @@ def _lines(rep):
             for line in rep.to_json()["lines"]]
 
 
+def _block(G, theta, src, dst):
+    """The src -> dst component of theta as a matrix."""
+    return [[theta.rows[r][c] for c in G.block_range(src)] for r in G.block_range(dst)]
+
+
+def _overwritten(G, theta, src, dst, block):
+    """theta with its src -> dst component replaced by ``block``."""
+    rows = [list(row) for row in theta.rows]
+    for r, brow in zip(G.block_range(dst), block):
+        for c, v in zip(G.block_range(src), brow):
+            rows[r][c] = v
+    return LinMap(G.ring, rows)
+
+
 def _cases(name, G, k):
-    """(label, theta, blocks): every commuting-space basis map clean; two
+    """(label, theta, verdict): every commuting-space basis map clean; two
     seeded members clean and with each nonempty block overwritten: the
     first member's blocks with seeded scalars throughout, the second's in
-    one seeded entry."""
+    one seeded entry.  An overwritten map is passed as k-commuting
+    (``verdict``), so that its lines fail."""
     rng = random.Random(f"{name}/{k}")
     space = commuting_space(G, k)
     members = [space.random_member(rng) for _ in range(2)]
@@ -70,9 +86,9 @@ def _cases(name, G, k):
         cases += [(f"member {t}", theta, None)]
         cases += [(f"member {t}", theta, (s, d)) for s in BLOCKS for d in BLOCKS]
     for label, theta, corrupt in cases:
-        dec = decompose(G, theta)
+        verdict = None
         if corrupt is not None:
-            rows = [list(row) for row in dec.block(*corrupt)]
+            rows = _block(G, theta, *corrupt)
             if not rows or not rows[0]:
                 continue
             if label == "member 0":
@@ -81,17 +97,17 @@ def _cases(name, G, k):
                 r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
                 rows[r][c] = G.ring.add(rows[r][c], G.ring.one)
                 label += f" entry={r},{c}"
-            dec.set_block(*corrupt, rows)
-        yield f"{name} k={k} {label} corrupt={corrupt}", theta, dec
+            theta, verdict = _overwritten(G, theta, *corrupt, rows), (True, None)
+        yield f"{name} k={k} {label} corrupt={corrupt}", theta, verdict
 
 
 def _report_cases(name, G, k):
     out = []
-    for label, theta, dec in _cases(name, G, k):
-        out.append([label, "structure",
-                    _lines(verify_structure_conditions(G, theta, k, blocks=dec))])
+    for label, theta, verdict in _cases(name, G, k):
+        out.append([label, "structure", _lines(verify_structure_conditions(
+            G, theta, k, verdict=verdict))])
         out.append([label, "steps", _lines(verify_proper_form_steps(
-            G, theta, k, blocks=dec, hypotheses=FORCED))])
+            G, theta, k, hypotheses=FORCED, verdict=verdict))])
     return out
 
 
@@ -181,48 +197,176 @@ def test_reports_and_violations_match_golden():
         assert g == e
 
 
-def _fails_at(cid, side, k, x):
-    """Whether the identity of line ``cid`` fails at the witness ``x``,
-    computed here from the paper's formulas on one side of the blocks."""
-    c, dec, rg = side.ctx, side.blocks, side.ctx.ring
+class _View:
+    """One side of G, read off theta's entries with the test's own
+    arithmetic: the M side, or the N side as the M side of [B N; M A],
+    with A<->B, M<->N and the products renamed (a*m read as b*n, m*b as
+    n*a)."""
+
+    SWAP = {"A": "B", "B": "A", "M": "N", "N": "M"}
+    KEYS = {"a_index": "b_index", "b_index": "a_index",
+            "m_index": "n_index", "n_index": "m_index"}
+
+    def __init__(self, G, theta, swap):
+        c = G.ctx
+        self.G, self.theta, self.rg = G, theta, G.ring
+        self.names = self.SWAP if swap else {b: b for b in BLOCKS}
+        self.keys = self.KEYS if swap else {}
+        self.alg = {"A": c.B, "B": c.A} if swap else {"A": c.A, "B": c.B}
+        self.mod = {"M": c.N, "N": c.M} if swap else {"M": c.M, "N": c.N}
+        self.am, self.mb = (c.bn, c.na) if swap else (c.am, c.mb)
+        self.na, self.bn = (c.mb, c.am) if swap else (c.na, c.bn)
+
+    def space(self, name):
+        return self.alg.get(name) or self.mod[name]
+
+    def e(self, name, i):
+        dim = self.space(name).dim
+        return tuple(self.rg.one if t == i else self.rg.zero for t in range(dim))
+
+    def image(self, src, dst, v):
+        """The src -> dst component of theta at v."""
+        rg, rows = self.rg, self.theta.rows
+        cols = self.G.block_range(self.names[src])
+        out = []
+        for r in self.G.block_range(self.names[dst]):
+            acc = rg.zero
+            for c, x in zip(cols, v):
+                acc = rg.add(acc, rg.mul(rows[r][c], x))
+            out.append(acc)
+        return tuple(out)
+
+    def unit(self, src, dst):
+        return self.image(src, dst, self.alg[src].unit)
+
+    def lin(self, *terms):
+        """The sum of the c*x over (c, x) in ``terms``, c an int."""
+        rg = self.rg
+        out = [rg.zero] * len(terms[0][1])
+        for c, x in terms:
+            for t, v in enumerate(x):
+                out[t] = rg.add(out[t], rg.mul(rg.coerce(c), v))
+        return tuple(out)
+
+
+def _off_engel(alg, a, k):
+    """Whether some x has [a, x]_k != 0: every x over Z/n, and over Q the
+    grid {0..k}^dim, on which a nonzero polynomial of degree <= k in each
+    coordinate does not vanish."""
+    rg = alg.ring
+    digits = range(rg.size) if rg.enumerable else range(k + 1)
+    return any(not alg.is_zero(alg.iterated_bracket(a, tuple(map(rg.coerce, x)), k))
+               for x in itertools.product(digits, repeat=alg.dim))
+
+
+def _central(G, z):
+    alg = G.algebra
+    return all(alg.mul(z, e) == alg.mul(e, z) for e in alg.basis())
+
+
+# the side each mirrored line is read on; every other line is read on the M
+# side
+_N_SIDE = {"n_balance_symmetrized", "n_to_n_doubling", "diag_b_k_commuting",
+           "diag_b_unit_engel", "n_to_a_quadratic_balance", "m_to_b_n_compat",
+           "n_to_diag_central"}
+
+
+def _fails_at(G, theta, k, cid, wit):
+    """Whether the identity of line ``cid`` fails at the witness ``wit`` (as
+    JSON data), computed here from the paper's formulas on one side of
+    theta's blocks."""
+    v = _View(G, theta, cid in _N_SIDE)
+    rg = v.rg
+    if isinstance(wit, dict):
+        wit = {v.keys.get(key, key): x for key, x in wit.items()}
+
+    def element(x):
+        return tuple(map(rg.coerce, x))
+
+    A, B = v.alg["A"], v.alg["B"]
+    if cid.endswith("_engel_range"):
+        src, dst = (name.upper() for name in cid.split("_")[0:3:2])
+        image = v.image(src, dst, v.e(src, wit["basis_index"]))
+        return element(wit["image"]) == image and _off_engel(v.alg[dst], image, k)
+    if cid.endswith("_unit_engel"):
+        return element(wit) == v.unit("A", "A") and _off_engel(A, element(wit), k)
     if cid.endswith("_k_commuting"):
-        y = dec.component_map("A", "A").apply(x)
-        return not c.A.is_zero(c.A.iterated_bracket(y, x, k))
-    two = rg.add(rg.one, rg.one)
-    da, mb = dec.apply("M", "A", x), dec.apply("M", "B", x)
-    if cid.endswith("_quadratic_balance"):
-        return c.am(da, x) != c.mb(x, mb)
-    sumA = c.A.add(dec.at_unit("A", "A"), dec.at_unit("B", "A"))
-    sumB = c.B.add(dec.at_unit("A", "B"), dec.at_unit("B", "B"))
-    return c.am(c.A.add(sumA, c.A.scale(two, da)), x) != c.mb(
-        x, c.B.add(sumB, c.B.scale(two, mb)))
+        x = element(wit)
+        return not A.is_zero(A.iterated_bracket(v.image("A", "A", x), x, k))
+    if cid.endswith(("_balance_symmetrized", "_quadratic_balance")):
+        m = element(wit["module_element"])
+        da, mb = v.image("M", "A", m), v.image("M", "B", m)
+        if cid.endswith("_quadratic_balance"):
+            return v.am(da, m) != v.mb(m, mb)
+        # (d1(1)+d4(1)+2*d2(m))*m = m*(m1(1)+m4(1)+2*m2(m))
+        sumA = v.lin((1, v.unit("A", "A")), (1, v.unit("B", "A")), (2, da))
+        sumB = v.lin((1, v.unit("A", "B")), (1, v.unit("B", "B")), (2, mb))
+        return v.am(sumA, m) != v.mb(m, sumB)
+    if cid.endswith("_doubling"):
+        # 2*m3(m) = (d1(1)-d4(1))*m - m*(m1(1)-m4(1))
+        m = v.e("M", wit["basis_index"])
+        difA = v.lin((1, v.unit("A", "A")), (-1, v.unit("B", "A")))
+        difB = v.lin((1, v.unit("A", "B")), (-1, v.unit("B", "B")))
+        return v.lin((2, v.image("M", "M", m))) != v.lin(
+            (1, v.am(difA, m)), (-1, v.mb(m, difB)))
+    if cid.endswith("_compat"):
+        # d(n)*m = m*d'(n) for the N -> A and N -> B components
+        n, m = v.e("N", wit["n_index"]), v.e("M", wit["m_index"])
+        return v.am(v.image("N", "A", n), m) != v.mb(m, v.image("N", "B", n))
+    if cid.endswith("_diag_central"):
+        m = v.e("M", wit["m_index"])
+        z = [rg.zero] * G.dim
+        for name in "AB":
+            for r, x in zip(G.block_range(v.names[name]), v.image("M", name, m)):
+                z[r] = x
+        return not _central(G, tuple(z))
+    # the unit reductions, on the M side; d1(1)*m - m*m1(1) and
+    # n*d1(1) - m1(1)*n
+    d1, m1 = v.unit("A", "A"), v.unit("A", "B")
+    if cid.startswith("diag_a"):
+        a = v.e("A", wit["a_index"])
+        da, ma = v.image("A", "A", a), v.image("A", "B", a)
+        if cid.endswith("_m"):
+            m = v.e("M", wit["m_index"])
+            inner = v.lin((1, v.am(d1, m)), (-1, v.mb(m, m1)))
+            return v.lin((1, v.am(da, m)), (-1, v.mb(m, ma))) != v.am(a, inner)
+        n = v.e("N", wit["n_index"])
+        inner = v.lin((1, v.na(n, d1)), (-1, v.bn(m1, n)))
+        return v.na(inner, a) != v.lin((1, v.na(n, da)), (-1, v.bn(ma, n)))
+    b = v.e("B", wit["b_index"])
+    db, mb = v.image("B", "A", b), v.image("B", "B", b)
+    if cid.endswith("_m"):
+        m = v.e("M", wit["m_index"])
+        inner = v.lin((1, v.mb(m, m1)), (-1, v.am(d1, m)))
+        return v.lin((1, v.am(db, m)), (-1, v.mb(m, mb))) != v.mb(inner, b)
+    n = v.e("N", wit["n_index"])
+    inner = v.lin((1, v.na(n, d1)), (-1, v.bn(m1, n)))
+    return v.lin((1, v.bn(mb, n)), (-1, v.na(n, db))) != v.bn(b, inner)
 
 
 def test_rational_witnesses_reverify():
-    # over Q the witnesses of the degree-2 module identities and of the
-    # diagonal k-commuting lines are lattice points; each must violate its
-    # identity
+    """Every failing line with a witness, in every golden case, over Z/3,
+    Z/5 and Q: the witness violates its identity, computed from the
+    paper's formulas with the test's own arithmetic (``_fails_at``), not
+    with the report's code."""
     expected = iter(json.loads(GOLDEN.read_text())["reports"])
-    checked = 0
+    checked = {}
     for name, build, orders in FAMILIES:
         G = build()
         for k in orders:
-            for label, _, dec in _cases(name, G, k):
+            for label, theta, _ in _cases(name, G, k):
                 for _ in ("structure", "steps"):
                     elabel, _, failing = next(expected)
                     assert elabel == label
-                    if G.ring.enumerable:
-                        continue
                     for cid, wit in failing:
-                        if cid.endswith(("_balance_symmetrized", "_quadratic_balance")):
-                            wit = wit["module_element"]
-                        elif not cid.endswith("_k_commuting"):
+                        if wit is None:
                             continue
-                        side = dec.sides()[cid.startswith(("n_", "diag_b"))]
-                        x = tuple(G.ring.coerce(v) for v in wit)
-                        assert _fails_at(cid, side, k, x), (label, cid, x)
-                        checked += 1
-    assert checked > 0
+                        assert _fails_at(G, theta, k, cid, wit), (label, cid, wit)
+                        checked.setdefault(repr(G.ring), set()).add(cid)
+    assert set(checked) == {"Zmod(3)", "Zmod(5)", "Rationals()"}
+    # every line but the six zero lines, n_to_a/n_to_b_engel_range and
+    # diag_a_unit_reduction_n fails with a witness in some golden case
+    assert len(set().union(*checked.values())) == 21, checked
 
 
 if __name__ == "__main__":

@@ -9,14 +9,15 @@ from gmalg.maps import (
     LinMap,
     check_properness_hypotheses,
     commuting_space,
+    _Values,
     construct_proper_form,
-    decompose,
     has_scalar_engel_centers,
     is_k_commuting,
     properness_certificate,
     verify_proper_form_steps,
     verify_structure_conditions,
 )
+from gmalg.morita import BLOCKS
 from gmalg.rings import Rationals, Zmod
 
 
@@ -24,6 +25,15 @@ def left_mult_map(alg, c):
     return LinMap.from_columns(
         alg.ring, [alg.mul(c, alg.basis_vector(j)) for j in range(alg.dim)]
     )
+
+
+def _with_m_to_a(G, theta):
+    """theta with its M -> A component overwritten by 1 (M2 split 1, where
+    both blocks have dimension 1): a genuine map corrupted in one block,
+    passed as k-commuting so that the lines on that block fail."""
+    rows = [list(row) for row in theta.rows]
+    rows[G.block_range("A")[0]][G.block_range("M")[0]] = 1
+    return LinMap(G.ring, rows)
 
 
 def commutative_pair_algebra(R):
@@ -103,14 +113,31 @@ def test_random_member_is_seeded(m2_z3):
     assert sp.contains(a)
 
 
-def test_decompose_reassembles_exactly(m2_z3):
-    rg = m2_z3.ring
-    for theta in (
-        LinMap.identity(rg, m2_z3.dim),
-        LinMap.zero(rg, m2_z3.dim),
-        commuting_space(m2_z3, 2).random_member(random.Random(5)),
-    ):
-        assert decompose(m2_z3, theta).reassemble() == theta
+def test_block_images_reassemble_exactly(m2_z3, b21_z3):
+    """The images of the values side (``_Values.image``), one per target
+    block, reassemble each column of theta, on both sides."""
+    for G in (m2_z3, b21_z3):
+        rg = G.ring
+        for theta in (
+            LinMap.identity(rg, G.dim),
+            LinMap.zero(rg, G.dim),
+            commuting_space(G, 2).random_member(random.Random(5)),
+            LinMap(rg, [[(i + 2 * j) % 3 for j in range(G.dim)] for i in range(G.dim)]),
+        ):
+            for side in _Values.pair(G, theta):
+                # side.names maps G's names to the side's too: it is A<->B,
+                # M<->N or the identity
+                for j in range(G.dim):
+                    src, loc = G.block_of_index(j)
+                    e = tuple(int(t == loc) for t in range(len(G.block_range(src))))
+                    column = [None] * G.dim
+                    for dst in BLOCKS:
+                        rows = G.block_range(dst)
+                        column[rows.start:rows.stop] = side.image(
+                            side.names[src], side.names[dst], e)
+                    assert tuple(column) == theta.column(j)
+        with pytest.raises(DimensionMismatch):
+            _Values.pair(G, LinMap.identity(rg, G.dim - 1))
 
 
 def test_structure_conditions_pass_for_commuting_maps(m2_z3, t2_z3):
@@ -131,24 +158,10 @@ def test_structure_conditions_reject_non_commuting(m2_z3):
 
 def test_structure_negative_control(m2_z3):
     """Corrupting one block of a genuine map trips the matching lines."""
-    theta = LinMap.identity(m2_z3.ring, m2_z3.dim)
-    dec = decompose(m2_z3, theta)
-    dec.set_block("M", "A", [[1]])
-    rep = verify_structure_conditions(m2_z3, theta, 1, blocks=dec)
+    theta = _with_m_to_a(m2_z3, LinMap.identity(m2_z3.ring, m2_z3.dim))
+    rep = verify_structure_conditions(m2_z3, theta, 1, verdict=(True, None))
     failed = {line.cond_id for line in rep.failures()}
     assert "m_to_a_engel_range" in failed or "m_balance_symmetrized" in failed
-
-
-def test_set_block_keeps_the_shape_and_the_sparse_columns(b21_z3):
-    G = b21_z3
-    dec = decompose(G, LinMap.identity(G.ring, G.dim))
-    assert dec.block_is_zero("M", "A")
-    with pytest.raises(DimensionMismatch):
-        dec.set_block("M", "A", [[1, 0], [0, 0], [0], [0, 0]])
-    dec.set_block("M", "A", [[0, 0], [0, 0], [0, 2], [0, 0]])
-    assert not dec.block_is_zero("M", "A")
-    assert dec.apply("M", "A", (1, 1)) == (0, 0, 2, 0)
-    assert dec.transposed().apply("N", "B", (1, 1)) == (0, 0, 2, 0)
 
 
 def test_properness_hypotheses_witnesses(m2_z3, t2_z3):
@@ -223,10 +236,9 @@ def test_proper_form_steps_all_pass(m2_z3, t2_z3):
 
 
 def test_step_negative_control(m2_z3):
-    theta = LinMap.identity(m2_z3.ring, m2_z3.dim)
-    dec = decompose(m2_z3, theta)
-    dec.set_block("M", "A", [[1]])
+    theta = _with_m_to_a(m2_z3, LinMap.identity(m2_z3.ring, m2_z3.dim))
     hyp = check_properness_hypotheses(m2_z3, 1)
-    rep = verify_proper_form_steps(m2_z3, theta, 1, blocks=dec, hypotheses=hyp)
+    rep = verify_proper_form_steps(m2_z3, theta, 1, hypotheses=hyp,
+                                   verdict=(True, None))
     failed = {line.cond_id for line in rep.failures()}
     assert "m_to_a_quadratic_balance" in failed

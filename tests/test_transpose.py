@@ -1,13 +1,13 @@
 """The transpose [A M; N B] -> [B N; M A] of every conftest family: an
 algebra isomorphism by a block permutation, which preserves k-commuting
-maps and under which the transposed block view is the decomposition of the
-conjugated map."""
+maps and under which the N side of a map's block components (the values
+reading of ``gmalg.compiled``) is the M side of the conjugated map."""
 
 import random
 
 import pytest
 
-from gmalg.maps import LinMap, commuting_space, decompose, is_k_commuting
+from gmalg.maps import LinMap, _Values, commuting_space, is_k_commuting
 from gmalg.morita import BLOCKS, build_gma, transpose
 
 FAMILIES = ["m2_z3", "m2_z5", "t2_z3", "t2_z5", "t3_z3", "b21_z3"]
@@ -71,16 +71,22 @@ def test_k_commuting_iff_conjugate_is(family):
 
 
 def test_transposed_view_is_the_conjugate_decomposition(family):
+    """The N side of the values reading is the M side of the conjugated
+    map on the real transpose: the same components, images and unit
+    images."""
     G, GT, perm = family
     rg = G.ring
     rng = random.Random(3)
     theta = LinMap(rg, [[rng.randrange(rg.size) for _ in range(G.dim)]
                         for _ in range(G.dim)])
-    view = decompose(G, theta).transposed()
-    real = decompose(GT, _conjugate(G, perm, theta))
+    view = _Values.pair(G, theta)[1]
+    real = _Values.pair(GT, _conjugate(G, perm, theta))[0]
+    spaces = {"A": GT.ctx.A, "M": GT.ctx.M, "N": GT.ctx.N, "B": GT.ctx.B}
     for src in BLOCKS:
+        v = tuple(rg.coerce(rng.randrange(rg.size)) for _ in range(spaces[src].dim))
         for dst in BLOCKS:
             assert view.block(src, dst) == real.block(src, dst)
+            assert view.image(src, dst, v) == real.image(src, dst, v)
         if src in ("A", "B"):
             for dst in BLOCKS:
                 assert view.at_unit(src, dst) == real.at_unit(src, dst)
