@@ -27,6 +27,7 @@ from .families import (
 )
 from .algebra import Algebra
 from .morita import build_gma, validate_context
+from .report import Report
 from .rings import parse_ring_flag, parse_scalar_flag
 
 EXIT_OK = 0
@@ -141,38 +142,18 @@ def cmd_classify(args):
     return exit_code
 
 
-def _sweep_one(G, mode, k, hyp, theta, rows):
-    """(True, None), or (False, the failing lines of the report as
-    ``Report.to_json`` writes them).
-
-    A structure or step report is decided by its ``rows`` (see
-    ``compiled.ReportRows``); only when a line fails there is the per-line
-    report run, and its witnesses are the ones written.  The proper form
-    reassembles theta by construction (its residual is theta(e_j) - e_j*C),
-    so what is checked there are its two guards, a central shift and a
-    central residual, which raise ``TheoremViolation``."""
-    if mode == "proper":
-        maps.construct_proper_form(G, theta, k, hypotheses=hyp)
-        return True, None
-    verdict = maps.is_k_commuting(G, theta, k)
-    if verdict[0] and rows.passes(theta):
-        return True, None
-    if mode == "structure":
-        rep = maps.verify_structure_conditions(G, theta, k, verdict=verdict)
-    else:
-        rep = maps.verify_proper_form_steps(G, theta, k, hypotheses=hyp,
-                                            verdict=verdict)
-    if rep.all_pass:
-        return True, None
-    return False, [line for line in rep.to_json()["lines"] if not line["passed"]]
-
-
-def _sweep_maps(space, seed, samples):
-    out = list(space.basis())
-    rng = random.Random(seed)
-    for _ in range(samples):
-        out.append(space.random_member(rng))
-    return out
+# each sweep mode's lines: compiled to rows once per (G, k), and read as the
+# values of one map, a report whose failing lines are written (the proper
+# form's guards raise instead).  Every swept map is k-commuting, since
+# ``cmd_sweep`` decides the generators: hence the verdict (True, None).
+_SWEEPS = {
+    "structure": (compiled.structure_rows, lambda G, theta, k, hyp:
+                  maps.verify_structure_conditions(G, theta, k, verdict=(True, None))),
+    "steps": (compiled.step_rows, lambda G, theta, k, hyp: maps.verify_proper_form_steps(
+        G, theta, k, hypotheses=hyp, verdict=(True, None))),
+    "proper": (compiled.proper_rows, lambda G, theta, k, hyp: maps.construct_proper_form(
+        G, theta, k, hypotheses=hyp, verdict=(True, None)) and Report("proper form")),
+}
 
 
 def cmd_sweep(args):
@@ -191,7 +172,8 @@ def cmd_sweep(args):
 
     space = maps.commuting_space(G, k)
     doc["space_generators"] = len(space.space.gens)
-    thetas = _sweep_maps(space, args.seed, args.samples)
+    rng = random.Random(args.seed)
+    thetas = space.basis() + [space.random_member(rng) for _ in range(args.samples)]
     doc["maps_checked"] = len(thetas)
 
     hyp = None
@@ -202,15 +184,18 @@ def cmd_sweep(args):
             _emit(doc, args.emit)
             return EXIT_FINDING
 
-    # every line is linear in theta: compiled once for the whole sweep
-    rows = None
-    if args.mode == "structure":
-        rows = compiled.structure_rows(G, k)
-    elif args.mode == "steps":
-        rows = compiled.step_rows(G, k)
-    for idx, theta in enumerate(thetas):
-        ok, wit = _sweep_one(G, args.mode, k, hyp, theta, rows)
+    # [theta(x), x]_k is linear in theta: the generators, maps 0..g-1, decide all
+    for idx, theta in enumerate(thetas[:doc["space_generators"]]):
+        ok, bad = maps.is_k_commuting(G, theta, k)
         if not ok:
+            raise TheoremViolation(f"space generator {idx} is not {k}-commuting (witness {bad})")
+    # every line is linear in theta: compiled once for the whole sweep, and
+    # only a map that fails a row is read as values, the source of witnesses
+    build, read = _SWEEPS[args.mode]
+    rows = build(G, k)
+    for idx, theta in enumerate(thetas):
+        lines = [] if rows.passes(theta) else read(G, theta, k, hyp).to_json()["lines"]
+        if wit := [line for line in lines if not line["passed"]]:
             findings.append({"map_index": idx, "witness": wit})
     doc["failures"] = findings
     doc["all_pass"] = not findings

@@ -1,19 +1,21 @@
-"""The structure and step reports, each line written once.
+"""The structure and step reports and the proper form's guards, each line
+written once.
 
-Every line of ``maps.verify_structure_conditions`` and of
-``maps.verify_proper_form_steps`` is an identity linear in the map theta,
-read off theta's block components.  ``structure_lines`` and ``step_lines``
-write each line once against a side of G (``_Side``): the line's elements
-are built with ``image``, ``at_unit``, ``act``, ``diag`` and ``combine``,
-and its reading names the target its points must meet: 0 (``zero``), a
-submodule (``within``, ``member``: an order-k center or Z(G)), the
-degree-2 identity in a module variable (``lattice``) or k-commuting on A
-(``commuting``).  A side has two readings:
+Every line of ``maps.verify_structure_conditions``, of
+``maps.verify_proper_form_steps`` and of ``maps.construct_proper_form`` is
+an identity linear in the map theta.  ``structure_lines``, ``step_lines``
+and ``proper_lines`` write each line once against a side of G (``_Side``):
+the line's elements are built with ``image``, ``at_unit``, ``act``,
+``diag``, ``combine`` and ``central``, and its reading names the target its
+points must meet: 0 (``zero``), a submodule (``within``, ``member``: an
+order-k center or Z(G)), the degree-2 identity in a module variable
+(``lattice``) or k-commuting on A (``commuting``).  A side has two readings:
 
 - ``_Forms`` (here) reads an element's coordinates as rows over
   vec(theta), and a line as the rows that all vanish iff it passes.
-  ``structure_rows`` and ``step_rows`` compile a report so, once per
-  (G, k), and a sweep decides its maps from the rows (``ReportRows``).
+  ``structure_rows``, ``step_rows`` and ``proper_rows`` compile them so,
+  once per (G, k), and a sweep decides its maps from the rows
+  (``ReportRows``).
 - ``maps._Values`` reads the elements as values for one theta and a line
   point by point, in the order the rows are built; the first failing point
   gives the witness.  That is the per-line report, the only source of
@@ -32,6 +34,7 @@ from operator import mul
 
 from . import linalg
 from .algebra import lattice_points, vanishing_rows
+from .errors import TheoremViolation
 from .morita import BLOCKS
 
 
@@ -88,10 +91,10 @@ class _Side:
     G's, and ``keys`` from its witness keys to G's.
 
     A line's elements are built with ``image(src, dst, v)`` (the src -> dst
-    component of theta at v), ``at_unit(src, dst)``, ``act(product, x, y)``
-    (a product of the context: "am", "mb", "bn" or "na", as in
-    ``morita.MoritaContext``), ``diag(a, b)`` and ``combine(*(c, x))``
-    (the sum of the c*x).  Its points are given as in
+    component of theta at v; "G" for all of G), ``at_unit(src, dst)``,
+    ``act(product, x, y)`` (a product of the context: "am", "mb", "bn" or
+    "na", as in ``morita.MoritaContext``, or "G"), ``diag(a, b)``,
+    ``combine(*(c, x))`` (the sum of the c*x) and ``central(name, x)``.  Its points are given as in
     ``report.first_failure``: ``at(*i)`` for i over ``ranges``, named by
     ``keys`` in a witness (None: the line reports none).  The readings are
     ``zero(keys, at, *ranges)``, ``within(S, keys, at, *ranges,
@@ -100,11 +103,14 @@ class _Side:
 
     def __init__(self, G, ctx, names, keys):
         self.G, self.ctx, self.names, self.keys = G, ctx, names, keys
-        # for ``act``: each product's nonzero terms and the dimension of
-        # its module
+        # for ``image``: each block's coordinates in G; for ``act``: each
+        # product's nonzero terms and module dimension; "G" for all of G
+        self.ranges = {name: G.block_range(names[name]) for name in BLOCKS}
+        self.ranges["G"] = range(G.dim)
         M, N = ctx.M, ctx.N
         self._products = {"am": (M._left, M.dim), "mb": (M._right, M.dim),
-                          "bn": (N._left, N.dim), "na": (N._right, N.dim)}
+                          "bn": (N._left, N.dim), "na": (N._right, N.dim),
+                          "G": (G.algebra._terms, G.dim)}
 
     @classmethod
     def pair(cls, G, *args):
@@ -115,6 +121,12 @@ class _Side:
     def at_unit(self, src, dst):
         return self.image(src, dst, getattr(self.ctx, src).unit)
 
+    def central(self, name, x):
+        """The central element of G whose ``name`` part (A or B) is x, for x
+        in the projection of Z(G) to that block (``_partner``)."""
+        y = self._partner(self.names[name], x)
+        return self.diag(x, y) if name == "A" else self.diag(y, x)
+
 
 class _Forms(_Side):
     """A side read as rows.  An element (a form) is a dict: coordinate ->
@@ -123,10 +135,9 @@ class _Forms(_Side):
     (``_normal_rows``); each reading returns its line's rows."""
 
     def image(self, src, dst, v):
-        G = self.G
-        cols = G.block_range(self.names[src])
-        return {i: row for i, r in enumerate(G.block_range(self.names[dst]))
-                if (row := {r * G.dim + c: x for c, x in zip(cols, v) if x})}
+        d, cols = self.G.dim, self.ranges[src]
+        return {i: row for i, r in enumerate(self.ranges[dst])
+                if (row := {r * d + c: x for c, x in zip(cols, v) if x})}
 
     def act(self, product, x, y):
         """One of x, y is a form."""
@@ -142,6 +153,25 @@ class _Forms(_Side):
             for r, v in cell:
                 _add_row(out.setdefault(r, {}), s * v, row)
         return out
+
+    def _partner(self, block, x):
+        """L(x) for a linear L equal to the center partner (``phi_apply``,
+        ``phi_inv_apply``) on the projection P of Z(G) to ``block``, solved
+        at P's generators: it exists over Q, Z/p and the self-injective Z/n."""
+        G = self.G
+        P = G.center_projections()[block == "B"]
+        partner = G.phi_apply if block == "A" else G.phi_inv_apply
+        n, dst = P.ambient_dim, G.dims[3 if block == "A" else 0]
+        # the unknowns L[i][c] at i*n + c; L(g)_i = partner(g)_i
+        sol = linalg.solve_linear(
+            G.ring, [[0] * (i * n) + list(g) + [0] * ((dst - 1 - i) * n)
+                     for g in P.gens for i in range(dst)],
+            [y for g in P.gens for y in partner(g)])
+        if sol is None:
+            raise TheoremViolation("the center partner is not linear")
+        L = sol.particular
+        return self.combine(*((L[i * n + c], {i: row}) for c, row in x.items()
+                              for i in range(dst) if L[i * n + c]))
 
     def diag(self, a, b):
         off = self.G.offsets
@@ -380,6 +410,23 @@ def step_lines(sides, k):
     ]
 
 
+def proper_lines(sides):
+    """The two guards of the proper form x -> x*C + f(x), as (cond_id, the
+    line read on ``sides``): the shift C = diag(d1(1) - phi^-1(m1(1)),
+    phi(d1(1)) - m1(1)) lies in Z(G), and so does the residual
+    f(e_j) = theta(e_j) - e_j*C at each basis element e_j of G.  Rows read
+    phi off Z(G)'s projections through a linear extension; where both pass,
+    theta is proper, so d1(1) and m1(1) lie in them and the values agree."""
+    F = sides[0]
+    zG, eG = F.G.gma_center(), F.G.algebra.basis()
+    C = F.combine((1, F.central("A", F.at_unit("A", "A"))),
+                  (-1, F.central("B", F.at_unit("A", "B"))))
+    return [("central_shift", F.member(zG, C)),
+            ("central_residual", F.within(zG, ("basis_index",), lambda j: F.combine(
+                (1, F.image("G", "G", eG[j])), (-1, F.act("G", eG[j], C))),
+                range(len(eG)), image=True))]
+
+
 def structure_rows(G, k):
     """``structure_lines`` compiled to rows (see ``ReportRows``), exact for
     every map on every ring: the degree-2 balance identity is decided on
@@ -391,3 +438,8 @@ def structure_rows(G, k):
 def step_rows(G, k):
     """``step_lines`` compiled to rows (see ``ReportRows``)."""
     return ReportRows(G.ring, step_lines(_Forms.pair(G), k))
+
+
+def proper_rows(G, k):
+    """``proper_lines`` compiled to rows; the guards do not depend on k."""
+    return ReportRows(G.ring, proper_lines(_Forms.pair(G)))

@@ -5,11 +5,11 @@ maps, the structure-condition report for k-commuting maps, the
 sufficient-hypothesis check and the proper-form construction, plus a
 hypothesis-free properness decision.
 
-Each line of the structure and step reports is written once, in
-``gmalg.compiled``, against a side of G.  Here a side is read as values
-for one map (``_Values``), and the reports are checked line by line: they
-are the only source of witnesses.  A sweep reads the same lines as rows,
-compiled once per (G, k).
+Each line of the structure and step reports, and each guard of the proper
+form, is written once, in ``gmalg.compiled``, against a side of G.  Here a
+side is read as values for one map (``_Values``), and the lines are checked
+point by point: they are the only source of witnesses.  A sweep reads the
+same lines as rows, compiled once per (G, k).
 """
 
 import itertools
@@ -243,9 +243,9 @@ class _Values(compiled._Side):
         super().__init__(G, ctx, names, keys)
         self.theta = theta
         self.ring = G.ring
-        size = dict(zip(BLOCKS, G.dims))
-        self._components = {(s, d): (size[names[d]], components[names[s], names[d]])
+        self._components = {(s, d): (len(self.ranges[d]), components[names[s], names[d]])
                             for s in BLOCKS for d in BLOCKS}
+        self._components["G", "G"] = G.dim, theta._cols
 
     @classmethod
     def pair(cls, G, theta):
@@ -287,6 +287,9 @@ class _Values(compiled._Side):
 
     def act(self, product, x, y):
         return _bilinear(self.ring, x, y, *self._products[product])
+
+    def _partner(self, block, x):
+        return (self.G.phi_apply if block == "A" else self.G.phi_inv_apply)(x)
 
     def diag(self, a, b):
         G = self.G
@@ -442,32 +445,18 @@ ProperFormResult = namedtuple(
 def construct_proper_form(G, theta, k, hypotheses=None, verdict=None):
     """Split a k-commuting map as x -> x*C + (central-valued remainder),
     with C built from the unit images of the two diagonal components via
-    the center isomorphism."""
+    the center isomorphism; its two guards (``compiled.proper_lines``)
+    raise ``TheoremViolation``."""
     _require_k_commuting(G, theta, k, verdict)
     hyp = hypotheses if hypotheses is not None else check_properness_hypotheses(G, k)
     if not _hyp_all(hyp):
         raise HypothesesNotMet(f"sufficient conditions fail: {hyp}")
-    F = _Values.pair(G, theta)[0]
-    d1_1 = F.at_unit("A", "A")
-    m1_1 = F.at_unit("A", "B")
-    Ca = G.ctx.A.sub(d1_1, G.phi_inv_apply(m1_1))
-    Cb = G.ctx.B.sub(G.phi_apply(d1_1), m1_1)
-    C = G.embed_diag(Ca, Cb)
-    z = G.gma_center()
-    if not z.contains(C):
+    (_, (central, C)), (_, (ok, wit)) = compiled.proper_lines(_Values.pair(G, theta))
+    if not central:
         raise TheoremViolation("constructed shift is not central", C)
-    alg = G.algebra
-    cols = []
-    for j in range(G.dim):
-        ej = alg.basis_vector(j)
-        res = alg.sub(theta.apply(ej), alg.mul(ej, C))
-        if not z.contains(res):
-            raise TheoremViolation(
-                "residual escapes the center despite the hypotheses",
-                {"basis_index": j, "residual": res},
-            )
-        cols.append(res)
-    return ProperFormResult(C, LinMap.from_columns(G.ring, cols))
+    if not ok:
+        raise TheoremViolation("residual escapes the center despite the hypotheses", wit)
+    return ProperFormResult(tuple(C), theta.sub(LinMap(G.ring, G.algebra.right_mult_matrix(C))))
 
 
 def properness_certificate(G, theta):
@@ -505,14 +494,8 @@ def properness_certificate(G, theta):
     if sol is None:
         return None
     t = sol.particular[:nz]
-    lam = alg.zero()
-    for c, g in zip(t, zgens):
-        lam = alg.add(lam, alg.scale(c, g))
-    cols = [
-        alg.sub(theta.apply(alg.basis_vector(j)), alg.mul(alg.basis_vector(j), lam))
-        for j in range(d)
-    ]
-    return PropernessCertificate(lam, LinMap.from_columns(rg, cols))
+    lam = tuple(rg.normal(sum(c * g[r] for c, g in zip(t, zgens))) for r in range(d))
+    return PropernessCertificate(lam, theta.sub(LinMap(rg, alg.right_mult_matrix(lam))))
 
 
 def verify_proper_form_steps(G, theta, k, hypotheses=None, verdict=None):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gmalg import cli, compiled, jsonio, maps, morita, oracle
+from gmalg.algebra import Submodule
 from gmalg.families import full_matrix_gma
 from gmalg.maps import LinMap
 from gmalg.report import Report
@@ -93,7 +94,8 @@ def test_classify_identity_map(ctx_m2_z3, tmp_path, capsys):
 def test_k_commutation_is_decided_once_per_map(ctx_m2_z3, tmp_path, capsys,
                                                monkeypatch):
     """classify decides [theta(x), x]_k = 0 once and its structure report
-    and proper form reuse the verdict; sweep decides it for each map."""
+    and proper form reuse the verdict; sweep decides it once for each
+    generator of the space, not for each swept map."""
     path, G = ctx_m2_z3
     mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim).scale(2))
     decided = []    # the dimension of the algebra of each decision
@@ -111,19 +113,22 @@ def test_k_commutation_is_decided_once_per_map(ctx_m2_z3, tmp_path, capsys,
     decided.clear()
     code, out, _ = run_cli(["sweep", path, "--k", "2", "--samples", "3"], capsys)
     assert code == cli.EXIT_OK
-    assert decided.count(G.dim) == json.loads(out)["maps_checked"] > 0
+    doc = json.loads(out)
+    assert decided.count(G.dim) == doc["space_generators"] > 0
+    assert doc["maps_checked"] == doc["space_generators"] + 3
 
 
 def test_sweep_runs_the_per_line_reports_only_on_failing_maps(ctx_m2_z3, capsys,
                                                                monkeypatch):
-    """A structure or step sweep decides each map from the rows compiled
-    once for (G, k); the per-line report, the source of witnesses, runs
-    only on a map that fails a compiled line."""
+    """A structure, step or proper sweep decides each map from the rows
+    compiled once for (G, k); the per-line report or the proper form, the
+    source of witnesses, runs only on a map that fails a compiled line."""
     path, _ = ctx_m2_z3
     reports = []
-    for name in ("verify_structure_conditions", "verify_proper_form_steps"):
+    for name in ("verify_structure_conditions", "verify_proper_form_steps",
+                 "construct_proper_form"):
         monkeypatch.setattr(maps, name, lambda *a, **kw: reports.append(a))
-    for mode in ("structure", "steps"):
+    for mode in ("structure", "steps", "proper"):
         code, out, _ = run_cli(["sweep", path, "--k", "2", "--mode", mode], capsys)
         assert code == cli.EXIT_OK and json.loads(out)["all_pass"] is True
     assert reports == []
@@ -218,6 +223,25 @@ def test_proper_form_guards_exit_2(ctx_m2_z3, tmp_path, capsys, monkeypatch,
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (cli.EXIT_VIOLATION, "")
     assert message in err
+
+
+@pytest.mark.parametrize("mode", ["structure", "steps", "proper"])
+def test_non_commuting_space_generator_exits_2(ctx_m2_z3, capsys, monkeypatch, mode):
+    """A sweep decides k-commuting once per generator of the space.  A
+    generator that fails is an internal fault (exit 2), not rejected input:
+    here the space gets the map with a single 1 at flat index 1."""
+    path, _ = ctx_m2_z3
+    real = maps.commuting_space
+
+    def widened(G, k):
+        space, d = real(G, k), G.dim
+        extra = [1 if t == 1 else 0 for t in range(d * d)]
+        return maps.MapSpace(space.algebra, Submodule(G.ring, d * d, [*space.space.gens, extra]))
+
+    monkeypatch.setattr(maps, "commuting_space", widened)
+    code, out, err = run_cli(["sweep", path, "--mode", mode, "--samples", "0"], capsys)
+    assert (code, out) == (cli.EXIT_VIOLATION, "")
+    assert "is not 1-commuting (witness" in err
 
 
 @pytest.fixture()

@@ -1,6 +1,8 @@
 """The structure and step reports compiled to rows over vec(theta)
 (``compiled.structure_rows``, ``compiled.step_rows``) decide every line as the
-per-line reports do: on the conftest families, their transposes and a
+per-line reports do, and the proper form's guards compiled to rows
+(``compiled.proper_rows``) pass exactly where ``construct_proper_form``
+raises nothing: on the conftest families, their transposes and a
 context in a random basis of each corner, over Q and over prime and
 composite Z/n, at k = 1..3.  The maps are the generators and seeded
 members of the commuting space, and seeded arbitrary maps, which are
@@ -14,11 +16,13 @@ import pytest
 from conftest import _in_random_basis
 from gmalg.algebra import Submodule
 from gmalg.families import block_triangular_gma, full_matrix_gma, triangular_gma
-from gmalg.compiled import _annihilator, step_rows, structure_rows
+from gmalg.compiled import _annihilator, proper_rows, step_rows, structure_rows
+from gmalg.errors import TheoremViolation
 from gmalg.maps import (
     HypothesisWitness,
     LinMap,
     commuting_space,
+    construct_proper_form,
     verify_proper_form_steps,
     verify_structure_conditions,
 )
@@ -73,12 +77,23 @@ def _per_line(rep):
     return [(line.cond_id, line.passed) for line in rep.lines]
 
 
+def _has_proper_form(G, theta, k):
+    """Whether ``construct_proper_form`` raises nothing: its guards, or the
+    center partner of d1(1) or m1(1), raise ``TheoremViolation``."""
+    try:
+        construct_proper_form(G, theta, k, hypotheses=ASSUMED, verdict=(True, None))
+    except TheoremViolation:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("view", VIEWS)
 @pytest.mark.parametrize("ring", RINGS, ids=repr)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_compiled_lines_match_the_per_line_reports(shape, ring, view):
     rng = random.Random(f"compiled/{shape}/{ring!r}/{view}")
     G = _view(SHAPES[shape](ring), view, rng)
+    guards = proper_rows(G, None)
     for k in (1, 2, 3):
         srows, prows = structure_rows(G, k), step_rows(G, k)
         for theta in _maps(G, k, rng):
@@ -89,6 +104,7 @@ def test_compiled_lines_match_the_per_line_reports(shape, ring, view):
             steps = prows.verdicts(theta)
             assert steps == _per_line(verify_proper_form_steps(
                 G, theta, k, hypotheses=ASSUMED, verdict=(True, None))), (k, theta.rows)
+            assert guards.passes(theta) == _has_proper_form(G, theta, k), (k, theta.rows)
 
 
 @pytest.mark.parametrize("n", [4, 6, 9, 12, 5])

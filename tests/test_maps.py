@@ -4,7 +4,12 @@ import pytest
 
 from gmalg.algebra import Algebra
 from gmalg.errors import DimensionMismatch, HypothesesNotMet, NotKCommuting
-from gmalg.families import matrix_algebra
+from gmalg.families import (
+    block_triangular_gma,
+    full_matrix_gma,
+    matrix_algebra,
+    triangular_gma,
+)
 from gmalg.maps import (
     LinMap,
     check_properness_hypotheses,
@@ -111,6 +116,24 @@ def test_random_member_is_seeded(m2_z3):
     b = sp.random_member(random.Random(11))
     assert a == b
     assert sp.contains(a)
+
+
+@pytest.mark.parametrize("ring", [Rationals(), Zmod(3), Zmod(5), Zmod(9)], ids=repr)
+@pytest.mark.parametrize("shape", ["M2", "T3", "B(2,1)"])
+def test_random_members_lie_in_the_space_and_commute(shape, ring):
+    """A sweep decides [theta(x), x]_k = 0 on the generators only, so a
+    seeded member must be a true combination of them: it lies in the space
+    and is k-commuting."""
+    G = {"M2": lambda: full_matrix_gma(ring, 2, 1),
+         "T3": lambda: triangular_gma(ring, 3, 1),
+         "B(2,1)": lambda: block_triangular_gma(ring, (2, 1), 1)}[shape]()
+    rng = random.Random(f"members/{shape}/{ring!r}")
+    for k in (1, 2, 3):
+        sp = commuting_space(G, k)
+        for _ in range(4):
+            theta = sp.random_member(rng)
+            assert sp.contains(theta), (k, theta.rows)
+            assert is_k_commuting(G, theta, k) == (True, None), (k, theta.rows)
 
 
 def test_block_images_reassemble_exactly(m2_z3, b21_z3):
