@@ -48,7 +48,7 @@ def lattice_points(ring, dim, degree):
         total += 1
 
 
-def lattice_check(ring, dim, degree, holds):
+def lattice_check(ring, dim, degree, holds, lead=None):
     """(True, None) if ``holds(x)`` for every x in R^dim, else (False, the
     lexicographically first x where it fails).  ``holds(x)`` must test
     f(x) = 0 for a polynomial map f of degree <= ``degree``.
@@ -58,7 +58,13 @@ def lattice_check(ring, dim, degree, holds):
     does not vanish.  The restriction has degree <= ``degree`` again, so it
     is decided on the lattice points of the remaining coordinates, and c is
     at most ``degree``.  Over a finite ring this is the first failing
-    element of R^dim; over Q, of {0..degree}^dim."""
+    element of R^dim; over Q, of {0..degree}^dim.
+
+    ``lead`` is a t, known from f's coefficients (``vanishing_lead``), such
+    that f does not vanish where x_0..x_{t-1} = 0 and does where x_0..x_t
+    = 0.  Those points come first, so the witness starts with t zeros and
+    a nonzero digit: the search starts there, and f is not evaluated on
+    the zero prefix."""
     scalars = [ring.coerce(b) for b in range(degree + 1)]
     seen = {}   # by digits; the search revisits the points whose prefix is zero
 
@@ -71,10 +77,14 @@ def lattice_check(ring, dim, degree, holds):
                 return False
         return True
 
-    if vanishes(()):
-        return True, None
     digits = [c for (c,) in lattice_points(ring, 1, degree)]
-    x = ()
+    if lead is None:
+        if vanishes(()):
+            return True, None
+        x = ()
+    else:
+        x = (0,) * lead
+        x += (next(c for c in digits[1:] if not vanishes(x + (c,))),)
     while len(x) < dim:
         x = next(x + (c,) for c in digits if not vanishes(x + (c,)))
     return False, tuple(scalars[b] for b in x)
@@ -207,6 +217,24 @@ def vanishing_rows(ring, coeffs, degree, dim):
                 block.append(row)
         if block:
             yield block
+
+
+def vanishing_lead(ring, coeffs, degree, dim):
+    """The largest t such that the coefficients C_gamma whose least index
+    is t (``gamma[0] == t``) do not vanish under ``vanishing_rows``, or
+    None when f vanishes; coefficients as in ``vanishing_rows``.
+
+    f restricted to x_0..x_{t-1} = 0 is the sum of the C_gamma x^gamma
+    with least index >= t, and its rows are theirs: the coefficients
+    themselves, or Newton differences, which are built from the
+    coefficients of one exact support each.  So f does not vanish there
+    and vanishes where x_t = 0 too (``lattice_check``'s ``lead``)."""
+    groups = {}
+    for gamma, rows in coeffs.items():
+        groups.setdefault(gamma[0], {})[gamma] = rows
+    return next((t for t in sorted(groups, reverse=True)
+                 if next(vanishing_rows(ring, groups[t], degree, dim), None) is not None),
+                None)
 
 
 def vanishing_kernel(ring, coeffs, degree, dim, ncols):

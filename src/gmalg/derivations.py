@@ -45,25 +45,34 @@ def adjoint_map(G, c):
 
 def _leibniz_rows(alg):
     """Constraint rows over the flattened unknowns theta[p][q] expressing
-    theta(e_i e_j) - theta(e_i) e_j - e_i theta(e_j) = 0."""
-    rg = alg.ring
+    theta(e_i e_j) - theta(e_i) e_j - e_i theta(e_j) = 0, one per (i, j)
+    and output coordinate r in that order, each a dict of its nonzero
+    entries in column order.  They are read off the nonzero products:
+    theta(e_i e_j) puts (e_i e_j)_p at theta[r][p] in every row r, and
+    theta(e_i) e_j = sum_p theta[p][i] e_p e_j puts -(e_p e_j)_r at
+    theta[p][i], e_i theta(e_j) puts -(e_i e_p)_r at theta[p][j]."""
+    normal = alg.ring.normal
     d = alg.dim
-    L = [alg.left_mult_matrix(alg.basis_vector(i)) for i in range(d)]
-    R = [alg.right_mult_matrix(alg.basis_vector(i)) for i in range(d)]
+    T = alg._terms
+    every = range(d)
+    # by j, the (p, r, c) with (e_p e_j)_r = c; by i, those with (e_i e_p)_r = c
+    right = [[(p, r, c) for p in every for r, c in T[p][j]] for j in every]
+    left = [[(p, r, c) for p in every for r, c in T[i][p]] for i in every]
     rows = []
-    for i in range(d):
-        for j in range(d):
-            prod = alg.table[i][j]
-            for r in range(d):
-                row = [rg.zero] * (d * d)
-                for p in range(d):
-                    # theta(e_i e_j) contributes prod[p] * theta[r][p]
-                    row[r * d + p] = rg.add(row[r * d + p], prod[p])
-                    # -theta(e_i) e_j: -(R_j theta e_i)[r]
-                    row[p * d + i] = rg.sub(row[p * d + i], R[j][r][p])
-                    # -e_i theta(e_j): -(L_i theta e_j)[r]
-                    row[p * d + j] = rg.sub(row[p * d + j], L[i][r][p])
-                rows.append(row)
+    for i in every:
+        for j in every:
+            out = [{} for _ in every]
+            for p, c in T[i][j]:
+                for r in every:
+                    out[r][r * d + p] = c
+            for p, r, c in right[j]:
+                row, col = out[r], p * d + i
+                row[col] = row.get(col, 0) - c
+            for p, r, c in left[i]:
+                row, col = out[r], p * d + j
+                row[col] = row.get(col, 0) - c
+            for row in out:
+                rows.append({col: x for col in sorted(row) if (x := normal(row[col]))})
     return rows
 
 
@@ -185,8 +194,9 @@ def verify_commuting_derivations_vanish(G, k):
 
     Both are linear conditions on the entries of the map: the Leibniz rows
     and the rows that make [theta(x), x]_k vanish (see
-    ``algebra.vanishing_rows``), fed to one kernel.  A generator of that
-    kernel contradicts the vanishing theorem and is raised as
+    ``algebra.vanishing_rows``), fed to one kernel.  Feeding stops once
+    that kernel is zero, since more rows cannot shrink it.  A generator of
+    the kernel contradicts the vanishing theorem and is raised as
     TheoremViolation with the map attached."""
     if k < 1:
         raise DimensionMismatch("commuting order must be >= 1")
@@ -199,6 +209,8 @@ def verify_commuting_derivations_vanish(G, k):
     acc = linalg.kernel_builder(rg, d * d)
     acc.add_rows(_leibniz_rows(alg))
     for block in vanishing_rows(rg, alg.commuting_coefficients(k), k + 1, d):
+        if acc.has_zero_kernel():
+            break
         acc.add_rows(block)
     gens = acc.nullspace()
     if gens:

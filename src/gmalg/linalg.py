@@ -129,6 +129,10 @@ class _HowellAccumulator:
         rows[j] = r
         return out
 
+    def has_zero_kernel(self):
+        """Whether the kernel is {0}: every column is a pivot of lead 1."""
+        return len(self.rows) == self.ncols and not self._nonunit
+
     def basis(self):
         """The rows of the canonical form, ordered by pivot column."""
         zero = self.ring.zero

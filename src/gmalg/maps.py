@@ -25,6 +25,7 @@ from .algebra import (
     lattice_points,
     scalar_multiples_of,
     vanishing_kernel,
+    vanishing_lead,
     vanishing_rows,
 )
 from .errors import (
@@ -44,18 +45,29 @@ class LinMap:
     of basis vector e_j."""
 
     def __init__(self, ring, rows):
+        rows = tuple(tuple(ring.coerce(c) for c in r) for r in rows)
+        for r in rows:
+            if len(r) != len(rows):
+                raise DimensionMismatch("map matrix must be square")
+        self._set(ring, rows)
+
+    def _set(self, ring, rows):
         self.ring = ring
         self.dim = len(rows)
-        self.rows = tuple(
-            tuple(ring.coerce(c) for c in r) for r in rows
-        )
-        for r in self.rows:
-            if len(r) != self.dim:
-                raise DimensionMismatch("map matrix must be square")
+        self.rows = rows
         self._cols = [
-            [(r, row[j]) for r, row in enumerate(self.rows) if row[j]]
+            [(r, row[j]) for r, row in enumerate(rows) if row[j]]
             for j in range(self.dim)
         ]
+
+    @classmethod
+    def _from_normal(cls, ring, rows):
+        """The map of a square tuple of row tuples already in normal form:
+        nothing is coerced or checked.  ``__init__`` is the constructor for
+        anything else."""
+        m = cls.__new__(cls)
+        m._set(ring, rows)
+        return m
 
     @classmethod
     def identity(cls, ring, dim):
@@ -162,7 +174,9 @@ def is_k_commuting(G, theta, k):
     ``algebra.vanishing_rows``).  On failure x is the lexicographically
     first failing element: of the whole algebra over a finite ring, of
     {0..k+1}^dim over Q (see ``algebra.lattice_check``), with f evaluated
-    from its coefficients."""
+    from its coefficients.  The search starts at the lead coordinate that
+    the coefficients give (``algebra.vanishing_lead``): x is zero before
+    it and nonzero there."""
     alg = _underlying(G)
     if k < 1:
         raise DimensionMismatch("commuting order must be >= 1")
@@ -172,7 +186,8 @@ def is_k_commuting(G, theta, k):
     coeffs = alg.map_coefficients(theta._cols, k)
     if next(vanishing_rows(rg, coeffs, k + 1, alg.dim), None) is None:
         return True, None
-    return lattice_check(rg, alg.dim, k + 1, evaluator(rg, coeffs, k + 1))
+    return lattice_check(rg, alg.dim, k + 1, evaluator(rg, coeffs, k + 1),
+                         lead=vanishing_lead(rg, coeffs, k + 1, alg.dim))
 
 
 class MapSpace:
@@ -212,7 +227,9 @@ class MapSpace:
                 for t, v in enumerate(g):
                     if v:
                         total[t] += c * v
-        return LinMap.from_flat(rg, d, [rg.normal(v) for v in total])
+        flat = [rg.normal(v) for v in total]
+        return LinMap._from_normal(rg, tuple(tuple(flat[i * d:(i + 1) * d])
+                                             for i in range(d)))
 
     def __repr__(self):
         return f"MapSpace(dim={self.algebra.dim}, ngens={len(self.space.gens)})"

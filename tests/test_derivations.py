@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from conftest import _in_random_basis
 
+from gmalg import derivations, linalg
+from gmalg.algebra import vanishing_kernel, vanishing_rows
 from gmalg.derivations import (
+    _leibniz_rows,
     adjoint_map,
     derivation_space,
     is_derivation,
@@ -10,9 +14,9 @@ from gmalg.derivations import (
     verify_derivation_form,
 )
 from gmalg.errors import DimensionMismatch, NotDerivation, TheoremViolation, TwoTorsion
-from gmalg.families import full_matrix_gma, triangular_gma
-from gmalg.maps import LinMap
-from gmalg.rings import Zmod
+from gmalg.families import block_triangular_gma, full_matrix_gma, triangular_gma
+from gmalg.maps import LinMap, commuting_space
+from gmalg.rings import Rationals, Zmod
 
 
 def test_identity_is_not_a_derivation(m2_z3):
@@ -82,3 +86,95 @@ def test_commuting_derivation_intersection_nonzero_case():
     zero intersection, so the verifier returns True rather than raising."""
     G = triangular_gma(Zmod(3), 3, 2)
     assert verify_commuting_derivations_vanish(G, 2) is True
+
+
+# -- the Leibniz rows and the early stop, against references ---------------
+
+def reference_leibniz_rows(alg):
+    """One dense row per (i, j, r), read off ``alg.table``: the entries of
+    theta(e_i e_j) - theta(e_i) e_j - e_i theta(e_j) at coordinate r, as
+    the nonzero entries over the flat unknowns theta[p][q] at p*d+q."""
+    rg, d, T = alg.ring, alg.dim, alg.table
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            for r in range(d):
+                row = [rg.zero] * (d * d)
+                for p in range(d):
+                    row[r * d + p] = rg.add(row[r * d + p], T[i][j][p])
+                    row[p * d + i] = rg.sub(row[p * d + i], T[p][j][r])
+                    row[p * d + j] = rg.sub(row[p * d + j], T[i][p][r])
+                rows.append({c: x for c, x in enumerate(row) if x})
+    return rows
+
+
+def test_sparse_leibniz_rows_equal_the_dense_reference(m2_z3, m2_z5, t2_z3, t2_z5,
+                                                       t3_z3, b21_z3):
+    rng = random.Random(3)
+    algebras = [G.algebra for G in (m2_z3, m2_z5, t2_z3, t2_z5, t3_z3, b21_z3)]
+    algebras += [_in_random_basis(alg, rng)[0] for alg in algebras]
+    algebras += [triangular_gma(Rationals(), 3, 1).algebra,
+                 _in_random_basis(full_matrix_gma(Rationals(), 2, 1).algebra, rng)[0]]
+    for alg in algebras:
+        rows = _leibniz_rows(alg)
+        assert rows == reference_leibniz_rows(alg)
+        assert all(list(row) == sorted(row) for row in rows)
+
+
+def reference_vanish(G, k):
+    """The verdict with every Leibniz and commuting row fed."""
+    alg, rg = G.algebra, G.ring
+    d = alg.dim
+    acc = linalg.kernel_builder(rg, d * d)
+    acc.add_rows(reference_leibniz_rows(alg))
+    for block in vanishing_rows(rg, alg.commuting_coefficients(k), k + 1, d):
+        acc.add_rows(block)
+    gens = acc.nullspace()
+    return LinMap.from_flat(rg, d, gens[0]) if gens else True
+
+
+@pytest.mark.parametrize("ring", [Rationals(), Zmod(3), Zmod(5), Zmod(9)], ids=repr)
+def test_early_stopped_verdict_equals_feeding_every_row(ring, monkeypatch):
+    fed = []        # the block sizes fed to each accumulator over maps
+    builder = linalg.kernel_builder
+
+    def counting(rg, ncols):
+        acc = builder(rg, ncols)
+        if ncols == d * d:
+            sizes = []
+            fed.append(sizes)
+            add_rows = acc.add_rows
+            acc.add_rows = lambda block: (sizes.append(len(block)), add_rows(block))
+        return acc
+
+    for G in (full_matrix_gma(ring, 2, 1), triangular_gma(ring, 3, 1),
+              block_triangular_gma(ring, (2, 1), 1)):
+        d = G.dim
+        for k in (1, 2, 3):
+            expected = reference_vanish(G, k)
+            fed.clear()
+            monkeypatch.setattr(linalg, "kernel_builder", counting)
+            assert verify_commuting_derivations_vanish(G, k) is expected is True
+            monkeypatch.setattr(linalg, "kernel_builder", builder)
+            blocks = list(vanishing_rows(ring, G.algebra.commuting_coefficients(k), k + 1, d))
+            # the Leibniz rows, then the commuting blocks until the kernel
+            # is zero: here never all of them
+            [sizes] = fed
+            assert sizes[0] == d ** 3
+            assert 1 <= len(sizes) - 1 < len(blocks)
+
+
+def test_a_nonzero_kernel_raises_the_first_generator(monkeypatch):
+    """Without the Leibniz rows the kernel is the commuting space, so every
+    row is fed and the kernel's first generator is raised: the first one
+    ``vanishing_kernel`` gives, a member of ``commuting_space``."""
+    monkeypatch.setattr(derivations, "_leibniz_rows", lambda alg: [])
+    for ring in (Rationals(), Zmod(3), Zmod(9)):
+        G = full_matrix_gma(ring, 2, 1)
+        alg, d = G.algebra, G.dim
+        for k in (1, 2, 3):
+            with pytest.raises(TheoremViolation) as err:
+                verify_commuting_derivations_vanish(G, k)
+            first = vanishing_kernel(ring, alg.commuting_coefficients(k), k + 1, d, d * d)[0]
+            assert err.value.witness == LinMap.from_flat(ring, d, first)
+            assert commuting_space(G, k).contains(err.value.witness)

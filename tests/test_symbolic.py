@@ -145,24 +145,60 @@ def reference_is_k_commuting(alg, theta, k):
     )
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_rational_witnesses_equal_the_lattice_search(family):
-    G = FAMILIES[family](Rationals())
+@pytest.mark.parametrize("family, n", [
+    # the Q cases keep the ids they had before the finite rings were added
+    pytest.param(family, n, id=family if n is None else f"{family}-{n}")
+    for n in RINGS for family in sorted(FAMILIES)
+])
+def test_rational_witnesses_equal_the_lattice_search(family, n):
+    """The witness, found from the lead coordinate on, is the one of the
+    search without a lead on point evaluation: over Q, over Z/p with
+    p < k+1 and p >= k+1, and over composite n."""
+    G = FAMILIES[family](_ring(n))
     alg = G.algebra
     R, d = alg.ring, alg.dim
     rng = random.Random(family)
+    draw = (lambda: rng.randint(1, 5)) if n is None else (lambda: rng.randrange(1, n))
     for k in (1, 2, 3):
         member = commuting_space(alg, k).random_member(rng)
         maps = [member]
         for _ in range(3):
             rows = [list(r) for r in member.rows]
-            rows[rng.randrange(d)][rng.randrange(d)] += R.coerce(rng.randint(1, 5))
+            i, j = rng.randrange(d), rng.randrange(d)
+            rows[i][j] = R.add(rows[i][j], R.coerce(draw()))
             maps.append(LinMap(R, rows))
         maps.append(LinMap(R, [[R.coerce(rng.randint(-3, 3)) for _ in range(d)]
                                for _ in range(d)]))
         for theta in maps:
             assert is_k_commuting(alg, theta, k) == reference_is_k_commuting(
                 alg, theta, k)
+
+
+def test_a_lead_keeps_the_witness():
+    """``lattice_check`` from a lead t gives the witness of the search
+    without one, and evaluates no point whose first t+1 coordinates are
+    zero.  f(x) = x_2 (x_2 - 1) x_3 is zero where x_0 = x_1 = x_2 = 0 and
+    not where only x_0 = x_1 = 0, so its lead is 2; its first failing point
+    has x_2 = 2.  g(x) = x_0 (x_1 - 2) has lead 0."""
+    for ring in (Rationals(), Zmod(5), Zmod(9)):
+        def f(x):
+            return ring.mul(ring.mul(x[2], ring.sub(x[2], 1)), x[3])
+
+        for dim, degree, lead, poly, witness in (
+            (4, 3, 2, f, (0, 0, 2, 1)),
+            (2, 2, 0, lambda x: ring.mul(x[0], ring.sub(x[1], 2)), (1, 0)),
+        ):
+            points = []
+
+            def holds(x):
+                points.append(x)
+                return not poly(x)
+
+            assert lattice_check(ring, dim, degree, holds) == (False, witness)
+            assert any(not any(x[:lead + 1]) for x in points)
+            points.clear()
+            assert lattice_check(ring, dim, degree, holds, lead=lead) == (False, witness)
+            assert points and all(any(x[:lead + 1]) for x in points)
 
 
 # -- no point evaluation ------------------------------------------------------
