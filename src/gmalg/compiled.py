@@ -6,7 +6,9 @@ Every line of ``maps.verify_structure_conditions``, of
 an identity linear in the map theta.  ``structure_lines``, ``step_lines``
 and ``proper_lines`` write each line once against a side of G (``_Side``):
 the line's elements are built with ``image``, ``at_unit``, ``act``,
-``diag``, ``combine`` and ``central``, and its reading names the target its
+``diag``, ``combine`` and ``central`` (one implementation for both
+readings: the center partner ``GMAlgebra.partner`` is one linear map, solved
+once per G and applied through ``act``), and its reading names the target its
 points must meet: 0 (``zero``), a submodule (``within``, ``member``: an
 order-k center or Z(G)), the degree-2 identity in a module variable
 (``lattice``) or k-commuting on A (``commuting``).  A side has two readings:
@@ -34,7 +36,6 @@ from operator import mul
 
 from . import linalg
 from .algebra import lattice_points, vanishing_rows
-from .errors import TheoremViolation
 from .morita import BLOCKS
 
 
@@ -93,8 +94,10 @@ class _Side:
     A line's elements are built with ``image(src, dst, v)`` (the src -> dst
     component of theta at v; "G" for all of G), ``at_unit(src, dst)``,
     ``act(product, x, y)`` (a product of the context: "am", "mb", "bn" or
-    "na", as in ``morita.MoritaContext``, or "G"), ``diag(a, b)``,
-    ``combine(*(c, x))`` (the sum of the c*x) and ``central(name, x)``.  Its points are given as in
+    "na", as in ``morita.MoritaContext``, "G", or G's block "A" or "B" for
+    the center partner from it, set by ``central``), ``diag(a, b)``,
+    ``combine(*(c, x))`` (the sum of the c*x) and ``central(name, x)``,
+    which both readings share.  Its points are given as in
     ``report.first_failure``: ``at(*i)`` for i over ``ranges``, named by
     ``keys`` in a witness (None: the line reports none).  The readings are
     ``zero(keys, at, *ranges)``, ``within(S, keys, at, *ranges,
@@ -123,8 +126,12 @@ class _Side:
 
     def central(self, name, x):
         """The central element of G whose ``name`` part (A or B) is x, for x
-        in the projection of Z(G) to that block (``_partner``)."""
-        y = self._partner(self.names[name], x)
+        in the projection of Z(G) to that block.  The other part is x's
+        center partner, the linear map ``GMAlgebra.partner`` applied by
+        ``act`` as the product of x with the unit 1 of the ring."""
+        block = self.names[name]
+        self._products[block] = self.G.partner(block)
+        y = self.act(block, x, (self.G.ring.one,))
         return self.diag(x, y) if name == "A" else self.diag(y, x)
 
 
@@ -153,25 +160,6 @@ class _Forms(_Side):
             for r, v in cell:
                 _add_row(out.setdefault(r, {}), s * v, row)
         return out
-
-    def _partner(self, block, x):
-        """L(x) for a linear L equal to the center partner (``phi_apply``,
-        ``phi_inv_apply``) on the projection P of Z(G) to ``block``, solved
-        at P's generators: it exists over Q, Z/p and the self-injective Z/n."""
-        G = self.G
-        P = G.center_projections()[block == "B"]
-        partner = G.phi_apply if block == "A" else G.phi_inv_apply
-        n, dst = P.ambient_dim, G.dims[3 if block == "A" else 0]
-        # the unknowns L[i][c] at i*n + c; L(g)_i = partner(g)_i
-        sol = linalg.solve_linear(
-            G.ring, [[0] * (i * n) + list(g) + [0] * ((dst - 1 - i) * n)
-                     for g in P.gens for i in range(dst)],
-            [y for g in P.gens for y in partner(g)])
-        if sol is None:
-            raise TheoremViolation("the center partner is not linear")
-        L = sol.particular
-        return self.combine(*((L[i * n + c], {i: row}) for c, row in x.items()
-                              for i in range(dst) if L[i * n + c]))
 
     def diag(self, a, b):
         off = self.G.offsets
@@ -414,9 +402,10 @@ def proper_lines(sides):
     """The two guards of the proper form x -> x*C + f(x), as (cond_id, the
     line read on ``sides``): the shift C = diag(d1(1) - phi^-1(m1(1)),
     phi(d1(1)) - m1(1)) lies in Z(G), and so does the residual
-    f(e_j) = theta(e_j) - e_j*C at each basis element e_j of G.  Rows read
-    phi off Z(G)'s projections through a linear extension; where both pass,
-    theta is proper, so d1(1) and m1(1) lie in them and the values agree."""
+    f(e_j) = theta(e_j) - e_j*C at each basis element e_j of G.  Both
+    readings apply the same linear partner (``GMAlgebra.partner``), which
+    is phi on Z(G)'s projections; where both guards pass, theta is proper,
+    so d1(1) and m1(1) lie in them."""
     F = sides[0]
     zG, eG = F.G.gma_center(), F.G.algebra.basis()
     C = F.combine((1, F.central("A", F.at_unit("A", "A"))),

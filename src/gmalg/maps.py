@@ -202,8 +202,10 @@ class MapSpace:
         return self.algebra.ring
 
     def basis(self):
+        """The generators as maps; the Howell rows are in normal form."""
         d = self.algebra.dim
-        return [LinMap.from_flat(self.ring, d, g) for g in self.space.gens]
+        return [LinMap._from_normal(self.ring, tuple(g[i * d:(i + 1) * d] for i in range(d)))
+                for g in self.space.gens]
 
     @property
     def rank(self):
@@ -304,9 +306,6 @@ class _Values(compiled._Side):
 
     def act(self, product, x, y):
         return _bilinear(self.ring, x, y, *self._products[product])
-
-    def _partner(self, block, x):
-        return (self.G.phi_apply if block == "A" else self.G.phi_inv_apply)(x)
 
     def diag(self, a, b):
         G = self.G
@@ -419,9 +418,7 @@ def check_properness_hypotheses(G, k):
     cond2 = G.ctx.B.engel_center(k).equals(piB)
 
     dA, dM, dN, dB = G.dims
-    zdiag = Submodule(rg, dA + dB, [
-        G.extract("A", g) + G.extract("B", g) for g in G.gma_center().gens
-    ])
+    zdiag = G.center_kernel()
     if rg.is_field:
         top = G.ctx.A.center().rank + G.ctx.B.center().rank - zdiag.rank
         Ms, Ns = (list(lattice_points(rg, d, top)) for d in (dM, dN))

@@ -229,7 +229,8 @@ class GMAlgebra:
         self.dims = dA, dM, dN, dB = (ctx.A.dim, ctx.M.dim, ctx.N.dim, ctx.B.dim)
         self.dim = dA + dM + dN + dB
         self.offsets = {"A": 0, "M": dA, "N": dA + dM, "B": dA + dM + dN}
-        self._gma_center = self._zrows = self._zab_rows = self._transposed = None
+        self._gma_center = self._zkernel = self._zab_rows = self._transposed = None
+        self._partners = {}
         blocks = ((ctx.A.table, ctx.A._terms), (ctx.M.left, ctx.M._left),
                   (ctx.M.right, ctx.M._right), (ctx.phi, ctx._phi),
                   (ctx.psi, ctx._psi), (ctx.N.right, ctx.N._right),
@@ -317,7 +318,7 @@ class GMAlgebra:
         a in Z(A), b in Z(B), a*m = m*b for each m in ``ms`` and
         n*a = b*n for each n in ``ns``.
 
-        With the module bases (``_center_rows``, by linearity all of M and
+        With the module bases (``center_kernel``, by linearity all of M and
         N) their kernel is the center of G read on its diagonal; with one
         pair (m0, n0) it is the pinned set of the hypothesis check."""
         ctx, rg = self.ctx, self.ring
@@ -349,59 +350,67 @@ class GMAlgebra:
             self._zab_rows = rows
         return self._zab_rows
 
-    def _center_rows(self):
-        """``center_rows`` at the module bases; cached."""
-        if self._zrows is None:
-            self._zrows = self.center_rows(self.ctx.M.basis(), self.ctx.N.basis())
-        return self._zrows
+    def center_kernel(self):
+        """Z(G) read on its diagonal: the kernel of ``center_rows`` at the
+        module bases, a submodule of A x B over the unknowns (a | b);
+        cached."""
+        if self._zkernel is None:
+            n = self.dims[0] + self.dims[3]
+            rows = self.center_rows(self.ctx.M.basis(), self.ctx.N.basis())
+            self._zkernel = Submodule(self.ring, n, linalg.nullspace(self.ring, rows, n))
+        return self._zkernel
 
     def gma_center(self):
         """{diag(a, b) : a in Z(A), b in Z(B), a*m = m*b and n*a = b*n for
         all m, n}: the center of the underlying algebra."""
         if self._gma_center is None:
-            dA, dB = self.dims[0], self.dims[3]
-            gens = linalg.nullspace(self.ring, self._center_rows(), dA + dB)
-            self._gma_center = Submodule(
-                self.ring,
-                self.dim,
-                [self.embed_diag(g[:dA], g[dA:]) for g in gens],
-            )
+            dA = self.dims[0]
+            self._gma_center = Submodule(self.ring, self.dim, [
+                self.embed_diag(g[:dA], g[dA:]) for g in self.center_kernel().gens])
         return self._gma_center
 
     def center_projections(self):
         """(image of the center in A, image of the center in B)."""
-        z = self.gma_center()
-        return (
-            z.project(list(self.block_range("A"))),
-            z.project(list(self.block_range("B"))),
-        )
+        z, dA = self.center_kernel(), self.dims[0]
+        return z.project(range(dA)), z.project(range(dA, z.ambient_dim))
+
+    def partner(self, block):
+        """The center partner on the projection of Z(G) to ``block``: phi
+        from A, phi^-1 from B.  It is a linear map L, fitted to the
+        generators (a | b) of ``center_kernel`` and returned as the product
+        terms (``_bilinear``) of x, s -> s*L(x) for a scalar s, with its
+        output dimension; cached.
+
+        L exists iff the partner is unique: over Q, and over Z/n, which is
+        self-injective, a linear map on a submodule extends to the whole
+        block.  A partner that is not unique is a nonzero central diag(0, b)
+        or diag(a, 0), which annihilates M; that raises ``NotFaithful``."""
+        if block not in self._partners:
+            dA, dB = self.dims[0], self.dims[3]
+            a, b = (slice(None, dA), dA), (slice(dA, None), dB)
+            (src, n), (dst, m) = (a, b) if block == "A" else (b, a)
+            gens = self.center_kernel().gens
+            # row i of L: L_i . x = y_i at each generator (x | y)
+            L = [linalg.solve_linear(self.ring, [g[src] for g in gens],
+                                     [g[dst][i] for g in gens]) for i in range(m)]
+            if None in L:
+                raise NotFaithful("center partner is not unique; M is not faithful")
+            self._partners[block] = tuple(
+                (tuple((i, x) for i, sol in enumerate(L) if (x := sol.particular[c])),)
+                for c in range(n)), m
+        return self._partners[block]
 
     def phi_apply(self, a):
         """The unique b with diag(a, b) central; needs a in the A-image."""
-        dA, dB = self.dims[0], self.dims[3]
-        return self._center_partner(a, range(dA), range(dA, dA + dB))
+        return self._apply_partner("A", a)
 
     def phi_inv_apply(self, b):
-        dA, dB = self.dims[0], self.dims[3]
-        return self._center_partner(b, range(dA, dA + dB), range(dA))
+        return self._apply_partner("B", b)
 
-    def _center_partner(self, x, known, unknown):
-        """The unique y with the center rows holding at x in the ``known``
-        columns and y in the ``unknown`` ones (ranges over (a | b))."""
-        rg = self.ring
-        rhs = []
-        mat = []
-        for r in self._center_rows():
-            # move the known part to the right-hand side
-            rhs.append(rg.normal(sum(v * x[c - known.start]
-                                     for c, v in r.items() if c in known)))
-            mat.append([rg.neg(r.get(c, rg.zero)) for c in unknown])
-        sol = linalg.solve_linear(rg, mat, rhs)
-        if sol is None:
+    def _apply_partner(self, block, x):
+        if not self.center_projections()[block == "B"].contains(x):
             raise TheoremViolation("no center partner for the given element", x)
-        if sol.kernel:
-            raise NotFaithful("center partner is not unique; M is not faithful")
-        return tuple(sol.particular)
+        return _bilinear(self.ring, x, (self.ring.one,), *self.partner(block))
 
 
 CenterIso = namedtuple("CenterIso", ["domain", "codomain", "mapping"])
@@ -409,8 +418,8 @@ CenterIso = namedtuple("CenterIso", ["domain", "codomain", "mapping"])
 
 def center_iso_phi(G):
     """The multiplicative bijection a -> b between the two diagonal images
-    of the center, verified on generators: each image is the unique
-    solution of a linear system, so the map is linear."""
+    of the center, verified on generators: phi and phi^-1 are the linear
+    maps of ``GMAlgebra.partner``, so generators decide each law."""
     G.require_faithful()
     dom, cod = G.center_projections()
     mapping = [(a, G.phi_apply(a)) for a in dom.gens]

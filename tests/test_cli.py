@@ -193,32 +193,43 @@ def test_sweep_is_byte_stable(ctx_m2_z3, capsys):
     assert first == second
 
 
-def _shifted(partner, c):
-    """A center partner (``GMAlgebra.phi_apply`` or ``phi_inv_apply``)
-    returning its value plus c."""
-    return lambda G, x: tuple(G.ring.add(v, G.ring.coerce(c)) for v in partner(G, x))
+def _scaled(partner, scales):
+    """``GMAlgebra.partner`` with the map from A scaled by scales[0] and the
+    one from B by scales[1]: still linear, so both readings see it."""
+    def scaled(G, block):
+        terms, dim = partner(G, block)
+        s = G.ring.coerce(scales[block == "B"])
+        return tuple(tuple(tuple((i, G.ring.mul(s, c)) for i, c in cell) for cell in row)
+                     for row in terms), dim
+    return scaled
 
 
 @pytest.mark.parametrize("command", ["classify", "sweep"])
-@pytest.mark.parametrize("shift, message", [
-    # C = the true shift - diag(1, 0), which is not central
-    ((1, 0), "constructed shift is not central"),
-    # C = the true shift - 1, central, so theta(e_j) - e_j*C = (central) + e_j
-    ((1, -1), "residual escapes the center"),
-])
+@pytest.mark.parametrize("scales, message", [
+    # C = diag(d1(1) - phi^-1(m1(1)), phi(d1(1)) - m1(1)) moves from 1 to
+    # 1 - diag(1, 0), which is not central
+    ((1, 2), "constructed shift is not central"),
+    # C moves to 0, central, so theta(e_j) - e_j*C = theta(e_j)
+    ((2, 2), "residual escapes the center"),
+], ids=["shift0-constructed shift is not central", "shift1-residual escapes the center"])
 def test_proper_form_guards_exit_2(ctx_m2_z3, tmp_path, capsys, monkeypatch,
-                                   command, shift, message):
-    """The two guards of ``construct_proper_form``, with the center partners
+                                   command, scales, message):
+    """The two guards of ``construct_proper_form``, with the center partner
     made wrong, stop ``classify --mode proper`` and ``sweep --mode proper``
-    with exit 2."""
+    with exit 2.  The map is the proper theta(x) = x + x_0*1, with
+    d1(1) = 2 and m1(1) = 1, so that each scale shows in C."""
     path, G = ctx_m2_z3
+    rows = [list(r) for r in LinMap.identity(G.ring, G.dim).rows]
+    for r, u in enumerate(G.algebra.unit):
+        rows[r][0] += u
+    theta = LinMap(G.ring, rows)
     cls = morita.GMAlgebra
-    monkeypatch.setattr(cls, "phi_inv_apply", _shifted(cls.phi_inv_apply, shift[0]))
-    monkeypatch.setattr(cls, "phi_apply", _shifted(cls.phi_apply, shift[1]))
+    monkeypatch.setattr(cls, "partner", _scaled(cls.partner, scales))
     if command == "classify":
-        mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim).scale(2))
-        argv = ["classify", path, mpath, "--mode", "proper"]
+        argv = ["classify", path, write_map(tmp_path, G, theta), "--mode", "proper"]
     else:
+        monkeypatch.setattr(maps, "commuting_space", lambda G, k: maps.MapSpace(
+            G.algebra, Submodule(G.ring, G.dim ** 2, [theta.flatten()])))
         argv = ["sweep", path, "--mode", "proper", "--samples", "2"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (cli.EXIT_VIOLATION, "")

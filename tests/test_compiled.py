@@ -78,8 +78,8 @@ def _per_line(rep):
 
 
 def _has_proper_form(G, theta, k):
-    """Whether ``construct_proper_form`` raises nothing: its guards, or the
-    center partner of d1(1) or m1(1), raise ``TheoremViolation``."""
+    """Whether ``construct_proper_form`` raises nothing: its guards raise
+    ``TheoremViolation``."""
     try:
         construct_proper_form(G, theta, k, hypotheses=ASSUMED, verdict=(True, None))
     except TheoremViolation:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -119,6 +120,45 @@ def test_sparse_leibniz_rows_equal_the_dense_reference(m2_z3, m2_z5, t2_z3, t2_z
         rows = _leibniz_rows(alg)
         assert rows == reference_leibniz_rows(alg)
         assert all(list(row) == sorted(row) for row in rows)
+
+
+def reference_is_derivation(alg, theta):
+    """The Leibniz law scanned pair by pair on values: the first basis pair
+    (i, j) with theta(e_i e_j) != theta(e_i) e_j + e_i theta(e_j)."""
+    basis = alg.basis()
+    images = [theta.apply(e) for e in basis]
+    for i, j in itertools.product(range(alg.dim), repeat=2):
+        if theta.apply(alg.table[i][j]) != alg.add(alg.mul(images[i], basis[j]),
+                                                   alg.mul(basis[i], images[j])):
+            return False, (i, j)
+    return True, None
+
+
+def test_the_leibniz_verdict_equals_the_pairwise_scan(m2_z3, m2_z5, t2_z3, t3_z3, b21_z3):
+    """``is_derivation`` reads the Leibniz rows at vec(theta); its verdict
+    and first failing pair are those of the scan, on derivations, on
+    derivations with one entry moved and on arbitrary maps, in the
+    standard and a random basis, over Z/3, Z/5 and Q."""
+    rng = random.Random(11)
+    algebras = [G.algebra for G in (m2_z3, m2_z5, t2_z3, t3_z3, b21_z3)]
+    algebras += [_in_random_basis(alg, rng)[0] for alg in algebras]
+    algebras += [triangular_gma(Rationals(), 3, 1).algebra,
+                 _in_random_basis(full_matrix_gma(Rationals(), 2, 1).algebra, rng)[0]]
+    for alg in algebras:
+        rg, d = alg.ring, alg.dim
+
+        def scalar():
+            return rg.coerce(rng.randrange(rg.n) if rg.enumerable else rng.randint(-3, 3))
+
+        space = derivation_space(alg)
+        maps = space.basis() + [space.random_member(rng) for _ in range(3)]
+        for _ in range(3):
+            rows = [list(r) for r in space.random_member(rng).rows]
+            rows[rng.randrange(d)][rng.randrange(d)] += rg.one
+            maps.append(LinMap(rg, rows))
+        maps += [LinMap(rg, [[scalar() for _ in range(d)] for _ in range(d)]) for _ in range(3)]
+        for theta in maps:
+            assert is_derivation(alg, theta) == reference_is_derivation(alg, theta)
 
 
 def reference_vanish(G, k):

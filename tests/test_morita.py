@@ -1,8 +1,13 @@
 import itertools
 import random
+from operator import mul
 
 import pytest
+from test_compiled import SHAPES, _view
 from test_golden import _corrupt_context
+
+from gmalg import linalg
+from gmalg.compiled import proper_rows
 
 from gmalg.errors import (
     DimensionMismatch,
@@ -45,6 +50,16 @@ def unfaithful_context(R):
     B = scalar_algebra(R)
     M = Bimodule(R, 1, [[(1,)], [(0,)]], [[(1,)]], A.dim, B.dim)
     N = Bimodule(R, 0, [[]], [], B.dim, A.dim)
+    return MoritaContext(A, B, M, N, [[]], [])
+
+
+def unfaithful_right_context(R):
+    """B = R x R acting on a rank-1 M through its first factor only, and
+    N = 0: diag(0, (0, 1)) is central."""
+    A = scalar_algebra(R)
+    B = pair_algebra(R)
+    M = Bimodule(R, 1, [[(1,)]], [[(1,), (0,)]], A.dim, B.dim)
+    N = Bimodule(R, 0, [[], []], [], B.dim, A.dim)
     return MoritaContext(A, B, M, N, [[]], [])
 
 
@@ -288,3 +303,67 @@ def test_center_iso_checks_multiplicativity_over_q(monkeypatch):
     monkeypatch.setattr(G, "phi_inv_apply", lambda b: phi_inv(tuple(R.mul(c, R.inv_opt(two)) for c in b)))
     with pytest.raises(TheoremViolation, match="multiplicative"):
         center_iso_phi(G)
+
+
+def _solved_partner(G, block, x):
+    """The center partner of x solved on its own: the unique y with (x | y)
+    (from A) or (y | x) (from B) in the kernel of the center rows at the
+    module bases."""
+    R, (dA, _, _, dB) = G.ring, G.dims
+    known, unknown = range(dA), range(dA, dA + dB)
+    if block == "B":
+        known, unknown = unknown, known
+    rows = G.center_rows(G.ctx.M.basis(), G.ctx.N.basis())
+    sol = linalg.solve_linear(
+        R, [[R.neg(r.get(c, R.zero)) for c in unknown] for r in rows],
+        [R.normal(sum(v * x[c - known.start] for c, v in r.items() if c in known))
+         for r in rows])
+    assert sol is not None and not sol.kernel
+    return tuple(sol.particular)
+
+
+@pytest.mark.parametrize("view", ["plain", "random basis"])
+@pytest.mark.parametrize("ring", [Rationals(), Zmod(3), Zmod(5), Zmod(9), Zmod(15)],
+                         ids=repr)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_the_linear_partner_is_the_solved_one(shape, ring, view):
+    """``phi_apply`` and ``phi_inv_apply`` read one linear map per block,
+    solved once; at every element of the projection (over Q: the
+    generators and seeded combinations) it is the partner solved for that
+    element alone."""
+    rng = random.Random(f"partner/{shape}/{ring!r}/{view}")
+    G = _view(SHAPES[shape](ring), view, rng)
+    for block, apply in (("A", G.phi_apply), ("B", G.phi_inv_apply)):
+        P = G.center_projections()[block == "B"]
+        if ring.enumerable:
+            elements = P.elements()
+        else:
+            combos = ([rng.randint(-3, 3) for _ in P.gens] for _ in range(5))
+            elements = P.gens + [tuple(sum(map(mul, cs, col)) for col in zip(*P.gens))
+                                 for cs in combos]
+        for x in elements:
+            assert apply(x) == _solved_partner(G, block, x), (block, x)
+        assert G.partner(block) is G.partner(block)
+
+
+@pytest.mark.parametrize("split", [1, 2])
+def test_phi_outside_the_projection_is_a_violation(split):
+    """T3 split after 1 or 2: one corner is T2, and Z(G) projects to its
+    scalars, which no basis element is."""
+    G = triangular_gma(Zmod(3), 3, split)
+    apply, block = (G.phi_inv_apply, "B") if split == 1 else (G.phi_apply, "A")
+    for x in G.ctx.B.basis() if block == "B" else G.ctx.A.basis():
+        with pytest.raises(TheoremViolation, match="no center partner"):
+            apply(x)
+
+
+@pytest.mark.parametrize("ring", [Rationals(), Zmod(5), Zmod(9)], ids=repr)
+def test_a_partner_that_is_not_unique_is_not_faithful(ring):
+    """With a nonzero central diag(0, b) no linear partner from A exists:
+    both readings refuse."""
+    G = build_gma(unfaithful_right_context(ring))
+    assert G.gma_center().contains(G.embed("B", (0, 1)))
+    with pytest.raises(NotFaithful):
+        G.phi_apply(G.ctx.A.unit)
+    with pytest.raises(NotFaithful):
+        proper_rows(G, 1)
