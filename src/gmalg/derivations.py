@@ -20,12 +20,13 @@ from .report import Report, first_failure
 def is_derivation(G, theta):
     """(True, None) if theta(xy) = theta(x)y + x theta(y), else the first
     failing basis pair (i, j).  The law is bilinear, so basis pairs
-    suffice: it is ``_leibniz_rows`` at vec(theta), d rows per pair."""
+    suffice: it is the Leibniz rows at vec(theta), d rows per pair, read
+    until the first pair that fails."""
     alg = getattr(G, "algebra", G)
     if theta.dim != alg.dim:
         raise DimensionMismatch("map dimension does not match the algebra")
     flat, normal = theta.flatten(), alg.ring.normal
-    bad = next((t for t, row in enumerate(_leibniz_rows(alg))
+    bad = next((t for t, row in enumerate(_iter_leibniz_rows(alg))
                 if normal(sum(c * flat[s] for s, c in row.items()))), None)
     return bad is None, None if bad is None else divmod(bad // alg.dim, alg.dim)
 
@@ -40,13 +41,19 @@ def adjoint_map(G, c):
 
 
 def _leibniz_rows(alg):
+    """``_iter_leibniz_rows`` as a list."""
+    return list(_iter_leibniz_rows(alg))
+
+
+def _iter_leibniz_rows(alg):
     """Constraint rows over the flattened unknowns theta[p][q] expressing
     theta(e_i e_j) - theta(e_i) e_j - e_i theta(e_j) = 0, one per (i, j)
     and output coordinate r in that order, each a dict of its nonzero
     entries in column order.  They are read off the nonzero products:
     theta(e_i e_j) puts (e_i e_j)_p at theta[r][p] in every row r, and
     theta(e_i) e_j = sum_p theta[p][i] e_p e_j puts -(e_p e_j)_r at
-    theta[p][i], e_i theta(e_j) puts -(e_i e_p)_r at theta[p][j]."""
+    theta[p][i], e_i theta(e_j) puts -(e_i e_p)_r at theta[p][j].  The
+    rows of a pair are built when it is reached, empty rows included."""
     normal = alg.ring.normal
     d = alg.dim
     T = alg._terms
@@ -54,7 +61,6 @@ def _leibniz_rows(alg):
     # by j, the (p, r, c) with (e_p e_j)_r = c; by i, those with (e_i e_p)_r = c
     right = [[(p, r, c) for p in every for r, c in T[p][j]] for j in every]
     left = [[(p, r, c) for p in every for r, c in T[i][p]] for i in every]
-    rows = []
     for i in every:
         for j in every:
             out = [{} for _ in every]
@@ -68,15 +74,14 @@ def _leibniz_rows(alg):
                 row, col = out[r], p * d + j
                 row[col] = row.get(col, 0) - c
             for row in out:
-                rows.append({col: x for col in sorted(row) if (x := normal(row[col]))})
-    return rows
+                yield {col: x for col in sorted(row) if (x := normal(row[col]))}
 
 
 def derivation_space(G):
     """All maps satisfying the Leibniz law, as a MapSpace."""
     alg = getattr(G, "algebra", G)
     d = alg.dim
-    gens = linalg.nullspace(alg.ring, _leibniz_rows(alg), d * d)
+    gens = linalg.nullspace(alg.ring, _iter_leibniz_rows(alg), d * d)
     return MapSpace(alg, Submodule(alg.ring, d * d, gens))
 
 

@@ -16,14 +16,18 @@ identities are homogeneous.  theta is linear and the bracket bilinear, so
 [theta(ux), ux]_k = u^(k+1) [theta(x), x]_k, and x and ux pass or fail
 together.  The first failing x in odometer order is a representative (if
 ux came before a failing x, ux would fail first), so the witness is the
-first failing element of the whole algebra.  An order-k center is
-linear in a and of degree k in x: [ua, x]_k = u [a, x]_k and
+first failing element of the whole algebra.  An order-k center for
+k >= 2 is linear in a and of degree k in x: [ua, x]_k = u [a, x]_k and
 [a, ux]_k = u^k [a, x]_k.  So only representatives a are tested, each
-central one stands for its whole orbit, and they are tested against the
-representatives x.  For k = 1 the bracket is even linear in x,
-[a, x] = sum_j x_j [a, e_j], and a is central iff it commutes with the d
-basis elements; for k >= 2 one list of the representatives is held.
-The other searches hold one element at a time.
+central one stands for its whole orbit, against one held list of the
+representatives x.  The other searches hold one element at a time.
+
+The center (k = 1) is read off the commutator constants instead:
+[a, x] = sum_{i,j} a_i x_j [e_i, e_j], so a is central iff
+sum_i a_i [e_i, e_j]_r = 0 for every j and r.  ``brute_center`` sets
+the digits of a one at a time and makes each check once its last digit
+is set.  A check that fails on a prefix fails on all its extensions, so
+dropping the prefix loses no central element; no bracket is computed.
 """
 
 from .errors import BudgetExceeded, DimensionMismatch, NotEnumerable
@@ -48,17 +52,21 @@ def _scalars(A, budget):
 def _odometer(scalars, prefix, width):
     """prefix followed by every tuple of ``width`` scalars, lexicographic
     with the first coordinate most significant; an odometer, not a library
-    product, to keep this path independent."""
+    product, to keep this path independent.  The tail is updated in place,
+    one digit per carry."""
     n = len(scalars)
     digits = [0] * width
+    tail = [scalars[0]] * width
     while True:
-        yield prefix + tuple(scalars[i] for i in digits)
+        yield prefix + tuple(tail)
         pos = width - 1
         while pos >= 0:
             digits[pos] += 1
             if digits[pos] < n:
+                tail[pos] = scalars[digits[pos]]
                 break
             digits[pos] = 0
+            tail[pos] = scalars[0]
             pos -= 1
         if pos < 0:
             return
@@ -99,39 +107,41 @@ def representatives(A, budget=DEFAULT_BUDGET):
             ]
         return steps[fixing]
 
-    def walk(prefix, fixing):
+    def prefixes(prefix, fixing):
+        # the prefixes whose every tail is allowed: only 1 fixes them, or
+        # they are whole
         if len(fixing) == 1 or len(prefix) == d:
-            yield from _odometer(scalars, prefix, d - len(prefix))
+            yield prefix
             return
         for c, keep in step(fixing):
-            yield from walk(prefix + (c,), keep)
+            yield from prefixes(prefix + (c,), keep)
 
-    yield from walk((), tuple(_units(ring, scalars)))
+    for prefix in prefixes((), tuple(_units(ring, scalars))):
+        yield from _odometer(scalars, prefix, d - len(prefix))
 
 
-def _grouped(d, cell):
-    """The nonzero values of ``cell(i, j, r)`` as
+def _grouped(cells):
+    """The nonzero entries c = cells[i][j][r] as
     [(i, [(j, ((r, c), ...)), ...]), ...], empty groups left out."""
     out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            terms = tuple((r, c) for r in range(d) if (c := cell(i, j, r)))
-            if terms:
-                row.append((j, terms))
-        if row:
-            out.append((i, row))
+    for i, row in enumerate(cells):
+        group = [(j, terms) for j, cell in enumerate(row)
+                 if (terms := tuple((r, c) for r, c in enumerate(cell) if c))]
+        if group:
+            out.append((i, group))
     return out
 
 
+def _commutators(A):
+    """The nonzero constants of e_i e_j - e_j e_i, read off the table."""
+    sub, T, every = A.ring.sub, A.table, range(A.dim)
+    return _grouped([[map(sub, T[i][j], T[j][i]) for j in every] for i in every])
+
+
 def _structure(A):
-    """(products, commutators): the nonzero constants of e_i e_j and of
-    e_i e_j - e_j e_i, read off the table with the oracle's own loops."""
-    ring, T = A.ring, A.table
-    return (
-        _grouped(A.dim, lambda i, j, r: T[i][j][r]),
-        _grouped(A.dim, lambda i, j, r: ring.sub(T[i][j][r], T[j][i][r])),
-    )
+    """(products, commutators): the nonzero constants of e_i e_j, and
+    ``_commutators(A)``, as ``_mul`` and ``_bracket_power`` read them."""
+    return _grouped(A.table), _commutators(A)
 
 
 def _sums(d, terms, x, y):
@@ -196,29 +206,55 @@ def _basis(A):
     ]
 
 
-def brute_center(A, budget=DEFAULT_BUDGET, S=None):
-    """All a with ax = xa for every x, as a sorted element list."""
-    return brute_zk(A, 1, budget, S)
+def brute_center(A, budget=DEFAULT_BUDGET):
+    """All a with ax = xa for every x, as a sorted element list (odometer
+    order over the ascending scalars): the a with [a, e_j] = 0 for every
+    j, from the commutator constants.  Each check
+    sum_i a_i [e_i, e_j]_r = 0 is made once its last digit is set, and a
+    prefix that fails one is dropped with all its extensions; after the
+    last digit that ends a check every tail is central."""
+    scalars = _scalars(A, budget)
+    d, normal = A.dim, A.ring.normal
+    forms = {}
+    for i, row in _commutators(A):
+        for j, cell in row:
+            for r, c in cell:
+                forms.setdefault((j, r), []).append((i, c))
+    ending = [[] for _ in range(d)]     # by last digit: (the rest, its coefficient)
+    for terms in dict.fromkeys(map(tuple, forms.values())):
+        *rest, (last, c) = terms
+        ending[last].append((rest, c))
+    depth = max((i + 1 for i in range(d) if ending[i]), default=0)
+    a, out = [None] * depth, []
+
+    def walk(i):
+        if i == depth:
+            out.extend(_odometer(scalars, tuple(a), d - depth))
+            return
+        checks = [(sum(a[t] * c for t, c in rest), c) for rest, c in ending[i]]
+        for s in scalars:
+            if not any(normal(base + s * c) for base, c in checks):
+                a[i] = s
+                walk(i + 1)
+
+    walk(0)
+    return out
 
 
-def brute_zk(A, k, budget=DEFAULT_BUDGET, S=None):
-    """All a with [a, x]_k = 0 for every x, as a sorted element list, from
-    ``S = _structure(A)`` when given.  Only the representatives a are
-    tested, for k = 1 at the d basis elements and for k >= 2 against one
-    held list of the representatives x; each central one is expanded into
-    its orbit {u*a}."""
-    if S is None:
-        S = _structure(A)
-    ring = A.ring
+def brute_zk(A, k, budget=DEFAULT_BUDGET):
+    """All a with [a, x]_k = 0 for every x, as a sorted element list.  For
+    k = 1 this is ``brute_center``.  For k >= 2 only the representatives a
+    are tested, against one held list of the representatives x, and each
+    central one is expanded into its orbit {u*a}."""
+    if k == 1:
+        return brute_center(A, budget)
+    ring, S = A.ring, _structure(A)
     units = _units(ring, _scalars(A, budget))
-    reps = representatives(A, budget)
-    if k > 1:
-        reps = list(reps)
-    tests = _basis(A) if k == 1 else reps
+    reps = list(representatives(A, budget))
     return sorted({
         tuple(ring.mul(u, c) for c in a)
         for a in reps
-        if not any(any(_bracket_power(A, S, a, x, k)) for x in tests)
+        if not any(any(_bracket_power(A, S, a, x, k)) for x in reps)
         for u in units
     })
 
@@ -231,7 +267,7 @@ def brute_k_commuting(G, theta, k, budget=DEFAULT_BUDGET):
     homomorphism from the integers."""
     A = getattr(G, "algebra", G)
     d, normal = A.dim, A.ring.normal
-    comm = _structure(A)[1]
+    comm = _commutators(A)
     cols = _columns(A, theta)
     for x in representatives(A, budget):
         y = _sums(d, cols, (1,), x)
@@ -249,7 +285,7 @@ def brute_properness(G, theta, budget=DEFAULT_BUDGET):
     A = getattr(G, "algebra", G)
     ring = A.ring
     S = _structure(A)
-    center = brute_center(A, budget, S)
+    center = brute_center(A, budget)
     cset = set(center)
     basis = _basis(A)
     cols = _columns(A, theta)

@@ -321,7 +321,7 @@ WITNESS_RUNGS = {
 def test_brute_witness_is_the_first_in_order(rung, k, monkeypatch):
     """Perturbed maps fail at the same first x as a naive scan; a proper
     map is tested at every unit-orbit representative, and a center search
-    enumerates them exactly once."""
+    enumerates none of them."""
     G = WITNESS_RUNGS[rung]()
     A, R, d = G.algebra, G.ring, G.dim
     rng = random.Random(f"{rung}/{k}")
@@ -346,7 +346,7 @@ def test_brute_witness_is_the_first_in_order(rung, k, monkeypatch):
     assert len(counted) == burnside(R.n, d)
     counted.clear()
     brute_center(A)
-    assert len(counted) == burnside(R.n, d)
+    assert counted == []
 
 
 def naive_zk(A, k):
@@ -400,20 +400,66 @@ COUNTED = {
 
 
 @pytest.mark.parametrize("label", sorted(COUNTED))
-def test_center_search_brackets_at_the_basis(label, monkeypatch):
-    """At most d brackets per representative; a commutative algebra,
-    where every element is central, takes exactly that many."""
+def test_center_search_computes_no_bracket(label, monkeypatch):
+    """The center is read off the commutator constants: no bracket is
+    computed, and every leaf the digit search reaches is central, so a
+    commutative algebra reaches exactly its n^d elements."""
     A = COUNTED[label]()
-    calls = []
-    bracket = oracle._bracket_power
+    calls, leaves = [], []
+    odometer = oracle._odometer
 
     def counting(*args):
-        calls.append(args[-1])
-        return bracket(*args)
+        for x in odometer(*args):
+            leaves.append(x)
+            yield x
 
-    monkeypatch.setattr(oracle, "_bracket_power", counting)
+    monkeypatch.setattr(oracle, "_bracket_power", lambda *args: calls.append(args))
+    monkeypatch.setattr(oracle, "_odometer", counting)
     center = brute_center(A)
-    bound = A.dim * len(list(representatives(A)))
-    assert len(calls) <= bound and set(calls) == {1}
-    if len(center) == A.ring.n ** A.dim:
-        assert len(calls) == bound
+    assert calls == []
+    assert leaves == center
+    if label.startswith("F[x,y]"):
+        assert len(leaves) == A.ring.n ** A.dim
+
+
+# Too large for the every-a-against-every-x reference: 46656 to 279936
+# elements, each also in a random basis, where dense constants make every
+# check involve the last digit, the worst case for dropping prefixes.
+DIGIT_CASES = [
+    (f"{name}(Z/{n})", build, n, moved)
+    for name, build, moduli in [
+        ("T3", lambda R: triangular_matrix_algebra(R, 3), (6,)),
+        ("B(2,1)", lambda R: block_triangular_gma(R, (2, 1), 1).algebra, (4, 6)),
+    ]
+    for n in moduli
+    for moved in (False, True)
+]
+
+
+@pytest.mark.parametrize("label, build, n, moved", DIGIT_CASES,
+                         ids=[f"{lab}{'-moved' if m else ''}"
+                              for lab, _, _, m in DIGIT_CASES])
+def test_digit_search_center_equals_the_optimized_center(label, build, n, moved):
+    A = build(Zmod(n))
+    if moved:
+        A = _in_random_basis(A, random.Random(label))[0]
+    assert brute_center(A) == sorted(A.center().elements())
+
+
+def test_center_search_keeps_the_refusals():
+    with pytest.raises(BudgetExceeded,
+                       match="1953125 elements exceed the enumeration budget 1000000"):
+        brute_center(matrix_algebra(Zmod(5), 3))
+    with pytest.raises(NotEnumerable, match="cannot enumerate over an infinite ring"):
+        brute_center(matrix_algebra(Rationals(), 2))
+
+
+def test_center_of_a_commutative_algebra_over_z9_is_all_729_elements():
+    A = square_zero_algebra(Zmod(9))
+    assert brute_center(A) == list(itertools.product(range(9), repeat=3))
+
+
+def test_brute_zk_at_order_one_is_the_center():
+    for A in (triangular_matrix_algebra(Zmod(6), 3),
+              _in_random_basis(matrix_algebra(Zmod(4), 2), random.Random(4))[0]):
+        assert brute_zk(A, 1) == brute_center(A)
