@@ -470,13 +470,6 @@ class Algebra:
             raise InvalidAlgebra(f"structure constants invalid: {bad[:5]}")
         return self
 
-    def opposite(self):
-        """Same module, product reversed."""
-        table = [
-            [self.table[j][i] for j in range(self.dim)] for i in range(self.dim)
-        ]
-        return Algebra(self.ring, self.labels, table, self.unit)
-
     # -- centers ------------------------------------------------------------
 
     def center(self):
@@ -626,8 +619,3 @@ class Submodule:
 
     def __repr__(self):
         return f"Submodule(dim={self.ambient_dim}, ngens={len(self.gens)})"
-
-
-def scalar_multiples_of(algebra):
-    """The submodule R*1 inside an algebra."""
-    return Submodule(algebra.ring, algebra.dim, [algebra.unit])

@@ -93,6 +93,9 @@ def cmd_classify(args):
     verdict = maps.is_k_commuting(G, theta, k)
     kc, witness = verdict
     doc["k_commuting"] = kc
+    if kc and args.mode == "proper":
+        # refused here, before the oracle and the reports it would discard
+        maps.require_proper_setting(G)
     if args.oracle:
         bkc, bwit = oracle.brute_k_commuting(G, theta, k, args.budget)
         if bkc != kc:
@@ -124,9 +127,11 @@ def cmd_classify(args):
         doc["oracle_proper"] = bok
 
     if args.mode == "proper":
-        if maps._hyp_all(_hypotheses(G, k, doc)):
-            pf = maps.construct_proper_form(G, theta, k, verdict=verdict)
-            steps = maps.verify_proper_form_steps(G, theta, k, verdict=verdict)
+        hyp = _hypotheses(G, k, doc)
+        if maps._hyp_all(hyp):
+            pf = maps.construct_proper_form(G, theta, k, hypotheses=hyp, verdict=verdict)
+            steps = maps.verify_proper_form_steps(G, theta, k, hypotheses=hyp,
+                                                  verdict=verdict)
             doc["proper_form"] = {
                 "center_shift": jsonio._vec_json(G.ring, pf.center_shift),
                 "steps": steps.to_json(),
@@ -170,19 +175,21 @@ def cmd_sweep(args):
         _emit(doc, args.emit)
         return EXIT_OK
 
-    space = maps.commuting_space(G, k)
-    doc["space_generators"] = len(space.space.gens)
-    rng = random.Random(args.seed)
-    thetas = space.basis() + [space.random_member(rng) for _ in range(args.samples)]
-    doc["maps_checked"] = len(thetas)
-
     hyp = None
     if args.mode in ("proper", "steps"):
+        # checked, or refused, before the space is solved; an order below 1
+        # is refused first
+        maps.require_order(k)
         hyp = _hypotheses(G, k, doc)
-        if not maps._hyp_all(hyp):
-            doc["finding"] = "sufficient hypotheses not satisfied"
-            _emit(doc, args.emit)
-            return EXIT_FINDING
+    space = maps.commuting_space(G, k)
+    doc["space_generators"] = len(space.space.gens)
+    doc["maps_checked"] = len(space.space.gens) + args.samples
+    if hyp is not None and not maps._hyp_all(hyp):
+        doc["finding"] = "sufficient hypotheses not satisfied"
+        _emit(doc, args.emit)
+        return EXIT_FINDING
+    rng = random.Random(args.seed)
+    thetas = space.basis() + [space.random_member(rng) for _ in range(args.samples)]
 
     # [theta(x), x]_k is linear in theta: the generators, maps 0..g-1, decide all
     for idx, theta in enumerate(thetas[:doc["space_generators"]]):

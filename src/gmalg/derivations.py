@@ -12,7 +12,7 @@ from .errors import (
     TheoremViolation,
     TwoTorsion,
 )
-from .maps import LinMap, MapSpace, _Values
+from .maps import LinMap, MapSpace, _Values, require_order
 from .morita import BLOCKS
 from .report import Report, first_failure
 
@@ -38,11 +38,6 @@ def adjoint_map(G, c):
         alg.bracket(c, alg.basis_vector(j)) for j in range(alg.dim)
     ]
     return LinMap.from_columns(alg.ring, cols)
-
-
-def _leibniz_rows(alg):
-    """``_iter_leibniz_rows`` as a list."""
-    return list(_iter_leibniz_rows(alg))
 
 
 def _iter_leibniz_rows(alg):
@@ -199,8 +194,7 @@ def verify_commuting_derivations_vanish(G, k):
     that kernel is zero, since more rows cannot shrink it.  A generator of
     the kernel contradicts the vanishing theorem and is raised as
     TheoremViolation with the map attached."""
-    if k < 1:
-        raise DimensionMismatch("commuting order must be >= 1")
+    require_order(k)
     rg = G.ring
     if not rg.is_two_torsion_free():
         raise TwoTorsion("the vanishing theorem needs 2x = 0 => x = 0")
@@ -208,7 +202,7 @@ def verify_commuting_derivations_vanish(G, k):
     alg = G.algebra
     d = alg.dim
     acc = linalg.kernel_builder(rg, d * d)
-    acc.add_rows(_leibniz_rows(alg))
+    acc.add_rows(_iter_leibniz_rows(alg))
     for block in vanishing_rows(rg, alg.commuting_coefficients(k), k + 1, d):
         if acc.has_zero_kernel():
             break

@@ -97,43 +97,6 @@ def full_matrix_gma(ring, n, split_j):
     return _split_gma(ring, (n,), split_j)
 
 
-def full_matrix_basis_bijection(G, n, split_j):
-    """Global basis index -> matrix position (r, c) in M_n under the block
-    partition; inverts the construction of full_matrix_gma."""
-    j = split_j
-    out = {}
-    for loc, i in enumerate(G.block_range("A")):
-        out[i] = (loc // j, loc % j)
-    for loc, i in enumerate(G.block_range("M")):
-        out[i] = (loc // (n - j), j + loc % (n - j))
-    for loc, i in enumerate(G.block_range("N")):
-        out[i] = (j + loc // j, loc % j)
-    for loc, i in enumerate(G.block_range("B")):
-        out[i] = (j + loc // (n - j), j + loc % (n - j))
-    return out
-
-
-def verify_full_matrix_model(G, n, split_j):
-    """Whether G's multiplication matches matrix-unit multiplication in
-    M_n under the explicit basis bijection."""
-    bij = full_matrix_basis_bijection(G, n, split_j)
-    rg = G.ring
-    for i1 in range(G.dim):
-        r1, c1 = bij[i1]
-        for i2 in range(G.dim):
-            r2, c2 = bij[i2]
-            prod = G.algebra.table[i1][i2]
-            expect = [rg.zero] * G.dim
-            if c1 == r2:
-                target = next(
-                    idx for idx, pos in bij.items() if pos == (r1, c2)
-                )
-                expect[target] = rg.one
-            if prod != tuple(expect):
-                return False
-    return True
-
-
 def triangular_gma(ring, n, split_k, variant="upper"):
     """T_n(R) as [T_k, rectangle; 0, T_{n-k}] (upper), or the mirrored
     lower-triangular presentation with the rectangle in the (2,1) block."""

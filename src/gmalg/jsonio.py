@@ -7,7 +7,7 @@ bytes are stable for identical inputs.
 import json
 
 from .algebra import Algebra
-from .errors import InputError
+from .errors import DimensionMismatch, InputError
 from .maps import LinMap
 from .morita import Bimodule, MoritaContext
 from .rings import parse_ring, scalar_from_json, scalar_to_json
@@ -132,9 +132,14 @@ def context_from_json(obj):
 
 
 def map_from_json(obj, ring):
+    """The map of a ``map/1`` document; each scalar is decoded once, into
+    normal form."""
     _schema(obj, MAP_SCHEMA)
-    rows = _list(_require(obj, "matrix", "map"), "map matrix")
-    return LinMap(ring, [_vec_load(ring, row, "map row") for row in rows])
+    rows = tuple(_vec_load(ring, row, "map row")
+                 for row in _list(_require(obj, "matrix", "map"), "map matrix"))
+    if any(len(r) != len(rows) for r in rows):
+        raise DimensionMismatch("map matrix must be square")
+    return LinMap._from_normal(ring, rows)
 
 
 def load_file(path):

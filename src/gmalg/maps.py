@@ -23,7 +23,6 @@ from .algebra import (
     iter_vectors,
     lattice_check,
     lattice_points,
-    scalar_multiples_of,
     vanishing_kernel,
     vanishing_lead,
     vanishing_rows,
@@ -163,6 +162,12 @@ def _underlying(G):
     return getattr(G, "algebra", G)
 
 
+def require_order(k):
+    """Raise ``DimensionMismatch`` unless the commuting order k is >= 1."""
+    if k < 1:
+        raise DimensionMismatch("commuting order must be >= 1")
+
+
 def is_k_commuting(G, theta, k):
     """(True, None) if [theta(x), x]_k = 0 for every x, else (False, x).
 
@@ -178,8 +183,7 @@ def is_k_commuting(G, theta, k):
     the coefficients give (``algebra.vanishing_lead``): x is zero before
     it and nonzero there."""
     alg = _underlying(G)
-    if k < 1:
-        raise DimensionMismatch("commuting order must be >= 1")
+    require_order(k)
     if theta.dim != alg.dim:
         raise DimensionMismatch("map dimension does not match the algebra")
     rg = alg.ring
@@ -245,8 +249,7 @@ def commuting_space(G, k):
     ``algebra.vanishing_rows``)."""
     alg = _underlying(G)
     d = alg.dim
-    if k < 1:
-        raise DimensionMismatch("commuting order must be >= 1")
+    require_order(k)
     gens = vanishing_kernel(alg.ring, alg.commuting_coefficients(k), k + 1, d, d * d)
     return MapSpace(alg, Submodule(alg.ring, d * d, gens))
 
@@ -389,6 +392,15 @@ def _hyp_all(h):
 PAIR_BUDGET = 10**6
 
 
+def require_proper_setting(G):
+    """Raise ``TwoTorsion`` unless 2x = 0 => x = 0 in the ring, then
+    ``NotFaithful`` unless M is faithful: the setting of the proper-form
+    pipeline, outside which it refuses a request before any other work."""
+    if not G.ring.is_two_torsion_free():
+        raise TwoTorsion("the proper-form pipeline needs 2x = 0 => x = 0")
+    G.require_faithful()
+
+
 def check_properness_hypotheses(G, k):
     """The three sufficient conditions for properness of every k-commuting
     map: both order-k centers are exactly the diagonal projections of the
@@ -408,11 +420,10 @@ def check_properness_hypotheses(G, k):
     points, make the search complete over Z/p and Q.  Over composite Z/n
     the rank argument fails, and every pair is tried, at most
     ``PAIR_BUDGET`` of them.  Either way the candidates go in
-    ``_witness_order``, and the first pair that works is the witness."""
+    ``_witness_order``, and the first pair that works is the witness.
+    Outside the setting of ``require_proper_setting`` it refuses."""
+    require_proper_setting(G)
     rg = G.ring
-    if not rg.is_two_torsion_free():
-        raise TwoTorsion("the proper-form pipeline needs 2x = 0 => x = 0")
-    G.require_faithful()
     piA, piB = G.center_projections()
     cond1 = G.ctx.A.engel_center(k).equals(piA)
     cond2 = G.ctx.B.engel_center(k).equals(piB)
@@ -522,13 +533,3 @@ def verify_proper_form_steps(G, theta, k, hypotheses=None, verdict=None):
     return _report(f"proper-form step invariants (k={k})", G,
                    compiled.step_lines(_Values.pair(G, theta), k))
 
-
-def has_scalar_engel_centers(G, k):
-    """Whether both order-k centers collapse to the scalar multiples of the
-    unit -- the easy sufficient condition for properness of every
-    k-commuting map."""
-    ZA = G.ctx.A.engel_center(k)
-    ZB = G.ctx.B.engel_center(k)
-    return ZA.equals(scalar_multiples_of(G.ctx.A)) and ZB.equals(
-        scalar_multiples_of(G.ctx.B)
-    )

@@ -230,6 +230,7 @@ class GMAlgebra:
         self.dim = dA + dM + dN + dB
         self.offsets = {"A": 0, "M": dA, "N": dA + dM, "B": dA + dM + dN}
         self._gma_center = self._zkernel = self._zab_rows = self._transposed = None
+        self._faithful = None
         self._partners = {}
         blocks = ((ctx.A.table, ctx.A._terms), (ctx.M.left, ctx.M._left),
                   (ctx.M.right, ctx.M._right), (ctx.phi, ctx._phi),
@@ -302,7 +303,10 @@ class GMAlgebra:
         return self._transposed
 
     def faithful(self):
-        return check_faithful(self.ctx)
+        """``check_faithful(self.ctx)``, computed once."""
+        if self._faithful is None:
+            self._faithful = check_faithful(self.ctx)
+        return dict(self._faithful)
 
     def require_faithful(self):
         f = self.faithful()

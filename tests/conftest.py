@@ -6,7 +6,9 @@ from gmalg.families import (
     block_triangular_gma,
     full_matrix_gma,
     triangular_gma,
+    triangular_matrix_algebra,
 )
+from gmalg.morita import Bimodule, MoritaContext, build_gma
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +39,27 @@ def t3_z3():
 @pytest.fixture(scope="session")
 def b21_z3():
     return block_triangular_gma(Zmod(3), (2, 1), 1)
+
+
+def scalars(R):
+    return Algebra(R, ["e"], [[(1,)]], (1,))
+
+
+def no_module(R, B, A):
+    """The zero B-A bimodule."""
+    return Bimodule(R, 0, [[]] * B.dim, [], B.dim, A.dim)
+
+
+@pytest.fixture(scope="session")
+def non_faithful_z3():
+    """A = T2(Z/3), B = Z/3, M = Z/3 with E11 acting as 1 and E12, E22 as
+    0, N = 0: M is not faithful, so Z(G) is smaller than the pairs (a, b)
+    with a*m = m*b alone."""
+    R = Zmod(3)
+    A = triangular_matrix_algebra(R, 2)
+    B = scalars(R)
+    M = Bimodule(R, 1, [[(1,)], [(0,)], [(0,)]], [[(1,)]], A.dim, B.dim)
+    return build_gma(MoritaContext(A, B, M, no_module(R, B, A), [[]], []))
 
 
 def square_zero_algebra(R):

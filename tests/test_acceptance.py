@@ -8,7 +8,7 @@ import random
 import pytest
 
 from gmalg import cli, jsonio
-from gmalg.algebra import Algebra
+from gmalg.algebra import Algebra, Submodule
 from gmalg.derivations import (
     derivation_space,
     verify_commuting_derivations_vanish,
@@ -54,9 +54,8 @@ def inflated_z3():
 
 
 def scalar_span(alg):
-    from gmalg.algebra import scalar_multiples_of
-
-    return scalar_multiples_of(alg)
+    """The submodule R*1 inside an algebra."""
+    return Submodule(alg.ring, alg.dim, [alg.unit])
 
 
 def test_criterion_1_oracle_equivalence(

@@ -1,9 +1,20 @@
 import pytest
 
-from gmalg.algebra import Algebra, Submodule, iter_vectors, scalar_multiples_of
+from gmalg.algebra import Algebra, Submodule, iter_vectors
 from gmalg.errors import DimensionMismatch, InvalidAlgebra, NotEnumerable
 from gmalg.families import matrix_algebra, triangular_matrix_algebra
 from gmalg.rings import Rationals, Zmod
+
+
+def scalar_multiples_of(algebra):
+    """The submodule R*1 inside an algebra."""
+    return Submodule(algebra.ring, algebra.dim, [algebra.unit])
+
+
+def opposite(alg):
+    """Same module, product reversed."""
+    table = [[alg.table[j][i] for j in range(alg.dim)] for i in range(alg.dim)]
+    return Algebra(alg.ring, alg.labels, table, alg.unit)
 
 
 def E(alg, label):
@@ -113,7 +124,7 @@ def test_structure_validation_catches_bad_unit():
 
 def test_opposite_reverses_products():
     A = triangular_matrix_algebra(Zmod(5), 2)
-    Aop = A.opposite()
+    Aop = opposite(A)
     x = A.vec([1, 2, 3])
     y = A.vec([4, 0, 1])
     assert Aop.mul(x, y) == A.mul(y, x)

@@ -322,15 +322,96 @@ def test_classify_refuses_a_budget_below_one(ctx_m2_z3, tmp_path, capsys, budget
     assert err == f"InputError: --budget must be >= 1, got {budget}\n"
 
 
-def test_two_torsion_ring_is_rejected(tmp_path, capsys):
+def test_two_torsion_ring_is_rejected(tmp_path, capsys, monkeypatch):
+    """A proper or step sweep is refused before it solves the space; an
+    order below 1 is refused first, with the error it always had."""
     G = full_matrix_gma(Zmod(4), 2, 1)
     path = tmp_path / "m2z4.json"
     path.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
-    code, _, err = run_cli(
-        ["sweep", str(path), "--k", "1", "--mode", "proper"], capsys
-    )
-    assert code == cli.EXIT_INPUT
-    assert "TwoTorsion" in err
+
+    def never(*a):
+        raise AssertionError("solved before the refusal")
+    monkeypatch.setattr(maps, "commuting_space", never)
+    for mode in ("proper", "steps"):
+        code, out, err = run_cli(
+            ["sweep", str(path), "--k", "1", "--mode", mode], capsys
+        )
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "TwoTorsion: the proper-form pipeline needs 2x = 0 => x = 0\n"
+        code, out, err = run_cli(["sweep", str(path), "--mode", mode, "--k", "0"], capsys)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == "DimensionMismatch: commuting order must be >= 1\n"
+
+
+def test_proper_classify_checks_the_hypotheses_once(ctx_m2_z3, tmp_path, capsys,
+                                                    monkeypatch):
+    """The hypotheses recorded in the document are the ones the proper form
+    and the step report are built under: checked once, not once each."""
+    path, G = ctx_m2_z3
+    mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim).scale(2))
+    calls = []
+    real = maps.check_properness_hypotheses
+    monkeypatch.setattr(maps, "check_properness_hypotheses",
+                        lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run_cli(["classify", path, mpath, "--k", "2", "--mode", "proper"],
+                           capsys)
+    assert code == cli.EXIT_OK and "proper_form" in json.loads(out)
+    assert len(calls) == 1
+
+
+def _refusing(monkeypatch):
+    """Make the oracle's commuting test and the structure report raise: a
+    request refused first reaches neither."""
+    def never(*a, **kw):
+        raise AssertionError("ran before the refusal")
+    monkeypatch.setattr(oracle, "brute_k_commuting", never)
+    monkeypatch.setattr(maps, "verify_structure_conditions", never)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_proper_classify_refuses_two_torsion_before_the_oracle(n, tmp_path, capsys,
+                                                               monkeypatch):
+    G = full_matrix_gma(Zmod(n), 2, 1)
+    path = tmp_path / "m2.json"
+    path.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
+    two_id = LinMap.identity(G.ring, G.dim).scale(2)
+    mpath = write_map(tmp_path, G, two_id)
+    argv = ["classify", str(path), mpath, "--oracle", "--mode", "proper"]
+    with monkeypatch.context() as mp:
+        _refusing(mp)
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "TwoTorsion: the proper-form pipeline needs 2x = 0 => x = 0\n"
+    # a map that is not commuting is a finding, and its counterexample is
+    # still checked by the oracle
+    bad = LinMap(G.ring, [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    argv[2] = write_map(tmp_path, G, bad, "bad.json")
+    seen = []
+    real = oracle.brute_k_commuting
+    monkeypatch.setattr(oracle, "brute_k_commuting",
+                        lambda *a: seen.append(a) or real(*a))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (cli.EXIT_FINDING, "")
+    assert len(seen) == 1
+    doc = json.loads(out)
+    assert doc["k_commuting"] is doc["oracle_k_commuting"] is False
+    assert doc["counterexample"] == [0, 1, 0, 0]
+
+
+def test_proper_classify_refuses_a_non_faithful_context_before_the_reports(
+        non_faithful_z3, tmp_path, capsys, monkeypatch):
+    G = non_faithful_z3
+    path = tmp_path / "ctx.json"
+    path.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
+    theta = LinMap(G.ring, ((0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (2, 0, 1, 0, 0),
+                            (0, 0, 0, 0, 0), (0, 0, 0, 0, 0)))
+    assert maps.is_k_commuting(G, theta, 1) == (True, None)
+    _refusing(monkeypatch)
+    code, out, err = run_cli(["classify", str(path), write_map(tmp_path, G, theta),
+                              "--oracle", "--mode", "proper"], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == ("NotFaithful: M must be faithful as a left A-module and a "
+                   "right B-module\n")
 
 
 def test_bad_input_files(tmp_path, capsys):

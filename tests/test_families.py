@@ -13,14 +13,12 @@ from gmalg.families import (
     InflatedSpec,
     block_triangular_gma,
     block_triangular_matrix_algebra,
-    full_matrix_basis_bijection,
     full_matrix_gma,
     inflated_algebra,
     matrix_algebra,
     triangular_gma,
     _tensor,
     triangular_matrix_algebra,
-    verify_full_matrix_model,
 )
 from gmalg.morita import _corner_context, build_gma, validate_context
 from gmalg.rings import Rationals, Zmod
@@ -52,6 +50,43 @@ def test_block_triangular_algebra_shape():
     A = block_triangular_matrix_algebra(Zmod(3), (2, 1))
     assert A.dim == 2 * 2 + 2 * 1 + 1
     A.validate()
+
+
+def full_matrix_basis_bijection(G, n, split_j):
+    """Global basis index -> matrix position (r, c) in M_n under the block
+    partition; inverts the construction of full_matrix_gma."""
+    j = split_j
+    out = {}
+    for loc, i in enumerate(G.block_range("A")):
+        out[i] = (loc // j, loc % j)
+    for loc, i in enumerate(G.block_range("M")):
+        out[i] = (loc // (n - j), j + loc % (n - j))
+    for loc, i in enumerate(G.block_range("N")):
+        out[i] = (j + loc // j, loc % j)
+    for loc, i in enumerate(G.block_range("B")):
+        out[i] = (j + loc // (n - j), j + loc % (n - j))
+    return out
+
+
+def verify_full_matrix_model(G, n, split_j):
+    """Whether G's multiplication matches matrix-unit multiplication in
+    M_n under the explicit basis bijection."""
+    bij = full_matrix_basis_bijection(G, n, split_j)
+    rg = G.ring
+    for i1 in range(G.dim):
+        r1, c1 = bij[i1]
+        for i2 in range(G.dim):
+            r2, c2 = bij[i2]
+            prod = G.algebra.table[i1][i2]
+            expect = [rg.zero] * G.dim
+            if c1 == r2:
+                target = next(
+                    idx for idx, pos in bij.items() if pos == (r1, c2)
+                )
+                expect[target] = rg.one
+            if prod != tuple(expect):
+                return False
+    return True
 
 
 def test_full_matrix_gma_blocks_and_model():

@@ -13,16 +13,15 @@ import json
 import pytest
 
 from gmalg import cli, jsonio, linalg, oracle
-from gmalg.algebra import Algebra
 from gmalg.errors import BudgetExceeded
 from gmalg.families import (
     block_triangular_gma,
     full_matrix_gma,
     triangular_gma,
-    triangular_matrix_algebra,
 )
 from gmalg.maps import (
     LinMap,
+    MapSpace,
     check_properness_hypotheses,
     commuting_space,
     properness_certificate,
@@ -30,16 +29,7 @@ from gmalg.maps import (
 from gmalg.morita import Bimodule, MoritaContext, build_gma
 from gmalg.rings import Rationals, Zmod
 
-from conftest import square_zero_algebra
-
-
-def scalars(R):
-    return Algebra(R, ["e"], [[(1,)]], (1,))
-
-
-def no_module(R, B, A):
-    """The zero B-A bimodule."""
-    return Bimodule(R, 0, [[]] * B.dim, [], B.dim, A.dim)
+from conftest import no_module, scalars, square_zero_algebra
 
 
 def negative_control(R):
@@ -54,18 +44,6 @@ def negative_control(R):
     ]
     M = Bimodule(R, 3, left, [[(1, 0, 0)], [(0, 1, 0)], [(0, 0, 1)]], 3, 1)
     return build_gma(MoritaContext(A, B, M, no_module(R, B, A), [[]] * 3, []))
-
-
-@pytest.fixture(scope="module")
-def non_faithful_z3():
-    """A = T2(Z/3), B = Z/3, M = Z/3 with E11 acting as 1 and E12, E22 as
-    0, N = 0: M is not faithful, so Z(G) is smaller than the pairs (a, b)
-    with a*m = m*b alone."""
-    R = Zmod(3)
-    A = triangular_matrix_algebra(R, 2)
-    B = scalars(R)
-    M = Bimodule(R, 1, [[(1,)], [(0,)], [(0,)]], [[(1,)]], A.dim, B.dim)
-    return build_gma(MoritaContext(A, B, M, no_module(R, B, A), [[]], []))
 
 
 def _run(argv):
@@ -120,6 +98,25 @@ def test_negative_control(R):
         assert [oracle.brute_properness(G, g)[0] for g in gens] == [
             properness_certificate(G, g) is not None for g in gens
         ]
+
+
+@pytest.mark.parametrize("mode", ["proper", "steps"])
+def test_sweep_outside_the_hypotheses_draws_no_sample(mode, tmp_path, monkeypatch):
+    """A proper or step sweep whose hypotheses fail is a finding: it reports
+    the size of the space and the maps it would check, and draws none."""
+    G = negative_control(Zmod(3))
+    ctx, _ = _write(tmp_path, G, LinMap.identity(G.ring, G.dim))
+
+    def never(*a):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(MapSpace, "random_member", never)
+    code, out = _run(["sweep", ctx, "--mode", mode, "--samples", "4"])
+    assert code == cli.EXIT_FINDING
+    assert json.loads(out) == {
+        "command": "sweep", "mode": mode, "k": 1, "seed": 0,
+        "hypotheses": {"cond1": False, "cond2": True, "cond3": False},
+        "space_generators": 11, "maps_checked": 15,
+        "finding": "sufficient hypotheses not satisfied"}
 
 
 def _matched_first(nm, nn):
