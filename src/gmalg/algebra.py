@@ -574,9 +574,6 @@ class Submodule:
             raise NotImplementedError("rank is only defined over fields")
         return len(self.gens)
 
-    def is_zero(self):
-        return not self.gens
-
     def contains(self, v):
         v = tuple(self.ring.coerce(c) for c in v)
         if len(v) != self.ambient_dim:

@@ -27,7 +27,6 @@ from .families import (
 )
 from .algebra import Algebra
 from .morita import build_gma, validate_context
-from .report import Report
 from .rings import parse_ring_flag, parse_scalar_flag
 
 EXIT_OK = 0
@@ -147,20 +146,6 @@ def cmd_classify(args):
     return exit_code
 
 
-# each sweep mode's lines: compiled to rows once per (G, k), and read as the
-# values of one map, a report whose failing lines are written (the proper
-# form's guards raise instead).  Every swept map is k-commuting, since
-# ``cmd_sweep`` decides the generators: hence the verdict (True, None).
-_SWEEPS = {
-    "structure": (compiled.structure_rows, lambda G, theta, k, hyp:
-                  maps.verify_structure_conditions(G, theta, k, verdict=(True, None))),
-    "steps": (compiled.step_rows, lambda G, theta, k, hyp: maps.verify_proper_form_steps(
-        G, theta, k, hypotheses=hyp, verdict=(True, None))),
-    "proper": (compiled.proper_rows, lambda G, theta, k, hyp: maps.construct_proper_form(
-        G, theta, k, hypotheses=hyp, verdict=(True, None)) and Report("proper form")),
-}
-
-
 def cmd_sweep(args):
     if args.samples < 0:
         raise InputError(f"--samples must be >= 0, got {args.samples}")
@@ -197,13 +182,18 @@ def cmd_sweep(args):
         if not ok:
             raise TheoremViolation(f"space generator {idx} is not {k}-commuting (witness {bad})")
     # every line is linear in theta: compiled once for the whole sweep, and
-    # only a map that fails a row is read as values, the source of witnesses
-    build, read = _SWEEPS[args.mode]
-    rows = build(G, k)
+    # only a map that fails a row is read as values, the source of witnesses.
+    # The generators span the space, so no swept map needs its own verdict.
+    rows = compiled.report_rows(G, args.mode, k)
     for idx, theta in enumerate(thetas):
-        lines = [] if rows.passes(theta) else read(G, theta, k, hyp).to_json()["lines"]
-        if wit := [line for line in lines if not line["passed"]]:
-            findings.append({"map_index": idx, "witness": wit})
+        if rows.passes(theta):
+            continue
+        lines = maps.report_values(G, theta, args.mode, k).to_json()["lines"]
+        wit = [line for line in lines if not line["passed"]]
+        if not wit:
+            raise TheoremViolation(
+                f"{args.mode} sweep: map {idx} fails a compiled row but no line of its report")
+        findings.append({"map_index": idx, "witness": wit})
     doc["failures"] = findings
     doc["all_pass"] = not findings
     _emit(doc, args.emit)
@@ -332,9 +322,6 @@ def main(argv=None):
     except HypothesesNotMet as exc:
         print(f"finding: {exc}", file=sys.stderr)
         return EXIT_FINDING
-    except InputError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except GmalgError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,18 +11,21 @@ readings: the center partner ``GMAlgebra.partner`` is one linear map, solved
 once per G and applied through ``act``), and its reading names the target its
 points must meet: 0 (``zero``), a submodule (``within``, ``member``: an
 order-k center or Z(G)), the degree-2 identity in a module variable
-(``lattice``) or k-commuting on A (``commuting``).  A side has two readings:
+(``lattice``) or k-commuting on A (``commuting``).  ``REPORTS`` names the
+three reports by sweep mode, each a title and the builder of its lines, and
+a side has two readings of a builder:
 
 - ``_Forms`` (here) reads an element's coordinates as rows over
   vec(theta), and a line as the rows that all vanish iff it passes.
-  ``structure_rows``, ``step_rows`` and ``proper_rows`` compile them so,
-  once per (G, k), and a sweep decides its maps from the rows
-  (``ReportRows``).
+  ``report_rows`` compiles them so, once per (G, k), and a sweep decides
+  its maps from the rows (``ReportRows``).
 - ``maps._Values`` reads the elements as values for one theta and a line
   point by point, in the order the rows are built; the first failing point
-  gives the witness.  That is the per-line report, the only source of
-  witnesses.  ``classify`` sees one map, and compiling costs about as much
-  as checking it line by line, so it runs the per-line report.
+  gives the witness.  That is the per-line report (``maps.report_values``),
+  the only source of witnesses.  ``classify`` sees one map, and compiling
+  the structure report costs more than checking that map line by line (on
+  a 2-core Xeon VM: M2(Z/3) at k = 1 0.75 ms against 0.66 ms, M4(Q) at
+  k = 1..3 6.6-28 ms against 2.0-6.4 ms), so it runs the per-line report.
 
 Each N-side line is its M-side line read on the transpose [B N; M A]
 (``GMAlgebra.transposed_ctx``): block names pass through A<->B and M<->N,
@@ -416,19 +419,17 @@ def proper_lines(sides):
                 range(len(eG)), image=True))]
 
 
-def structure_rows(G, k):
-    """``structure_lines`` compiled to rows (see ``ReportRows``), exact for
-    every map on every ring: the degree-2 balance identity is decided on
-    the lattice points (``_lattice_rows``) as the values reading does, and
-    every other line on the basis elements it reads."""
-    return ReportRows(G.ring, structure_lines(_Forms.pair(G), k))
+# each report: its title (formatted with k) and the builder of its lines
+REPORTS = {
+    "structure": ("structure conditions (k={k})", structure_lines),
+    "steps": ("proper-form step invariants (k={k})", step_lines),
+    "proper": ("proper form", lambda sides, k: proper_lines(sides)),
+}
 
 
-def step_rows(G, k):
-    """``step_lines`` compiled to rows (see ``ReportRows``)."""
-    return ReportRows(G.ring, step_lines(_Forms.pair(G), k))
-
-
-def proper_rows(G, k):
-    """``proper_lines`` compiled to rows; the guards do not depend on k."""
-    return ReportRows(G.ring, proper_lines(_Forms.pair(G)))
+def report_rows(G, mode, k):
+    """The lines of ``REPORTS[mode]`` compiled to rows (see ``ReportRows``),
+    exact for every map on every ring: the degree-2 balance identity is
+    decided on the lattice points (``_lattice_rows``) as the values reading
+    does, and every other line on the points it reads."""
+    return ReportRows(G.ring, REPORTS[mode][1](_Forms.pair(G), k))

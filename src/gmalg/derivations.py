@@ -6,13 +6,8 @@ from collections import namedtuple
 
 from . import linalg
 from .algebra import Submodule, vanishing_rows
-from .errors import (
-    DimensionMismatch,
-    NotDerivation,
-    TheoremViolation,
-    TwoTorsion,
-)
-from .maps import LinMap, MapSpace, _Values, require_order
+from .errors import DimensionMismatch, NotDerivation, TheoremViolation
+from .maps import LinMap, MapSpace, _Values, require_order, require_proper_setting
 from .morita import BLOCKS
 from .report import Report, first_failure
 
@@ -193,12 +188,11 @@ def verify_commuting_derivations_vanish(G, k):
     ``algebra.vanishing_rows``), fed to one kernel.  Feeding stops once
     that kernel is zero, since more rows cannot shrink it.  A generator of
     the kernel contradicts the vanishing theorem and is raised as
-    TheoremViolation with the map attached."""
+    TheoremViolation with the map attached.  Outside the setting of
+    ``maps.require_proper_setting`` it refuses."""
     require_order(k)
+    require_proper_setting(G)
     rg = G.ring
-    if not rg.is_two_torsion_free():
-        raise TwoTorsion("the vanishing theorem needs 2x = 0 => x = 0")
-    G.require_faithful()
     alg = G.algebra
     d = alg.dim
     acc = linalg.kernel_builder(rg, d * d)

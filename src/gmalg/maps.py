@@ -113,25 +113,14 @@ class LinMap:
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 
-    def _entrywise(self, op, other):
-        return LinMap(
-            self.ring,
-            [[op(a, b) for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def add(self, other):
-        return self._entrywise(self.ring.add, other)
-
     def sub(self, other):
-        return self._entrywise(self.ring.sub, other)
+        sub = self.ring.sub
+        return LinMap(self.ring, [[sub(a, b) for a, b in zip(r1, r2)]
+                                  for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, c):
         rg = self.ring
         return LinMap(rg, [[rg.mul(c, a) for a in r] for r in self.rows])
-
-    def is_zero(self):
-        return all(c == self.ring.zero for r in self.rows for c in r)
 
     def __eq__(self, other):
         return (
@@ -363,19 +352,22 @@ def _require_k_commuting(G, theta, k, verdict):
         raise NotKCommuting(f"map is not {k}-commuting (witness {bad})")
 
 
+def report_values(G, theta, mode, k):
+    """The lines of ``compiled.REPORTS[mode]`` checked line by line on
+    ``theta``, as a ``Report``.  No precondition is checked: a map that is
+    not k-commuting, or outside the hypotheses, gets the lines it fails."""
+    title, build = compiled.REPORTS[mode]
+    rep = Report(title.format(k=k), ring=G.ring)
+    for cid, (ok, wit) in build(_Values.pair(G, theta), k):
+        rep.add(cid, ok, wit)
+    return rep
+
+
 def verify_structure_conditions(G, theta, k, verdict=None):
     """The structural consequences that every k-commuting map satisfies
     (``compiled.structure_lines``), checked line by line on ``theta``."""
     _require_k_commuting(G, theta, k, verdict)
-    return _report(f"structure conditions (k={k})", G,
-                   compiled.structure_lines(_Values.pair(G, theta), k))
-
-
-def _report(title, G, lines):
-    rep = Report(title, ring=G.ring)
-    for cid, (ok, wit) in lines:
-        rep.add(cid, ok, wit)
-    return rep
+    return report_values(G, theta, "structure", k)
 
 
 HypothesisWitness = namedtuple(
@@ -530,6 +522,5 @@ def verify_proper_form_steps(G, theta, k, hypotheses=None, verdict=None):
     hyp = hypotheses if hypotheses is not None else check_properness_hypotheses(G, k)
     if not _hyp_all(hyp):
         raise HypothesesNotMet(f"sufficient conditions fail: {hyp}")
-    return _report(f"proper-form step invariants (k={k})", G,
-                   compiled.step_lines(_Values.pair(G, theta), k))
+    return report_values(G, theta, "steps", k)
 

@@ -121,13 +121,11 @@ def test_k_commutation_is_decided_once_per_map(ctx_m2_z3, tmp_path, capsys,
 def test_sweep_runs_the_per_line_reports_only_on_failing_maps(ctx_m2_z3, capsys,
                                                                monkeypatch):
     """A structure, step or proper sweep decides each map from the rows
-    compiled once for (G, k); the per-line report or the proper form, the
-    source of witnesses, runs only on a map that fails a compiled line."""
+    compiled once for (G, k); the per-line report, the source of witnesses,
+    runs only on a map that fails a compiled line."""
     path, _ = ctx_m2_z3
     reports = []
-    for name in ("verify_structure_conditions", "verify_proper_form_steps",
-                 "construct_proper_form"):
-        monkeypatch.setattr(maps, name, lambda *a, **kw: reports.append(a))
+    monkeypatch.setattr(maps, "report_values", lambda *a: reports.append(a))
     for mode in ("structure", "steps", "proper"):
         code, out, _ = run_cli(["sweep", path, "--k", "2", "--mode", mode], capsys)
         assert code == cli.EXIT_OK and json.loads(out)["all_pass"] is True
@@ -214,10 +212,11 @@ def _scaled(partner, scales):
 ], ids=["shift0-constructed shift is not central", "shift1-residual escapes the center"])
 def test_proper_form_guards_exit_2(ctx_m2_z3, tmp_path, capsys, monkeypatch,
                                    command, scales, message):
-    """The two guards of ``construct_proper_form``, with the center partner
-    made wrong, stop ``classify --mode proper`` and ``sweep --mode proper``
-    with exit 2.  The map is the proper theta(x) = x + x_0*1, with
-    d1(1) = 2 and m1(1) = 1, so that each scale shows in C."""
+    """The two guards of the proper form, with the center partner made
+    wrong, stop ``classify --mode proper`` and ``sweep --mode proper`` with
+    exit 2; the sweep writes the failing guard of each map in ``failures``.
+    The map is the proper theta(x) = x + x_0*1, with d1(1) = 2 and
+    m1(1) = 1, so that each scale shows in C."""
     path, G = ctx_m2_z3
     rows = [list(r) for r in LinMap.identity(G.ring, G.dim).rows]
     for r, u in enumerate(G.algebra.unit):
@@ -232,8 +231,31 @@ def test_proper_form_guards_exit_2(ctx_m2_z3, tmp_path, capsys, monkeypatch,
             G.algebra, Submodule(G.ring, G.dim ** 2, [theta.flatten()])))
         argv = ["sweep", path, "--mode", "proper", "--samples", "2"]
     code, out, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_VIOLATION
+    if command == "classify":
+        assert out == ""
+        assert message in err
+        return
+    guard = "central_shift" if scales == (1, 2) else "central_residual"
+    doc = json.loads(out)
+    assert doc["all_pass"] is False and len(doc["failures"]) == 3
+    for failure in doc["failures"]:
+        assert guard in [line["cond_id"] for line in failure["witness"]]
+    assert "sweep found failing guaranteed checks" in err
+
+
+@pytest.mark.parametrize("mode", ["structure", "steps", "proper"])
+def test_a_failing_row_with_no_failing_line_exits_2(ctx_m2_z3, capsys, monkeypatch,
+                                                    mode):
+    """The rows and the per-line report read the same builders, so a map
+    that fails a row passes no line of its report only through a fault:
+    exit 2, with nothing on stdout and the mode and the map named."""
+    path, _ = ctx_m2_z3
+    monkeypatch.setattr(compiled.ReportRows, "passes", lambda self, theta: False)
+    code, out, err = run_cli(["sweep", path, "--mode", mode, "--samples", "1"], capsys)
     assert (code, out) == (cli.EXIT_VIOLATION, "")
-    assert message in err
+    assert err == (f"theorem violation: {mode} sweep: map 0 fails a compiled row"
+                   " but no line of its report\n")
 
 
 @pytest.mark.parametrize("mode", ["structure", "steps", "proper"])
@@ -278,14 +300,14 @@ def test_proper_form_center_shift_is_written_as_scalars(ctx_m2_q, tmp_path,
 def test_sweep_failures_are_written_as_report_lines(ctx_m2_q, capsys, monkeypatch):
     path, G = ctx_m2_q
 
-    def failing(G, theta, k, verdict):
+    def failing(G, theta, mode, k):
         rep = Report("structure", ring=G.ring)
         rep.add("forced", False, (Fraction(1, 2), 0))
         return rep
 
     # the per-line report runs only on a map that fails a compiled line
     monkeypatch.setattr(compiled.ReportRows, "passes", lambda self, theta: False)
-    monkeypatch.setattr(maps, "verify_structure_conditions", failing)
+    monkeypatch.setattr(maps, "report_values", failing)
     code, out, _ = run_cli(["sweep", path, "--samples", "1"], capsys)
     assert code == cli.EXIT_VIOLATION
     doc = json.loads(out)
@@ -303,6 +325,17 @@ def test_derivation_sweep_refuses_an_order_below_one(ctx_m2_z3, capsys, k):
                              capsys)
     assert (code, out) == (cli.EXIT_INPUT, "")
     assert err == "DimensionMismatch: commuting order must be >= 1\n"
+
+
+def test_derivation_sweep_refuses_two_torsion_as_the_proper_form_does(tmp_path, capsys):
+    """One guard (``maps.require_proper_setting``) refuses a ring with
+    2-torsion in every mode that needs it, in the same words."""
+    G = full_matrix_gma(Zmod(4), 2, 1)
+    path = tmp_path / "m2z4.json"
+    path.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
+    code, out, err = run_cli(["sweep", str(path), "--mode", "derivations"], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == "TwoTorsion: the proper-form pipeline needs 2x = 0 => x = 0\n"
 
 
 def test_sweep_refuses_negative_samples(ctx_m2_z3, capsys):

@@ -1,7 +1,7 @@
 """The structure and step reports compiled to rows over vec(theta)
-(``compiled.structure_rows``, ``compiled.step_rows``) decide every line as the
-per-line reports do, and the proper form's guards compiled to rows
-(``compiled.proper_rows``) pass exactly where ``construct_proper_form``
+(``compiled.report_rows`` in modes structure and steps) decide every line as
+the per-line reports do, and the proper form's guards compiled to rows
+(``compiled.report_rows`` in mode proper) pass exactly where ``construct_proper_form``
 raises nothing: on the conftest families, their transposes and a
 context in a random basis of each corner, over Q and over prime and
 composite Z/n, at k = 1..3.  The maps are the generators and seeded
@@ -16,7 +16,7 @@ import pytest
 from conftest import _in_random_basis
 from gmalg.algebra import Submodule
 from gmalg.families import block_triangular_gma, full_matrix_gma, triangular_gma
-from gmalg.compiled import _annihilator, proper_rows, step_rows, structure_rows
+from gmalg.compiled import _annihilator, report_rows
 from gmalg.errors import TheoremViolation
 from gmalg.maps import (
     HypothesisWitness,
@@ -93,9 +93,9 @@ def _has_proper_form(G, theta, k):
 def test_compiled_lines_match_the_per_line_reports(shape, ring, view):
     rng = random.Random(f"compiled/{shape}/{ring!r}/{view}")
     G = _view(SHAPES[shape](ring), view, rng)
-    guards = proper_rows(G, None)
+    guards = report_rows(G, "proper", None)
     for k in (1, 2, 3):
-        srows, prows = structure_rows(G, k), step_rows(G, k)
+        srows, prows = report_rows(G, "structure", k), report_rows(G, "steps", k)
         for theta in _maps(G, k, rng):
             got = srows.verdicts(theta)
             assert got == _per_line(verify_structure_conditions(

@@ -100,6 +100,21 @@ def test_negative_control(R):
         ]
 
 
+def test_proper_classify_outside_the_hypotheses_is_a_finding(tmp_path):
+    """A proper k-commuting map whose sufficient hypotheses fail gets its
+    hypotheses recorded and no proper form: a finding (exit 1) from the
+    hypotheses alone, not a violation."""
+    G = negative_control(Zmod(3))
+    theta = next(g for g in commuting_space(G, 1).basis()
+                 if properness_certificate(G, g) is not None)
+    code, out = _run(["classify", *_write(tmp_path, G, theta), "--mode", "proper"])
+    doc = json.loads(out)
+    assert code == cli.EXIT_FINDING
+    assert doc["k_commuting"] is doc["proper"] is True
+    assert doc["hypotheses"] == {"cond1": False, "cond2": True, "cond3": False}
+    assert "proper_form" not in doc
+
+
 @pytest.mark.parametrize("mode", ["proper", "steps"])
 def test_sweep_outside_the_hypotheses_draws_no_sample(mode, tmp_path, monkeypatch):
     """A proper or step sweep whose hypotheses fail is a finding: it reports

@@ -7,7 +7,7 @@ from test_compiled import SHAPES, _view
 from test_golden import _corrupt_context
 
 from gmalg import linalg
-from gmalg.compiled import proper_rows
+from gmalg.compiled import report_rows
 
 from gmalg.errors import (
     DimensionMismatch,
@@ -366,4 +366,4 @@ def test_a_partner_that_is_not_unique_is_not_faithful(ring):
     with pytest.raises(NotFaithful):
         G.phi_apply(G.ctx.A.unit)
     with pytest.raises(NotFaithful):
-        proper_rows(G, 1)
+        report_rows(G, "proper", 1)
