@@ -309,17 +309,21 @@ def _bilinear(ring, x, y, terms, out_dim):
 
 
 class Algebra:
-    def __init__(self, ring, labels, table, unit):
+    def __init__(self, ring, labels, table, unit, normal=False):
+        """With ``normal``, the cells of ``table`` and ``unit`` are already
+        ring elements in normal form: their shapes are checked, but nothing
+        is coerced."""
         self.ring = ring
         self.labels = list(labels)
         self.dim = len(self.labels)
         if len(table) != self.dim or any(len(row) != self.dim for row in table):
             raise DimensionMismatch("structure constant table must be dim x dim")
+        vec = self._sized if normal else self.vec
         self.table = tuple(
-            tuple(self.vec(cell) for cell in row) for row in table
+            tuple(vec(cell) for cell in row) for row in table
         )
         self._terms = _nonzero_terms(self.table)
-        self.unit = self.vec(unit)
+        self.unit = vec(unit)
         self._engel = {}
         self._ad = None
 
@@ -341,7 +345,10 @@ class Algebra:
     # -- vector helpers -----------------------------------------------------
 
     def vec(self, coords):
-        coords = tuple(self.ring.coerce(c) for c in coords)
+        return self._sized(map(self.ring.coerce, coords))
+
+    def _sized(self, coords):
+        coords = tuple(coords)
         if len(coords) != self.dim:
             raise DimensionMismatch(
                 f"expected {self.dim} coordinates, got {len(coords)}"

@@ -24,8 +24,9 @@ a side has two readings of a builder:
   gives the witness.  That is the per-line report (``maps.report_values``),
   the only source of witnesses.  ``classify`` sees one map, and compiling
   the structure report costs more than checking that map line by line (on
-  a 2-core Xeon VM: M2(Z/3) at k = 1 0.75 ms against 0.66 ms, M4(Q) at
-  k = 1..3 6.6-28 ms against 2.0-6.4 ms), so it runs the per-line report.
+  a 2-core Xeon VM, median of 41 with a fresh G each: M2(Z/3) at k = 1
+  0.42 ms against 0.36 ms, M4(Q) with x -> x/2 + f(x)*1 at k = 1..3
+  4.0-16 ms against 1.4-3.7 ms), so it runs the per-line report.
 
 Each N-side line is its M-side line read on the transpose [B N; M A]
 (``GMAlgebra.transposed_ctx``): block names pass through A<->B and M<->N,
@@ -46,7 +47,8 @@ class ReportRows:
     """A report compiled to rows: for each ``cond_id``, in report order, the
     sparse rows (dicts flat index -> scalar) that all vanish on vec(theta)
     iff the line passes.  Flat index t = r*d + c is theta.rows[r][c], as in
-    ``maps.LinMap.flatten``."""
+    ``maps.LinMap.flatten``.  The rows are linear, so they are read at
+    D*theta (``maps.LinMap.integral``), in int arithmetic over Q."""
 
     def __init__(self, ring, lines):
         self.ring = ring
@@ -66,11 +68,11 @@ class ReportRows:
 
     def verdicts(self, theta):
         """(cond_id, passed) for each line, in report order."""
-        get = theta.flatten().__getitem__
+        get = theta.integral()[1].flatten().__getitem__
         return [(cid, self._holds(_packed(rows), get)) for cid, rows in self.lines]
 
     def passes(self, theta):
-        get = theta.flatten().__getitem__
+        get = theta.integral()[1].flatten().__getitem__
         return not any(map(get, self._zeros)) and self._holds(self._rest, get)
 
     def _holds(self, rows, get):

@@ -16,11 +16,13 @@ def is_derivation(G, theta):
     """(True, None) if theta(xy) = theta(x)y + x theta(y), else the first
     failing basis pair (i, j).  The law is bilinear, so basis pairs
     suffice: it is the Leibniz rows at vec(theta), d rows per pair, read
-    until the first pair that fails."""
+    until the first pair that fails.  The law is linear in theta, so over
+    Q the rows are read at D*theta (``LinMap.integral``), in int
+    arithmetic."""
     alg = getattr(G, "algebra", G)
     if theta.dim != alg.dim:
         raise DimensionMismatch("map dimension does not match the algebra")
-    flat, normal = theta.flatten(), alg.ring.normal
+    flat, normal = theta.integral()[1].flatten(), alg.ring.normal
     bad = next((t for t, row in enumerate(_iter_leibniz_rows(alg))
                 if normal(sum(c * flat[s] for s, c in row.items()))), None)
     return bad is None, None if bad is None else divmod(bad // alg.dim, alg.dim)
@@ -85,7 +87,11 @@ def verify_derivation_form(G, theta):
     """Extract the normal form of a derivation on the 2x2 block algebra
     and verify it: the off-diagonal unit images (inner_m, inner_n) drive
     an inner part, the four retained components satisfy the product rules
-    coupling them, and the reassembled map equals the original exactly."""
+    coupling them, and the reassembled map equals the original exactly.
+
+    Every check is linear in theta, so like the reports (``maps._Values``)
+    they read D*theta (``LinMap.integral``) throughout, the unit images
+    included; the form returned is theta's own."""
     ok, bad = is_derivation(G, theta)
     if not ok:
         raise NotDerivation(f"Leibniz law fails on basis pair {bad}")
@@ -95,20 +101,17 @@ def verify_derivation_form(G, theta):
     rep = Report("derivation normal form")
 
     e_a = G.embed("A", ctx.A.unit)
-    img = theta.apply(e_a)
+    scaled = theta.integral()[1]
+    img = scaled.apply(e_a)
     m0 = G.extract("M", img)
     n0 = G.extract("N", img)
 
     sides = _Values.pair(G, theta)
     F = sides[0]
-    form = DerivationForm(
-        m0,
-        n0,
-        F.block("A", "A"),
-        F.block("M", "M"),
-        F.block("N", "N"),
-        F.block("B", "B"),
-    )
+    own = theta.apply(e_a)
+    form = DerivationForm(G.extract("M", own), G.extract("N", own), *(
+        tuple(row[r.start:r.stop] for row in theta.rows[r.start:r.stop])
+        for r in map(G.block_range, BLOCKS)))
 
     def plus(x, y):
         return tuple(rg.add(u, v) for u, v in zip(x, y))
@@ -134,7 +137,7 @@ def verify_derivation_form(G, theta):
     # reassembly on every basis element of G
     rep.add("reassembly", *first_failure(
         ("basis_index",),
-        lambda j: theta.apply(alg.basis_vector(j))
+        lambda j: scaled.apply(alg.basis_vector(j))
         == reassembled(alg.basis_vector(j)),
         range(G.dim),
     ))

@@ -25,7 +25,8 @@ def block_triangular_matrix_algebra(ring, dvec, lower=False):
 
 def _matrix_units(ring, dvec, lower=False):
     """``block_triangular_matrix_algebra``, unchecked, and the matrix
-    position (r, c) of each of its basis elements."""
+    position (r, c) of each of its basis elements.  Its cells are built
+    from ``ring.zero`` and ``ring.one``, so they are not coerced."""
     dvec = tuple(int(d) for d in dvec)
     if not dvec or any(d < 1 for d in dvec):
         raise BadShape(f"block sizes must be positive: {dvec}")
@@ -49,7 +50,7 @@ def _matrix_units(ring, dvec, lower=False):
     for r in range(n):
         unit[index[(r, r)]] = ring.one
     labels = [_unit_label(r + 1, c + 1, n) for r, c in positions]
-    return Algebra(ring, labels, table, unit), positions
+    return Algebra(ring, labels, table, unit, normal=True), positions
 
 
 def _unit_label(r, c, n):
@@ -132,7 +133,7 @@ InflatedAlgebra = namedtuple(
 def _tensor(X, Y):
     """X ⊗ Y over their common ring, on the basis e_i ⊗ f_t at index
     i * Y.dim + t, labelled "x:y"; its structure constants are the
-    products of the two tables.  Unchecked."""
+    products of the two tables, in normal form.  Unchecked."""
     rg = X.ring
 
     def kron(x, y):
@@ -141,7 +142,7 @@ def _tensor(X, Y):
     table = [[kron(xrow[j], yrow[s]) for j in range(X.dim) for s in range(Y.dim)]
              for xrow in X.table for yrow in Y.table]
     labels = [f"{a}:{b}" for a in X.labels for b in Y.labels]
-    return Algebra(rg, labels, table, kron(X.unit, Y.unit))
+    return Algebra(rg, labels, table, kron(X.unit, Y.unit), normal=True)
 
 
 def inflated_algebra(spec):
@@ -169,10 +170,10 @@ def inflated_algebra(spec):
     if ginv is None or P.mul(ginv, gamma) != P.unit:
         # no identity: return the raw (non-unital) product data; the unit
         # slot is filled with zero and downstream unital tooling refuses
-        alg = Algebra(rg, labels, table, P.zero())
+        alg = Algebra(rg, labels, table, P.zero(), normal=True)
         return InflatedAlgebra(alg, False, None, None)
 
-    alg = Algebra(rg, labels, table, ginv).validate()
+    alg = Algebra(rg, labels, table, ginv, normal=True).validate()
     sigma = LinMap(rg, P.right_mult_matrix(ginv))
     for p in range(P.dim):
         for q in range(P.dim):

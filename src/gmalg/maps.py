@@ -58,6 +58,7 @@ class LinMap:
             [(r, row[j]) for r, row in enumerate(rows) if row[j]]
             for j in range(self.dim)
         ]
+        self._integral = None
 
     @classmethod
     def _from_normal(cls, ring, rows):
@@ -95,6 +96,16 @@ class LinMap:
             ring,
             [flat[i * dim : (i + 1) * dim] for i in range(dim)],
         )
+
+    def integral(self):
+        """(D, D*theta) for the least D >= 1 that makes every entry an int
+        (``rings``' ``integral``): the lcm of the denominators over Q, 1 over
+        Z/n and for integral maps, where D*theta is this map itself.
+        Computed once."""
+        if self._integral is None:
+            D, rows = self.ring.integral(self.rows)
+            self._integral = (1, self) if D == 1 else (D, LinMap._from_normal(self.ring, rows))
+        return self._integral
 
     def flatten(self):
         return tuple(c for row in self.rows for c in row)
@@ -170,13 +181,17 @@ def is_k_commuting(G, theta, k):
     {0..k+1}^dim over Q (see ``algebra.lattice_check``), with f evaluated
     from its coefficients.  The search starts at the lead coordinate that
     the coefficients give (``algebra.vanishing_lead``): x is zero before
-    it and nonzero there."""
+    it and nonzero there.
+
+    f is linear in theta, so over Q the map D*theta of ``LinMap.integral``
+    has the coefficients D*C_gamma, the same zero set and so the same
+    verdict and witness; they are computed from it, in int arithmetic."""
     alg = _underlying(G)
     require_order(k)
     if theta.dim != alg.dim:
         raise DimensionMismatch("map dimension does not match the algebra")
     rg = alg.ring
-    coeffs = alg.map_coefficients(theta._cols, k)
+    coeffs = alg.map_coefficients(theta.integral()[1]._cols, k)
     if next(vanishing_rows(rg, coeffs, k + 1, alg.dim), None) is None:
         return True, None
     return lattice_check(rg, alg.dim, k + 1, evaluator(rg, coeffs, k + 1),
@@ -243,40 +258,57 @@ def commuting_space(G, k):
     return MapSpace(alg, Submodule(alg.ring, d * d, gens))
 
 
+def _divided(ring, D, x):
+    """x / D, in x's sequence type: the value that theta gives where D*theta
+    (``LinMap.integral``) gives x."""
+    if D == 1:
+        return x
+    inv = ring.inv_opt(D)
+    return type(x)(ring.mul(inv, v) for v in x)
+
+
 class _Values(compiled._Side):
     """A side of G read as values for one map theta (see ``compiled``): an
     element is a coordinate sequence in normal form, so that integral data
     keep int arithmetic over Q.  Each reading evaluates its line point by
     point, to (passed, witness); the witness is the first failing point,
-    its keys named for G."""
+    its keys named for G.
 
-    def __init__(self, G, ctx, names, keys, theta, components):
+    Every line is linear in theta and asks whether elements vanish or lie
+    in a submodule, so over Q, for D > 0, it fails on theta exactly where
+    it fails on D*theta.  The side reads D*theta (``LinMap.integral``),
+    whose images are integral on integral points, and divides by D once
+    the values that leave as witnesses: ``member``'s element and
+    ``within``'s image.  Over Z/n, D = 1."""
+
+    def __init__(self, G, ctx, names, keys, scaled, D, components):
         super().__init__(G, ctx, names, keys)
-        self.theta = theta
+        self.scaled, self.D = scaled, D
         self.ring = G.ring
         self._components = {(s, d): (len(self.ranges[d]), components[names[s], names[d]])
                             for s in BLOCKS for d in BLOCKS}
-        self._components["G", "G"] = G.dim, theta._cols
+        self._components["G", "G"] = G.dim, scaled._cols
 
     @classmethod
     def pair(cls, G, theta):
-        """The two sides of theta, which share its components: for each
-        pair of G's blocks, the nonzero (row, entry) pairs of each column,
-        the rows counted within the target block."""
+        """The two sides of theta, which share the components of D*theta:
+        for each pair of G's blocks, the nonzero (row, entry) pairs of each
+        column, the rows counted within the target block."""
         if theta.dim != G.dim:
             raise DimensionMismatch("map dimension does not match the algebra")
+        D, scaled = theta.integral()
         block_of = [(name, i) for name, size in zip(BLOCKS, G.dims) for i in range(size)]
         components = {(s, d): [[] for _ in G.block_range(s)] for s in BLOCKS for d in BLOCKS}
-        for (src, c), col in zip(block_of, theta._cols):
+        for (src, c), col in zip(block_of, scaled._cols):
             for r, x in col:
                 dst, i = block_of[r]
                 components[src, dst][c].append((i, x))
-        return super().pair(G, theta, components)
+        return super().pair(G, scaled, D, components)
 
     def block(self, src, dst):
-        """The src -> dst component as a matrix."""
+        """The src -> dst component of D*theta as a matrix."""
         cols = self.G.block_range(self.names[src])
-        return tuple(self.theta.rows[r][cols.start:cols.stop]
+        return tuple(self.scaled.rows[r][cols.start:cols.stop]
                      for r in self.G.block_range(self.names[dst]))
 
     def image(self, src, dst, v):
@@ -322,11 +354,11 @@ class _Values(compiled._Side):
     def within(self, S, keys, at, *ranges, image=False):
         ok, wit, bad = self._first(keys, lambda *i: S.contains(at(*i)), ranges)
         if image and not ok:
-            wit["image"] = at(*bad)
+            wit["image"] = _divided(self.ring, self.D, at(*bad))
         return ok, wit
 
     def member(self, S, x):
-        return S.contains(x), x
+        return S.contains(x), _divided(self.ring, self.D, x)
 
     def lattice(self, defect):
         ok, m = lattice_check(self.ring, self.ctx.M.dim, 2, lambda m: not any(defect(m)))
@@ -482,10 +514,16 @@ def properness_certificate(G, theta):
 
     Membership of the remainder in the center is encoded with auxiliary
     unknowns (one coordinate vector per basis element), which keeps the
-    system linear over every supported ring."""
+    system linear over every supported ring.
+
+    The right-hand side is read off D*theta (``LinMap.integral``): the
+    particular solution of the reduced form of [rows | D*rhs] is D times
+    that of [rows | rhs], so lambda is divided by D once, and the offset
+    is computed from theta itself."""
     alg = _underlying(G)
     rg = alg.ring
     d = alg.dim
+    D, scaled = theta.integral()
     zgens = (G.gma_center() if hasattr(G, "gma_center") else alg.center()).gens
     nz = len(zgens)
     if nz == 0:
@@ -499,7 +537,7 @@ def properness_certificate(G, theta):
     for j in range(d):
         ej = alg.basis_vector(j)
         ej_z = [alg.mul(ej, g) for g in zgens]
-        tj = theta.apply(ej)
+        tj = scaled.apply(ej)
         for r in range(d):
             row = [rg.zero] * nunk
             for s in range(nz):
@@ -511,7 +549,8 @@ def properness_certificate(G, theta):
     if sol is None:
         return None
     t = sol.particular[:nz]
-    lam = tuple(rg.normal(sum(c * g[r] for c, g in zip(t, zgens))) for r in range(d))
+    lam = _divided(rg, D, tuple(rg.normal(sum(c * g[r] for c, g in zip(t, zgens)))
+                                for r in range(d)))
     return PropernessCertificate(lam, theta.sub(LinMap(rg, alg.right_mult_matrix(lam))))
 
 

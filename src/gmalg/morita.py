@@ -25,13 +25,16 @@ Violation = namedtuple("Violation", ["axiom", "witness"])
 BLOCKS = ("A", "M", "N", "B")
 
 
-def _tensor(ring, t, shape, name, values_in=None):
+def _tensor(ring, t, shape, name, values_in=None, normal=False):
     """``t`` with coerced entries, checked to be a rows x cols array of
-    vectors of the given length: ``shape`` = (rows, cols, length)."""
+    vectors of the given length: ``shape`` = (rows, cols, length).  With
+    ``normal`` the entries are already in normal form and kept as they
+    are; the shape is checked all the same."""
     rows, cols, length = shape
     if len(t) != rows or any(len(row) != cols for row in t):
         raise DimensionMismatch(f"{name} tensor has wrong shape")
-    out = tuple(tuple(tuple(ring.coerce(c) for c in v) for v in row) for row in t)
+    cell = tuple if normal else (lambda v: tuple(map(ring.coerce, v)))
+    out = tuple(tuple(map(cell, row)) for row in t)
     if any(len(v) != length for row in out for v in row):
         raise DimensionMismatch(
             f"{name} values must live in {values_in}" if values_in
@@ -42,13 +45,15 @@ def _tensor(ring, t, shape, name, values_in=None):
 
 class Bimodule:
     """A finite free module with a left action of one algebra and a right
-    action of another, both given as basis tensors."""
+    action of another, both given as basis tensors (``normal``: already in
+    normal form, see ``_tensor``)."""
 
-    def __init__(self, ring, dim, left, right, left_dim, right_dim):
+    def __init__(self, ring, dim, left, right, left_dim, right_dim, normal=False):
         self.ring = ring
         self.dim = dim
-        self.left = _tensor(ring, left, (left_dim, dim, dim), "left action")
-        self.right = _tensor(ring, right, (dim, right_dim, dim), "right action")
+        self.left = _tensor(ring, left, (left_dim, dim, dim), "left action", normal=normal)
+        self.right = _tensor(ring, right, (dim, right_dim, dim), "right action",
+                             normal=normal)
         self._left = _nonzero_terms(self.left)
         self._right = _nonzero_terms(self.right)
 
@@ -69,9 +74,10 @@ class Bimodule:
 
 
 class MoritaContext:
-    """(A, B, M, N, pairing M x N -> A, pairing N x M -> B)."""
+    """(A, B, M, N, pairing M x N -> A, pairing N x M -> B); ``normal``: the
+    pairings are already in normal form (see ``_tensor``)."""
 
-    def __init__(self, A, B, M, N, phi, psi):
+    def __init__(self, A, B, M, N, phi, psi, normal=False):
         if A.ring != B.ring:
             raise DimensionMismatch("A and B must share a coefficient ring")
         # ``GMAlgebra`` places the action cells by these shapes unchecked
@@ -84,8 +90,8 @@ class MoritaContext:
         self.B = B
         self.M = M
         self.N = N
-        self.phi = _tensor(self.ring, phi, (M.dim, N.dim, A.dim), "phi", "A")
-        self.psi = _tensor(self.ring, psi, (N.dim, M.dim, B.dim), "psi", "B")
+        self.phi = _tensor(self.ring, phi, (M.dim, N.dim, A.dim), "phi", "A", normal)
+        self.psi = _tensor(self.ring, psi, (N.dim, M.dim, B.dim), "psi", "B", normal)
         self._phi = _nonzero_terms(self.phi)
         self._psi = _nonzero_terms(self.psi)
 
@@ -115,7 +121,7 @@ def transpose(ctx):
     (a, m, n, b) -> (b, n, m, a) is an algebra isomorphism from [A M; N B]
     onto it, so every N-side identity of ctx is the M-side identity of its
     transpose."""
-    return MoritaContext(ctx.B, ctx.A, ctx.N, ctx.M, ctx.psi, ctx.phi)
+    return MoritaContext(ctx.B, ctx.A, ctx.N, ctx.M, ctx.psi, ctx.phi, normal=True)
 
 
 # Each context axiom is the associativity law of [A M; N B] on one triple
@@ -211,12 +217,13 @@ def _corner_context(alg, corner_of, labels=None):
 
     def corner(b):
         return Algebra(alg.ring, [labels[i] for i in at[b]], t[3 * b],
-                       [alg.unit[i] for i in at[b]])
+                       [alg.unit[i] for i in at[b]], normal=True)
 
+    # the cells are restrictions of alg's, so already in normal form
     A, B = corner("A"), corner("B")
-    M = Bimodule(alg.ring, len(at["M"]), t["AMM"], t["MBM"], A.dim, B.dim)
-    N = Bimodule(alg.ring, len(at["N"]), t["BNN"], t["NAN"], B.dim, A.dim)
-    return MoritaContext(A, B, M, N, t["MNA"], t["NMB"])
+    M = Bimodule(alg.ring, len(at["M"]), t["AMM"], t["MBM"], A.dim, B.dim, normal=True)
+    N = Bimodule(alg.ring, len(at["N"]), t["BNN"], t["NAN"], B.dim, A.dim, normal=True)
+    return MoritaContext(A, B, M, N, t["MNA"], t["NMB"], normal=True)
 
 
 class GMAlgebra:

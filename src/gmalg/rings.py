@@ -6,6 +6,7 @@ is representational equality and everything hashes.  Ring objects carry
 the arithmetic table.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -105,6 +106,11 @@ class Zmod:
         except ValueError:
             return None
 
+    def integral(self, rows):
+        """(D, D*rows) for the least D >= 1 that makes every entry an int:
+        here every residue is one, so ``rows`` itself with D = 1."""
+        return 1, rows
+
     def scalars(self):
         """All ring elements, ascending.  Deterministic."""
         return range(self.n)
@@ -186,6 +192,16 @@ class Rationals:
         if type(x) is int:
             return x if x in (1, -1) else Fraction(1, x)
         return _canonical(Fraction(x.denominator, x.numerator))
+
+    def integral(self, rows):
+        """(D, D*rows) for the least D >= 1 that makes every entry an int:
+        the lcm of the denominators, each entry scaled exactly as
+        numerator * (D // denominator).  ``rows`` itself when D = 1."""
+        D = math.lcm(*{c.denominator for row in rows for c in row if type(c) is not int})
+        if D == 1:
+            return 1, rows
+        return D, tuple(tuple(c * D if type(c) is int else c.numerator * (D // c.denominator)
+                              for c in row) for row in rows)
 
     def scalars(self):
         raise NotEnumerable("the rationals cannot be enumerated")

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from gmalg.algebra import Algebra
-from gmalg.rings import Zmod
+from gmalg.maps import LinMap
+from gmalg.rings import Rationals, Zmod
 from gmalg.families import (
     block_triangular_gma,
     full_matrix_gma,
@@ -39,6 +42,42 @@ def t3_z3():
 @pytest.fixture(scope="session")
 def b21_z3():
     return block_triangular_gma(Zmod(3), (2, 1), 1)
+
+
+# the Q families of the CLI golden file: name, ``family`` flags, builder
+Q_FAMILIES = [
+    ("M2(Q)", ["--kind", "full", "--n", "2"],
+     lambda: full_matrix_gma(Rationals(), 2, 1)),
+    ("T3(Q)", ["--kind", "triangular", "--n", "3"],
+     lambda: triangular_gma(Rationals(), 3, 1)),
+    ("B(2,1)(Q)", ["--kind", "block", "--dims", "2,1"],
+     lambda: block_triangular_gma(Rationals(), (2, 1), 1)),
+]
+
+
+def proper_map(G, c, f):
+    """x -> c*x + f(x)*1, with f(e_j) = f[j]."""
+    alg, R = G.algebra, G.ring
+    return LinMap.from_columns(R, [
+        alg.add(alg.scale(c, alg.basis_vector(j)), alg.scale(f[j], alg.unit))
+        for j in range(G.dim)
+    ])
+
+
+def q_maps(G):
+    """A proper map with integral entries, one with entries such as "1/2",
+    and left multiplication by a module basis element, which is not
+    k-commuting."""
+    alg = G.algebra
+    ints = [j % 3 - 1 for j in range(G.dim)]
+    halves = [Fraction(j % 4 - 1, 4) for j in range(G.dim)]
+    m = G.embed("M", G.ctx.M.basis_vector(0))
+    return [
+        ("proper", proper_map(G, 2, ints)),
+        ("half", proper_map(G, Fraction(1, 2), halves)),
+        ("refuted", LinMap.from_columns(
+            G.ring, [alg.mul(m, alg.basis_vector(j)) for j in range(G.dim)])),
+    ]
 
 
 def scalars(R):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import _in_random_basis
@@ -222,3 +223,27 @@ def test_a_nonzero_kernel_raises_the_first_generator(monkeypatch):
             first = vanishing_kernel(ring, alg.commuting_coefficients(k), k + 1, d, d * d)[0]
             assert err.value.witness == LinMap.from_flat(ring, d, first)
             assert commuting_space(G, k).contains(err.value.witness)
+
+
+@pytest.mark.parametrize("build", [
+    lambda R: full_matrix_gma(R, 2, 1),
+    lambda R: triangular_gma(R, 3, 1),
+    lambda R: block_triangular_gma(R, (2, 1), 1),
+])
+def test_derivation_form_of_a_fractional_derivation(build):
+    """Half of an inner derivation over Q: the checks read its integral
+    multiple, and the form returned is its own, half that of the inner
+    derivation."""
+    G = build(Rationals())
+    c = G.algebra.vec(range(1, G.dim + 1))
+    inner = adjoint_map(G, c)
+    half = inner.scale(Fraction(1, 2))
+    assert half.integral()[0] == 2
+    rep, form = verify_derivation_form(G, half)
+    assert rep.all_pass, rep.failures()
+    _, whole = verify_derivation_form(G, inner)
+
+    def halved(x):
+        return tuple(map(halved, x)) if isinstance(x, tuple) else Fraction(x, 2)
+
+    assert form == halved(whole)

@@ -8,7 +8,7 @@ import pytest
 
 from gmalg import cli
 from gmalg.algebra import Algebra
-from gmalg.errors import BadShape, BadSplit
+from gmalg.errors import BadShape, BadSplit, DimensionMismatch
 from gmalg.families import (
     InflatedSpec,
     block_triangular_gma,
@@ -20,7 +20,7 @@ from gmalg.families import (
     _tensor,
     triangular_matrix_algebra,
 )
-from gmalg.morita import _corner_context, build_gma, validate_context
+from gmalg.morita import Bimodule, MoritaContext, _corner_context, build_gma, validate_context
 from gmalg.rings import Rationals, Zmod
 
 
@@ -255,6 +255,44 @@ def test_family_is_validated_once(build, monkeypatch):
                         lambda self: calls.append(self.dim) or original(self))
     G = build(Zmod(3))
     assert calls == [G.dim]
+
+@pytest.mark.parametrize("build", [
+    lambda R: full_matrix_gma(R, 3, 1),
+    lambda R: triangular_gma(R, 3, 2, variant="lower"),
+    lambda R: block_triangular_gma(R, (1, 2), 1),
+])
+@pytest.mark.parametrize("ring", [Zmod(3), Rationals()])
+def test_family_coerces_no_cell(build, ring, monkeypatch):
+    """The matrix-unit algebra, its corners and their context are built from
+    cells already in normal form, so no scalar is coerced."""
+    calls = []
+    original = type(ring).coerce
+    monkeypatch.setattr(type(ring), "coerce",
+                        lambda self, v: calls.append(v) or original(self, v))
+    build(ring)
+    assert calls == []
+
+
+def test_normal_constructors_keep_the_shape_checks():
+    R = Zmod(3)
+    with pytest.raises(DimensionMismatch):
+        Algebra(R, ["a"], [[(1, 0)]], (1,), normal=True)
+    with pytest.raises(DimensionMismatch):
+        Algebra(R, ["a"], [[(1,)]], (1, 0), normal=True)
+    with pytest.raises(DimensionMismatch):
+        Algebra(R, ["a", "b"], [[(1, 0)]], (1, 0), normal=True)
+    with pytest.raises(DimensionMismatch):
+        Bimodule(R, 1, [[(1, 0)]], [[(1,)]], 1, 1, normal=True)
+    with pytest.raises(DimensionMismatch):
+        Bimodule(R, 1, [[(1,)]], [[(1,)], [(0,)]], 1, 1, normal=True)
+    A = Algebra(R, ["e"], [[(1,)]], (1,), normal=True)
+    M = Bimodule(R, 1, [[(1,)]], [[(1,)]], 1, 1, normal=True)
+    with pytest.raises(DimensionMismatch):
+        MoritaContext(A, A, M, M, [[(1, 0)]], [[(1,)]], normal=True)
+    with pytest.raises(DimensionMismatch):
+        MoritaContext(A, A, M, M, [[(1,)]], [[(1,)], [(1,)]], normal=True)
+    assert build_gma(MoritaContext(A, A, M, M, [[(1,)]], [[(1,)]], normal=True)).dim == 4
+
 
 @pytest.mark.parametrize("ring", [Zmod(3), Zmod(4), Rationals()])
 @pytest.mark.parametrize("n", [1, 2, 3])

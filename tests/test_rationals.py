@@ -9,11 +9,12 @@ import pathlib
 import tempfile
 from fractions import Fraction
 
+from conftest import Q_FAMILIES, q_maps
 from hypothesis import given
 from hypothesis import strategies as st
 
 from gmalg import cli, jsonio
-from gmalg.families import block_triangular_gma, full_matrix_gma, triangular_gma
+from gmalg.families import full_matrix_gma, triangular_gma
 from gmalg.maps import LinMap, is_k_commuting
 from gmalg.rings import (
     Rationals,
@@ -123,41 +124,6 @@ def test_classify_non_commuting_map_over_q(tmp_path, capsys):
 
 CLI_GOLDEN = pathlib.Path(__file__).with_name("golden") / "cli_q.json"
 
-Q_FAMILIES = [
-    ("M2(Q)", ["--kind", "full", "--n", "2"],
-     lambda: full_matrix_gma(Rationals(), 2, 1)),
-    ("T3(Q)", ["--kind", "triangular", "--n", "3"],
-     lambda: triangular_gma(Rationals(), 3, 1)),
-    ("B(2,1)(Q)", ["--kind", "block", "--dims", "2,1"],
-     lambda: block_triangular_gma(Rationals(), (2, 1), 1)),
-]
-
-
-def _proper_map(G, c, f):
-    """x -> c*x + f(x)*1, with f(e_j) = f[j]."""
-    alg, R = G.algebra, G.ring
-    return LinMap.from_columns(R, [
-        alg.add(alg.scale(c, alg.basis_vector(j)), alg.scale(f[j], alg.unit))
-        for j in range(G.dim)
-    ])
-
-
-def _q_maps(G):
-    """A proper map with integral entries, one with entries such as "1/2",
-    and left multiplication by a module basis element, which is not
-    k-commuting."""
-    alg = G.algebra
-    ints = [j % 3 - 1 for j in range(G.dim)]
-    halves = [Fraction(j % 4 - 1, 4) for j in range(G.dim)]
-    m = G.embed("M", G.ctx.M.basis_vector(0))
-    return [
-        ("proper", _proper_map(G, 2, ints)),
-        ("half", _proper_map(G, Fraction(1, 2), halves)),
-        ("refuted", LinMap.from_columns(
-            G.ring, [alg.mul(m, alg.basis_vector(j)) for j in range(G.dim)])),
-    ]
-
-
 def _cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -177,7 +143,7 @@ def compute_cli():
             ctx = tmp / "ctx.json"
             ctx.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
             got[f"{name} validate"] = _cli(["validate", str(ctx)])
-            for label, theta in _q_maps(G):
+            for label, theta in q_maps(G):
                 mp = tmp / f"{label}.json"
                 mp.write_text(jsonio.dumps(theta.to_json()))
                 for k in (1, 2):
