@@ -434,41 +434,36 @@ class Algebra:
                 out.append(("right_unit", i))
         # (e_i e_j) e_k = sum_r c_r (e_r e_k) over the terms c_r e_r of
         # e_i e_j, and e_i (e_j e_k) = sum_s d_s (e_i e_s) over the terms
-        # d_s e_s of e_j e_k.  The left side has a term only if e_r e_k != 0
-        # for some r in supp(e_i e_j), that is k in nonzero[r]; the right
-        # side only if e_j e_k != 0 (k in nonzero[j]) and e_i e_s != 0 for
-        # some s in supp(e_j e_k).  At every other k both sums are empty, so
-        # both sides are 0 and the law holds: only the k on a nonzero
-        # product path are compared, in ascending order.  The right-side
-        # paths i -> s <- (j, k) are found from s, through ``into``.  The
-        # difference of the two sides is summed as for the unit laws.
-        nonzero = [[k for k in every if row[k]] for row in T]
-        into = [[] for _ in every]    # into[s]: the (j, k) with s in supp(e_j e_k)
+        # d_s e_s of e_j e_k.  For each i both sides, over every (j, k), are
+        # summed into one dict keyed (j, k, t), as for the unit laws, the key
+        # flattened to (j*d + k)*d + t: the left side from the terms (k, t,
+        # v) of each row r (``row_terms``), the right side from the (j, k,
+        # d_s) with s in supp(e_j e_k) (``into``).  A (j, k) that no path
+        # reaches has both sides 0, so only the failing ones are collected,
+        # and sorted.
+        d = self.dim
+        row_terms = [[(k * d + t, v) for k, cell in enumerate(row) for t, v in cell]
+                     for row in T]
+        into = [[] for _ in every]    # into[s]: the ((j*d + k)*d, d_s) of e_j e_k
         for j, row in enumerate(T):
-            for k in nonzero[j]:
-                for s, _ in row[k]:
-                    into[s].append((j, k))
+            for k, cell in enumerate(row):
+                for s, c in cell:
+                    into[s].append(((j * d + k) * d, c))
         for i in every:
             Ti = T[i]
-            right = {}                # j -> the k of the right side
-            for s in nonzero[i]:
-                for j, k in into[s]:
-                    right.setdefault(j, set()).add(k)
-            for j in every:
-                Tij, Tj = Ti[j], T[j]
-                ks = right.get(j, set())
-                for r, _ in Tij:
-                    ks.update(nonzero[r])
-                for k in sorted(ks):
-                    diff = {}
-                    for r, c in Tij:
-                        for t, v in T[r][k]:
-                            diff[t] = diff.get(t, 0) + c * v
-                    for s, c in Tj[k]:
-                        for t, v in Ti[s]:
-                            diff[t] = diff.get(t, 0) - c * v
-                    if any(map(normal, diff.values())):
-                        out.append(("associativity", (i, j, k)))
+            diff = {}
+            for j, cell in enumerate(Ti):
+                jd = j * d * d
+                for r, c in cell:
+                    for kt, v in row_terms[r]:
+                        diff[jd + kt] = diff.get(jd + kt, 0) + c * v
+            for s, cell in enumerate(Ti):
+                if cell:
+                    for jk, c in into[s]:
+                        for t, v in cell:
+                            diff[jk + t] = diff.get(jk + t, 0) - c * v
+            bad = {key // d for key, v in diff.items() if v and normal(v)}
+            out += [("associativity", (i, *divmod(jk, d))) for jk in sorted(bad)]
         return out
 
     def validate(self):

@@ -262,22 +262,27 @@ def nullspace(ring, rows, ncols):
     return acc.nullspace()
 
 
-def solve_linear(ring, rows, rhs):
+def solve_linear(ring, rows, rhs, ncols=None):
     """All solutions of rows @ x = rhs, or None when inconsistent.
 
-    Returns a particular solution (free variables zeroed, deterministic)
-    plus kernel generators, both from one elimination: the form of the
-    augmented rows [row, b].  A solution is a kernel vector that is -1 at
-    the right-hand side column; there is one iff that column has no pivot
-    (a pivot of lead b allows only multiples of n/b there), and then the
-    kernel generator of that column, the last one, is minus a solution.
+    The rows are dense sequences, or dicts column -> scalar over ``ncols``
+    columns (``ncols`` is then required; a dense system reads it off its
+    first row).  Returns a particular solution (free variables zeroed,
+    deterministic) plus kernel generators, both from one elimination: the
+    form of the augmented rows [row, b].  A solution is a kernel vector
+    that is -1 at the right-hand side column; there is one iff that column
+    has no pivot (a pivot of lead b allows only multiples of n/b there),
+    and then the kernel generator of that column, the last one, is minus a
+    solution.
     """
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     if not rows:
         return LinearSolution((), [])
-    ncols = len(rows[0])
+    if ncols is None:
+        ncols = len(rows[0])
     acc = kernel_builder(ring, ncols + 1)
-    acc.add_rows([[*row, b] for row, b in zip(rows, rhs)])
+    acc.add_rows([{**row, ncols: b} if isinstance(row, dict) else [*row, b]
+                  for row, b in zip(rows, rhs)])
     if ncols in acc.rows:
         return None
     *kernel, last = acc.nullspace()

@@ -387,11 +387,14 @@ def _require_k_commuting(G, theta, k, verdict):
 def report_values(G, theta, mode, k):
     """The lines of ``compiled.REPORTS[mode]`` checked line by line on
     ``theta``, as a ``Report``.  No precondition is checked: a map that is
-    not k-commuting, or outside the hypotheses, gets the lines it fails."""
+    not k-commuting, or outside the hypotheses, gets the lines it fails.  A
+    passing line has no witness: ``member`` reads its element whether it
+    passes or not (the proper form reads its shift C so), and it is
+    dropped here."""
     title, build = compiled.REPORTS[mode]
     rep = Report(title.format(k=k), ring=G.ring)
     for cid, (ok, wit) in build(_Values.pair(G, theta), k):
-        rep.add(cid, ok, wit)
+        rep.add(cid, ok, None if ok else wit)
     return rep
 
 
@@ -530,22 +533,30 @@ def properness_certificate(G, theta):
         if all(theta.column(j) == alg.zero() for j in range(d)):
             return PropernessCertificate(alg.zero(), LinMap.zero(rg, d))
         return None
-    # unknowns: t (nz multiplier coords), then u_j (nz per basis element)
+    # unknowns: t (nz multiplier coords), then u_j (nz per basis element);
+    # the equation of coordinate r at e_j is sum_s t_s (e_j z_s)_r +
+    # sum_s (u_j)_s (z_s)_r = (D*theta)(e_j)_r, a sparse row over these
+    # columns, in column order; a row and right-hand side that are both 0
+    # are left out
     nunk = nz * (1 + d)
+    zterms = [[(r, c) for r, c in enumerate(g) if c] for g in zgens]
     rows = []
     rhs = []
     for j in range(d):
+        eqs = {}            # r -> the row of coordinate r
         ej = alg.basis_vector(j)
-        ej_z = [alg.mul(ej, g) for g in zgens]
-        tj = scaled.apply(ej)
-        for r in range(d):
-            row = [rg.zero] * nunk
-            for s in range(nz):
-                row[s] = ej_z[s][r]
-                row[nz * (1 + j) + s] = zgens[s][r]
-            rows.append(row)
-            rhs.append(tj[r])
-    sol = linalg.solve_linear(rg, rows, rhs)
+        for s, g in enumerate(zgens):
+            for r, c in enumerate(alg.mul(ej, g)):
+                if c:
+                    eqs.setdefault(r, {})[s] = c
+        for s, g in enumerate(zterms):
+            for r, c in g:
+                eqs.setdefault(r, {})[nz * (1 + j) + s] = c
+        tj = dict(scaled._cols[j])
+        for r in sorted(eqs.keys() | tj.keys()):
+            rows.append(eqs.get(r, {}))
+            rhs.append(tj.get(r, rg.zero))
+    sol = linalg.solve_linear(rg, rows, rhs, nunk)
     if sol is None:
         return None
     t = sol.particular[:nz]

@@ -1,3 +1,6 @@
+import itertools
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -81,3 +84,190 @@ def test_load_file_rejects_garbage(tmp_path):
         jsonio.load_file(str(p))
     with pytest.raises(InputError):
         jsonio.load_file(str(tmp_path / "missing.json"))
+
+
+# ---------------------------------------------------------------------------
+# refusals: each decoded scalar, list and shape, with its message
+# ---------------------------------------------------------------------------
+
+def _context_doc(ring):
+    G = full_matrix_gma(ring, 2, 1)
+    return jsonio.context_to_json(G.ctx)
+
+
+def _set(doc, path, value):
+    """``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("ring, bad, shown", [
+    (Zmod(3), True, "True"),
+    (Zmod(3), 1.0, "1.0"),
+    (Zmod(3), "1/2", "'1/2'"),
+    (Zmod(3), "1", "'1'"),
+    (Rationals(), False, "False"),
+    (Rationals(), 0.5, "0.5"),
+    (Rationals(), "1/0", "'1/0'"),
+    (Rationals(), "x", "'x'"),
+    (Rationals(), None, "None"),
+], ids=repr)
+@pytest.mark.parametrize("path", [
+    ("A", "mul", 0, 0, 0), ("A", "unit", 0), ("M", "left", 0, 0, 0),
+    ("N", "right", 0, 0, 0), ("phi", 0, 0, 0), ("psi", 0, 0, 0),
+], ids=lambda path: " ".join(map(str, path)))
+def test_a_context_scalar_that_is_not_one_is_refused(ring, bad, shown, path):
+    doc = _context_doc(ring)
+    _set(doc, path, bad)
+    with pytest.raises(InputError, match=f"^not a scalar of {re.escape(repr(ring))}: "
+                                         f"{re.escape(shown)}$"):
+        jsonio.context_from_json(doc)
+
+
+@pytest.mark.parametrize("ring, bad, shown", [
+    (Zmod(4), True, "True"), (Zmod(4), 2.0, "2.0"), (Zmod(4), "1/3", "'1/3'"),
+    (Rationals(), True, "True"), (Rationals(), 0.25, "0.25"),
+], ids=repr)
+def test_a_map_scalar_that_is_not_one_is_refused(ring, bad, shown):
+    matrix = [[1, 0], [0, bad]]
+    with pytest.raises(InputError, match=f"^not a scalar of {re.escape(repr(ring))}: "
+                                         f"{re.escape(shown)}$"):
+        jsonio.map_from_json({"schema": "map/1", "matrix": matrix}, ring)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("A", "mul"), 5, "A mul must be a JSON list, got 5"),
+    (("A", "mul", 0), 5, "A mul must be a JSON list, got 5"),
+    (("A", "mul", 0, 0), 5, "A mul must be a JSON list, got 5"),
+    (("B", "unit"), "1", "B unit must be a JSON list, got '1'"),
+    (("M", "right", 0, 0), {}, "M right must be a JSON list, got {}"),
+    (("N", "left"), None, "N left must be a JSON list, got None"),
+    (("phi", 0, 0), 7, "context phi must be a JSON list, got 7"),
+    (("psi",), 7, "context psi must be a JSON list, got 7"),
+], ids=lambda x: " ".join(map(str, x)) if isinstance(x, tuple) else None)
+def test_a_context_vector_or_row_that_is_not_a_list_is_refused(path, value, message):
+    for ring in (Zmod(3), Rationals()):
+        doc = _context_doc(ring)
+        _set(doc, path, value)
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            jsonio.context_from_json(doc)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (5, "map matrix must be a JSON list, got 5"),
+    ([[1, 0], 5], "map row must be a JSON list, got 5"),
+    ([[1, 0], "01"], "map row must be a JSON list, got '01'"),
+])
+def test_a_map_row_that_is_not_a_list_is_refused(matrix, message):
+    for ring in (Zmod(3), Rationals()):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            jsonio.map_from_json({"schema": "map/1", "matrix": matrix}, ring)
+
+
+@pytest.mark.parametrize("edit, message", [
+    # a cell of A's table, A's unit, and a cell of each action, one short
+    (lambda d: d["A"]["mul"][0][0].pop(), "expected 1 coordinates, got 0"),
+    (lambda d: d["A"]["unit"].append(0), "expected 1 coordinates, got 2"),
+    (lambda d: d["M"]["left"][0][0].pop(), "left action value has wrong length"),
+    (lambda d: d["N"]["right"][0][0].pop(), "right action value has wrong length"),
+    # a short pairing value
+    (lambda d: d["phi"][0][0].pop(), "phi values must live in A"),
+    (lambda d: d["psi"][0][0].pop(), "psi values must live in B"),
+    (lambda d: d["psi"][0][0].append(0), "psi values must live in B"),
+    # a short row of a table
+    (lambda d: d["A"]["mul"][0].pop(), "structure constant table must be dim x dim"),
+    (lambda d: d["psi"][0].pop(), "psi tensor has wrong shape"),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_a_short_cell_or_pairing_value_is_refused(edit, message):
+    for ring in (Zmod(3), Rationals()):
+        doc = _context_doc(ring)
+        edit(doc)
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            jsonio.context_from_json(doc)
+
+
+def _tensors(doc):
+    """(parent, key) of each tensor of scalars in a context document."""
+    return [(doc[a], t) for a in ("A", "B") for t in ("mul", "unit")] + [
+        (doc[m], t) for m in ("M", "N") for t in ("left", "right")] + [
+        (doc, "phi"), (doc, "psi")]
+
+
+# the texts that T3(Q)'s 0s and 1s are written as, in turn
+TEXTS = {1: ("2/2", "3/3", 1, "1/1"), 0: ("0/7", 0, "0/1")}
+
+
+def _fraction_context_doc():
+    """T3(Q) with its scalars written in turn as "p/q" texts and as ints,
+    so that each distinct text repeats."""
+    doc = jsonio.context_to_json(triangular_gma(Rationals(), 3, 1).ctx)
+    seen = {0: 0, 1: 0}
+
+    def rewrite(v):
+        if isinstance(v, list):
+            return [rewrite(c) for c in v]
+        seen[v] += 1
+        return TEXTS[v][seen[v] % len(TEXTS[v])]
+
+    for parent, key in _tensors(doc):
+        parent[key] = rewrite(parent[key])
+    return doc
+
+
+def _scalar_count(doc):
+    """The scalars of a context document: the leaves of its tensors."""
+    def leaves(v):
+        return sum(map(leaves, v)) if isinstance(v, list) else 1
+    return sum(leaves(parent[key]) for parent, key in _tensors(doc))
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_context_ints_are_decoded_to_residues(n):
+    """Over Z/n an int is read as its residue: a document written with
+    other representatives, negative ones too, decodes to the same context."""
+    doc = jsonio.context_to_json(triangular_gma(Zmod(n), 3, 1).ctx)
+    count = itertools.count()
+
+    def shift(v):
+        return [shift(c) for c in v] if isinstance(v, list) else v + n * (next(count) % 5 - 2)
+
+    shifted = json.loads(json.dumps(doc))
+    for parent, key in _tensors(shifted):
+        parent[key] = shift(parent[key])
+    assert shifted != doc
+    assert jsonio.context_to_json(jsonio.context_from_json(shifted)) == doc
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _context_doc(Zmod(3)),
+    lambda: jsonio.context_to_json(triangular_gma(Zmod(3), 3, 1).ctx),
+    lambda: _context_doc(Rationals()),
+    _fraction_context_doc,
+], ids=["M2(Z/3)", "T3(Z/3)", "M2(Q)", "T3(Q) with fraction texts"])
+def test_decoding_a_context_coerces_each_scalar_at_most_once(make, monkeypatch):
+    doc = make()
+    calls = []
+    for cls in (Zmod, Rationals):
+        coerce = cls.coerce
+        monkeypatch.setattr(cls, "coerce",
+                            lambda self, v, coerce=coerce: calls.append(v) or coerce(self, v))
+    jsonio.context_from_json(doc)
+    assert len(calls) <= _scalar_count(doc)
+
+
+def test_each_fraction_text_is_parsed_once_per_document(monkeypatch):
+    doc = _fraction_context_doc()
+    parsed = []
+    real = jsonio.scalar_from_json
+    monkeypatch.setattr(jsonio, "scalar_from_json",
+                        lambda ring, v: parsed.append(v) or real(ring, v))
+    ctx = jsonio.context_from_json(doc)
+    assert sorted(parsed, key=str) == ["0/1", "0/7", "1/1", "2/2", "3/3"]
+    # the texts decode to the canonical ints, as the int document does
+    plain = jsonio.context_to_json(triangular_gma(Rationals(), 3, 1).ctx)
+    assert jsonio.context_to_json(ctx) == plain
+    # the memo lives for one document only
+    parsed.clear()
+    jsonio.context_from_json(doc)
+    assert sorted(parsed, key=str) == ["0/1", "0/7", "1/1", "2/2", "3/3"]

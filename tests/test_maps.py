@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from conftest import proper_map
+from test_hypotheses import negative_control
 
+from gmalg import linalg
 from gmalg.algebra import Algebra, Submodule
 from gmalg.errors import DimensionMismatch, HypothesesNotMet, NotKCommuting
 from gmalg.families import (
@@ -12,6 +16,8 @@ from gmalg.families import (
 )
 from gmalg.maps import (
     LinMap,
+    PropernessCertificate,
+    _divided,
     check_properness_hypotheses,
     commuting_space,
     _Values,
@@ -254,6 +260,94 @@ def test_certificate_matches_proper_form_on_random_maps(m2_z3):
     for _ in range(10):
         theta = sp.random_member(rng)
         assert properness_certificate(m2_z3, theta) is not None
+
+
+def _dense_certificate(G, theta):
+    """``properness_certificate`` as a dense system: the reference for the
+    sparse rows.  One dense row per (basis element e_j, coordinate r) over
+    the unknowns t (the multiplier's coordinates in Z(G)) and u_j (those of
+    the remainder at e_j), solved by ``linalg.solve_linear`` against the
+    column of D*theta at e_j."""
+    alg = getattr(G, "algebra", G)
+    rg, d = alg.ring, alg.dim
+    D, scaled = theta.integral()
+    zgens = (G.gma_center() if hasattr(G, "gma_center") else alg.center()).gens
+    nz = len(zgens)
+    if nz == 0:
+        if all(theta.column(j) == alg.zero() for j in range(d)):
+            return PropernessCertificate(alg.zero(), LinMap.zero(rg, d))
+        return None
+    rows, rhs = [], []
+    for j in range(d):
+        ej = alg.basis_vector(j)
+        ej_z = [alg.mul(ej, g) for g in zgens]
+        tj = scaled.apply(ej)
+        for r in range(d):
+            row = [rg.zero] * (nz * (1 + d))
+            for s in range(nz):
+                row[s] = ej_z[s][r]
+                row[nz * (1 + j) + s] = zgens[s][r]
+            rows.append(row)
+            rhs.append(tj[r])
+    sol = linalg.solve_linear(rg, rows, rhs)
+    if sol is None:
+        return None
+    t = sol.particular[:nz]
+    lam = _divided(rg, D, tuple(rg.normal(sum(c * g[r] for c, g in zip(t, zgens)))
+                                for r in range(d)))
+    return PropernessCertificate(lam, theta.sub(LinMap(rg, alg.right_mult_matrix(lam))))
+
+
+def _certificate_maps(G, rng):
+    """Maps that have a certificate and maps that do not: a basis of the
+    commuting maps, proper maps x -> c*x + f(x)*1 (fractional ones over Q),
+    random maps, and left multiplication by a module element."""
+    alg, R = G.algebra, G.ring
+
+    def scalar():
+        if R.enumerable:
+            return R.coerce(rng.randrange(R.size))
+        return R.coerce(Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])))
+
+    maps = commuting_space(G, 1).basis()[:6]
+    maps += [proper_map(G, scalar(), [scalar() for _ in range(G.dim)]) for _ in range(3)]
+    maps += [LinMap(R, [[scalar() for _ in range(G.dim)] for _ in range(G.dim)])
+             for _ in range(2)]
+    if G.dims[1]:
+        m = G.embed("M", G.ctx.M.basis_vector(0))
+        maps.append(left_mult_map(alg, m))
+    return maps
+
+
+def _certificate_families():
+    out = []
+    for R in (Zmod(3), Zmod(9), Zmod(15), Rationals()):
+        out += [full_matrix_gma(R, 2, 1), triangular_gma(R, 3, 1),
+                block_triangular_gma(R, (2, 1), 1)]
+    return out + [negative_control(Zmod(3)), negative_control(Rationals())]
+
+
+@pytest.mark.parametrize("family", [
+    "m2_z3", "m2_z5", "t2_z3", "t2_z5", "t3_z3", "b21_z3", "non_faithful_z3"])
+def test_sparse_certificate_matches_the_dense_system_on_fixtures(family, request):
+    G = request.getfixturevalue(family)
+    rng = random.Random(family)
+    for theta in _certificate_maps(G, rng):
+        for where in (G, G.algebra):
+            assert properness_certificate(where, theta) == _dense_certificate(where, theta)
+
+
+def test_sparse_certificate_matches_the_dense_system():
+    """M2, T3 and B(2,1) over Z/3, Z/9, Z/15 and Q, and the negative control
+    of the hypothesis check, which no single module pair pins down."""
+    rng = random.Random(24)
+    found = {True: 0, False: 0}
+    for G in _certificate_families():
+        for theta in _certificate_maps(G, rng):
+            want = _dense_certificate(G, theta)
+            assert properness_certificate(G, theta) == want, (G.ring, G.dims)
+            found[want is not None] += 1
+    assert found[True] and found[False]
 
 
 def test_proper_form_steps_all_pass(m2_z3, t2_z3):

@@ -22,7 +22,7 @@ from gmalg.maps import LinMap
 from gmalg.rings import Rationals, Zmod
 
 SCALES = (2, Fraction(1, 3), Fraction(-5, 7))
-# the lines whose witness is an element linear in theta, passed or not
+# the lines whose witness, when they fail, is an element linear in theta
 ELEMENT_LINES = {"diag_a_unit_engel", "diag_b_unit_engel", "central_shift"}
 
 
@@ -42,14 +42,15 @@ def _scaled(c, got, want):
 
 
 def _same_lines(c, got, want):
-    """The same lines with the same verdicts; element witnesses scaled by c,
-    every other witness equal but for its scaled ``image``."""
+    """The same lines with the same verdicts; the element witnesses of
+    failing lines scaled by c, every other witness equal but for its scaled
+    ``image`` (a passing line has none)."""
     assert [(g["cond_id"], g["passed"]) for g in got["lines"]] == [
         (w["cond_id"], w["passed"]) for w in want["lines"]]
     assert got["all_pass"] == want["all_pass"]
     for g, w in zip(got["lines"], want["lines"]):
         gw, ww = g["witness"], w["witness"]
-        if g["cond_id"] in ELEMENT_LINES:
+        if g["cond_id"] in ELEMENT_LINES and not g["passed"]:
             _scaled(c, gw, ww)
         elif isinstance(ww, dict) and "image" in ww:
             _scaled(c, gw.pop("image"), ww.pop("image"))
