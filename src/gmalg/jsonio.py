@@ -31,40 +31,15 @@ def _list(v, where):
     return v
 
 
-def _decoder(ring):
-    """The vector decoder of one document: ``vec(v, where)`` is the tuple of
-    the scalars of the JSON list ``v``, each decoded once, into normal form.
-    Over Z/n an int takes one ``% n``; over Q an int is already in normal
-    form, and each distinct "p/q" text is parsed once, through a memo that
-    lives as long as the decoder.  Anything else is refused as
-    ``scalar_from_json`` refuses it."""
-    if ring.kind == "Zmod":
-        n = ring.n
-
-        def vec(v, where):
-            return tuple([c % n if type(c) is int else scalar_from_json(ring, c)
-                          for c in _list(v, where)])
-        return vec
-    memo = {}
-
-    def scalar(c):
-        if type(c) is not str:
-            return scalar_from_json(ring, c)
-        x = memo.get(c)
-        if x is None:
-            x = memo[c] = scalar_from_json(ring, c)
-        return x
-
-    def vec(v, where):
-        return tuple([c if type(c) is int else scalar(c) for c in _list(v, where)])
-    return vec
+def _vec_load(ring, v, where):
+    return tuple([scalar_from_json(ring, c) for c in _list(v, where)])
 
 
-def _table_load(vec, obj, key, where):
-    """The list of rows of vectors ``obj[key]``, decoded by ``vec``."""
+def _table_load(ring, obj, key, where):
+    """The list of rows of vectors ``obj[key]``."""
     rows = _require(obj, key, where)
     where = f"{where} {key}"
-    return [[vec(v, where) for v in _list(row, where)]
+    return [[_vec_load(ring, v, where) for v in _list(row, where)]
             for row in _list(rows, where)]
 
 
@@ -91,7 +66,7 @@ def algebra_from_json(obj, ring=None):
     _schema(obj, ALGEBRA_SCHEMA)
     if ring is None:
         ring = parse_ring(_require(obj, "ring", "algebra"))
-    return _algebra_from_fields(_decoder(ring), ring, obj, "algebra")
+    return _algebra_from_fields(ring, obj, "algebra")
 
 
 def _algebra_fields(alg):
@@ -105,11 +80,11 @@ def _algebra_fields(alg):
     }
 
 
-def _algebra_from_fields(vec, ring, obj, where):
+def _algebra_from_fields(ring, obj, where):
     return Algebra(
         ring, _list(_require(obj, "labels", where), f"{where} labels"),
-        _table_load(vec, obj, "mul", where),
-        vec(_require(obj, "unit", where), f"{where} unit"),
+        _table_load(ring, obj, "mul", where),
+        _vec_load(ring, _require(obj, "unit", where), f"{where} unit"),
         normal=True,
     )
 
@@ -137,36 +112,34 @@ def context_to_json(ctx):
 
 def context_from_json(obj):
     """The context of a ``context/1`` document; each scalar is decoded once,
-    into normal form (``_decoder``), and the blocks take it as it is
-    (``normal=True``), checking only its shape."""
+    into normal form (``scalar_from_json``), and the blocks take it as it
+    is (``normal=True``), checking only its shape."""
     _schema(obj, CONTEXT_SCHEMA)
     ring = parse_ring(_require(obj, "ring", "context"))
-    vec = _decoder(ring)
-    A = _algebra_from_fields(vec, ring, _require(obj, "A", "context"), "A")
-    B = _algebra_from_fields(vec, ring, _require(obj, "B", "context"), "B")
+    A = _algebra_from_fields(ring, _require(obj, "A", "context"), "A")
+    B = _algebra_from_fields(ring, _require(obj, "B", "context"), "B")
 
     def load_mod(field, left_dim, right_dim):
         doc = _require(obj, field, "context")
         dim = _require(doc, "dim", field)
         if type(dim) is not int:
             raise InputError(f"{field} dim must be an int, got {dim!r}")
-        left = _table_load(vec, doc, "left", field)
-        right = _table_load(vec, doc, "right", field)
+        left = _table_load(ring, doc, "left", field)
+        right = _table_load(ring, doc, "right", field)
         return Bimodule(ring, dim, left, right, left_dim, right_dim, normal=True)
 
     M = load_mod("M", A.dim, B.dim)
     N = load_mod("N", B.dim, A.dim)
-    phi = _table_load(vec, obj, "phi", "context")
-    psi = _table_load(vec, obj, "psi", "context")
+    phi = _table_load(ring, obj, "phi", "context")
+    psi = _table_load(ring, obj, "psi", "context")
     return MoritaContext(A, B, M, N, phi, psi, normal=True)
 
 
 def map_from_json(obj, ring):
     """The map of a ``map/1`` document; each scalar is decoded once, into
-    normal form (``_decoder``)."""
+    normal form."""
     _schema(obj, MAP_SCHEMA)
-    vec = _decoder(ring)
-    rows = tuple(vec(row, "map row")
+    rows = tuple(_vec_load(ring, row, "map row")
                  for row in _list(_require(obj, "matrix", "map"), "map matrix"))
     if any(len(r) != len(rows) for r in rows):
         raise DimensionMismatch("map matrix must be square")

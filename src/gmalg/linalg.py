@@ -267,7 +267,7 @@ def solve_linear(ring, rows, rhs, ncols=None):
 
     The rows are dense sequences, or dicts column -> scalar over ``ncols``
     columns (``ncols`` is then required; a dense system reads it off its
-    first row).  Returns a particular solution (free variables zeroed,
+    first row, and with no rows and no ``ncols`` has the empty solution).  Returns a particular solution (free variables zeroed,
     deterministic) plus kernel generators, both from one elimination: the
     form of the augmented rows [row, b].  A solution is a kernel vector
     that is -1 at the right-hand side column; there is one iff that column
@@ -276,9 +276,11 @@ def solve_linear(ring, rows, rhs, ncols=None):
     solution.
     """
     rows = list(rows)
-    if not rows:
-        return LinearSolution((), [])
     if ncols is None:
+        if not rows:
+            return LinearSolution((), [])
+        if isinstance(rows[0], dict):
+            raise ValueError("sparse rows need ncols")
         ncols = len(rows[0])
     acc = kernel_builder(ring, ncols + 1)
     acc.add_rows([{**row, ncols: b} if isinstance(row, dict) else [*row, b]

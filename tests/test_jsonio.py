@@ -199,8 +199,7 @@ TEXTS = {1: ("2/2", "3/3", 1, "1/1"), 0: ("0/7", 0, "0/1")}
 
 
 def _fraction_context_doc():
-    """T3(Q) with its scalars written in turn as "p/q" texts and as ints,
-    so that each distinct text repeats."""
+    """T3(Q) with its scalars written in turn as "p/q" texts and as ints."""
     doc = jsonio.context_to_json(triangular_gma(Rationals(), 3, 1).ctx)
     seen = {0: 0, 1: 0}
 
@@ -254,20 +253,3 @@ def test_decoding_a_context_coerces_each_scalar_at_most_once(make, monkeypatch):
                             lambda self, v, coerce=coerce: calls.append(v) or coerce(self, v))
     jsonio.context_from_json(doc)
     assert len(calls) <= _scalar_count(doc)
-
-
-def test_each_fraction_text_is_parsed_once_per_document(monkeypatch):
-    doc = _fraction_context_doc()
-    parsed = []
-    real = jsonio.scalar_from_json
-    monkeypatch.setattr(jsonio, "scalar_from_json",
-                        lambda ring, v: parsed.append(v) or real(ring, v))
-    ctx = jsonio.context_from_json(doc)
-    assert sorted(parsed, key=str) == ["0/1", "0/7", "1/1", "2/2", "3/3"]
-    # the texts decode to the canonical ints, as the int document does
-    plain = jsonio.context_to_json(triangular_gma(Rationals(), 3, 1).ctx)
-    assert jsonio.context_to_json(ctx) == plain
-    # the memo lives for one document only
-    parsed.clear()
-    jsonio.context_from_json(doc)
-    assert sorted(parsed, key=str) == ["0/1", "0/7", "1/1", "2/2", "3/3"]

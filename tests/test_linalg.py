@@ -113,6 +113,29 @@ def test_solve_underdetermined_particular_deterministic():
     assert len(sol1.kernel) == 1
 
 
+def test_solve_sparse_rows_match_dense():
+    R = Zmod(6)
+    rows = [[2, 0, 3], [0, 0, 0], [4, 1, 0]]
+    rhs = [1, 0, 2]
+    sparse = [{j: c for j, c in enumerate(r) if c} for r in rows]
+    assert linalg.solve_linear(R, sparse, rhs, 3) == linalg.solve_linear(R, rows, rhs)
+
+
+def test_solve_sparse_rows_need_ncols():
+    with pytest.raises(ValueError, match="ncols"):
+        linalg.solve_linear(Zmod(3), [{1: 1}], [1])
+
+
+@pytest.mark.parametrize("ring", [Zmod(4), Rationals()], ids=["Z/4", "Q"])
+def test_solve_no_rows_over_ncols_columns(ring):
+    """With no equations every vector solves: the zero vector plus the
+    unit vectors, not the empty solution of a system of width 0."""
+    sol = linalg.solve_linear(ring, [], [], 3)
+    assert sol.particular == (0, 0, 0)
+    assert sorted(sol.kernel) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert linalg.solve_linear(ring, [], []) == linalg.LinearSolution((), [])
+
+
 def rank_mod_p(rows, p):
     """Rank by plain Python-int elimination, the reference."""
     rows = [list(r) for r in rows]
