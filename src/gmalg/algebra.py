@@ -60,11 +60,12 @@ def lattice_check(ring, dim, degree, holds, lead=None):
     at most ``degree``.  Over a finite ring this is the first failing
     element of R^dim; over Q, of {0..degree}^dim.
 
-    ``lead`` is a t, known from f's coefficients (``vanishing_lead``), such
-    that f does not vanish where x_0..x_{t-1} = 0 and does where x_0..x_t
-    = 0.  Those points come first, so the witness starts with t zeros and
-    a nonzero digit: the search starts there, and f is not evaluated on
-    the zero prefix."""
+    ``lead`` is a t, known from f's coefficients (``maps.is_k_commuting``),
+    such that f does not vanish where x_0..x_{t-1} = 0 and does where
+    x_0..x_t = 0.  Those points come first, so the witness starts with t
+    zeros and a nonzero digit: the search starts there, f is not evaluated
+    on the zero prefix, and every point it is evaluated at has x_0..x_{t-1}
+    = 0."""
     scalars = [ring.coerce(b) for b in range(degree + 1)]
     seen = {}   # by digits; the search revisits the points whose prefix is zero
 
@@ -105,54 +106,73 @@ def _surjections(degree):
 
 
 def _times(monomial, i):
-    """The monomial (a sorted index tuple, see ``ad_recursion``) times x_i."""
+    """The monomial (a sorted index tuple, see ``ad_stream``) times x_i."""
     t = bisect_right(monomial, i)
     return monomial[:t] + (i,) + monomial[t:]
 
 
-def ad_recursion(ad, start, k, normal):
-    """The nonzero coefficients of [f0(x), x]_k, from those of f0.
+def ad_stream(ad, start, k, normal):
+    """The nonzero coefficients of [f0(x), x]_k, from those of f0, grouped by
+    the least index t of their monomial: (t, the coefficients of least index
+    t) for t = d-1 down to 0, d = len(ad), an empty group included.
 
     A coefficient is keyed by its monomial x^gamma, written as the sorted
     tuple of the indices in gamma (x_0^2 x_3 is (0, 0, 3)), and is a dict
     column -> vector (dict coordinate -> scalar), one column per unknown
-    of f0 (one column for a given f0).  ``ad[r]`` lists the (i, terms)
-    with [e_r, e_i] != 0, its terms the nonzero (s, c), so that
+    of f0 (one column for a given f0), in normal form.  ``ad[r]`` lists the
+    (i, terms) with [e_r, e_i] != 0, its terms the nonzero (s, c), so that
     R_i y = [y, e_i] is read off it.  Since [y, x] = sum_i x_i R_i y, one
     bracket maps the coefficients C to C'_gamma = sum_{i in supp gamma}
-    R_i C_{gamma - e_i}; only the last level is kept.  Sums are taken in
-    int (or Fraction) arithmetic and brought to ``normal`` form once per
-    level, dropping zeros."""
-    level = start
-    for _ in range(k):
-        out = {}
-        for beta, cols in level.items():
-            targets = {}    # i -> the coefficient of x^beta x_i
-            for col, vec in cols.items():
-                for r, v in vec.items():
-                    for i, terms in ad[r]:
-                        target = targets.get(i)
-                        if target is None:
-                            target = targets[i] = out.setdefault(_times(beta, i), {})
-                        acc = target.get(col)
-                        if acc is None:
-                            acc = target[col] = {}
-                        for s, c in terms:
-                            acc[s] = acc.get(s, 0) + v * c
-        level = {}
-        for gamma, cols in out.items():
-            kept = {}
-            for col, vec in cols.items():
-                vec = {s: w for s, v in vec.items() if (w := normal(v))}
-                if vec:
-                    kept[col] = vec
-            if kept:
-                level[gamma] = kept
-    return level
+    R_i C_{gamma - e_i}.
+
+    C_beta is pushed to x^beta x_i, whose least index is min(t, i) for beta
+    of least index t (the constant monomial () counts as d-1): a support
+    only shrinks along the pushes.  So the sums are kept in one bucket per
+    (level, least index), and at each t, level by level, the bucket
+    (level, t) is complete: every push still to come starts from a least
+    index below t, or from t at a higher level.  It is brought to normal
+    form once, zeros dropped, and pushed on; the last level's bucket is the
+    group of t.  Sums are taken in int (or Fraction) arithmetic."""
+    d = len(ad)
+    first, *buckets = [{} for _ in range(k + 1)]    # by level: least index -> sums
+    for beta, cols in start.items():
+        first.setdefault(beta[0] if beta else d - 1, {})[beta] = cols
+    for t in range(d - 1, -1, -1):
+        level = first.pop(t, None)
+        for out in buckets:
+            if level:
+                for beta, cols in level.items():
+                    targets = {}    # i -> the coefficient of x^beta x_i
+                    for col, vec in cols.items():
+                        for r, v in vec.items():
+                            for i, terms in ad[r]:
+                                target = targets.get(i)
+                                if target is None:
+                                    u = i if i < t else t
+                                    bucket = out.get(u)
+                                    if bucket is None:
+                                        bucket = out[u] = {}
+                                    target = targets[i] = bucket.setdefault(_times(beta, i), {})
+                                acc = target.get(col)
+                                if acc is None:
+                                    acc = target[col] = {}
+                                for s, c in terms:
+                                    acc[s] = acc.get(s, 0) + v * c
+            sums, level = out.pop(t, None), {}
+            if sums:
+                for gamma, cols in sums.items():
+                    kept = {}
+                    for col, vec in cols.items():
+                        vec = {s: w for s, v in vec.items() if (w := normal(v))}
+                        if vec:
+                            kept[col] = vec
+                    if kept:
+                        level[gamma] = kept
+        yield t, level
 
 
 def _as_rows(cols):
-    """A coefficient given as columns (see ``ad_recursion``), as rows: one
+    """A coefficient given as columns (see ``ad_stream``), as rows: one
     dict column -> scalar per output coordinate."""
     rows = {}
     for col, vec in cols.items():
@@ -163,9 +183,9 @@ def _as_rows(cols):
 
 def vanishing_rows(ring, coeffs, degree, dim):
     """Blocks of nonzero rows that all vanish iff f(x) = sum_gamma C_gamma
-    x^gamma vanishes on all of R^dim.  ``coeffs`` maps each monomial (as in
-    ``ad_recursion``) to its coefficient as rows (see ``_as_rows``); f must
-    be homogeneous of degree ``degree`` >= 1.
+    x^gamma vanishes on all of R^dim.  ``coeffs`` maps each monomial (as
+    in ``ad_stream``) to its coefficient as rows (see ``_as_rows``); f
+    must be homogeneous of degree ``degree`` >= 1.
 
     Over Q, and over Z/p with p >= ``degree``, f is zero iff every
     coefficient is, so the rows are the coefficients' (at p = ``degree``,
@@ -173,11 +193,18 @@ def vanishing_rows(ring, coeffs, degree, dim):
     linear monomial, so no two coefficients merge).  Elsewhere they are
     the Newton differences D^alpha f(0) = sum_gamma C_gamma prod_i a_i!
     S(g_i, a_i) (``_surjections``) at the lattice points alpha, in the
-    order of ``lattice_points``, which says why they decide f.  A factor with a_i = 0 < g_i or a_i > g_i is 0,
-    so alpha has the support of some gamma >= alpha: only those are built.
-    alpha = 0 and the pure powers m*e_i (m >= 2) are left out; for a
-    homogeneous f the first is 0 and the others are multiples of the
-    difference at e_i (only gamma = degree*e_i reaches them)."""
+    order of ``lattice_points``, which says why they decide f.  A factor
+    with a_i = 0 < g_i or a_i > g_i is 0, so alpha has the support of
+    some gamma >= alpha: only those are built, each from the coefficients
+    of that one support.  alpha = 0 and the pure powers m*e_i (m >= 2)
+    are left out; for a homogeneous f the first is 0 and the others are
+    multiples of the difference at e_i (only gamma = degree*e_i reaches
+    them).
+
+    So the rows of the coefficients of least index t are theirs alone, and
+    the blocks of the groups of ``ad_stream``, taken from the highest t
+    down, are those of all of f in this order: a dense alpha with a larger
+    least index sorts first."""
     if ring.size is None or (ring.is_field and ring.size >= degree):
         for gamma in sorted(coeffs):
             rows = coeffs[gamma]
@@ -217,24 +244,6 @@ def vanishing_rows(ring, coeffs, degree, dim):
                 block.append(row)
         if block:
             yield block
-
-
-def vanishing_lead(ring, coeffs, degree, dim):
-    """The largest t such that the coefficients C_gamma whose least index
-    is t (``gamma[0] == t``) do not vanish under ``vanishing_rows``, or
-    None when f vanishes; coefficients as in ``vanishing_rows``.
-
-    f restricted to x_0..x_{t-1} = 0 is the sum of the C_gamma x^gamma
-    with least index >= t, and its rows are theirs: the coefficients
-    themselves, or Newton differences, which are built from the
-    coefficients of one exact support each.  So f does not vanish there
-    and vanishes where x_t = 0 too (``lattice_check``'s ``lead``)."""
-    groups = {}
-    for gamma, rows in coeffs.items():
-        groups.setdefault(gamma[0], {})[gamma] = rows
-    return next((t for t in sorted(groups, reverse=True)
-                 if next(vanishing_rows(ring, groups[t], degree, dim), None) is not None),
-                None)
 
 
 def vanishing_kernel(ring, coeffs, degree, dim, ncols):
@@ -325,6 +334,7 @@ class Algebra:
         self._terms = _nonzero_terms(self.table)
         self.unit = vec(unit)
         self._engel = {}
+        self._adjoint = {}
         self._ad = None
 
     @classmethod
@@ -339,6 +349,7 @@ class Algebra:
         alg.dim = len(alg.labels)
         alg.table, alg._terms, alg.unit = table, terms, unit
         alg._engel = {}
+        alg._adjoint = {}
         alg._ad = None
         return alg
 
@@ -492,50 +503,79 @@ class Algebra:
             coeffs = {alpha: _as_rows(cols)
                       for alpha, cols in self.adjoint_coefficients(k).items()}
             gens = vanishing_kernel(self.ring, coeffs, k, self.dim, self.dim)
-            self._engel[k] = Submodule(self.ring, self.dim, gens)
+            self._engel[k] = Submodule._from_normal(self.ring, self.dim, gens)
         return self._engel[k]
 
-    def adjoint_coefficients(self, k):
-        """The nonzero coefficients W_alpha, |alpha| = k, of the operator
-        a -> [a, x]_k: ``ad_recursion`` from W_0 = I, with one column per
-        coordinate of a."""
-        identity = {(): {p: {p: 1} for p in range(self.dim)}}
-        return ad_recursion(self.adjoint_terms(), identity, k, self.ring.normal)
+    def adjoint_groups(self, k):
+        """The groups of ``ad_stream`` for the operator a -> [a, x]_k: its
+        nonzero coefficients W_alpha, |alpha| = k, from W_0 = I, with one
+        column per coordinate of a.  The recursion runs once per order: the
+        groups pulled so far are kept, and a reader that passes them
+        resumes the stream where the last one stopped."""
+        if k not in self._adjoint:
+            identity = {(): {p: {p: 1} for p in range(self.dim)}}
+            self._adjoint[k] = [], ad_stream(self.adjoint_terms(), identity, k,
+                                             self.ring.normal)
+        done, rest = self._adjoint[k]
+        for i in itertools.count():
+            if i == len(done):
+                group = next(rest, None)
+                if group is None:
+                    return
+                done.append(group)
+            yield done[i]
 
-    def map_coefficients(self, columns, k):
-        """The coefficients of [theta(x), x]_k, as rows over one column 0
-        (see ``vanishing_rows``), for the map theta with the given columns
-        theta(e_q), each as its nonzero (coordinate, scalar) pairs:
-        ``ad_recursion`` from C_{e_q} = theta(e_q)."""
+    def adjoint_coefficients(self, k):
+        """Every W_alpha of ``adjoint_groups``, keyed by alpha."""
+        return {alpha: cols for _, group in self.adjoint_groups(k)
+                for alpha, cols in group.items()}
+
+    def map_groups(self, columns, k):
+        """``ad_stream`` for [theta(x), x]_k, from C_{e_q} = theta(e_q) in
+        one column 0, for the map theta with the given columns theta(e_q),
+        each as its nonzero (coordinate, scalar) pairs."""
         normal = self.ring.normal
         start = {(q,): {0: {r: normal(v) for r, v in col}}
                  for q, col in enumerate(columns) if col}
-        return {gamma: _as_rows(cols) for gamma, cols in
-                ad_recursion(self.adjoint_terms(), start, k, normal).items()}
+        return ad_stream(self.adjoint_terms(), start, k, normal)
 
-    def commuting_coefficients(self, k):
-        """The coefficients of [theta(x), x]_k, as rows over the entries
+    def commuting_groups(self, k):
+        """The groups of [theta(x), x]_k, by least index as in
+        ``ad_stream``, each coefficient as rows over the entries
         theta[p][q] of an unknown map, at flat index p*d+q.
 
-        [a, x]_k = sum_alpha x^alpha W_alpha a (``adjoint_coefficients``)
-        and theta(x) = sum_q x_q theta(e_q), so the coefficient of x^gamma
-        is sum_q W_{gamma - e_q} theta(e_q): theta[p][q] enters it with
-        the column p of W_{gamma - e_q}.  These are the coefficients that
-        ``ad_recursion`` gives from C_{e_q} = theta(e_q) with one unknown
-        column per entry, without carrying the d*d columns through it."""
+        [a, x]_k = sum_alpha x^alpha W_alpha a (``adjoint_groups``) and
+        theta(x) = sum_q x_q theta(e_q), so the coefficient of x^gamma is
+        sum_q W_{gamma - e_q} theta(e_q): theta[p][q] enters it with the
+        column p of W_{gamma - e_q}.  These are the coefficients that
+        ``ad_stream`` gives from C_{e_q} = theta(e_q) with one unknown
+        column per entry, without carrying the d*d columns through it.
+        x^alpha x_q has least index t when alpha has and q >= t, or when
+        alpha's is larger and q = t, so the group of t is read off the
+        W_alpha of least index t and those that came before them."""
         d = self.dim
-        coeffs = {}
-        for alpha, cols in self.adjoint_coefficients(k).items():
-            for q in range(d):
+        older = []      # the (alpha, W_alpha) of least index > t
+        for t, group in self.adjoint_groups(k):
+            new = list(group.items())
+            entries = [(alpha, cols, q) for alpha, cols in new for q in range(t, d)]
+            entries += [(alpha, cols, t) for alpha, cols in older]
+            older += new
+            coeffs = {}
+            for alpha, cols, q in entries:
                 rows = coeffs.setdefault(_times(alpha, q), {})
                 for p, vec in cols.items():
                     for r, v in vec.items():
                         rows.setdefault(r, {})[p * d + q] = v
-        return coeffs
+            yield t, coeffs
+
+    def commuting_coefficients(self, k):
+        """Every coefficient of ``commuting_groups``, keyed by monomial."""
+        return {gamma: rows for _, group in self.commuting_groups(k)
+                for gamma, rows in group.items()}
 
     def adjoint_terms(self):
         """``ad[r]``: the (i, terms) with [e_r, e_i] != 0, its terms the
-        nonzero (s, c) with c in normal form (see ``ad_recursion``)."""
+        nonzero (s, c) with c in normal form (see ``ad_stream``)."""
         if self._ad is None:
             rg, T = self.ring, self._terms
             ad = []
@@ -560,14 +600,27 @@ class Submodule:
     over a field."""
 
     def __init__(self, ring, ambient_dim, generators):
-        self.ring = ring
-        self.ambient_dim = ambient_dim
         gens = [tuple(ring.coerce(c) for c in g) for g in generators]
         for g in gens:
             if len(g) != ambient_dim:
                 raise DimensionMismatch("generator length mismatch")
+        self._set(ring, ambient_dim, gens)
+
+    def _set(self, ring, ambient_dim, gens):
+        self.ring = ring
+        self.ambient_dim = ambient_dim
         self.gens = linalg.span_basis(ring, gens, ambient_dim)
         self._elements = None
+
+    @classmethod
+    def _from_normal(cls, ring, ambient_dim, generators):
+        """The span of generators of length ``ambient_dim`` already in
+        normal form, such as kernels and Howell rows from ``linalg``:
+        nothing is coerced or checked.  ``__init__`` is the constructor for
+        anything else."""
+        sub = cls.__new__(cls)
+        sub._set(ring, ambient_dim, generators)
+        return sub
 
     @property
     def rank(self):
@@ -612,7 +665,7 @@ class Submodule:
 
     def project(self, indices):
         """Image under coordinate projection (a linear surjection)."""
-        return Submodule(
+        return Submodule._from_normal(
             self.ring, len(indices), [tuple(g[i] for i in indices) for g in self.gens]
         )
 

@@ -74,7 +74,7 @@ def derivation_space(G):
     alg = getattr(G, "algebra", G)
     d = alg.dim
     gens = linalg.nullspace(alg.ring, _iter_leibniz_rows(alg), d * d)
-    return MapSpace(alg, Submodule(alg.ring, d * d, gens))
+    return MapSpace(alg, Submodule._from_normal(alg.ring, d * d, gens))
 
 
 DerivationForm = namedtuple(
@@ -188,11 +188,13 @@ def verify_commuting_derivations_vanish(G, k):
 
     Both are linear conditions on the entries of the map: the Leibniz rows
     and the rows that make [theta(x), x]_k vanish (see
-    ``algebra.vanishing_rows``), fed to one kernel.  Feeding stops once
-    that kernel is zero, since more rows cannot shrink it.  A generator of
-    the kernel contradicts the vanishing theorem and is raised as
-    TheoremViolation with the map attached.  Outside the setting of
-    ``maps.require_proper_setting`` it refuses."""
+    ``algebra.vanishing_rows``), read group by group from
+    ``Algebra.commuting_groups``, fed to one kernel.  Feeding stops once
+    that kernel is zero, since more rows cannot shrink it, and no group is
+    computed after that.  A generator of the kernel contradicts the
+    vanishing theorem and is raised as TheoremViolation with the map
+    attached.  Outside the setting of ``maps.require_proper_setting`` it
+    refuses."""
     require_order(k)
     require_proper_setting(G)
     rg = G.ring
@@ -200,7 +202,9 @@ def verify_commuting_derivations_vanish(G, k):
     d = alg.dim
     acc = linalg.kernel_builder(rg, d * d)
     acc.add_rows(_iter_leibniz_rows(alg))
-    for block in vanishing_rows(rg, alg.commuting_coefficients(k), k + 1, d):
+    blocks = (block for _, group in alg.commuting_groups(k)
+              for block in vanishing_rows(rg, group, k + 1, d))
+    for block in blocks:
         if acc.has_zero_kernel():
             break
         acc.add_rows(block)

@@ -18,13 +18,13 @@ from collections import namedtuple
 from . import compiled, linalg
 from .algebra import (
     Submodule,
+    _as_rows,
     _bilinear,
     evaluator,
     iter_vectors,
     lattice_check,
     lattice_points,
     vanishing_kernel,
-    vanishing_lead,
     vanishing_rows,
 )
 from .errors import (
@@ -171,17 +171,24 @@ def require_order(k):
 def is_k_commuting(G, theta, k):
     """(True, None) if [theta(x), x]_k = 0 for every x, else (False, x).
 
-    The coefficients C_gamma of f(x) = [theta(x), x]_k, homogeneous of
-    degree k+1, come from ``Algebra.map_coefficients``.  f vanishes everywhere iff they are all zero
-    over Q and over Z/p with p >= k+1, and iff its Newton differences
-    (sums of the C_gamma weighted by Stirling numbers) are all zero on
-    every other Z/n; the test stops at the first nonzero one (see
-    ``algebra.vanishing_rows``).  On failure x is the lexicographically
-    first failing element: of the whole algebra over a finite ring, of
-    {0..k+1}^dim over Q (see ``algebra.lattice_check``), with f evaluated
-    from its coefficients.  The search starts at the lead coordinate that
-    the coefficients give (``algebra.vanishing_lead``): x is zero before
-    it and nonzero there.
+    f(x) = [theta(x), x]_k is homogeneous of degree k+1, and its
+    coefficients C_gamma come from ``Algebra.map_groups``, grouped by the
+    least index t of gamma from the highest t down.  f vanishes everywhere
+    iff every group's rows vanish (``algebra.vanishing_rows``): over Q and
+    over Z/p with p >= k+1 they are the C_gamma themselves, so a group
+    vanishes iff it is empty (zeros are dropped); on every other Z/n they
+    are Newton differences.  The groups are read until the first one that
+    does not vanish; none is computed after it.
+
+    Its t is the lead.  Each group is a homogeneous polynomial of its own,
+    and its rows are those of its coefficients alone, so each group read
+    before it vanishes as a function, and each group below it is zero
+    where x_0..x_{t-1} = 0.  There f is group t's polynomial, which does
+    not vanish, and where x_0..x_t = 0 f is zero (``lattice_check``'s
+    lead).  On failure x is the lexicographically first failing element:
+    of the whole algebra over a finite ring, of {0..k+1}^dim over Q (see
+    ``algebra.lattice_check``), searched from the lead on, where f is
+    evaluated from group t.
 
     f is linear in theta, so over Q the map D*theta of ``LinMap.integral``
     has the coefficients D*C_gamma, the same zero set and so the same
@@ -190,12 +197,13 @@ def is_k_commuting(G, theta, k):
     require_order(k)
     if theta.dim != alg.dim:
         raise DimensionMismatch("map dimension does not match the algebra")
-    rg = alg.ring
-    coeffs = alg.map_coefficients(theta.integral()[1]._cols, k)
-    if next(vanishing_rows(rg, coeffs, k + 1, alg.dim), None) is None:
-        return True, None
-    return lattice_check(rg, alg.dim, k + 1, evaluator(rg, coeffs, k + 1),
-                         lead=vanishing_lead(rg, coeffs, k + 1, alg.dim))
+    rg, d = alg.ring, alg.dim
+    for t, group in alg.map_groups(theta.integral()[1]._cols, k):
+        if group:
+            group = {gamma: _as_rows(cols) for gamma, cols in group.items()}
+            if next(vanishing_rows(rg, group, k + 1, d), None) is not None:
+                return lattice_check(rg, d, k + 1, evaluator(rg, group, k + 1), lead=t)
+    return True, None
 
 
 class MapSpace:
@@ -255,7 +263,7 @@ def commuting_space(G, k):
     d = alg.dim
     require_order(k)
     gens = vanishing_kernel(alg.ring, alg.commuting_coefficients(k), k + 1, d, d * d)
-    return MapSpace(alg, Submodule(alg.ring, d * d, gens))
+    return MapSpace(alg, Submodule._from_normal(alg.ring, d * d, gens))
 
 
 def _divided(ring, D, x):
@@ -466,7 +474,8 @@ def check_properness_hypotheses(G, k):
         Ms, Ns = list(iter_vectors(rg, dM)), list(iter_vectors(rg, dN))
     for i, j in _witness_order(len(Ms), len(Ns)):
         rows = G.center_rows([Ms[i]], [Ns[j]])
-        if Submodule(rg, dA + dB, linalg.nullspace(rg, rows, dA + dB)).equals(zdiag):
+        pinned = linalg.nullspace(rg, rows, dA + dB)
+        if Submodule._from_normal(rg, dA + dB, pinned).equals(zdiag):
             return HypothesisWitness(cond1, cond2, True, Ms[i], Ns[j])
     return HypothesisWitness(cond1, cond2, False, None, None)
 

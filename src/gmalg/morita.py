@@ -368,7 +368,8 @@ class GMAlgebra:
         if self._zkernel is None:
             n = self.dims[0] + self.dims[3]
             rows = self.center_rows(self.ctx.M.basis(), self.ctx.N.basis())
-            self._zkernel = Submodule(self.ring, n, linalg.nullspace(self.ring, rows, n))
+            self._zkernel = Submodule._from_normal(self.ring, n,
+                                                   linalg.nullspace(self.ring, rows, n))
         return self._zkernel
 
     def gma_center(self):
@@ -376,7 +377,7 @@ class GMAlgebra:
         all m, n}: the center of the underlying algebra."""
         if self._gma_center is None:
             dA = self.dims[0]
-            self._gma_center = Submodule(self.ring, self.dim, [
+            self._gma_center = Submodule._from_normal(self.ring, self.dim, [
                 self.embed_diag(g[:dA], g[dA:]) for g in self.center_kernel().gens])
         return self._gma_center
 

@@ -196,7 +196,7 @@ def test_oracle_runs_without_the_fast_paths(name, monkeypatch):
                    for t in thetas if is_k_commuting(A, t, 1)[0]],
     }
     for owner, attr in [(maps.LinMap, "apply"), (Algebra, "mul"),
-                        (Algebra, "iterated_bracket"), (Algebra, "map_coefficients"),
+                        (Algebra, "iterated_bracket"), (Algebra, "map_groups"),
                         (algebra, "_bilinear")]:
         monkeypatch.setattr(owner, attr, _raise)
     assert brute_center(A) == expected["center"]

@@ -122,13 +122,13 @@ def test_a_rational_map_is_decided_through_integral_coefficients(tmp_path, monke
     ctx = tmp_path / "ctx.json"
     ctx.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
     seen = []
-    original = Algebra.map_coefficients
+    original = Algebra.map_groups
 
     def spy(self, cols, k):
         seen.extend(type(c) for col in cols for _, c in col)
         return original(self, cols, k)
 
-    monkeypatch.setattr(Algebra, "map_coefficients", spy)
+    monkeypatch.setattr(Algebra, "map_groups", spy)
     code, doc = _classify(tmp_path, ctx, dict(q_maps(G))["half"], 2, "proper")
     assert code == cli.EXIT_OK
     assert seen and set(seen) == {int}
