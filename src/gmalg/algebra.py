@@ -66,7 +66,7 @@ def lattice_check(ring, dim, degree, holds, lead=None):
     zeros and a nonzero digit: the search starts there, f is not evaluated
     on the zero prefix, and every point it is evaluated at has x_0..x_{t-1}
     = 0."""
-    scalars = [ring.coerce(b) for b in range(degree + 1)]
+    scalars = [ring.normal(b) for b in range(degree + 1)]
     seen = {}   # by digits; the search revisits the points whose prefix is zero
 
     def vanishes(prefix):
@@ -258,22 +258,21 @@ def vanishing_kernel(ring, coeffs, degree, dim, ncols):
 
 
 def evaluator(ring, coeffs, degree):
-    """``holds(x)``: whether f(x) = sum_gamma C_gamma x^gamma is zero, for
-    coefficients as in ``vanishing_rows``.  Only the gamma with supp gamma
-    inside supp x contribute, so they are looked up by the subsets of
-    supp x of size <= ``degree``.  The points ``lattice_check`` tries have
-    at most 2*degree + 1 nonzero coordinates: the lexicographically first
-    failing point has at most ``degree`` (zeroing a coordinate makes a
-    point smaller, and f on points with more is a sum of its values on
-    their faces), and the others add a digit and a lattice point to a
-    prefix of it."""
+    """``holds(x)``: whether f(x) = sum_gamma C_gamma x^gamma is zero, for x
+    in normal form and coefficients as in ``vanishing_rows``.  Only the
+    gamma with supp gamma inside supp x contribute, so they are looked up
+    by the subsets of supp x of size <= ``degree``.  The points
+    ``lattice_check`` tries have at most 2*degree + 1 nonzero coordinates:
+    the lexicographically first failing point has at most ``degree``
+    (zeroing a coordinate makes a point smaller, and f on points with more
+    is a sum of its values on their faces), and the others add a digit and
+    a lattice point to a prefix of it."""
     groups = {}
     for gamma, rows in coeffs.items():
         groups.setdefault(tuple(dict.fromkeys(gamma)), []).append((gamma, rows))
     normal = ring.normal
 
     def holds(x):
-        x = [normal(c) for c in x]
         support = [i for i, c in enumerate(x) if c]
         acc = {}
         for size in range(1, min(len(support), degree) + 1):
@@ -297,6 +296,55 @@ def _nonzero_terms(table):
     )
 
 
+class _Normal:
+    """Scalars are coerced, and shapes checked, once, where they enter: the
+    public constructor of a subclass coerces every scalar and checks every
+    shape, then hands the data to ``_set``.  ``_from_normal(*args)`` hands
+    ``_set`` data already in normal form and of the right shapes, as they
+    are: nothing is coerced or checked.  Everything gmalg builds from its
+    own results is built so."""
+
+    @classmethod
+    def _from_normal(cls, *args):
+        obj = cls.__new__(cls)
+        obj._set(*args)
+        return obj
+
+
+def _coerced(ring, t):
+    """The rows of vectors ``t`` as tuples, each scalar coerced."""
+    return tuple(tuple(tuple(map(ring.coerce, v)) for v in row) for row in t)
+
+
+def _check_tensor(t, shape, wrong_shape, wrong_length):
+    """Raise ``DimensionMismatch`` unless ``t`` is a rows x cols array of
+    vectors of the given length, ``shape`` = (rows, cols, length):
+    ``wrong_shape`` when the array has other rows or columns, else
+    ``wrong_length``, formatted with the length found, at the first vector
+    of another length."""
+    rows, cols, length = shape
+    if len(t) != rows or any(len(row) != cols for row in t):
+        raise DimensionMismatch(wrong_shape)
+    for row in t:
+        for v in row:
+            if len(v) != length:
+                raise DimensionMismatch(wrong_length.format(len(v)))
+
+
+def _check_vector(v, dim):
+    """Raise ``DimensionMismatch`` unless ``v`` has ``dim`` coordinates."""
+    if len(v) != dim:
+        raise DimensionMismatch(f"expected {dim} coordinates, got {len(v)}")
+
+
+def _check_algebra(dim, table, unit):
+    """The shapes of an algebra of dimension ``dim``: a dim x dim table of
+    vectors of length dim, and the unit."""
+    _check_tensor(table, (dim, dim, dim), "structure constant table must be dim x dim",
+                  f"expected {dim} coordinates, got {{}}")
+    _check_vector(unit, dim)
+
+
 def _bilinear(ring, x, y, terms, out_dim):
     """Sum_{i,j} x_i * y_j * cell_ij over the nonzero x_i and y_j, with the
     cells given as ``_nonzero_terms``.  Scalars are zero exactly when falsy
@@ -317,53 +365,32 @@ def _bilinear(ring, x, y, terms, out_dim):
     return tuple(out)
 
 
-class Algebra:
-    def __init__(self, ring, labels, table, unit, normal=False):
-        """With ``normal``, the cells of ``table`` and ``unit`` are already
-        ring elements in normal form: their shapes are checked, but nothing
-        is coerced."""
+class Algebra(_Normal):
+    def __init__(self, ring, labels, table, unit):
+        """The algebra on ``labels`` whose product e_i * e_j is
+        ``table[i][j]`` and whose unit is ``unit``; every scalar is coerced
+        and every shape checked."""
+        labels = list(labels)
+        table, unit = _coerced(ring, table), tuple(map(ring.coerce, unit))
+        _check_algebra(len(labels), table, unit)
+        self._set(ring, labels, table, unit)
+
+    def _set(self, ring, labels, table, unit, terms=None):
+        """``terms``: the table's ``_nonzero_terms``, if they are known."""
         self.ring = ring
         self.labels = list(labels)
         self.dim = len(self.labels)
-        if len(table) != self.dim or any(len(row) != self.dim for row in table):
-            raise DimensionMismatch("structure constant table must be dim x dim")
-        vec = self._sized if normal else self.vec
-        self.table = tuple(
-            tuple(vec(cell) for cell in row) for row in table
-        )
-        self._terms = _nonzero_terms(self.table)
-        self.unit = vec(unit)
-        self._engel = {}
-        self._adjoint = {}
-        self._ad = None
-
-    @classmethod
-    def _from_normal(cls, ring, labels, table, unit, terms):
-        """The algebra of a dim x dim ``table`` of tuples already in normal
-        form, with ``terms`` its ``_nonzero_terms`` and ``unit`` a normal
-        tuple: nothing is coerced, checked or scanned.  ``__init__`` is the
-        constructor for anything else."""
-        alg = cls.__new__(cls)
-        alg.ring = ring
-        alg.labels = list(labels)
-        alg.dim = len(alg.labels)
-        alg.table, alg._terms, alg.unit = table, terms, unit
-        alg._engel = {}
-        alg._adjoint = {}
-        alg._ad = None
-        return alg
+        self.table = tuple(map(tuple, table))
+        self._terms = _nonzero_terms(self.table) if terms is None else terms
+        self.unit = tuple(unit)
+        self._engel, self._adjoint, self._ad = {}, {}, None
 
     # -- vector helpers -----------------------------------------------------
 
     def vec(self, coords):
-        return self._sized(map(self.ring.coerce, coords))
-
-    def _sized(self, coords):
-        coords = tuple(coords)
-        if len(coords) != self.dim:
-            raise DimensionMismatch(
-                f"expected {self.dim} coordinates, got {len(coords)}"
-            )
+        """``coords`` as an element: each scalar coerced, the length checked."""
+        coords = tuple(map(self.ring.coerce, coords))
+        _check_vector(coords, self.dim)
         return coords
 
     def zero(self):
@@ -388,9 +415,6 @@ class Algebra:
     def scale(self, c, x):
         return tuple(self.ring.mul(c, a) for a in x)
 
-    def is_zero(self, x):
-        return not any(x)
-
     # -- multiplication and brackets ---------------------------------------
 
     def mul(self, x, y):
@@ -400,15 +424,6 @@ class Algebra:
 
     def bracket(self, x, y):
         return self.sub(self.mul(x, y), self.mul(y, x))
-
-    def iterated_bracket(self, x, y, k):
-        """[x, y]_k with [x, y]_0 = x and [x, y]_k = [[x, y]_{k-1}, y]."""
-        if k < 0:
-            raise DimensionMismatch("bracket order must be >= 0")
-        out = x
-        for _ in range(k):
-            out = self.bracket(out, y)
-        return out
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x*y (rows over output coords)."""
@@ -533,11 +548,9 @@ class Algebra:
     def map_groups(self, columns, k):
         """``ad_stream`` for [theta(x), x]_k, from C_{e_q} = theta(e_q) in
         one column 0, for the map theta with the given columns theta(e_q),
-        each as its nonzero (coordinate, scalar) pairs."""
-        normal = self.ring.normal
-        start = {(q,): {0: {r: normal(v) for r, v in col}}
-                 for q, col in enumerate(columns) if col}
-        return ad_stream(self.adjoint_terms(), start, k, normal)
+        each as its nonzero (coordinate, scalar) pairs in normal form."""
+        start = {(q,): {0: dict(col)} for q, col in enumerate(columns) if col}
+        return ad_stream(self.adjoint_terms(), start, k, self.ring.normal)
 
     def commuting_groups(self, k):
         """The groups of [theta(x), x]_k, by least index as in
@@ -586,7 +599,7 @@ class Algebra:
                         c = dict(T[r][i])
                         for s, v in T[i][r]:
                             c[s] = rg.sub(c.get(s, rg.zero), v)
-                        terms = tuple((s, rg.normal(v)) for s, v in c.items() if v)
+                        terms = tuple((s, v) for s, v in c.items() if v)
                         if terms:
                             row.append((i, terms))
                 ad.append(tuple(row))
@@ -594,13 +607,13 @@ class Algebra:
         return self._ad
 
 
-class Submodule:
+class Submodule(_Normal):
     """Span of finitely many coordinate vectors, kept as its canonical
     basis: the rows of its Howell form (``linalg.span_basis``), the RREF
     over a field."""
 
     def __init__(self, ring, ambient_dim, generators):
-        gens = [tuple(ring.coerce(c) for c in g) for g in generators]
+        gens = [tuple(map(ring.coerce, g)) for g in generators]
         for g in gens:
             if len(g) != ambient_dim:
                 raise DimensionMismatch("generator length mismatch")
@@ -612,16 +625,6 @@ class Submodule:
         self.gens = linalg.span_basis(ring, gens, ambient_dim)
         self._elements = None
 
-    @classmethod
-    def _from_normal(cls, ring, ambient_dim, generators):
-        """The span of generators of length ``ambient_dim`` already in
-        normal form, such as kernels and Howell rows from ``linalg``:
-        nothing is coerced or checked.  ``__init__`` is the constructor for
-        anything else."""
-        sub = cls.__new__(cls)
-        sub._set(ring, ambient_dim, generators)
-        return sub
-
     @property
     def rank(self):
         # over composite Z/n the number of Howell rows is not a rank
@@ -630,7 +633,6 @@ class Submodule:
         return len(self.gens)
 
     def contains(self, v):
-        v = tuple(self.ring.coerce(c) for c in v)
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
         return linalg.in_span(self.ring, self.gens, v)

@@ -251,7 +251,7 @@ def _lattice_rows(ring, dim, defect):
     sparser, since a difference drops the terms of lower degree."""
     values, out = {}, []
     for alpha in lattice_points(ring, dim, 2):
-        values[alpha] = defect(tuple(map(ring.coerce, alpha)))
+        values[alpha] = defect(tuple(map(ring.normal, alpha)))
         out += _normal_rows(ring, _Forms.combine(*(
             ((-1) ** (sum(alpha) - sum(beta)) * prod(map(comb, alpha, beta)), values[beta])
             for beta in itertools.product(*(range(a + 1) for a in alpha))

@@ -31,10 +31,8 @@ def is_derivation(G, theta):
 def adjoint_map(G, c):
     """The inner derivation x -> cx - xc."""
     alg = getattr(G, "algebra", G)
-    cols = [
-        alg.bracket(c, alg.basis_vector(j)) for j in range(alg.dim)
-    ]
-    return LinMap.from_columns(alg.ring, cols)
+    cols = [alg.bracket(c, e) for e in alg.basis()]
+    return LinMap._from_normal(alg.ring, tuple(zip(*cols)))
 
 
 def _iter_leibniz_rows(alg):
@@ -146,7 +144,7 @@ def verify_derivation_form(G, theta):
     # ``compiled``)
     for side, cid in zip(sides, ("diag_a_leibniz", "diag_b_leibniz")):
         # the two diagonal components are themselves derivations
-        rep.add(cid, *is_derivation(side.ctx.A, LinMap(rg, side.block("A", "A"))))
+        rep.add(cid, *is_derivation(side.ctx.A, LinMap._from_normal(rg, side.block("A", "A"))))
 
     for side, cid in zip(sides, ("diag_a_of_pairing", "diag_b_of_pairing")):
         c = side.ctx
@@ -211,6 +209,7 @@ def verify_commuting_derivations_vanish(G, k):
     gens = acc.nullspace()
     if gens:
         raise TheoremViolation(
-            "nonzero k-commuting derivation found", LinMap.from_flat(rg, d, gens[0])
+            "nonzero k-commuting derivation found",
+            LinMap._from_normal(rg, tuple(gens[0][i * d:(i + 1) * d] for i in range(d)))
         )
     return True

@@ -50,7 +50,7 @@ def _matrix_units(ring, dvec, lower=False):
     for r in range(n):
         unit[index[(r, r)]] = ring.one
     labels = [_unit_label(r + 1, c + 1, n) for r, c in positions]
-    return Algebra(ring, labels, table, unit, normal=True), positions
+    return Algebra._from_normal(ring, labels, table, unit), positions
 
 
 def _unit_label(r, c, n):
@@ -142,7 +142,7 @@ def _tensor(X, Y):
     table = [[kron(xrow[j], yrow[s]) for j in range(X.dim) for s in range(Y.dim)]
              for xrow in X.table for yrow in Y.table]
     labels = [f"{a}:{b}" for a in X.labels for b in Y.labels]
-    return Algebra(rg, labels, table, kron(X.unit, Y.unit), normal=True)
+    return Algebra._from_normal(rg, labels, table, kron(X.unit, Y.unit))
 
 
 def inflated_algebra(spec):
@@ -159,22 +159,23 @@ def inflated_algebra(spec):
     if len(g) != n or any(len(row) != n for row in g):
         raise BadShape("twist matrix must be n x n")
     P = _tensor(matrix_algebra(rg, n), base)
-    gamma = P.vec(c for row in g for entry in row for c in base.vec(entry))
+    # n x n entries of the base's dimension, so P.dim coordinates
+    gamma = tuple(c for row in g for entry in row for c in base.vec(entry))
     basis = P.basis()
     table = [[P.mul(x, e) for e in basis] for x in (P.mul(e, gamma) for e in basis)]
     # the matrix unit E_ij of P is the basis element X_ij
     labels = [f"X{label[1:]}" for label in P.labels]
 
     sol = linalg.solve_linear(rg, P.left_mult_matrix(gamma), P.unit)
-    ginv = None if sol is None else P.vec(sol.particular)
+    ginv = None if sol is None else sol.particular
     if ginv is None or P.mul(ginv, gamma) != P.unit:
         # no identity: return the raw (non-unital) product data; the unit
         # slot is filled with zero and downstream unital tooling refuses
-        alg = Algebra(rg, labels, table, P.zero(), normal=True)
+        alg = Algebra._from_normal(rg, labels, table, P.zero())
         return InflatedAlgebra(alg, False, None, None)
 
-    alg = Algebra(rg, labels, table, ginv, normal=True).validate()
-    sigma = LinMap(rg, P.right_mult_matrix(ginv))
+    alg = Algebra._from_normal(rg, labels, table, ginv).validate()
+    sigma = LinMap._from_normal(rg, tuple(P.right_mult_matrix(ginv)))
     for p in range(P.dim):
         for q in range(P.dim):
             if alg.mul(sigma.column(p), sigma.column(q)) != sigma.apply(P.table[p][q]):

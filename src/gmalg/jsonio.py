@@ -6,10 +6,10 @@ bytes are stable for identical inputs.
 
 import json
 
-from .algebra import Algebra
-from .errors import DimensionMismatch, InputError
-from .maps import LinMap
-from .morita import Bimodule, MoritaContext
+from .algebra import Algebra, _check_algebra
+from .errors import InputError
+from .maps import LinMap, _check_square
+from .morita import Bimodule, MoritaContext, _check_bimodule, _check_context
 from .rings import parse_ring, scalar_from_json, scalar_to_json
 
 ALGEBRA_SCHEMA = "algebra/1"
@@ -81,12 +81,11 @@ def _algebra_fields(alg):
 
 
 def _algebra_from_fields(ring, obj, where):
-    return Algebra(
-        ring, _list(_require(obj, "labels", where), f"{where} labels"),
-        _table_load(ring, obj, "mul", where),
-        _vec_load(ring, _require(obj, "unit", where), f"{where} unit"),
-        normal=True,
-    )
+    labels = _list(_require(obj, "labels", where), f"{where} labels")
+    table = _table_load(ring, obj, "mul", where)
+    unit = _vec_load(ring, _require(obj, "unit", where), f"{where} unit")
+    _check_algebra(len(labels), table, unit)
+    return Algebra._from_normal(ring, labels, table, unit)
 
 
 def _bimodule_fields(mod):
@@ -111,9 +110,10 @@ def context_to_json(ctx):
 
 
 def context_from_json(obj):
-    """The context of a ``context/1`` document; each scalar is decoded once,
-    into normal form (``scalar_from_json``), and the blocks take it as it
-    is (``normal=True``), checking only its shape."""
+    """The context of a ``context/1`` document.  Each scalar is decoded once,
+    into normal form (``scalar_from_json``), each part's shapes are checked
+    as by its public constructor, and the parts are built by their
+    ``_from_normal``, which takes the scalars as they are."""
     _schema(obj, CONTEXT_SCHEMA)
     ring = parse_ring(_require(obj, "ring", "context"))
     A = _algebra_from_fields(ring, _require(obj, "A", "context"), "A")
@@ -126,23 +126,24 @@ def context_from_json(obj):
             raise InputError(f"{field} dim must be an int, got {dim!r}")
         left = _table_load(ring, doc, "left", field)
         right = _table_load(ring, doc, "right", field)
-        return Bimodule(ring, dim, left, right, left_dim, right_dim, normal=True)
+        _check_bimodule(dim, left, right, left_dim, right_dim)
+        return Bimodule._from_normal(ring, dim, left, right)
 
     M = load_mod("M", A.dim, B.dim)
     N = load_mod("N", B.dim, A.dim)
     phi = _table_load(ring, obj, "phi", "context")
     psi = _table_load(ring, obj, "psi", "context")
-    return MoritaContext(A, B, M, N, phi, psi, normal=True)
+    _check_context(A, B, M, N, phi, psi)
+    return MoritaContext._from_normal(A, B, M, N, phi, psi)
 
 
 def map_from_json(obj, ring):
     """The map of a ``map/1`` document; each scalar is decoded once, into
-    normal form."""
+    normal form, and the shape checked as by ``LinMap``."""
     _schema(obj, MAP_SCHEMA)
     rows = tuple(_vec_load(ring, row, "map row")
                  for row in _list(_require(obj, "matrix", "map"), "map matrix"))
-    if any(len(r) != len(rows) for r in rows):
-        raise DimensionMismatch("map matrix must be square")
+    _check_square(rows)
     return LinMap._from_normal(ring, rows)
 
 

@@ -21,17 +21,12 @@ from math import gcd
 LinearSolution = namedtuple("LinearSolution", ["particular", "kernel"])
 
 
-def _sparse(ring, row):
+def _sparse(row):
     """A row given as a dict column -> scalar or as a dense sequence, as a
-    dict of its nonzero coerced entries."""
+    dict of its nonzero entries.  The scalars must be ring elements in
+    normal form: nothing is coerced here."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    out = {}
-    for c, x in items:
-        if x:
-            x = ring.coerce(x)
-            if x:
-                out[c] = x
-    return out
+    return {c: x for c, x in items if x}
 
 
 class _HowellAccumulator:
@@ -52,9 +47,8 @@ class _HowellAccumulator:
         self._nonunit = set()
 
     def add_rows(self, block):
-        rg = self.ring
         for raw in block:
-            todo = [_sparse(rg, raw)]
+            todo = [_sparse(raw)]
             while todo:
                 r = self._reduce(todo.pop())
                 if r:

@@ -18,6 +18,7 @@ from collections import namedtuple
 from . import compiled, linalg
 from .algebra import (
     Submodule,
+    _Normal,
     _as_rows,
     _bilinear,
     evaluator,
@@ -39,18 +40,24 @@ from .morita import BLOCKS
 from .report import Report, failures
 
 
-class LinMap:
+def _check_square(rows):
+    """Raise ``DimensionMismatch`` unless ``rows`` is a square matrix."""
+    if any(len(r) != len(rows) for r in rows):
+        raise DimensionMismatch("map matrix must be square")
+
+
+class LinMap(_Normal):
     """A square matrix acting on coordinate columns; column j is the image
     of basis vector e_j."""
 
     def __init__(self, ring, rows):
-        rows = tuple(tuple(ring.coerce(c) for c in r) for r in rows)
-        for r in rows:
-            if len(r) != len(rows):
-                raise DimensionMismatch("map matrix must be square")
+        """Every scalar is coerced and the shape checked."""
+        rows = tuple(tuple(map(ring.coerce, r)) for r in rows)
+        _check_square(rows)
         self._set(ring, rows)
 
     def _set(self, ring, rows):
+        """``rows``: a tuple of row tuples."""
         self.ring = ring
         self.dim = len(rows)
         self.rows = rows
@@ -61,30 +68,18 @@ class LinMap:
         self._integral = None
 
     @classmethod
-    def _from_normal(cls, ring, rows):
-        """The map of a square tuple of row tuples already in normal form:
-        nothing is coerced or checked.  ``__init__`` is the constructor for
-        anything else."""
-        m = cls.__new__(cls)
-        m._set(ring, rows)
-        return m
-
-    @classmethod
     def identity(cls, ring, dim):
-        return cls(
-            ring,
-            [
-                [ring.one if i == j else ring.zero for j in range(dim)]
-                for i in range(dim)
-            ],
-        )
+        return cls._from_normal(
+            ring, tuple(tuple(ring.one if i == j else ring.zero for j in range(dim))
+                        for i in range(dim)))
 
     @classmethod
     def zero(cls, ring, dim):
-        return cls(ring, [[ring.zero] * dim for _ in range(dim)])
+        return cls._from_normal(ring, ((ring.zero,) * dim,) * dim)
 
     @classmethod
     def from_columns(cls, ring, cols):
+        _check_square(cols)
         dim = len(cols)
         return cls(
             ring, [[cols[j][i] for j in range(dim)] for i in range(dim)]
@@ -92,6 +87,8 @@ class LinMap:
 
     @classmethod
     def from_flat(cls, ring, dim, flat):
+        if len(flat) != dim * dim:
+            raise DimensionMismatch(f"expected {dim * dim} entries, got {len(flat)}")
         return cls(
             ring,
             [flat[i * dim : (i + 1) * dim] for i in range(dim)],
@@ -126,12 +123,12 @@ class LinMap:
 
     def sub(self, other):
         sub = self.ring.sub
-        return LinMap(self.ring, [[sub(a, b) for a, b in zip(r1, r2)]
-                                  for r1, r2 in zip(self.rows, other.rows)])
+        return LinMap._from_normal(self.ring, tuple(tuple(map(sub, r1, r2))
+                                                     for r1, r2 in zip(self.rows, other.rows)))
 
     def scale(self, c):
         rg = self.ring
-        return LinMap(rg, [[rg.mul(c, a) for a in r] for r in self.rows])
+        return LinMap._from_normal(rg, tuple(tuple(rg.mul(c, a) for a in r) for r in self.rows))
 
     def __eq__(self, other):
         return (
@@ -237,10 +234,8 @@ class MapSpace:
         d = self.algebra.dim
         total = [0] * (d * d)
         for g in self.space.gens:
-            if rg.enumerable:
-                c = rg.coerce(rng.randrange(rg.size))
-            else:
-                c = rg.coerce(rng.randint(-9, 9))
+            # a residue in [0, n), or an int over Q: in normal form
+            c = rng.randrange(rg.size) if rg.enumerable else rng.randint(-9, 9)
             if c:
                 for t, v in enumerate(g):
                     if v:
@@ -373,7 +368,7 @@ class _Values(compiled._Side):
         return ok, None if ok else {"module_element": m}
 
     def commuting(self, k):
-        return is_k_commuting(self.ctx.A, LinMap(self.ring, self.block("A", "A")), k)
+        return is_k_commuting(self.ctx.A, LinMap._from_normal(self.ring, self.block("A", "A")), k)
 
     def _first(self, keys, holds, ranges):
         """(passed, witness, the first failing index)."""
@@ -517,7 +512,8 @@ def construct_proper_form(G, theta, k, hypotheses=None, verdict=None):
         raise TheoremViolation("constructed shift is not central", C)
     if not ok:
         raise TheoremViolation("residual escapes the center despite the hypotheses", wit)
-    return ProperFormResult(tuple(C), theta.sub(LinMap(G.ring, G.algebra.right_mult_matrix(C))))
+    return ProperFormResult(tuple(C), theta.sub(
+        LinMap._from_normal(G.ring, tuple(G.algebra.right_mult_matrix(C)))))
 
 
 def properness_certificate(G, theta):
@@ -571,7 +567,8 @@ def properness_certificate(G, theta):
     t = sol.particular[:nz]
     lam = _divided(rg, D, tuple(rg.normal(sum(c * g[r] for c, g in zip(t, zgens)))
                                 for r in range(d)))
-    return PropernessCertificate(lam, theta.sub(LinMap(rg, alg.right_mult_matrix(lam))))
+    return PropernessCertificate(
+        lam, theta.sub(LinMap._from_normal(rg, tuple(alg.right_mult_matrix(lam)))))
 
 
 def verify_proper_form_steps(G, theta, k, hypotheses=None, verdict=None):

@@ -12,7 +12,8 @@ A, M, N, B.
 from collections import namedtuple
 
 from . import linalg
-from .algebra import Algebra, Submodule, _as_rows, _bilinear, _nonzero_terms
+from .algebra import (Algebra, Submodule, _as_rows, _bilinear, _check_tensor, _coerced,
+                      _Normal, _nonzero_terms)
 from .errors import (
     DimensionMismatch,
     InvalidContext,
@@ -25,37 +26,45 @@ Violation = namedtuple("Violation", ["axiom", "witness"])
 BLOCKS = ("A", "M", "N", "B")
 
 
-def _tensor(ring, t, shape, name, values_in=None, normal=False):
-    """``t`` with coerced entries, checked to be a rows x cols array of
-    vectors of the given length: ``shape`` = (rows, cols, length).  With
-    ``normal`` the entries are already in normal form and kept as they
-    are; the shape is checked all the same."""
-    rows, cols, length = shape
-    if len(t) != rows or any(len(row) != cols for row in t):
-        raise DimensionMismatch(f"{name} tensor has wrong shape")
-    cell = tuple if normal else (lambda v: tuple(map(ring.coerce, v)))
-    out = tuple(tuple(map(cell, row)) for row in t)
-    if any(len(v) != length for row in out for v in row):
-        raise DimensionMismatch(
-            f"{name} values must live in {values_in}" if values_in
-            else f"{name} value has wrong length"
-        )
-    return out
+def _check_bimodule(dim, left, right, left_dim, right_dim):
+    """The shapes of the action tensors of a ``Bimodule``."""
+    _check_tensor(left, (left_dim, dim, dim), "left action tensor has wrong shape",
+                  "left action value has wrong length")
+    _check_tensor(right, (dim, right_dim, dim), "right action tensor has wrong shape",
+                  "right action value has wrong length")
 
 
-class Bimodule:
+def _check_context(A, B, M, N, phi, psi):
+    """The shapes of a ``MoritaContext``'s parts: one ring, module actions
+    of the algebras' dimensions, pairings into A and into B."""
+    if A.ring != B.ring:
+        raise DimensionMismatch("A and B must share a coefficient ring")
+    # ``GMAlgebra`` places the action cells by these shapes unchecked
+    for name, mod, left, right in (("M", M, A, B), ("N", N, B, A)):
+        if len(mod.left) != left.dim or any(len(row) != right.dim for row in mod.right):
+            raise DimensionMismatch(
+                f"{name} actions do not match the dimensions of the algebras")
+    _check_tensor(phi, (M.dim, N.dim, A.dim), "phi tensor has wrong shape",
+                  "phi values must live in A")
+    _check_tensor(psi, (N.dim, M.dim, B.dim), "psi tensor has wrong shape",
+                  "psi values must live in B")
+
+
+class Bimodule(_Normal):
     """A finite free module with a left action of one algebra and a right
-    action of another, both given as basis tensors (``normal``: already in
-    normal form, see ``_tensor``)."""
+    action of another, both given as basis tensors: ``left[i][p]`` is
+    a_i * m_p and ``right[p][j]`` is m_p * b_j."""
 
-    def __init__(self, ring, dim, left, right, left_dim, right_dim, normal=False):
-        self.ring = ring
-        self.dim = dim
-        self.left = _tensor(ring, left, (left_dim, dim, dim), "left action", normal=normal)
-        self.right = _tensor(ring, right, (dim, right_dim, dim), "right action",
-                             normal=normal)
-        self._left = _nonzero_terms(self.left)
-        self._right = _nonzero_terms(self.right)
+    def __init__(self, ring, dim, left, right, left_dim, right_dim):
+        """Every scalar is coerced and every shape checked."""
+        left, right = _coerced(ring, left), _coerced(ring, right)
+        _check_bimodule(dim, left, right, left_dim, right_dim)
+        self._set(ring, dim, left, right)
+
+    def _set(self, ring, dim, left, right):
+        self.ring, self.dim = ring, dim
+        self.left, self.right = tuple(map(tuple, left)), tuple(map(tuple, right))
+        self._left, self._right = _nonzero_terms(self.left), _nonzero_terms(self.right)
 
     def act_left(self, a, m):
         return _bilinear(self.ring, a, m, self._left, self.dim)
@@ -73,27 +82,21 @@ class Bimodule:
         return [self.basis_vector(p) for p in range(self.dim)]
 
 
-class MoritaContext:
-    """(A, B, M, N, pairing M x N -> A, pairing N x M -> B); ``normal``: the
-    pairings are already in normal form (see ``_tensor``)."""
+class MoritaContext(_Normal):
+    """(A, B, M, N, pairing M x N -> A, pairing N x M -> B)."""
 
-    def __init__(self, A, B, M, N, phi, psi, normal=False):
-        if A.ring != B.ring:
-            raise DimensionMismatch("A and B must share a coefficient ring")
-        # ``GMAlgebra`` places the action cells by these shapes unchecked
-        for name, mod, left, right in (("M", M, A, B), ("N", N, B, A)):
-            if len(mod.left) != left.dim or any(len(row) != right.dim for row in mod.right):
-                raise DimensionMismatch(
-                    f"{name} actions do not match the dimensions of the algebras")
-        self.ring = A.ring
-        self.A = A
-        self.B = B
-        self.M = M
-        self.N = N
-        self.phi = _tensor(self.ring, phi, (M.dim, N.dim, A.dim), "phi", "A", normal)
-        self.psi = _tensor(self.ring, psi, (N.dim, M.dim, B.dim), "psi", "B", normal)
-        self._phi = _nonzero_terms(self.phi)
-        self._psi = _nonzero_terms(self.psi)
+    def __init__(self, A, B, M, N, phi, psi):
+        """Every scalar of the pairings is coerced and every shape checked;
+        the algebras and modules are built already."""
+        phi, psi = _coerced(A.ring, phi), _coerced(A.ring, psi)
+        _check_context(A, B, M, N, phi, psi)
+        self._set(A, B, M, N, phi, psi)
+
+    def _set(self, A, B, M, N, phi, psi, terms=None):
+        """``terms``: the pairings' ``_nonzero_terms``, if they are known."""
+        self.ring, self.A, self.B, self.M, self.N = A.ring, A, B, M, N
+        self.phi, self.psi = tuple(map(tuple, phi)), tuple(map(tuple, psi))
+        self._phi, self._psi = terms or (_nonzero_terms(self.phi), _nonzero_terms(self.psi))
 
     # element-level operations
     def pair_mn(self, m, n):
@@ -121,7 +124,8 @@ def transpose(ctx):
     (a, m, n, b) -> (b, n, m, a) is an algebra isomorphism from [A M; N B]
     onto it, so every N-side identity of ctx is the M-side identity of its
     transpose."""
-    return MoritaContext(ctx.B, ctx.A, ctx.N, ctx.M, ctx.psi, ctx.phi, normal=True)
+    return MoritaContext._from_normal(ctx.B, ctx.A, ctx.N, ctx.M, ctx.psi, ctx.phi,
+                                      (ctx._psi, ctx._phi))
 
 
 # Each context axiom is the associativity law of [A M; N B] on one triple
@@ -216,14 +220,14 @@ def _corner_context(alg, corner_of, labels=None):
          for xyz in PRODUCTS}
 
     def corner(b):
-        return Algebra(alg.ring, [labels[i] for i in at[b]], t[3 * b],
-                       [alg.unit[i] for i in at[b]], normal=True)
+        return Algebra._from_normal(alg.ring, [labels[i] for i in at[b]], t[3 * b],
+                                    [alg.unit[i] for i in at[b]])
 
     # the cells are restrictions of alg's, so already in normal form
     A, B = corner("A"), corner("B")
-    M = Bimodule(alg.ring, len(at["M"]), t["AMM"], t["MBM"], A.dim, B.dim, normal=True)
-    N = Bimodule(alg.ring, len(at["N"]), t["BNN"], t["NAN"], B.dim, A.dim, normal=True)
-    return MoritaContext(A, B, M, N, t["MNA"], t["NMB"], normal=True)
+    M = Bimodule._from_normal(alg.ring, len(at["M"]), t["AMM"], t["MBM"])
+    N = Bimodule._from_normal(alg.ring, len(at["N"]), t["BNN"], t["NAN"])
+    return MoritaContext._from_normal(A, B, M, N, t["MNA"], t["NMB"])
 
 
 class GMAlgebra:
@@ -265,8 +269,7 @@ class GMAlgebra:
             + [f"B:{s}" for s in ctx.B.labels]
         )
         unit = ctx.A.unit + zero[:dM + dN] + ctx.B.unit
-        self.algebra = Algebra._from_normal(
-            rg, labels, tuple(map(tuple, table)), unit, tuple(map(tuple, terms)))
+        self.algebra = Algebra._from_normal(rg, labels, table, unit, tuple(map(tuple, terms)))
 
     @property
     def A(self):
@@ -292,8 +295,7 @@ class GMAlgebra:
     def embed(self, name, v):
         out = [self.ring.zero] * self.dim
         off = self.offsets[name]
-        for r, c in enumerate(v):
-            out[off + r] = self.ring.coerce(c)
+        out[off:off + len(v)] = v
         return tuple(out)
 
     def extract(self, name, v):
@@ -442,7 +444,7 @@ def center_iso_phi(G):
         for a2, b2 in mapping:
             if G.phi_apply(G.A.mul(a1, a2)) != G.B.mul(b1, b2):
                 raise TheoremViolation("center map is not multiplicative", (a1, a2))
-    if not Submodule(G.ring, G.dims[3], [b for _, b in mapping]).equals(cod):
+    if not Submodule._from_normal(G.ring, G.dims[3], [b for _, b in mapping]).equals(cod):
         raise TheoremViolation("center map image mismatch")
     return CenterIso(dom, cod, mapping)
 

@@ -80,6 +80,27 @@ def q_maps(G):
     ]
 
 
+def is_normal(ring, x):
+    """Whether the scalar x is in normal form: a residue in [0, n) over Z/n;
+    over Q an int, or a Fraction that is not one."""
+    if ring.size is not None:
+        return type(x) is int and 0 <= x < ring.n
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def is_zero(x):
+    """Whether the element x is 0: its scalars are in normal form."""
+    return not any(x)
+
+
+def iterated_bracket(alg, x, y, k):
+    """[x, y]_k in ``alg``, with [x, y]_0 = x and [x, y]_k = [[x, y]_{k-1}, y]:
+    k brackets of two elements."""
+    for _ in range(k):
+        x = alg.bracket(x, y)
+    return x
+
+
 def scalars(R):
     return Algebra(R, ["e"], [[(1,)]], (1,))
 

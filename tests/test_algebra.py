@@ -5,6 +5,8 @@ from gmalg.errors import DimensionMismatch, InvalidAlgebra, NotEnumerable
 from gmalg.families import matrix_algebra, triangular_matrix_algebra
 from gmalg.rings import Rationals, Zmod
 
+from conftest import is_zero, iterated_bracket
+
 
 def scalar_multiples_of(algebra):
     """The submodule R*1 inside an algebra."""
@@ -31,8 +33,8 @@ def test_matrix_unit_products():
 def test_iterated_bracket_example():
     A = matrix_algebra(Zmod(3), 2)
     e12, e11 = E(A, "E12"), E(A, "E11")
-    assert A.iterated_bracket(e12, e11, 1) == A.scale(2, e12)
-    assert A.iterated_bracket(e12, e11, 2) == e12
+    assert iterated_bracket(A, e12, e11, 1) == A.scale(2, e12)
+    assert iterated_bracket(A, e12, e11, 2) == e12
 
 
 def test_bracket_trivial_cases():
@@ -40,10 +42,10 @@ def test_bracket_trivial_cases():
     for i in range(A.dim):
         x = A.basis_vector(i)
         for k in (1, 2, 3):
-            assert A.is_zero(A.iterated_bracket(x, x, k))
-            assert A.is_zero(A.iterated_bracket(x, A.unit, k))
+            assert is_zero(iterated_bracket(A, x, x, k))
+            assert is_zero(iterated_bracket(A, x, A.unit, k))
     for i in range(A.dim):
-        assert A.iterated_bracket(A.basis_vector(i), A.unit, 0) == A.basis_vector(i)
+        assert iterated_bracket(A, A.basis_vector(i), A.unit, 0) == A.basis_vector(i)
 
 
 def test_bracket_recursion_matches_operator_power():
@@ -51,7 +53,7 @@ def test_bracket_recursion_matches_operator_power():
     x = A.vec([1, 2, 0, 3, 1, 4])
     y = A.vec([2, 0, 1, 1, 0, 2])
     for k in (1, 2, 3):
-        via_rec = A.iterated_bracket(x, y, k)
+        via_rec = iterated_bracket(A, x, y, k)
         # apply the (right-mult minus left-mult) matrix k times
         L, R = A.left_mult_matrix(y), A.right_mult_matrix(y)
         ad = [[A.ring.sub(a, b) for a, b in zip(R[r], L[r])] for r in range(A.dim)]

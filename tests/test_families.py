@@ -3,10 +3,11 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 
 import pytest
 
-from gmalg import cli
+from gmalg import cli, jsonio, linalg
 from gmalg.algebra import Algebra
 from gmalg.errors import BadShape, BadSplit, DimensionMismatch
 from gmalg.families import (
@@ -20,8 +21,11 @@ from gmalg.families import (
     _tensor,
     triangular_matrix_algebra,
 )
+from gmalg.maps import LinMap
 from gmalg.morita import Bimodule, MoritaContext, _corner_context, build_gma, validate_context
 from gmalg.rings import Rationals, Zmod
+
+from conftest import Q_FAMILIES, is_normal, proper_map
 
 
 def scalar_algebra(R):
@@ -273,25 +277,107 @@ def test_family_coerces_no_cell(build, ring, monkeypatch):
     assert calls == []
 
 
+# the families of ``conftest``: fixture names, and the Q builders
+CONFTEST_FAMILIES = ["m2_z3", "m2_z5", "t2_z3", "t2_z5", "t3_z3", "b21_z3",
+                     "non_faithful_z3"] + [name for name, _, _ in Q_FAMILIES]
+
+
+def _family(name, request):
+    return next((build() for q, _, build in Q_FAMILIES if q == name), None) \
+        or request.getfixturevalue(name)
+
+
+def _decoded_verdicts(G, tmp_path, monkeypatch):
+    """Decode the context of G, a proper map and a map that is not
+    commuting, and make the decoders answer with what they decoded.
+    Returns the command lines of ``validate``, ``classify`` (both modes)
+    and ``sweep`` (every mode) on them, at k = 1 and 2, for ``_run``."""
+    ctx_path = tmp_path / "ctx.json"
+    ctx_path.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
+    ctx = jsonio.context_from_json(jsonio.load_file(str(ctx_path)))
+    alg, m = G.algebra, G.embed("M", G.ctx.M.basis_vector(0))
+    thetas = {"proper": proper_map(G, 2, [j % 3 - 1 for j in range(G.dim)]),
+              "refuted": LinMap.from_columns(G.ring, [alg.mul(m, e) for e in alg.basis()])}
+    decoded, runs = {}, [["validate", str(ctx_path)]]
+    for name, theta in thetas.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(jsonio.dumps(theta.to_json()))
+        doc = jsonio.load_file(str(path))
+        decoded[jsonio.dumps(doc)] = jsonio.map_from_json(doc, G.ring)
+        runs += [["classify", str(ctx_path), str(path), "--mode", mode, "--k", k]
+                 for mode in ("basic", "proper") for k in "12"]
+    runs += [["sweep", str(ctx_path), "--mode", mode, "--samples", "2", "--k", k]
+             for mode in ("structure", "proper", "steps", "derivations") for k in "12"]
+    monkeypatch.setattr(jsonio, "context_from_json", lambda doc: ctx)
+    monkeypatch.setattr(jsonio, "map_from_json", lambda doc, ring: decoded[jsonio.dumps(doc)])
+    return runs
+
+
+def _run(runs):
+    for argv in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+
+
+@pytest.mark.parametrize("name", CONFTEST_FAMILIES)
+def test_verdicts_coerce_nothing_after_decoding(name, request, tmp_path, monkeypatch):
+    """Once a context and a map are decoded, no verdict coerces a scalar:
+    everything gmalg builds from them is in normal form already."""
+    G = _family(name, request)
+    runs = _decoded_verdicts(G, tmp_path, monkeypatch)
+    calls = []
+    for cls in (Zmod, Rationals):
+        coerce = cls.coerce
+        monkeypatch.setattr(cls, "coerce",
+                            lambda self, v, coerce=coerce: calls.append(v) or coerce(self, v))
+    _run(runs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", CONFTEST_FAMILIES)
+def test_elimination_is_fed_normal_form(name, request, tmp_path, monkeypatch):
+    """``linalg`` coerces nothing: every entry of every row it eliminates is
+    in normal form when it arrives."""
+    G = _family(name, request)
+    rows, sparse = [], linalg._sparse
+    monkeypatch.setattr(linalg, "_sparse", lambda row: rows.append(row) or sparse(row))
+    _run(_decoded_verdicts(G, tmp_path, monkeypatch))
+    entries = [x for row in rows for x in (row.values() if isinstance(row, dict) else row)]
+    assert entries
+    assert all(is_normal(G.ring, x) for x in entries)
+
+
 def test_normal_constructors_keep_the_shape_checks():
+    """Each malformed shape is refused, in the same words, by the public
+    constructor and by ``jsonio``, which checks a document's shapes through
+    the same helpers before it builds the parts from normal form."""
     R = Zmod(3)
-    with pytest.raises(DimensionMismatch):
-        Algebra(R, ["a"], [[(1, 0)]], (1,), normal=True)
-    with pytest.raises(DimensionMismatch):
-        Algebra(R, ["a"], [[(1,)]], (1, 0), normal=True)
-    with pytest.raises(DimensionMismatch):
-        Algebra(R, ["a", "b"], [[(1, 0)]], (1, 0), normal=True)
-    with pytest.raises(DimensionMismatch):
-        Bimodule(R, 1, [[(1, 0)]], [[(1,)]], 1, 1, normal=True)
-    with pytest.raises(DimensionMismatch):
-        Bimodule(R, 1, [[(1,)]], [[(1,)], [(0,)]], 1, 1, normal=True)
-    A = Algebra(R, ["e"], [[(1,)]], (1,), normal=True)
-    M = Bimodule(R, 1, [[(1,)]], [[(1,)]], 1, 1, normal=True)
-    with pytest.raises(DimensionMismatch):
-        MoritaContext(A, A, M, M, [[(1, 0)]], [[(1,)]], normal=True)
-    with pytest.raises(DimensionMismatch):
-        MoritaContext(A, A, M, M, [[(1,)]], [[(1,)], [(1,)]], normal=True)
-    assert build_gma(MoritaContext(A, A, M, M, [[(1,)]], [[(1,)]], normal=True)).dim == 4
+    A = Algebra(R, ["e"], [[(1,)]], (1,))
+    M = Bimodule(R, 1, [[(1,)]], [[(1,)]], 1, 1)
+    doc = jsonio.context_to_json(MoritaContext(A, A, M, M, [[(1,)]], [[(1,)]]))
+    # the public call, and the fields of the document that carry the same
+    # shapes (in part "A", "M" or the context itself)
+    cases = [
+        (lambda: Algebra(R, ["a"], [[(1, 0)]], (1,)), "A", {"mul": [[[1, 0]]]}),
+        (lambda: Algebra(R, ["a"], [[(1,)]], (1, 0)), "A", {"unit": [1, 0]}),
+        (lambda: Algebra(R, ["a", "b"], [[(1, 0)]], (1, 0)), "A",
+         {"labels": ["a", "b"], "mul": [[[1, 0]]], "unit": [1, 0]}),
+        (lambda: Bimodule(R, 1, [[(1, 0)]], [[(1,)]], 1, 1), "M", {"left": [[[1, 0]]]}),
+        (lambda: Bimodule(R, 1, [[(1,)]], [[(1,)], [(0,)]], 1, 1), "M",
+         {"right": [[[1]], [[0]]]}),
+        (lambda: MoritaContext(A, A, M, M, [[(1, 0)]], [[(1,)]]), None, {"phi": [[[1, 0]]]}),
+        (lambda: MoritaContext(A, A, M, M, [[(1,)]], [[(1,)], [(1,)]]), None,
+         {"psi": [[[1]], [[1]]]}),
+    ]
+    for build, part, fields in cases:
+        with pytest.raises(DimensionMismatch) as public:
+            build()
+        bad = json.loads(json.dumps(doc))
+        (bad[part] if part else bad).update(fields)
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(str(public.value))}$"):
+            jsonio.context_from_json(bad)
+    assert build_gma(MoritaContext(A, A, M, M, [[(1,)]], [[(1,)]])).dim == 4
+    assert build_gma(jsonio.context_from_json(doc)).dim == 4
 
 
 @pytest.mark.parametrize("ring", [Zmod(3), Zmod(4), Rationals()])

@@ -9,7 +9,7 @@ import pathlib
 import tempfile
 from fractions import Fraction
 
-from conftest import Q_FAMILIES, q_maps
+from conftest import Q_FAMILIES, is_zero, q_maps
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -80,7 +80,7 @@ def test_polarization_witness_is_not_the_unit():
     assert not ok
     assert x != G.algebra.unit
     alg = G.algebra
-    assert not alg.is_zero(alg.bracket(theta.apply(x), x))
+    assert not is_zero(alg.bracket(theta.apply(x), x))
 
 
 def _run(capsys, tmp_path, G, theta):
@@ -115,7 +115,7 @@ def test_classify_non_commuting_map_over_q(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["k_commuting"] is False
     x = tuple(scalar_from_json(G.ring, v) for v in doc["counterexample"])
-    assert not alg.is_zero(alg.bracket(theta.apply(x), x))
+    assert not is_zero(alg.bracket(theta.apply(x), x))
 
 
 # ---------------------------------------------------------------------------
