@@ -383,7 +383,7 @@ class Algebra(_Normal):
         self.table = tuple(map(tuple, table))
         self._terms = _nonzero_terms(self.table) if terms is None else terms
         self.unit = tuple(unit)
-        self._engel, self._adjoint, self._ad = {}, {}, None
+        self._engel, self._ad = {}, None
 
     # -- vector helpers -----------------------------------------------------
 
@@ -508,15 +508,15 @@ class Algebra(_Normal):
         """{a : [a, x]_k = 0 for all x} (the ordinary center when k = 1).
 
         [a, x]_k = sum_alpha x^alpha W_alpha a over |alpha| = k
-        (``adjoint_coefficients``), linear in a and homogeneous of degree k
+        (``adjoint_groups``), linear in a and homogeneous of degree k
         in x, so the constraints on a are the rows of the W_alpha over Q and
         over Z/p with p >= k, and their Newton differences elsewhere (see
         ``vanishing_rows``); exact over every ring."""
         if k < 1:
             raise DimensionMismatch("engel order must be >= 1")
         if k not in self._engel:
-            coeffs = {alpha: _as_rows(cols)
-                      for alpha, cols in self.adjoint_coefficients(k).items()}
+            coeffs = {alpha: _as_rows(cols) for _, group in self.adjoint_groups(k)
+                      for alpha, cols in group.items()}
             gens = vanishing_kernel(self.ring, coeffs, k, self.dim, self.dim)
             self._engel[k] = Submodule._from_normal(self.ring, self.dim, gens)
         return self._engel[k]
@@ -524,26 +524,10 @@ class Algebra(_Normal):
     def adjoint_groups(self, k):
         """The groups of ``ad_stream`` for the operator a -> [a, x]_k: its
         nonzero coefficients W_alpha, |alpha| = k, from W_0 = I, with one
-        column per coordinate of a.  The recursion runs once per order: the
-        groups pulled so far are kept, and a reader that passes them
-        resumes the stream where the last one stopped."""
-        if k not in self._adjoint:
-            identity = {(): {p: {p: 1} for p in range(self.dim)}}
-            self._adjoint[k] = [], ad_stream(self.adjoint_terms(), identity, k,
-                                             self.ring.normal)
-        done, rest = self._adjoint[k]
-        for i in itertools.count():
-            if i == len(done):
-                group = next(rest, None)
-                if group is None:
-                    return
-                done.append(group)
-            yield done[i]
-
-    def adjoint_coefficients(self, k):
-        """Every W_alpha of ``adjoint_groups``, keyed by alpha."""
-        return {alpha: cols for _, group in self.adjoint_groups(k)
-                for alpha, cols in group.items()}
+        column per coordinate of a.  Each call runs a fresh stream, which
+        computes no group its reader does not pull."""
+        identity = {(): {p: {p: 1} for p in range(self.dim)}}
+        return ad_stream(self.adjoint_terms(), identity, k, self.ring.normal)
 
     def map_groups(self, columns, k):
         """``ad_stream`` for [theta(x), x]_k, from C_{e_q} = theta(e_q) in
@@ -623,7 +607,7 @@ class Submodule(_Normal):
         self.ring = ring
         self.ambient_dim = ambient_dim
         self.gens = linalg.span_basis(ring, gens, ambient_dim)
-        self._elements = None
+        self._elements = self._annihilator = None
 
     @property
     def rank(self):
@@ -639,6 +623,15 @@ class Submodule(_Normal):
 
     def __contains__(self, v):
         return self.contains(v)
+
+    def annihilator(self):
+        """Generators of {w : w.s = 0 for every s in the span}; computed
+        once.  v lies in the span iff w.v = 0 for each of them: over a field
+        by linear duality, and over Z/n because Z/n is quasi-Frobenius, so
+        that the span is its own double annihilator."""
+        if self._annihilator is None:
+            self._annihilator = linalg.nullspace(self.ring, self.gens, self.ambient_dim)
+        return self._annihilator
 
     def equals(self, other):
         return (self.ring == other.ring and self.ambient_dim == other.ambient_dim

@@ -38,7 +38,6 @@ import itertools
 from math import comb, prod
 from operator import mul
 
-from . import linalg
 from .algebra import lattice_points, vanishing_rows
 from .morita import BLOCKS
 
@@ -102,9 +101,9 @@ class _Side:
     "na", as in ``morita.MoritaContext``, "G", or G's block "A" or "B" for
     the center partner from it, set by ``central``), ``diag(a, b)``,
     ``combine(*(c, x))`` (the sum of the c*x) and ``central(name, x)``,
-    which both readings share.  Its points are given as in
-    ``report.first_failure``: ``at(*i)`` for i over ``ranges``, named by
-    ``keys`` in a witness (None: the line reports none).  The readings are
+    which both readings share.  Its points are ``at(*i)`` for i over
+    ``ranges``, in the order of ``report.failures``, named by ``keys`` in
+    a witness (None: the line reports none).  The readings are
     ``zero(keys, at, *ranges)``, ``within(S, keys, at, *ranges,
     image=False)``, ``member(S, x)``, ``lattice(defect)`` for a map
     m -> element of degree <= 2 on this side's M, and ``commuting(k)``."""
@@ -184,10 +183,10 @@ class _Forms(_Side):
 
     def within(self, S, keys, at, *ranges, image=False):
         return _rows(self.G.ring, itertools.starmap(at, itertools.product(*ranges)),
-                     _annihilator(S))
+                     S.annihilator())
 
     def member(self, S, x):
-        return _rows(self.G.ring, [x], _annihilator(S))
+        return _rows(self.G.ring, [x], S.annihilator())
 
     def lattice(self, defect):
         return _lattice_rows(self.G.ring, self.ctx.M.dim, defect)
@@ -216,13 +215,6 @@ def _normal_rows(ring, form):
         if row:
             out.append(row)
     return out
-
-
-def _annihilator(S):
-    """Generators of {w : w.s = 0 for every s in S}.  v lies in S iff w.v = 0
-    for each of them: over a field by linear duality, and over Z/n because
-    Z/n is quasi-Frobenius, so that S is its own double annihilator."""
-    return linalg.nullspace(S.ring, S.gens, S.ambient_dim)
 
 
 def _rows(ring, forms, ann=None):

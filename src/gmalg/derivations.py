@@ -9,7 +9,7 @@ from .algebra import Submodule, vanishing_rows
 from .errors import DimensionMismatch, NotDerivation, TheoremViolation
 from .maps import LinMap, MapSpace, _Values, require_order, require_proper_setting
 from .morita import BLOCKS
-from .report import Report, first_failure
+from .report import Report
 
 
 def is_derivation(G, theta):
@@ -98,47 +98,30 @@ def verify_derivation_form(G, theta):
     alg = G.algebra
     rep = Report("derivation normal form")
 
-    e_a = G.embed("A", ctx.A.unit)
-    scaled = theta.integral()[1]
-    img = scaled.apply(e_a)
-    m0 = G.extract("M", img)
-    n0 = G.extract("N", img)
-
     sides = _Values.pair(G, theta)
     F = sides[0]
-    own = theta.apply(e_a)
+    m0, n0 = F.at_unit("A", "M"), F.at_unit("A", "N")
+    own = theta.apply(G.embed("A", ctx.A.unit))
     form = DerivationForm(G.extract("M", own), G.extract("N", own), *(
         tuple(row[r.start:r.stop] for row in theta.rows[r.start:r.stop])
         for r in map(G.block_range, BLOCKS)))
 
-    def plus(x, y):
-        return tuple(rg.add(u, v) for u, v in zip(x, y))
-
-    def minus(x, y):
-        return tuple(rg.sub(u, v) for u, v in zip(x, y))
-
     def reassembled(x):
         """theta(x) rebuilt from the normal form, block by block."""
         a, m, n, b = (G.extract(name, x) for name in BLOCKS)
-        top = ctx.A.sub(
-            F.image("A", "A", a),
-            ctx.A.add(ctx.pair_mn(m, n0), ctx.pair_mn(m0, n)),
-        )
-        mid = plus(minus(ctx.am(a, m0), ctx.mb(m0, b)), F.image("M", "M", m))
-        nid = plus(minus(ctx.na(n0, a), ctx.bn(b, n0)), F.image("N", "N", n))
-        bot = ctx.B.add(
-            ctx.B.add(ctx.pair_nm(n0, m), ctx.pair_nm(n, m0)),
-            F.image("B", "B", b),
-        )
-        return top + mid + nid + bot
+        return [
+            *F.combine((1, F.image("A", "A", a)), (-1, ctx.pair_mn(m, n0)),
+                       (-1, ctx.pair_mn(m0, n))),
+            *F.combine((1, ctx.am(a, m0)), (-1, ctx.mb(m0, b)), (1, F.image("M", "M", m))),
+            *F.combine((1, ctx.na(n0, a)), (-1, ctx.bn(b, n0)), (1, F.image("N", "N", n))),
+            *F.combine((1, ctx.pair_nm(n0, m)), (1, ctx.pair_nm(n, m0)),
+                       (1, F.image("B", "B", b))),
+        ]
 
     # reassembly on every basis element of G
-    rep.add("reassembly", *first_failure(
-        ("basis_index",),
-        lambda j: scaled.apply(alg.basis_vector(j))
-        == reassembled(alg.basis_vector(j)),
-        range(G.dim),
-    ))
+    rep.add("reassembly", *F.zero(("basis_index",), lambda j: F.combine(
+        (1, F.image("G", "G", alg.basis_vector(j))), (-1, reassembled(alg.basis_vector(j))),
+    ), range(G.dim)))
 
     # each rule is written for the M side and read on both (see
     # ``compiled``)

@@ -439,7 +439,8 @@ def check_properness_hypotheses(G, k):
 
     cond3 asks whether the pinned set of some pair, the kernel of
     ``GMAlgebra.center_rows([m0], [n0])``, is Z(G).  The pinned set always
-    contains Z(G), and at (0, 0) it is Z(A) x Z(B).  Over a field it is
+    contains Z(G), so it is Z(G) iff each of its kernel generators lies in
+    Z(G); at (0, 0) it is Z(A) x Z(B).  Over a field it is
     Z(G) iff the pinning rows, restricted to Z(A) x Z(B), have rank
     r' = dim Z(A) + dim Z(B) - dim Z(G).  Those rows are linear in
     (m0, n0), so their r' x r' minors are polynomials of degree r', and
@@ -468,9 +469,8 @@ def check_properness_hypotheses(G, k):
     else:
         Ms, Ns = list(iter_vectors(rg, dM)), list(iter_vectors(rg, dN))
     for i, j in _witness_order(len(Ms), len(Ns)):
-        rows = G.center_rows([Ms[i]], [Ns[j]])
-        pinned = linalg.nullspace(rg, rows, dA + dB)
-        if Submodule._from_normal(rg, dA + dB, pinned).equals(zdiag):
+        pinned = linalg.nullspace(rg, G.center_rows([Ms[i]], [Ns[j]]), dA + dB)
+        if all(map(zdiag.contains, pinned)):
             return HypothesisWitness(cond1, cond2, True, Ms[i], Ns[j])
     return HypothesisWitness(cond1, cond2, False, None, None)
 

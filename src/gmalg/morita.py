@@ -12,8 +12,8 @@ A, M, N, B.
 from collections import namedtuple
 
 from . import linalg
-from .algebra import (Algebra, Submodule, _as_rows, _bilinear, _check_tensor, _coerced,
-                      _Normal, _nonzero_terms)
+from .algebra import (Algebra, Submodule, _bilinear, _check_tensor, _coerced, _Normal,
+                      _nonzero_terms)
 from .errors import (
     DimensionMismatch,
     InvalidContext,
@@ -240,7 +240,7 @@ class GMAlgebra:
         self.dims = dA, dM, dN, dB = (ctx.A.dim, ctx.M.dim, ctx.N.dim, ctx.B.dim)
         self.dim = dA + dM + dN + dB
         self.offsets = {"A": 0, "M": dA, "N": dA + dM, "B": dA + dM + dN}
-        self._gma_center = self._zkernel = self._zab_rows = self._transposed = None
+        self._gma_center = self._zkernel = self._transposed = None
         self._faithful = None
         self._partners = {}
         blocks = ((ctx.A.table, ctx.A._terms), (ctx.M.left, ctx.M._left),
@@ -328,15 +328,15 @@ class GMAlgebra:
 
     def center_rows(self, ms, ns):
         """Rows over the unknowns (a | b), as dicts column -> scalar, of
-        a in Z(A), b in Z(B), a*m = m*b for each m in ``ms`` and
-        n*a = b*n for each n in ``ns``.
+        a in Z(A), b in Z(B) (``_diagonal_center_rows``), a*m = m*b for
+        each m in ``ms`` and n*a = b*n for each n in ``ns``.
 
         With the module bases (``center_kernel``, by linearity all of M and
         N) their kernel is the center of G read on its diagonal; with one
         pair (m0, n0) it is the pinned set of the hypothesis check."""
         ctx, rg = self.ctx, self.ring
         dA, dM, dN, _ = self.dims
-        rows = list(self._diagonal_center_rows())
+        rows = self._diagonal_center_rows()
         eA, eB = ctx.A.basis(), ctx.B.basis()
         # a*m - m*b for each m, then n*a - b*n for each n
         images = [([ctx.am(a, m) for a in eA], [ctx.mb(m, b) for b in eB], dM)
@@ -352,16 +352,13 @@ class GMAlgebra:
         return rows
 
     def _diagonal_center_rows(self):
-        """The rows of [a, e_i] = 0 and [b, e_j] = 0, read off
-        ``adjoint_coefficients(1)``; cached."""
-        if self._zab_rows is None:
-            rows = []
-            for off, alg in ((0, self.A), (self.dims[0], self.B)):
-                for _, cols in sorted(alg.adjoint_coefficients(1).items()):
-                    w = _as_rows(cols)
-                    rows += [{off + p: v for p, v in w[r].items()} for r in sorted(w)]
-            self._zab_rows = rows
-        return self._zab_rows
+        """The rows of a in Z(A) and b in Z(B): the annihilators of the two
+        cached centers (``Submodule.annihilator``), re-indexed to (a | b).
+        Each center is its own double annihilator, so their kernel is
+        Z(A) x Z(B)."""
+        return [{off + p: v for p, v in enumerate(w) if v}
+                for off, alg in ((0, self.A), (self.dims[0], self.B))
+                for w in alg.center().annihilator()]
 
     def center_kernel(self):
         """Z(G) read on its diagonal: the kernel of ``center_rows`` at the

@@ -36,13 +36,6 @@ def failures(holds, first, *rest):
                 yield (head, *tail)
 
 
-def first_failure(keys, holds, *ranges):
-    """(True, None) if ``holds`` everywhere on ``ranges``, else (False, the
-    first failing tuple as a dict over ``keys``)."""
-    bad = next(failures(holds, *ranges), None)
-    return (True, None) if bad is None else (False, dict(zip(keys, bad)))
-
-
 class Report:
     """Check lines.  ``ring`` is the ring of the elements in the witnesses,
     which fixes how their coordinates are written."""

@@ -81,6 +81,8 @@ class Zmod:
             if v.denominator != 1:
                 raise InputError(f"cannot coerce {v} into Z/{self.n}")
             v = v.numerator
+        elif isinstance(v, float):
+            raise InputError(f"floating point is not accepted as a scalar of Z/{self.n}")
         return int(v) % self.n
 
     def normal(self, v):

@@ -247,3 +247,50 @@ def test_derivation_form_of_a_fractional_derivation(build):
         return tuple(map(halved, x)) if isinstance(x, tuple) else Fraction(x, 2)
 
     assert form == halved(whole)
+
+
+@pytest.mark.parametrize("ring", [Zmod(3), Zmod(5), Rationals()], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda R: full_matrix_gma(R, 2, 1),
+    lambda R: full_matrix_gma(R, 3, 2),
+])
+def test_a_corrupted_pairing_fails_the_reassembly_where_the_rebuilt_map_differs(
+        build, ring, monkeypatch):
+    """With the pairing N x M -> B off by n_0 m_0 1_B, the reassembly is the
+    one failing line, and it names the first basis element at which D*theta
+    differs from the map rebuilt from its normal form."""
+    G = build(ring)
+    ctx, alg, E = G.ctx, G.algebra, G.embed
+    pair_nm = ctx.pair_nm
+
+    def corrupted(n, m):
+        return ctx.B.add(pair_nm(n, m), ctx.B.scale(ring.mul(n[0], m[0]), ctx.B.unit))
+
+    monkeypatch.setattr(ctx, "pair_nm", corrupted)
+    theta = adjoint_map(G, alg.vec(range(1, G.dim + 1)))
+    if ring.size is None:
+        theta = theta.scale(Fraction(1, 2))
+    scaled = theta.integral()[1]
+    unit_image = scaled.apply(E("A", ctx.A.unit))
+    m0, n0 = G.extract("M", unit_image), G.extract("N", unit_image)
+
+    def component(name, v):
+        return E(name, G.extract(name, scaled.apply(E(name, v))))
+
+    def rebuilt(x):
+        a, m, n, b = (G.extract(name, x) for name in "AMNB")
+        out = alg.zero()
+        for c, v in ((1, component("A", a)), (-1, E("A", ctx.pair_mn(m, n0))),
+                     (-1, E("A", ctx.pair_mn(m0, n))), (1, E("M", ctx.am(a, m0))),
+                     (-1, E("M", ctx.mb(m0, b))), (1, component("M", m)),
+                     (1, E("N", ctx.na(n0, a))), (-1, E("N", ctx.bn(b, n0))),
+                     (1, component("N", n)), (1, E("B", ctx.pair_nm(n0, m))),
+                     (1, E("B", ctx.pair_nm(n, m0))), (1, component("B", b))):
+            out = alg.add(out, v) if c == 1 else alg.sub(out, v)
+        return out
+
+    first = next(j for j, e in enumerate(alg.basis()) if scaled.apply(e) != rebuilt(e))
+    with pytest.raises(TheoremViolation) as err:
+        verify_derivation_form(G, theta)
+    assert [(line.cond_id, line.witness) for line in err.value.witness] == [
+        ("reassembly", {"basis_index": first})]

@@ -9,11 +9,13 @@ import contextlib
 import io
 import itertools
 import json
+import random
 
 import pytest
 
 from gmalg import cli, jsonio, linalg, oracle
-from gmalg.errors import BudgetExceeded
+from gmalg.algebra import Submodule, _as_rows
+from gmalg.errors import BudgetExceeded, NotFaithful
 from gmalg.families import (
     block_triangular_gma,
     full_matrix_gma,
@@ -30,6 +32,8 @@ from gmalg.morita import Bimodule, MoritaContext, build_gma
 from gmalg.rings import Rationals, Zmod
 
 from conftest import no_module, scalars, square_zero_algebra
+from test_compiled import SHAPES, _view
+from test_stream import non_faithful, reference_adjoint
 
 
 def negative_control(R):
@@ -80,6 +84,52 @@ def test_non_faithful_map_is_not_proper(non_faithful_z3, tmp_path, oracle_flag):
 def test_gma_center_is_the_algebra_center(family, request):
     G = request.getfixturevalue(family)
     assert G.gma_center().equals(G.algebra.center())
+
+
+def _adjoint_rows(G):
+    """The rows of [a, e_i] = 0 and [b, e_j] = 0 read off the coefficients
+    W_alpha of the adjoint operators at k = 1, re-indexed to (a | b): the
+    route into Z(A) x Z(B) that the annihilators of the centers replace."""
+    rows = []
+    for off, alg in ((0, G.A), (G.dims[0], G.B)):
+        for _, cols in sorted(reference_adjoint(alg, 1).items()):
+            w = _as_rows(cols)
+            rows += [{off + p: v for p, v in w[r].items()} for r in sorted(w)]
+    return rows
+
+
+def _center_bytes(G):
+    """The bytes of ``center_kernel``, ``gma_center`` and both partners (or
+    the refusal of a partner that is not unique)."""
+    out = [G.center_kernel().gens, G.gma_center().gens]
+    for block in "AB":
+        try:
+            out.append(G.partner(block))
+        except NotFaithful as e:
+            out.append(str(e))
+    return repr(out)
+
+
+CENTER_FAMILIES = {**SHAPES, "non-faithful": non_faithful, "negative": negative_control}
+CENTER_RINGS = [Rationals(), Zmod(3), Zmod(4), Zmod(6), Zmod(9), Zmod(15)]
+
+
+@pytest.mark.parametrize("view", ["plain", "transpose", "random basis"])
+@pytest.mark.parametrize("ring", CENTER_RINGS, ids=repr)
+@pytest.mark.parametrize("family", CENTER_FAMILIES)
+def test_the_center_annihilators_cut_out_the_diagonal_centers(family, ring, view):
+    """The kernel of ``_diagonal_center_rows`` is the kernel of the W_alpha
+    rows, Z(A) x Z(B), and Z(G) built on it is the one built on them."""
+    G = _view(CENTER_FAMILIES[family](ring), view, random.Random(f"center/{family}/{view}"))
+    n = G.dims[0] + G.dims[3]
+
+    def kernel(rows):
+        return Submodule._from_normal(ring, n, linalg.nullspace(ring, rows, n)).gens
+
+    assert kernel(G._diagonal_center_rows()) == kernel(_adjoint_rows(G))
+    old = build_gma(G.ctx)
+    old._diagonal_center_rows = lambda: _adjoint_rows(old)
+    assert _center_bytes(G) == _center_bytes(old)
 
 
 @pytest.mark.parametrize("R", [Zmod(3), Zmod(5), Rationals()], ids=repr)

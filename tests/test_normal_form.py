@@ -196,6 +196,20 @@ def test_every_document_type_keeps_its_refusals(ring, bad):
         parse_scalar_flag(ring, str(bad))
 
 
+@pytest.mark.parametrize("bad", [2.7, 1.9, 2.0, -0.5])
+@pytest.mark.parametrize("ring", [Zmod(3), Zmod(9), Rationals()], ids=repr)
+def test_the_public_constructors_refuse_a_float(ring, bad):
+    """A float is refused, not truncated: 2.7 is not the scalar 2 of Z/3."""
+    for build in (lambda: Algebra(ring, ["e"], [[(bad,)]], (1,)),
+                  lambda: Algebra(ring, ["e"], [[(1,)]], (bad,)),
+                  lambda: LinMap(ring, [[bad]]),
+                  lambda: LinMap(ring, [[1, 0], [0, bad]]),
+                  lambda: Submodule(ring, 1, [(bad,)]),
+                  lambda: Submodule(ring, 2, [(1, 0), (0, bad)])):
+        with pytest.raises(InputError, match="^floating point is not accepted"):
+            build()
+
+
 def test_columns_and_flat_entries_of_another_shape_are_refused():
     """A column or an entry list too long is refused, not cut to size."""
     R = Zmod(5)
