@@ -1,13 +1,18 @@
 """Finite-dimensional unital associative algebras via structure constants.
 
-Elements are coordinate tuples over the coefficient ring.  The product
-e_i * e_j is stored directly as a coordinate vector, i.e. ``table[i][j]``
-is the full expansion of the basis product.
+Elements are coordinate tuples over the coefficient ring.  What is stored
+of the product e_i * e_j is its nonzero terms, ``_terms[i][j]``: the
+(coordinate, scalar) pairs with a nonzero scalar, in coordinate order.
+Every product, bracket and scan reads them.  ``table[i][j]``, the product
+as a full coordinate vector, is a read-only view, expanded from the terms
+on first read; the modules and pairings of ``morita`` are stored and viewed
+the same way.
 """
 
 import itertools
 from bisect import bisect_right
 from math import prod
+from operator import attrgetter
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidAlgebra, NotEnumerable
@@ -296,13 +301,46 @@ def _nonzero_terms(table):
     )
 
 
+def _expanded(terms, length, zero):
+    """The table of coordinate vectors of ``length`` coordinates whose cells
+    have the nonzero terms ``terms``: the inverse of ``_nonzero_terms``."""
+    blank = [zero] * length
+    out = []
+    for row in terms:
+        cells = []
+        for cell in row:
+            v = blank[:]
+            for r, c in cell:
+                v[r] = c
+            cells.append(tuple(v))
+        out.append(tuple(cells))
+    return tuple(out)
+
+
+def _dense_view(terms, length):
+    """A read-only property: the table whose nonzero terms are the attribute
+    ``terms``, its vectors of ``length`` (an attribute path) coordinates,
+    expanded by ``_expanded`` on first read and kept."""
+    cached, get_terms, get_length = "_dense" + terms, attrgetter(terms), attrgetter(length)
+
+    def view(self):
+        table = self.__dict__.get(cached)
+        if table is None:
+            table = self.__dict__[cached] = _expanded(
+                get_terms(self), get_length(self), self.ring.zero)
+        return table
+
+    return property(view, doc=f"The dense view of ``{terms}``, expanded on first read.")
+
+
 class _Normal:
     """Scalars are coerced, and shapes checked, once, where they enter: the
     public constructor of a subclass coerces every scalar and checks every
-    shape, then hands the data to ``_set``.  ``_from_normal(*args)`` hands
-    ``_set`` data already in normal form and of the right shapes, as they
-    are: nothing is coerced or checked.  Everything gmalg builds from its
-    own results is built so."""
+    shape, then hands the data to ``_set``, a table of vectors as its
+    ``_nonzero_terms``.  ``_from_normal(*args)`` hands ``_set`` data
+    already in normal form and of the right shapes, as they are: nothing is
+    coerced or checked.  Everything gmalg builds from its own results, and
+    every context ``jsonio`` decodes, is built so."""
 
     @classmethod
     def _from_normal(cls, *args):
@@ -366,6 +404,8 @@ def _bilinear(ring, x, y, terms, out_dim):
 
 
 class Algebra(_Normal):
+    table = _dense_view("_terms", "dim")
+
     def __init__(self, ring, labels, table, unit):
         """The algebra on ``labels`` whose product e_i * e_j is
         ``table[i][j]`` and whose unit is ``unit``; every scalar is coerced
@@ -373,15 +413,15 @@ class Algebra(_Normal):
         labels = list(labels)
         table, unit = _coerced(ring, table), tuple(map(ring.coerce, unit))
         _check_algebra(len(labels), table, unit)
-        self._set(ring, labels, table, unit)
+        self._set(ring, labels, _nonzero_terms(table), unit)
 
-    def _set(self, ring, labels, table, unit, terms=None):
-        """``terms``: the table's ``_nonzero_terms``, if they are known."""
+    def _set(self, ring, labels, terms, unit):
+        """``terms``: the nonzero terms of each product e_i * e_j, a tuple
+        of row tuples of cell tuples, as ``_nonzero_terms`` gives them."""
         self.ring = ring
         self.labels = list(labels)
         self.dim = len(self.labels)
-        self.table = tuple(map(tuple, table))
-        self._terms = _nonzero_terms(self.table) if terms is None else terms
+        self._terms = terms
         self.unit = tuple(unit)
         self._engel, self._ad = {}, None
 
@@ -440,23 +480,32 @@ class Algebra(_Normal):
     def structure_violations(self):
         """Unit and associativity failures, as witness records: the unit
         laws at each basis element, then associativity at each triple
-        (i, j, k) in lexicographic order."""
+        (i, j, k) in lexicographic order.  Each row's nonzero cells are
+        listed once, and every sum below walks those alone."""
         out = []
         T, normal = self._terms, self.ring.normal
-        every = range(self.dim)
-        unit = [(r, c) for r, c in enumerate(self.unit) if c]
+        d, every = self.dim, range(self.dim)
+        cells = [[(j, cell) for j, cell in enumerate(row) if cell] for row in T]
+        # 1 e_i - e_i and e_i 1 - e_i, summed in int (or Fraction) arithmetic
+        # and brought to normal form once: 1 e_i from the rows r of the
+        # unit's support, e_i 1 from row i's cells in its columns
+        unit = {r: c for r, c in enumerate(self.unit) if c}
+        ue, eu = [{i: -1} for i in every], [{i: -1} for i in every]
+        for r, c in unit.items():
+            for i, cell in cells[r]:
+                acc = ue[i]
+                for t, v in cell:
+                    acc[t] = acc.get(t, 0) + c * v
+        for acc, row in zip(eu, cells):
+            for j, cell in row:
+                c = unit.get(j)
+                if c:
+                    for t, v in cell:
+                        acc[t] = acc.get(t, 0) + c * v
         for i in every:
-            # 1 e_i - e_i and e_i 1 - e_i, summed in int (or Fraction)
-            # arithmetic and brought to normal form once
-            ue, eu = {i: -1}, {i: -1}
-            for r, c in unit:
-                for t, v in T[r][i]:
-                    ue[t] = ue.get(t, 0) + c * v
-                for t, v in T[i][r]:
-                    eu[t] = eu.get(t, 0) + c * v
-            if any(map(normal, ue.values())):
+            if any(map(normal, ue[i].values())):
                 out.append(("left_unit", i))
-            if any(map(normal, eu.values())):
+            if any(map(normal, eu[i].values())):
                 out.append(("right_unit", i))
         # (e_i e_j) e_k = sum_r c_r (e_r e_k) over the terms c_r e_r of
         # e_i e_j, and e_i (e_j e_k) = sum_s d_s (e_i e_s) over the terms
@@ -467,27 +516,23 @@ class Algebra(_Normal):
         # d_s) with s in supp(e_j e_k) (``into``).  A (j, k) that no path
         # reaches has both sides 0, so only the failing ones are collected,
         # and sorted.
-        d = self.dim
-        row_terms = [[(k * d + t, v) for k, cell in enumerate(row) for t, v in cell]
-                     for row in T]
+        row_terms = [[(k * d + t, v) for k, cell in row for t, v in cell] for row in cells]
         into = [[] for _ in every]    # into[s]: the ((j*d + k)*d, d_s) of e_j e_k
-        for j, row in enumerate(T):
-            for k, cell in enumerate(row):
+        for j, row in enumerate(cells):
+            for k, cell in row:
                 for s, c in cell:
                     into[s].append(((j * d + k) * d, c))
-        for i in every:
-            Ti = T[i]
+        for i, row in enumerate(cells):
             diff = {}
-            for j, cell in enumerate(Ti):
+            for j, cell in row:
                 jd = j * d * d
                 for r, c in cell:
                     for kt, v in row_terms[r]:
                         diff[jd + kt] = diff.get(jd + kt, 0) + c * v
-            for s, cell in enumerate(Ti):
-                if cell:
-                    for jk, c in into[s]:
-                        for t, v in cell:
-                            diff[jk + t] = diff.get(jk + t, 0) - c * v
+            for s, cell in row:
+                for jk, c in into[s]:
+                    for t, v in cell:
+                        diff[jk + t] = diff.get(jk + t, 0) - c * v
             bad = {key // d for key, v in diff.items() if v and normal(v)}
             out += [("associativity", (i, *divmod(jk, d))) for jk in sorted(bad)]
         return out

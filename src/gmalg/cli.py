@@ -221,7 +221,8 @@ def cmd_family(args):
     if args.kind == "inflated":
         if not args.gamma:
             raise InputError("--gamma is required for inflated families")
-        base = Algebra._from_normal(ring, ["1"], [[(ring.one,)]], (ring.one,))
+        one = ((0, ring.one),)      # the terms of 1 * 1 = 1
+        base = Algebra._from_normal(ring, ["1"], ((one,),), (ring.one,))
         gamma = _parse_gamma(args.gamma, ring, args.n)
         inf = inflated_algebra(InflatedSpec(base, args.n, gamma))
         doc = {

@@ -11,7 +11,7 @@ twisted product X o Y = X * Gamma * Y, taken inside M_n(R) ⊗ base."""
 from collections import namedtuple
 
 from . import linalg
-from .algebra import Algebra
+from .algebra import Algebra, _nonzero_terms
 from .errors import BadShape, BadSplit, TheoremViolation
 from .maps import LinMap
 from .morita import _corner_context, build_gma
@@ -25,8 +25,8 @@ def block_triangular_matrix_algebra(ring, dvec, lower=False):
 
 def _matrix_units(ring, dvec, lower=False):
     """``block_triangular_matrix_algebra``, unchecked, and the matrix
-    position (r, c) of each of its basis elements.  Its cells are built
-    from ``ring.zero`` and ``ring.one``, so they are not coerced."""
+    position (r, c) of each of its basis elements.  Its terms are built
+    from ``ring.one``, so they are not coerced."""
     dvec = tuple(int(d) for d in dvec)
     if not dvec or any(d < 1 for d in dvec):
         raise BadShape(f"block sizes must be positive: {dvec}")
@@ -36,21 +36,18 @@ def _matrix_units(ring, dvec, lower=False):
                  if (block[r] >= block[c] if lower else block[r] <= block[c])]
     index = {pos: i for i, pos in enumerate(positions)}
     dim = len(positions)
-    zero = (ring.zero,) * dim
-    table = [[zero] * dim for _ in range(dim)]
+    terms = [[()] * dim for _ in range(dim)]
     # E_rc E_cd = E_rd, on the matrix units (c, d) of the support
     for i, (r, c) in enumerate(positions):
         for d in range(n):
             j = index.get((c, d))
             if j is not None:
-                out = [ring.zero] * dim
-                out[index[(r, d)]] = ring.one
-                table[i][j] = tuple(out)
+                terms[i][j] = ((index[(r, d)], ring.one),)
     unit = [ring.zero] * dim
     for r in range(n):
         unit[index[(r, r)]] = ring.one
     labels = [_unit_label(r + 1, c + 1, n) for r, c in positions]
-    return Algebra._from_normal(ring, labels, table, unit), positions
+    return Algebra._from_normal(ring, labels, tuple(map(tuple, terms)), unit), positions
 
 
 def _unit_label(r, c, n):
@@ -133,16 +130,17 @@ InflatedAlgebra = namedtuple(
 def _tensor(X, Y):
     """X ⊗ Y over their common ring, on the basis e_i ⊗ f_t at index
     i * Y.dim + t, labelled "x:y"; its structure constants are the
-    products of the two tables, in normal form.  Unchecked."""
-    rg = X.ring
+    products of the two algebras' terms, in normal form.  Unchecked."""
+    rg, dY = X.ring, Y.dim
 
     def kron(x, y):
-        return tuple(rg.mul(a, b) for a in x for b in y)
+        return tuple((r * dY + t, c) for r, a in x for t, b in y if (c := rg.mul(a, b)))
 
-    table = [[kron(xrow[j], yrow[s]) for j in range(X.dim) for s in range(Y.dim)]
-             for xrow in X.table for yrow in Y.table]
+    terms = tuple(tuple(kron(x, y) for x in xrow for y in yrow)
+                  for xrow in X._terms for yrow in Y._terms)
     labels = [f"{a}:{b}" for a in X.labels for b in Y.labels]
-    return Algebra._from_normal(rg, labels, table, kron(X.unit, Y.unit))
+    unit = tuple(rg.mul(a, b) for a in X.unit for b in Y.unit)
+    return Algebra._from_normal(rg, labels, terms, unit)
 
 
 def inflated_algebra(spec):
@@ -163,6 +161,7 @@ def inflated_algebra(spec):
     gamma = tuple(c for row in g for entry in row for c in base.vec(entry))
     basis = P.basis()
     table = [[P.mul(x, e) for e in basis] for x in (P.mul(e, gamma) for e in basis)]
+    terms = _nonzero_terms(table)
     # the matrix unit E_ij of P is the basis element X_ij
     labels = [f"X{label[1:]}" for label in P.labels]
 
@@ -171,14 +170,14 @@ def inflated_algebra(spec):
     if ginv is None or P.mul(ginv, gamma) != P.unit:
         # no identity: return the raw (non-unital) product data; the unit
         # slot is filled with zero and downstream unital tooling refuses
-        alg = Algebra._from_normal(rg, labels, table, P.zero())
+        alg = Algebra._from_normal(rg, labels, terms, P.zero())
         return InflatedAlgebra(alg, False, None, None)
 
-    alg = Algebra._from_normal(rg, labels, table, ginv).validate()
+    alg = Algebra._from_normal(rg, labels, terms, ginv).validate()
     sigma = LinMap._from_normal(rg, tuple(P.right_mult_matrix(ginv)))
     for p in range(P.dim):
         for q in range(P.dim):
-            if alg.mul(sigma.column(p), sigma.column(q)) != sigma.apply(P.table[p][q]):
+            if alg.mul(sigma.column(p), sigma.column(q)) != sigma.apply(P.mul(basis[p], basis[q])):
                 raise TheoremViolation(
                     "twist untwisting map failed to be multiplicative",
                     (p, q),

@@ -36,11 +36,21 @@ def _vec_load(ring, v, where):
 
 
 def _table_load(ring, obj, key, where):
-    """The list of rows of vectors ``obj[key]``."""
+    """(``obj[key]``, its nonzero terms): the JSON list of rows of vectors,
+    for the shape checks, and each vector decoded straight into its
+    (coordinate, scalar) pairs with a nonzero scalar, as ``_set`` stores
+    them.  Every scalar is decoded, in document order, before any shape is
+    checked."""
     rows = _require(obj, key, where)
     where = f"{where} {key}"
-    return [[_vec_load(ring, v, where) for v in _list(row, where)]
-            for row in _list(rows, where)]
+    # list comprehensions inside the tuples: they run faster than
+    # generators, and this loop is most of the cost of a decode
+    terms = tuple(
+        tuple([tuple([(r, c) for r, x in enumerate(_list(v, where))
+                      if (c := scalar_from_json(ring, x))])
+               for v in _list(row, where)])
+        for row in _list(rows, where))
+    return rows, terms
 
 
 def _require(obj, key, where):
@@ -82,10 +92,10 @@ def _algebra_fields(alg):
 
 def _algebra_from_fields(ring, obj, where):
     labels = _list(_require(obj, "labels", where), f"{where} labels")
-    table = _table_load(ring, obj, "mul", where)
+    table, terms = _table_load(ring, obj, "mul", where)
     unit = _vec_load(ring, _require(obj, "unit", where), f"{where} unit")
     _check_algebra(len(labels), table, unit)
-    return Algebra._from_normal(ring, labels, table, unit)
+    return Algebra._from_normal(ring, labels, terms, unit)
 
 
 def _bimodule_fields(mod):
@@ -111,9 +121,10 @@ def context_to_json(ctx):
 
 def context_from_json(obj):
     """The context of a ``context/1`` document.  Each scalar is decoded once,
-    into normal form (``scalar_from_json``), each part's shapes are checked
-    as by its public constructor, and the parts are built by their
-    ``_from_normal``, which takes the scalars as they are."""
+    into normal form (``scalar_from_json``), and each vector straight into
+    its nonzero terms; each part's shapes are then checked on the JSON
+    lists as by its public constructor, and the parts are built from the
+    terms by their ``_from_normal``, which takes the scalars as they are."""
     _schema(obj, CONTEXT_SCHEMA)
     ring = parse_ring(_require(obj, "ring", "context"))
     A = _algebra_from_fields(ring, _require(obj, "A", "context"), "A")
@@ -124,17 +135,17 @@ def context_from_json(obj):
         dim = _require(doc, "dim", field)
         if type(dim) is not int:
             raise InputError(f"{field} dim must be an int, got {dim!r}")
-        left = _table_load(ring, doc, "left", field)
-        right = _table_load(ring, doc, "right", field)
+        left, left_terms = _table_load(ring, doc, "left", field)
+        right, right_terms = _table_load(ring, doc, "right", field)
         _check_bimodule(dim, left, right, left_dim, right_dim)
-        return Bimodule._from_normal(ring, dim, left, right)
+        return Bimodule._from_normal(ring, dim, left_terms, right_terms)
 
     M = load_mod("M", A.dim, B.dim)
     N = load_mod("N", B.dim, A.dim)
-    phi = _table_load(ring, obj, "phi", "context")
-    psi = _table_load(ring, obj, "psi", "context")
+    phi, phi_terms = _table_load(ring, obj, "phi", "context")
+    psi, psi_terms = _table_load(ring, obj, "psi", "context")
     _check_context(A, B, M, N, phi, psi)
-    return MoritaContext._from_normal(A, B, M, N, phi, psi)
+    return MoritaContext._from_normal(A, B, M, N, phi_terms, psi_terms)
 
 
 def map_from_json(obj, ring):

@@ -12,8 +12,8 @@ A, M, N, B.
 from collections import namedtuple
 
 from . import linalg
-from .algebra import (Algebra, Submodule, _bilinear, _check_tensor, _coerced, _Normal,
-                      _nonzero_terms)
+from .algebra import (Algebra, Submodule, _bilinear, _check_tensor, _coerced, _dense_view,
+                      _Normal, _nonzero_terms)
 from .errors import (
     DimensionMismatch,
     InvalidContext,
@@ -36,12 +36,13 @@ def _check_bimodule(dim, left, right, left_dim, right_dim):
 
 def _check_context(A, B, M, N, phi, psi):
     """The shapes of a ``MoritaContext``'s parts: one ring, module actions
-    of the algebras' dimensions, pairings into A and into B."""
+    of the algebras' dimensions, pairings into A and into B (as tables of
+    vectors, or of JSON lists)."""
     if A.ring != B.ring:
         raise DimensionMismatch("A and B must share a coefficient ring")
     # ``GMAlgebra`` places the action cells by these shapes unchecked
     for name, mod, left, right in (("M", M, A, B), ("N", N, B, A)):
-        if len(mod.left) != left.dim or any(len(row) != right.dim for row in mod.right):
+        if len(mod._left) != left.dim or any(len(row) != right.dim for row in mod._right):
             raise DimensionMismatch(
                 f"{name} actions do not match the dimensions of the algebras")
     _check_tensor(phi, (M.dim, N.dim, A.dim), "phi tensor has wrong shape",
@@ -53,18 +54,22 @@ def _check_context(A, B, M, N, phi, psi):
 class Bimodule(_Normal):
     """A finite free module with a left action of one algebra and a right
     action of another, both given as basis tensors: ``left[i][p]`` is
-    a_i * m_p and ``right[p][j]`` is m_p * b_j."""
+    a_i * m_p and ``right[p][j]`` is m_p * b_j.  Stored as their nonzero
+    terms, ``_left`` and ``_right``; ``left`` and ``right`` are views."""
+
+    left = _dense_view("_left", "dim")
+    right = _dense_view("_right", "dim")
 
     def __init__(self, ring, dim, left, right, left_dim, right_dim):
         """Every scalar is coerced and every shape checked."""
         left, right = _coerced(ring, left), _coerced(ring, right)
         _check_bimodule(dim, left, right, left_dim, right_dim)
-        self._set(ring, dim, left, right)
+        self._set(ring, dim, _nonzero_terms(left), _nonzero_terms(right))
 
     def _set(self, ring, dim, left, right):
+        """``left``, ``right``: the actions' nonzero terms."""
         self.ring, self.dim = ring, dim
-        self.left, self.right = tuple(map(tuple, left)), tuple(map(tuple, right))
-        self._left, self._right = _nonzero_terms(self.left), _nonzero_terms(self.right)
+        self._left, self._right = left, right
 
     def act_left(self, a, m):
         return _bilinear(self.ring, a, m, self._left, self.dim)
@@ -83,20 +88,24 @@ class Bimodule(_Normal):
 
 
 class MoritaContext(_Normal):
-    """(A, B, M, N, pairing M x N -> A, pairing N x M -> B)."""
+    """(A, B, M, N, pairing M x N -> A, pairing N x M -> B).  The pairings
+    are stored as their nonzero terms, ``_phi`` and ``_psi``; ``phi`` and
+    ``psi`` are views."""
+
+    phi = _dense_view("_phi", "A.dim")
+    psi = _dense_view("_psi", "B.dim")
 
     def __init__(self, A, B, M, N, phi, psi):
         """Every scalar of the pairings is coerced and every shape checked;
         the algebras and modules are built already."""
         phi, psi = _coerced(A.ring, phi), _coerced(A.ring, psi)
         _check_context(A, B, M, N, phi, psi)
-        self._set(A, B, M, N, phi, psi)
+        self._set(A, B, M, N, _nonzero_terms(phi), _nonzero_terms(psi))
 
-    def _set(self, A, B, M, N, phi, psi, terms=None):
-        """``terms``: the pairings' ``_nonzero_terms``, if they are known."""
+    def _set(self, A, B, M, N, phi, psi):
+        """``phi``, ``psi``: the pairings' nonzero terms."""
         self.ring, self.A, self.B, self.M, self.N = A.ring, A, B, M, N
-        self.phi, self.psi = tuple(map(tuple, phi)), tuple(map(tuple, psi))
-        self._phi, self._psi = terms or (_nonzero_terms(self.phi), _nonzero_terms(self.psi))
+        self._phi, self._psi = phi, psi
 
     # element-level operations
     def pair_mn(self, m, n):
@@ -124,8 +133,7 @@ def transpose(ctx):
     (a, m, n, b) -> (b, n, m, a) is an algebra isomorphism from [A M; N B]
     onto it, so every N-side identity of ctx is the M-side identity of its
     transpose."""
-    return MoritaContext._from_normal(ctx.B, ctx.A, ctx.N, ctx.M, ctx.psi, ctx.phi,
-                                      (ctx._psi, ctx._phi))
+    return MoritaContext._from_normal(ctx.B, ctx.A, ctx.N, ctx.M, ctx._psi, ctx._phi)
 
 
 # Each context axiom is the associativity law of [A M; N B] on one triple
@@ -184,17 +192,25 @@ def _violations(G):
 
 
 def check_faithful(ctx):
-    """Faithfulness of M as a left A-module and as a right B-module."""
-    dM = ctx.M.dim
+    """Faithfulness of M as a left A-module and as a right B-module: that
+    a -> (a m_p)_p, and b -> (m_p b)_p, is injective, i.e. that the rows
+    over the coordinates of a (or b), one per coordinate c of each image
+    of m_p, have no kernel.  The rows are read off the action terms."""
+    M = ctx.M
 
-    def faithful(entry, dim):
-        rows = [[entry(i, p, c) for i in range(dim)]
-                for p in range(dM) for c in range(dM)]
-        return dim == 0 or not linalg.nullspace(ctx.ring, rows, dim)
+    def faithful(cells, dim):
+        rows = {}   # (p, c) -> {i: the c-th coordinate of e_i acting on m_p}
+        for i, p, cell in cells:
+            for c, v in cell:
+                rows.setdefault((p, c), {})[i] = v
+        return dim == 0 or not linalg.nullspace(ctx.ring, [rows[pc] for pc in sorted(rows)],
+                                                 dim)
 
     return {
-        "left_faithful": faithful(lambda i, p, c: ctx.M.left[i][p][c], ctx.A.dim),
-        "right_faithful": faithful(lambda j, p, c: ctx.M.right[p][j][c], ctx.B.dim),
+        "left_faithful": faithful(((i, p, cell) for i, row in enumerate(M._left)
+                                   for p, cell in enumerate(row)), ctx.A.dim),
+        "right_faithful": faithful(((j, p, cell) for p, row in enumerate(M._right)
+                                    for j, cell in enumerate(row)), ctx.B.dim),
     }
 
 
@@ -205,19 +221,24 @@ PRODUCTS = ("AAA", "AMM", "MBM", "MNA", "NMB", "NAN", "BNN", "BBB")
 
 def _corner_context(alg, corner_of, labels=None):
     """The context read off an algebra split into corners: basis element i
-    lies in block ``corner_of[i]``, and the eight tensors are ``alg.table``
-    restricted to the ``PRODUCTS``, each block in ``alg``'s basis order.
-    The inverse of ``GMAlgebra.__init__``.  The split must be a Peirce
+    lies in block ``corner_of[i]``, and the eight tensors are the terms of
+    ``alg`` restricted to the ``PRODUCTS``, each block in ``alg``'s basis
+    order.  The inverse of ``GMAlgebra.__init__``.  The split must be a Peirce
     split at an idempotent e (A = eGe, M = eG(1-e), ...), so that the
     products of blocks land where ``PRODUCTS`` says; nothing is checked
     here (``build_gma`` checks the context).  ``labels`` (default
     ``alg.labels``) names the basis elements of the A and B corners."""
     labels = alg.labels if labels is None else labels
     at = {b: [i for i, c in enumerate(corner_of) if c == b] for b in BLOCKS}
-    T = alg.table
-    t = {xyz: [[tuple(T[i][j][r] for r in at[xyz[2]]) for j in at[xyz[1]]]
-               for i in at[xyz[0]]]
-         for xyz in PRODUCTS}
+    T = alg._terms
+
+    def restricted(x, y, z):
+        # the cells x*y, their terms re-indexed within block z
+        local = {i: t for t, i in enumerate(at[z])}
+        return tuple(tuple(tuple((local[r], c) for r, c in T[i][j] if r in local)
+                           for j in at[y]) for i in at[x])
+
+    t = {xyz: restricted(*xyz) for xyz in PRODUCTS}
 
     def corner(b):
         return Algebra._from_normal(alg.ring, [labels[i] for i in at[b]], t[3 * b],
@@ -232,7 +253,11 @@ def _corner_context(alg, corner_of, labels=None):
 
 class GMAlgebra:
     """The order-2 matrix-like algebra [A M; N B] with block bookkeeping,
-    assembled from the context unchecked (``build_gma`` checks it)."""
+    assembled from the context unchecked (``build_gma`` checks it).
+
+    ``algebra`` is G, built from the nonzero terms of the eight block
+    products alone, each shifted to its block offsets; its dense ``table``
+    is a view that no verdict reads."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -243,33 +268,26 @@ class GMAlgebra:
         self._gma_center = self._zkernel = self._transposed = None
         self._faithful = None
         self._partners = {}
-        blocks = ((ctx.A.table, ctx.A._terms), (ctx.M.left, ctx.M._left),
-                  (ctx.M.right, ctx.M._right), (ctx.phi, ctx._phi),
-                  (ctx.psi, ctx._psi), (ctx.N.right, ctx.N._right),
-                  (ctx.N.left, ctx.N._left), (ctx.B.table, ctx.B._terms))
-        zero = (rg.zero,) * self.dim
-        table = [[zero] * self.dim for _ in range(self.dim)]
+        blocks = (ctx.A._terms, ctx.M._left, ctx.M._right, ctx._phi, ctx._psi,
+                  ctx.N._right, ctx.N._left, ctx.B._terms)
         terms = [[()] * self.dim for _ in range(self.dim)]
-        for (x, y, z), (cells, cell_terms) in zip(PRODUCTS, blocks):
-            # the block cells are in normal form and their nonzero terms are
-            # known, so each is placed at the block offsets as it is
-            r = self.block_range(z)
-            head, tail = zero[:r.start], zero[r.stop:]
-            ox, oy = self.offsets[x], self.offsets[y]
-            for i, (row, row_terms) in enumerate(zip(cells, cell_terms)):
-                out, out_terms = table[ox + i], terms[ox + i]
-                for j, (v, t) in enumerate(zip(row, row_terms)):
-                    out[oy + j] = head + v + tail
+        for (x, y, z), cells in zip(PRODUCTS, blocks):
+            # the block cells are in normal form, so each is placed at the
+            # block offsets as it is, its coordinates shifted into block z
+            oz, ox, oy = self.offsets[z], self.offsets[x], self.offsets[y]
+            for i, row in enumerate(cells):
+                out = terms[ox + i]
+                for j, t in enumerate(row):
                     if t:
-                        out_terms[oy + j] = tuple((s + r.start, c) for s, c in t)
+                        out[oy + j] = tuple((s + oz, c) for s, c in t) if oz else t
         labels = (
             [f"A:{s}" for s in ctx.A.labels]
             + [f"M:{p}" for p in range(dM)]
             + [f"N:{q}" for q in range(dN)]
             + [f"B:{s}" for s in ctx.B.labels]
         )
-        unit = ctx.A.unit + zero[:dM + dN] + ctx.B.unit
-        self.algebra = Algebra._from_normal(rg, labels, table, unit, tuple(map(tuple, terms)))
+        unit = ctx.A.unit + (rg.zero,) * (dM + dN) + ctx.B.unit
+        self.algebra = Algebra._from_normal(rg, labels, tuple(map(tuple, terms)), unit)
 
     @property
     def A(self):

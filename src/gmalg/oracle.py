@@ -7,7 +7,9 @@ routes can validate each other.  The oracle reads only ``A.table`` and
 ``theta.rows``: products and brackets come from the nonzero structure
 constants and the commutator constants e_i e_j - e_j e_i, summed in plain
 ints and reduced once per coordinate; theta is applied from its own sparse
-columns.
+columns.  ``A.table`` is the dense view of the terms the algebra stores,
+expanded on first read; the oracle re-reads it with its own loops
+(``_grouped``) and shares no engine code with the fast paths.
 
 Every "for all x" identity is decided at one element of each unit orbit
 {u*x : u a unit}: at its representative, the element that comes first in

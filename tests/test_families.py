@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from gmalg import cli, jsonio, linalg
+from gmalg import algebra, cli, jsonio, linalg
 from gmalg.algebra import Algebra
 from gmalg.errors import BadShape, BadSplit, DimensionMismatch
 from gmalg.families import (
@@ -332,6 +332,25 @@ def test_verdicts_coerce_nothing_after_decoding(name, request, tmp_path, monkeyp
                             lambda self, v, coerce=coerce: calls.append(v) or coerce(self, v))
     _run(runs)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", CONFTEST_FAMILIES)
+def test_verdicts_expand_no_dense_view(name, request, tmp_path, monkeypatch):
+    """No verdict reads a dense table: ``validate``, ``classify`` and
+    ``sweep`` read the stored terms alone.  Only the oracle and the
+    ``build`` encoder expand a view (``algebra._expanded``)."""
+    G = _family(name, request)
+    runs = _decoded_verdicts(G, tmp_path, monkeypatch)
+    calls, expand = [], algebra._expanded
+    monkeypatch.setattr(algebra, "_expanded",
+                        lambda *args: calls.append(args[1]) or expand(*args))
+    _run(runs)
+    assert calls == []
+    _run([next(argv for argv in runs if argv[0] == "classify") + ["--oracle"]])
+    assert calls == [G.dim]
+    calls.clear()
+    _run([["build", runs[0][1]]])
+    assert calls == [G.dim]
 
 
 @pytest.mark.parametrize("name", CONFTEST_FAMILIES)
