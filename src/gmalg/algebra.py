@@ -15,7 +15,7 @@ from math import prod
 from operator import attrgetter
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidAlgebra, NotEnumerable
+from .errors import BudgetExceeded, DimensionMismatch, InvalidAlgebra, NotEnumerable
 
 
 def iter_vectors(ring, dim):
@@ -192,29 +192,42 @@ def vanishing_rows(ring, coeffs, degree, dim):
     in ``ad_stream``) to its coefficient as rows (see ``_as_rows``); f
     must be homogeneous of degree ``degree`` >= 1.
 
-    Over Q, and over Z/p with p >= ``degree``, f is zero iff every
-    coefficient is, so the rows are the coefficients' (at p = ``degree``,
-    reducing x_i^p -> x_i moves only the pure powers, each to its own
-    linear monomial, so no two coefficients merge).  Elsewhere they are
-    the Newton differences D^alpha f(0) = sum_gamma C_gamma prod_i a_i!
-    S(g_i, a_i) (``_surjections``) at the lattice points alpha, in the
-    order of ``lattice_points``, which says why they decide f.  A factor
-    with a_i = 0 < g_i or a_i > g_i is 0, so alpha has the support of
-    some gamma >= alpha: only those are built, each from the coefficients
-    of that one support.  alpha = 0 and the pure powers m*e_i (m >= 2)
-    are left out; for a homogeneous f the first is 0 and the others are
-    multiples of the difference at e_i (only gamma = degree*e_i reaches
-    them).
-
-    So the rows of the coefficients of least index t are theirs alone, and
-    the blocks of the groups of ``ad_stream``, taken from the highest t
-    down, are those of all of f in this order: a dense alpha with a larger
-    least index sorts first."""
-    if ring.size is None or (ring.is_field and ring.size >= degree):
-        for gamma in sorted(coeffs):
-            rows = coeffs[gamma]
-            yield [rows[r] for r in sorted(rows)]
+    Over Q, and over Z/p with p >= ``degree``, they are the coefficients,
+    a block per monomial in sorted order.  Over Z/p with p < ``degree``
+    they are those of f reduced modulo the x_i^p - x_i: x_i^e is the
+    function x_i^(1 + (e-1) mod (p-1)) (Fermat), and a polynomial of
+    degree < p in each x_i is zero iff it vanishes, so the rows of the
+    monomials that fold together are summed.  Over composite Z/n they are
+    the Newton differences of ``_newton_rows``.  Each keeps a monomial's
+    support, so the rows of the coefficients of least index t are theirs
+    alone, and the blocks of the groups of ``ad_stream``, from the highest
+    t down, are those of f."""
+    if not ring.is_field:
+        yield from _newton_rows(ring, coeffs, degree, dim)
         return
+    p = ring.size
+    if p is not None and degree > p:
+        folds = {}      # a reduced monomial -> the (1, C_gamma) folding to it
+        for gamma, rows in coeffs.items():
+            reduced = tuple(i for i in dict.fromkeys(gamma)
+                            for _ in range(1 + (gamma.count(i) - 1) % (p - 1)))
+            folds.setdefault(reduced, []).append((1, rows))
+        coeffs = {gamma: terms[0][1] if len(terms) == 1 else _summed(ring, terms)
+                  for gamma, terms in folds.items()}
+    for gamma in sorted(coeffs):
+        if rows := coeffs[gamma]:
+            yield [rows[r] for r in sorted(rows)]
+
+
+def _newton_rows(ring, coeffs, degree, dim):
+    """The blocks of ``vanishing_rows`` over Z/n: the Newton differences
+    D^alpha f(0) = sum_gamma C_gamma prod_i a_i! S(g_i, a_i)
+    (``_surjections``) at the lattice points alpha, in the order of
+    ``lattice_points``, which says why they decide f.  A factor with
+    a_i = 0 < g_i or a_i > g_i is 0, so only the alpha with the support of
+    some gamma >= alpha are built, each from that support's coefficients.
+    alpha = 0 and the m*e_i (m >= 2) are left out: for a homogeneous f the
+    first is 0, the others multiples of the difference at e_i."""
     top = min(degree, ring.size - 1)
     surj = _surjections(degree)
     groups = {}
@@ -234,21 +247,22 @@ def vanishing_rows(ring, coeffs, degree, dim):
                 alphas.append((dense, support, a))
     alphas.sort()
     for _, support, a in alphas:
-        out = {}
-        for exps, rows in groups[support]:
-            w = prod(surj[g][b] for g, b in zip(exps, a))
-            if w:
-                for r, row in rows.items():
-                    acc = out.setdefault(r, {})
-                    for col, v in row.items():
-                        acc[col] = acc.get(col, 0) + w * v
-        block = []
-        for r in sorted(out):
-            row = {c: x for c, v in out[r].items() if (x := ring.normal(v))}
-            if row:
-                block.append(row)
-        if block:
-            yield block
+        if rows := _summed(ring, ((w, c) for exps, c in groups[support]
+                                  if (w := prod(surj[g][b] for g, b in zip(exps, a))))):
+            yield [rows[r] for r in sorted(rows)]
+
+
+def _summed(ring, terms):
+    """The sum of w*rows over the (w, rows) in ``terms``, rows as in
+    ``vanishing_rows``, in normal form, its zero rows dropped."""
+    out = {}
+    for w, rows in terms:
+        for r, row in rows.items():
+            acc = out.setdefault(r, {})
+            for col, v in row.items():
+                acc[col] = acc.get(col, 0) + w * v
+    return {r: row for r, acc in out.items()
+            if (row := {c: x for c, v in acc.items() if (x := ring.normal(v))})}
 
 
 def vanishing_kernel(ring, coeffs, degree, dim, ncols):
@@ -553,10 +567,11 @@ class Algebra(_Normal):
         """{a : [a, x]_k = 0 for all x} (the ordinary center when k = 1).
 
         [a, x]_k = sum_alpha x^alpha W_alpha a over |alpha| = k
-        (``adjoint_groups``), linear in a and homogeneous of degree k
-        in x, so the constraints on a are the rows of the W_alpha over Q and
-        over Z/p with p >= k, and their Newton differences elsewhere (see
-        ``vanishing_rows``); exact over every ring."""
+        (``adjoint_groups``), linear in a and homogeneous of degree k in x,
+        so the constraints on a are (see ``vanishing_rows``) the rows of the
+        W_alpha over Q and over Z/p with p >= k, of the W_alpha folded by
+        x_i^p = x_i over Z/p with p < k, and of their Newton differences
+        over composite Z/n; exact over every ring."""
         if k < 1:
             raise DimensionMismatch("engel order must be >= 1")
         if k not in self._engel:
@@ -688,8 +703,6 @@ class Submodule(_Normal):
             raise NotEnumerable("infinite ring")
         if self._elements is None:
             if self.ring.size ** max(len(self.gens), 0) > budget:
-                from .errors import BudgetExceeded
-
                 raise BudgetExceeded("submodule too large to enumerate")
             rg = self.ring
             out = {(rg.zero,) * self.ambient_dim}

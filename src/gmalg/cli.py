@@ -96,7 +96,9 @@ def cmd_classify(args):
         # refused here, before the oracle and the reports it would discard
         maps.require_proper_setting(G)
     if args.oracle:
-        bkc, bwit = oracle.brute_k_commuting(G, theta, k, args.budget)
+        # the oracle's commutator constants, built once for its searches
+        comm = oracle._commutators(G.algebra)
+        bkc, bwit = oracle.brute_k_commuting(G, theta, k, args.budget, comm)
         if bkc != kc:
             raise TheoremViolation("oracle disagrees on the commuting test")
         if bwit != witness:
@@ -120,7 +122,7 @@ def cmd_classify(args):
         doc["multiplier"] = jsonio._vec_json(G.ring, cert.multiplier)
         doc["offset"] = cert.offset.to_json()
     if args.oracle:
-        bok, _ = oracle.brute_properness(G, theta, args.budget)
+        bok, _ = oracle.brute_properness(G, theta, args.budget, comm)
         if bok != (cert is not None):
             raise TheoremViolation("oracle disagrees on properness")
         doc["oracle_proper"] = bok

@@ -173,9 +173,11 @@ def is_k_commuting(G, theta, k):
     least index t of gamma from the highest t down.  f vanishes everywhere
     iff every group's rows vanish (``algebra.vanishing_rows``): over Q and
     over Z/p with p >= k+1 they are the C_gamma themselves, so a group
-    vanishes iff it is empty (zeros are dropped); on every other Z/n they
-    are Newton differences.  The groups are read until the first one that
-    does not vanish; none is computed after it.
+    vanishes iff it is empty (zeros are dropped); over Z/p with p < k+1
+    they are the sums of the C_gamma whose monomials fold together under
+    x_i^p = x_i; over composite Z/n they are Newton differences.  The
+    groups are read until the first one that does not vanish; none is
+    computed after it.
 
     Its t is the lead.  Each group is a homogeneous polynomial of its own,
     and its rows are those of its coefficients alone, so each group read
@@ -252,7 +254,8 @@ def commuting_space(G, k):
     """All maps theta with [theta(x), x]_k = 0 for every x, as the solution
     of the linear system in theta's matrix entries: the coefficients of
     [theta(x), x]_k (``Algebra.commuting_coefficients``) over Q and over
-    Z/p with p >= k+1, their Newton differences on every other Z/n (see
+    Z/p with p >= k+1, those coefficients folded by x_i^p = x_i over Z/p
+    with p < k+1, and their Newton differences over composite Z/n (see
     ``algebra.vanishing_rows``)."""
     alg = _underlying(G)
     d = alg.dim

@@ -140,10 +140,11 @@ def _commutators(A):
     return _grouped([[map(sub, T[i][j], T[j][i]) for j in every] for i in every])
 
 
-def _structure(A):
+def _structure(A, comm=None):
     """(products, commutators): the nonzero constants of e_i e_j, and
-    ``_commutators(A)``, as ``_mul`` and ``_bracket_power`` read them."""
-    return _grouped(A.table), _commutators(A)
+    ``comm = _commutators(A)``, as ``_mul`` and ``_bracket_power`` read
+    them."""
+    return _grouped(A.table), _commutators(A) if comm is None else comm
 
 
 def _sums(d, terms, x, y):
@@ -208,17 +209,17 @@ def _basis(A):
     ]
 
 
-def brute_center(A, budget=DEFAULT_BUDGET):
+def brute_center(A, budget=DEFAULT_BUDGET, comm=None):
     """All a with ax = xa for every x, as a sorted element list (odometer
     order over the ascending scalars): the a with [a, e_j] = 0 for every
-    j, from the commutator constants.  Each check
+    j, from the commutator constants ``comm = _commutators(A)``.  Each check
     sum_i a_i [e_i, e_j]_r = 0 is made once its last digit is set, and a
     prefix that fails one is dropped with all its extensions; after the
     last digit that ends a check every tail is central."""
     scalars = _scalars(A, budget)
     d, normal = A.dim, A.ring.normal
     forms = {}
-    for i, row in _commutators(A):
+    for i, row in _commutators(A) if comm is None else comm:
         for j, cell in row:
             for r, c in cell:
                 forms.setdefault((j, r), []).append((i, c))
@@ -261,15 +262,15 @@ def brute_zk(A, k, budget=DEFAULT_BUDGET):
     })
 
 
-def brute_k_commuting(G, theta, k, budget=DEFAULT_BUDGET):
+def brute_k_commuting(G, theta, k, budget=DEFAULT_BUDGET, comm=None):
     """(True, None) or (False, the first failing x in odometer order),
     straight from the definition at the representatives x, which keep that
     first witness.  theta(x) and its k brackets with x are summed in plain
     ints and reduced once per coordinate: reduction is a ring
-    homomorphism from the integers."""
+    homomorphism from the integers; ``comm`` is ``_commutators(A)``, if given."""
     A = getattr(G, "algebra", G)
     d, normal = A.dim, A.ring.normal
-    comm = _commutators(A)
+    comm = _commutators(A) if comm is None else comm
     cols = _columns(A, theta)
     for x in representatives(A, budget):
         y = _sums(d, cols, (1,), x)
@@ -280,14 +281,14 @@ def brute_k_commuting(G, theta, k, budget=DEFAULT_BUDGET):
     return True, None
 
 
-def brute_properness(G, theta, budget=DEFAULT_BUDGET):
+def brute_properness(G, theta, budget=DEFAULT_BUDGET, comm=None):
     """Search every central lambda and test, element by element, whether
     x -> theta(x) - x*lambda lands in the center; (True, lambda) on the
-    first hit, else (False, None)."""
+    first hit, else (False, None).  ``comm`` as in ``brute_k_commuting``."""
     A = getattr(G, "algebra", G)
     ring = A.ring
-    S = _structure(A)
-    center = brute_center(A, budget)
+    S = _structure(A, comm)
+    center = brute_center(A, budget, S[1])
     cset = set(center)
     basis = _basis(A)
     cols = _columns(A, theta)

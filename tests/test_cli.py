@@ -431,6 +431,24 @@ def test_proper_classify_refuses_two_torsion_before_the_oracle(n, tmp_path, caps
     assert doc["counterexample"] == [0, 1, 0, 0]
 
 
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_a_proving_oracle_classify_builds_the_commutators_once(n, tmp_path, capsys,
+                                                               monkeypatch):
+    """The oracle's commuting test, its center and its properness search
+    share one set of commutator constants."""
+    G = full_matrix_gma(Zmod(n), 2, 1)
+    path = tmp_path / "m2.json"
+    path.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
+    mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim).scale(2))
+    calls, real = [], oracle._commutators
+    monkeypatch.setattr(oracle, "_commutators", lambda A: calls.append(A) or real(A))
+    code, out, _ = run_cli(["classify", str(path), mpath, "--oracle", "--mode", "proper"],
+                           capsys)
+    doc = json.loads(out)
+    assert code == cli.EXIT_OK and doc["oracle_k_commuting"] is doc["oracle_proper"] is True
+    assert len(calls) == 1
+
+
 def test_proper_classify_refuses_a_non_faithful_context_before_the_reports(
         non_faithful_z3, tmp_path, capsys, monkeypatch):
     G = non_faithful_z3

@@ -145,7 +145,8 @@ def brute_commuting_space(A, k):
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 2), (2, 2)])
 def test_commuting_space_and_verdicts_equal_brute_force(family, p, k):
     """Over Z/p with p = k+1 the coefficients of [theta(x), x]_k decide it;
-    with p < k+1 they do not, and the differences must be used."""
+    with p < k+1 they do not, and the coefficients folded by x_i^p = x_i
+    must be used."""
     alg = FAMILIES[family](Zmod(p)).algebra
     R, d = alg.ring, alg.dim
     space = commuting_space(alg, k)
@@ -158,6 +159,33 @@ def test_commuting_space_and_verdicts_equal_brute_force(family, p, k):
         maps.append(LinMap(R, rows))
     for theta in maps:
         assert is_k_commuting(alg, theta, k) == brute_k_commuting(alg, theta, k)
+
+
+@pytest.mark.parametrize("family", ["M2", "T2", "T3"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_folded_verdicts_and_witnesses_equal_brute_force_in_a_random_basis(family, p):
+    """In a random basis (dense constants) over Z/p with p < k+1, where
+    many monomials of [theta(x), x]_k fold together, the commuting space
+    is the brute-force one, and on perturbed maps the verdict and the
+    witness (found from the lead of the folded groups) are the oracle's."""
+    base = FAMILIES[family](Zmod(p)).algebra
+    refuted = 0
+    for seed in (1, 2):
+        alg = _in_random_basis(base, random.Random(seed))[0]
+        R, d = alg.ring, alg.dim
+        rng = random.Random(f"{family}/{p}/{seed}")
+        for k in (2, 3, 4):
+            space = commuting_space(alg, k)
+            assert space.space.equals(brute_commuting_space(alg, k))
+            maps = []
+            for theta in space.basis()[:2] + [space.random_member(rng) for _ in range(2)]:
+                rows = [list(r) for r in theta.rows]
+                rows[rng.randrange(d)][rng.randrange(d)] += rng.randrange(1, p)
+                maps.append(LinMap(R, rows))
+            verdicts = [is_k_commuting(alg, theta, k) for theta in maps]
+            assert verdicts == [brute_k_commuting(alg, theta, k) for theta in maps]
+            refuted += sum(not ok for ok, _ in verdicts)
+    assert refuted
 
 
 def test_oracle_imports_nothing_from_gmalg_but_errors():

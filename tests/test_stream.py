@@ -244,9 +244,10 @@ def test_verdicts_and_witnesses_equal_the_one_shot_path(family, ring, monkeypatc
 
 
 def test_the_derivation_verdict_stops_the_stream_early(monkeypatch):
-    """On B(2,1)(Z/3) at k = 3 the kernel is zero after a few Newton blocks
-    of the highest least indices: the commuting groups of least index 0 are
-    never computed, nor the adjoint groups behind them."""
+    """On B(2,1)(Z/3) at k = 3 the kernel is zero after a few blocks of
+    folded coefficients (x_i^3 = x_i) of the highest least indices: the
+    commuting groups of least index 0 are never computed, nor the adjoint
+    groups behind them."""
     read, pulled = [], []
     groups, stream = Algebra.commuting_groups, algebra.ad_stream
 

@@ -4,7 +4,10 @@ The reference below is the point-evaluating constraint builder the engine
 replaced: it brackets dense vectors at every lattice point and takes the
 Newton differences of the values.  The engine must give the same
 generator lists (on composite n too, where they are read off the Howell
-form of the rows), the same verdicts and the same witnesses."""
+form of the rows), the same verdicts and the same witnesses.  Over Z/p
+below the degree the engine folds the monomials (x_i^p = x_i as
+functions); the fold is also checked against the Newton differences it
+replaced there, and against every point of (Z/p)^d."""
 
 import itertools
 import random
@@ -16,9 +19,11 @@ from gmalg import algebra
 from gmalg.algebra import (
     Algebra,
     Submodule,
+    _newton_rows,
     _surjections,
     lattice_check,
     lattice_points,
+    vanishing_rows,
 )
 from gmalg.families import (
     block_triangular_gma,
@@ -31,7 +36,7 @@ from gmalg.linalg import kernel_builder
 from gmalg.maps import LinMap, commuting_space, is_k_commuting
 from gmalg.rings import Rationals, Zmod
 
-from conftest import is_zero, iterated_bracket
+from conftest import _in_random_basis, is_zero, iterated_bracket
 
 RINGS = (None, 2, 3, 4, 6, 9, 10007)
 FAMILIES = {
@@ -76,12 +81,27 @@ def bracket_rows(alg, x, k):
     ]
 
 
-def reference_engel(alg, k):
-    return reference_kernel(alg.ring, alg.dim, k,
-                            lambda x: bracket_rows(alg, x, k), alg.dim)
+def ad_rows(alg, x, k):
+    """``bracket_rows`` from the matrix of y -> [y, x], read off the table
+    in plain ints: k matrix-vector products per basis element in place of
+    k brackets of dense vectors."""
+    T, d, normal = alg.table, alg.dim, alg.ring.normal
+    ad = [[sum(x[j] * (T[p][j][r] - T[j][p][r]) for j in range(d) if x[j])
+           for p in range(d)] for r in range(d)]
+    cols = []
+    for q in range(d):
+        v = [int(p == q) for p in range(d)]
+        for _ in range(k):
+            v = [normal(sum(a * c for a, c in zip(row, v) if c)) for row in ad]
+        cols.append(v)
+    return [{p: col[r] for p, col in enumerate(cols) if col[r]} for r in range(d)]
 
 
-def reference_commuting(alg, k):
+def reference_engel(alg, k, rows=bracket_rows):
+    return reference_kernel(alg.ring, alg.dim, k, lambda x: rows(alg, x, k), alg.dim)
+
+
+def reference_commuting(alg, k, rows=bracket_rows):
     d = alg.dim
 
     def rows_at(x):
@@ -89,7 +109,7 @@ def reference_commuting(alg, k):
         return [
             {p * d + q: alg.ring.mul(v, c) for p, v in row.items()
              for q, c in support}
-            for row in bracket_rows(alg, x, k)
+            for row in rows(alg, x, k)
         ]
 
     return reference_kernel(alg.ring, d, k + 1, rows_at, d * d)
@@ -102,13 +122,13 @@ def _fresh(alg):
 
 # -- generators ---------------------------------------------------------------
 
-def _same_generators(alg, k):
+def _same_generators(alg, k, rows=bracket_rows):
     """``commuting_space`` and ``engel_center`` keep the generator lists
     of the reference, as their ``Submodule`` stores them."""
     d = alg.dim
-    space = Submodule(alg.ring, d * d, reference_commuting(alg, k))
+    space = Submodule(alg.ring, d * d, reference_commuting(alg, k, rows))
     assert commuting_space(alg, k).space.gens == space.gens
-    center = Submodule(alg.ring, d, reference_engel(alg, k))
+    center = Submodule(alg.ring, d, reference_engel(alg, k, rows))
     assert alg.engel_center(k).gens == center.gens
 
 
@@ -125,6 +145,136 @@ def test_generators_equal_point_evaluation_on_m3_q():
     alg = full_matrix_gma(Rationals(), 3, 1).algebra
     for k in (1, 2, 3):
         _same_generators(alg, k)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_generators_equal_point_evaluation_in_a_random_basis(family, p):
+    """In a random basis the structure constants are dense, so over Z/p
+    with p < k+1 many coefficients of [theta(x), x]_k fold together (fewer
+    blocks than coefficients): at k = p-1..p+1 the generators must still
+    be the reference's.  The reference brackets through ``ad_rows``, which
+    gives ``bracket_rows`` at the points checked first."""
+    R = Zmod(p)
+    base = FAMILIES[family](R).algebra
+    merged = False
+    for seed in (1, 2):
+        alg = _in_random_basis(base, random.Random(seed))[0]
+        rng = random.Random(seed)
+        for k in range(max(1, p - 1), p + 2):
+            x = tuple(R.coerce(rng.randrange(p)) for _ in range(alg.dim))
+            assert ad_rows(alg, x, k) == bracket_rows(alg, x, k)
+            coeffs = _fresh(alg).commuting_coefficients(k)
+            blocks = list(vanishing_rows(R, coeffs, k + 1, alg.dim))
+            assert len(blocks) <= len(coeffs)
+            assert len(blocks) == len(coeffs) or p < k + 1
+            merged |= len(blocks) < len(coeffs)
+            _same_generators(_fresh(alg), k, ad_rows)
+    assert merged
+
+
+# -- the fold against the Newton differences and every point ------------------
+
+def _folded(gamma, p):
+    """The monomial gamma (a sorted index tuple) reduced modulo the
+    x_i^p - x_i."""
+    return tuple(i for i in sorted(set(gamma))
+                 for _ in range(1 + (gamma.count(i) - 1) % (p - 1)))
+
+
+def _random_rows(rng, p):
+    """A random coefficient over 3 unknowns in 2 output rows, as the
+    entries {(row, unknown): scalar}."""
+    return {(rng.randrange(2), rng.randrange(3)): rng.randrange(1, p)
+            for _ in range(rng.randint(1, 3))}
+
+
+def _random_coefficients(rng, p, d, degree):
+    """A sparse homogeneous f of degree ``degree`` in d variables, its
+    coefficients as rows (see ``vanishing_rows``): a few random monomials,
+    and pairs of monomials that fold together with opposite coefficients,
+    so that some least-index groups vanish on (Z/p)^d without being 0."""
+    monomials = list(itertools.combinations_with_replacement(range(d), degree))
+    classes = {}
+    for gamma in monomials:
+        classes.setdefault(_folded(gamma, p), []).append(gamma)
+    pairs = [c for c in classes.values() if len(c) > 1]
+    terms = {}
+
+    def add(gamma, entries, sign):
+        acc = terms.setdefault(gamma, {})
+        for key, v in entries.items():
+            acc[key] = (acc.get(key, 0) + sign * v) % p
+
+    for _ in range(rng.randint(0, 2)):
+        add(rng.choice(monomials), _random_rows(rng, p), 1)
+    for _ in range(rng.randint(0, 3) if pairs else 0):
+        entries = _random_rows(rng, p)
+        a, b = rng.sample(rng.choice(pairs), 2)
+        add(a, entries, 1)
+        add(b, entries, -1)
+    coeffs = {}
+    for gamma, entries in terms.items():
+        for (r, col), v in entries.items():
+            if v:
+                coeffs.setdefault(gamma, {}).setdefault(r, {})[col] = v
+    return coeffs
+
+
+def _groups(coeffs):
+    """The coefficients by the least index of their monomial."""
+    groups = {}
+    for gamma, rows in coeffs.items():
+        groups.setdefault(gamma[0], {})[gamma] = rows
+    return groups
+
+
+def _kernel(ring, blocks):
+    acc = kernel_builder(ring, 3)
+    for block in blocks:
+        acc.add_rows(block)
+    return acc.nullspace()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_the_fold_decides_as_the_newton_differences(p):
+    """On random sparse homogeneous coefficient sets (degree 2..6, d <= 4)
+    the folded rows and ``_newton_rows`` give the same kernel, for all of
+    f and for each least-index group, and so the same verdict."""
+    R, rng = Zmod(p), random.Random(p)
+    verdicts = set()
+    for _ in range(150):
+        d, degree = rng.randint(1, 4), rng.randint(2, 6)
+        coeffs = _random_coefficients(rng, p, d, degree)
+        for part in (coeffs, *_groups(coeffs).values()):
+            fold = list(vanishing_rows(R, part, degree, d))
+            newton = list(_newton_rows(R, part, degree, d))
+            assert (fold == []) == (newton == [])
+            assert _kernel(R, fold) == _kernel(R, newton)
+            verdicts.add((bool(part), fold == []))
+    assert verdicts >= {(True, False), (False, True)}
+    if p < 6:
+        assert (True, True) in verdicts    # some nonzero f vanish
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_a_group_folds_to_no_rows_iff_it_vanishes_everywhere(p):
+    """On (Z/p)^d, d <= 3, by brute force: a least-index group's folded
+    rows vanish iff its polynomial is 0 at every point."""
+    R, rng = Zmod(p), random.Random(f"points/{p}")
+    seen = set()
+    for _ in range(100):
+        d, degree = rng.randint(1, 3), rng.randint(2, 6)
+        for group in _groups(_random_coefficients(rng, p, d, degree)).values():
+            def value(x, r, col):
+                return sum(rows.get(r, {}).get(col, 0) * prod(x[i] for i in gamma)
+                           for gamma, rows in group.items()) % p
+
+            zero = not any(value(x, r, col) for x in itertools.product(range(p), repeat=d)
+                           for r in range(2) for col in range(3))
+            assert (next(vanishing_rows(R, group, degree, d), None) is None) == zero
+            seen.add(zero)
+    assert seen == ({True, False} if p < 6 else {False})    # nothing folds at p = 7
 
 
 # -- Stirling differences -----------------------------------------------------
