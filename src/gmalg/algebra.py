@@ -632,20 +632,26 @@ class Algebra(_Normal):
 
     def adjoint_terms(self):
         """``ad[r]``: the (i, terms) with [e_r, e_i] != 0, its terms the
-        nonzero (s, c) with c in normal form (see ``ad_stream``)."""
+        nonzero (s, c) with c in normal form (see ``ad_stream``).  A pair
+        whose two products have the same terms commutes and is skipped;
+        where e_i e_r = 0 the terms are those of e_r e_i; otherwise the two
+        are subtracted in plain ints and reduced once per coordinate."""
         if self._ad is None:
-            rg, T = self.ring, self._terms
+            normal, T = self.ring.normal, self._terms
             ad = []
             for r in range(self.dim):
                 row = []
                 for i in range(self.dim):
-                    if T[r][i] or T[i][r]:
-                        c = dict(T[r][i])
-                        for s, v in T[i][r]:
-                            c[s] = rg.sub(c.get(s, rg.zero), v)
-                        terms = tuple((s, v) for s, v in c.items() if v)
-                        if terms:
-                            row.append((i, terms))
+                    ri, ir = T[r][i], T[i][r]
+                    if ri == ir:
+                        continue
+                    if ir:
+                        c = dict(ri)
+                        for s, v in ir:
+                            c[s] = c.get(s, 0) - v
+                        ri = tuple((s, w) for s, v in c.items() if (w := normal(v)))
+                    if ri:
+                        row.append((i, ri))
                 ad.append(tuple(row))
             self._ad = tuple(ad)
         return self._ad

@@ -38,8 +38,11 @@ EXIT_INPUT = 3
 def _emit(doc, path=None):
     text = jsonio.dumps(doc)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -304,6 +307,8 @@ def build_parser():
     f.add_argument("--variant", choices=["upper", "lower"], default="upper")
     f.add_argument("--emit")
     f.set_defaults(func=cmd_family)
+    # each subcommand's own parser, by name, for ``_parse``
+    p.commands = {"validate": v, "build": b, "classify": c, "sweep": s, "family": f}
     return p
 
 
@@ -315,8 +320,24 @@ def _parser():
     return build_parser()
 
 
+def _parse(argv):
+    """The namespace of the command line ``argv``.  The full parser hands
+    everything after the subcommand to that subcommand's parser and copies
+    its namespace; so when ``argv[0]`` names a subcommand, its parser alone
+    parses the rest, once.  Only when ``argv[0]`` names none, or arguments
+    are left over, does the full parser run, so every usage, help and
+    error text and exit code is the full parser's."""
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except TheoremViolation as exc:

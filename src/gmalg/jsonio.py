@@ -159,8 +159,13 @@ def map_from_json(obj, ring):
 
 
 def load_file(path):
+    """The JSON document at ``path``, decoded as UTF-8 whatever the locale.
+    A file that cannot be opened or decoded, is not JSON, nests deeper
+    than the recursion limit or holds an int too long to convert is
+    refused with ``InputError``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise InputError(f"cannot read JSON document {path}: {exc}") from exc

@@ -124,20 +124,36 @@ def representatives(A, budget=DEFAULT_BUDGET):
 
 def _grouped(cells):
     """The nonzero entries c = cells[i][j][r] as
-    [(i, [(j, ((r, c), ...)), ...]), ...], empty groups left out."""
+    [(i, [(j, ((r, c), ...)), ...]), ...], empty groups left out; a cell
+    with no nonzero entry is skipped before it is enumerated."""
     out = []
     for i, row in enumerate(cells):
-        group = [(j, terms) for j, cell in enumerate(row)
-                 if (terms := tuple((r, c) for r, c in enumerate(cell) if c))]
+        group = [(j, tuple((r, c) for r, c in enumerate(cell) if c))
+                 for j, cell in enumerate(row) if any(cell)]
         if group:
             out.append((i, group))
     return out
 
 
 def _commutators(A):
-    """The nonzero constants of e_i e_j - e_j e_i, read off the table."""
-    sub, T, every = A.ring.sub, A.table, range(A.dim)
-    return _grouped([[map(sub, T[i][j], T[j][i]) for j in every] for i in every])
+    """The nonzero constants of e_i e_j - e_j e_i, read off the table.  A
+    pair whose two products are equal commutes and gets the empty cell;
+    where e_j e_i = 0 the cell is e_i e_j as it is; otherwise the two are
+    subtracted in plain ints and reduced once per coordinate."""
+    T, normal, every = A.table, A.ring.normal, range(A.dim)
+    cells = []
+    for i in every:
+        row = []
+        for j in every:
+            ij, ji = T[i][j], T[j][i]
+            if ij == ji:
+                row.append(())
+            elif not any(ji):
+                row.append(ij)
+            else:
+                row.append([normal(a - b) for a, b in zip(ij, ji)])
+        cells.append(row)
+    return _grouped(cells)
 
 
 def _structure(A, comm=None):

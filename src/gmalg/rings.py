@@ -264,7 +264,10 @@ def scalar_from_json(ring, v):
     if type(v) is int:
         return ring.coerce(v)
     if ring.kind == "Q" and isinstance(v, str) and _RATIO.fullmatch(v):
-        num, den = map(int, v.split("/"))
+        try:
+            num, den = map(int, v.split("/"))
+        except ValueError:      # more digits than int() converts: refused
+            den = 0
         if den:
             return _canonical(Fraction(num, den))
     raise InputError(f"not a scalar of {ring!r}: {v!r}")

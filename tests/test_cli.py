@@ -475,6 +475,40 @@ def test_bad_input_files(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
 
 
+# documents that json cannot decode for other reasons than their syntax
+UNREADABLE = {
+    "not UTF-8": b"\xff\xfe",
+    "nested deeper than the recursion limit": b"[" * 200000,
+    "an int of more than 4300 digits": (
+        b'{"schema": "map/1", "matrix": [[' + b"9" * 4400 + b', 0], [0, 1]]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_an_unreadable_document_exits_3(case, ctx_m2_z3, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(UNREADABLE[case])
+    path, (ctx, _) = str(doc), ctx_m2_z3
+    for argv in (["validate", path], ["classify", ctx, path]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (cli.EXIT_INPUT, ""), err
+        assert err.startswith(f"InputError: cannot read JSON document {path}: "), err
+        assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--kind", "full", "--ring", "zmod:3"],
+    ["validate", "CTX"],
+])
+def test_an_unwritable_emit_path_exits_3(argv, ctx_m2_z3, tmp_path, capsys):
+    target = str(tmp_path / "missing" / "out.json")
+    argv = [ctx_m2_z3[0] if a == "CTX" else a for a in argv]
+    code, out, err = run_cli([*argv, "--emit", target], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, ""), err
+    assert err.startswith(f"InputError: cannot write {target}: "), err
+    assert err.count("\n") == 1, err
+
+
 def test_inflated_family_command(capsys):
     code, out, _ = run_cli(
         ["family", "--kind", "inflated", "--ring", "zmod:3", "--n", "2",
@@ -571,6 +605,8 @@ MALFORMED = {
     "module dim 1.5": (
         "context", None, _bad_context(Zmod(3), ("M", "dim"), 1.5)),
     "context document a list": ("context", None, [_context_doc(Zmod(3))]),
+    "map scalar of more than 4300 digits over Q": (
+        "map", Rationals(), _map_doc(Rationals(), "9" * 4400 + "/1")),
 }
 
 
@@ -634,3 +670,105 @@ def test_parser_is_built_once_and_keeps_no_state(ctx_m2_z3, tmp_path, capsys,
         assert len(built) == 1
     finally:
         cli._parser.cache_clear()
+
+
+# -- dispatch: each command line parsed once, by its subcommand's parser ------
+
+CTX, MAP, OUT = "ctx.json", "map.json", "out.json"
+COMMANDS = ("validate", "build", "classify", "sweep", "family")
+PARSED = [
+    ["validate", CTX],
+    ["validate", CTX, "--emit", OUT],
+    ["build", CTX],
+    ["build", CTX, "--emit", OUT],
+    ["classify", CTX, MAP],
+    ["classify", CTX, MAP, "--k", "2", "--oracle", "--mode", "proper",
+     "--budget", "50", "--emit", OUT],
+    ["sweep", CTX],
+    ["sweep", CTX, "--k", "3", "--mode", "steps", "--seed", "7", "--samples", "2",
+     "--emit", OUT],
+    ["family", "--kind", "full", "--ring", "zmod:3"],
+    ["family", "--kind", "inflated", "--ring", "q", "--n", "3", "--split", "2",
+     "--dims", "2,1", "--gamma", "1,0,0;0,1,0;0,0,1", "--variant", "lower",
+     "--emit", OUT],
+    ["classify", CTX, MAP, "--mode=proper"],
+    ["classify", CTX, MAP, "--ora"],
+    ["classify", "--k", "2", "--", CTX, MAP],
+    ["sweep", "--", CTX],
+]
+# argparse exits on these: help (0) or a usage error (2)
+EXITING = [
+    ["classify", "-h"],
+    ["sweep", CTX, "--help"],
+    ["-h"],
+    [],
+    ["frob"],
+    ["classify", CTX, MAP, "--bogus"],
+    ["sweep", CTX, "extra"],
+    ["classify", CTX],
+    ["classify", CTX, MAP, "--mode", "fast"],
+    ["classify", CTX, MAP, "--k", "two"],
+    ["classify", CTX, MAP, "--k"],
+]
+
+
+def _outcome(parse, argv, capsys):
+    """(exit code, namespace, stdout, stderr) of ``parse(argv)``; the
+    namespace is None when it exits."""
+    try:
+        args, code = parse(argv), cli.EXIT_OK
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out = capsys.readouterr()
+    return code, args, out.out, out.err
+
+
+@pytest.fixture()
+def recording_commands(monkeypatch):
+    """Each subcommand's function replaced by one that records its
+    namespace; the parser is rebuilt around them, and again after."""
+    seen = []
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}",
+                            lambda args, name=name: seen.append((name, args)) or cli.EXIT_OK)
+    cli._parser.cache_clear()
+    yield seen
+    cli._parser.cache_clear()
+
+
+def _main_namespace(seen):
+    def parse(argv):
+        seen.clear()
+        assert cli.main(argv) == cli.EXIT_OK
+        (name, args), = seen
+        assert args.command == name
+        return args
+    return parse
+
+
+@pytest.mark.parametrize("argv", PARSED + EXITING, ids=" ".join)
+def test_main_parses_a_command_line_as_the_full_parser(argv, recording_commands, capsys):
+    """The same namespace, exit code, stdout and stderr bytes: help, usage
+    and error texts included."""
+    full = _outcome(lambda argv: cli.build_parser().parse_args(argv), argv, capsys)
+    assert _outcome(_main_namespace(recording_commands), argv, capsys) == full
+    assert (full[1] is not None) == (argv in PARSED)
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+def test_a_subcommand_line_is_parsed_once(argv, recording_commands, capsys, monkeypatch):
+    """A command line that its subcommand's parser takes whole never
+    reaches the full parser."""
+    def refuse(*_):
+        raise AssertionError("parsed twice")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+    monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
+    assert _outcome(_main_namespace(recording_commands), argv, capsys)[0] == cli.EXIT_OK
+
+
+def test_build_parser_keeps_each_subcommand_parser_by_name():
+    parser = cli.build_parser()
+    assert sorted(parser.commands) == sorted(COMMANDS)
+    for name, sub in parser.commands.items():
+        assert sub.prog == f"gmalg {name}"

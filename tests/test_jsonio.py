@@ -86,6 +86,12 @@ def test_load_file_rejects_garbage(tmp_path):
         jsonio.load_file(str(tmp_path / "missing.json"))
 
 
+def test_load_file_decodes_utf8_whatever_the_locale(tmp_path):
+    p = tmp_path / "x.json"
+    p.write_bytes('{"labels": ["\u00e9", "\u2218"]}'.encode("utf-8"))
+    assert jsonio.load_file(str(p)) == {"labels": ["\u00e9", "\u2218"]}
+
+
 # ---------------------------------------------------------------------------
 # refusals: each decoded scalar, list and shape, with its message
 # ---------------------------------------------------------------------------

@@ -32,7 +32,14 @@ from gmalg.oracle import (
 )
 from gmalg.rings import Rationals, Zmod
 
-from conftest import _in_random_basis, is_zero, iterated_bracket, square_zero_algebra
+from conftest import (
+    Q_FAMILIES,
+    _in_random_basis,
+    is_normal,
+    is_zero,
+    iterated_bracket,
+    square_zero_algebra,
+)
 
 
 def test_enumeration_counts():
@@ -121,6 +128,89 @@ FAMILIES = {
     "T3": lambda R: triangular_gma(R, 3, 1),
     "B(2,1)": lambda R: block_triangular_gma(R, (2, 1), 1),
 }
+
+
+# -- the commutator constants -------------------------------------------------
+
+def _commutator_constants(A):
+    """{(i, j): {r: c}}: the nonzero constants c of e_i e_j - e_j e_i at
+    coordinate r, read off the dense table."""
+    T, d, normal = A.table, A.dim, A.ring.normal
+    out = {}
+    for i in range(d):
+        for j in range(d):
+            cell = {r: c for r in range(d) if (c := normal(T[i][j][r] - T[j][i][r]))}
+            if cell:
+                out[i, j] = cell
+    return out
+
+
+def _as_constants(A, groups):
+    """``groups``, [(i, [(j, ((r, c), ...)), ...]), ...], as {(i, j): {r: c}},
+    after checking that no group or cell is empty or given twice and that
+    every scalar is nonzero and in normal form."""
+    out = {}
+    for i, row in groups:
+        assert row
+        for j, terms in row:
+            assert terms and (i, j) not in out
+            assert all(is_normal(A.ring, c) and c for _, c in terms)
+            out[i, j] = dict(terms)
+            assert len(out[i, j]) == len(terms)
+    return out
+
+
+def _assert_commutators(A):
+    """``Algebra.adjoint_terms`` and ``oracle._commutators`` each give the
+    constants of e_i e_j - e_j e_i, on a copy of A with nothing cached."""
+    want = _commutator_constants(A)
+    fresh = Algebra(A.ring, A.labels, A.table, A.unit)
+    ad = fresh.adjoint_terms()
+    assert len(ad) == A.dim
+    assert _as_constants(A, [(r, row) for r, row in enumerate(ad) if row]) == want
+    assert _as_constants(A, oracle._commutators(fresh)) == want
+    return want
+
+
+# every family of conftest, over Q, Z/p and composite Z/n
+COMMUTATOR_SOURCES = {
+    **{name: name for name in ("m2_z3", "m2_z5", "t2_z3", "t2_z5", "t3_z3", "b21_z3",
+                               "non_faithful_z3")},
+    **{name: build for name, _, build in Q_FAMILIES},
+    **{f"{family}(Z/{n})": (lambda build=build, n=n: build(Zmod(n)))
+       for family, build in FAMILIES.items() for n in (4, 6, 9)},
+}
+
+
+@pytest.mark.parametrize("source", sorted(COMMUTATOR_SOURCES))
+def test_commutator_constants_are_read_off_the_table(source, request):
+    """On G, A and B, in the standard basis and in random ones."""
+    make = COMMUTATOR_SOURCES[source]
+    G = request.getfixturevalue(make) if isinstance(make, str) else make()
+    for alg in (G.algebra, G.ctx.A, G.ctx.B):
+        _assert_commutators(alg)
+        if alg.dim > 1:         # a random basis needs two elements to mix
+            for seed in (1, 2):
+                _assert_commutators(_in_random_basis(alg, random.Random(seed))[0])
+
+
+def _dual_numbers(R):
+    """R[x]/(x^2) on the basis 1, x: commutative."""
+    return Algebra(R, ["1", "x"], [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))
+
+
+@pytest.mark.parametrize("ring", [Rationals(), Zmod(3), Zmod(4), Zmod(6)], ids=repr)
+@pytest.mark.parametrize("build", [_dual_numbers, square_zero_algebra],
+                         ids=["R[x]/(x^2)", "R[x,y]/(x,y)^2"])
+def test_a_commutative_algebra_has_no_commutator_constants(build, ring):
+    """Every pair commutes, most of them with equal nonempty products."""
+    A = build(ring)
+    assert any(A.table[i][j] == A.table[j][i] and any(A.table[i][j])
+               for i in range(A.dim) for j in range(i))
+    assert _assert_commutators(A) == {}
+    assert A.adjoint_terms() == ((),) * A.dim
+    assert oracle._commutators(A) == []
+    _assert_commutators(_in_random_basis(A, random.Random(1))[0])
 
 
 def brute_commuting_space(A, k):

@@ -53,23 +53,39 @@ def _ring(n):
 
 # -- the reference: point evaluation and differences of the values ----------
 
+def _minus(ring, rows, others):
+    """The rows (dicts column -> scalar) minus the others, row by row."""
+    out = []
+    for row, other in zip(rows, others):
+        row = dict(row)
+        for col, v in other.items():
+            row[col] = ring.sub(row.get(col, ring.zero), v)
+        out.append(row)
+    return out
+
+
 def reference_kernel(ring, dim, degree, rows_at, ncols):
+    """The kernel of the Newton differences D^alpha f(0) of the values f(beta)
+    at the lattice points.  D^alpha = D_1^alpha_1 ... D_d^alpha_d, so the
+    differences are taken one axis at a time: along each line of axis i,
+    which the downward-closed lattice meets in 0..m, the values at 0..m
+    become their differences D_i^0..D_i^m in place (at each level, from
+    the top down, each value minus the one below it)."""
     scalars = [ring.coerce(b) for b in range(degree + 1)]
-    values = {
+    diffs = {
         beta: rows_at(tuple(scalars[b] for b in beta))
         for beta in lattice_points(ring, dim, degree)
     }
+    for i in range(dim):
+        for level in range(1, degree + 1):
+            for beta in sorted((b for b in diffs if b[i] >= level), key=lambda b: -b[i]):
+                below = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+                diffs[beta] = _minus(ring, diffs[beta], diffs[below])
     acc = kernel_builder(ring, ncols)
-    for alpha, rows in values.items():
+    for alpha, rows in diffs.items():
         if max(alpha, default=0) == sum(alpha) != 1:
             continue
-        diff = [{} for _ in rows]
-        for gamma in itertools.product(*(range(a + 1) for a in alpha)):
-            c = (-1) ** (sum(alpha) - sum(gamma)) * prod(map(comb, alpha, gamma))
-            for out, row in zip(diff, values[gamma]):
-                for col, v in row.items():
-                    out[col] = ring.add(out.get(col, ring.zero), ring.mul(c, v))
-        acc.add_rows(diff)
+        acc.add_rows(rows)
     return acc.nullspace()
 
 
