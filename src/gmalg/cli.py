@@ -22,7 +22,7 @@ from .families import (
     InflatedSpec,
     block_triangular_gma,
     full_matrix_gma,
-    inflated_algebra,
+    inflated_from_normal,
     triangular_gma,
 )
 from .algebra import Algebra
@@ -229,7 +229,7 @@ def cmd_family(args):
         one = ((0, ring.one),)      # the terms of 1 * 1 = 1
         base = Algebra._from_normal(ring, ["1"], ((one,),), (ring.one,))
         gamma = _parse_gamma(args.gamma, ring, args.n)
-        inf = inflated_algebra(InflatedSpec(base, args.n, gamma))
+        inf = inflated_from_normal(InflatedSpec(base, args.n, gamma))
         doc = {
             "has_identity": inf.has_identity,
             "algebra": jsonio.algebra_to_json(inf.algebra),

@@ -148,7 +148,19 @@ def inflated_algebra(spec):
     X o Y = X * Gamma * Y, taken in P = M_n(R) ⊗ base.  Unital exactly
     when Gamma is invertible in P; then the identity is Gamma^{-1} and
     X -> X * Gamma^{-1} is an isomorphism onto P (verified on basis
-    pairs)."""
+    pairs).  Each twist entry is coerced by ``base.vec``."""
+    return _inflated(spec, spec.base.vec)
+
+
+def inflated_from_normal(spec):
+    """``inflated_algebra`` for a twist whose entries are tuples of
+    ``base.dim`` scalars in normal form already, as the command line
+    decodes them: nothing is coerced again."""
+    return _inflated(spec, tuple)
+
+
+def _inflated(spec, vec):
+    """``inflated_algebra``, each twist entry read as ``vec(entry)``."""
     base, g = spec.base, spec.gamma
     rg = base.ring
     n = int(spec.n)
@@ -158,7 +170,7 @@ def inflated_algebra(spec):
         raise BadShape("twist matrix must be n x n")
     P = _tensor(matrix_algebra(rg, n), base)
     # n x n entries of the base's dimension, so P.dim coordinates
-    gamma = tuple(c for row in g for entry in row for c in base.vec(entry))
+    gamma = tuple(c for row in g for entry in row for c in vec(entry))
     basis = P.basis()
     table = [[P.mul(x, e) for e in basis] for x in (P.mul(e, gamma) for e in basis)]
     terms = _nonzero_terms(table)

@@ -3,13 +3,18 @@
 Everything here is computed straight from the definitions with its own
 multiplication and enumeration loops -- deliberately sharing nothing with
 the optimized implementations except scalar arithmetic -- so the two
-routes can validate each other.  The oracle reads only ``A.table`` and
-``theta.rows``: products and brackets come from the nonzero structure
-constants and the commutator constants e_i e_j - e_j e_i, summed in plain
-ints and reduced once per coordinate; theta is applied from its own sparse
-columns.  ``A.table`` is the dense view of the terms the algebra stores,
-expanded on first read; the oracle re-reads it with its own loops
-(``_grouped``) and shares no engine code with the fast paths.
+routes can validate each other.  The oracle reads only ``A._terms``, the
+nonzero terms the algebra stores of each product e_i e_j, and
+``theta.rows``; it never expands the dense view ``A.table``.  Products
+come from the structure constants, brackets from the commutator
+constants [e_i, e_j] = e_i e_j - e_j e_i of the pairs i < j alone:
+[y, x] = sum_{i<j} (y_i x_j - y_j x_i) [e_i, e_j], exact because
+[e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0.  Each product and each
+bracket is summed in plain ints and reduced once per coordinate, so an
+iterated bracket [y, x]_k is reduced once per bracket, and the chain
+stops as soon as it reaches 0, since [0, x] = 0.  theta is applied from
+its own sparse columns.  The oracle shares no engine code with the fast
+paths.
 
 Every "for all x" identity is decided at one element of each unit orbit
 {u*x : u a unit}: at its representative, the element that comes first in
@@ -122,50 +127,48 @@ def representatives(A, budget=DEFAULT_BUDGET):
         yield from _odometer(scalars, prefix, d - len(prefix))
 
 
-def _grouped(cells):
-    """The nonzero entries c = cells[i][j][r] as
-    [(i, [(j, ((r, c), ...)), ...]), ...], empty groups left out; a cell
-    with no nonzero entry is skipped before it is enumerated."""
+def _products(A):
+    """The nonzero constants of e_i e_j, the stored terms ``A._terms``, as
+    the groups [(i, [(j, ((r, c), ...)), ...]), ...] that ``_sums`` reads:
+    empty cells and rows are left out."""
     out = []
-    for i, row in enumerate(cells):
-        group = [(j, tuple((r, c) for r, c in enumerate(cell) if c))
-                 for j, cell in enumerate(row) if any(cell)]
+    for i, row in enumerate(A._terms):
+        group = [(j, cell) for j, cell in enumerate(row) if cell]
         if group:
             out.append((i, group))
     return out
 
 
 def _commutators(A):
-    """The nonzero constants of e_i e_j - e_j e_i, read off the table.  A
-    pair whose two products are equal commutes and gets the empty cell;
-    where e_j e_i = 0 the cell is e_i e_j as it is; otherwise the two are
-    subtracted in plain ints and reduced once per coordinate."""
-    T, normal, every = A.table, A.ring.normal, range(A.dim)
-    cells = []
-    for i in every:
-        row = []
-        for j in every:
+    """The nonzero constants of [e_i, e_j] = e_i e_j - e_j e_i for i < j,
+    read off the stored terms ``A._terms``, grouped as ``_products`` groups
+    them; [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0 give the rest.  A
+    pair whose two products have the same terms commutes and is left out;
+    where e_j e_i = 0 the constants are those of e_i e_j; otherwise the two
+    are subtracted in plain ints and reduced once per coordinate."""
+    T, normal, d = A._terms, A.ring.normal, A.dim
+    out = []
+    for i in range(d):
+        group = []
+        for j in range(i + 1, d):
             ij, ji = T[i][j], T[j][i]
             if ij == ji:
-                row.append(())
-            elif not any(ji):
-                row.append(ij)
-            else:
-                row.append([normal(a - b) for a, b in zip(ij, ji)])
-        cells.append(row)
-    return _grouped(cells)
-
-
-def _structure(A, comm=None):
-    """(products, commutators): the nonzero constants of e_i e_j, and
-    ``comm = _commutators(A)``, as ``_mul`` and ``_bracket_power`` read
-    them."""
-    return _grouped(A.table), _commutators(A) if comm is None else comm
+                continue
+            if ji:
+                c = dict(ij)
+                for r, v in ji:
+                    c[r] = c.get(r, 0) - v
+                ij = tuple((r, w) for r, v in sorted(c.items()) if (w := normal(v)))
+            if ij:
+                group.append((j, ij))
+        if group:
+            out.append((i, group))
+    return out
 
 
 def _sums(d, terms, x, y):
     """Sum_{i,j} x_i y_j t_ij over the nonzero x_i and y_j, with the t_ij
-    grouped as ``_grouped`` gives them, as d plain ints, unreduced."""
+    grouped as ``_products`` gives them, as d plain ints, unreduced."""
     out = [0] * d
     for i, row in terms:
         xi = x[i]
@@ -181,20 +184,32 @@ def _sums(d, terms, x, y):
 
 
 def _bilinear(A, terms, x, y):
-    """``_sums`` with one ``ring.normal`` per coordinate."""
+    """``_sums`` with one ``ring.normal`` per coordinate: x * y, with the
+    terms ``_products(A)``."""
     return tuple(map(A.ring.normal, _sums(A.dim, terms, x, y)))
 
 
-def _mul(A, S, x, y):
-    """x * y from ``S = _structure(A)``."""
-    return _bilinear(A, S[0], x, y)
-
-
-def _bracket_power(A, S, y, x, k):
-    """[y, x]_k by direct recursion on the commutator constants of
-    ``S = _structure(A)``."""
+def _bracket_power(A, comm, y, x, k):
+    """[y, x]_k by direct recursion on ``comm = _commutators(A)``: each
+    bracket [y, x] = sum_{i<j} (y_i x_j - y_j x_i) [e_i, e_j] is summed in
+    plain ints and reduced mod n once per coordinate (the oracle's rings
+    are the finite Z/n), so y may come unreduced when k >= 1.  A row i
+    with y_i = x_i = 0 adds nothing and is skipped, and the chain stops
+    once a bracket is 0, since [0, x] = 0."""
+    d, n = A.dim, A.ring.n
     for _ in range(k):
-        y = _bilinear(A, S[1], y, x)
+        out = [0] * d
+        for i, row in comm:
+            yi, xi = y[i], x[i]
+            if yi or xi:
+                for j, cell in row:
+                    c = yi * x[j] - y[j] * xi
+                    if c:
+                        for r, cr in cell:
+                            out[r] += c * cr
+        y = tuple([v % n for v in out])
+        if not any(y):
+            break
     return y
 
 
@@ -231,7 +246,10 @@ def brute_center(A, budget=DEFAULT_BUDGET, comm=None):
     j, from the commutator constants ``comm = _commutators(A)``.  Each check
     sum_i a_i [e_i, e_j]_r = 0 is made once its last digit is set, and a
     prefix that fails one is dropped with all its extensions; after the
-    last digit that ends a check every tail is central."""
+    last digit that ends a check every tail is central.  A pair i < j
+    gives a_i [e_i, e_j] to the checks of j and a_j [e_j, e_i] =
+    -a_j [e_i, e_j] to those of i; the pairs come in ascending i, so each
+    check's terms do too."""
     scalars = _scalars(A, budget)
     d, normal = A.dim, A.ring.normal
     forms = {}
@@ -239,6 +257,7 @@ def brute_center(A, budget=DEFAULT_BUDGET, comm=None):
         for j, cell in row:
             for r, c in cell:
                 forms.setdefault((j, r), []).append((i, c))
+                forms.setdefault((i, r), []).append((j, normal(-c)))
     ending = [[] for _ in range(d)]     # by last digit: (the rest, its coefficient)
     for terms in dict.fromkeys(map(tuple, forms.values())):
         *rest, (last, c) = terms
@@ -267,13 +286,13 @@ def brute_zk(A, k, budget=DEFAULT_BUDGET):
     central one is expanded into its orbit {u*a}."""
     if k == 1:
         return brute_center(A, budget)
-    ring, S = A.ring, _structure(A)
+    ring, comm = A.ring, _commutators(A)
     units = _units(ring, _scalars(A, budget))
     reps = list(representatives(A, budget))
     return sorted({
         tuple(ring.mul(u, c) for c in a)
         for a in reps
-        if not any(any(_bracket_power(A, S, a, x, k)) for x in reps)
+        if not any(any(_bracket_power(A, comm, a, x, k)) for x in reps)
         for u in units
     })
 
@@ -281,18 +300,19 @@ def brute_zk(A, k, budget=DEFAULT_BUDGET):
 def brute_k_commuting(G, theta, k, budget=DEFAULT_BUDGET, comm=None):
     """(True, None) or (False, the first failing x in odometer order),
     straight from the definition at the representatives x, which keep that
-    first witness.  theta(x) and its k brackets with x are summed in plain
-    ints and reduced once per coordinate: reduction is a ring
-    homomorphism from the integers; ``comm`` is ``_commutators(A)``, if given."""
+    first witness.  theta(x) is summed in plain ints and handed on
+    unreduced; each of its k brackets with x is reduced once per
+    coordinate, and the chain stops at 0 (``_bracket_power``).  Reduction
+    is a ring homomorphism from the integers, so this is exact.  ``comm``
+    is ``_commutators(A)``, if given."""
+    if k < 1:
+        raise DimensionMismatch("commuting order must be >= 1")
     A = getattr(G, "algebra", G)
-    d, normal = A.dim, A.ring.normal
+    d = A.dim
     comm = _commutators(A) if comm is None else comm
     cols = _columns(A, theta)
     for x in representatives(A, budget):
-        y = _sums(d, cols, (1,), x)
-        for _ in range(k):
-            y = _sums(d, comm, y, x)
-        if any(map(normal, y)):
+        if any(_bracket_power(A, comm, _sums(d, cols, (1,), x), x, k)):
             return False, x
     return True, None
 
@@ -302,16 +322,15 @@ def brute_properness(G, theta, budget=DEFAULT_BUDGET, comm=None):
     x -> theta(x) - x*lambda lands in the center; (True, lambda) on the
     first hit, else (False, None).  ``comm`` as in ``brute_k_commuting``."""
     A = getattr(G, "algebra", G)
-    ring = A.ring
-    S = _structure(A, comm)
-    center = brute_center(A, budget, S[1])
+    ring, products = A.ring, _products(A)
+    center = brute_center(A, budget, comm)
     cset = set(center)
     basis = _basis(A)
     cols = _columns(A, theta)
     images = [_apply(A, cols, e) for e in basis]
     for lam in center:
         if all(
-            tuple(map(ring.sub, img, _mul(A, S, e, lam))) in cset
+            tuple(map(ring.sub, img, _bilinear(A, products, e, lam))) in cset
             for e, img in zip(basis, images)
         ):
             return True, lam

@@ -242,13 +242,23 @@ def parse_ring(obj):
     raise InputError(f"unknown ring kind {kind!r}")
 
 
+def _flag_int(digits, what):
+    """The int written as ``digits`` in a command-line flag.  More digits
+    than int() converts are refused with ``InputError``, as they are in a
+    document."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise InputError(f"cannot read {what}: {exc}") from None
+
+
 def parse_ring_flag(text):
     """Parse CLI shorthand like 'zmod:3' or 'q'."""
     t = text.strip().lower()
     if t in ("q", "rationals"):
         return Rationals()
     if t.startswith("zmod:") and _INT.fullmatch(t[5:]):
-        return Zmod(int(t[5:]))
+        return Zmod(_flag_int(t[5:], "a command-line modulus"))
     raise InputError(f"cannot parse ring {text!r} (expected 'zmod:N' or 'q')")
 
 
@@ -276,4 +286,6 @@ def scalar_from_json(ring, v):
 def parse_scalar_flag(ring, text):
     """A scalar written on the command line: an int, or over Q "p/q"."""
     t = text.strip()
-    return scalar_from_json(ring, int(t) if _INT.fullmatch(t) else t)
+    if _INT.fullmatch(t):
+        t = _flag_int(t, "a command-line scalar")
+    return scalar_from_json(ring, t)

@@ -637,6 +637,35 @@ def test_malformed_family_flags_exit_3(flags, capsys):
     assert (code, out) == (cli.EXIT_INPUT, ""), err
 
 
+# an int of more digits than int() converts, in each flag that holds one
+OVERLONG = "9" * 5000
+
+
+@pytest.mark.parametrize("flags, what", [
+    (["--kind", "inflated", "--ring", "zmod:3", "--n", "2", "--gamma", f"1,{OVERLONG};0,1"],
+     "a command-line scalar"),
+    (["--kind", "full", "--ring", f"zmod:{OVERLONG}", "--n", "2"], "a command-line modulus"),
+], ids=["--gamma", "--ring"])
+def test_an_overlong_int_in_a_flag_exits_3(flags, what, capsys):
+    code, out, err = run_cli(["family", *flags], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, ""), err
+    assert err.startswith(f"InputError: cannot read {what}: Exceeds the limit"), err
+    assert err.count("\n") == 1, err
+
+
+def test_inflated_family_decodes_each_twist_entry_once(capsys, monkeypatch):
+    """The twist's scalars are coerced where the command line decodes them
+    and nowhere again: once for each int entry ("1/2" is read as a
+    Fraction, not coerced)."""
+    calls, coerce = [], Rationals.coerce
+    monkeypatch.setattr(Rationals, "coerce",
+                        lambda self, v: calls.append(v) or coerce(self, v))
+    code, _, _ = run_cli(["family", "--kind", "inflated", "--ring", "q", "--n", "3",
+                          "--gamma", "1/2,1,0;0,1,1;0,0,1"], capsys)
+    assert code == cli.EXIT_OK
+    assert calls == [1, 0, 0, 1, 1, 0, 0, 1]
+
+
 def test_inflated_family_takes_rational_gamma(capsys):
     code, out, _ = run_cli(
         ["family", "--kind", "inflated", "--ring", "q", "--n", "2",

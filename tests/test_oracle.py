@@ -8,7 +8,7 @@ import pytest
 
 from gmalg import algebra, linalg, maps, oracle
 from gmalg.algebra import Algebra, Submodule
-from gmalg.errors import BudgetExceeded, NotEnumerable
+from gmalg.errors import BudgetExceeded, DimensionMismatch, NotEnumerable
 from gmalg.families import (
     block_triangular_gma,
     full_matrix_gma,
@@ -19,10 +19,11 @@ from gmalg.families import (
 from gmalg.maps import LinMap, commuting_space, is_k_commuting, properness_certificate
 from gmalg.oracle import (
     _apply,
+    _bilinear,
     _bracket_power,
     _columns,
-    _mul,
-    _structure,
+    _commutators,
+    _products,
     brute_center,
     brute_k_commuting,
     brute_properness,
@@ -38,6 +39,7 @@ from conftest import (
     is_normal,
     is_zero,
     iterated_bracket,
+    proper_map,
     square_zero_algebra,
 )
 
@@ -65,6 +67,16 @@ def test_enumeration_guards():
         next(enumerate_elements(matrix_algebra(Rationals(), 2)))
 
 
+def test_brute_k_commuting_refuses_order_zero(m2_z3):
+    """theta(x) is handed to the brackets unreduced, so there must be one;
+    order 0 is refused as ``is_k_commuting`` refuses it."""
+    theta = LinMap.identity(m2_z3.ring, m2_z3.dim)
+    with pytest.raises(DimensionMismatch, match="commuting order must be >= 1"):
+        brute_k_commuting(m2_z3, theta, 0)
+    with pytest.raises(DimensionMismatch, match="commuting order must be >= 1"):
+        is_k_commuting(m2_z3, theta, 0)
+
+
 def test_brute_center_matches_optimized():
     for A in (matrix_algebra(Zmod(3), 2), triangular_matrix_algebra(Zmod(3), 2)):
         assert sorted(A.center().elements()) == brute_center(A)
@@ -75,12 +87,6 @@ def test_brute_center_matches_optimized():
                          ids=["M2(Z/4)", "T2(Z/6)"])
 def test_brute_center_matches_optimized_over_composite_rings(A):
     assert brute_center(A) == sorted(A.center().elements())
-
-
-def test_brute_zk_matches_optimized():
-    A = triangular_matrix_algebra(Zmod(3), 2)
-    for k in (1, 2):
-        assert sorted(A.engel_center(k).elements()) == brute_zk(A, k)
 
 
 def test_brute_k_commuting_agrees(m2_z3):
@@ -161,14 +167,16 @@ def _as_constants(A, groups):
 
 
 def _assert_commutators(A):
-    """``Algebra.adjoint_terms`` and ``oracle._commutators`` each give the
-    constants of e_i e_j - e_j e_i, on a copy of A with nothing cached."""
+    """``Algebra.adjoint_terms`` gives the constants of e_i e_j - e_j e_i,
+    and ``oracle._commutators`` those of the pairs i < j, on a copy of A
+    with nothing cached."""
     want = _commutator_constants(A)
     fresh = Algebra(A.ring, A.labels, A.table, A.unit)
     ad = fresh.adjoint_terms()
     assert len(ad) == A.dim
     assert _as_constants(A, [(r, row) for r, row in enumerate(ad) if row]) == want
-    assert _as_constants(A, oracle._commutators(fresh)) == want
+    assert _as_constants(A, oracle._commutators(fresh)) \
+        == {(i, j): cell for (i, j), cell in want.items() if i < j}
     return want
 
 
@@ -218,11 +226,11 @@ def brute_commuting_space(A, k):
     x the condition is linear in the entries of theta: theta[p][q] enters
     it with x_q [e_p, x]_k."""
     R, d = A.ring, A.dim
-    S = _structure(A)
+    comm = _commutators(A)
     basis = [tuple(R.one if j == p else R.zero for j in range(d)) for p in range(d)]
     rows = set()
     for x in enumerate_elements(A):
-        brackets = [_bracket_power(A, S, e, x, k) for e in basis]
+        brackets = [_bracket_power(A, comm, e, x, k) for e in basis]
         for r in range(d):
             row = {p * d + q: R.mul(x[q], b[r]) for p, b in enumerate(brackets)
                    for q in range(d) if x[q] and b[r]}
@@ -296,9 +304,10 @@ def _raise(*args, **kwargs):
 
 @pytest.mark.parametrize("name", ["M2", "T2"])
 def test_oracle_runs_without_the_fast_paths(name, monkeypatch):
-    """The oracle reads only the table and the map's rows: with the fast
-    products, brackets, coefficients and map application disabled it
-    still reaches the results the fast paths give."""
+    """The oracle reads only the stored terms and the map's rows: with the
+    fast products, brackets, coefficients and map application, and the
+    dense view's expansion, disabled it still reaches the results the fast
+    paths give."""
     G = FAMILIES[name](Zmod(3))
     A, R, d = G.algebra, G.ring, G.dim
     rng = random.Random(name)
@@ -314,7 +323,7 @@ def test_oracle_runs_without_the_fast_paths(name, monkeypatch):
                    for t in thetas if is_k_commuting(A, t, 1)[0]],
     }
     for owner, attr in [(maps.LinMap, "apply"), (Algebra, "mul"), (Algebra, "map_groups"),
-                        (algebra, "_bilinear")]:
+                        (algebra, "_bilinear"), (algebra, "_expanded")]:
         monkeypatch.setattr(owner, attr, _raise)
     assert brute_center(A) == expected["center"]
     assert brute_zk(A, 2) == expected["z2"]
@@ -344,14 +353,14 @@ def test_oracle_kernels_match_the_algebra(label, A, moved):
     if moved:
         A = _in_random_basis(A, rng)[0]
     R, d, n = A.ring, A.dim, A.ring.n
-    S = _structure(A)
+    products, comm = _products(A), _commutators(A)
     theta = LinMap(R, [[rng.randrange(n) for _ in range(d)] for _ in range(d)])
     cols = _columns(A, theta)
     for _ in range(20):
         x, y = (tuple(rng.randrange(n) for _ in range(d)) for _ in range(2))
-        assert _mul(A, S, x, y) == A.mul(x, y)
+        assert _bilinear(A, products, x, y) == A.mul(x, y)
         for k in (1, 2, 3):
-            assert _bracket_power(A, S, y, x, k) == iterated_bracket(A, y, x, k)
+            assert _bracket_power(A, comm, y, x, k) == iterated_bracket(A, y, x, k)
         assert _apply(A, cols, x) == theta.apply(x)
 
 
@@ -464,6 +473,91 @@ def test_brute_witness_is_the_first_in_order(rung, k, monkeypatch):
     counted.clear()
     brute_center(A)
     assert counted == []
+
+
+# -- the scan against a plain reference ---------------------------------------
+
+def plain_k_commuting(A, theta, k):
+    """((True, None) or (False, the first x in odometer order with
+    [theta(x), x]_k != 0), the x passed on the way whose chain is nonzero
+    after one bracket and 0 after k).  Read from the dense table and the
+    map's rows alone: every element is checked, each of the k brackets is
+    the full double sum sum_{i,j} y_i x_j (e_i e_j - e_j e_i) in plain
+    ints, reduced once at the end and never stopped early."""
+    n, d = A.ring.n, A.dim
+    constants, rows = _commutator_constants(A), theta.rows
+    late = []
+    for x in itertools.product(range(n), repeat=d):
+        y = [sum(row[j] * x[j] for j in range(d)) for row in rows]
+        for level in range(k):
+            out = [0] * d
+            for (i, j), cell in constants.items():
+                c = y[i] * x[j]
+                for r, v in cell.items():
+                    out[r] += c * v
+            y = out
+            if level == 0:
+                first = any(v % n for v in y)
+        if any(v % n for v in y):
+            return (False, x), late
+        if first:
+            late.append(x)
+    return (True, None), late
+
+
+# the families of conftest over Z/3, Z/4, Z/5 and Z/9, up to 20000
+# elements: each passing map costs the reference every one of them, so
+# T3 over Z/9 and B(2,1) over Z/5 and Z/9 (78125 to 4782969 elements)
+# are left out
+SCAN_CASES = [
+    (f"{name}(Z/{n})", build, n)
+    for name, build in sorted(FAMILIES.items())
+    for n in (3, 4, 5, 9)
+    if n ** build(Zmod(n)).dim <= 20000
+]
+SCAN_IDS = [label for label, _, _ in SCAN_CASES]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("label, build, n", SCAN_CASES, ids=SCAN_IDS)
+def test_scan_equals_a_plain_reference(label, build, n, k):
+    """A proper map, members of the commuting space and each of them
+    perturbed: the same verdict and witness as the plain reference."""
+    G = build(Zmod(n))
+    A, R, d = G.algebra, G.ring, G.dim
+    rng = random.Random(f"{label}/{k}")
+    space = commuting_space(A, k)
+    thetas = [proper_map(G, 2, [j % 3 for j in range(d)]),
+              space.basis()[0], space.random_member(rng)]
+    for theta in thetas[:3]:
+        rows = [list(r) for r in theta.rows]
+        rows[rng.randrange(d)][rng.randrange(d)] += rng.randrange(1, n)
+        thetas.append(LinMap(R, rows))
+    for theta in thetas:
+        assert brute_k_commuting(G, theta, k) == plain_k_commuting(A, theta, k)[0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9])
+def test_scan_passes_a_chain_that_becomes_zero_late(n):
+    """On M2(Z/n), x -> x_12 E21 at k = 3 passes x = E12, where the chain
+    is E21, E22 - E11, -2 E12 and only then 0, before the first failing
+    x; the scan reaches the same witness as the reference."""
+    G = full_matrix_gma(Zmod(n), 2, 1)
+    A, R = G.algebra, G.ring
+    e12, e21 = G.embed("M", (1,)), G.embed("N", (1,))
+    theta = LinMap.from_columns(R, [e21 if e == e12 else A.zero() for e in A.basis()])
+    want, late = plain_k_commuting(A, theta, 3)
+    assert e12 in late and want[0] is False and want[1] > e12
+    assert e12 in representatives(A)
+    assert iterated_bracket(A, e21, e12, 2) != A.zero()
+    assert brute_k_commuting(G, theta, 3) == want
+
+
+@pytest.mark.parametrize("label, build, n", SCAN_CASES, ids=SCAN_IDS)
+def test_brute_zk_matches_optimized(label, build, n):
+    A = build(Zmod(n)).algebra
+    for k in (1, 2):
+        assert brute_zk(A, k) == sorted(A.engel_center(k).elements())
 
 
 def naive_zk(A, k):
