@@ -15,7 +15,7 @@ from math import prod
 from operator import attrgetter
 
 from . import linalg
-from .errors import BudgetExceeded, DimensionMismatch, InvalidAlgebra, NotEnumerable
+from .errors import DimensionMismatch, InvalidAlgebra, NotEnumerable
 
 
 def iter_vectors(ring, dim):
@@ -466,9 +466,6 @@ class Algebra(_Normal):
     def sub(self, x, y):
         return tuple(self.ring.sub(a, b) if b else a for a, b in zip(x, y))
 
-    def scale(self, c, x):
-        return tuple(self.ring.mul(c, a) for a in x)
-
     # -- multiplication and brackets ---------------------------------------
 
     def mul(self, x, y):
@@ -523,13 +520,14 @@ class Algebra(_Normal):
                 out.append(("right_unit", i))
         # (e_i e_j) e_k = sum_r c_r (e_r e_k) over the terms c_r e_r of
         # e_i e_j, and e_i (e_j e_k) = sum_s d_s (e_i e_s) over the terms
-        # d_s e_s of e_j e_k.  For each i both sides, over every (j, k), are
-        # summed into one dict keyed (j, k, t), as for the unit laws, the key
-        # flattened to (j*d + k)*d + t: the left side from the terms (k, t,
-        # v) of each row r (``row_terms``), the right side from the (j, k,
-        # d_s) with s in supp(e_j e_k) (``into``).  A (j, k) that no path
-        # reaches has both sides 0, so only the failing ones are collected,
-        # and sorted.
+        # d_s e_s of e_j e_k.  For each i the two sides, over every (j, k), are
+        # summed into two dicts keyed (j*d + k)*d + t: the left from the terms
+        # (k, t, v) of each row r (``row_terms``), the right from the (j, k,
+        # d_s) with s in supp(e_j e_k) (``into``).  Equal dicts, as in a valid
+        # row, cost one comparison; else each key's difference is brought to
+        # normal form (over Z/n the sides may differ by a multiple of n).  A
+        # (j, k) that no path reaches has both sides 0, so only the failing
+        # ones are collected, and sorted.
         row_terms = [[(k * d + t, v) for k, cell in row for t, v in cell] for row in cells]
         into = [[] for _ in every]    # into[s]: the ((j*d + k)*d, d_s) of e_j e_k
         for j, row in enumerate(cells):
@@ -537,18 +535,20 @@ class Algebra(_Normal):
                 for s, c in cell:
                     into[s].append(((j * d + k) * d, c))
         for i, row in enumerate(cells):
-            diff = {}
+            left, right = {}, {}
             for j, cell in row:
                 jd = j * d * d
                 for r, c in cell:
                     for kt, v in row_terms[r]:
-                        diff[jd + kt] = diff.get(jd + kt, 0) + c * v
+                        left[jd + kt] = left.get(jd + kt, 0) + c * v
             for s, cell in row:
                 for jk, c in into[s]:
                     for t, v in cell:
-                        diff[jk + t] = diff.get(jk + t, 0) - c * v
-            bad = {key // d for key, v in diff.items() if v and normal(v)}
-            out += [("associativity", (i, *divmod(jk, d))) for jk in sorted(bad)]
+                        right[jk + t] = right.get(jk + t, 0) + c * v
+            if left != right:
+                bad = {key // d for key in left.keys() | right.keys()
+                       if normal(left.get(key, 0) - right.get(key, 0))}
+                out += [("associativity", (i, *divmod(jk, d))) for jk in sorted(bad)]
         return out
 
     def validate(self):
@@ -673,7 +673,7 @@ class Submodule(_Normal):
         self.ring = ring
         self.ambient_dim = ambient_dim
         self.gens = linalg.span_basis(ring, gens, ambient_dim)
-        self._elements = self._annihilator = None
+        self._annihilator = None
 
     @property
     def rank(self):
@@ -702,25 +702,6 @@ class Submodule(_Normal):
     def equals(self, other):
         return (self.ring == other.ring and self.ambient_dim == other.ambient_dim
                 and self.gens == other.gens)
-
-    def elements(self, budget=2 * 10**5):
-        """Every element of the span (finite rings), sorted. Cached."""
-        if not self.ring.enumerable:
-            raise NotEnumerable("infinite ring")
-        if self._elements is None:
-            if self.ring.size ** max(len(self.gens), 0) > budget:
-                raise BudgetExceeded("submodule too large to enumerate")
-            rg = self.ring
-            out = {(rg.zero,) * self.ambient_dim}
-            for coeffs in itertools.product(rg.scalars(), repeat=len(self.gens)):
-                v = [rg.zero] * self.ambient_dim
-                for c, g in zip(coeffs, self.gens):
-                    if c != rg.zero:
-                        for r, gr in enumerate(g):
-                            v[r] = rg.add(v[r], rg.mul(c, gr))
-                out.add(tuple(v))
-            self._elements = sorted(out)
-        return self._elements
 
     def project(self, indices):
         """Image under coordinate projection (a linear surjection)."""

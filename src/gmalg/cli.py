@@ -12,19 +12,9 @@ import random
 import sys
 
 from . import compiled, derivations, jsonio, maps, oracle
-from .errors import (
-    GmalgError,
-    HypothesesNotMet,
-    InputError,
-    TheoremViolation,
-)
-from .families import (
-    InflatedSpec,
-    block_triangular_gma,
-    full_matrix_gma,
-    inflated_from_normal,
-    triangular_gma,
-)
+from .errors import GmalgError, HypothesesNotMet, InputError, TheoremViolation
+from .families import (InflatedSpec, block_triangular_gma, full_matrix_gma, inflated_from_normal,
+                       triangular_gma)
 from .algebra import Algebra
 from .morita import build_gma, validate_context
 from .rings import parse_ring_flag, parse_scalar_flag

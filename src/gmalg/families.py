@@ -16,20 +16,38 @@ from .errors import BadShape, BadSplit, TheoremViolation
 from .maps import LinMap
 from .morita import _corner_context, build_gma
 
+# the most scalars a family's dense document may hold (inflated 12 x 12: 3 million)
+MAX_DOC_SCALARS = 10**7
+
+
+def _check_size(a, m=0, n=0, b=0):
+    """Refuse, before anything is built, a family whose dense ``context/1``
+    document (corners of dimension a, b, modules of dimension m, n; an
+    algebra alone: a) would hold more than ``MAX_DOC_SCALARS`` scalars."""
+    if a**3 + b**3 + a + b + (a + b) * (m * m + m * n + n * n) > MAX_DOC_SCALARS:
+        raise BadShape(f"family too large: a dense document of over {MAX_DOC_SCALARS} scalars")
+
+
+def _blocks(dvec):
+    """The block sizes as ints, and the dimension of their triangular algebra."""
+    dvec = tuple(int(d) for d in dvec)
+    if not dvec or any(d < 1 for d in dvec):
+        raise BadShape(f"block sizes must be positive: {dvec}")
+    return dvec, (sum(dvec) ** 2 + sum(d * d for d in dvec)) // 2
+
 
 def block_triangular_matrix_algebra(ring, dvec, lower=False):
     """Matrices supported on the blocks on or above (below, if ``lower``)
     the diagonal of the given block shape."""
+    dvec, dim = _blocks(dvec)
+    _check_size(dim)
     return _matrix_units(ring, dvec, lower)[0].validate()
 
 
 def _matrix_units(ring, dvec, lower=False):
     """``block_triangular_matrix_algebra``, unchecked, and the matrix
-    position (r, c) of each of its basis elements.  Its terms are built
-    from ``ring.one``, so they are not coerced."""
-    dvec = tuple(int(d) for d in dvec)
-    if not dvec or any(d < 1 for d in dvec):
-        raise BadShape(f"block sizes must be positive: {dvec}")
+    position (r, c) of each of its basis elements, for ``_blocks`` sizes.
+    Its terms are built from ``ring.one``, so they are not coerced."""
     block = [b for b, d in enumerate(dvec) for _ in range(d)]
     n = len(block)
     positions = [(r, c) for r in range(n) for c in range(n)
@@ -67,6 +85,7 @@ def matrix_algebra(ring, n):
 def triangular_matrix_algebra(ring, n, lower=False):
     if n < 1:
         raise BadShape(f"matrix size must be positive, got {n}")
+    _check_size(n * (n + 1) // 2)
     return block_triangular_matrix_algebra(ring, (1,) * n, lower=lower)
 
 
@@ -92,6 +111,8 @@ def full_matrix_gma(ring, n, split_j):
         raise BadShape(f"need n >= 2, got {n}")
     if not 1 <= split_j < n:
         raise BadSplit(f"split must satisfy 1 <= j < {n}, got {split_j}")
+    j, r = split_j, n - split_j
+    _check_size(j * j, j * r, j * r, r * r)
     return _split_gma(ring, (n,), split_j)
 
 
@@ -104,20 +125,21 @@ def triangular_gma(ring, n, split_k, variant="upper"):
         raise BadSplit(f"split must satisfy 1 <= k < {n}, got {split_k}")
     if variant not in ("upper", "lower"):
         raise BadShape(f"variant must be upper or lower, got {variant!r}")
+    k, r = split_k, n - split_k
+    _check_size(k * (k + 1) // 2, k * r, 0, r * (r + 1) // 2)
     return _split_gma(ring, (1,) * n, split_k, variant == "lower")
 
 
 def block_triangular_gma(ring, dvec, split_j):
     """The block upper triangular algebra with shape dvec, split after the
     first split_j blocks."""
-    dvec = tuple(int(d) for d in dvec)
-    if not dvec or any(d < 1 for d in dvec):
-        raise BadShape(f"block sizes must be positive: {dvec}")
+    dvec, _ = _blocks(dvec)
     if not 1 <= split_j < len(dvec):
-        raise BadSplit(
-            f"split must satisfy 1 <= j < {len(dvec)}, got {split_j}"
-        )
-    return _split_gma(ring, dvec, sum(dvec[:split_j]))
+        raise BadSplit(f"split must satisfy 1 <= j < {len(dvec)}, got {split_j}")
+    split = sum(dvec[:split_j])
+    _check_size(_blocks(dvec[:split_j])[1], split * (sum(dvec) - split), 0,
+                _blocks(dvec[split_j:])[1])
+    return _split_gma(ring, dvec, split)
 
 
 InflatedSpec = namedtuple("InflatedSpec", ["base", "n", "gamma"])
@@ -168,6 +190,7 @@ def _inflated(spec, vec):
         raise BadShape(f"need n >= 1, got {n}")
     if len(g) != n or any(len(row) != n for row in g):
         raise BadShape("twist matrix must be n x n")
+    _check_size(n * n * base.dim)
     P = _tensor(matrix_algebra(rg, n), base)
     # n x n entries of the base's dimension, so P.dim coordinates
     gamma = tuple(c for row in g for entry in row for c in vec(entry))

@@ -32,7 +32,11 @@ def _list(v, where):
 
 
 def _vec_load(ring, v, where):
-    return tuple([scalar_from_json(ring, c) for c in _list(v, where)])
+    """The JSON list ``v`` as a vector, decoded as by ``_table_load``: an int
+    0 is ``ring.zero``, every other entry goes through ``scalar_from_json``."""
+    zero = ring.zero
+    return tuple([scalar_from_json(ring, c) if c or type(c) is not int else zero
+                  for c in _list(v, where)])
 
 
 def _table_load(ring, obj, key, where):
@@ -40,14 +44,15 @@ def _table_load(ring, obj, key, where):
     for the shape checks, and each vector decoded straight into its
     (coordinate, scalar) pairs with a nonzero scalar, as ``_set`` stores
     them.  Every scalar is decoded, in document order, before any shape is
-    checked."""
+    checked, but an int 0 is no term: ``x or type(x) is not int`` is false
+    for it alone, so ``false``, ``0.0``, ``null`` or ``[]`` is refused."""
     rows = _require(obj, key, where)
     where = f"{where} {key}"
     # list comprehensions inside the tuples: they run faster than
     # generators, and this loop is most of the cost of a decode
     terms = tuple(
         tuple([tuple([(r, c) for r, x in enumerate(_list(v, where))
-                      if (c := scalar_from_json(ring, x))])
+                      if (x or type(x) is not int) and (c := scalar_from_json(ring, x))])
                for v in _list(row, where)])
         for row in _list(rows, where))
     return rows, terms
@@ -160,12 +165,16 @@ def map_from_json(obj, ring):
 
 def load_file(path):
     """The JSON document at ``path``, decoded as UTF-8 whatever the locale.
-    A file that cannot be opened or decoded, is not JSON, nests deeper
-    than the recursion limit or holds an int too long to convert is
-    refused with ``InputError``."""
+    It is read as bytes and decoded once; CRLF and CR become LF, as in text
+    mode, so an error's line and column are those of ``json.load``.  A file
+    that cannot be opened or decoded, is not JSON, nests deeper than the
+    recursion limit or holds an int too long to convert is refused."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and UnicodeDecodeError
         raise InputError(f"cannot read JSON document {path}: {exc}") from exc

@@ -47,8 +47,9 @@ class _HowellAccumulator:
         self._nonunit = set()
 
     def add_rows(self, block):
-        for raw in block:
-            todo = [_sparse(raw)]
+        """Add the rows of ``block``; an all-zero row is dropped before it is reduced."""
+        for r in filter(None, map(_sparse, block)):
+            todo = [r]
             while todo:
                 r = self._reduce(todo.pop())
                 if r:

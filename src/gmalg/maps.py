@@ -126,10 +126,6 @@ class LinMap(_Normal):
         return LinMap._from_normal(self.ring, tuple(tuple(map(sub, r1, r2))
                                                      for r1, r2 in zip(self.rows, other.rows)))
 
-    def scale(self, c):
-        rg = self.ring
-        return LinMap._from_normal(rg, tuple(tuple(rg.mul(c, a) for a in r) for r in self.rows))
-
     def __eq__(self, other):
         return (
             isinstance(other, LinMap)

@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from gmalg.algebra import Algebra
+from gmalg.errors import BudgetExceeded, NotEnumerable
 from gmalg.maps import LinMap
 from gmalg.rings import Rationals, Zmod
 from gmalg.families import (
@@ -55,11 +57,41 @@ Q_FAMILIES = [
 ]
 
 
+def scale(alg, c, x):
+    """c * x, for an element x of ``alg``."""
+    return tuple(alg.ring.mul(c, a) for a in x)
+
+
+def scale_map(theta, c):
+    """The map c * theta."""
+    rg = theta.ring
+    return LinMap._from_normal(rg, tuple(tuple(rg.mul(c, a) for a in r) for r in theta.rows))
+
+
+def span_elements(sub):
+    """Every element of the span of the ``Submodule`` ``sub`` over a finite
+    ring, sorted."""
+    rg = sub.ring
+    if not rg.enumerable:
+        raise NotEnumerable("infinite ring")
+    if rg.size ** len(sub.gens) > 2 * 10**5:
+        raise BudgetExceeded("submodule too large to enumerate")
+    out = {(rg.zero,) * sub.ambient_dim}
+    for coeffs in itertools.product(rg.scalars(), repeat=len(sub.gens)):
+        v = [rg.zero] * sub.ambient_dim
+        for c, g in zip(coeffs, sub.gens):
+            if c != rg.zero:
+                for r, gr in enumerate(g):
+                    v[r] = rg.add(v[r], rg.mul(c, gr))
+        out.add(tuple(v))
+    return sorted(out)
+
+
 def proper_map(G, c, f):
     """x -> c*x + f(x)*1, with f(e_j) = f[j]."""
     alg, R = G.algebra, G.ring
     return LinMap.from_columns(R, [
-        alg.add(alg.scale(c, alg.basis_vector(j)), alg.scale(f[j], alg.unit))
+        alg.add(scale(alg, c, alg.basis_vector(j)), scale(alg, f[j], alg.unit))
         for j in range(G.dim)
     ])
 

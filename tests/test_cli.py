@@ -1,11 +1,13 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from conftest import scale_map
 from gmalg import cli, compiled, jsonio, maps, morita, oracle
 from gmalg.algebra import Submodule
 from gmalg.families import full_matrix_gma
@@ -76,7 +78,7 @@ def test_build_round_trip(ctx_m2_z3, tmp_path, capsys):
 
 def test_classify_identity_map(ctx_m2_z3, tmp_path, capsys):
     path, G = ctx_m2_z3
-    two_id = LinMap.identity(G.ring, G.dim).scale(2)
+    two_id = scale_map(LinMap.identity(G.ring, G.dim), 2)
     mpath = write_map(tmp_path, G, two_id)
     code, out, _ = run_cli(
         ["classify", path, mpath, "--k", "1", "--oracle", "--mode", "proper"],
@@ -97,7 +99,7 @@ def test_k_commutation_is_decided_once_per_map(ctx_m2_z3, tmp_path, capsys,
     and proper form reuse the verdict; sweep decides it once for each
     generator of the space, not for each swept map."""
     path, G = ctx_m2_z3
-    mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim).scale(2))
+    mpath = write_map(tmp_path, G, scale_map(LinMap.identity(G.ring, G.dim), 2))
     decided = []    # the dimension of the algebra of each decision
     real = maps.is_k_commuting
 
@@ -290,7 +292,7 @@ def test_proper_form_center_shift_is_written_as_scalars(ctx_m2_q, tmp_path,
     """x -> x/2 over Q has the non-integral center shift 1/2; it is written
     as "1/2", not handed to json raw."""
     path, G = ctx_m2_q
-    half = LinMap.identity(G.ring, G.dim).scale(G.ring.coerce(Fraction(1, 2)))
+    half = scale_map(LinMap.identity(G.ring, G.dim), G.ring.coerce(Fraction(1, 2)))
     mpath = write_map(tmp_path, G, half)
     code, out, _ = run_cli(["classify", path, mpath, "--mode", "proper"], capsys)
     assert code == cli.EXIT_OK
@@ -381,7 +383,7 @@ def test_proper_classify_checks_the_hypotheses_once(ctx_m2_z3, tmp_path, capsys,
     """The hypotheses recorded in the document are the ones the proper form
     and the step report are built under: checked once, not once each."""
     path, G = ctx_m2_z3
-    mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim).scale(2))
+    mpath = write_map(tmp_path, G, scale_map(LinMap.identity(G.ring, G.dim), 2))
     calls = []
     real = maps.check_properness_hypotheses
     monkeypatch.setattr(maps, "check_properness_hypotheses",
@@ -407,7 +409,7 @@ def test_proper_classify_refuses_two_torsion_before_the_oracle(n, tmp_path, caps
     G = full_matrix_gma(Zmod(n), 2, 1)
     path = tmp_path / "m2.json"
     path.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
-    two_id = LinMap.identity(G.ring, G.dim).scale(2)
+    two_id = scale_map(LinMap.identity(G.ring, G.dim), 2)
     mpath = write_map(tmp_path, G, two_id)
     argv = ["classify", str(path), mpath, "--oracle", "--mode", "proper"]
     with monkeypatch.context() as mp:
@@ -439,7 +441,7 @@ def test_a_proving_oracle_classify_builds_the_commutators_once(n, tmp_path, caps
     G = full_matrix_gma(Zmod(n), 2, 1)
     path = tmp_path / "m2.json"
     path.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
-    mpath = write_map(tmp_path, G, LinMap.identity(G.ring, G.dim).scale(2))
+    mpath = write_map(tmp_path, G, scale_map(LinMap.identity(G.ring, G.dim), 2))
     calls, real = [], oracle._commutators
     monkeypatch.setattr(oracle, "_commutators", lambda A: calls.append(A) or real(A))
     code, out, _ = run_cli(["classify", str(path), mpath, "--oracle", "--mode", "proper"],
@@ -545,6 +547,28 @@ def test_package_runs_as_a_module(ctx_m2_z3, tmp_path):
     )
     assert proc.returncode == cli.EXIT_OK, proc.stderr
     assert json.loads(proc.stdout)["oracle_proper"] is True
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "block", "--ring", "zmod:3", "--dims", "99999999999999999999,1"],
+    ["--kind", "full", "--ring", "zmod:3", "--n", "99999999999999999999"],
+    ["--kind", "triangular", "--ring", "q", "--n", "1000000000"],
+], ids=["block", "full", "triangular"])
+def test_a_huge_family_is_refused_at_once(flags):
+    # run apart, with its memory capped, so that a family built after all
+    # fails there instead of filling this process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmalg", "family", *flags],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == "BadShape: family too large: a dense document of over 10000000 scalars\n"
 
 
 def test_cli_imports_no_numpy():

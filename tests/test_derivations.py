@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import _in_random_basis
+from conftest import _in_random_basis, scale, scale_map
 
 from gmalg import derivations, linalg
 from gmalg.algebra import vanishing_kernel, vanishing_rows
@@ -237,7 +237,7 @@ def test_derivation_form_of_a_fractional_derivation(build):
     G = build(Rationals())
     c = G.algebra.vec(range(1, G.dim + 1))
     inner = adjoint_map(G, c)
-    half = inner.scale(Fraction(1, 2))
+    half = scale_map(inner, Fraction(1, 2))
     assert half.integral()[0] == 2
     rep, form = verify_derivation_form(G, half)
     assert rep.all_pass, rep.failures()
@@ -264,12 +264,12 @@ def test_a_corrupted_pairing_fails_the_reassembly_where_the_rebuilt_map_differs(
     pair_nm = ctx.pair_nm
 
     def corrupted(n, m):
-        return ctx.B.add(pair_nm(n, m), ctx.B.scale(ring.mul(n[0], m[0]), ctx.B.unit))
+        return ctx.B.add(pair_nm(n, m), scale(ctx.B, ring.mul(n[0], m[0]), ctx.B.unit))
 
     monkeypatch.setattr(ctx, "pair_nm", corrupted)
     theta = adjoint_map(G, alg.vec(range(1, G.dim + 1)))
     if ring.size is None:
-        theta = theta.scale(Fraction(1, 2))
+        theta = scale_map(theta, Fraction(1, 2))
     scaled = theta.integral()[1]
     unit_image = scaled.apply(E("A", ctx.A.unit))
     m0, n0 = G.extract("M", unit_image), G.extract("N", unit_image)

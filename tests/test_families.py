@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from gmalg import algebra, cli, jsonio, linalg
+from gmalg import algebra, cli, families, jsonio, linalg
 from gmalg.algebra import Algebra
 from gmalg.errors import BadShape, BadSplit, DimensionMismatch
 from gmalg.families import (
@@ -229,6 +229,73 @@ def test_inflated_over_matrix_base():
 def test_inflated_twist_of_wrong_shape_is_refused(gamma):
     with pytest.raises(BadShape):
         inflated_algebra(InflatedSpec(scalar_algebra(Zmod(3)), 2, gamma))
+
+
+HUGE = 99999999999999999999
+TOO_LARGE = "^family too large: a dense document of over 10000000 scalars$"
+
+
+M12_Z3 = matrix_algebra(Zmod(3), 12)
+
+
+def _identity_twist(base, n):
+    one, zero = base.unit, base.zero()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda R: full_matrix_gma(R, HUGE, 1),
+    lambda R: full_matrix_gma(R, 400, 200),
+    lambda R: triangular_gma(R, HUGE, 1),
+    lambda R: triangular_gma(R, 10**9, 10**9 - 1, "lower"),
+    lambda R: block_triangular_gma(R, (HUGE, 1), 1),
+    lambda R: block_triangular_gma(R, (1, 1, 10**6), 2),
+    lambda R: matrix_algebra(R, HUGE),
+    lambda R: triangular_matrix_algebra(R, 10**9),
+    lambda R: block_triangular_matrix_algebra(R, (1, HUGE)),
+    lambda R: inflated_algebra(InflatedSpec(M12_Z3, 2, _identity_twist(M12_Z3, 2))),
+], ids=["full", "full 400", "triangular", "triangular lower", "block", "block 10^6",
+        "matrix", "triangular algebra", "block algebra", "inflated over M12"])
+def test_a_family_too_large_for_its_document_is_refused_before_it_is_built(build, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a refused family was built")
+
+    monkeypatch.setattr(families, "_matrix_units", built)
+    monkeypatch.setattr(families, "_tensor", built)
+    with pytest.raises(BadShape, match=TOO_LARGE):
+        build(Zmod(3))
+
+
+def _dense_scalars(doc):
+    """The scalars of a dense document: the leaves of its tensors."""
+    def leaves(v):
+        if isinstance(v, dict):
+            return sum(leaves(c) for key, c in v.items() if key not in ("dim", "labels"))
+        return sum(map(leaves, v)) if isinstance(v, list) else 1
+    return leaves({key: v for key, v in doc.items() if key not in ("schema", "ring")})
+
+
+@pytest.mark.parametrize("build, document", [
+    (lambda R: full_matrix_gma(R, 4, 1), lambda G: jsonio.context_to_json(G.ctx)),
+    (lambda R: full_matrix_gma(R, 5, 2), lambda G: jsonio.context_to_json(G.ctx)),
+    (lambda R: triangular_gma(R, 5, 2), lambda G: jsonio.context_to_json(G.ctx)),
+    (lambda R: triangular_gma(R, 5, 3, "lower"), lambda G: jsonio.context_to_json(G.ctx)),
+    (lambda R: block_triangular_gma(R, (2, 1, 3), 1), lambda G: jsonio.context_to_json(G.ctx)),
+    (lambda R: block_triangular_gma(R, (2, 1, 3), 2), lambda G: jsonio.context_to_json(G.ctx)),
+    (lambda R: matrix_algebra(R, 3), jsonio.algebra_to_json),
+    (lambda R: triangular_matrix_algebra(R, 4), jsonio.algebra_to_json),
+    (lambda R: block_triangular_matrix_algebra(R, (1, 3)), jsonio.algebra_to_json),
+    (lambda R: inflated_algebra(InflatedSpec(scalar_algebra(R), 3, _identity_twist(
+        scalar_algebra(R), 3))).algebra, jsonio.algebra_to_json),
+], ids=["M4 1", "M5 2", "T5 2", "T5 3 lower", "B(2,1,3) 1", "B(2,1,3) 2", "M3", "T4",
+        "B(1,3)", "inflated 3"])
+def test_the_size_bound_counts_the_dense_document_exactly(build, document, monkeypatch):
+    count = _dense_scalars(document(build(Zmod(3))))
+    monkeypatch.setattr(families, "MAX_DOC_SCALARS", count)
+    build(Zmod(3))
+    monkeypatch.setattr(families, "MAX_DOC_SCALARS", count - 1)
+    with pytest.raises(BadShape, match="a dense document of over"):
+        build(Zmod(3))
 
 
 def _context_tensors(ctx):

@@ -4,13 +4,16 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import scale_map
 from gmalg import jsonio
 from gmalg.errors import DimensionMismatch, InputError
 from gmalg.families import full_matrix_gma, triangular_gma
 from gmalg.maps import LinMap
 from gmalg.morita import build_gma, validate_context
-from gmalg.rings import Rationals, Zmod
+from gmalg.rings import Rationals, Zmod, scalar_from_json
 
 
 def test_algebra_round_trip(t3_z3):
@@ -36,7 +39,7 @@ def test_rational_context_round_trip():
 
 
 def test_map_round_trip(m2_z3):
-    theta = LinMap.identity(m2_z3.ring, m2_z3.dim).scale(2)
+    theta = scale_map(LinMap.identity(m2_z3.ring, m2_z3.dim), 2)
     back = jsonio.map_from_json(theta.to_json(), m2_z3.ring)
     assert back == theta
 
@@ -259,3 +262,146 @@ def test_decoding_a_context_coerces_each_scalar_at_most_once(make, monkeypatch):
                             lambda self, v, coerce=coerce: calls.append(v) or coerce(self, v))
     jsonio.context_from_json(doc)
     assert len(calls) <= _scalar_count(doc)
+
+
+# ---------------------------------------------------------------------------
+# zero entries: an int 0 is no term and is not decoded; nothing else changes
+# ---------------------------------------------------------------------------
+
+# what stands in for a 0, and the text it is refused with
+NOT_ZERO = [
+    (False, "False"), (0.0, "0.0"), (None, "None"), ("0", "'0'"), ([], "[]"),
+]
+
+
+def _zero_paths(v, path=()):
+    """The paths of the int 0 entries of a nested list or dict, in order."""
+    if isinstance(v, dict):
+        return [p for key in sorted(v) for p in _zero_paths(v[key], path + (key,))]
+    if isinstance(v, list):
+        return [p for i, c in enumerate(v) for p in _zero_paths(c, path + (i,))]
+    return [path] if type(v) is int and v == 0 else []
+
+
+@pytest.mark.parametrize("ring", [Zmod(3), Rationals()], ids=repr)
+@pytest.mark.parametrize("bad, shown", NOT_ZERO, ids=[shown for _, shown in NOT_ZERO])
+def test_each_zero_of_a_context_replaced_by_a_non_int_is_refused(ring, bad, shown):
+    message = f"^not a scalar of {re.escape(repr(ring))}: {re.escape(shown)}$"
+    doc = jsonio.context_to_json(full_matrix_gma(ring, 3, 1).ctx)
+    paths = _zero_paths(doc)
+    assert len(paths) == 100
+    for path in paths:
+        edited = json.loads(json.dumps(doc))
+        _set(edited, path, bad)
+        with pytest.raises(InputError, match=message):
+            jsonio.context_from_json(edited)
+
+
+@pytest.mark.parametrize("ring", [Zmod(3), Rationals()], ids=repr)
+@pytest.mark.parametrize("bad, shown", NOT_ZERO, ids=[shown for _, shown in NOT_ZERO])
+def test_each_zero_of_a_map_replaced_by_a_non_int_is_refused(ring, bad, shown):
+    message = f"^not a scalar of {re.escape(repr(ring))}: {re.escape(shown)}$"
+    matrix = [[int(i == j) for j in range(3)] for i in range(3)]
+    for path in _zero_paths(matrix):
+        edited = json.loads(json.dumps(matrix))
+        _set(edited, path, bad)
+        with pytest.raises(InputError, match=message):
+            jsonio.map_from_json({"schema": "map/1", "matrix": edited}, ring)
+
+
+def test_the_first_bad_scalar_in_document_order_is_refused_before_any_shape():
+    doc = jsonio.context_to_json(full_matrix_gma(Zmod(3), 3, 1).ctx)
+    zeros = _zero_paths(doc["phi"])
+    _set(doc["phi"], zeros[0], False)
+    _set(doc["phi"], zeros[-1], 0.0)
+    doc["psi"][0][0].pop()      # a shape error, checked after every scalar
+    with pytest.raises(InputError, match=r"^not a scalar of Zmod\(3\): False$"):
+        jsonio.context_from_json(doc)
+
+
+@pytest.mark.parametrize("ring, text", [
+    (Zmod(4), "-0"), (Zmod(4), "4"), (Zmod(4), "8"), (Zmod(4), "-8"),
+    (Zmod(9), "9"), (Zmod(9), "18"), (Zmod(9), "-0"),
+    (Rationals(), '"0/5"'), (Rationals(), '"-0/3"'), (Rationals(), "-0"),
+], ids=lambda x: x if isinstance(x, str) else repr(x))
+def test_a_zero_in_any_spelling_is_no_term(ring, text):
+    row = json.loads(f"[[[1, {text}], [{text}, {text}]]]")
+    _, terms = jsonio._table_load(ring, {"t": row}, "t", "doc")
+    assert terms == ((((0, 1),), ()),)
+    vec = jsonio._vec_load(ring, json.loads(f"[{text}, 1, {text}]"), "doc")
+    assert vec == (0, 1, 0) and all(type(c) is int for c in vec)
+
+
+def _reference_terms(ring, rows):
+    """``_table_load``'s terms with every entry decoded, zeros too."""
+    return tuple(tuple(tuple((r, c) for r, x in enumerate(v) if (c := scalar_from_json(ring, x)))
+                       for v in row) for row in rows)
+
+
+def _outcome(f, *args):
+    """The repr of what ``f(*args)`` returns (telling an int from an equal
+    Fraction), or the type and text of what it raises."""
+    try:
+        return "value", repr(f(*args))
+    except Exception as exc:  # noqa: BLE001 - the refusal is what is compared
+        return type(exc), str(exc)
+
+
+ENTRIES = st.one_of(
+    st.just(0), st.just(0), st.just(0), st.just(0), st.just(0),
+    st.integers(-30, 30), st.sampled_from(["1/2", "-3/4", "0/5", "6/3", "1/0", "0"]),
+    st.sampled_from([False, True, 0.0, 1.5, None, [], [0], {}]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring=st.sampled_from([Zmod(3), Zmod(4), Zmod(6), Rationals()]),
+       rows=st.lists(st.lists(st.lists(ENTRIES, max_size=4), max_size=3), max_size=3))
+def test_decoding_skips_zeros_as_a_reference_that_decodes_every_entry(ring, rows):
+    got = _outcome(lambda: jsonio._table_load(ring, {"t": rows}, "t", "doc")[1])
+    assert got == _outcome(_reference_terms, ring, rows)
+    for v in (v for row in rows for v in row):
+        assert _outcome(jsonio._vec_load, ring, v, "doc") == \
+            _outcome(lambda: tuple(scalar_from_json(ring, c) for c in v))
+
+
+def _reference_load(path):
+    """``load_file`` as the file opened in text mode and read by ``json.load``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot read JSON document {path}: {exc}") from exc
+
+
+@pytest.mark.parametrize("data", [
+    b'{"a": [1,\r\n 2],\r\n "b": "x"}\r\n',
+    b'{"a": [1,\r 2],\r "b": "x"}\r',
+    b'{"a": [1,\r\n\r 2\n],\r\n\r\n "b": }\r\n',
+    b'{"a":\r\n [1, 2,\r\n\r\n',
+    b'["a\rb"]',
+    b'[1, "\xff"]',
+    b'["' + b"a" * 10000 + b'\xc3"]',
+    b'\xef\xbb\xbf{"a": 1}',
+    "{\"é\":\r\n [1]}".encode("utf-8"),
+    b"",
+], ids=["CRLF", "CR", "malformed CRLF", "truncated CRLF", "CR in a string",
+        "invalid UTF-8", "invalid UTF-8 past 8 KiB", "BOM", "non-ASCII CRLF", "empty"])
+def test_load_file_matches_a_text_mode_read(tmp_path, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert _outcome(jsonio.load_file, str(path)) == _outcome(_reference_load, str(path))
+
+
+def test_load_file_error_texts_are_pinned(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"a": [1,\r\n 2],\r\n "b": }\r\n')
+    with pytest.raises(InputError, match=r"Expecting value: line 3 column 7 \(char 21\)$"):
+        jsonio.load_file(str(path))
+    path.write_bytes(b'\xef\xbb\xbf[]')
+    with pytest.raises(InputError, match=r"Unexpected UTF-8 BOM"):
+        jsonio.load_file(str(path))
+    path.write_bytes(b'[1, "\xff"]')
+    with pytest.raises(InputError, match=r"'utf-8' codec can't decode byte 0xff in position 5: "
+                                         r"invalid start byte$"):
+        jsonio.load_file(str(path))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import is_zero, proper_map
+from conftest import is_zero, proper_map, scale_map
 from test_hypotheses import negative_control
 
 from gmalg import linalg
@@ -63,7 +63,7 @@ def test_identity_and_scalars_commute(m2_z3):
             True,
             None,
         )
-    two_id = LinMap.identity(alg.ring, alg.dim).scale(2)
+    two_id = scale_map(LinMap.identity(alg.ring, alg.dim), 2)
     assert is_k_commuting(m2_z3, two_id, 1)[0]
 
 
@@ -239,7 +239,7 @@ def test_proper_form_requires_commuting(m2_z3):
 
 def test_certificate_for_proper_and_improper_maps(m2_z3):
     alg = m2_z3.algebra
-    two_id = LinMap.identity(alg.ring, alg.dim).scale(2)
+    two_id = scale_map(LinMap.identity(alg.ring, alg.dim), 2)
     cert = properness_certificate(m2_z3, two_id)
     assert cert is not None
     lam, zeta = cert

@@ -6,6 +6,7 @@ import pytest
 from test_compiled import SHAPES, _view
 from test_golden import _corrupt_context
 
+from conftest import span_elements
 from gmalg import linalg
 from gmalg.compiled import report_rows
 
@@ -165,7 +166,7 @@ def test_center_projections_and_phi(t2_z3):
 def test_phi_roundtrip_full_matrix(m2_z5):
     G = m2_z5
     za, _ = G.center_projections()
-    for a in za.elements():
+    for a in span_elements(za):
         assert G.phi_inv_apply(G.phi_apply(a)) == a
 
 
@@ -336,7 +337,7 @@ def test_the_linear_partner_is_the_solved_one(shape, ring, view):
     for block, apply in (("A", G.phi_apply), ("B", G.phi_inv_apply)):
         P = G.center_projections()[block == "B"]
         if ring.enumerable:
-            elements = P.elements()
+            elements = span_elements(P)
         else:
             combos = ([rng.randint(-3, 3) for _ in P.gens] for _ in range(5))
             elements = P.gens + [tuple(sum(map(mul, cs, col)) for col in zip(*P.gens))

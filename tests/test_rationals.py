@@ -9,7 +9,7 @@ import pathlib
 import tempfile
 from fractions import Fraction
 
-from conftest import Q_FAMILIES, is_zero, q_maps
+from conftest import is_zero, Q_FAMILIES, q_maps, scale_map
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -94,7 +94,7 @@ def _run(capsys, tmp_path, G, theta):
 
 def test_classify_proper_map_over_q(tmp_path, capsys):
     G = full_matrix_gma(Rationals(), 2, 1)
-    half = LinMap.identity(G.ring, G.dim).scale(Fraction(1, 2))
+    half = scale_map(LinMap.identity(G.ring, G.dim), Fraction(1, 2))
     code, out = _run(capsys, tmp_path, G, half)
     assert code == cli.EXIT_OK
     doc = json.loads(out)

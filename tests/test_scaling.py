@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import Q_FAMILIES, q_maps
+from conftest import Q_FAMILIES, q_maps, scale_map
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -69,7 +69,7 @@ def test_classify_of_a_multiple_scales_its_values(name, build, tmp_path):
             for mode in ("basic", "proper"):
                 code, want = _classify(tmp_path, ctx, theta, k, mode)
                 for c in SCALES:
-                    got_code, got = _classify(tmp_path, ctx, theta.scale(c), k, mode)
+                    got_code, got = _classify(tmp_path, ctx, scale_map(theta, c), k, mode)
                     where = (label, k, mode, c)
                     assert got_code == code, where
                     assert list(got) == list(want), where

@@ -122,6 +122,70 @@ def test_scan_matches_dense_reference_on_corruptions(ring):
             assert alg.structure_violations() == dense_violations(alg)
 
 
+def _three_dim(ring, e1e1, e2e1, e1e2=(0, 0, 0)):
+    """The algebra on 1, e1, e2 with e1 e1, e2 e1 and e1 e2 as given (in
+    coordinates of 1, e1, e2), e2 e2 = 0 and 1 its unit, built the public way."""
+    one, e1, e2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    z = (0, 0, 0)
+    return Algebra(ring, ["1", "e1", "e2"],
+                   [[one, e1, e2], [e1, e1e1, e1e2], [e2, e2e1, z]], one)
+
+
+@pytest.mark.parametrize("n, b, c", [(4, 2, 2), (6, 2, 3), (6, 3, 2)])
+def test_sides_that_differ_by_a_multiple_of_n_are_equal(n, b, c):
+    """e1 e1 = b e2 and e2 e1 = c e1 with b c = n: at (1, 1, 1) the left
+    side (e1 e1) e1 = b c e1 sums to n at e1, the right side e1 (e1 e1) = 0
+    has no term there, so the two sums differ and must still pass.  With
+    e2 e1 = c e1 + e2 the left side also holds b e2, not a multiple of n,
+    at e2, and (1, 1, 1) fails."""
+    ring = Zmod(n)
+    passing = _three_dim(ring, (0, 0, b), (0, c, 0))
+    found = passing.structure_violations()
+    assert ("associativity", (1, 1, 1)) not in found
+    assert ("associativity", (1, 2, 1)) not in found      # e1 (e2 e1) = c b e2
+    assert found == dense_violations(passing)
+    failing = _three_dim(ring, (0, 0, b), (0, c, 1))
+    found = failing.structure_violations()
+    assert ("associativity", (1, 1, 1)) in found
+    assert found == dense_violations(failing)
+
+
+def test_a_side_that_cancels_to_zero_at_a_key_the_other_lacks_passes():
+    """Over Q, e1 e1 = e2 + e3 and e2 e1 = e1/2, e3 e1 = -e1/2: the left side
+    (e1 e1) e1 sums to Fraction(0) at e1, where e1 (e1 e1) = e1 e2 + e1 e3 = 0
+    has no term."""
+    ring, half = Rationals(), Fraction(1, 2)
+    basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    one, e1, e2, e3 = basis
+    z = (0, 0, 0, 0)
+    table = [[one, e1, e2, e3],
+             [e1, (0, 0, 1, 1), z, z],
+             [e2, (0, half, 0, 0), z, z],
+             [e3, (0, -half, 0, 0), z, z]]
+    alg = Algebra(ring, ["1", "e1", "e2", "e3"], table, one)
+    found = alg.structure_violations()
+    assert ("associativity", (1, 1, 1)) not in found
+    assert found == dense_violations(alg)
+    broken = Algebra(ring, alg.labels, table[:3] + [[e3, (0, half, 0, 0), z, z]], one)
+    found = broken.structure_violations()
+    assert ("associativity", (1, 1, 1)) in found
+    assert found == dense_violations(broken)
+
+
+@pytest.mark.parametrize("family", CONFTEST_FAMILIES)
+def test_scan_matches_dense_reference_on_families_in_a_random_basis(family, request):
+    G = request.getfixturevalue(family)
+    rng = random.Random(f"scan/family/{family}")
+    for alg in (G.algebra, G.A, G.B):
+        if alg.dim < 2:
+            continue
+        moved, _, _ = _in_random_basis(alg, rng)
+        assert moved.structure_violations() == dense_violations(moved) == []
+        bad = _corrupt_algebra(moved, rng)
+        found = bad.structure_violations()
+        assert found and found == dense_violations(bad)
+
+
 # -- the assembled block algebra ----------------------------------------------
 
 
