@@ -11,6 +11,7 @@ the same way.
 
 import itertools
 from bisect import bisect_right
+from functools import cache
 from math import prod
 from operator import attrgetter
 
@@ -96,6 +97,7 @@ def lattice_check(ring, dim, degree, holds, lead=None):
     return False, tuple(scalars[b] for b in x)
 
 
+@cache
 def _surjections(degree):
     """``table[g][a]`` = a! S(g, a), for g, a <= ``degree``: the number of
     maps of a g-set onto an a-set, with S the Stirling number of the second
@@ -265,13 +267,21 @@ def _summed(ring, terms):
             if (row := {c: x for c, v in acc.items() if (x := ring.normal(v))})}
 
 
-def vanishing_kernel(ring, coeffs, degree, dim, ncols):
+def stream_rows(ring, groups, degree, dim):
+    """The blocks of ``vanishing_rows`` for f given by its (t, group)
+    stream (``ad_stream``, coefficients as rows), one nonempty group at a
+    time: only that group is held."""
+    return (block for _, group in groups if group
+            for block in vanishing_rows(ring, group, degree, dim))
+
+
+def vanishing_kernel(ring, groups, degree, dim, ncols):
     """Kernel generators, over ``ncols`` unknowns, of the constraints that
     f(x) = 0 on all of R^dim, for f homogeneous of degree ``degree`` in x
-    and linear in the unknowns, given by its coefficients (see
-    ``vanishing_rows``); fed to the accumulator one block at a time."""
+    and linear in the unknowns: the blocks of ``stream_rows``, fed one at a
+    time (the Howell form is canonical, so their order does not matter)."""
     acc = linalg.kernel_builder(ring, ncols)
-    for block in vanishing_rows(ring, coeffs, degree, dim):
+    for block in stream_rows(ring, groups, degree, dim):
         acc.add_rows(block)
     return acc.nullspace()
 
@@ -571,13 +581,13 @@ class Algebra(_Normal):
         so the constraints on a are (see ``vanishing_rows``) the rows of the
         W_alpha over Q and over Z/p with p >= k, of the W_alpha folded by
         x_i^p = x_i over Z/p with p < k, and of their Newton differences
-        over composite Z/n; exact over every ring."""
+        over composite Z/n; exact over every ring, fed group by group."""
         if k < 1:
             raise DimensionMismatch("engel order must be >= 1")
         if k not in self._engel:
-            coeffs = {alpha: _as_rows(cols) for _, group in self.adjoint_groups(k)
-                      for alpha, cols in group.items()}
-            gens = vanishing_kernel(self.ring, coeffs, k, self.dim, self.dim)
+            groups = ((t, {alpha: _as_rows(cols) for alpha, cols in group.items()})
+                      for t, group in self.adjoint_groups(k))
+            gens = vanishing_kernel(self.ring, groups, k, self.dim, self.dim)
             self._engel[k] = Submodule._from_normal(self.ring, self.dim, gens)
         return self._engel[k]
 
@@ -613,10 +623,9 @@ class Algebra(_Normal):
         d = self.dim
         older = []      # the (alpha, W_alpha) of least index > t
         for t, group in self.adjoint_groups(k):
-            new = list(group.items())
-            entries = [(alpha, cols, q) for alpha, cols in new for q in range(t, d)]
+            entries = [(alpha, cols, q) for alpha, cols in group.items() for q in range(t, d)]
             entries += [(alpha, cols, t) for alpha, cols in older]
-            older += new
+            older += group.items()
             coeffs = {}
             for alpha, cols, q in entries:
                 rows = coeffs.setdefault(_times(alpha, q), {})
@@ -624,11 +633,6 @@ class Algebra(_Normal):
                     for r, v in vec.items():
                         rows.setdefault(r, {})[p * d + q] = v
             yield t, coeffs
-
-    def commuting_coefficients(self, k):
-        """Every coefficient of ``commuting_groups``, keyed by monomial."""
-        return {gamma: rows for _, group in self.commuting_groups(k)
-                for gamma, rows in group.items()}
 
     def adjoint_terms(self):
         """``ad[r]``: the (i, terms) with [e_r, e_i] != 0, its terms the

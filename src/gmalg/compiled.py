@@ -38,7 +38,7 @@ import itertools
 from math import comb, prod
 from operator import mul
 
-from .algebra import lattice_points, vanishing_rows
+from .algebra import lattice_points, stream_rows
 from .morita import BLOCKS
 
 
@@ -192,12 +192,12 @@ class _Forms(_Side):
         return _lattice_rows(self.G.ring, self.ctx.M.dim, defect)
 
     def commuting(self, k):
-        """The rows of ``vanishing_rows`` on ``A.commuting_coefficients(k)``,
+        """The rows of ``stream_rows`` on ``A.commuting_groups(k)``,
         re-indexed from A's flat indices to G's."""
         A, G = self.ctx.A, self.G
         off, dA = G.offsets[self.names["A"]], A.dim
         return [{(off + t // dA) * G.dim + off + t % dA: v for t, v in row.items()}
-                for block in vanishing_rows(G.ring, A.commuting_coefficients(k), k + 1, dA)
+                for block in stream_rows(G.ring, A.commuting_groups(k), k + 1, dA)
                 for row in block]
 
 

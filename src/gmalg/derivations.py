@@ -5,7 +5,7 @@ block algebra, and the vanishing of k-commuting derivations."""
 from collections import namedtuple
 
 from . import linalg
-from .algebra import Submodule, vanishing_rows
+from .algebra import Submodule, stream_rows
 from .errors import DimensionMismatch, NotDerivation, TheoremViolation
 from .maps import LinMap, MapSpace, _Values, require_order, require_proper_setting
 from .morita import BLOCKS
@@ -170,22 +170,20 @@ def verify_commuting_derivations_vanish(G, k):
     Both are linear conditions on the entries of the map: the Leibniz rows
     and the rows that make [theta(x), x]_k vanish (see
     ``algebra.vanishing_rows``), read group by group from
-    ``Algebra.commuting_groups``, fed to one kernel.  Feeding stops once
-    that kernel is zero, since more rows cannot shrink it, and no group is
-    computed after that.  A generator of the kernel contradicts the
-    vanishing theorem and is raised as TheoremViolation with the map
-    attached.  Outside the setting of ``maps.require_proper_setting`` it
-    refuses."""
+    ``Algebra.commuting_groups`` (``stream_rows``), fed to one kernel.
+    Feeding stops once that kernel is zero, since more rows cannot shrink
+    it, and no group is computed after that.  A generator of the kernel
+    contradicts the vanishing theorem and is raised as TheoremViolation
+    with the map attached.  Outside the setting of
+    ``maps.require_proper_setting`` it refuses."""
     require_order(k)
     require_proper_setting(G)
     rg = G.ring
     alg = G.algebra
     d = alg.dim
     acc = linalg.kernel_builder(rg, d * d)
-    acc.add_rows(_iter_leibniz_rows(alg))
-    blocks = (block for _, group in alg.commuting_groups(k)
-              for block in vanishing_rows(rg, group, k + 1, d))
-    for block in blocks:
+    acc.add_rows(list(_iter_leibniz_rows(alg)))
+    for block in stream_rows(rg, alg.commuting_groups(k), k + 1, d):
         if acc.has_zero_kernel():
             break
         acc.add_rows(block)

@@ -167,12 +167,9 @@ def is_k_commuting(G, theta, k):
     f(x) = [theta(x), x]_k is homogeneous of degree k+1, and its
     coefficients C_gamma come from ``Algebra.map_groups``, grouped by the
     least index t of gamma from the highest t down.  f vanishes everywhere
-    iff every group's rows vanish (``algebra.vanishing_rows``): over Q and
-    over Z/p with p >= k+1 they are the C_gamma themselves, so a group
-    vanishes iff it is empty (zeros are dropped); over Z/p with p < k+1
-    they are the sums of the C_gamma whose monomials fold together under
-    x_i^p = x_i; over composite Z/n they are Newton differences.  The
-    groups are read until the first one that does not vanish; none is
+    iff every group's rows vanish (``algebra.vanishing_rows``: over Q and
+    over Z/p with p >= k+1 iff the group is empty, zeros being dropped).
+    The groups are read until the first one that does not vanish; none is
     computed after it.
 
     Its t is the lead.  Each group is a homogeneous polynomial of its own,
@@ -249,14 +246,14 @@ class MapSpace:
 def commuting_space(G, k):
     """All maps theta with [theta(x), x]_k = 0 for every x, as the solution
     of the linear system in theta's matrix entries: the coefficients of
-    [theta(x), x]_k (``Algebra.commuting_coefficients``) over Q and over
-    Z/p with p >= k+1, those coefficients folded by x_i^p = x_i over Z/p
-    with p < k+1, and their Newton differences over composite Z/n (see
-    ``algebra.vanishing_rows``)."""
+    [theta(x), x]_k over Q and over Z/p with p >= k+1, those coefficients
+    folded by x_i^p = x_i over Z/p with p < k+1, and their Newton
+    differences over composite Z/n (see ``algebra.vanishing_rows``), read
+    group by group from ``Algebra.commuting_groups``."""
     alg = _underlying(G)
     d = alg.dim
     require_order(k)
-    gens = vanishing_kernel(alg.ring, alg.commuting_coefficients(k), k + 1, d, d * d)
+    gens = vanishing_kernel(alg.ring, alg.commuting_groups(k), k + 1, d, d * d)
     return MapSpace(alg, Submodule._from_normal(alg.ring, d * d, gens))
 
 

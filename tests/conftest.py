@@ -133,6 +133,12 @@ def iterated_bracket(alg, x, y, k):
     return x
 
 
+def merged_coefficients(groups):
+    """Every coefficient of a stream of (t, group) pairs, such as
+    ``Algebra.commuting_groups``, in one dict keyed by monomial."""
+    return {gamma: rows for _, group in groups for gamma, rows in group.items()}
+
+
 def scalars(R):
     return Algebra(R, ["e"], [[(1,)]], (1,))
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import _in_random_basis, scale, scale_map
+from conftest import _in_random_basis, merged_coefficients, scale, scale_map
 
 from gmalg import derivations, linalg
 from gmalg.algebra import vanishing_kernel, vanishing_rows
@@ -168,7 +168,7 @@ def reference_vanish(G, k):
     d = alg.dim
     acc = linalg.kernel_builder(rg, d * d)
     acc.add_rows(reference_leibniz_rows(alg))
-    for block in vanishing_rows(rg, alg.commuting_coefficients(k), k + 1, d):
+    for block in vanishing_rows(rg, merged_coefficients(alg.commuting_groups(k)), k + 1, d):
         acc.add_rows(block)
     gens = acc.nullspace()
     return LinMap.from_flat(rg, d, gens[0]) if gens else True
@@ -201,7 +201,8 @@ def test_early_stopped_verdict_equals_feeding_every_row(ring, monkeypatch):
             monkeypatch.setattr(linalg, "kernel_builder", counting)
             assert verify_commuting_derivations_vanish(G, k) is expected is True
             monkeypatch.setattr(linalg, "kernel_builder", builder)
-            blocks = list(vanishing_rows(ring, G.algebra.commuting_coefficients(k), k + 1, d))
+            blocks = list(vanishing_rows(ring, merged_coefficients(G.algebra.commuting_groups(k)),
+                                         k + 1, d))
             # the Leibniz rows, then the commuting blocks until the kernel
             # is zero: here never all of them
             [sizes] = fed
@@ -220,7 +221,7 @@ def test_a_nonzero_kernel_raises_the_first_generator(monkeypatch):
         for k in (1, 2, 3):
             with pytest.raises(TheoremViolation) as err:
                 verify_commuting_derivations_vanish(G, k)
-            first = vanishing_kernel(ring, alg.commuting_coefficients(k), k + 1, d, d * d)[0]
+            first = vanishing_kernel(ring, alg.commuting_groups(k), k + 1, d, d * d)[0]
             assert err.value.witness == LinMap.from_flat(ring, d, first)
             assert commuting_space(G, k).contains(err.value.witness)
 

@@ -9,11 +9,19 @@ readers stop."""
 
 import itertools
 import random
+import sys
 
 import pytest
 
-from conftest import _in_random_basis, no_module, proper_map, scalars, square_zero_algebra
-from gmalg import algebra, cli, jsonio
+from conftest import (
+    _in_random_basis,
+    merged_coefficients,
+    no_module,
+    proper_map,
+    scalars,
+    square_zero_algebra,
+)
+from gmalg import algebra, cli, compiled, jsonio, linalg
 from gmalg.algebra import (
     Algebra,
     _as_rows,
@@ -29,7 +37,8 @@ from gmalg.families import (
     triangular_gma,
     triangular_matrix_algebra,
 )
-from gmalg.maps import LinMap, is_k_commuting
+from gmalg.errors import TwoTorsion
+from gmalg.maps import LinMap, commuting_space, is_k_commuting
 from gmalg.morita import Bimodule, MoritaContext, build_gma
 from gmalg.rings import Rationals, Zmod
 
@@ -150,7 +159,7 @@ def test_the_groups_are_the_one_shot_coefficients(family, ring):
             fresh = _fresh(alg)
             assert _merged(fresh.adjoint_groups(k), d) == reference_adjoint(alg, k)
             assert _merged(fresh.commuting_groups(k), d) == reference_commuting(alg, k)
-            assert fresh.commuting_coefficients(k) == reference_commuting(alg, k)
+            assert merged_coefficients(fresh.commuting_groups(k)) == reference_commuting(alg, k)
             for theta in maps:
                 assert _merged(fresh.map_groups(theta.integral()[1]._cols, k), d) \
                     == reference_ad_recursion(alg.adjoint_terms(),
@@ -267,3 +276,91 @@ def test_the_derivation_verdict_stops_the_stream_early(monkeypatch):
     assert verify_commuting_derivations_vanish(G, 3) is True
     assert read and 0 not in read
     assert pulled == read
+
+
+# -- one least index per call of vanishing_rows ---------------------------------
+
+SPY_RINGS = {"Q": Rationals(), "Z/2": Zmod(2), "Z/3": Zmod(3), "Z/4": Zmod(4),
+             "Z/5": Zmod(5), "Z/9": Zmod(9)}
+
+
+@pytest.mark.parametrize("ring", sorted(SPY_RINGS))
+def test_every_reader_hands_vanishing_rows_one_least_index(ring, monkeypatch):
+    """``commuting_space``, ``engel_center``, the compiled structure report,
+    ``is_k_commuting`` and the derivation verdict read the stream group by
+    group: every call of ``vanishing_rows`` gets the coefficients of exactly
+    one least index, so no reader holds more than one group and none hands
+    on an empty one.  Z/2 and Z/3 at k + 1 > p take the fold path, Z/4 and
+    Z/9 the Newton path; over Z/2 and Z/4 the derivation verdict refuses
+    before it reads any group."""
+    R = SPY_RINGS[ring]
+    original, calls = algebra.vanishing_rows, []
+
+    def spy(rg, coeffs, degree, dim):
+        calls.append({gamma[0] for gamma in coeffs})
+        return original(rg, coeffs, degree, dim)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("gmalg")
+                and getattr(module, "vanishing_rows", None) is original):
+            monkeypatch.setattr(module, "vanishing_rows", spy)
+
+    def build():
+        return block_triangular_gma(R, (2, 1), 1)
+
+    G = build()
+    dense = _in_random_basis(G.algebra, random.Random(ring))[0]
+    proper = proper_map(G, 2, [j % 3 - 1 for j in range(G.dim)])
+    rows = [list(r) for r in proper.rows]
+    rows[0][1] = R.add(rows[0][1], R.one)
+    refuted = LinMap(R, rows)
+
+    def derivation_verdict(k):
+        if R.is_two_torsion_free():
+            assert verify_commuting_derivations_vanish(build(), k) is True
+        else:
+            with pytest.raises(TwoTorsion):
+                verify_commuting_derivations_vanish(build(), k)
+
+    readers = {
+        "commuting_space": lambda k: [commuting_space(_fresh(alg), k)
+                                      for alg in (G.algebra, dense)],
+        "engel_center": lambda k: [_fresh(alg).engel_center(k) for alg in (G.algebra, dense)],
+        "structure report": lambda k: compiled.report_rows(build(), "structure", k),
+        "is_k_commuting": lambda k: [is_k_commuting(G, theta, k) for theta in (proper, refuted)],
+        "derivation verdict": derivation_verdict,
+    }
+    for name, read in readers.items():
+        for k in (1, 2, 3):
+            calls.clear()
+            read(k)
+            assert all(len(least) == 1 for least in calls), (name, k)
+            assert calls or (name == "derivation verdict" and not R.is_two_torsion_free())
+
+
+def test_a_derivation_sweep_feeds_the_accumulator_sized_blocks(tmp_path, monkeypatch):
+    """Every block the derivation sweep hands an accumulator, the Leibniz
+    rows included, is a sized collection: a reader that counts rows with
+    ``len``, as a tracing wrapper does, sees every verdict through."""
+    G = block_triangular_gma(Zmod(3), (2, 1), 1)
+    ctx = tmp_path / "ctx.json"
+    ctx.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
+    builder, sizes = linalg.kernel_builder, []
+
+    def sizing(rg, ncols):
+        acc = builder(rg, ncols)
+        add_rows = acc.add_rows
+
+        def feed(block):
+            sizes.append(len(block))
+            add_rows(block)
+
+        acc.add_rows = feed
+        return acc
+
+    monkeypatch.setattr(linalg, "kernel_builder", sizing)
+    for k in (1, 2, 3):
+        sizes.clear()
+        assert cli.main(["sweep", str(ctx), "--mode", "derivations", "--k", str(k)]) \
+            == cli.EXIT_OK
+        assert G.dim ** 3 in sizes     # the Leibniz rows, one list

@@ -23,6 +23,7 @@ from gmalg.algebra import (
     _surjections,
     lattice_check,
     lattice_points,
+    stream_rows,
     vanishing_rows,
 )
 from gmalg.families import (
@@ -36,7 +37,7 @@ from gmalg.linalg import kernel_builder
 from gmalg.maps import LinMap, commuting_space, is_k_commuting
 from gmalg.rings import Rationals, Zmod
 
-from conftest import _in_random_basis, is_zero, iterated_bracket
+from conftest import _in_random_basis, is_zero, iterated_bracket, merged_coefficients
 
 RINGS = (None, 2, 3, 4, 6, 9, 10007)
 FAMILIES = {
@@ -180,7 +181,7 @@ def test_generators_equal_point_evaluation_in_a_random_basis(family, p):
         for k in range(max(1, p - 1), p + 2):
             x = tuple(R.coerce(rng.randrange(p)) for _ in range(alg.dim))
             assert ad_rows(alg, x, k) == bracket_rows(alg, x, k)
-            coeffs = _fresh(alg).commuting_coefficients(k)
+            coeffs = merged_coefficients(_fresh(alg).commuting_groups(k))
             blocks = list(vanishing_rows(R, coeffs, k + 1, alg.dim))
             assert len(blocks) <= len(coeffs)
             assert len(blocks) == len(coeffs) or p < k + 1
@@ -291,6 +292,66 @@ def test_a_group_folds_to_no_rows_iff_it_vanishes_everywhere(p):
             assert (next(vanishing_rows(R, group, degree, d), None) is None) == zero
             seen.add(zero)
     assert seen == ({True, False} if p < 6 else {False})    # nothing folds at p = 7
+
+
+# -- the Newton differences, block by block -----------------------------------
+
+def _commuting_values(alg, x, k):
+    """f(x) = [theta(x), x]_k as rows over vec(theta), by bracketing at x
+    (as ``reference_commuting`` reads it): a dict (r, p*d+q) -> scalar."""
+    d = alg.dim
+    return {(r, p * d + q): alg.ring.mul(v, c)
+            for r, row in enumerate(bracket_rows(alg, x, k))
+            for p, v in row.items() for q, c in enumerate(x) if c}
+
+
+def _difference_blocks(alg, k):
+    """(alpha, the block of D^alpha f(0)) for each lattice point alpha of
+    degree k+1, in ``lattice_points`` order, where D^alpha f(0) = sum over
+    beta <= alpha of (-1)^|alpha - beta| C(alpha, beta) f(beta) is not 0;
+    alpha = 0 and the m*e_i (m >= 2) left out, as ``_newton_rows`` does.
+    A beta <= alpha comes before alpha, so its value is there."""
+    R, d = alg.ring, alg.dim
+    values, out = {}, []
+    for alpha in lattice_points(R, d, k + 1):
+        values[alpha] = _commuting_values(alg, alpha, k)
+        if max(alpha, default=0) == sum(alpha) != 1:
+            continue
+        acc = {}
+        for beta in itertools.product(*(range(a + 1) for a in alpha)):
+            w = (-1) ** (sum(alpha) - sum(beta)) * prod(map(comb, alpha, beta))
+            for key, v in values[beta].items():
+                acc[key] = acc.get(key, 0) + w * v
+        rows = {}
+        for (r, col), v in acc.items():
+            if x := R.normal(v):
+                rows.setdefault(r, {})[col] = x
+        if rows:
+            out.append((alpha, [rows[r] for r in sorted(rows)]))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", (4, 6, 9))
+def test_newton_blocks_are_the_differences_of_the_point_values(family, n):
+    """Each block of ``_newton_rows`` is the next nonzero Newton difference
+    D^alpha f(0) of the values f(beta) that bracketing gives, row for row:
+    on all of f, and read group by group (``stream_rows``), where the
+    blocks of least index t come before those of lower t.  A kernel
+    comparison cannot tell the differences from another unitriangular
+    recombination of the values; this can."""
+    R = Zmod(n)
+    base = FAMILIES[family](R).algebra
+    for alg in (base, _in_random_basis(base, random.Random(n))[0]):
+        for k in (1, 2, 3):
+            expected = _difference_blocks(alg, k)
+            fresh = _fresh(alg)
+            coeffs = merged_coefficients(fresh.commuting_groups(k))
+            assert list(_newton_rows(R, coeffs, k + 1, alg.dim)) \
+                == [block for _, block in expected]
+            by_group = sorted(expected, key=lambda e: -min(i for i, a in enumerate(e[0]) if a))
+            assert list(stream_rows(R, fresh.commuting_groups(k), k + 1, alg.dim)) \
+                == [block for _, block in by_group]
 
 
 # -- Stirling differences -----------------------------------------------------
