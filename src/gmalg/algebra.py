@@ -412,6 +412,7 @@ def _bilinear(ring, x, y, terms, out_dim):
     cells given as ``_nonzero_terms``.  Scalars are zero exactly when falsy
     (int residues, Fractions), which is much cheaper to test than comparing
     Fractions."""
+    normal = ring.normal
     out = [ring.zero] * out_dim
     ys = [(j, yj) for j, yj in enumerate(y) if yj]
     for i, xi in enumerate(x):
@@ -421,9 +422,9 @@ def _bilinear(ring, x, y, terms, out_dim):
         for j, yj in ys:
             cell = row[j]
             if cell:
-                c = ring.mul(xi, yj)
+                c = xi * yj
                 for r, cr in cell:
-                    out[r] = ring.add(out[r], ring.mul(c, cr))
+                    out[r] = normal(out[r] + c * cr)
     return tuple(out)
 
 
@@ -471,10 +472,10 @@ class Algebra(_Normal):
     # a zero term is skipped: testing that is much cheaper than adding a
     # zero Fraction
     def add(self, x, y):
-        return tuple(self.ring.add(a, b) if b else a for a, b in zip(x, y))
+        return tuple(self.ring.normal(a + b) if b else a for a, b in zip(x, y))
 
     def sub(self, x, y):
-        return tuple(self.ring.sub(a, b) if b else a for a, b in zip(x, y))
+        return tuple(self.ring.normal(a - b) if b else a for a, b in zip(x, y))
 
     # -- multiplication and brackets ---------------------------------------
 

@@ -7,7 +7,9 @@ input.  Output bytes are stable for fixed inputs and seed.
 """
 
 import argparse
+import contextlib
 import functools
+import os
 import random
 import sys
 
@@ -27,14 +29,21 @@ EXIT_INPUT = 3
 
 def _emit(doc, path=None):
     text = jsonio.dumps(doc)
-    if path:
-        try:
+    try:
+        if path:
             with open(path, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        # Bytes left in stdout's buffer would fail again at exit: send them
+        # to the null device (an in-process stdout has no file).
+        with contextlib.suppress(OSError):
+            if not path:
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        raise InputError(f"cannot write {path or 'standard output'}: {exc}") from exc
 
 
 def cmd_validate(args):

@@ -43,15 +43,15 @@ from .morita import BLOCKS
 
 
 class ReportRows:
-    """A report compiled to rows: for each ``cond_id``, in report order, the
-    sparse rows (dicts flat index -> scalar) that all vanish on vec(theta)
-    iff the line passes.  Flat index t = r*d + c is theta.rows[r][c], as in
-    ``maps.LinMap.flatten``.  The rows are linear, so they are read at
-    D*theta (``maps.LinMap.integral``), in int arithmetic over Q."""
+    """A report's lines compiled into the rows ``passes`` reads: sparse rows
+    (flat index -> scalar), merged over all lines, that all vanish on
+    vec(theta) iff every line passes; no per-line structure is kept.  Flat
+    index t = r*d + c is theta.rows[r][c], as in ``maps.LinMap.flatten``.
+    The rows are linear, so they are read at D*theta
+    (``maps.LinMap.integral``), in int arithmetic over Q."""
 
     def __init__(self, ring, lines):
         self.ring = ring
-        self.lines = lines
         # For ``passes``: the entries that a row u*theta_t, u a unit, forces
         # to 0, and the other rows once each without those entries, which
         # add nothing once they are 0.  Stripping them may leave such a row,
@@ -65,18 +65,10 @@ class ReportRows:
         self._zeros = sorted(zeros)
         self._rest = _packed(map(dict, rest))
 
-    def verdicts(self, theta):
-        """(cond_id, passed) for each line, in report order."""
-        get = theta.integral()[1].flatten().__getitem__
-        return [(cid, self._holds(_packed(rows), get)) for cid, rows in self.lines]
-
     def passes(self, theta):
-        get = theta.integral()[1].flatten().__getitem__
-        return not any(map(get, self._zeros)) and self._holds(self._rest, get)
-
-    def _holds(self, rows, get):
-        normal = self.ring.normal
-        return not any(normal(sum(map(mul, cs, map(get, ts)))) for ts, cs in rows)
+        get, normal = theta.integral()[1].flatten().__getitem__, self.ring.normal
+        return not any(map(get, self._zeros)) and not any(
+            normal(sum(map(mul, cs, map(get, ts)))) for ts, cs in self._rest)
 
 
 def _packed(rows):

@@ -156,12 +156,12 @@ def _tensor(X, Y):
     rg, dY = X.ring, Y.dim
 
     def kron(x, y):
-        return tuple((r * dY + t, c) for r, a in x for t, b in y if (c := rg.mul(a, b)))
+        return tuple((r * dY + t, c) for r, a in x for t, b in y if (c := rg.normal(a * b)))
 
     terms = tuple(tuple(kron(x, y) for x in xrow for y in yrow)
                   for xrow in X._terms for yrow in Y._terms)
     labels = [f"{a}:{b}" for a in X.labels for b in Y.labels]
-    unit = tuple(rg.mul(a, b) for a in X.unit for b in Y.unit)
+    unit = tuple(rg.normal(a * b) for a in X.unit for b in Y.unit)
     return Algebra._from_normal(rg, labels, terms, unit)
 
 

@@ -77,11 +77,9 @@ def algebra_to_json(alg):
     }
 
 
-def algebra_from_json(obj, ring=None):
+def algebra_from_json(obj):
     _schema(obj, ALGEBRA_SCHEMA)
-    if ring is None:
-        ring = parse_ring(_require(obj, "ring", "algebra"))
-    return _algebra_from_fields(ring, obj, "algebra")
+    return _algebra_from_fields(parse_ring(_require(obj, "ring", "algebra")), obj, "algebra")
 
 
 def _algebra_fields(alg):
@@ -97,6 +95,9 @@ def _algebra_fields(alg):
 
 def _algebra_from_fields(ring, obj, where):
     labels = _list(_require(obj, "labels", where), f"{where} labels")
+    for label in labels:
+        if not isinstance(label, str):
+            raise InputError(f"{where} labels must be strings, got {label!r:.40}")
     table, terms = _table_load(ring, obj, "mul", where)
     unit = _vec_load(ring, _require(obj, "unit", where), f"{where} unit")
     _check_algebra(len(labels), table, unit)

@@ -105,7 +105,7 @@ class _HowellAccumulator:
         if u is None and gcd(r[j], rg.n) != r[j]:
             u = _unit_normalizer(r[j], rg.n)
         if u is not None:
-            r = {c: rg.mul(u, x) for c, x in r.items()}
+            r = {c: rg.normal(u * x) for c, x in r.items()}
         if self._nonunit:
             # a unit multiple of a reduced row need not be reduced
             self._reduce(r)
@@ -113,7 +113,7 @@ class _HowellAccumulator:
         if lead != 1:
             self._nonunit.add(j)
             m = rg.n // lead
-            out.append({c: y for c, x in r.items() if (y := rg.mul(m, x))})
+            out.append({c: y for c, x in r.items() if (y := rg.normal(m * x))})
         for c, row in rows.items():
             if j in row:
                 q = row[j] if lead == 1 else row[j] // lead
@@ -154,7 +154,7 @@ class _HowellAccumulator:
                 v[f] = rg.one
                 for c, row in self.rows.items():
                     if f in row:
-                        v[c] = rg.neg(row[f])
+                        v[c] = rg.normal(-row[f])
                 out.append(tuple(v))
             return out
         n = rg.n
@@ -180,8 +180,9 @@ class _HowellAccumulator:
 
 def _subtract_multiple(rg, r, f, row):
     """r -= f * row in place over the entries of row, keeping r sparse."""
+    normal = rg.normal
     for j, b in row.items():
-        x = rg.sub(r.get(j, rg.zero), rg.mul(f, b))
+        x = normal(r.get(j, 0) - f * b)
         if x:
             r[j] = x
         else:
@@ -247,7 +248,7 @@ def in_span(ring, basis, v):
         c = next(i for i, x in enumerate(g) if x)
         q = v[c] if g[c] == 1 else v[c] // g[c]
         if q:
-            v = [ring.sub(a, ring.mul(q, b)) for a, b in zip(v, g)]
+            v = [ring.normal(a - q * b) for a, b in zip(v, g)]
     return not any(v)
 
 
@@ -283,5 +284,5 @@ def solve_linear(ring, rows, rhs, ncols=None):
     if ncols in acc.rows:
         return None
     *kernel, last = acc.nullspace()
-    return LinearSolution(tuple(ring.neg(x) for x in last[:ncols]),
+    return LinearSolution(tuple(ring.normal(-x) for x in last[:ncols]),
                           [v[:ncols] for v in kernel])

@@ -110,20 +110,20 @@ class LinMap(_Normal):
     def apply(self, v):
         if len(v) != self.dim:
             raise DimensionMismatch("vector length does not match map")
-        rg = self.ring
-        out = [rg.zero] * self.dim
+        normal = self.ring.normal
+        out = [self.ring.zero] * self.dim
         for j, x in enumerate(v):
             if x:
                 for r, c in self._cols[j]:
-                    out[r] = rg.add(out[r], rg.mul(c, x))
+                    out[r] = normal(out[r] + c * x)
         return tuple(out)
 
     def column(self, j):
         return tuple(row[j] for row in self.rows)
 
     def sub(self, other):
-        sub = self.ring.sub
-        return LinMap._from_normal(self.ring, tuple(tuple(map(sub, r1, r2))
+        normal = self.ring.normal
+        return LinMap._from_normal(self.ring, tuple(tuple(normal(a - b) for a, b in zip(r1, r2))
                                                      for r1, r2 in zip(self.rows, other.rows)))
 
     def __eq__(self, other):
@@ -263,7 +263,7 @@ def _divided(ring, D, x):
     if D == 1:
         return x
     inv = ring.inv_opt(D)
-    return type(x)(ring.mul(inv, v) for v in x)
+    return type(x)(ring.normal(inv * v) for v in x)
 
 
 class _Values(compiled._Side):
@@ -317,14 +317,14 @@ class _Values(compiled._Side):
         factor 1 and a zero partial sum are skipped: testing that is much
         cheaper than Fraction arithmetic."""
         size, cols = self._components[src, dst]
-        rg = self.ring
-        out = [rg.zero] * size
+        normal = self.ring.normal
+        out = [self.ring.zero] * size
         for x, col in zip(v, cols):
             if x:
                 for r, c in col:
                     if x != 1:
-                        c = rg.mul(c, x)
-                    out[r] = rg.add(out[r], c) if out[r] else c
+                        c = normal(c * x)
+                    out[r] = normal(out[r] + c) if out[r] else c
         return tuple(out)
 
     def act(self, product, x, y):

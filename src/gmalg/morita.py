@@ -364,7 +364,7 @@ class GMAlgebra:
         for acols, bcols, dim in images:
             for c in range(dim):
                 row = {i: v[c] for i, v in enumerate(acols) if v[c]}
-                row.update((dA + j, rg.neg(v[c])) for j, v in enumerate(bcols) if v[c])
+                row.update((dA + j, rg.normal(-v[c])) for j, v in enumerate(bcols) if v[c])
                 if row:
                     rows.append(row)
         return rows

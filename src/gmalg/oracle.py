@@ -2,7 +2,7 @@
 
 Everything here is computed straight from the definitions with its own
 multiplication and enumeration loops -- deliberately sharing nothing with
-the optimized implementations except scalar arithmetic -- so the two
+the optimized implementations except ``ring.normal`` -- so the two
 routes can validate each other.  The oracle reads only ``A._terms``, the
 nonzero terms the algebra stores of each product e_i e_j, and
 ``theta.rows``; it never expands the dense view ``A.table``.  Products
@@ -87,7 +87,7 @@ def enumerate_elements(A, budget=DEFAULT_BUDGET):
 def _units(ring, scalars):
     """The scalars u with u*v = 1 for some scalar v."""
     one = ring.one
-    return [u for u in scalars if any(ring.mul(u, v) == one for v in scalars)]
+    return [u for u in scalars if any(ring.normal(u * v) == one for v in scalars)]
 
 
 def representatives(A, budget=DEFAULT_BUDGET):
@@ -108,9 +108,9 @@ def representatives(A, budget=DEFAULT_BUDGET):
         # the units of ``fixing`` that fix it
         if fixing not in steps:
             steps[fixing] = [
-                (c, tuple(u for u in fixing if ring.mul(u, c) == c))
+                (c, tuple(u for u in fixing if ring.normal(u * c) == c))
                 for c in scalars
-                if all(rank[c] <= rank[ring.mul(u, c)] for u in fixing)
+                if all(rank[c] <= rank[ring.normal(u * c)] for u in fixing)
             ]
         return steps[fixing]
 
@@ -290,7 +290,7 @@ def brute_zk(A, k, budget=DEFAULT_BUDGET):
     units = _units(ring, _scalars(A, budget))
     reps = list(representatives(A, budget))
     return sorted({
-        tuple(ring.mul(u, c) for c in a)
+        tuple(ring.normal(u * c) for c in a)
         for a in reps
         if not any(any(_bracket_power(A, comm, a, x, k)) for x in reps)
         for u in units
@@ -330,7 +330,7 @@ def brute_properness(G, theta, budget=DEFAULT_BUDGET, comm=None):
     images = [_apply(A, cols, e) for e in basis]
     for lam in center:
         if all(
-            tuple(map(ring.sub, img, _bilinear(A, products, e, lam))) in cset
+            tuple(ring.normal(a - b) for a, b in zip(img, _bilinear(A, products, e, lam))) in cset
             for e, img in zip(basis, images)
         ):
             return True, lam

@@ -2,8 +2,10 @@
 
 Scalars are plain Python values (int residues in [0, n) for Z/nZ; over Q
 an int when integral, else a reduced ``fractions.Fraction``), so equality
-is representational equality and everything hashes.  Ring objects carry
-the arithmetic table.
+is representational equality and everything hashes.  Arithmetic is
+Python's + and *; a ring object coerces scalars on entry, brings a result
+back to normal form (``normal``), inverts (``inv_opt``) and scales rows to
+integers (``integral``).
 """
 
 import math
@@ -89,18 +91,6 @@ class Zmod:
         """The scalar of an int computed from scalars by + and *."""
         return v % self.n
 
-    def add(self, x, y):
-        return (x + y) % self.n
-
-    def sub(self, x, y):
-        return (x - y) % self.n
-
-    def mul(self, x, y):
-        return (x * y) % self.n
-
-    def neg(self, x):
-        return (-x) % self.n
-
     def inv_opt(self, x):
         """Multiplicative inverse, or None when x is not a unit."""
         try:
@@ -139,20 +129,18 @@ class Zmod:
 
 
 def _canonical(v):
-    """The canonical form of a rational value: an int when it is integral,
-    else the reduced Fraction."""
-    if type(v) is int:
-        return v
+    """The canonical form of a Fraction: an int when it is integral, else
+    the Fraction itself."""
     return v.numerator if v.denominator == 1 else v
 
 
 class Rationals:
     """The field Q.  A scalar is an int when it is integral and a reduced
-    Fraction (denominator > 1) otherwise, and every operation returns that
-    form: on integral data all arithmetic is int arithmetic, much cheaper
-    than Fraction arithmetic, and ints compare and hash as the equal
-    Fractions.  Division is ``inv_opt``, never ``/``, which would make a
-    float of two ints."""
+    Fraction (denominator > 1) otherwise, and ``normal`` returns that form:
+    on integral data all arithmetic is int arithmetic, much cheaper than
+    Fraction arithmetic, and ints compare and hash as the equal Fractions.
+    Division is ``inv_opt``, never ``/``, which would make a float of two
+    ints."""
 
     kind = "Q"
     enumerable = False
@@ -171,22 +159,7 @@ class Rationals:
 
     def normal(self, v):
         """A value computed from scalars by + and *, in canonical form."""
-        return _canonical(v)
-
-    def add(self, x, y):
-        v = x + y
         return v if type(v) is int else _canonical(v)
-
-    def sub(self, x, y):
-        v = x - y
-        return v if type(v) is int else _canonical(v)
-
-    def mul(self, x, y):
-        v = x * y
-        return v if type(v) is int else _canonical(v)
-
-    def neg(self, x):
-        return -x
 
     def inv_opt(self, x):
         if not x:

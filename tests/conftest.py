@@ -59,13 +59,13 @@ Q_FAMILIES = [
 
 def scale(alg, c, x):
     """c * x, for an element x of ``alg``."""
-    return tuple(alg.ring.mul(c, a) for a in x)
+    return tuple(alg.ring.normal(c * a) for a in x)
 
 
 def scale_map(theta, c):
     """The map c * theta."""
     rg = theta.ring
-    return LinMap._from_normal(rg, tuple(tuple(rg.mul(c, a) for a in r) for r in theta.rows))
+    return LinMap._from_normal(rg, tuple(tuple(rg.normal(c * a) for a in r) for r in theta.rows))
 
 
 def span_elements(sub):
@@ -82,7 +82,7 @@ def span_elements(sub):
         for c, g in zip(coeffs, sub.gens):
             if c != rg.zero:
                 for r, gr in enumerate(g):
-                    v[r] = rg.add(v[r], rg.mul(c, gr))
+                    v[r] = rg.normal(v[r] + c * gr)
         out.add(tuple(v))
     return sorted(out)
 

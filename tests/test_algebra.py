@@ -56,7 +56,7 @@ def test_bracket_recursion_matches_operator_power():
         via_rec = iterated_bracket(A, x, y, k)
         # apply the (right-mult minus left-mult) matrix k times
         L, R = A.left_mult_matrix(y), A.right_mult_matrix(y)
-        ad = [[A.ring.sub(a, b) for a, b in zip(R[r], L[r])] for r in range(A.dim)]
+        ad = [[A.ring.normal(a - b) for a, b in zip(R[r], L[r])] for r in range(A.dim)]
         v = x
         for _ in range(k):
             v = tuple(

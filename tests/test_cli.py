@@ -199,7 +199,7 @@ def _scaled(partner, scales):
     def scaled(G, block):
         terms, dim = partner(G, block)
         s = G.ring.coerce(scales[block == "B"])
-        return tuple(tuple(tuple((i, G.ring.mul(s, c)) for i, c in cell) for cell in row)
+        return tuple(tuple(tuple((i, G.ring.normal(s * c)) for i, c in cell) for cell in row)
                      for row in terms), dim
     return scaled
 
@@ -509,6 +509,35 @@ def test_an_unwritable_emit_path_exits_3(argv, ctx_m2_z3, tmp_path, capsys):
     assert (code, out) == (cli.EXIT_INPUT, ""), err
     assert err.startswith(f"InputError: cannot write {target}: "), err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["/dev/full", "a closed pipe"])
+def test_an_unwritable_stdout_exits_3(target, buffered, ctx_m2_z3):
+    """A standard output that cannot be written is refused as an --emit path
+    is: one line and exit 3, and nothing more when the interpreter exits,
+    whether stdout is buffered (the default) or not (``-u``)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = [sys.executable, *([] if buffered else ["-u"]), "-m", "gmalg", "validate",
+            ctx_m2_z3[0]]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if target == "/dev/full":
+        if not os.path.exists(target):
+            pytest.skip("no /dev/full on this system")
+        with open(target, "w") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=60, env=env)
+        code, err = proc.returncode, proc.stderr
+    else:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == cli.EXIT_INPUT, err
+    assert err.startswith("InputError: cannot write standard output: "), err
+    assert err.count("\n") == 1 and "Exception ignored" not in err, err
 
 
 def test_inflated_family_command(capsys):

@@ -16,7 +16,7 @@ import pytest
 from conftest import _in_random_basis
 from gmalg.algebra import Submodule
 from gmalg.families import block_triangular_gma, full_matrix_gma, triangular_gma
-from gmalg.compiled import report_rows
+from gmalg.compiled import REPORTS, _Forms, report_rows
 from gmalg.errors import TheoremViolation
 from gmalg.maps import (
     HypothesisWitness,
@@ -73,6 +73,19 @@ def _maps(G, k, rng):
     return space.basis() + members + arbitrary + moved
 
 
+def _verdicts(G, mode, k):
+    """theta -> (cond_id, passed) for each line of ``REPORTS[mode]`` compiled
+    to rows, in report order: a line passes iff its rows all vanish on
+    vec(D*theta) (``LinMap.integral``)."""
+    lines, normal = REPORTS[mode][1](_Forms.pair(G), k), G.ring.normal
+
+    def verdicts(theta):
+        flat = theta.integral()[1].flatten()
+        return [(cid, not any(normal(sum(c * flat[t] for t, c in row.items())) for row in rows))
+                for cid, rows in lines]
+    return verdicts
+
+
 def _per_line(rep):
     return [(line.cond_id, line.passed) for line in rep.lines]
 
@@ -95,13 +108,14 @@ def test_compiled_lines_match_the_per_line_reports(shape, ring, view):
     G = _view(SHAPES[shape](ring), view, rng)
     guards = report_rows(G, "proper", None)
     for k in (1, 2, 3):
-        srows, prows = report_rows(G, "structure", k), report_rows(G, "steps", k)
+        srows, structure = report_rows(G, "structure", k), _verdicts(G, "structure", k)
+        steps_of = _verdicts(G, "steps", k)
         for theta in _maps(G, k, rng):
-            got = srows.verdicts(theta)
+            got = structure(theta)
             assert got == _per_line(verify_structure_conditions(
                 G, theta, k, verdict=(True, None))), (k, theta.rows)
             assert srows.passes(theta) == all(ok for _, ok in got)
-            steps = prows.verdicts(theta)
+            steps = steps_of(theta)
             assert steps == _per_line(verify_proper_form_steps(
                 G, theta, k, hypotheses=ASSUMED, verdict=(True, None))), (k, theta.rows)
             assert guards.passes(theta) == _has_proper_form(G, theta, k), (k, theta.rows)

@@ -103,9 +103,9 @@ def reference_leibniz_rows(alg):
             for r in range(d):
                 row = [rg.zero] * (d * d)
                 for p in range(d):
-                    row[r * d + p] = rg.add(row[r * d + p], T[i][j][p])
-                    row[p * d + i] = rg.sub(row[p * d + i], T[p][j][r])
-                    row[p * d + j] = rg.sub(row[p * d + j], T[i][p][r])
+                    row[r * d + p] = rg.normal(row[r * d + p] + T[i][j][p])
+                    row[p * d + i] = rg.normal(row[p * d + i] - T[p][j][r])
+                    row[p * d + j] = rg.normal(row[p * d + j] - T[i][p][r])
                 rows.append({c: x for c, x in enumerate(row) if x})
     return rows
 
@@ -265,7 +265,7 @@ def test_a_corrupted_pairing_fails_the_reassembly_where_the_rebuilt_map_differs(
     pair_nm = ctx.pair_nm
 
     def corrupted(n, m):
-        return ctx.B.add(pair_nm(n, m), scale(ctx.B, ring.mul(n[0], m[0]), ctx.B.unit))
+        return ctx.B.add(pair_nm(n, m), scale(ctx.B, ring.normal(n[0] * m[0]), ctx.B.unit))
 
     monkeypatch.setattr(ctx, "pair_nm", corrupted)
     theta = adjoint_map(G, alg.vec(range(1, G.dim + 1)))

@@ -97,7 +97,7 @@ def _cases(name, G, k):
                 rows = [[_scalar(rng, G.ring) for _ in row] for row in rows]
             else:
                 r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
-                rows[r][c] = G.ring.add(rows[r][c], G.ring.one)
+                rows[r][c] = G.ring.normal(rows[r][c] + G.ring.one)
                 label += f" entry={r},{c}"
             theta, verdict = _overwritten(G, theta, *corrupt, rows), (True, None)
         yield f"{name} k={k} {label} corrupt={corrupt}", theta, verdict
@@ -234,7 +234,7 @@ class _View:
         for r in self.G.block_range(self.names[dst]):
             acc = rg.zero
             for c, x in zip(cols, v):
-                acc = rg.add(acc, rg.mul(rows[r][c], x))
+                acc = rg.normal(acc + rows[r][c] * x)
             out.append(acc)
         return tuple(out)
 
@@ -247,7 +247,7 @@ class _View:
         out = [rg.zero] * len(terms[0][1])
         for c, x in terms:
             for t, v in enumerate(x):
-                out[t] = rg.add(out[t], rg.mul(rg.coerce(c), v))
+                out[t] = rg.normal(out[t] + rg.coerce(c) * v)
         return tuple(out)
 
 

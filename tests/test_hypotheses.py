@@ -203,7 +203,7 @@ def reference_cond3(G):
         m, n = Ms[i], Ns[j]
         # the columns: the residue of each central basis element
         cols = [ctx.am(a, m) + ctx.na(n, a) for a in za]
-        cols += [tuple(R.neg(c) for c in ctx.mb(m, b) + ctx.bn(b, n)) for b in zb]
+        cols += [tuple(R.normal(-c) for c in ctx.mb(m, b) + ctx.bn(b, n)) for b in zb]
         rows = [list(r) for r in zip(*cols)]
         if len(cols) - len(linalg.span_basis(R, rows, len(cols))) == target:
             return True, m, n

@@ -163,6 +163,22 @@ def test_a_context_vector_or_row_that_is_not_a_list_is_refused(path, value, mess
             jsonio.context_from_json(doc)
 
 
+@pytest.mark.parametrize("label", [None, [1, 2], {"a": 1}, 7], ids=repr)
+def test_a_label_that_is_not_a_string_is_refused(label):
+    """Labels are strings; anything else is refused where they are read, in
+    a context and in an algebra document, and never printed as its repr."""
+    message = f"^A labels must be strings, got {re.escape(repr(label))}$"
+    for ring in (Zmod(5), Rationals()):
+        doc = _context_doc(ring)
+        doc["A"]["labels"] = [label]
+        with pytest.raises(InputError, match=message):
+            jsonio.context_from_json(doc)
+        doc = jsonio.algebra_to_json(jsonio.context_from_json(_context_doc(ring)).A)
+        doc["labels"][0] = label
+        with pytest.raises(InputError, match=message.replace("A labels", "algebra labels")):
+            jsonio.algebra_from_json(doc)
+
+
 @pytest.mark.parametrize("matrix, message", [
     (5, "map matrix must be a JSON list, got 5"),
     ([[1, 0], 5], "map row must be a JSON list, got 5"),

@@ -54,7 +54,7 @@ def test_k_commuting_matches_the_oracle(n, k, full, seed):
     member = commuting_space(A, k).random_member(rng)
     rows = [list(r) for r in member.rows]
     i, j = rng.randrange(d), rng.randrange(d)
-    rows[i][j] = R.add(rows[i][j], R.coerce(rng.randrange(1, n)))
+    rows[i][j] = R.normal(rows[i][j] + R.coerce(rng.randrange(1, n)))
     random_map = LinMap(R, [[rng.randrange(n) for _ in range(d)] for _ in range(d)])
     for theta in (member, LinMap(R, rows), random_map):
         assert is_k_commuting(A, theta, k) == brute_k_commuting(A, theta, k)

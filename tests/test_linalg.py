@@ -195,11 +195,11 @@ def reference_rref(ring, rows, ncols):
             continue
         rows[r], rows[i] = rows[i], rows[r]
         inv = ring.inv_opt(rows[r][c])
-        rows[r] = [ring.mul(inv, x) for x in rows[r]]
+        rows[r] = [ring.normal(inv * x) for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != ring.zero:
                 f = rows[i][c]
-                rows[i] = [ring.sub(a, ring.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+                rows[i] = [ring.normal(a - f * b) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return pivots, [tuple(r) for r in rows[: len(pivots)]]
 
@@ -215,7 +215,7 @@ def reference_nullspace(ring, rows, ncols):
         v = [ring.zero] * ncols
         v[f] = ring.one
         for c, row in zip(pivots, rref):
-            v[c] = ring.neg(row[f])
+            v[c] = ring.normal(-row[f])
         out.append(tuple(v))
     return out
 
@@ -238,8 +238,7 @@ def systems(draw):
         if len(rows) >= 2 and draw(st.booleans()):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             f, g = draw(scalars), draw(scalars)
-            dense = [ring.add(ring.mul(ring.coerce(f), ring.coerce(x)),
-                              ring.mul(ring.coerce(g), ring.coerce(y)))
+            dense = [ring.normal(ring.coerce(f) * ring.coerce(x) + ring.coerce(g) * ring.coerce(y))
                      for x, y in zip(a, b)]
         else:
             cols = draw(st.sets(st.integers(0, ncols - 1))

@@ -73,7 +73,7 @@ def test_negated_psi_breaks_the_diagrams(m2_z3):
     ctx = m2_z3.ctx
     R = ctx.ring
     bad_psi = [
-        [tuple(R.neg(c) for c in v) for v in row] for row in ctx.psi
+        [tuple(R.normal(-c) for c in v) for v in row] for row in ctx.psi
     ]
     bad = MoritaContext(ctx.A, ctx.B, ctx.M, ctx.N, ctx.phi, bad_psi)
     names = {v.axiom for v in validate_context(bad)}
@@ -157,9 +157,9 @@ def test_center_projections_and_phi(t2_z3):
     # the partner of c*1_A is c*1_B
     R = G.ring
     for c in R.scalars():
-        a = tuple(R.mul(c, x) for x in G.ctx.A.unit)
+        a = tuple(R.normal(c * x) for x in G.ctx.A.unit)
         b = G.phi_apply(a)
-        assert b == tuple(R.mul(c, x) for x in G.ctx.B.unit)
+        assert b == tuple(R.normal(c * x) for x in G.ctx.B.unit)
         assert G.phi_inv_apply(b) == a
 
 
@@ -301,7 +301,7 @@ def test_center_iso_checks_multiplicativity_over_q(monkeypatch):
     two = R.coerce(2)
     # 2*phi is a linear bijection onto the B-image, but not multiplicative
     monkeypatch.setattr(G, "phi_apply", lambda a: tuple(two * c for c in phi(a)))
-    monkeypatch.setattr(G, "phi_inv_apply", lambda b: phi_inv(tuple(R.mul(c, R.inv_opt(two)) for c in b)))
+    monkeypatch.setattr(G, "phi_inv_apply", lambda b: phi_inv(tuple(R.normal(c * R.inv_opt(two)) for c in b)))
     with pytest.raises(TheoremViolation, match="multiplicative"):
         center_iso_phi(G)
 
@@ -316,7 +316,7 @@ def _solved_partner(G, block, x):
         known, unknown = unknown, known
     rows = G.center_rows(G.ctx.M.basis(), G.ctx.N.basis())
     sol = linalg.solve_linear(
-        R, [[R.neg(r.get(c, R.zero)) for c in unknown] for r in rows],
+        R, [[R.normal(-r.get(c, R.zero)) for c in unknown] for r in rows],
         [R.normal(sum(v * x[c - known.start] for c, v in r.items() if c in known))
          for r in rows])
     assert sol is not None and not sol.kernel

@@ -234,7 +234,7 @@ def brute_commuting_space(A, k):
     for x in enumerate_elements(A):
         brackets = [_bracket_power(A, comm, e, x, k) for e in basis]
         for r in range(d):
-            row = {p * d + q: R.mul(x[q], b[r]) for p, b in enumerate(brackets)
+            row = {p * d + q: R.normal(x[q] * b[r]) for p, b in enumerate(brackets)
                    for q in range(d) if x[q] and b[r]}
             rows.add(tuple(sorted(row.items())))
     gens = linalg.nullspace(R, [dict(row) for row in sorted(rows)], d * d)

@@ -43,10 +43,10 @@ def test_every_operation_returns_the_canonical_form(a, b):
     _is_canonical(x, a)
     _is_canonical(y, b)
     _is_canonical(Q.coerce(str(Fraction(a))), a)
-    _is_canonical(Q.add(x, y), Fraction(a) + Fraction(b))
-    _is_canonical(Q.sub(x, y), Fraction(a) - Fraction(b))
-    _is_canonical(Q.mul(x, y), Fraction(a) * Fraction(b))
-    _is_canonical(Q.neg(x), -Fraction(a))
+    _is_canonical(Q.normal(x + y), Fraction(a) + Fraction(b))
+    _is_canonical(Q.normal(x - y), Fraction(a) - Fraction(b))
+    _is_canonical(Q.normal(x * y), Fraction(a) * Fraction(b))
+    _is_canonical(Q.normal(-x), -Fraction(a))
     _is_canonical(Q.normal(Fraction(a) * Fraction(b)), Fraction(a) * Fraction(b))
     if a:
         _is_canonical(Q.inv_opt(x), 1 / Fraction(a))

@@ -19,10 +19,10 @@ from gmalg.rings import (
 
 def test_zmod_basic_arithmetic():
     R = Zmod(3)
-    assert R.add(2, 2) == 1
-    assert R.mul(2, 2) == 1
-    assert R.sub(0, 1) == 2
-    assert R.neg(1) == 2
+    assert R.normal(2 + 2) == 1
+    assert R.normal(2 * 2) == 1
+    assert R.normal(0 - 1) == 2
+    assert R.normal(-1) == 2
 
 
 def test_zmod_inverse():
@@ -90,12 +90,12 @@ def test_scalar_json_round_trip():
 def test_zmod_ring_axioms(n, a, b, c):
     R = Zmod(n)
     x, y, z = R.coerce(a), R.coerce(b), R.coerce(c)
-    assert R.add(x, y) == R.add(y, x)
-    assert R.mul(x, y) == R.mul(y, x)
-    assert R.mul(R.mul(x, y), z) == R.mul(x, R.mul(y, z))
-    assert R.mul(x, R.add(y, z)) == R.add(R.mul(x, y), R.mul(x, z))
-    assert R.add(x, R.neg(x)) == R.zero
-    assert R.mul(x, R.one) == x
+    assert R.normal(x + y) == R.normal(y + x)
+    assert R.normal(x * y) == R.normal(y * x)
+    assert R.normal(R.normal(x * y) * z) == R.normal(x * R.normal(y * z))
+    assert R.normal(x * R.normal(y + z)) == R.normal(R.normal(x * y) + R.normal(x * z))
+    assert R.normal(x + R.normal(-x)) == R.zero
+    assert R.normal(x * R.one) == x
 
 
 @given(st.integers(2, 30), st.integers())
@@ -104,13 +104,13 @@ def test_zmod_inverse_really_inverts(n, a):
     x = R.coerce(a)
     inv = R.inv_opt(x)
     if inv is not None:
-        assert R.mul(x, inv) == R.one
+        assert R.normal(x * inv) == R.one
 
 
 def test_odd_modulus_two_torsion_exhaustive():
     R = Zmod(9)
     for x in R.scalars():
-        if R.add(x, x) == R.zero:
+        if R.normal(x + x) == R.zero:
             assert x == R.zero
 
 

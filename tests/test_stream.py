@@ -215,7 +215,7 @@ def _perturbations(G, rng):
     base = proper_map(G, 2, [j % 3 - 1 for j in range(d)])
     for i, j in itertools.product(range(d), repeat=2):
         rows = [list(r) for r in base.rows]
-        rows[i][j] = R.add(rows[i][j], R.one)
+        rows[i][j] = R.normal(rows[i][j] + R.one)
         yield LinMap(R, rows)
     for _ in range(4):
         yield LinMap(R, [[R.coerce(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)])
@@ -312,7 +312,7 @@ def test_every_reader_hands_vanishing_rows_one_least_index(ring, monkeypatch):
     dense = _in_random_basis(G.algebra, random.Random(ring))[0]
     proper = proper_map(G, 2, [j % 3 - 1 for j in range(G.dim)])
     rows = [list(r) for r in proper.rows]
-    rows[0][1] = R.add(rows[0][1], R.one)
+    rows[0][1] = R.normal(rows[0][1] + R.one)
     refuted = LinMap(R, rows)
 
     def derivation_verdict(k):

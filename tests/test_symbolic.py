@@ -60,7 +60,7 @@ def _minus(ring, rows, others):
     for row, other in zip(rows, others):
         row = dict(row)
         for col, v in other.items():
-            row[col] = ring.sub(row.get(col, ring.zero), v)
+            row[col] = ring.normal(row.get(col, ring.zero) - v)
         out.append(row)
     return out
 
@@ -124,7 +124,7 @@ def reference_commuting(alg, k, rows=bracket_rows):
     def rows_at(x):
         support = [(q, c) for q, c in enumerate(x) if c]
         return [
-            {p * d + q: alg.ring.mul(v, c) for p, v in row.items()
+            {p * d + q: alg.ring.normal(v * c) for p, v in row.items()
              for q, c in support}
             for row in rows(alg, x, k)
         ]
@@ -300,7 +300,7 @@ def _commuting_values(alg, x, k):
     """f(x) = [theta(x), x]_k as rows over vec(theta), by bracketing at x
     (as ``reference_commuting`` reads it): a dict (r, p*d+q) -> scalar."""
     d = alg.dim
-    return {(r, p * d + q): alg.ring.mul(v, c)
+    return {(r, p * d + q): alg.ring.normal(v * c)
             for r, row in enumerate(bracket_rows(alg, x, k))
             for p, v in row.items() for q, c in enumerate(x) if c}
 
@@ -394,7 +394,7 @@ def test_rational_witnesses_equal_the_lattice_search(family, n):
         for _ in range(3):
             rows = [list(r) for r in member.rows]
             i, j = rng.randrange(d), rng.randrange(d)
-            rows[i][j] = R.add(rows[i][j], R.coerce(draw()))
+            rows[i][j] = R.normal(rows[i][j] + R.coerce(draw()))
             maps.append(LinMap(R, rows))
         maps.append(LinMap(R, [[R.coerce(rng.randint(-3, 3)) for _ in range(d)]
                                for _ in range(d)]))
@@ -411,11 +411,11 @@ def test_a_lead_keeps_the_witness():
     has x_2 = 2.  g(x) = x_0 (x_1 - 2) has lead 0."""
     for ring in (Rationals(), Zmod(5), Zmod(9)):
         def f(x):
-            return ring.mul(ring.mul(x[2], ring.sub(x[2], 1)), x[3])
+            return ring.normal(x[2] * (x[2] - 1) * x[3])
 
         for dim, degree, lead, poly, witness in (
             (4, 3, 2, f, (0, 0, 2, 1)),
-            (2, 2, 0, lambda x: ring.mul(x[0], ring.sub(x[1], 2)), (1, 0)),
+            (2, 2, 0, lambda x: ring.normal(x[0] * (x[1] - 2)), (1, 0)),
         ):
             points = []
 

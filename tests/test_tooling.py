@@ -1,7 +1,8 @@
 """Names that other code reaches by name: the package exports, and the
 functions and methods the benchmark's tracer (perfbench/tracing.py) wraps
 and times by name.  Deleting or renaming one must fail here first.  And
-the scalar representation stays owned by ``rings``."""
+the scalar representation stays owned by ``rings``, whose rings do no
+arithmetic of their own."""
 
 import ast
 import importlib.util
@@ -9,7 +10,7 @@ import inspect
 import pathlib
 
 import gmalg
-from gmalg.rings import Zmod
+from gmalg.rings import Rationals, Zmod
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -85,4 +86,30 @@ def test_only_rings_makes_fractions_or_divides():
                 bad = False
             if bad:
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+_ARITHMETIC = {"add", "sub", "mul", "neg"}
+
+
+def _is_ring(node):
+    """A name ``ring``, ``rg`` or ``R``, or an attribute ``*.ring``."""
+    return (isinstance(node, ast.Name) and node.id in ("ring", "rg", "R")
+            or isinstance(node, ast.Attribute) and node.attr == "ring")
+
+
+def test_rings_do_no_arithmetic():
+    """Arithmetic is Python's, and ``ring.normal`` is the way back to normal
+    form: no ring defines ``add``, ``sub``, ``mul`` or ``neg``, and no code
+    in ``gmalg`` reaches for one, so a path no test exercises cannot keep
+    calling a deleted method."""
+    for cls in (Zmod, Rationals):
+        assert _ARITHMETIC.isdisjoint(vars(cls)), cls
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "gmalg").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in _ARITHMETIC
+        and _is_ring(node.value)
+    ]
     assert found == []

@@ -282,7 +282,7 @@ def validate_cases():
         r = rng.randrange(getattr(ctx, block).dim)
         c = _scalar(rng, ctx.ring)
         if c == getattr(ctx, block).unit[r]:
-            c = ctx.ring.add(c, ctx.ring.one)
+            c = ctx.ring.normal(c + ctx.ring.one)
         yield f"{name} unit {block}[{r}]={c}", _with_unit(ctx, block, r, c)
 
 
