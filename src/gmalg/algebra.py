@@ -275,17 +275,6 @@ def stream_rows(ring, groups, degree, dim):
             for block in vanishing_rows(ring, group, degree, dim))
 
 
-def vanishing_kernel(ring, groups, degree, dim, ncols):
-    """Kernel generators, over ``ncols`` unknowns, of the constraints that
-    f(x) = 0 on all of R^dim, for f homogeneous of degree ``degree`` in x
-    and linear in the unknowns: the blocks of ``stream_rows``, fed one at a
-    time (the Howell form is canonical, so their order does not matter)."""
-    acc = linalg.kernel_builder(ring, ncols)
-    for block in stream_rows(ring, groups, degree, dim):
-        acc.add_rows(block)
-    return acc.nullspace()
-
-
 def evaluator(ring, coeffs, degree):
     """``holds(x)``: whether f(x) = sum_gamma C_gamma x^gamma is zero, for x
     in normal form and coefficients as in ``vanishing_rows``.  Only the
@@ -582,14 +571,22 @@ class Algebra(_Normal):
         so the constraints on a are (see ``vanishing_rows``) the rows of the
         W_alpha over Q and over Z/p with p >= k, of the W_alpha folded by
         x_i^p = x_i over Z/p with p < k, and of their Newton differences
-        over composite Z/n; exact over every ring, fed group by group."""
+        over composite Z/n; exact over every ring, fed group by group until
+        their kernel is span(1), which it contains (``linalg.certified_kernel``).
+        Then so is Z^(j) <= Z^(k) for j <= k, and it is recorded too."""
         if k < 1:
             raise DimensionMismatch("engel order must be >= 1")
         if k not in self._engel:
             groups = ((t, {alpha: _as_rows(cols) for alpha, cols in group.items()})
                       for t, group in self.adjoint_groups(k))
-            gens = vanishing_kernel(self.ring, groups, k, self.dim, self.dim)
-            self._engel[k] = Submodule._from_normal(self.ring, self.dim, gens)
+            one = Submodule._from_normal(self.ring, self.dim, [self.unit])
+            gens = linalg.certified_kernel(self.ring, stream_rows(self.ring, groups, k, self.dim),
+                                           self.dim, one.gens)
+            if gens == one.gens:
+                for j in range(1, k + 1):
+                    self._engel.setdefault(j, one)
+            else:
+                self._engel[k] = Submodule._from_normal(self.ring, self.dim, gens)
         return self._engel[k]
 
     def adjoint_groups(self, k):

@@ -28,7 +28,8 @@ EXIT_INPUT = 3
 
 
 def _emit(doc, path=None):
-    text = jsonio.dumps(doc)
+    """Write a document, or text such as help, to ``path`` or stdout."""
+    text = doc if isinstance(doc, str) else jsonio.dumps(doc)
     try:
         if path:
             with open(path, "w") as fh:
@@ -37,13 +38,23 @@ def _emit(doc, path=None):
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        # Bytes left in stdout's buffer would fail again at exit: send them
-        # to the null device (an in-process stdout has no file).
-        with contextlib.suppress(OSError):
-            if not path:
-                fd = sys.stdout.fileno()
-                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        if not path:
+            _to_null(sys.stdout)
         raise InputError(f"cannot write {path or 'standard output'}: {exc}") from exc
+
+
+def _to_null(stream):
+    """Send ``stream``'s file to the null device, so that bytes left in its
+    buffer do not fail again at exit (an in-process stream has no file)."""
+    with contextlib.suppress(OSError):
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with help to stdout written, or refused, as a document is."""
+
+    def print_help(self, file=None):
+        return super().print_help(file) if file else _emit(self.format_help())
 
 
 def cmd_validate(args):
@@ -257,7 +268,7 @@ def cmd_family(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gmalg",
         description="Exact verification toolkit for 2x2 generalized matrix algebras",
     )
@@ -336,18 +347,20 @@ def _parse(argv):
 
 
 def main(argv=None):
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except TheoremViolation as exc:
-        print(f"theorem violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        code, line = EXIT_VIOLATION, f"theorem violation: {exc}"
     except HypothesesNotMet as exc:
-        print(f"finding: {exc}", file=sys.stderr)
-        return EXIT_FINDING
+        code, line = EXIT_FINDING, f"finding: {exc}"
     except GmalgError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code, line = EXIT_INPUT, f"{type(exc).__name__}: {exc}"
+    try:    # a stderr that cannot take the line changes no exit code
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _to_null(sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

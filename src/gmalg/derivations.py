@@ -2,6 +2,7 @@
 linear space of all derivations, the structural normal form on a 2x2
 block algebra, and the vanishing of k-commuting derivations."""
 
+import itertools
 from collections import namedtuple
 
 from . import linalg
@@ -170,9 +171,9 @@ def verify_commuting_derivations_vanish(G, k):
     Both are linear conditions on the entries of the map: the Leibniz rows
     and the rows that make [theta(x), x]_k vanish (see
     ``algebra.vanishing_rows``), read group by group from
-    ``Algebra.commuting_groups`` (``stream_rows``), fed to one kernel.
-    Feeding stops once that kernel is zero, since more rows cannot shrink
-    it, and no group is computed after that.  A generator of the kernel
+    ``Algebra.commuting_groups`` (``stream_rows``), fed to one kernel
+    until it is zero (``linalg.certified_kernel``, lower bound {0}): no
+    group is computed after that.  A generator of the kernel
     contradicts the vanishing theorem and is raised as TheoremViolation
     with the map attached.  Outside the setting of
     ``maps.require_proper_setting`` it refuses."""
@@ -181,13 +182,9 @@ def verify_commuting_derivations_vanish(G, k):
     rg = G.ring
     alg = G.algebra
     d = alg.dim
-    acc = linalg.kernel_builder(rg, d * d)
-    acc.add_rows(list(_iter_leibniz_rows(alg)))
-    for block in stream_rows(rg, alg.commuting_groups(k), k + 1, d):
-        if acc.has_zero_kernel():
-            break
-        acc.add_rows(block)
-    gens = acc.nullspace()
+    blocks = itertools.chain([list(_iter_leibniz_rows(alg))],
+                             stream_rows(rg, alg.commuting_groups(k), k + 1, d))
+    gens = linalg.certified_kernel(rg, blocks, d * d, [])
     if gens:
         raise TheoremViolation(
             "nonzero k-commuting derivation found",

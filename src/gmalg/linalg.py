@@ -16,7 +16,9 @@ back-substitution, in column order, so downstream reports are byte-stable.
 
 import heapq
 from collections import namedtuple
-from math import gcd
+from math import gcd, prod
+
+from .errors import TheoremViolation
 
 LinearSolution = namedtuple("LinearSolution", ["particular", "kernel"])
 
@@ -124,10 +126,6 @@ class _HowellAccumulator:
         rows[j] = r
         return out
 
-    def has_zero_kernel(self):
-        """Whether the kernel is {0}: every column is a pivot of lead 1."""
-        return len(self.rows) == self.ncols and not self._nonunit
-
     def basis(self):
         """The rows of the canonical form, ordered by pivot column."""
         zero = self.ring.zero
@@ -228,6 +226,29 @@ def _unit_normalizer(a, n):
 def kernel_builder(ring, ncols):
     """Accumulator for a homogeneous system: feed rows, ask for the kernel."""
     return _HowellAccumulator(ring, ncols)
+
+
+def certified_kernel(ring, blocks, ncols, lower):
+    """The kernel K of the rows in ``blocks`` (sized lists, pulled one at a
+    time into one accumulator), given the canonical generators
+    (``span_basis``) of a submodule ``lower`` of K.  A Howell form spans
+    prod(n/lead) elements (n = 2 over Q), the kernel K' of the rows read
+    n^ncols / that many.  lower <= K <= K', so once |K'| <= |lower| and lower
+    passes those rows (else ``TheoremViolation``), K = lower: no more blocks
+    are pulled and lower is returned.  Otherwise ``nullspace``'s generators."""
+    acc = kernel_builder(ring, ncols)
+    n, rows, nonunit = ring.size or 2, acc.rows, acc._nonunit
+    span = n ** ncols // prod([n // next(filter(None, g)) for g in lower])
+    blocks = iter(blocks)
+    while n ** len(rows) // (prod([rows[c][c] for c in nonunit]) if nonunit else 1) < span:
+        block = next(blocks, None)
+        if block is None:
+            return acc.nullspace()
+        acc.add_rows(block)
+    if lower and any(ring.normal(sum(v * g[c] for c, v in row.items()))
+                     for row in rows.values() for g in lower):
+        raise TheoremViolation("a kernel's lower bound violates its rows")
+    return list(lower)
 
 
 def span_basis(ring, vectors, ncols):

@@ -25,7 +25,7 @@ from .algebra import (
     iter_vectors,
     lattice_check,
     lattice_points,
-    vanishing_kernel,
+    stream_rows,
     vanishing_rows,
 )
 from .errors import (
@@ -253,8 +253,10 @@ def commuting_space(G, k):
     alg = _underlying(G)
     d = alg.dim
     require_order(k)
-    gens = vanishing_kernel(alg.ring, alg.commuting_groups(k), k + 1, d, d * d)
-    return MapSpace(alg, Submodule._from_normal(alg.ring, d * d, gens))
+    acc = linalg.kernel_builder(alg.ring, d * d)
+    for block in stream_rows(alg.ring, alg.commuting_groups(k), k + 1, d):
+        acc.add_rows(block)     # the form is canonical: the order is free
+    return MapSpace(alg, Submodule._from_normal(alg.ring, d * d, acc.nullspace()))
 
 
 def _divided(ring, D, x):
@@ -434,9 +436,9 @@ def check_properness_hypotheses(G, k):
     the center (cond3).
 
     cond3 asks whether the pinned set of some pair, the kernel of
-    ``GMAlgebra.center_rows([m0], [n0])``, is Z(G).  The pinned set always
-    contains Z(G), so it is Z(G) iff each of its kernel generators lies in
-    Z(G); at (0, 0) it is Z(A) x Z(B).  Over a field it is
+    ``GMAlgebra.center_blocks([m0], [n0])``, is Z(G).  The pinned set always
+    contains Z(G), so it is Z(G) iff the two have the same size
+    (``linalg.certified_kernel``); at (0, 0) it is Z(A) x Z(B).  Over a field it is
     Z(G) iff the pinning rows, restricted to Z(A) x Z(B), have rank
     r' = dim Z(A) + dim Z(B) - dim Z(G).  Those rows are linear in
     (m0, n0), so their r' x r' minors are polynomials of degree r', and
@@ -451,9 +453,10 @@ def check_properness_hypotheses(G, k):
     Outside the setting of ``require_proper_setting`` it refuses."""
     require_proper_setting(G)
     rg = G.ring
+    # Z^(k) first: when it is span(1), so is the center Z(G) is read from
+    zA, zB = G.ctx.A.engel_center(k), G.ctx.B.engel_center(k)
     piA, piB = G.center_projections()
-    cond1 = G.ctx.A.engel_center(k).equals(piA)
-    cond2 = G.ctx.B.engel_center(k).equals(piB)
+    cond1, cond2 = zA.equals(piA), zB.equals(piB)
 
     dA, dM, dN, dB = G.dims
     zdiag = G.center_kernel()
@@ -465,8 +468,8 @@ def check_properness_hypotheses(G, k):
     else:
         Ms, Ns = list(iter_vectors(rg, dM)), list(iter_vectors(rg, dN))
     for i, j in _witness_order(len(Ms), len(Ns)):
-        pinned = linalg.nullspace(rg, G.center_rows([Ms[i]], [Ns[j]]), dA + dB)
-        if all(map(zdiag.contains, pinned)):
+        pinned = G.center_blocks([Ms[i]], [Ns[j]])
+        if linalg.certified_kernel(rg, pinned, dA + dB, zdiag.gens) == zdiag.gens:
             return HypothesisWitness(cond1, cond2, True, Ms[i], Ns[j])
     return HypothesisWitness(cond1, cond2, False, None, None)
 

@@ -9,6 +9,7 @@ failure).  The global basis order of the built algebra is fixed as blocks
 A, M, N, B.
 """
 
+import itertools
 from collections import namedtuple
 
 from . import linalg
@@ -199,12 +200,12 @@ def check_faithful(ctx):
     M = ctx.M
 
     def faithful(cells, dim):
-        rows = {}   # (p, c) -> {i: the c-th coordinate of e_i acting on m_p}
+        rows = {}   # p -> c -> {i: the c-th coordinate of e_i acting on m_p}
         for i, p, cell in cells:
             for c, v in cell:
-                rows.setdefault((p, c), {})[i] = v
-        return dim == 0 or not linalg.nullspace(ctx.ring, [rows[pc] for pc in sorted(rows)],
-                                                 dim)
+                rows.setdefault(p, {}).setdefault(c, {})[i] = v
+        blocks = (list(by_c.values()) for by_c in rows.values())    # one m_p at a time
+        return not linalg.certified_kernel(ctx.ring, blocks, dim, [])
 
     return {
         "left_faithful": faithful(((i, p, cell) for i, row in enumerate(M._left)
@@ -344,30 +345,27 @@ class GMAlgebra:
 
     # -- center machinery ---------------------------------------------------
 
-    def center_rows(self, ms, ns):
-        """Rows over the unknowns (a | b), as dicts column -> scalar, of
-        a in Z(A), b in Z(B) (``_diagonal_center_rows``), a*m = m*b for
-        each m in ``ms`` and n*a = b*n for each n in ``ns``.
+    def center_blocks(self, ms, ns):
+        """Blocks of rows over the unknowns (a | b), as dicts column ->
+        scalar: those of a in Z(A), b in Z(B) (``_diagonal_center_rows``),
+        then a*m = m*b for each m in ``ms``, then n*a = b*n for each n in
+        ``ns``, one block each, built when pulled.
 
         With the module bases (``center_kernel``, by linearity all of M and
         N) their kernel is the center of G read on its diagonal; with one
         pair (m0, n0) it is the pinned set of the hypothesis check."""
         ctx, rg = self.ctx, self.ring
         dA, dM, dN, _ = self.dims
-        rows = self._diagonal_center_rows()
         eA, eB = ctx.A.basis(), ctx.B.basis()
+        yield self._diagonal_center_rows()
         # a*m - m*b for each m, then n*a - b*n for each n
-        images = [([ctx.am(a, m) for a in eA], [ctx.mb(m, b) for b in eB], dM)
-                  for m in ms]
-        images += [([ctx.na(n, a) for a in eA], [ctx.bn(b, n) for b in eB], dN)
-                   for n in ns]
-        for acols, bcols, dim in images:
-            for c in range(dim):
-                row = {i: v[c] for i, v in enumerate(acols) if v[c]}
-                row.update((dA + j, rg.normal(-v[c])) for j, v in enumerate(bcols) if v[c])
-                if row:
-                    rows.append(row)
-        return rows
+        for acols, bcols, dim in itertools.chain(
+                (([ctx.am(a, m) for a in eA], [ctx.mb(m, b) for b in eB], dM) for m in ms),
+                (([ctx.na(n, a) for a in eA], [ctx.bn(b, n) for b in eB], dN) for n in ns)):
+            rows = ({i: v[c] for i, v in enumerate(acols) if v[c]}
+                    | {dA + j: rg.normal(-v[c]) for j, v in enumerate(bcols) if v[c]}
+                    for c in range(dim))
+            yield [row for row in rows if row]
 
     def _diagonal_center_rows(self):
         """The rows of a in Z(A) and b in Z(B): the annihilators of the two
@@ -379,14 +377,15 @@ class GMAlgebra:
                 for w in alg.center().annihilator()]
 
     def center_kernel(self):
-        """Z(G) read on its diagonal: the kernel of ``center_rows`` at the
-        module bases, a submodule of A x B over the unknowns (a | b);
-        cached."""
+        """Z(G) read on its diagonal, over the unknowns (a | b): the kernel
+        of ``center_blocks`` at the module bases, read until it is the span
+        of the central (1_A | 1_B) (``linalg.certified_kernel``); cached."""
         if self._zkernel is None:
-            n = self.dims[0] + self.dims[3]
-            rows = self.center_rows(self.ctx.M.basis(), self.ctx.N.basis())
-            self._zkernel = Submodule._from_normal(self.ring, n,
-                                                   linalg.nullspace(self.ring, rows, n))
+            n, rg = self.dims[0] + self.dims[3], self.ring
+            one = Submodule._from_normal(rg, n, [self.A.unit + self.B.unit])
+            blocks = self.center_blocks(self.ctx.M.basis(), self.ctx.N.basis())
+            gens = linalg.certified_kernel(rg, blocks, n, one.gens)
+            self._zkernel = one if gens == one.gens else Submodule._from_normal(rg, n, gens)
         return self._zkernel
 
     def gma_center(self):

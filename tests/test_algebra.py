@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
-from gmalg.algebra import Algebra, Submodule, iter_vectors
+from gmalg import linalg
+from gmalg.algebra import Algebra, Submodule, _as_rows, iter_vectors, stream_rows
 from gmalg.errors import DimensionMismatch, InvalidAlgebra, NotEnumerable
 from gmalg.families import matrix_algebra, triangular_matrix_algebra
 from gmalg.rings import Rationals, Zmod
 
-from conftest import is_zero, iterated_bracket, scale, span_elements
+from conftest import (_in_random_basis, is_zero, iterated_bracket, scale, span_elements,
+                      square_zero_algebra)
+from test_hypotheses import CENTER_FAMILIES
 
 
 def scalar_multiples_of(algebra):
@@ -169,3 +174,80 @@ def test_vec_rejects_bad_length():
     A = matrix_algebra(Zmod(3), 2)
     with pytest.raises(DimensionMismatch):
         A.vec([1, 2])
+
+
+# -- order-k centers stop at span(1) ------------------------------------------
+
+def full_engel_center(alg, k):
+    """Z^(k) with every group of the adjoint stream fed to one accumulator:
+    the elimination that ``engel_center`` stops once its kernel is span(1)."""
+    groups = ((t, {alpha: _as_rows(cols) for alpha, cols in group.items()})
+              for t, group in alg.adjoint_groups(k))
+    acc = linalg.kernel_builder(alg.ring, alg.dim)
+    for block in stream_rows(alg.ring, groups, k, alg.dim):
+        acc.add_rows(block)
+    return Submodule._from_normal(alg.ring, alg.dim, acc.nullspace()).gens
+
+
+def _fresh(alg):
+    return Algebra(alg.ring, alg.labels, alg.table, alg.unit)
+
+
+def _center_algebras(R):
+    """Every family of ``test_hypotheses.CENTER_FAMILIES`` as G, its two
+    corners and G in a random basis, and R[x,y]/(x,y)^2."""
+    out = {"square-zero": square_zero_algebra(R)}
+    for name, build in CENTER_FAMILIES.items():
+        G = build(R)
+        out.update({name: G.algebra, f"{name}/A": G.A, f"{name}/B": G.B,
+                    f"{name}/random": _in_random_basis(G.algebra, random.Random(name))[0]})
+    return out
+
+
+ENGEL_RINGS = [Rationals()] + [Zmod(n) for n in range(2, 10)]
+
+
+@pytest.mark.parametrize("ring", ENGEL_RINGS, ids=repr)
+def test_engel_centers_equal_the_full_elimination(ring, monkeypatch):
+    """Same generators as feeding every group, for k = 1..3 each computed
+    first and after k = 3 recorded it; the routine closes early where
+    Z^(k) = span(1), and falls back on the commutative algebras."""
+    closed = []
+    routine = linalg.certified_kernel
+
+    def spy(rg, blocks, ncols, lower):
+        out = routine(rg, blocks, ncols, lower)
+        closed.append(out == lower)
+        return out
+
+    monkeypatch.setattr(linalg, "certified_kernel", spy)
+    seen = set()
+    for name, alg in _center_algebras(ring).items():
+        expected = {k: full_engel_center(alg, k) for k in (1, 2, 3)}
+        one = Submodule(ring, alg.dim, [alg.unit]).gens
+        for k in (1, 2, 3):
+            closed.clear()
+            assert _fresh(alg).engel_center(k).gens == expected[k], (name, k)
+            assert closed == [expected[k] == one], (name, k)
+            seen.update(closed)
+        after = _fresh(alg)
+        after.engel_center(3)
+        assert [after.engel_center(k).gens for k in (1, 2, 3)] == list(expected.values())
+    assert seen == {True, False}
+
+
+def test_engel_center_pulls_at_most_two_adjoint_groups(monkeypatch):
+    """On M2(Z/3) at k = 3 the kernel is span(1) after two of the four
+    groups, and the others are never computed."""
+    pulled = []
+    groups = Algebra.adjoint_groups
+
+    def recording(self, k):
+        for t, group in groups(self, k):
+            pulled.append(t)
+            yield t, group
+
+    monkeypatch.setattr(Algebra, "adjoint_groups", recording)
+    A = matrix_algebra(Zmod(3), 2)
+    assert A.engel_center(3).gens == Submodule(A.ring, 4, [A.unit]).gens
+    assert pulled == [3, 2]

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import os
 import resource
@@ -10,6 +12,7 @@ import pytest
 from conftest import scale_map
 from gmalg import cli, compiled, jsonio, maps, morita, oracle
 from gmalg.algebra import Submodule
+from gmalg.errors import HypothesesNotMet, InputError, TheoremViolation
 from gmalg.families import full_matrix_gma
 from gmalg.maps import LinMap
 from gmalg.report import Report
@@ -535,6 +538,71 @@ def test_an_unwritable_stdout_exits_3(target, buffered, ctx_m2_z3):
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
+    assert code == cli.EXIT_INPUT, err
+    assert err.startswith("InputError: cannot write standard output: "), err
+    assert err.count("\n") == 1 and "Exception ignored" not in err, err
+
+
+def _run_child(argv, buffered, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """``python -m gmalg *argv`` from this checkout, its stdout buffered (the
+    default) or not (``-u``): (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.run([sys.executable, *([] if buffered else ["-u"]), "-m", "gmalg", *argv],
+                          stdout=stdout, stderr=stderr, text=True, timeout=60, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["validate", "/nonexistent/ctx.json"],
+    ["sweep", "CTX", "--mode", "derivations", "--k", "0"],
+])
+def test_an_unwritable_stderr_keeps_the_exit_code(argv, buffered, ctx_m2_z3):
+    """A refusal whose one line cannot be written still exits 3, with
+    nothing more at interpreter exit."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    argv = [ctx_m2_z3[0] if a == "CTX" else a for a in argv]
+    code, _, err = _run_child(argv, buffered)
+    assert code == cli.EXIT_INPUT and err.count("\n") == 1, err
+    with open("/dev/full", "w") as full:
+        code, _, _ = _run_child(argv, buffered, stdout=subprocess.DEVNULL, stderr=full)
+    assert code == cli.EXIT_INPUT
+
+
+class _Full(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("exc, code", [
+    (TheoremViolation("a check failed"), cli.EXIT_VIOLATION),
+    (HypothesesNotMet("the hypotheses fail"), cli.EXIT_FINDING),
+    (InputError("a bad input"), cli.EXIT_INPUT),
+])
+def test_each_handler_keeps_its_exit_code_when_stderr_fails(exc, code, monkeypatch):
+    def raising(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_parse", lambda argv: argparse.Namespace(func=raising))
+    monkeypatch.setattr(sys, "stderr", _Full())
+    assert cli.main(["validate", "ctx.json"]) == code
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"], ["-h", "sweep"]])
+def test_help_to_an_unwritable_stdout_exits_3(argv, buffered):
+    """Help is written as a document is: to a writable stdout argparse's
+    text and exit 0, to an unwritable one exit 3 and one line."""
+    code, out, err = _run_child(argv, buffered)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.startswith("usage: gmalg ")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "w") as full:
+        code, _, err = _run_child(argv, buffered, stdout=full)
     assert code == cli.EXIT_INPUT, err
     assert err.startswith("InputError: cannot write standard output: "), err
     assert err.count("\n") == 1 and "Exception ignored" not in err, err

@@ -6,7 +6,7 @@ import pytest
 from conftest import _in_random_basis, merged_coefficients, scale, scale_map
 
 from gmalg import derivations, linalg
-from gmalg.algebra import vanishing_kernel, vanishing_rows
+from gmalg.algebra import stream_rows, vanishing_rows
 from gmalg.derivations import (
     _iter_leibniz_rows,
     adjoint_map,
@@ -208,6 +208,16 @@ def test_early_stopped_verdict_equals_feeding_every_row(ring, monkeypatch):
             [sizes] = fed
             assert sizes[0] == d ** 3
             assert 1 <= len(sizes) - 1 < len(blocks)
+
+
+def vanishing_kernel(ring, groups, degree, dim, ncols):
+    """The kernel generators of every block of ``stream_rows``, fed to one
+    accumulator: what ``verify_commuting_derivations_vanish`` returns when
+    no block is left out."""
+    acc = linalg.kernel_builder(ring, ncols)
+    for block in stream_rows(ring, groups, degree, dim):
+        acc.add_rows(block)
+    return acc.nullspace()
 
 
 def test_a_nonzero_kernel_raises_the_first_generator(monkeypatch):

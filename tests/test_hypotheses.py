@@ -1,6 +1,6 @@
 """The center of G and the sufficient-hypothesis check.
 
-Both read the rows of ``GMAlgebra.center_rows``.  Here they are checked
+Both read the rows of ``GMAlgebra.center_blocks``.  Here they are checked
 against definitions written independently of those rows: the center of
 the underlying algebra, the brute-force oracle, and an enumeration of
 every module pair for cond3."""
@@ -14,19 +14,23 @@ import random
 import pytest
 
 from gmalg import cli, jsonio, linalg, oracle
-from gmalg.algebra import Submodule, _as_rows
+from gmalg.algebra import Algebra, Submodule, _as_rows
 from gmalg.errors import BudgetExceeded, NotFaithful
 from gmalg.families import (
     block_triangular_gma,
     full_matrix_gma,
     triangular_gma,
 )
+from gmalg.algebra import iter_vectors, lattice_points
 from gmalg.maps import (
+    HypothesisWitness,
     LinMap,
     MapSpace,
+    _witness_order,
     check_properness_hypotheses,
     commuting_space,
     properness_certificate,
+    require_proper_setting,
 )
 from gmalg.morita import Bimodule, MoritaContext, build_gma
 from gmalg.rings import Rationals, Zmod
@@ -138,7 +142,7 @@ def test_negative_control(R):
     h = check_properness_hypotheses(G, 1)
     assert (h.cond1, h.cond2, h.cond3) == (False, True, False)
     # r': the pinned set at (0, 0) is Z(A) x Z(B), 3 dimensions over Z(G)
-    pinned = linalg.nullspace(R, G.center_rows([(0, 0, 0)], []), 4)
+    pinned = linalg.nullspace(R, [r for b in G.center_blocks([(0, 0, 0)], []) for r in b], 4)
     assert len(pinned) - G.algebra.center().rank == 3
     gens = commuting_space(G, 1).basis()
     assert len(gens) == 11
@@ -256,3 +260,77 @@ def test_proper_mode_over_q(tmp_path, n):
             code, _ = _run(["sweep", ctx, "--k", str(k), "--mode", mode,
                             "--samples", "2"])
             assert code == cli.EXIT_OK
+
+
+# -- Z(G) and cond3 by size -----------------------------------------------------
+
+def full_center_kernel(G):
+    """Z(G) on its diagonal from every row at once: the W_alpha rows of
+    Z(A) x Z(B) (``_adjoint_rows``) and every module row of
+    ``center_blocks``, with no early stop."""
+    n = G.dims[0] + G.dims[3]
+    blocks = list(G.center_blocks(G.ctx.M.basis(), G.ctx.N.basis()))[1:]
+    rows = _adjoint_rows(G) + [r for b in blocks for r in b]
+    return Submodule._from_normal(G.ring, n, linalg.nullspace(G.ring, rows, n)).gens
+
+
+def split_center(R):
+    """A = R x R, B = R, M = R with (1, 0) acting as 1 and (0, 1) as 0,
+    N = 0: diag((0, 1), 0) is central, so Z(G) is larger than span(1)."""
+    A = Algebra(R, ["e1", "e2"], [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], (1, 1))
+    B = scalars(R)
+    M = Bimodule(R, 1, [[(1,)], [(0,)]], [[(1,)]], A.dim, B.dim)
+    return build_gma(MoritaContext(A, B, M, no_module(R, B, A), [[]], []))
+
+
+@pytest.mark.parametrize("view", ["plain", "transpose", "random basis"])
+@pytest.mark.parametrize("ring", [Rationals()] + [Zmod(n) for n in range(2, 10)], ids=repr)
+def test_the_center_kernel_equals_the_full_elimination(ring, view):
+    """Same generators as every row at once.  Z(G) is span(1) on every
+    family, where the routine returns its lower bound, and larger on
+    ``split_center``, where it falls back on the kernel."""
+    for family, build in {**CENTER_FAMILIES, "split": split_center}.items():
+        G = _view(build(ring), view, random.Random(f"zkernel/{family}/{view}"))
+        one = Submodule(ring, G.dims[0] + G.dims[3], [G.A.unit + G.B.unit]).gens
+        got = G.center_kernel().gens
+        assert got == full_center_kernel(build_gma(G.ctx)), family
+        assert (got == one) == (family != "split"), family
+
+
+def membership_hypotheses(G, k):
+    """``check_properness_hypotheses`` with cond3 decided as before the size
+    test: a pair works iff each generator of its pinned set's kernel lies
+    in Z(G)."""
+    require_proper_setting(G)
+    rg, (dA, dM, dN, dB) = G.ring, G.dims
+    piA, piB = G.center_projections()
+    cond1 = G.ctx.A.engel_center(k).equals(piA)
+    cond2 = G.ctx.B.engel_center(k).equals(piB)
+    zdiag = G.center_kernel()
+    if rg.is_field:
+        top = G.ctx.A.center().rank + G.ctx.B.center().rank - zdiag.rank
+        Ms, Ns = (list(lattice_points(rg, d, top)) for d in (dM, dN))
+    else:
+        Ms, Ns = list(iter_vectors(rg, dM)), list(iter_vectors(rg, dN))
+    for i, j in _witness_order(len(Ms), len(Ns)):
+        rows = [r for b in G.center_blocks([Ms[i]], [Ns[j]]) for r in b]
+        if all(map(zdiag.contains, linalg.nullspace(rg, rows, dA + dB))):
+            return HypothesisWitness(cond1, cond2, True, Ms[i], Ns[j])
+    return HypothesisWitness(cond1, cond2, False, None, None)
+
+
+def _hypotheses_or_refusal(check, G, k):
+    try:
+        return check(G, k)
+    except NotFaithful as e:
+        return repr(e)
+
+
+@pytest.mark.parametrize("view", ["plain", "transpose", "random basis"])
+@pytest.mark.parametrize("ring", [Zmod(3), Zmod(5), Zmod(9), Rationals()], ids=repr)
+@pytest.mark.parametrize("family", CENTER_FAMILIES)
+def test_cond3_by_size_equals_the_membership_loop(family, ring, view):
+    G = _view(CENTER_FAMILIES[family](ring), view, random.Random(f"cond3/{family}/{view}"))
+    for k in (1, 2, 3):
+        assert (_hypotheses_or_refusal(check_properness_hypotheses, build_gma(G.ctx), k)
+                == _hypotheses_or_refusal(membership_hypotheses, build_gma(G.ctx), k)), k

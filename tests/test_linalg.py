@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gmalg import linalg
 from gmalg.algebra import Submodule
+from gmalg.errors import TheoremViolation
 from gmalg.families import matrix_algebra, triangular_matrix_algebra
 from gmalg.maps import commuting_space
 from gmalg.rings import Rationals, Zmod
@@ -379,3 +381,53 @@ def test_commuting_space_in_a_random_basis_is_the_conjugate(alg):
     standard = commuting_space(alg, 1).space
     expected = Submodule(alg.ring, d * d, [conjugate(g) for g in standard.gens])
     assert commuting_space(moved, 1).space.equals(expected)
+
+
+# -- kernels stopped at a certified size ---------------------------------------
+
+def _pulled_until_closed(blocks, log):
+    """``blocks`` as a stream that logs each block pulled."""
+    for i, block in enumerate(blocks):
+        log.append(i)
+        yield block
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
+def test_the_kernel_size_read_off_the_howell_leads_is_the_enumerated_one(n):
+    """n^ncols / prod(n/lead) over the Howell rows of a random system is the
+    number of its solutions, and ``certified_kernel`` stops at a lower
+    bound of that size, pulling no further block, and at no smaller one."""
+    ring, rng = Zmod(n), random.Random(f"size/{n}")
+    for _ in range(40):
+        ncols = rng.randint(1, 3)
+        rows = [[rng.randrange(n) for _ in range(ncols)] for _ in range(rng.randint(0, 3))]
+        kernel = [x for x in itertools.product(range(n), repeat=ncols)
+                  if all(sum(a * b for a, b in zip(r, x)) % n == 0 for r in rows)]
+        acc = linalg.kernel_builder(ring, ncols)
+        acc.add_rows(rows)
+        assert n ** ncols // math.prod(n // r[c] for c, r in acc.rows.items()) == len(kernel)
+        whole = Submodule(ring, ncols, kernel)
+        log = []
+        blocks = _pulled_until_closed([rows, [[1] * ncols]], log)
+        assert linalg.certified_kernel(ring, blocks, ncols, whole.gens) == whole.gens
+        assert log == ([0] if len(kernel) < n ** ncols else [])
+        part = Submodule(ring, ncols, [rng.choice(kernel)])
+        if len(span_of(n, part.gens, ncols)) < len(kernel):
+            got = linalg.certified_kernel(ring, [rows], ncols, part.gens)
+            assert Submodule(ring, ncols, got).equals(whole)
+
+
+def span_of(n, gens, ncols):
+    return {tuple(sum(c * g[j] for c, g in zip(cs, gens)) % n for j in range(ncols))
+            for cs in itertools.product(range(n), repeat=len(gens))}
+
+
+@pytest.mark.parametrize("ring", [Rationals(), Zmod(5), Zmod(9)], ids=repr)
+def test_a_lower_bound_outside_the_kernel_is_a_violation(ring):
+    """The kernel of x_0 = 0 has the size of span((1, 0)), which fails the
+    row; {x : x_0 = x_1 = 0} is smaller than span((1, 0))."""
+    with pytest.raises(TheoremViolation):
+        linalg.certified_kernel(ring, [[[1, 0]]], 2, [(1, 0)])
+    with pytest.raises(TheoremViolation):
+        linalg.certified_kernel(ring, [[[1, 0]], [[0, 1]]], 2, [(1, 0)])
+    assert linalg.certified_kernel(ring, [[[1, 0]]], 2, [(0, 1)]) == [(0, 1)]

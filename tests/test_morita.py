@@ -314,7 +314,7 @@ def _solved_partner(G, block, x):
     known, unknown = range(dA), range(dA, dA + dB)
     if block == "B":
         known, unknown = unknown, known
-    rows = G.center_rows(G.ctx.M.basis(), G.ctx.N.basis())
+    rows = [r for b in G.center_blocks(G.ctx.M.basis(), G.ctx.N.basis()) for r in b]
     sol = linalg.solve_linear(
         R, [[R.normal(-r.get(c, R.zero)) for c in unknown] for r in rows],
         [R.normal(sum(v * x[c - known.start] for c, v in r.items() if c in known))
