@@ -698,7 +698,7 @@ class Submodule(_Normal):
         by linear duality, and over Z/n because Z/n is quasi-Frobenius, so
         that the span is its own double annihilator."""
         if self._annihilator is None:
-            self._annihilator = linalg.nullspace(self.ring, self.gens, self.ambient_dim)
+            self._annihilator = linalg.certified_kernel(self.ring, [self.gens], self.ambient_dim)
         return self._annihilator
 
     def equals(self, other):

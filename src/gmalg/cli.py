@@ -3,7 +3,7 @@
 Exit codes: 0 all checks pass; 1 a genuine mathematical finding (e.g. a
 non-proper map outside the sufficient hypotheses); 2 a guaranteed check
 failed (implementation bug or corrupted input); 3 malformed or rejected
-input.  Output bytes are stable for fixed inputs and seed.
+input (usage errors too).  Output bytes are stable for fixed inputs and seed.
 """
 
 import argparse
@@ -51,10 +51,14 @@ def _to_null(stream):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, with help to stdout written, or refused, as a document is."""
+    """argparse, with help to stdout written, or refused, as a document is; usage errors exit 3."""
 
     def print_help(self, file=None):
         return super().print_help(file) if file else _emit(self.format_help())
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def cmd_validate(args):

@@ -72,7 +72,7 @@ def derivation_space(G):
     """All maps satisfying the Leibniz law, as a MapSpace."""
     alg = getattr(G, "algebra", G)
     d = alg.dim
-    gens = linalg.nullspace(alg.ring, _iter_leibniz_rows(alg), d * d)
+    gens = linalg.certified_kernel(alg.ring, [list(_iter_leibniz_rows(alg))], d * d)
     return MapSpace(alg, Submodule._from_normal(alg.ring, d * d, gens))
 
 
@@ -184,7 +184,7 @@ def verify_commuting_derivations_vanish(G, k):
     d = alg.dim
     blocks = itertools.chain([list(_iter_leibniz_rows(alg))],
                              stream_rows(rg, alg.commuting_groups(k), k + 1, d))
-    gens = linalg.certified_kernel(rg, blocks, d * d, [])
+    gens = linalg.certified_kernel(rg, blocks, d * d)
     if gens:
         raise TheoremViolation(
             "nonzero k-commuting derivation found",

@@ -200,7 +200,8 @@ def _inflated(spec, vec):
     # the matrix unit E_ij of P is the basis element X_ij
     labels = [f"X{label[1:]}" for label in P.labels]
 
-    sol = linalg.solve_linear(rg, P.left_mult_matrix(gamma), P.unit)
+    sol = linalg.solve_linear(rg, [dict(enumerate(row)) for row in P.left_mult_matrix(gamma)],
+                              P.unit, P.dim)
     ginv = None if sol is None else sol.particular
     if ginv is None or P.mul(ginv, gamma) != P.unit:
         # no identity: return the raw (non-unital) product data; the unit

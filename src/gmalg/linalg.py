@@ -228,19 +228,22 @@ def kernel_builder(ring, ncols):
     return _HowellAccumulator(ring, ncols)
 
 
-def certified_kernel(ring, blocks, ncols, lower):
+def certified_kernel(ring, blocks, ncols, lower=()):
     """The kernel K of the rows in ``blocks`` (sized lists, pulled one at a
-    time into one accumulator), given the canonical generators
-    (``span_basis``) of a submodule ``lower`` of K.  A Howell form spans
+    time into one accumulator), given the canonical generators (``span_basis``)
+    of a submodule ``lower`` of K, {0} by default.  A Howell form spans
     prod(n/lead) elements (n = 2 over Q), the kernel K' of the rows read
     n^ncols / that many.  lower <= K <= K', so once |K'| <= |lower| and lower
     passes those rows (else ``TheoremViolation``), K = lower: no more blocks
-    are pulled and lower is returned.  Otherwise ``nullspace``'s generators."""
+    are pulled and lower is returned.  Otherwise ``nullspace``'s generators.
+    The rows span at most n^len(rows) elements and the target n^ncols/|lower|
+    is at least n^(ncols - len(lower)), so below that many rows no size is taken."""
     acc = kernel_builder(ring, ncols)
     n, rows, nonunit = ring.size or 2, acc.rows, acc._nonunit
     span = n ** ncols // prod([n // next(filter(None, g)) for g in lower])
     blocks = iter(blocks)
-    while n ** len(rows) // (prod([rows[c][c] for c in nonunit]) if nonunit else 1) < span:
+    while (len(rows) < ncols - len(lower)
+           or n ** len(rows) // prod([rows[c][c] for c in nonunit]) < span):
         block = next(blocks, None)
         if block is None:
             return acc.nullspace()
@@ -273,37 +276,17 @@ def in_span(ring, basis, v):
     return not any(v)
 
 
-def nullspace(ring, rows, ncols):
-    acc = kernel_builder(ring, ncols)
-    acc.add_rows(list(rows))
-    return acc.nullspace()
-
-
-def solve_linear(ring, rows, rhs, ncols=None):
-    """All solutions of rows @ x = rhs, or None when inconsistent.
-
-    The rows are dense sequences, or dicts column -> scalar over ``ncols``
-    columns (``ncols`` is then required; a dense system reads it off its
-    first row, and with no rows and no ``ncols`` has the empty solution).  Returns a particular solution (free variables zeroed,
-    deterministic) plus kernel generators, both from one elimination: the
-    form of the augmented rows [row, b].  A solution is a kernel vector
-    that is -1 at the right-hand side column; there is one iff that column
-    has no pivot (a pivot of lead b allows only multiples of n/b there),
-    and then the kernel generator of that column, the last one, is minus a
-    solution.
-    """
-    rows = list(rows)
-    if ncols is None:
-        if not rows:
-            return LinearSolution((), [])
-        if isinstance(rows[0], dict):
-            raise ValueError("sparse rows need ncols")
-        ncols = len(rows[0])
-    acc = kernel_builder(ring, ncols + 1)
-    acc.add_rows([{**row, ncols: b} if isinstance(row, dict) else [*row, b]
-                  for row, b in zip(rows, rhs)])
-    if ncols in acc.rows:
+def solve_linear(ring, rows, rhs, ncols):
+    """All solutions of rows @ x = rhs, for rows dicts column -> scalar over
+    ``ncols`` columns, or None when inconsistent: a particular solution
+    (free variables zeroed) plus kernel generators, both read off the
+    kernel of the augmented rows [row, b].  A solution is a kernel vector
+    that is -1 at column ncols; there is one iff that column has no pivot
+    (a pivot of lead b allows only multiples of n/b there), i.e. iff the
+    last kernel generator is 1 there, and then it is minus a solution."""
+    gens = certified_kernel(ring, [[{**row, ncols: b} for row, b in zip(rows, rhs)]], ncols + 1)
+    if not gens or gens[-1][ncols] != 1:
         return None
-    *kernel, last = acc.nullspace()
+    *kernel, last = gens
     return LinearSolution(tuple(ring.normal(-x) for x in last[:ncols]),
                           [v[:ncols] for v in kernel])

@@ -253,10 +253,9 @@ def commuting_space(G, k):
     alg = _underlying(G)
     d = alg.dim
     require_order(k)
-    acc = linalg.kernel_builder(alg.ring, d * d)
-    for block in stream_rows(alg.ring, alg.commuting_groups(k), k + 1, d):
-        acc.add_rows(block)     # the form is canonical: the order is free
-    return MapSpace(alg, Submodule._from_normal(alg.ring, d * d, acc.nullspace()))
+    blocks = stream_rows(alg.ring, alg.commuting_groups(k), k + 1, d)
+    gens = linalg.certified_kernel(alg.ring, blocks, d * d)
+    return MapSpace(alg, Submodule._from_normal(alg.ring, d * d, gens))
 
 
 def _divided(ring, D, x):

@@ -205,7 +205,7 @@ def check_faithful(ctx):
             for c, v in cell:
                 rows.setdefault(p, {}).setdefault(c, {})[i] = v
         blocks = (list(by_c.values()) for by_c in rows.values())    # one m_p at a time
-        return not linalg.certified_kernel(ctx.ring, blocks, dim, [])
+        return not linalg.certified_kernel(ctx.ring, blocks, dim)
 
     return {
         "left_faithful": faithful(((i, p, cell) for i, row in enumerate(M._left)
@@ -418,9 +418,10 @@ class GMAlgebra:
             a, b = (slice(None, dA), dA), (slice(dA, None), dB)
             (src, n), (dst, m) = (a, b) if block == "A" else (b, a)
             gens = self.center_kernel().gens
+            rows = [dict(enumerate(g[src])) for g in gens]
             # row i of L: L_i . x = y_i at each generator (x | y)
-            L = [linalg.solve_linear(self.ring, [g[src] for g in gens],
-                                     [g[dst][i] for g in gens]) for i in range(m)]
+            L = [linalg.solve_linear(self.ring, rows, [g[dst][i] for g in gens], n)
+                 for i in range(m)]
             if None in L:
                 raise NotFaithful("center partner is not unique; M is not faithful")
             self._partners[block] = tuple(

@@ -40,9 +40,9 @@ class Report:
     """Check lines.  ``ring`` is the ring of the elements in the witnesses,
     which fixes how their coordinates are written."""
 
-    def __init__(self, title, lines=None, ring=None):
+    def __init__(self, title, ring=None):
         self.title = title
-        self.lines = list(lines or [])
+        self.lines = []
         self.ring = ring
 
     def add(self, cond_id, passed, witness=None):

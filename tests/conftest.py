@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from gmalg import linalg
 from gmalg.algebra import Algebra
 from gmalg.errors import BudgetExceeded, NotEnumerable
 from gmalg.maps import LinMap
@@ -55,6 +56,12 @@ Q_FAMILIES = [
     ("B(2,1)(Q)", ["--kind", "block", "--dims", "2,1"],
      lambda: block_triangular_gma(Rationals(), (2, 1), 1)),
 ]
+
+
+def nullspace(ring, rows, ncols):
+    """The kernel generators of ``rows``, in column order: the kernel of
+    one block (``linalg.certified_kernel``)."""
+    return linalg.certified_kernel(ring, [list(rows)], ncols)
 
 
 def scale(alg, c, x):

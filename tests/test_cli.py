@@ -815,7 +815,7 @@ def test_parser_is_built_once_and_keeps_no_state(ctx_m2_z3, tmp_path, capsys,
         assert "oracle_k_commuting" not in json.loads(out)
         with pytest.raises(SystemExit) as exc:
             cli.main(["classify", path])
-        assert exc.value.code == 2
+        assert exc.value.code == cli.EXIT_INPUT
         assert "usage: gmalg classify" in capsys.readouterr().err
         assert len(built) == 1
     finally:
@@ -846,7 +846,7 @@ PARSED = [
     ["classify", "--k", "2", "--", CTX, MAP],
     ["sweep", "--", CTX],
 ]
-# argparse exits on these: help (0) or a usage error (2)
+# argparse exits on these: help (0) or a usage error (3)
 EXITING = [
     ["classify", "-h"],
     ["sweep", CTX, "--help"],

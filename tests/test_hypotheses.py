@@ -35,7 +35,7 @@ from gmalg.maps import (
 from gmalg.morita import Bimodule, MoritaContext, build_gma
 from gmalg.rings import Rationals, Zmod
 
-from conftest import no_module, scalars, square_zero_algebra
+from conftest import no_module, nullspace, scalars, square_zero_algebra
 from test_compiled import SHAPES, _view
 from test_stream import non_faithful, reference_adjoint
 
@@ -128,7 +128,7 @@ def test_the_center_annihilators_cut_out_the_diagonal_centers(family, ring, view
     n = G.dims[0] + G.dims[3]
 
     def kernel(rows):
-        return Submodule._from_normal(ring, n, linalg.nullspace(ring, rows, n)).gens
+        return Submodule._from_normal(ring, n, nullspace(ring, rows, n)).gens
 
     assert kernel(G._diagonal_center_rows()) == kernel(_adjoint_rows(G))
     old = build_gma(G.ctx)
@@ -142,7 +142,7 @@ def test_negative_control(R):
     h = check_properness_hypotheses(G, 1)
     assert (h.cond1, h.cond2, h.cond3) == (False, True, False)
     # r': the pinned set at (0, 0) is Z(A) x Z(B), 3 dimensions over Z(G)
-    pinned = linalg.nullspace(R, [r for b in G.center_blocks([(0, 0, 0)], []) for r in b], 4)
+    pinned = nullspace(R, [r for b in G.center_blocks([(0, 0, 0)], []) for r in b], 4)
     assert len(pinned) - G.algebra.center().rank == 3
     gens = commuting_space(G, 1).basis()
     assert len(gens) == 11
@@ -271,7 +271,7 @@ def full_center_kernel(G):
     n = G.dims[0] + G.dims[3]
     blocks = list(G.center_blocks(G.ctx.M.basis(), G.ctx.N.basis()))[1:]
     rows = _adjoint_rows(G) + [r for b in blocks for r in b]
-    return Submodule._from_normal(G.ring, n, linalg.nullspace(G.ring, rows, n)).gens
+    return Submodule._from_normal(G.ring, n, nullspace(G.ring, rows, n)).gens
 
 
 def split_center(R):
@@ -314,7 +314,7 @@ def membership_hypotheses(G, k):
         Ms, Ns = list(iter_vectors(rg, dM)), list(iter_vectors(rg, dN))
     for i, j in _witness_order(len(Ms), len(Ns)):
         rows = [r for b in G.center_blocks([Ms[i]], [Ns[j]]) for r in b]
-        if all(map(zdiag.contains, linalg.nullspace(rg, rows, dA + dB))):
+        if all(map(zdiag.contains, nullspace(rg, rows, dA + dB))):
             return HypothesisWitness(cond1, cond2, True, Ms[i], Ns[j])
     return HypothesisWitness(cond1, cond2, False, None, None)
 

@@ -14,7 +14,7 @@ from gmalg.families import matrix_algebra, triangular_matrix_algebra
 from gmalg.maps import commuting_space
 from gmalg.rings import Rationals, Zmod
 
-from conftest import _in_random_basis
+from conftest import _in_random_basis, nullspace
 
 
 def brute_solutions_zmod(n, rows, rhs, ncols):
@@ -45,20 +45,25 @@ def all_solutions(sol, ring, ncols):
     return sorted(out)
 
 
+def dict_rows(rows):
+    """Dense rows as the dicts column -> scalar that ``solve_linear`` takes."""
+    return [dict(enumerate(r)) for r in rows]
+
+
 def test_solve_2x_eq_2_mod_4():
     R = Zmod(4)
-    sol = linalg.solve_linear(R, [[2]], [2])
+    sol = linalg.solve_linear(R, [{0: 2}], [2], 1)
     assert all_solutions(sol, R, 1) == [(1,), (3,)]
 
 
 def test_solve_inconsistent_mod_3():
-    sol = linalg.solve_linear(Zmod(3), [[0]], [1])
+    sol = linalg.solve_linear(Zmod(3), [{}], [1], 1)
     assert sol is None
 
 
 def test_solve_unique_over_q():
     Q = Rationals()
-    sol = linalg.solve_linear(Q, [[1, 1], [1, -1]], [1, 1])
+    sol = linalg.solve_linear(Q, [{0: 1, 1: 1}, {0: 1, 1: -1}], [1, 1], 2)
     assert sol is not None
     assert sol.particular == (Fraction(1), Fraction(0))
     assert sol.kernel == []
@@ -68,7 +73,7 @@ def test_solve_matches_brute_force_composite():
     R = Zmod(6)
     rows = [[2, 3], [4, 0]]
     rhs = [1, 2]
-    sol = linalg.solve_linear(R, rows, rhs)
+    sol = linalg.solve_linear(R, dict_rows(rows), rhs, 2)
     assert all_solutions(sol, R, 2) == brute_solutions_zmod(6, rows, rhs, 2)
 
 
@@ -76,25 +81,25 @@ def test_solve_matches_brute_force_prime():
     R = Zmod(5)
     rows = [[1, 2, 3], [2, 4, 1]]
     rhs = [1, 2]
-    sol = linalg.solve_linear(R, rows, rhs)
+    sol = linalg.solve_linear(R, dict_rows(rows), rhs, 3)
     assert all_solutions(sol, R, 3) == brute_solutions_zmod(5, rows, rhs, 3)
 
 
 def test_nullspace_prime_field():
-    gens = linalg.nullspace(Zmod(3), [[1, 1, 1]], 3)
+    gens = nullspace(Zmod(3), [[1, 1, 1]], 3)
     assert len(gens) == 2
     for g in gens:
         assert sum(g) % 3 == 0
 
 
 def test_nullspace_composite():
-    gens = linalg.nullspace(Zmod(4), [[2]], 1)
+    gens = nullspace(Zmod(4), [[2]], 1)
     assert gens == [(2,)]
 
 
 def test_nullspace_over_q():
     Q = Rationals()
-    gens = linalg.nullspace(Q, [[Fraction(1), Fraction(2)]], 2)
+    gens = nullspace(Q, [[Fraction(1), Fraction(2)]], 2)
     assert len(gens) == 1
     g = gens[0]
     assert g[0] + 2 * g[1] == 0
@@ -109,33 +114,19 @@ def test_span_basis_canonical():
 
 def test_solve_underdetermined_particular_deterministic():
     R = Zmod(7)
-    sol1 = linalg.solve_linear(R, [[1, 1]], [3])
-    sol2 = linalg.solve_linear(R, [[1, 1]], [3])
+    sol1 = linalg.solve_linear(R, [{0: 1, 1: 1}], [3], 2)
+    sol2 = linalg.solve_linear(R, [{0: 1, 1: 1}], [3], 2)
     assert sol1.particular == sol2.particular
     assert len(sol1.kernel) == 1
-
-
-def test_solve_sparse_rows_match_dense():
-    R = Zmod(6)
-    rows = [[2, 0, 3], [0, 0, 0], [4, 1, 0]]
-    rhs = [1, 0, 2]
-    sparse = [{j: c for j, c in enumerate(r) if c} for r in rows]
-    assert linalg.solve_linear(R, sparse, rhs, 3) == linalg.solve_linear(R, rows, rhs)
-
-
-def test_solve_sparse_rows_need_ncols():
-    with pytest.raises(ValueError, match="ncols"):
-        linalg.solve_linear(Zmod(3), [{1: 1}], [1])
 
 
 @pytest.mark.parametrize("ring", [Zmod(4), Rationals()], ids=["Z/4", "Q"])
 def test_solve_no_rows_over_ncols_columns(ring):
     """With no equations every vector solves: the zero vector plus the
-    unit vectors, not the empty solution of a system of width 0."""
+    unit vectors."""
     sol = linalg.solve_linear(ring, [], [], 3)
     assert sol.particular == (0, 0, 0)
     assert sorted(sol.kernel) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert linalg.solve_linear(ring, [], []) == linalg.LinearSolution((), [])
 
 
 def rank_mod_p(rows, p):
@@ -174,7 +165,7 @@ def test_nullspace_is_exact_for_every_prime_size(n, shape, seed):
             rows.append([rng.randrange(n) * x % n for x in rng.choice(rows)])
         else:
             rows.append([rng.randrange(n) for _ in range(ncols)])
-    kernel = linalg.nullspace(Zmod(n), rows, ncols)
+    kernel = nullspace(Zmod(n), rows, ncols)
     for v in kernel:
         assert all(sum(a * b for a, b in zip(r, v)) % n == 0 for r in rows)
     assert rank_mod_p(rows, n) + len(kernel) == ncols
@@ -270,14 +261,13 @@ def test_field_engine_matches_dense_reference(system):
     given_rows = normal_rows(ring, given_rows)
     pivots, rref = reference_rref(ring, rows, ncols)
     assert linalg.span_basis(ring, given_rows, ncols) == rref
-    assert linalg.nullspace(ring, given_rows, ncols) == reference_nullspace(ring, rows, ncols)
-    # solve_linear on the system rows[:-1] x = last column; its rows are
-    # sequences
+    assert nullspace(ring, given_rows, ncols) == reference_nullspace(ring, rows, ncols)
+    # solve_linear on the system rows[:-1] x = last column
     if ncols >= 2:
         coeffs = [r[:-1] for r in rows]
         rhs = [r[-1] for r in rows]
-        sol = linalg.solve_linear(ring, normal_rows(ring, coeffs),
-                                  normal_rows(ring, [rhs])[0])
+        sol = linalg.solve_linear(ring, dict_rows(normal_rows(ring, coeffs)),
+                                  normal_rows(ring, [rhs])[0], ncols - 1)
         if ncols - 1 in pivots:
             assert sol is None
         else:
@@ -344,10 +334,10 @@ def test_howell_form_matches_enumeration(system):
     assert linalg.span_basis(ring, again, ncols) == basis
     # the kernel and the solutions of rows[:, :-1] x = rows[:, -1]
     kernel = solutions(n, rows, [0] * len(rows), ncols)
-    assert enumerated_span(n, linalg.nullspace(ring, rows, ncols), ncols) == kernel
+    assert enumerated_span(n, nullspace(ring, rows, ncols), ncols) == kernel
     if rows and ncols >= 2:
         coeffs, rhs = [r[:-1] for r in rows], [r[-1] for r in rows]
-        sol = linalg.solve_linear(ring, coeffs, rhs)
+        sol = linalg.solve_linear(ring, dict_rows(coeffs), rhs, ncols - 1)
         got = set() if sol is None else {
             tuple((p + v) % n for p, v in zip(sol.particular, w))
             for w in enumerated_span(n, sol.kernel, ncols - 1)}
@@ -431,3 +421,80 @@ def test_a_lower_bound_outside_the_kernel_is_a_violation(ring):
     with pytest.raises(TheoremViolation):
         linalg.certified_kernel(ring, [[[1, 0]], [[0, 1]]], 2, [(1, 0)])
     assert linalg.certified_kernel(ring, [[[1, 0]]], 2, [(0, 1)]) == [(0, 1)]
+
+
+# -- one routine: solves and the row-count short-circuit ------------------------
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
+def test_solve_linear_matches_enumeration_on_dict_systems(n):
+    """Every solution of a random sparse system, and None exactly when
+    there is none; among the systems are some whose right-hand side column
+    gets a pivot of non-unit lead, as 2x = 1 over Z/4 does."""
+    ring, rng = Zmod(n), random.Random(f"solve/{n}")
+    divisors = [d for d in range(2, n) if n % d == 0]
+    assert linalg.solve_linear(Zmod(4), [{0: 2}], [1], 1) is None
+    nonunit_rhs = 0
+    for _ in range(80):
+        ncols = rng.randint(1, 3 if n <= 9 else 2)
+        rows = [{c: rng.choice(divisors) if rng.random() < 0.5 else rng.randrange(1, n)
+                 for c in rng.sample(range(ncols), rng.randint(0, ncols))}
+                for _ in range(rng.randint(0, 3))]
+        rhs = [rng.choice([0, 1, *divisors]) for _ in rows]
+        acc = linalg.kernel_builder(ring, ncols + 1)
+        acc.add_rows([{**r, ncols: b} for r, b in zip(rows, rhs)])
+        nonunit_rhs += acc.rows.get(ncols, {ncols: 1})[ncols] != 1
+        dense = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+        sol = linalg.solve_linear(ring, rows, rhs, ncols)
+        got = set() if sol is None else {
+            tuple((p + v) % n for p, v in zip(sol.particular, w))
+            for w in enumerated_span(n, sol.kernel, ncols)}
+        assert got == solutions(n, dense, rhs, ncols)
+    assert nonunit_rhs > 0
+
+
+def _size_test_only(ring, blocks, ncols, lower):
+    """``certified_kernel`` without its row-count short-circuit: the size
+    of the kernel so far compared with that of ``lower`` before every block."""
+    acc = linalg.kernel_builder(ring, ncols)
+    n = ring.size or 2
+    span = n ** ncols // math.prod(n // next(filter(None, g)) for g in lower)
+    blocks = iter(blocks)
+    while n ** len(acc.rows) // math.prod(r[c] for c, r in acc.rows.items()) < span:
+        block = next(blocks, None)
+        if block is None:
+            return acc.nullspace()
+        acc.add_rows(block)
+    return list(lower)
+
+
+@pytest.mark.parametrize("ring", [Zmod(4), Zmod(8), Zmod(9), Rationals()], ids=repr)
+def test_the_row_count_short_circuit_keeps_the_kernel_and_the_blocks_pulled(ring):
+    """On random block sequences, each with a random submodule ``lower`` of
+    its kernel (over Z/n with leads that are not units among them),
+    ``certified_kernel`` returns what the size test alone returns and pulls
+    as many blocks."""
+    rng = random.Random(f"short-circuit/{ring!r}")
+    n = ring.size
+    scalars = range(n) if n else [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    nonunit_leads = 0
+    for _ in range(80):
+        ncols = rng.randint(1, 5)
+        blocks = [[{c: ring.normal(rng.choice(scalars))
+                    for c in rng.sample(range(ncols), rng.randint(0, ncols))}
+                   for _ in range(rng.randint(0, 3))]
+                  for _ in range(rng.randint(1, 4))]
+        acc = linalg.kernel_builder(ring, ncols)
+        acc.add_rows([r for b in blocks for r in b])
+        kernel = acc.nullspace()
+        members = [tuple(ring.normal(sum(c * g[j] for c, g in zip(cs, kernel)))
+                         for j in range(ncols))
+                   for cs in ([rng.choice(scalars) for _ in kernel]
+                              for _ in range(rng.randint(0, 3)))]
+        lower = linalg.span_basis(ring, members, ncols)
+        nonunit_leads += any(next(filter(None, g)) != 1 for g in lower)
+        pulled, pulled_ref = [], []
+        got = linalg.certified_kernel(ring, _pulled_until_closed(blocks, pulled), ncols, lower)
+        ref = _size_test_only(ring, _pulled_until_closed(blocks, pulled_ref), ncols, lower)
+        assert got == ref
+        assert pulled == pulled_ref
+    assert nonunit_leads > 0 or n is None

@@ -289,7 +289,7 @@ def _dense_certificate(G, theta):
                 row[nz * (1 + j) + s] = zgens[s][r]
             rows.append(row)
             rhs.append(tj[r])
-    sol = linalg.solve_linear(rg, rows, rhs)
+    sol = linalg.solve_linear(rg, [dict(enumerate(r)) for r in rows], rhs, nz * (1 + d))
     if sol is None:
         return None
     t = sol.particular[:nz]

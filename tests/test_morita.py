@@ -316,9 +316,9 @@ def _solved_partner(G, block, x):
         known, unknown = unknown, known
     rows = [r for b in G.center_blocks(G.ctx.M.basis(), G.ctx.N.basis()) for r in b]
     sol = linalg.solve_linear(
-        R, [[R.normal(-r.get(c, R.zero)) for c in unknown] for r in rows],
+        R, [{i: R.normal(-r.get(c, R.zero)) for i, c in enumerate(unknown)} for r in rows],
         [R.normal(sum(v * x[c - known.start] for c, v in r.items() if c in known))
-         for r in rows])
+         for r in rows], len(unknown))
     assert sol is not None and not sol.kernel
     return tuple(sol.particular)
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gmalg import algebra, linalg, maps, oracle
+from gmalg import algebra, maps, oracle
 from gmalg.algebra import Algebra, Submodule
 from gmalg.errors import BudgetExceeded, DimensionMismatch, NotEnumerable
 from gmalg.families import (
@@ -39,6 +39,7 @@ from conftest import (
     is_normal,
     is_zero,
     iterated_bracket,
+    nullspace,
     proper_map,
     scale_map,
     span_elements,
@@ -237,7 +238,7 @@ def brute_commuting_space(A, k):
             row = {p * d + q: R.normal(x[q] * b[r]) for p, b in enumerate(brackets)
                    for q in range(d) if x[q] and b[r]}
             rows.add(tuple(sorted(row.items())))
-    gens = linalg.nullspace(R, [dict(row) for row in sorted(rows)], d * d)
+    gens = nullspace(R, [dict(row) for row in sorted(rows)], d * d)
     return Submodule(R, d * d, gens)
 
 

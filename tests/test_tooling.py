@@ -113,3 +113,33 @@ def test_rings_do_no_arithmetic():
         and _is_ring(node.value)
     ]
     assert found == []
+
+
+_ELIMINATING = {"certified_kernel", "span_basis"}
+
+
+def test_one_elimination_routine():
+    """Every kernel and every solve in ``gmalg`` is a
+    ``linalg.certified_kernel`` call: only it and ``linalg.span_basis`` name
+    ``kernel_builder`` (the accumulator the tracer proxies), no module
+    defines a ``nullspace`` of its own, and every ``solve_linear`` call
+    passes its four arguments, dict rows over a stated ``ncols``."""
+    found = []
+    for path in sorted((ROOT / "src" / "gmalg").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = f"{path.name}:{top.lineno}"
+            if isinstance(top, ast.FunctionDef) and top.name == "nullspace":
+                found.append(f"{where} defines nullspace")
+            owner = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if (isinstance(node, (ast.Name, ast.Attribute)) and name == "kernel_builder"
+                        and owner not in {("linalg.py", f) for f in _ELIMINATING}):
+                    found.append(f"{path.name}:{node.lineno} names kernel_builder")
+                if isinstance(node, ast.Call):
+                    fn = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if fn == "solve_linear" and (
+                            len(node.args) + len(node.keywords) != 4
+                            or any(isinstance(a, ast.Starred) for a in node.args)):
+                        found.append(f"{path.name}:{node.lineno} solve_linear call")
+    assert found == []

@@ -11,8 +11,8 @@ import random
 
 import pytest
 
-from conftest import _in_random_basis
-from gmalg import algebra, jsonio, linalg
+from conftest import _in_random_basis, nullspace
+from gmalg import algebra, jsonio
 from gmalg.errors import DimensionMismatch, InputError
 from gmalg.families import block_triangular_gma, full_matrix_gma, triangular_gma
 from gmalg.morita import (BLOCKS, PRODUCTS, GMAlgebra, _corner_context, build_gma,
@@ -125,7 +125,7 @@ def _dense_faithful(ctx):
     def faithful(entry, dim):
         rows = [[entry(i, p, c) for i in range(dim)]
                 for p in range(M.dim) for c in range(M.dim)]
-        return dim == 0 or not linalg.nullspace(ctx.ring, rows, dim)
+        return dim == 0 or not nullspace(ctx.ring, rows, dim)
 
     return {"left_faithful": faithful(lambda i, p, c: left[i][p][c], ctx.A.dim),
             "right_faithful": faithful(lambda j, p, c: right[p][j][c], ctx.B.dim)}
