@@ -437,7 +437,7 @@ class Algebra(_Normal):
         self.dim = len(self.labels)
         self._terms = terms
         self.unit = tuple(unit)
-        self._engel, self._ad = {}, None
+        self._engel, self._ad, self._shift = {}, None, None
 
     # -- vector helpers -----------------------------------------------------
 
@@ -598,11 +598,64 @@ class Algebra(_Normal):
         return ad_stream(self.adjoint_terms(), identity, k, self.ring.normal)
 
     def map_groups(self, columns, k):
-        """``ad_stream`` for [theta(x), x]_k, from C_{e_q} = theta(e_q) in
-        one column 0, for the map theta with the given columns theta(e_q),
-        each as its nonzero (coordinate, scalar) pairs in normal form."""
-        start = {(q,): {0: dict(col)} for q, col in enumerate(columns) if col}
-        return ad_stream(self.adjoint_terms(), start, k, self.ring.normal)
+        """``ad_stream`` for [theta(x), x]_k, for the map theta with the
+        given columns theta(e_q), each as its nonzero (coordinate, scalar)
+        pairs in normal form, from C_{e_q} = (theta - p)(e_q) in one column
+        0.  p(x) = c*x + g(x)*u is the part of theta that commutes for an
+        elementary reason: when the unit u is central (``_unit_shift``),
+        [x, x] and [u, x] vanish coefficient by coefficient, so p adds
+        nothing to any bracket of x and the normalized groups are theta's;
+        otherwise p = 0.  c = theta[r1][r1] - u[r1]*theta[r0][r1] and
+        g_q = theta[r0][q] - c*[q = r0] make theta - p zero on row r0 and
+        at (r1, r1), so only the entries p changes are brought to normal
+        form.  When theta = p nothing is streamed and nothing is yielded."""
+        normal, shift = self.ring.normal, self._unit_shift()
+        if shift:
+            r0, r1, rest = shift
+            head = dict(columns[r1])
+            c = normal(head.get(r1, 0) - self.unit[r1] * head.get(r0, 0))
+        start = {}
+        for q, col in enumerate(columns):
+            col = dict(col)
+            if shift:
+                g = col.pop(r0, 0)      # theta - p is 0 on row r0
+                if q == r0:
+                    g -= c
+                terms = [(r, g * v) for r, v in rest] if g else []
+                if c and q != r0:
+                    terms.append((q, c))
+                for r, x in terms:
+                    if w := normal(col.get(r, 0) - x):
+                        col[r] = w
+                    else:
+                        col.pop(r, None)
+            if col:
+                start[q,] = {0: col}
+        return ad_stream(self.adjoint_terms(), start, k, normal) if start else iter(())
+
+    def _unit_shift(self):
+        """(r0, r1, the unit's other nonzero (coordinate, scalar) pairs) for
+        the reduction of ``map_groups``: r0 the first coordinate with
+        u[r0] = 1, r1 the first other index (r0 itself in dimension 1).
+        () when there is no such r0, or when u is not central coefficient
+        by coefficient: sum_r u_r [e_r, e_i] (``adjoint_terms``) is not 0
+        for some i, as in a table that was never validated.  Computed
+        once."""
+        if self._shift is None:
+            unit = [(r, v) for r, v in enumerate(self.unit) if v]
+            acc = {}    # (i, s) -> coordinate s of [u, e_i]
+            ad = self.adjoint_terms()
+            for r, v in unit:
+                for i, terms in ad[r]:
+                    for s, c in terms:
+                        acc[i, s] = acc.get((i, s), 0) + v * c
+            r0 = next((r for r, v in unit if v == 1), None)
+            if r0 is None or any(map(self.ring.normal, acc.values())):
+                self._shift = ()
+            else:
+                r1 = next((r for r in range(self.dim) if r != r0), r0)
+                self._shift = r0, r1, tuple((r, v) for r, v in unit if r != r0)
+        return self._shift
 
     def commuting_groups(self, k):
         """The groups of [theta(x), x]_k, by least index as in

@@ -9,6 +9,7 @@ input (usage errors too).  Output bytes are stable for fixed inputs and seed.
 import argparse
 import contextlib
 import functools
+import itertools
 import os
 import random
 import sys
@@ -192,19 +193,21 @@ def cmd_sweep(args):
         doc["finding"] = "sufficient hypotheses not satisfied"
         _emit(doc, args.emit)
         return EXIT_FINDING
-    rng = random.Random(args.seed)
-    thetas = space.basis() + [space.random_member(rng) for _ in range(args.samples)]
+    gens = space.basis()
 
     # [theta(x), x]_k is linear in theta: the generators, maps 0..g-1, decide all
-    for idx, theta in enumerate(thetas[:doc["space_generators"]]):
+    for idx, theta in enumerate(gens):
         ok, bad = maps.is_k_commuting(G, theta, k)
         if not ok:
             raise TheoremViolation(f"space generator {idx} is not {k}-commuting (witness {bad})")
     # every line is linear in theta: compiled once for the whole sweep, and
     # only a map that fails a row is read as values, the source of witnesses.
     # The generators span the space, so no swept map needs its own verdict.
+    # Each sample is drawn when it is checked, so no more than one is held.
     rows = compiled.report_rows(G, args.mode, k)
-    for idx, theta in enumerate(thetas):
+    rng = random.Random(args.seed)
+    samples = (space.random_member(rng) for _ in range(args.samples))
+    for idx, theta in enumerate(itertools.chain(gens, samples)):
         if rows.passes(theta):
             continue
         lines = maps.report_values(G, theta, args.mode, k).to_json()["lines"]

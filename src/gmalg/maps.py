@@ -166,7 +166,12 @@ def is_k_commuting(G, theta, k):
 
     f(x) = [theta(x), x]_k is homogeneous of degree k+1, and its
     coefficients C_gamma come from ``Algebra.map_groups``, grouped by the
-    least index t of gamma from the highest t down.  f vanishes everywhere
+    least index t of gamma from the highest t down.  They are streamed from
+    theta minus its part p(x) = c*x + g(x)*1, which adds nothing to f: that
+    is exact once the unit is checked central coefficient by coefficient,
+    and without that check nothing is subtracted.  So a map theta = p
+    streams nothing and is decided k-commuting at once, and a map near one
+    streams only what is left.  f vanishes everywhere
     iff every group's rows vanish (``algebra.vanishing_rows``: over Q and
     over Z/p with p >= k+1 iff the group is empty, zeros being dropped).
     The groups are read until the first one that does not vanish; none is

@@ -278,6 +278,101 @@ def test_the_derivation_verdict_stops_the_stream_early(monkeypatch):
     assert pulled == read
 
 
+# -- the trivially commuting part x -> c*x + g(x)*1 -----------------------------
+
+REDUCTION_RINGS = {"Q": Rationals(), "Z/2": Zmod(2), "Z/3": Zmod(3), "Z/5": Zmod(5),
+                   "Z/7": Zmod(7), "Z/4": Zmod(4), "Z/6": Zmod(6), "Z/9": Zmod(9)}
+
+
+def _plus_proper(alg, theta, c, g):
+    """theta + p, p(x) = c*x + g(x)*1 with g(e_j) = g[j]."""
+    R, u = alg.ring, alg.unit
+    return LinMap._from_normal(R, tuple(
+        tuple(R.normal(v + c * (i == j) + u[i] * g[j]) for j, v in enumerate(row))
+        for i, row in enumerate(theta.rows)))
+
+
+def _nonempty(groups):
+    """A stream's nonempty groups, by least index."""
+    return {t: group for t, group in groups if group}
+
+
+def _assert_groups_unchanged(alg, theta, k):
+    """``map_groups`` yields the normalized groups of ``ad_stream`` on
+    theta's own columns: all of them, from t = d-1 down, or nothing when
+    they are all empty."""
+    read = list(alg.map_groups(theta.integral()[1]._cols, k))
+    full = list(algebra.ad_stream(alg.adjoint_terms(), reference_map_start(alg, theta), k,
+                                  alg.ring.normal))
+    assert _nonempty(read) == _nonempty(full)
+    assert [t for t, _ in read] == ([t for t, _ in full] if read else [])
+
+
+@pytest.mark.parametrize("ring", sorted(REDUCTION_RINGS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_trivially_commuting_part_changes_no_verdict(family, ring):
+    """theta and theta + p, p(x) = c*x + g(x)*1, get the same verdict and
+    witness, and ``map_groups`` yields theta's own groups, for members of
+    S_k, members with one entry moved and dense maps, in the standard
+    basis and in a random one.  The unit is central in a valid algebra, so
+    the reduction is made iff it has a coordinate 1: in the standard basis
+    always, in a random basis maybe not.  p alone streams nothing."""
+    base = FAMILIES[family](REDUCTION_RINGS[ring])
+    rng = random.Random(f"proper-part-{family}-{ring}")
+    for alg in (base, _in_random_basis(base, rng)[0]):
+        R, d = alg.ring, alg.dim
+        assert bool(alg._unit_shift()) == (R.one in alg.unit)
+        assert alg is not base or alg._unit_shift()
+
+        def scalar():
+            return R.coerce(rng.randint(-3, 3))
+
+        for k in (1, 2, 3):
+            space = commuting_space(alg, k)
+            members = [space.random_member(rng) for _ in range(2)]
+            moved = []
+            for member in members:
+                rows = [list(r) for r in member.rows]
+                rows[rng.randrange(d)][rng.randrange(d)] += R.one
+                moved.append(LinMap(R, rows))
+            dense = [LinMap(R, [[scalar() for _ in range(d)] for _ in range(d)])]
+            for theta in members + moved + dense:
+                shifted = _plus_proper(alg, theta, scalar(), [scalar() for _ in range(d)])
+                assert is_k_commuting(alg, shifted, k) == is_k_commuting(alg, theta, k)
+                _assert_groups_unchanged(alg, theta, k)
+                _assert_groups_unchanged(alg, shifted, k)
+            if alg._unit_shift():
+                proper = _plus_proper(alg, LinMap.zero(R, d), scalar(),
+                                      [scalar() for _ in range(d)])
+                assert list(alg.map_groups(proper.integral()[1]._cols, k)) == []
+                assert is_k_commuting(alg, proper, k) == (True, None)
+
+
+def test_a_unit_that_is_not_central_gets_no_reduction():
+    """An algebra built without validation, with the table of M2 and E11 as
+    its unit vector, which has a coordinate 1 but is not central: nothing
+    is subtracted, and every verdict is that of the unreduced stream.
+    Subtracting x -> x_0*E11 would make theta(x) = x_0*E11 zero and call
+    it k-commuting, which it is not: [E11, E11 + E12] = E12."""
+    for R in (Rationals(), Zmod(3), Zmod(4)):
+        M2 = full_matrix_gma(R, 2, 1).algebra
+        alg = Algebra(R, M2.labels, M2.table, M2.basis_vector(0))
+        assert alg._unit_shift() == ()
+        rng, d = random.Random(f"not-central-{R}"), alg.dim
+        thetas = [_plus_proper(alg, LinMap.zero(R, d), c, [int(j == q) for j in range(d)])
+                  for q in range(d) for c in (0, 1)]
+        thetas += [LinMap(R, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+                   for _ in range(3)]
+        refuted = 0
+        for theta in thetas:
+            for k in (1, 2, 3):
+                expected = reference_is_k_commuting(alg, theta, k)
+                assert is_k_commuting(alg, theta, k) == expected
+                refuted += not expected[0]
+        assert not is_k_commuting(alg, thetas[0], 1)[0]
+        assert refuted
+
+
 # -- one least index per call of vanishing_rows ---------------------------------
 
 SPY_RINGS = {"Q": Rationals(), "Z/2": Zmod(2), "Z/3": Zmod(3), "Z/4": Zmod(4),
