@@ -16,7 +16,7 @@ from math import prod
 from operator import attrgetter
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidAlgebra, NotEnumerable
+from .errors import DimensionMismatch, InvalidAlgebra, NotEnumerable, TheoremViolation
 
 
 def iter_vectors(ring, dim):
@@ -71,7 +71,8 @@ def lattice_check(ring, dim, degree, holds, lead=None):
     x_0..x_t = 0.  Those points come first, so the witness starts with t
     zeros and a nonzero digit: the search starts there, f is not evaluated
     on the zero prefix, and every point it is evaluated at has x_0..x_{t-1}
-    = 0."""
+    = 0.  When f vanishes at every such point after all, the lead was
+    wrong, and that raises ``TheoremViolation``."""
     scalars = [ring.normal(b) for b in range(degree + 1)]
     seen = {}   # by digits; the search revisits the points whose prefix is zero
 
@@ -91,7 +92,11 @@ def lattice_check(ring, dim, degree, holds, lead=None):
         x = ()
     else:
         x = (0,) * lead
-        x += (next(c for c in digits[1:] if not vanishes(x + (c,))),)
+        c = next((c for c in digits[1:] if not vanishes(x + (c,))), None)
+        if c is None:
+            raise TheoremViolation(f"f vanishes where its first {lead} coordinates are 0, "
+                                   f"against the lead {lead} of its coefficients")
+        x += (c,)
     while len(x) < dim:
         x = next(x + (c,) for c in digits if not vanishes(x + (c,)))
     return False, tuple(scalars[b] for b in x)
@@ -275,36 +280,6 @@ def stream_rows(ring, groups, degree, dim):
             for block in vanishing_rows(ring, group, degree, dim))
 
 
-def evaluator(ring, coeffs, degree):
-    """``holds(x)``: whether f(x) = sum_gamma C_gamma x^gamma is zero, for x
-    in normal form and coefficients as in ``vanishing_rows``.  Only the
-    gamma with supp gamma inside supp x contribute, so they are looked up
-    by the subsets of supp x of size <= ``degree``.  The points
-    ``lattice_check`` tries have at most 2*degree + 1 nonzero coordinates:
-    the lexicographically first failing point has at most ``degree``
-    (zeroing a coordinate makes a point smaller, and f on points with more
-    is a sum of its values on their faces), and the others add a digit and
-    a lattice point to a prefix of it."""
-    groups = {}
-    for gamma, rows in coeffs.items():
-        groups.setdefault(tuple(dict.fromkeys(gamma)), []).append((gamma, rows))
-    normal = ring.normal
-
-    def holds(x):
-        support = [i for i, c in enumerate(x) if c]
-        acc = {}
-        for size in range(1, min(len(support), degree) + 1):
-            for sub in itertools.combinations(support, size):
-                for gamma, rows in groups.get(sub, ()):
-                    m = prod(x[i] for i in gamma)
-                    for r, row in rows.items():
-                        for col, v in row.items():
-                            acc[r, col] = acc.get((r, col), 0) + m * v
-        return not any(normal(v) for v in acc.values())
-
-    return holds
-
-
 def _nonzero_terms(table):
     """For each cell of a table of coordinate vectors (a bilinear map on
     basis elements), its (coordinate, value) pairs with a nonzero value."""
@@ -474,7 +449,22 @@ class Algebra(_Normal):
         return _bilinear(self.ring, x, y, self._terms, self.dim)
 
     def bracket(self, x, y):
-        return self.sub(self.mul(x, y), self.mul(y, x))
+        """[x, y] = sum x_r y_i [e_r, e_i] over the commutator table
+        (``adjoint_terms``), summed in int (or Fraction) arithmetic and
+        brought to normal form once per coordinate."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise DimensionMismatch("element length does not match algebra dim")
+        ad, acc = self.adjoint_terms(), {}
+        for r, xr in enumerate(x):
+            if xr:
+                for i, terms in ad[r]:
+                    if c := xr * y[i]:
+                        for s, v in terms:
+                            acc[s] = acc.get(s, 0) + c * v
+        out = [self.ring.zero] * self.dim
+        for s, v in acc.items():
+            out[s] = self.ring.normal(v)
+        return tuple(out)
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x*y (rows over output coords)."""

@@ -35,7 +35,6 @@ m<->n.
 """
 
 import itertools
-from math import comb, prod
 from operator import mul
 
 from .algebra import lattice_points, stream_rows
@@ -181,7 +180,12 @@ class _Forms(_Side):
         return _rows(self.G.ring, [x], S.annihilator())
 
     def lattice(self, defect):
-        return _lattice_rows(self.G.ring, self.ctx.M.dim, defect)
+        """The rows of ``defect``'s values at the lattice points |beta| <= 2
+        (``lattice_points``): the points on which the values reading
+        decides (``algebra.lattice_check``)."""
+        ring = self.G.ring
+        return _rows(ring, (defect(tuple(map(ring.normal, beta)))
+                            for beta in lattice_points(ring, self.ctx.M.dim, 2)))
 
     def commuting(self, k):
         """The rows of ``stream_rows`` on ``A.commuting_groups(k)``,
@@ -221,25 +225,6 @@ def _rows(ring, forms, ann=None):
         for w in ann:
             out += _normal_rows(ring, _Forms.combine(
                 *((w[i], {0: row}) for i, row in form.items() if w[i])))
-    return out
-
-
-def _lattice_rows(ring, dim, defect):
-    """The rows that all vanish iff ``defect``, a form-valued map of degree
-    <= 2 on R^dim, vanishes on all of R^dim: those of its forward
-    differences D^alpha f(0) = sum over beta <= alpha of
-    (-1)^|alpha - beta| C(alpha, beta) f(beta), at the lattice points
-    alpha (``lattice_points``).  They are the values at the lattice points,
-    on which the values reading decides (``algebra.lattice_check``),
-    combined unitriangularly, so they vanish together; and they are
-    sparser, since a difference drops the terms of lower degree."""
-    values, out = {}, []
-    for alpha in lattice_points(ring, dim, 2):
-        values[alpha] = defect(tuple(map(ring.normal, alpha)))
-        out += _normal_rows(ring, _Forms.combine(*(
-            ((-1) ** (sum(alpha) - sum(beta)) * prod(map(comb, alpha, beta)), values[beta])
-            for beta in itertools.product(*(range(a + 1) for a in alpha))
-        )))
     return out
 
 
@@ -415,7 +400,8 @@ REPORTS = {
 
 def report_rows(G, mode, k):
     """The lines of ``REPORTS[mode]`` compiled to rows (see ``ReportRows``),
-    exact for every map on every ring: the degree-2 balance identity is
-    decided on the lattice points (``_lattice_rows``) as the values reading
-    does, and every other line on the points it reads."""
+    exact for every map on every ring: a degree-2 line is decided on its
+    values at the lattice points |beta| <= 2 (``_Forms.lattice``), the
+    points the values reading searches, and every other line on the points
+    it reads."""
     return ReportRows(G.ring, REPORTS[mode][1](_Forms.pair(G), k))

@@ -21,7 +21,6 @@ from .algebra import (
     _Normal,
     _as_rows,
     _bilinear,
-    evaluator,
     iter_vectors,
     lattice_check,
     lattice_points,
@@ -98,11 +97,13 @@ class LinMap(_Normal):
         """(D, D*theta) for the least D >= 1 that makes every entry an int
         (``rings``' ``integral``): the lcm of the denominators over Q, 1 over
         Z/n and for integral maps, where D*theta is this map itself.
-        Computed once."""
+        Computed once; the map itself is stored as None, so that it holds
+        no reference to itself and is freed without the cycle collector."""
         if self._integral is None:
             D, rows = self.ring.integral(self.rows)
-            self._integral = (1, self) if D == 1 else (D, LinMap._from_normal(self.ring, rows))
-        return self._integral
+            self._integral = (1, None) if D == 1 else (D, LinMap._from_normal(self.ring, rows))
+        D, scaled = self._integral
+        return D, self if scaled is None else scaled
 
     def flatten(self):
         return tuple(c for row in self.rows for c in row)
@@ -184,8 +185,10 @@ def is_k_commuting(G, theta, k):
     not vanish, and where x_0..x_t = 0 f is zero (``lattice_check``'s
     lead).  On failure x is the lexicographically first failing element:
     of the whole algebra over a finite ring, of {0..k+1}^dim over Q (see
-    ``algebra.lattice_check``), searched from the lead on, where f is
-    evaluated from group t.
+    ``algebra.lattice_check``), searched from the lead on.  There f is
+    evaluated by its definition, y = theta(x), then y = [y, x] k times,
+    stopping once y = 0, so the witness fails the identity itself, and a
+    lead that the coefficients give wrongly raises ``TheoremViolation``.
 
     f is linear in theta, so over Q the map D*theta of ``LinMap.integral``
     has the coefficients D*C_gamma, the same zero set and so the same
@@ -195,11 +198,21 @@ def is_k_commuting(G, theta, k):
     if theta.dim != alg.dim:
         raise DimensionMismatch("map dimension does not match the algebra")
     rg, d = alg.ring, alg.dim
-    for t, group in alg.map_groups(theta.integral()[1]._cols, k):
+    scaled = theta.integral()[1]
+
+    def holds(x):
+        y = scaled.apply(x)
+        for _ in range(k):
+            if not any(y):
+                return True
+            y = alg.bracket(y, x)
+        return not any(y)
+
+    for t, group in alg.map_groups(scaled._cols, k):
         if group:
             group = {gamma: _as_rows(cols) for gamma, cols in group.items()}
             if next(vanishing_rows(rg, group, k + 1, d), None) is not None:
-                return lattice_check(rg, d, k + 1, evaluator(rg, group, k + 1), lead=t)
+                return lattice_check(rg, d, k + 1, holds, lead=t)
     return True, None
 
 

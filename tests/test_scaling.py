@@ -5,9 +5,11 @@ decides a rational map through its integral multiple D*theta
 (``LinMap.integral``) and divides the values that leave by D once."""
 
 import contextlib
+import gc
 import io
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -104,7 +106,7 @@ def test_the_integral_view_clears_the_denominators_minimally(entries):
     for p in range(2, D + 1):
         if D % p == 0:
             assert any((D // p * Fraction(v)).denominator != 1 for v in entries)
-    assert theta.integral() is theta.integral()
+    assert theta.integral()[1] is theta.integral()[1]
 
 
 def test_the_integral_view_of_an_integral_map_is_the_map():
@@ -112,6 +114,22 @@ def test_the_integral_view_of_an_integral_map_is_the_map():
         theta = LinMap(ring, [[1, 2], [0, 3]])
         assert theta.integral() == (1, theta)
         assert theta.integral()[1] is theta
+
+
+def test_an_integral_map_is_freed_by_reference_counting():
+    """The integral view of a map over Z/n, or of an integral map over Q, is
+    the map itself, and the cached view holds no reference to it: with the
+    cycle collector off, the last reference going frees the map."""
+    gc.disable()
+    try:
+        for ring in (Zmod(3), Rationals()):
+            theta = LinMap(ring, [[1, 2], [0, 1]])
+            theta.integral()
+            ref = weakref.ref(theta)
+            del theta
+            assert ref() is None, ring
+    finally:
+        gc.enable()
 
 
 def test_a_rational_map_is_decided_through_integral_coefficients(tmp_path, monkeypatch):

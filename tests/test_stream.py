@@ -3,18 +3,24 @@
 The references below are the one-shot recursion the stream replaced, which
 computes every coefficient before any is read, and the k-commuting verdict
 built on it: the decision over all coefficients at once, then the lead as
-the largest least index whose coefficients do not vanish.  The stream must
-give the same coefficients, verdicts and witnesses, and must stop where its
-readers stop."""
+the largest least index whose coefficients do not vanish, and the witness
+searched from it with f evaluated from the coefficients (``evaluator``).
+``is_k_commuting`` evaluates [theta(x), x]_k by its definition there, so
+each witness comparison pits the definition against the coefficients.  The
+stream must give the same coefficients, verdicts and witnesses, and must
+stop where its readers stop."""
 
 import itertools
 import random
 import sys
+from fractions import Fraction
+from math import prod
 
 import pytest
 
 from conftest import (
     _in_random_basis,
+    is_normal,
     merged_coefficients,
     no_module,
     proper_map,
@@ -26,7 +32,6 @@ from gmalg.algebra import (
     Algebra,
     _as_rows,
     _times,
-    evaluator,
     lattice_check,
     vanishing_rows,
 )
@@ -37,7 +42,7 @@ from gmalg.families import (
     triangular_gma,
     triangular_matrix_algebra,
 )
-from gmalg.errors import TwoTorsion
+from gmalg.errors import DimensionMismatch, TheoremViolation, TwoTorsion
 from gmalg.maps import LinMap, commuting_space, is_k_commuting
 from gmalg.morita import Bimodule, MoritaContext, build_gma
 from gmalg.rings import Rationals, Zmod
@@ -109,6 +114,33 @@ def reference_commuting(alg, k):
                 for r, v in vec.items():
                     rows.setdefault(r, {})[p * d + q] = v
     return coeffs
+
+
+def evaluator(ring, coeffs, degree):
+    """``holds(x)``: whether f(x) = sum_gamma C_gamma x^gamma is zero, for x
+    in normal form and coefficients as in ``vanishing_rows``: f evaluated
+    from its coefficients, against which ``is_k_commuting``'s search, which
+    evaluates [theta(x), x]_k by its definition, is compared.  Only the
+    gamma with supp gamma inside supp x contribute, so they are looked up
+    by the subsets of supp x of size <= ``degree``."""
+    groups = {}
+    for gamma, rows in coeffs.items():
+        groups.setdefault(tuple(dict.fromkeys(gamma)), []).append((gamma, rows))
+    normal = ring.normal
+
+    def holds(x):
+        support = [i for i, c in enumerate(x) if c]
+        acc = {}
+        for size in range(1, min(len(support), degree) + 1):
+            for sub in itertools.combinations(support, size):
+                for gamma, rows in groups.get(sub, ()):
+                    m = prod(x[i] for i in gamma)
+                    for r, row in rows.items():
+                        for col, v in row.items():
+                            acc[r, col] = acc.get((r, col), 0) + m * v
+        return not any(normal(v) for v in acc.values())
+
+    return holds
 
 
 def reference_is_k_commuting(alg, theta, k):
@@ -276,6 +308,76 @@ def test_the_derivation_verdict_stops_the_stream_early(monkeypatch):
     assert verify_commuting_derivations_vanish(G, 3) is True
     assert read and 0 not in read
     assert pulled == read
+
+
+# -- the witness search evaluates the identity itself ----------------------------
+
+BRACKET_RINGS = [Rationals()] + [Zmod(n) for n in range(2, 10)]
+
+
+def _element(R, rng, d):
+    """A seeded element, about half its coordinates 0; over Q some are not
+    ints."""
+    if R.size is None:
+        draw = lambda: R.coerce(Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))))
+    else:
+        draw = lambda: rng.randrange(R.size)
+    return tuple(draw() if rng.random() < 0.5 else R.zero for _ in range(d))
+
+
+@pytest.mark.parametrize("R", BRACKET_RINGS, ids=str)
+def test_the_bracket_is_the_difference_of_the_products(R):
+    """``Algebra.bracket`` reads the commutator table; it is xy - yx, in
+    normal form, in every family, plain and in a random basis, and in an
+    algebra that was never validated, whose unit E11 is not central."""
+    rng = random.Random(f"bracket-{R}")
+    algebras = []
+    for family in sorted(FAMILIES):
+        base = FAMILIES[family](R)
+        algebras += [base, _in_random_basis(base, rng)[0]]
+    M2 = FAMILIES["M2"](R)
+    algebras.append(Algebra(R, M2.labels, M2.table, M2.basis_vector(0)))
+    for alg in algebras:
+        d = alg.dim
+        points = alg.basis() + [alg.zero(), alg.unit]
+        points += [_element(R, rng, d) for _ in range(8)]
+        for x in points:
+            for y in points:
+                got = alg.bracket(x, y)
+                assert got == alg.sub(alg.mul(x, y), alg.mul(y, x)), (alg.labels, x, y)
+                assert all(is_normal(R, c) for c in got)
+        for x, y in ((alg.zero()[1:], alg.zero()), (alg.zero(), alg.zero() + (0,))):
+            with pytest.raises(DimensionMismatch,
+                               match="^element length does not match algebra dim$"):
+                alg.bracket(x, y)
+
+
+@pytest.mark.parametrize("family, R, c", [
+    ("M2", Zmod(3), 1),
+    ("T3", Rationals(), 2),
+], ids=["id on M2(Z/3)", "2*id on T3(Q)"])
+def test_a_wrong_stream_is_a_theorem_violation(family, R, c, tmp_path, monkeypatch, capsys):
+    """One nonzero group planted in the stream of the k-commuting map c*id:
+    the witness search evaluates [theta(x), x]_k itself, finds it zero
+    wherever the planted lead says it is not, and raises
+    ``TheoremViolation``, exit 2 through the CLI; it prints no point at
+    which the identity holds as a counterexample."""
+    G = VERDICT_ALGEBRAS[family](R)
+    d = G.dim
+    theta = LinMap(R, [[c * (i == j) for j in range(d)] for i in range(d)])
+    monkeypatch.setattr(Algebra, "map_groups",
+                        lambda self, columns, k: iter([(0, {(0,) * (k + 1): {0: {0: 1}}})]))
+    for k in (1, 2):
+        with pytest.raises(TheoremViolation):
+            is_k_commuting(G, theta, k)
+    ctx, mp = tmp_path / "ctx.json", tmp_path / "map.json"
+    ctx.write_text(jsonio.dumps(jsonio.context_to_json(G.ctx)))
+    mp.write_text(jsonio.dumps(theta.to_json()))
+    capsys.readouterr()
+    assert cli.main(["classify", str(ctx), str(mp)]) == cli.EXIT_VIOLATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("theorem violation: ") and err.count("\n") == 1, err
 
 
 # -- the trivially commuting part x -> c*x + g(x)*1 -----------------------------
