@@ -1,20 +1,19 @@
 """Mutants that the tests must kill: each fast path's stated condition,
 broken one at a time.
 
-Usage: python tools/mutants.py [NAME ...]
+Usage: python tools/mutants.py
 
 Each mutant names a file, an exact text in it, the text's replacement, the
 tests that must fail on it and the condition it breaks.  For each mutant
-(every one, or the NAMEs given) the script copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory, replaces the text there and
-runs ``python -m pytest -x`` on the mutant's tests, with the copy's
-``src/`` on the path.  The mutant is killed when a test fails (pytest
-exit code 1).  The script exits 1 when any mutant survives, when its tests
-could not run (another exit code: an error while collecting, or a test id
-that does not exist), or when a text does not occur exactly once in its
-file, so that the list must follow the code; otherwise it exits 0.  It
-assumes that the tests pass on the unmutated tree, which the tier-1 tests
-check first.
+the script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, replaces the text there and runs
+``python -m pytest -x`` on the mutant's tests, with the copy's ``src/`` on
+the path.  The mutant is killed when a test fails (pytest exit code 1).
+The script exits 1 when any mutant survives, when its tests could not run
+(another exit code: an error while collecting, or a test id that does not
+exist), or when a text does not occur exactly once in its file, so that
+the list must follow the code; otherwise it exits 0.  It assumes that the
+tests pass on the unmutated tree, which the tier-1 tests check first.
 
 A mutant that is equivalent to the code is not listed here; name it and its
 argument in a comment instead.
@@ -100,28 +99,23 @@ def run(mutant):
         ).returncode
 
 
-def main(names):
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 1
-    mutants = [m for m in MUTANTS if not names or m.name in names]
-    bad = misplaced(mutants)
+def main():
+    bad = misplaced(MUTANTS)
     for m, count in bad:
         print(f"{m.name}: its text occurs {count} times in {m.path}, not once")
     if bad:
         return 1
     failed = 0
-    for m in mutants:
+    for m in MUTANTS:
         start = time.perf_counter()
         code = run(m)
         verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"not run (pytest exit code {code})")
         print(f"{m.name}: {verdict} in {time.perf_counter() - start:.1f} s  [{m.condition}]",
               flush=True)
         failed += code != 1
-    print(f"{len(mutants) - failed} of {len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
