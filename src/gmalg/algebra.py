@@ -103,17 +103,16 @@ def lattice_check(ring, dim, degree, holds, lead=None):
 
 
 @cache
-def _surjections(degree):
-    """``table[g][a]`` = a! S(g, a), for g, a <= ``degree``: the number of
-    maps of a g-set onto an a-set, with S the Stirling number of the second
-    kind.  It is the forward difference (Delta^a t^g)(0), since
-    t^g = sum_a S(g, a) t(t-1)...(t-a+1)."""
-    table = [[1] + [0] * degree]
+def _surjections(degree, n):
+    """``table[g][a]`` = a! S(g, a) mod n for g <= ``degree``, a <= min(degree,
+    n - 1), the entries ``_newton_rows`` reads: the number of maps of a g-set
+    onto an a-set, S the Stirling number of the second kind.  It is the forward
+    difference (Delta^a t^g)(0), since t^g = sum_a S(g, a) t(t-1)...(t-a+1)."""
+    top = min(degree, n - 1)
+    table = [[1] + [0] * top]
     for _ in range(degree):
         prev = table[-1]
-        table.append(
-            [0] + [a * (prev[a] + prev[a - 1]) for a in range(1, degree + 1)]
-        )
+        table.append([0] + [a * (prev[a] + prev[a - 1]) % n for a in range(1, top + 1)])
     return table
 
 
@@ -236,7 +235,7 @@ def _newton_rows(ring, coeffs, degree, dim):
     alpha = 0 and the m*e_i (m >= 2) are left out: for a homogeneous f the
     first is 0, the others multiples of the difference at e_i."""
     top = min(degree, ring.size - 1)
-    surj = _surjections(degree)
+    surj = _surjections(degree, ring.size)
     groups = {}
     for gamma, rows in coeffs.items():
         support = tuple(dict.fromkeys(gamma))
@@ -703,9 +702,9 @@ class Algebra(_Normal):
 
 
 class Submodule(_Normal):
-    """Span of finitely many coordinate vectors, kept as its canonical
-    basis: the rows of its Howell form (``linalg.span_basis``), the RREF
-    over a field."""
+    """Span of finitely many coordinate vectors, kept as the accumulator that
+    eliminated them (``linalg.howell_form``): ``gens``, membership and the
+    annihilator read its rows, the Howell form (the RREF over a field)."""
 
     def __init__(self, ring, ambient_dim, generators):
         gens = [tuple(map(ring.coerce, g)) for g in generators]
@@ -717,7 +716,8 @@ class Submodule(_Normal):
     def _set(self, ring, ambient_dim, gens):
         self.ring = ring
         self.ambient_dim = ambient_dim
-        self.gens = linalg.span_basis(ring, gens, ambient_dim)
+        self._howell = linalg.howell_form(ring, gens, ambient_dim)
+        self.gens = self._howell.basis()
         self._annihilator = None
 
     @property
@@ -730,18 +730,18 @@ class Submodule(_Normal):
     def contains(self, v):
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        return linalg.in_span(self.ring, self.gens, v)
+        return self._howell.contains(v)
 
     def __contains__(self, v):
         return self.contains(v)
 
     def annihilator(self):
-        """Generators of {w : w.s = 0 for every s in the span}; computed
-        once.  v lies in the span iff w.v = 0 for each of them: over a field
-        by linear duality, and over Z/n because Z/n is quasi-Frobenius, so
-        that the span is its own double annihilator."""
+        """Generators of {w : w.s = 0 for every s in the span}, the kernel of
+        the Howell rows (``nullspace``: no elimination); computed once.  v lies
+        in the span iff w.v = 0 for each: over a field by linear duality, over
+        Z/n since Z/n is quasi-Frobenius (a span is its double annihilator)."""
         if self._annihilator is None:
-            self._annihilator = linalg.certified_kernel(self.ring, [self.gens], self.ambient_dim)
+            self._annihilator = self._howell.nullspace()
         return self._annihilator
 
     def equals(self, other):

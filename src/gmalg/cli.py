@@ -149,6 +149,8 @@ def cmd_classify(args):
         hyp = _hypotheses(G, k, doc)
         if maps._hyp_all(hyp):
             pf = maps.construct_proper_form(G, theta, k, hypotheses=hyp, verdict=verdict)
+            if cert is None:    # C and theta(e_j) - e_j*C central: C solves it
+                raise TheoremViolation("a proper form was constructed but no certificate found")
             steps = maps.verify_proper_form_steps(G, theta, k, hypotheses=hyp,
                                                   verdict=verdict)
             doc["proper_form"] = {

@@ -10,8 +10,8 @@ Over a field (Z/p of any size, and Q) every lead is a unit, so the form is
 the reduced row echelon form.  Over composite Z/n two rows with the same
 pivot are merged by the extended gcd, and the multiple (n/g)*row that
 vanishes at a pivot of lead g is fed back in.  The form is canonical, and
-kernels, particular solutions and membership are read off it by
-back-substitution, in column order, so downstream reports are byte-stable.
+kernels and particular solutions are read off it by back-substitution, in
+column order, membership by reduction, so downstream reports are byte-stable.
 """
 
 import heapq
@@ -134,6 +134,11 @@ class _HowellAccumulator:
             for c in sorted(self.rows)
         ]
 
+    def contains(self, v):
+        """Whether v (dense or sparse) lies in the span: by the Howell
+        property, iff its reduction by the rows (``_reduce``) leaves nothing."""
+        return not self._reduce(_sparse(v))
+
     def nullspace(self):
         """Kernel generators in column order: for each column f without a
         pivot, the solution with 1 at f and 0 at every other such column,
@@ -230,7 +235,7 @@ def kernel_builder(ring, ncols):
 
 def certified_kernel(ring, blocks, ncols, lower=()):
     """The kernel K of the rows in ``blocks`` (sized lists, pulled one at a
-    time into one accumulator), given the canonical generators (``span_basis``)
+    time into one accumulator), given the canonical generators (``howell_form``)
     of a submodule ``lower`` of K, {0} by default.  A Howell form spans
     prod(n/lead) elements (n = 2 over Q), the kernel K' of the rows read
     n^ncols / that many.  lower <= K <= K', so once |K'| <= |lower| and lower
@@ -254,26 +259,12 @@ def certified_kernel(ring, blocks, ncols, lower=()):
     return list(lower)
 
 
-def span_basis(ring, vectors, ncols):
-    """The canonical basis of the span: the rows of its Howell form (the
-    RREF over a field)."""
+def howell_form(ring, vectors, ncols):
+    """The accumulator of the span, whose ``basis`` is the canonical one: the
+    rows of its Howell form (the RREF over a field)."""
     acc = kernel_builder(ring, ncols)
     acc.add_rows(list(vectors))
-    return acc.basis()
-
-
-def in_span(ring, basis, v):
-    """Whether v lies in the span of ``basis``, the rows of a Howell form
-    (``span_basis``): reduced by them in pivot order, each entry at a pivot
-    to its remainder modulo the lead (1 over a field, a divisor of n over
-    Z/n), v must leave nothing."""
-    v = list(v)
-    for g in basis:
-        c = next(i for i, x in enumerate(g) if x)
-        q = v[c] if g[c] == 1 else v[c] // g[c]
-        if q:
-            v = [ring.normal(a - q * b) for a, b in zip(v, g)]
-    return not any(v)
+    return acc
 
 
 def solve_linear(ring, rows, rhs, ncols):

@@ -450,7 +450,8 @@ def check_properness_hypotheses(G, k):
     """The three sufficient conditions for properness of every k-commuting
     map: both order-k centers are exactly the diagonal projections of the
     center (cond1, cond2), and some single pair (m0, n0) already cuts out
-    the center (cond3).
+    the center (cond3).  The projections of Z(G) lie in Z(A) <= Z^(k)(A)
+    and Z(B) <= Z^(k)(B); a generator outside raises ``TheoremViolation``.
 
     cond3 asks whether the pinned set of some pair, the kernel of
     ``GMAlgebra.center_blocks([m0], [n0])``, is Z(G).  The pinned set always
@@ -473,6 +474,8 @@ def check_properness_hypotheses(G, k):
     # Z^(k) first: when it is span(1), so is the center Z(G) is read from
     zA, zB = G.ctx.A.engel_center(k), G.ctx.B.engel_center(k)
     piA, piB = G.center_projections()
+    if not all(z.contains(g) for z, pi in ((zA, piA), (zB, piB)) for g in pi.gens):
+        raise TheoremViolation("a projection of the center escapes the order-k center")
     cond1, cond2 = zA.equals(piA), zB.equals(piB)
 
     dA, dM, dN, dB = G.dims

@@ -13,9 +13,9 @@ import random
 
 import pytest
 
-from gmalg import cli, jsonio, linalg, oracle
+from gmalg import cli, jsonio, linalg, maps, oracle
 from gmalg.algebra import Algebra, Submodule, _as_rows
-from gmalg.errors import BudgetExceeded, NotFaithful
+from gmalg.errors import BudgetExceeded, NotFaithful, TheoremViolation
 from gmalg.families import (
     block_triangular_gma,
     full_matrix_gma,
@@ -32,7 +32,7 @@ from gmalg.maps import (
     properness_certificate,
     require_proper_setting,
 )
-from gmalg.morita import Bimodule, MoritaContext, build_gma
+from gmalg.morita import Bimodule, GMAlgebra, MoritaContext, build_gma
 from gmalg.rings import Rationals, Zmod
 
 from conftest import no_module, nullspace, scalars, square_zero_algebra
@@ -169,6 +169,51 @@ def test_proper_classify_outside_the_hypotheses_is_a_finding(tmp_path):
     assert "proper_form" not in doc
 
 
+def _violation(argv):
+    """Run ``argv``, which must be a theorem violation: exit 2, nothing on
+    stdout."""
+    code, out = _run(argv)
+    assert (code, out) == (cli.EXIT_VIOLATION, "")
+
+
+def test_a_proper_form_without_a_certificate_is_a_violation(tmp_path, monkeypatch):
+    """The proper form's shift C is central and so is theta(e_j) - e_j*C
+    for every j, so C solves the certificate's system: a proper form built
+    where ``properness_certificate`` finds none is a contradiction."""
+    G = full_matrix_gma(Zmod(3), 2, 1)
+    theta = LinMap(G.ring, [[2 * (i == j) for j in range(4)] for i in range(4)])
+    files = _write(tmp_path, G, theta)
+    code, out = _run(["classify", *files, "--mode", "proper"])
+    assert code == cli.EXIT_OK and json.loads(out)["proper"] is True
+    monkeypatch.setattr(maps, "properness_certificate", lambda G, theta: None)
+    _violation(["classify", *files, "--mode", "proper"])
+
+
+@pytest.mark.parametrize("argv", [["classify", "--mode", "proper"],
+                                  ["sweep", "--mode", "proper"],
+                                  ["sweep", "--mode", "steps"]], ids=" ".join)
+def test_a_projection_of_the_center_outside_the_order_k_center_is_a_violation(
+        argv, tmp_path, monkeypatch):
+    """Z(G) projects into Z(A) <= Z^(k)(A) and Z(B) <= Z^(k)(B), so cond1
+    and cond2 only ask whether the projections are all of the order-k
+    centers; a projection planted outside, span(E12) in A = M2(Z/3), is a
+    contradiction and not a failed condition."""
+    G = full_matrix_gma(Zmod(3), 3, 2)
+    theta = LinMap.identity(G.ring, G.dim)
+    ctx, mp = _write(tmp_path, G, theta)
+    argv = [argv[0], ctx, *([mp] if argv[0] == "classify" else []), *argv[1:]]
+    code, out = _run(argv)
+    assert code == cli.EXIT_OK and json.loads(out)["hypotheses"]["cond1"] is True
+    projections = GMAlgebra.center_projections
+
+    def planted(self):
+        return Submodule(self.ring, self.dims[0], [(0, 1, 0, 0)]), projections(self)[1]
+    monkeypatch.setattr(GMAlgebra, "center_projections", planted)
+    with pytest.raises(TheoremViolation):
+        check_properness_hypotheses(build_gma(G.ctx), 1)
+    _violation(argv)
+
+
 @pytest.mark.parametrize("mode", ["proper", "steps"])
 def test_sweep_outside_the_hypotheses_draws_no_sample(mode, tmp_path, monkeypatch):
     """A proper or step sweep whose hypotheses fail is a finding: it reports
@@ -209,7 +254,7 @@ def reference_cond3(G):
         cols = [ctx.am(a, m) + ctx.na(n, a) for a in za]
         cols += [tuple(R.normal(-c) for c in ctx.mb(m, b) + ctx.bn(b, n)) for b in zb]
         rows = [list(r) for r in zip(*cols)]
-        if len(cols) - len(linalg.span_basis(R, rows, len(cols))) == target:
+        if len(cols) - len(linalg.howell_form(R, rows, len(cols)).basis()) == target:
             return True, m, n
     return False, None, None
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gmalg import linalg
 from gmalg.algebra import Submodule
-from gmalg.errors import TheoremViolation
+from gmalg.errors import DimensionMismatch, TheoremViolation
 from gmalg.families import matrix_algebra, triangular_matrix_algebra
 from gmalg.maps import commuting_space
 from gmalg.rings import Rationals, Zmod
@@ -107,8 +107,8 @@ def test_nullspace_over_q():
 
 def test_span_basis_canonical():
     R = Zmod(3)
-    a = linalg.span_basis(R, [(1, 2, 0), (0, 1, 1)], 3)
-    b = linalg.span_basis(R, [(1, 0, 1), (0, 1, 1), (2, 1, 0)], 3)
+    a = linalg.howell_form(R, [(1, 2, 0), (0, 1, 1)], 3).basis()
+    b = linalg.howell_form(R, [(1, 0, 1), (0, 1, 1), (2, 1, 0)], 3).basis()
     assert a == b
 
 
@@ -260,7 +260,7 @@ def test_field_engine_matches_dense_reference(system):
     ring, ncols, rows, given_rows = system
     given_rows = normal_rows(ring, given_rows)
     pivots, rref = reference_rref(ring, rows, ncols)
-    assert linalg.span_basis(ring, given_rows, ncols) == rref
+    assert linalg.howell_form(ring, given_rows, ncols).basis() == rref
     assert nullspace(ring, given_rows, ncols) == reference_nullspace(ring, rows, ncols)
     # solve_linear on the system rows[:-1] x = last column
     if ncols >= 2:
@@ -329,9 +329,9 @@ def test_howell_form_matches_enumeration(system):
     span = enumerated_span(n, [tuple(r) for r in rows], ncols)
     # the canonical basis spans the rows and does not depend on how they
     # were given
-    basis = linalg.span_basis(ring, rows, ncols)
+    basis = linalg.howell_form(ring, rows, ncols).basis()
     assert enumerated_span(n, basis, ncols) == span
-    assert linalg.span_basis(ring, again, ncols) == basis
+    assert linalg.howell_form(ring, again, ncols).basis() == basis
     # the kernel and the solutions of rows[:, :-1] x = rows[:, -1]
     kernel = solutions(n, rows, [0] * len(rows), ncols)
     assert enumerated_span(n, nullspace(ring, rows, ncols), ncols) == kernel
@@ -350,6 +350,82 @@ def test_howell_form_matches_enumeration(system):
     fewer = Submodule(ring, ncols, rows[1:])
     assert sub.equals(fewer) == (
         enumerated_span(n, [tuple(r) for r in rows[1:]], ncols) == span)
+
+
+# -- membership and the annihilator off the accumulator of the span -----------
+
+def in_span(ring, basis, v):
+    """Whether v lies in the span of ``basis``, the rows of a Howell form:
+    reduced by them densely in pivot order, each entry at a pivot to its
+    remainder modulo the lead (1 over a field, a divisor of n over Z/n), v
+    must leave nothing."""
+    v = list(v)
+    for g in basis:
+        c = next(i for i, x in enumerate(g) if x)
+        q = v[c] if g[c] == 1 else v[c] // g[c]
+        if q:
+            v = [ring.normal(a - q * b) for a, b in zip(v, g)]
+    return not any(v)
+
+
+SPAN_RINGS = [Zmod(n) for n in (4, 6, 8, 9, 12)] + [Zmod(5), Zmod(7), Rationals()]
+
+
+def seeded_spans(ring, seed):
+    """(submodule, its generators, vectors to test) on a seeded stream:
+    over Z/n the entries lean to zero divisors (2, 3, 6, ...), so the
+    Howell rows have leads that are not units; the vectors are combinations
+    of the generators and random vectors."""
+    rng, n = random.Random(f"{seed}/{ring!r}"), ring.size
+    if n:
+        scalars = [0] * 4 + list(range(n)) + [d for d in range(2, n) if n % d == 0] * 3
+    else:
+        scalars = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    for _ in range(60):
+        ncols = rng.randint(1, 4)
+        gens = [tuple(ring.normal(rng.choice(scalars)) for _ in range(ncols))
+                for _ in range(rng.randint(0, 3))]
+        vectors = [tuple(ring.normal(sum(c * g[j] for c, g in zip(cs, gens)))
+                         for j in range(ncols))
+                   for cs in ([rng.choice(scalars) for _ in gens] for _ in range(8))]
+        vectors += [tuple(ring.normal(rng.choice(scalars)) for _ in range(ncols))
+                    for _ in range(24)]
+        yield Submodule(ring, ncols, gens), gens, vectors
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=repr)
+def test_membership_equals_the_dense_reduction(ring):
+    """``Submodule.contains`` reduces a vector with the accumulator the
+    span was built from; it decides as the dense reduction by the basis
+    rows does, on members and non-members, and keeps its length check."""
+    nonunit = members = others = 0
+    for sub, gens, vectors in seeded_spans(ring, "membership"):
+        nonunit += any(next(filter(None, g)) != 1 for g in sub.gens)
+        assert all(sub.contains(g) for g in gens)
+        for v in vectors:
+            inside = in_span(ring, sub.gens, v)
+            assert sub.contains(v) == inside, (sub.gens, v)
+            members += inside
+            others += not inside
+    assert members and others
+    assert nonunit or ring.is_field
+    with pytest.raises(DimensionMismatch, match="vector length mismatch"):
+        sub.contains((ring.zero,) * (sub.ambient_dim + 1))
+
+
+@pytest.mark.parametrize("ring", SPAN_RINGS, ids=repr)
+def test_the_annihilator_is_read_off_the_accumulator(ring, monkeypatch):
+    """``Submodule.annihilator`` is the kernel of the basis rows, as a
+    second elimination of them finds it, and feeds no row to any
+    accumulator."""
+    subs = [sub for sub, _, _ in seeded_spans(ring, "annihilator")]
+    fed = []
+    monkeypatch.setattr(linalg._HowellAccumulator, "add_rows",
+                        lambda self, block: fed.append(block))
+    got = [sub.annihilator() for sub in subs]
+    assert fed == []
+    monkeypatch.undo()
+    assert got == [linalg.certified_kernel(ring, [sub.gens], sub.ambient_dim) for sub in subs]
 
 
 @pytest.mark.parametrize("alg", [matrix_algebra(Zmod(9), 2),
@@ -490,7 +566,7 @@ def test_the_row_count_short_circuit_keeps_the_kernel_and_the_blocks_pulled(ring
                          for j in range(ncols))
                    for cs in ([rng.choice(scalars) for _ in kernel]
                               for _ in range(rng.randint(0, 3)))]
-        lower = linalg.span_basis(ring, members, ncols)
+        lower = linalg.howell_form(ring, members, ncols).basis()
         nonunit_leads += any(next(filter(None, g)) != 1 for g in lower)
         pulled, pulled_ref = [], []
         got = linalg.certified_kernel(ring, _pulled_until_closed(blocks, pulled), ncols, lower)

@@ -11,6 +11,7 @@ replaced there, and against every point of (Z/p)^d."""
 
 import itertools
 import random
+import tracemalloc
 from math import comb, factorial, prod
 
 import pytest
@@ -357,12 +358,32 @@ def test_newton_blocks_are_the_differences_of_the_point_values(family, n):
 # -- Stirling differences -----------------------------------------------------
 
 def test_surjection_numbers_are_the_differences_of_powers():
-    table = _surjections(6)
-    for g in range(7):
-        for a in range(7):
-            direct = sum((-1) ** (a - j) * comb(a, j) * j ** g for j in range(a + 1))
-            assert table[g][a] == direct, (g, a)
-    assert table[6][3] == factorial(3) * 90      # S(6, 3) = 90
+    """The table holds the residues mod n, in the columns a <= min(6, n - 1)."""
+    for n in (2, 3, 4, 6, 9, 10007):
+        table = _surjections(6, n)
+        for g in range(7):
+            assert len(table[g]) == min(6, n - 1) + 1
+            for a in range(min(6, n - 1) + 1):
+                direct = sum((-1) ** (a - j) * comb(a, j) * j ** g for j in range(a + 1))
+                assert table[g][a] == direct % n, (n, g, a)
+    assert _surjections(6, 10007)[6][3] == factorial(3) * 90      # S(6, 3) = 90
+
+
+def test_the_newton_weights_stay_small_in_k():
+    """Deciding a map of M2(Z/4) at k = 800 builds the weights of degree
+    801 mod 4: a few columns of small residues, not the 801 x 801 table of
+    a! S(g, a), whose entries run to thousands of digits."""
+    R = Zmod(4)
+    theta = LinMap(R, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    _surjections.cache_clear()
+    tracemalloc.start()
+    try:
+        verdict = is_k_commuting(full_matrix_gma(R, 2, 1), theta, 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict == (False, (0, 1, 0, 1))
+    assert peak < 32 * 2**20
 
 
 # -- verdicts and witnesses ---------------------------------------------------

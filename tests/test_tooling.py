@@ -115,12 +115,13 @@ def test_rings_do_no_arithmetic():
     assert found == []
 
 
-_ELIMINATING = {"certified_kernel", "span_basis"}
+_ELIMINATING = {"certified_kernel", "howell_form"}
 
 
 def test_one_elimination_routine():
     """Every kernel and every solve in ``gmalg`` is a
-    ``linalg.certified_kernel`` call: only it and ``linalg.span_basis`` name
+    ``linalg.certified_kernel`` call or is read off a ``linalg.howell_form``
+    (a ``Submodule``'s annihilator): only these two name
     ``kernel_builder`` (the accumulator the tracer proxies), no module
     defines a ``nullspace`` of its own, and every ``solve_linear`` call
     passes its four arguments, dict rows over a stated ``ncols``."""

@@ -63,6 +63,43 @@ MUTANTS = [
         "if r0 is None:",
         ["tests/test_stream.py::test_a_unit_that_is_not_central_gets_no_reduction"],
         "map_groups subtracts x -> c*x + g(x)*1 only when the unit is central"),
+    Mutant(
+        "membership-unreduced", "src/gmalg/linalg.py",
+        "return not self._reduce(_sparse(v))",
+        "return not _sparse(v)",
+        ["tests/test_linalg.py::test_howell_form_matches_enumeration"],
+        "a vector is a member of a span iff its reduction by the Howell rows leaves nothing"),
+    Mutant(
+        "howell-feedback-dropped", "src/gmalg/linalg.py",
+        "            out.append({c: y for c, x in r.items() if (y := rg.normal(m * x))})",
+        "            pass",
+        ["tests/test_linalg.py::test_solve_matches_brute_force_composite"],
+        "the multiple (n/lead)*row of a row whose lead is not a unit is fed back"),
+    Mutant(
+        "lower-bound-guard-off", "src/gmalg/linalg.py",
+        "    if lower and any(ring.normal(",
+        "    if False and any(ring.normal(",
+        ["tests/test_linalg.py::test_a_lower_bound_outside_the_kernel_is_a_violation"],
+        "a kernel's lower bound that fails its rows raises TheoremViolation"),
+    Mutant(
+        "newton-recurrence", "src/gmalg/algebra.py",
+        "a * (prev[a] + prev[a - 1]) % n",
+        "a * prev[a - 1] % n",
+        ["tests/test_symbolic.py::test_generators_equal_point_evaluation"],
+        "the Newton weights are a! S(g, a), by a!S(g, a) = a (a!S(g-1, a) + (a-1)!S(g-1, a-1))"),
+    Mutant(
+        "certificate-guard-dropped", "src/gmalg/cli.py",
+        "            if cert is None:    # C and theta(e_j)",
+        "            if False:    # C and theta(e_j)",
+        ["tests/test_hypotheses.py::test_a_proper_form_without_a_certificate_is_a_violation"],
+        "a proper form constructed where no certificate is found raises TheoremViolation"),
+    Mutant(
+        "projection-guard-dropped", "src/gmalg/maps.py",
+        "    if not all(z.contains(g) for z, pi in",
+        "    if False and not all(z.contains(g) for z, pi in",
+        ["tests/test_hypotheses.py::"
+         "test_a_projection_of_the_center_outside_the_order_k_center_is_a_violation"],
+        "a projection of Z(G) outside the order-k center raises TheoremViolation"),
 ]
 
 
